@@ -22,7 +22,8 @@ from .tessellation import (AdjacencyGraph, Cell, Tessellation, build_adjacency,
 from .graphs import (ball_growth_profile, enumerate_animals, graph_ball,
                      inner_boundary, outer_boundary)
 from .percolation import (Coloring, CrossingQuery, black_clusters, color,
-                          cluster_reach, crossing, spanning_cluster_count)
+                          cluster_reach, crossing, label_components,
+                          spanning_cluster_count)
 from .experiment import ExperimentSpec, build_tessellation, coloring_for
 from .estimators import (count_spanning_clusters, estimate_crossing_prob,
                          estimate_pc, estimate_theta,

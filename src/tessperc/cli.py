@@ -59,7 +59,7 @@ def main(argv=None) -> int:
             from .experiment import build_tessellation, coloring_for
             from .render import render_svg
             cfg = load_config(args.config)
-            spec = _spec_from_config(cfg, p=cfg.get("p") or 0.5)
+            spec = _spec_from_config(cfg, p=0.5 if cfg.get("p") is None else cfg["p"])
             tess = build_tessellation(spec, args.rep)
             col = coloring_for(spec, args.rep, tess)
             render_svg(tess, col, args.out, show_graph=args.show_graph,

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, ParameterError
 from .geometry import Window
 from .graphs import graph_ball, outer_boundary
-from .percolation import (Coloring, CrossingQuery, UnionFind, cluster_reach,
-                          crossing, spanning_cluster_count)
+from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
+                          label_components, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import stream
 from .experiment import ExperimentSpec, build_tessellation, coloring_for
@@ -218,9 +218,10 @@ class TrifurcationResult:
     points: list = field(default_factory=list)
 
 
-def _polygon_in_box(poly: np.ndarray, lo, hi, tol: float) -> bool:
-    return bool((poly[:, 0] >= lo[0] - tol).all() and (poly[:, 0] <= hi[0] + tol).all()
-                and (poly[:, 1] >= lo[1] - tol).all() and (poly[:, 1] <= hi[1] + tol).all())
+def _in_box(bb: np.ndarray, lo, hi, tol: float) -> np.ndarray:
+    """Mask of the [xmin, ymin, xmax, ymax] boxes inside [lo, hi] grown by tol."""
+    return ((bb[:, 0] >= lo[0] - tol) & (bb[:, 2] <= hi[0] + tol)
+            & (bb[:, 1] >= lo[1] - tol) & (bb[:, 3] <= hi[1] + tol))
 
 
 def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: float,
@@ -240,51 +241,34 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
     graph = build_adjacency(tess, adjacency)
     black = coloring.black
     tol = tess.tol
+    bb = tess.bboxes
+    touching = ~_in_box(bb, window.lo, window.hi, -tol)
     step = 3.0 * r2
     i0 = math.ceil((window.lo[0]) / step)
     i1 = math.floor((window.hi[0]) / step)
     j0 = math.ceil((window.lo[1]) / step)
     j1 = math.floor((window.hi[1]) / step)
-    # cluster labels among black cells (whitened ball handled per candidate)
     count = 0
     skipped = 0
     candidates = 0
     points = []
-    win_lo, win_hi = np.asarray(window.lo), np.asarray(window.hi)
     for i in range(i0, i1 + 1):
         for j in range(j0, j1 + 1):
             x = np.array([i * step, j * step])
             candidates += 1
-            root = tess.locate(x)
-            ball = graph_ball(graph, root, r1).vertices
-            if any(not _polygon_in_box(tess.cells[v].polygon, window.lo, window.hi, tol)
-                   for v in ball):
+            ball = sorted(graph_ball(graph, tess.locate(x), r1).vertices)
+            if not _in_box(bb[ball], window.lo, window.hi, tol).all():
                 skipped += 1
                 continue
-            if not all(black[v] for v in ball):
-                continue
-            lo_box = x - r2
-            hi_box = x + r2
-            if not all(_polygon_in_box(tess.cells[v].polygon, lo_box, hi_box, tol)
-                       for v in ball):
+            if not black[ball].all() or not _in_box(bb[ball], x - r2, x + r2, tol).all():
                 continue
             # whiten the ball, relabel, count boundary-touching clusters on its rim
             active = black.copy()
-            for v in ball:
-                active[v] = False
-            ids = [k for k in range(len(tess.cells)) if active[k]]
-            pos = {cid: idx for idx, cid in enumerate(ids)}
-            uf = UnionFind(len(ids))
-            for cid in ids:
-                for w in graph.neighbors[cid]:
-                    if w > cid and active[w]:
-                        uf.union(pos[cid], pos[w])
-            rim = [v for v in outer_boundary(graph, ball) if active[v]]
-            touching_labels = set()
-            for cid in ids:
-                if not _polygon_in_box(tess.cells[cid].polygon, win_lo, win_hi, -tol):
-                    touching_labels.add(uf.find(pos[cid]))
-            rim_labels = {uf.find(pos[v]) for v in rim}
+            active[ball] = False
+            labels = label_components(active, graph.edges)
+            touching_labels = set(labels[active & touching].tolist())
+            # white rim cells are labelled -1, never a touching label
+            rim_labels = {int(labels[v]) for v in outer_boundary(graph, ball)}
             if len(rim_labels & touching_labels) >= 3:
                 count += 1
                 points.append((float(x[0]), float(x[1])))
@@ -342,31 +326,18 @@ def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int)
     if ball.truncated:
         raise ParameterError("n_max ball leaves the core window; enlarge the window")
     dist = ball.distances
-    shells: dict = {}
-    for v, d in dist.items():
-        shells.setdefault(d, []).append(v)
     ball_members = [sorted(v for v, d in dist.items() if d <= n) for n in range(n_max + 1)]
 
-    n_cells = len(tess.cells)
     per_rep_l = []
     for rep in range(replicates):
-        col = coloring_for(spec, rep, tess, p)
-        black = col.black
-        uf = UnionFind(n_cells)
-        for v in range(n_cells):
-            if not black[v]:
-                continue
-            for w in graph.neighbors[v]:
-                if w > v and black[w]:
-                    uf.union(v, w)
-        touching = set()
-        for v in range(n_cells):
-            if black[v] and graph.boundary_flags[v]:
-                touching.add(uf.find(v))
+        black = coloring_for(spec, rep, tess, p).black
+        labels = label_components(black, graph.edges)
+        touching = set(labels[black & graph.boundary_flags].tolist())
+        labels = labels.tolist()  # white cells are -1, never a touching label
         l_indicator = {}
         for v in dist:
-            labels = {uf.find(w) for w in graph.neighbors[v] if black[w]}
-            l_indicator[v] = 1 if len(labels & touching) >= 2 else 0
+            near = {labels[w] for w in graph.neighbors[v]}
+            l_indicator[v] = 1 if len(near & touching) >= 2 else 0
         per_rep_l.append(l_indicator)
 
     g1_avg, g1_ci, g2_avg, sizes = [], [], [], []

@@ -368,14 +368,14 @@ def sweep(config_path, out_dir="runs", workers: int = 1) -> RunRecord:
     target = Path(out_dir) / h[:16]
     target.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    extra = {}
     if op == "crossing":
         if not cfg.get("p_grid"):
             raise ConfigError("crossing sweep needs a p_grid")
         rows, summary_rows = _sweep_crossing(cfg, workers)
     elif op == "smp_gap":
-        base_rows, meta = _op_smp_gap(cfg, workers)
-        rows, summary_rows = [], base_rows
-        summary = meta
+        summary_rows, extra = _op_smp_gap(cfg, workers)
+        rows = []
     else:
         raise ConfigError(f"sweep supports ops 'crossing' and 'smp_gap', not {op!r}")
     if rows:
@@ -383,10 +383,9 @@ def sweep(config_path, out_dir="runs", workers: int = 1) -> RunRecord:
     if summary_rows:
         write_csv(target / "summary.csv", list(summary_rows[0].keys()), summary_rows)
     finished = time.time()
+    summary = {"rows": len(rows), "summary_rows": len(summary_rows), **extra}
     record = RunRecord(spec_hash=h, op=op, started=started, finished=finished,
-                       version=__version__,
-                       summary={"rows": len(rows), "summary_rows": len(summary_rows)},
-                       out_dir=str(target))
+                       version=__version__, summary=summary, out_dir=str(target))
     with open(target / "run.json", "w") as fh:
         json.dump(record.to_json(), fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
@@ -405,11 +404,12 @@ def _sweep_crossing(cfg, workers):
     rect = _window_from(params["rect"]) if "rect" in params else spec.window
     direction = params.get("direction", "horizontal")
     fn = _guarded(partial(_sweep_crossing_rep, spec, rect, direction, tuple(p_grid)))
-    vals, failed = _run_replicates(fn, spec.replicates, workers)
+    results, failed = _run_replicates(fn, spec.replicates, workers)
     rows = []
-    for rep, indicators in enumerate(vals):
+    for rep, indicators in results:
         for p, ind in zip(p_grid, indicators):
             rows.append({"replicate": rep, "p": p, "indicator": ind})
+    vals = [indicators for _, indicators in results]
     # coupling spot check on ~1% of replicates: indicators must be monotone in p
     step = max(1, len(vals) // 100)
     for indicators in vals[::step]:
@@ -425,6 +425,7 @@ def _sweep_crossing(cfg, workers):
 
 
 def _sweep_crossing_rep(spec: ExperimentSpec, rect, direction, p_grid, rep: int):
+    """(rep, crossing indicator per p); the id survives dropped failures."""
     tess = build_tessellation(spec, rep)
     col = coloring_for(spec, rep, tess, p_grid[0])
     out = []
@@ -432,4 +433,4 @@ def _sweep_crossing_rep(spec: ExperimentSpec, rect, direction, p_grid, rep: int)
         q = CrossingQuery(rect=rect, direction=direction, color="black",
                           adjacency=spec.adjacency)
         out.append(1 if crossing(tess, col.at_p(p), q) else 0)
-    return tuple(out)
+    return rep, tuple(out)

@@ -2,6 +2,8 @@
 
 Colorings store one uniform per cell and a threshold, so re-thresholding at a
 different p reuses the same randomness (monotone coupling across p).
+Every cluster is found by label_components: each active cell is labelled
+with the smallest cell id in its component, inactive cells with -1.
 Crossing connectivity inside a rectangle is geometric: face edges count only
 where the shared boundary segment clipped to the rectangle has positive
 length; star mode additionally accepts corner contacts inside the rectangle.
@@ -9,8 +11,7 @@ length; star mode additionally accepts corner contacts inside the rectangle.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,29 +50,31 @@ def color(tess: Tessellation, p: float, rng: np.random.Generator) -> Coloring:
     return Coloring(rng.random(len(tess.cells)), p)
 
 
-class UnionFind:
-    """Array union-find with path compression and union by size."""
+def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Connected components of the active vertices of an edge list.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    labels[v] is the smallest vertex id in v's component for active v and -1
+    for inactive v; edges with an inactive endpoint are ignored. Hook and
+    compress: every root that is the larger endpoint of an edge between two
+    components is hooked under the smallest root across such edges, then
+    pointer jumping flattens the forest, until no edge joins two components.
+    """
+    parent = np.arange(len(active))
+    edges = np.asarray(edges, int).reshape(-1, 2)
+    a, b = edges[active[edges[:, 0]] & active[edges[:, 1]]].T
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return np.where(active, parent, -1)
 
 
 @dataclass(frozen=True)
@@ -90,89 +93,81 @@ class CrossingQuery:
             raise ParameterError("adjacency must be face or star")
 
 
-@dataclass
-class RectComponents:
-    """Connected components of active cells inside a rectangle."""
+def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
+    """Active cells meeting rect, as a mask, and the [xmin, ymin, xmax, ymax]
+    extents of their parts inside rect in increasing id order.
 
-    ids: list
-    labels: dict
-    touches: dict  # cell id -> (L, R, B, T) bools
-
-
-def _rect_components(tess: Tessellation, active: np.ndarray, rect: Window,
-                     adjacency: str) -> RectComponents:
-    tol = tess.tol
-    cand = tess.cells_meeting(rect)
-    ids = []
-    touches = {}
-    for i in cand:
-        if not active[i]:
-            continue
-        clipped = clip_polygon_to_window(tess.cells[i].polygon, rect)
-        if len(clipped) == 0:
-            continue
-        xmin, ymin = clipped.min(axis=0)
-        xmax, ymax = clipped.max(axis=0)
-        ids.append(int(i))
-        touches[int(i)] = (xmin <= rect.lo[0] + tol, xmax >= rect.hi[0] - tol,
-                           ymin <= rect.lo[1] + tol, ymax >= rect.hi[1] - tol)
+    A cell whose bbox lies inside rect is its own part, so only the cells
+    that cross the rectangle's boundary are clipped.
+    """
+    ids = tess.cells_meeting(rect)
+    ids = ids[active[ids]]
+    ext = tess.bboxes[ids]
+    inside = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
+              & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
+    keep = np.ones(len(ids), bool)
+    for k in np.nonzero(~inside)[0]:
+        part = clip_polygon_to_window(tess.cells[ids[k]].polygon, rect)
+        if len(part) == 0:
+            keep[k] = False
+        else:
+            ext[k, :2] = part.min(axis=0)
+            ext[k, 2:] = part.max(axis=0)
     in_rect = np.zeros(len(tess.cells), bool)
-    in_rect[ids] = True
-    pos = {cid: k for k, cid in enumerate(ids)}
-    uf = UnionFind(len(ids))
+    in_rect[ids[keep]] = True
+    return in_rect, ext[keep]
 
+
+def _side_touches(ext: np.ndarray, rect: Window, tol: float) -> np.ndarray:
+    """Per-extent (L, R, B, T) flags: does it reach that side of rect."""
+    return np.column_stack([ext[:, 0] <= rect.lo[0] + tol, ext[:, 2] >= rect.hi[0] - tol,
+                            ext[:, 1] <= rect.lo[1] + tol, ext[:, 3] >= rect.hi[1] - tol])
+
+
+def _rect_edges(tess: Tessellation, in_rect: np.ndarray, rect: Window,
+                adjacency: str) -> np.ndarray:
+    """Pairs of in-rect cells whose shared boundary piece inside rect has
+    positive length; star mode also takes point contacts inside rect."""
+    tol = tess.tol
     fp = tess.face_pairs
-    if len(fp):
-        both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
-        if both.any():
-            seg = tess.face_segments[both]
-            ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
-            if adjacency == "face":
-                passing = ok & (lengths > tol)
-            else:
-                passing = ok
-            for (i, j) in fp[both][passing]:
-                uf.union(pos[int(i)], pos[int(j)])
-    if adjacency == "star" and len(tess.star_pairs):
-        sp = tess.star_pairs
-        both = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
-        if both.any():
-            pts = tess.star_points[both]
-            inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
-                      & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
-            for (i, j) in sp[both][inside]:
-                uf.union(pos[int(i)], pos[int(j)])
-    labels = {cid: uf.find(pos[cid]) for cid in ids}
-    return RectComponents(ids=ids, labels=labels, touches=touches)
+    both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
+    seg = tess.face_segments[both]
+    ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
+    if adjacency == "face":
+        return fp[both][ok & (lengths > tol)]
+    sp = tess.star_pairs
+    both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
+    pts = tess.star_points[both_sp]
+    inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
+              & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
+    return np.concatenate([fp[both][ok], sp[both_sp][inside]])
+
+
+def _spanning_labels(tess: Tessellation, active: np.ndarray, rect: Window,
+                     adjacency: str, direction: str) -> np.ndarray:
+    """Labels of the components of active cells inside rect that join its
+    start and end sides (left/right when horizontal, else bottom/top)."""
+    if not tess.core_window.contains_window(rect, tol=tess.tol):
+        raise ParameterError("rectangle must lie inside the core window")
+    in_rect, ext = _cells_in_rect(tess, active, rect)
+    labels = label_components(in_rect, _rect_edges(tess, in_rect, rect, adjacency))[in_rect]
+    touches = _side_touches(ext, rect, tess.tol)
+    start, end = (0, 1) if direction == "horizontal" else (2, 3)
+    return np.intersect1d(labels[touches[:, start]], labels[touches[:, end]])
 
 
 def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery) -> bool:
     """True iff some monochromatic component joins the rectangle's start and
     end sides through interiors and shared boundary pieces inside the rect."""
-    if not tess.core_window.contains_window(query.rect, tol=tess.tol):
-        raise ParameterError("crossing rectangle must lie inside the core window")
-    comps = _rect_components(tess, coloring.mask(query.color), query.rect, query.adjacency)
-    if query.direction == "horizontal":
-        start = {comps.labels[i] for i in comps.ids if comps.touches[i][0]}
-        end = {comps.labels[i] for i in comps.ids if comps.touches[i][1]}
-    else:
-        start = {comps.labels[i] for i in comps.ids if comps.touches[i][2]}
-        end = {comps.labels[i] for i in comps.ids if comps.touches[i][3]}
-    return bool(start & end)
+    return len(_spanning_labels(tess, coloring.mask(query.color), query.rect,
+                                query.adjacency, query.direction)) > 0
 
 
 def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
                            adjacency: str = "face", direction: str = "horizontal",
                            color_name: str = "black") -> int:
     """Number of distinct components joining the rect's opposite sides."""
-    comps = _rect_components(tess, coloring.mask(color_name), rect, adjacency)
-    if direction == "horizontal":
-        start = {comps.labels[i] for i in comps.ids if comps.touches[i][0]}
-        end = {comps.labels[i] for i in comps.ids if comps.touches[i][1]}
-    else:
-        start = {comps.labels[i] for i in comps.ids if comps.touches[i][2]}
-        end = {comps.labels[i] for i in comps.ids if comps.touches[i][3]}
-    return len(start & end)
+    return len(_spanning_labels(tess, coloring.mask(color_name), rect, adjacency, direction))
 
 
 @dataclass
@@ -185,60 +180,30 @@ class ClusterInfo:
 
 @dataclass
 class ClusterLabeling:
-    labels: dict
-    clusters: dict = field(default_factory=dict)
-
-    def label_of(self, cell_id: int):
-        return self.labels.get(cell_id)
+    labels: dict  # cell id -> label of its cluster
+    clusters: dict  # label -> ClusterInfo
 
 
 def black_clusters(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
                    rect: Window) -> ClusterLabeling:
-    """Union-find labeling of black cells meeting rect, using graph adjacency.
+    """Clusters of the black cells meeting rect under the graph's adjacency.
 
-    Side-touch flags per cluster come from the cells' intersections with the
-    rectangle's four sides.
+    A cluster's label is its smallest cell id. Its bbox and side-touch flags
+    come from its cells' parts inside the rectangle.
     """
-    black = coloring.black
-    tol = tess.tol
-    cand = tess.cells_meeting(rect)
-    ids = []
-    touches = {}
-    bboxes = {}
-    for i in cand:
-        if not black[i]:
-            continue
-        clipped = clip_polygon_to_window(tess.cells[i].polygon, rect)
-        if len(clipped) == 0:
-            continue
-        xmin, ymin = clipped.min(axis=0)
-        xmax, ymax = clipped.max(axis=0)
-        ids.append(int(i))
-        touches[int(i)] = (xmin <= rect.lo[0] + tol, xmax >= rect.hi[0] - tol,
-                           ymin <= rect.lo[1] + tol, ymax >= rect.hi[1] - tol)
-        bboxes[int(i)] = (xmin, ymin, xmax, ymax)
-    id_set = set(ids)
-    pos = {cid: k for k, cid in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    for cid in ids:
-        for w in graph.neighbors[cid]:
-            if w in id_set and w > cid:
-                uf.union(pos[cid], pos[w])
-    labels = {cid: uf.find(pos[cid]) for cid in ids}
+    in_rect, ext = _cells_in_rect(tess, coloring.black, rect)
+    labels = label_components(in_rect, graph.edges)[in_rect]
+    touches = _side_touches(ext, rect, tess.tol)
     clusters = {}
-    for cid in ids:
-        lab = labels[cid]
-        info = clusters.get(lab)
-        b = bboxes[cid]
-        t = touches[cid]
-        if info is None:
-            clusters[lab] = ClusterInfo(label=lab, size=1, bbox=b, touches=t)
-        else:
-            info.size += 1
-            ib = info.bbox
-            info.bbox = (min(ib[0], b[0]), min(ib[1], b[1]), max(ib[2], b[2]), max(ib[3], b[3]))
-            info.touches = tuple(a or b2 for a, b2 in zip(info.touches, t))
-    return ClusterLabeling(labels=labels, clusters=clusters)
+    for lab in np.unique(labels):
+        mine = labels == lab
+        e = ext[mine]
+        clusters[int(lab)] = ClusterInfo(
+            label=int(lab), size=int(mine.sum()),
+            bbox=(e[:, 0].min(), e[:, 1].min(), e[:, 2].max(), e[:, 3].max()),
+            touches=tuple(bool(t) for t in touches[mine].any(axis=0)))
+    return ClusterLabeling(labels=dict(zip(np.nonzero(in_rect)[0].tolist(), labels.tolist())),
+                           clusters=clusters)
 
 
 def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
@@ -250,15 +215,7 @@ def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
     black = coloring.black
     if not black[root]:
         return 0.0
-    best = 0.0
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        poly = tess.cells[v].polygon
-        best = max(best, float(np.sqrt((poly ** 2).sum(axis=1)).max()))
-        for w in graph.neighbors[v]:
-            if w not in seen and black[w]:
-                seen.add(w)
-                queue.append(w)
-    return best
+    labels = label_components(black, graph.edges)
+    corners = np.concatenate([tess.cells[v].polygon
+                              for v in np.nonzero(labels == labels[root])[0]])
+    return float(np.sqrt((corners ** 2).sum(axis=1)).max())

@@ -134,12 +134,6 @@ class PointConfiguration:
                 writer.writerow([repr(float(x)), repr(float(y))])
 
 
-@dataclass
-class ClusterRealization:
-    parent: np.ndarray
-    offspring: np.ndarray
-
-
 def sample_poisson(gamma: float, window: Window, rng: np.random.Generator) -> PointConfiguration:
     """Homogeneous Poisson process on a window."""
     if gamma <= 0:

@@ -20,8 +20,7 @@ from scipy.spatial import QhullError, Voronoi
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_polygon_to_window, clip_segments_to_rect,
-                       ensure_ccw, point_in_convex_polygon, polygon_area,
-                       polygon_diameter)
+                       point_in_convex_polygon, polygon_area, polygon_diameter)
 from .point_process import PointConfiguration
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
@@ -126,12 +125,16 @@ class Tessellation:
 
 @dataclass
 class AdjacencyGraph:
-    """Symmetric loop-free neighbor lists over cell ids, rooted at the zero cell."""
+    """Symmetric loop-free neighbor lists over cell ids, rooted at the zero cell.
+
+    edges holds the (i, j) cell pairs the lists are built from.
+    """
 
     mode: str
     neighbors: list
     root: int
     boundary_flags: np.ndarray
+    edges: np.ndarray
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -479,14 +482,13 @@ def build_adjacency(tess: Tessellation, mode: str) -> AdjacencyGraph:
     """
     if mode not in ("face", "star"):
         raise ParameterError("adjacency mode must be 'face' or 'star'")
-    neighbors = [set() for _ in range(len(tess.cells))]
-    for i, j in tess.face_pairs:
-        neighbors[int(i)].add(int(j))
-        neighbors[int(j)].add(int(i))
+    edges = tess.face_pairs
     if mode == "star":
-        for i, j in tess.star_pairs:
-            neighbors[int(i)].add(int(j))
-            neighbors[int(j)].add(int(i))
+        edges = np.concatenate([edges, tess.star_pairs])
+    neighbors = [set() for _ in range(len(tess.cells))]
+    for i, j in edges.tolist():
+        neighbors[i].add(j)
+        neighbors[j].add(i)
     cw = tess.core_window
     if cw.lo[0] <= 0.0 <= cw.hi[0] and cw.lo[1] <= 0.0 <= cw.hi[1]:
         root = zero_cell(tess)
@@ -494,4 +496,4 @@ def build_adjacency(tess: Tessellation, mode: str) -> AdjacencyGraph:
         root = tess.locate(cw.center)
     flags = np.array([c.touches_core_boundary for c in tess.cells], bool)
     return AdjacencyGraph(mode=mode, neighbors=[sorted(s) for s in neighbors],
-                          root=root, boundary_flags=flags)
+                          root=root, boundary_flags=flags, edges=edges)

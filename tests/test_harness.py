@@ -1,10 +1,13 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from tessperc import harness
+from tessperc import diagnostics, harness
+from tessperc.cli import main
+from tessperc.errors import EdgeEffectError
 
 SQ = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
 PV = {"kind": "poisson", "params": {"gamma": 1.0}}
@@ -78,3 +81,53 @@ def test_harness_csv_digests(name, tmp_path):
     out = Path(record.out_dir)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert got == digests
+
+
+def _fail_rep_1(build):
+    def wrapped(spec, rep):
+        if rep == 1:
+            raise EdgeEffectError("forced failure")
+        return build(spec, rep)
+    return wrapped
+
+
+def test_sweep_keeps_replicate_ids_after_a_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "build_tessellation", _fail_rep_1(harness.build_tessellation))
+    cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
+           "p_grid": [0.4, 0.6], "replicates": 100, "master_seed": 21}
+    record = harness.sweep(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    with open(Path(record.out_dir) / "sweep.csv", newline="") as fh:
+        ids = {int(row["replicate"]) for row in csv.DictReader(fh)}
+    assert 1 not in ids and 99 in ids
+    assert ids == set(range(100)) - {1}
+
+
+def test_smp_gap_sweep_reports_failures_in_run_json(tmp_path, monkeypatch):
+    monkeypatch.setattr(diagnostics, "build_tessellation",
+                        _fail_rep_1(diagnostics.build_tessellation))
+    cfg = {"op": "smp_gap", "process": SQ, "window": [[-4.0, -4.0], [4.0, 4.0]], "p": 0.6,
+           "replicates": 100, "master_seed": 22,
+           "params": {"family": "crossing", "Q": [[-1.0, -1.0], [0.0, 0.0]],
+                      "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}
+    record = harness.sweep(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    summary = json.loads((Path(record.out_dir) / "run.json").read_text())["summary"]
+    assert summary["meta"] == {"family": "crossing", "failed": 1}
+    assert summary["replicates"] == 99
+    assert summary["summary_rows"] == 2
+
+
+def test_cli_render_at_p_zero_draws_no_black_cell(tmp_path):
+    cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
+           "p": 0.0, "replicates": 50, "master_seed": 23}
+    svg = tmp_path / "out.svg"
+    assert main(["render", _write_config(tmp_path, cfg), "--out", str(svg)]) == 0
+    text = svg.read_text()
+    assert 'fill="#ffffff"' in text
+    assert 'fill="#000000"' not in text
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
+           "p": 0.5, "replicates": 50, "master_seed": 24, "colour": "black"}
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown top-level keys ['colour']" in capsys.readouterr().err

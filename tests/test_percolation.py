@@ -7,7 +7,7 @@ from tessperc.errors import ParameterError
 from tessperc.geometry import Window
 from tessperc.percolation import (Coloring, CrossingQuery, black_clusters,
                                   cluster_reach, color, crossing,
-                                  spanning_cluster_count)
+                                  label_components, spanning_cluster_count)
 from tessperc.point_process import sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
@@ -85,19 +85,51 @@ def test_black_clusters_trivial_and_checkerboard():
     assert len(lab3.clusters) == 1
 
 
+def assert_same_partition(labels, oracle, ids):
+    forward = {}
+    for v in ids:
+        a, b = labels[v], oracle[v]
+        assert forward.setdefault(a, b) == b
+    assert len(set(forward.values())) == len(forward)
+
+
 def test_union_find_matches_bfs_oracle():
     for seed in (5, 6, 7):
         tess, col = poisson_setup(seed, side=15.0, p=0.55)
         graph = build_adjacency(tess, "face")
         lab = black_clusters(tess, graph, col, tess.core_window)
         ids = sorted(lab.labels)
-        oracle = bfs_labels(graph.neighbors, ids)
         # same partition: label maps are a bijection
-        forward = {}
-        for v in ids:
-            a, b = lab.labels[v], oracle[v]
-            assert forward.setdefault(a, b) == b
-        assert len(set(forward.values())) == len(forward)
+        assert_same_partition(lab.labels, bfs_labels(graph.neighbors, ids), ids)
+        for label, info in lab.clusters.items():
+            members = [v for v in ids if lab.labels[v] == label]
+            assert info.label == label == min(members) and info.size == len(members)
+    # the kernel itself, on random active masks over face and star edges
+    rng = np.random.default_rng(8)
+    for seed, mode in ((9, "face"), (10, "star"), (11, "star")):
+        tess, _ = poisson_setup(seed, side=12.0)
+        graph = build_adjacency(tess, mode)
+        for frac in (0.3, 0.55, 0.8):
+            active = rng.random(len(tess)) < frac
+            labels = label_components(active, graph.edges)
+            ids = np.nonzero(active)[0].tolist()
+            oracle = bfs_labels(graph.neighbors, ids)
+            assert_same_partition(labels, oracle, ids)
+            assert (labels[~active] == -1).all()
+            for v in ids:
+                assert labels[v] == min(w for w in ids if oracle[w] == oracle[v])
+    # random graphs, edges listed in both orders and repeated
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        active = rng.random(n) < 0.7
+        neighbors = [[] for _ in range(n)]
+        for i, j in edges:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        labels = label_components(active, edges)
+        ids = np.nonzero(active)[0].tolist()
+        assert_same_partition(labels, bfs_labels(neighbors, ids), ids)
 
 
 def test_crossing_trivials_and_errors():
@@ -180,6 +212,13 @@ def test_spanning_two_disjoint_rows():
             uniforms[i] = 0.0
     col = Coloring(uniforms, 0.5)
     assert spanning_cluster_count(tess, col, tess.core_window) == 2
+
+
+def test_spanning_rect_must_lie_in_core_window():
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
+    col = color(tess, 0.5, stream(3, 0, "color"))
+    with pytest.raises(ParameterError):
+        spanning_cluster_count(tess, col, Window((1, 1), (6, 4)))
 
 
 def test_cluster_reach():
