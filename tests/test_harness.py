@@ -8,9 +8,18 @@ import pytest
 from tessperc import diagnostics, harness
 from tessperc.cli import main
 from tessperc.errors import EdgeEffectError
+from tessperc.experiment import ExperimentSpec
+from tessperc.geometry import Window
+from tessperc.percolation import color
+from tessperc.point_process import ProcessSpec, sample_poisson
+from tessperc.render import render_svg
+from tessperc.streams import stream
+from tessperc.tessellation import build_voronoi
 
 SQ = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
 PV = {"kind": "poisson", "params": {"gamma": 1.0}}
+HEX = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0, "random_shift": True}}
+W4 = [[-4.0, -4.0], [4.0, 4.0]]
 W6 = [[-6.0, -6.0], [6.0, 6.0]]
 
 # sha256 of every CSV each config writes. The digests pin the CSV payloads
@@ -65,6 +74,36 @@ GOLDEN = {
         "p_grid": [0.35, 0.4, 0.45], "replicates": 20, "master_seed": 20}, {
         "summary.csv": "b9ee0421b14ff62d3424d5064e350c2590d3137117c93d5a80dbd69768dcef28",
         "sweep.csv": "be38906283499a3a5594e4bee677f908d9444bed378082228bca367dc4e60e6b"}),
+    "theta_voronoi_face": ("run", {
+        "op": "theta", "process": PV, "window": [[-5.0, -5.0], [5.0, 5.0]],
+        "adjacency": "face", "p_grid": [0.5, 0.6], "replicates": 20, "master_seed": 25,
+        "params": {"radii": [1, 2, 3]}}, {
+        "theta.csv": "a91c5ea09bdabb6dcb1b2db49508200ecb574ab4d112e1df9b89a4f803314c7b"}),
+    "crossing_voronoi_face": ("run", {
+        "op": "crossing", "process": PV, "window": W4, "adjacency": "face",
+        "p_grid": [0.4, 0.5, 0.6], "replicates": 50, "master_seed": 26,
+        "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
+        "crossing.csv": "20ea32fb358062cbabd23950ed28eb02af18b57b863c2bf817cdb70c938ae1a5"}),
+    "crossing_hexagonal": ("run", {
+        "op": "crossing", "process": HEX, "window": W4, "adjacency": "face",
+        "p_grid": [0.4, 0.5, 0.6], "replicates": 50, "master_seed": 27,
+        "params": {"rect": [[-3.2, -3.1], [3.4, 2.9]]}}, {
+        "crossing.csv": "345e8aecd26eca81456e4a979865d506acab70cc9ae540d75352822659e2fd50"}),
+    "pc_square": ("run", {
+        "op": "pc", "process": SQ, "window": [[-3.0, -3.0], [3.0, 3.0]],
+        "adjacency": "face", "replicates": 50, "master_seed": 28,
+        "params": {"tolerance": 0.1, "replicates_per_probe": 50}}, {
+        "pc.csv": "ce53af97a52b109d770db3a687556e2f27c7b6d9ed803688987df15bc879aa04"}),
+    "tameness": ("run", {
+        "op": "tameness", "process": PV, "window": W6, "replicates": 4,
+        "master_seed": 29, "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}}, {
+        "tameness.csv": "9dce19b16b12fa5affc57605ff7b9534ff69ea91a60937e195520b2c097d868f"}),
+    "sweep_smp_gap": ("sweep", {
+        "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+        "master_seed": 30,
+        "params": {"family": "crossing", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
+                   "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}, {
+        "summary.csv": "0114114dc93107d949587176ae4cf4f6895637b9fe3c3e5cf8afe4f67c195716"}),
 }
 
 
@@ -81,6 +120,52 @@ def test_harness_csv_digests(name, tmp_path):
     out = Path(record.out_dir)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert got == digests
+
+
+def _csv_bytes(record) -> dict:
+    return {p.name: p.read_bytes() for p in Path(record.out_dir).glob("*.csv")}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"op": "theta", "process": PV, "window": [[-5.0, -5.0], [5.0, 5.0]], "adjacency": "face",
+     "p": 0.55, "replicates": 12, "master_seed": 31, "params": {"radii": [1, 3]}},
+    {"op": "spanning", "process": SQ, "window": W4, "adjacency": "star", "p": 0.5,
+     "replicates": 100, "master_seed": 32,
+     "params": {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}},
+], ids=["theta_voronoi", "spanning_shifted_lattice"])
+def test_csvs_identical_across_worker_counts(cfg, tmp_path):
+    path = _write_config(tmp_path, cfg)
+    one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
+    two = harness.run(path, out_dir=str(tmp_path / "w2"), workers=2)
+    assert _csv_bytes(one) == _csv_bytes(two)
+    assert _csv_bytes(one)
+
+
+def _small_voronoi(seed):
+    core = Window((-3.0, -3.0), (3.0, 3.0))
+    cfg = sample_poisson(1.0, core.expand(3.0), stream(seed, 0, "tess"))
+    return build_voronoi(cfg, core, 3.0)
+
+
+def test_render_svg_core_only_star_bytes(tmp_path):
+    tess = _small_voronoi(33)
+    col = color(tess, 0.5, stream(33, 0, "color"))
+    out = tmp_path / "tess.svg"
+    render_svg(tess, col, out, show_graph="star", core_only=True)
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "6252ac79ff01f8b6a8fb30fc668a5acbe7d5d724f52e162dda637ea274355411")
+
+
+def test_peierls_probe_result_pinned():
+    spec = ExperimentSpec(process=ProcessSpec.from_json(PV),
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), master_seed=34)
+    res = diagnostics.peierls_probe(spec, 0.5, 1.0, Window((-7.5, -7.5), (7.5, 7.5)),
+                                    replicates=10, c3=0.5, c4=0.02, cycle_lengths=(8, 16))
+    assert res == diagnostics.PeierlsResult(
+        declined=False, reason="", cycle_lengths=[8, 16], estimates=[0.7, 0.4],
+        sigmas=[0.13936099742505348, 0.14798927814636098],
+        bounds=[0.9514940774912729, 0.9053409795009684], below_bound=[True, True],
+        replicates=10)
 
 
 def _fail_rep_1(build):

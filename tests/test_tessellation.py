@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -200,3 +203,33 @@ def test_tessellation_json_export():
     center_cell = [c for c in obj["cells"] if c["center"] == [1.5, 1.5]][0]
     assert len(center_cell["neighbors_face"]) == 4
     assert len(center_cell["neighbors_star"]) == 8
+
+
+def _geometry_digest(tess):
+    """sha256 of the JSON export plus the star contact points in sorted pair order."""
+    h = hashlib.sha256(json.dumps(tess.to_json()).encode())
+    pairs = np.sort(tess.star_pairs, axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    h.update(np.ascontiguousarray(tess.star_points[order], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _grid_voronoi():
+    cfg = PointConfiguration(grid_points(-7, 7), Window((-7.5, -7.5), (7.5, 7.5)))
+    return build_voronoi(cfg, Window((-4, -4), (4, 4)), 3.0)
+
+
+@pytest.mark.parametrize("name, build, digest", [
+    ("poisson_voronoi", lambda: poisson_tess(43, core_side=8.0)[0],
+     "bcd088b3f25089e138ed623febf5e5c14168fd5f7a6574fb3960eed7426c0f0d"),
+    ("grid_voronoi", _grid_voronoi,
+     "abce1609306f3001b72a52919568982c80da56cf7800ccc0eeb1ad2d329563ee"),
+    ("shifted_square", lambda: build_lattice_tessellation(
+        "square", 1.0, (0.3, 0.7), Window((-3, -3), (4, 3))),
+     "68db0a82e8178821359f678d9565483e6fd2c1ac539c97450c031af0d56bd0c2"),
+    ("shifted_hexagonal", lambda: build_lattice_tessellation(
+        "hexagonal", 1.0, (0.05, 0.02), Window((-3, -3), (4, 4))),
+     "b36f94f39782d0d7fa621ad8fe26e483b14feac7cd2f93f34e6732530e13113d"),
+])
+def test_geometry_digest(name, build, digest):
+    assert _geometry_digest(build()) == digest
