@@ -17,7 +17,7 @@ from .point_process import (PointConfiguration, ProcessSpec,
                             sample_matern_hardcore, sample_perturbed_lattice,
                             sample_poisson, sample_poisson_lines, sample_process)
 from .streams import stream
-from .tessellation import (AdjacencyGraph, Cell, Tessellation, build_adjacency,
+from .tessellation import (AdjacencyGraph, Tessellation, build_adjacency,
                            build_lattice_tessellation, build_voronoi, zero_cell)
 from .graphs import (ball_growth_profile, enumerate_animals, graph_ball,
                      inner_boundary, outer_boundary)

@@ -365,9 +365,9 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
             for c in cand:
                 if not white[c]:
                     continue
-                normals, offsets = _edge_normals(tess.cells[c].polygon)
-                if _poly_box_overlaps(tess.cells[c].polygon, normals, offsets, lo, hi,
-                                      tess.tol):
+                poly = tess.polygon(c)
+                normals, offsets = _edge_normals(poly)
+                if _poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
                     hit = True
                     break
             cache[key] = hit

@@ -103,18 +103,6 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def ensure_ccw(poly: np.ndarray) -> np.ndarray:
-    if polygon_area(poly) < 0:
-        return poly[::-1].copy()
-    return poly
-
-
-def polygon_diameter(poly: np.ndarray) -> float:
-    """Max pairwise vertex distance; exact for convex polygons."""
-    d = poly[:, None, :] - poly[None, :, :]
-    return float(np.sqrt((d ** 2).sum(axis=2)).max())
-
-
 def polygon_centroid(poly: np.ndarray) -> np.ndarray:
     x, y = poly[:, 0], poly[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)

@@ -127,7 +127,7 @@ def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridFie
                       & (bb[:, 1] <= (j1 + 0.5) * delta + tol)
                       & (bb[:, 3] >= (j0 - 0.5) * delta - tol))[0]
     for c in cand:
-        poly = tess.cells[c].polygon
+        poly = tess.polygon(c)
         normals, offsets = _edge_normals(poly)
         a0 = math.ceil(bb[c, 0] / delta - 0.5 - 1e-12)
         a1 = math.floor(bb[c, 2] / delta + 0.5 + 1e-12)

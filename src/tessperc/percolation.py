@@ -47,7 +47,7 @@ class Coloring:
 
 def color(tess: Tessellation, p: float, rng: np.random.Generator) -> Coloring:
     """Draw one uniform per cell (by cell id) and threshold at p."""
-    return Coloring(rng.random(len(tess.cells)), p)
+    return Coloring(rng.random(len(tess)), p)
 
 
 def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -107,13 +107,13 @@ def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
               & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
     keep = np.ones(len(ids), bool)
     for k in np.nonzero(~inside)[0]:
-        part = clip_polygon_to_window(tess.cells[ids[k]].polygon, rect)
+        part = clip_polygon_to_window(tess.polygon(ids[k]), rect)
         if len(part) == 0:
             keep[k] = False
         else:
             ext[k, :2] = part.min(axis=0)
             ext[k, 2:] = part.max(axis=0)
-    in_rect = np.zeros(len(tess.cells), bool)
+    in_rect = np.zeros(len(tess), bool)
     in_rect[ids[keep]] = True
     return in_rect, ext[keep]
 
@@ -216,6 +216,5 @@ def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
     if not black[root]:
         return 0.0
     labels = label_components(black, graph.edges)
-    corners = np.concatenate([tess.cells[v].polygon
-                              for v in np.nonzero(labels == labels[root])[0]])
+    corners = tess.poly_xy[np.repeat(labels == labels[root], np.diff(tess.poly_ptr))]
     return float(np.sqrt((corners ** 2).sum(axis=1)).max())

@@ -30,13 +30,10 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         raise ParameterError("show_graph must be 'none', 'face' or 'star'")
     win = tess.core_window if core_only else tess.sampling_window
     if core_only:
-        drawn = []
-        for i in tess.cells_meeting(tess.core_window):
-            if len(clip_polygon_to_window(tess.cells[int(i)].polygon, tess.core_window)):
-                drawn.append(int(i))
-        drawn = sorted(drawn)
+        drawn = [int(i) for i in tess.cells_meeting(win)
+                 if len(clip_polygon_to_window(tess.polygon(i), win))]
     else:
-        drawn = list(range(len(tess.cells)))
+        drawn = list(range(len(tess)))
     drawn_set = set(drawn)
     black = coloring.black
     stroke_w = 0.003 * min(win.sides)
@@ -48,8 +45,7 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
     ]
     for i in drawn:
-        cell = tess.cells[i]
-        pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in cell.polygon)
+        pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in tess.polygon(i))
         fill = _BLACK if black[i] else _WHITE
         parts.append(f'<polygon id="cell{i}" points="{pts}" fill="{fill}" '
                      f'stroke="#777777" stroke-width="{_fmt(stroke_w)}"/>')
@@ -61,7 +57,7 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         for i, j in sorted(set(pairs)):
             if i not in drawn_set or j not in drawn_set:
                 continue
-            a, b = tess.cells[i].center, tess.cells[j].center
+            a, b = tess.centers[i], tess.centers[j]
             parts.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
                          f'x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}" '
                          f'stroke="{color}" stroke-width="{_fmt(stroke_w * 1.5)}"/>')

@@ -1,9 +1,10 @@
 """Tessellation construction: planar Voronoi and deterministic lattices.
 
-A Tessellation carries one convex cell per generator, clipped to the
-sampling window, plus the exact shared-boundary data needed for both
-adjacency notions: face adjacency (positive-length shared segment) and star
-adjacency (any contact, corner contacts included).
+A Tessellation stores its n convex cells as arrays: generator centers, and
+the CCW vertex rings of all cells concatenated into one ragged array. It also
+stores the shared-boundary data needed for both adjacency notions: face
+adjacency (positive-length shared segment) and star adjacency (any contact,
+corner contacts included).
 
 Voronoi cells are computed with Qhull; a ring of distant mirror points makes
 every real region bounded, and the mirrors sit far enough away that their
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import QhullError, Voronoi
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_polygon_to_window, clip_segments_to_rect,
-                       point_in_convex_polygon, polygon_area, polygon_diameter)
+                       point_in_convex_polygon, polygon_area)
 from .point_process import PointConfiguration
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
@@ -29,54 +31,61 @@ _MIRROR_COUNT = 16
 _MIRROR_RADIUS_FACTOR = 4.0
 
 
-@dataclass
-class Cell:
-    id: int
-    center: np.ndarray
-    polygon: np.ndarray
-    diameter: float
-    touches_core_boundary: bool
+def _neighbor_lists(n: int, edges: np.ndarray) -> list:
+    """Sorted, duplicate-free neighbor list of every vertex 0..n-1."""
+    e = np.asarray(edges, int).reshape(-1, 2)
+    keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    ptr = np.searchsorted(keys // n, np.arange(n + 1)).tolist()
+    flat = (keys % n).tolist()
+    return [flat[ptr[i]:ptr[i + 1]] for i in range(n)]
 
 
 @dataclass
 class Tessellation:
     """Convex cells covering the core window, with shared-boundary data.
 
-    face_pairs[k] = (i, j) share face_segments[k] (a positive-length segment
-    inside the sampling window); star_pairs are the additional corner-only
-    contacts at star_points. touches_core_boundary marks cells that are not
-    strictly interior to the core window.
+    Cell i has generator centers[i] and the CCW vertex ring
+    poly_xy[poly_ptr[i]:poly_ptr[i + 1]], read through polygon(i). Cell ids
+    are also the order in which colorings draw one uniform per cell, so every
+    builder fixes that order. bboxes[i] = [xmin, ymin, xmax, ymax] of the
+    ring and boundary[i] (the cell is not strictly inside the core window)
+    are derived from the rings once, on construction.
+
+    face_pairs[k] = (i, j) share the edge face_segments[k], unclipped, whose
+    part inside the sampling window has positive length; star_pairs are the
+    additional corner-only contacts at star_points.
     """
 
-    cells: list
+    centers: np.ndarray
+    poly_xy: np.ndarray
+    poly_ptr: np.ndarray
     core_window: Window
     sampling_window: Window
-    buffer_width: float
-    generator_config: PointConfiguration | None
     face_pairs: np.ndarray
     face_segments: np.ndarray
     star_pairs: np.ndarray
     star_points: np.ndarray
     tol: float
-    _bboxes: np.ndarray = field(default=None, repr=False)
+    bboxes: np.ndarray = field(init=False, repr=False)
+    boundary: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        starts = self.poly_ptr[:-1]
+        x, y = self.poly_xy[:, 0], self.poly_xy[:, 1]
+        self.bboxes = np.column_stack([np.minimum.reduceat(x, starts),
+                                       np.minimum.reduceat(y, starts),
+                                       np.maximum.reduceat(x, starts),
+                                       np.maximum.reduceat(y, starts)])
+        bb, lo, hi, tol = self.bboxes, self.core_window.lo, self.core_window.hi, self.tol
+        self.boundary = ((bb[:, 0] <= lo[0] + tol) | (bb[:, 2] >= hi[0] - tol)
+                         | (bb[:, 1] <= lo[1] + tol) | (bb[:, 3] >= hi[1] - tol))
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.centers)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([c.center for c in self.cells])
-
-    @property
-    def bboxes(self) -> np.ndarray:
-        """Per-cell [xmin, ymin, xmax, ymax]."""
-        if self._bboxes is None:
-            arr = np.empty((len(self.cells), 4))
-            for k, c in enumerate(self.cells):
-                arr[k, :2] = c.polygon.min(axis=0)
-                arr[k, 2:] = c.polygon.max(axis=0)
-            self._bboxes = arr
-        return self._bboxes
+    def polygon(self, i: int) -> np.ndarray:
+        """CCW vertex ring of cell i."""
+        return self.poly_xy[self.poly_ptr[i]:self.poly_ptr[i + 1]]
 
     def cells_meeting(self, rect: Window) -> np.ndarray:
         """Ids of cells whose bbox meets rect (superset of exact hits)."""
@@ -92,65 +101,47 @@ class Tessellation:
         bb = self.bboxes
         cand = np.nonzero((bb[:, 0] <= p[0] + self.tol) & (bb[:, 2] >= p[0] - self.tol)
                           & (bb[:, 1] <= p[1] + self.tol) & (bb[:, 3] >= p[1] - self.tol))[0]
-        hits = [i for i in cand
-                if point_in_convex_polygon(p, self.cells[i].polygon, tol=self.tol)]
+        hits = [int(i) for i in cand
+                if point_in_convex_polygon(p, self.polygon(i), tol=self.tol)]
         if not hits:
             raise ConstructionError(f"point {p} is not covered by any cell")
-        if len(hits) == 1:
-            return hits[0]
-        return min(hits, key=lambda i: (self.cells[i].center[0], self.cells[i].center[1]))
+        return min(hits, key=lambda i: (self.centers[i, 0], self.centers[i, 1]))
 
     def to_json(self) -> dict:
-        face_sets = {i: [] for i in range(len(self.cells))}
-        star_sets = {i: [] for i in range(len(self.cells))}
-        for i, j in self.face_pairs:
-            face_sets[int(i)].append(int(j))
-            face_sets[int(j)].append(int(i))
-            star_sets[int(i)].append(int(j))
-            star_sets[int(j)].append(int(i))
-        for i, j in self.star_pairs:
-            star_sets[int(i)].append(int(j))
-            star_sets[int(j)].append(int(i))
+        n = len(self)
+        face = _neighbor_lists(n, self.face_pairs)
+        star = _neighbor_lists(n, np.concatenate([self.face_pairs, self.star_pairs]))
         return {
             "core_window": self.core_window.to_json(),
             "cells": [{
-                "id": c.id,
-                "center": [float(c.center[0]), float(c.center[1])],
-                "polygon": [[float(x), float(y)] for x, y in c.polygon],
-                "neighbors_face": sorted(face_sets[c.id]),
-                "neighbors_star": sorted(star_sets[c.id]),
-            } for c in self.cells],
+                "id": i,
+                "center": self.centers[i].tolist(),
+                "polygon": self.polygon(i).tolist(),
+                "neighbors_face": face[i],
+                "neighbors_star": star[i],
+            } for i in range(n)],
         }
 
 
 @dataclass
 class AdjacencyGraph:
-    """Symmetric loop-free neighbor lists over cell ids, rooted at the zero cell.
+    """Symmetric loop-free adjacency over cell ids, rooted at the zero cell.
 
-    edges holds the (i, j) cell pairs the lists are built from.
+    edges holds the (i, j) cell pairs; neighbors[v] is the sorted list of
+    v's neighbors, built from edges on first use.
     """
 
     mode: str
-    neighbors: list
     root: int
     boundary_flags: np.ndarray
     edges: np.ndarray
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+    @cached_property
+    def neighbors(self) -> list:
+        return _neighbor_lists(len(self), self.edges)
 
     def __len__(self):
-        return len(self.neighbors)
-
-
-def _not_strictly_inside(poly: np.ndarray, win: Window, tol: float) -> bool:
-    return bool((poly[:, 0].min() <= win.lo[0] + tol) or (poly[:, 0].max() >= win.hi[0] - tol)
-                or (poly[:, 1].min() <= win.lo[1] + tol) or (poly[:, 1].max() >= win.hi[1] - tol))
-
-
-def _bbox_meets(poly: np.ndarray, win: Window, tol: float) -> bool:
-    return bool((poly[:, 0].min() <= win.hi[0] + tol) and (poly[:, 0].max() >= win.lo[0] - tol)
-                and (poly[:, 1].min() <= win.hi[1] + tol) and (poly[:, 1].max() >= win.lo[1] - tol))
+        return len(self.boundary_flags)
 
 
 def build_voronoi(points: PointConfiguration, core_window: Window,
@@ -195,148 +186,102 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     except QhullError as exc:
         raise ConstructionError(f"voronoi construction failed: {exc}") from exc
 
-    # vectorized region extraction: orientation, bboxes and diameters are
-    # computed over all cells at once (per-cell numpy calls dominate otherwise)
-    regions = []
-    for i in range(n):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise ConstructionError(f"generator {i} has an unbounded or degenerate region")
-        regions.append(region)
-    lengths = np.fromiter((len(r) for r in regions), int, count=n)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    # regions of the real generators, concatenated: cell owner[k] has vertex cat[k]
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    lengths = np.fromiter(map(len, regions), int, count=n)
     cat = np.fromiter((v for r in regions for v in r), int, count=int(lengths.sum()))
-    nxt = np.empty_like(cat)
-    nxt[:-1] = cat[1:]
-    nxt[np.cumsum(lengths) - 1] = cat[starts]
+    owner = np.repeat(np.arange(n), lengths)
+    bad = (lengths < 3) | (np.bincount(owner[cat < 0], minlength=n) > 0)
+    if bad.any():
+        raise ConstructionError(
+            f"generator {int(np.argmax(bad))} has an unbounded or degenerate region")
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
+    starts = ptr[:-1]
+    local = np.arange(len(cat)) - starts[owner]
+
+    # orient every ring CCW by reversing the clockwise ones
+    nxt = cat[np.where(local == lengths[owner] - 1, starts[owner], np.arange(len(cat)) + 1)]
     vx, vy = vor.vertices[:, 0], vor.vertices[:, 1]
-    cross = vx[cat] * vy[nxt] - vx[nxt] * vy[cat]
-    signed_area = np.add.reduceat(cross, starts)
-    xmin = np.minimum.reduceat(vx[cat], starts)
-    xmax = np.maximum.reduceat(vx[cat], starts)
-    ymin = np.minimum.reduceat(vy[cat], starts)
-    ymax = np.maximum.reduceat(vy[cat], starts)
+    signed_area = np.add.reduceat(vx[cat] * vy[nxt] - vx[nxt] * vy[cat], starts)
+    flip = (signed_area < 0)[owner]
+    ring = cat[np.where(flip, ptr[1:][owner] - 1 - local, np.arange(len(cat)))]
+    poly_xy = vor.vertices[ring]
 
-    polys = [None] * n
-    by_len: dict[int, list[int]] = {}
-    for i in range(n):
-        region = regions[i] if signed_area[i] >= 0 else regions[i][::-1]
-        polys[i] = vor.vertices[region]
-        by_len.setdefault(len(region), []).append(i)
-    diameters = np.zeros(n)
-    for k, idxs in by_len.items():
-        stack = np.stack([polys[i] for i in idxs])  # (m, k, 2)
-        d = stack[:, :, None, :] - stack[:, None, :, :]
-        diameters[idxs] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
-
-    outside_sampling = ((xmin <= sampling.lo[0] + tol) | (xmax >= sampling.hi[0] - tol)
-                        | (ymin <= sampling.lo[1] + tol) | (ymax >= sampling.hi[1] - tol))
-    touches_core = ((xmin <= core_window.lo[0] + tol) | (xmax >= core_window.hi[0] - tol)
-                    | (ymin <= core_window.lo[1] + tol) | (ymax >= core_window.hi[1] - tol))
-    for i in np.nonzero(outside_sampling)[0]:
-        poly = clip_polygon_to_window(polys[i], sampling)
-        if len(poly) < 3:
-            raise ConstructionError(f"cell of generator {i} degenerated under clipping")
-        polys[i] = poly
-        diameters[i] = polygon_diameter(poly)
-    cells = [Cell(id=i, center=pts[i].copy(), polygon=polys[i],
-                  diameter=float(diameters[i]), touches_core_boundary=bool(touches_core[i]))
-             for i in range(n)]
-
-    # a posteriori buffer validation
-    if validate_buffer:
-        for i in np.nonzero(outside_sampling)[0]:
-            c = cells[i]
-            if (_not_strictly_inside(c.polygon, sampling, tol)
-                    and _bbox_meets(c.polygon, core_window, tol)):
-                raise EdgeEffectError(
-                    f"cell {c.id} meets the core window but touches the sampling hull; "
-                    "increase the buffer")
+    # clip the cells that reach the sampling window's boundary
+    near_hull = ((poly_xy <= np.add(sampling.lo, tol))
+                 | (poly_xy >= np.subtract(sampling.hi, tol))).any(axis=1)
+    clipped = np.nonzero(np.logical_or.reduceat(near_hull, starts))[0]
+    if len(clipped):
+        pieces, prev = [], 0
+        for i in clipped:
+            poly = clip_polygon_to_window(poly_xy[ptr[i]:ptr[i + 1]], sampling)
+            if len(poly) < 3:
+                raise ConstructionError(f"cell of generator {i} degenerated under clipping")
+            pieces += [poly_xy[ptr[prev]:ptr[i]], poly]
+            lengths[i] = len(poly)
+            prev = i + 1
+        poly_xy = np.concatenate(pieces + [poly_xy[ptr[prev]:]])
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
 
     ridge_pts = np.asarray(vor.ridge_points)
     real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
-    pairs = ridge_pts[real]
+    pairs = ridge_pts[real].astype(int)
     ridge_v = np.asarray(vor.ridge_vertices)[real]
     if (ridge_v < 0).any():
         raise ConstructionError("unbounded ridge between real generators")
     seg_a = vor.vertices[ridge_v[:, 0]]
     seg_b = vor.vertices[ridge_v[:, 1]]
-    ok, lengths = clip_segments_to_rect(seg_a, seg_b, sampling)
-    face_mask = ok & (lengths > tol)
+    ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
+    face_mask = ok & (seg_len > tol)
     contact_mask = ok & ~face_mask
-
     face_pairs = pairs[face_mask]
-    fa, fb = seg_a[face_mask], seg_b[face_mask]
-    face_segments = _clip_segments(fa, fb, sampling)
-
-    star_pairs = [tuple(sorted(map(int, p))) for p in pairs[contact_mask]]
-    star_points = list((seg_a[contact_mask] + seg_b[contact_mask]) / 2.0)
 
     # corner-only contacts: generators whose regions share a Voronoi vertex
-    # without sharing a ridge (cocircular degeneracies)
-    face_set = {tuple(sorted(map(int, p))) for p in face_pairs}
-    vertex_cells: dict[int, list[int]] = {}
-    for i in range(n):
-        for v in vor.regions[vor.point_region[i]]:
-            vertex_cells.setdefault(v, []).append(i)
-    for v, owners in vertex_cells.items():
-        if len(owners) < 2:
-            continue
-        vx = vor.vertices[v]
-        if not (sampling.lo[0] - tol <= vx[0] <= sampling.hi[0] + tol
-                and sampling.lo[1] - tol <= vx[1] <= sampling.hi[1] + tol):
-            continue
-        for a in range(len(owners)):
-            for b in range(a + 1, len(owners)):
-                key = (owners[a], owners[b]) if owners[a] < owners[b] else (owners[b], owners[a])
-                if key not in face_set:
-                    star_pairs.append(key)
-                    star_points.append(vx)
-    star_pairs_arr = np.array(sorted(set(star_pairs)), int).reshape(-1, 2)
-    if len(star_pairs_arr):
-        # deduplicate keeping first contact point per pair
-        seen = {}
-        for p, q in zip(star_pairs, star_points):
-            seen.setdefault(p, q)
-        star_points_arr = np.array([seen[tuple(p)] for p in star_pairs_arr])
-    else:
-        star_points_arr = np.empty((0, 2))
+    # inside the sampling window without sharing a face (cocircular
+    # degeneracies). Each (vertex, cell) incidence is ranked by the vertex's
+    # first position in the regions, then by cell; a vertex's cells are then
+    # consecutive and every pair of them is a candidate contact.
+    _, first = np.unique(cat, return_index=True)
+    rank = np.empty(len(vor.vertices), int)
+    rank[cat[first]] = first
+    order = np.lexsort((owner, rank[cat]))
+    r_inc, c_inc = rank[cat][order], owner[order]
+    cand = [np.empty((0, 3), int)]  # (rank, a, b) rows, a < b
+    for d in range(1, int(np.bincount(r_inc).max())):
+        same = r_inc[:-d] == r_inc[d:]
+        cand.append(np.column_stack([r_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
+    cand = np.concatenate(cand)
+    cand = cand[np.lexsort(cand.T[::-1])]
+    vertex = vor.vertices[cat[cand[:, 0]]]
+    face_keys = np.sort(face_pairs, axis=1) @ [n, 1]
+    corner = (sampling.expand(tol).contains_points(vertex)
+              & ~np.isin(cand[:, 1:] @ [n, 1], face_keys))
 
-    return Tessellation(
-        cells=cells,
-        core_window=core_window,
-        sampling_window=sampling,
-        buffer_width=float(buffer_width),
-        generator_config=points,
-        face_pairs=face_pairs.astype(int),
-        face_segments=face_segments,
-        star_pairs=star_pairs_arr,
-        star_points=star_points_arr,
-        tol=tol,
-    )
+    # ridge contacts come before corner contacts; keep the first point per pair
+    star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[corner, 1:]])
+    points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
+                                 vertex[corner]])
+    _, first = np.unique(star_all @ [n, 1], return_index=True)
 
+    tess = Tessellation(
+        centers=pts, poly_xy=poly_xy, poly_ptr=ptr,
+        core_window=core_window, sampling_window=sampling,
+        face_pairs=face_pairs,
+        face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
+        star_pairs=star_all[first], star_points=points_all[first],
+        tol=tol)
 
-def _clip_segments(a: np.ndarray, b: np.ndarray, win: Window) -> np.ndarray:
-    """Clip segments to a window, returning an (m, 2, 2) endpoint array."""
-    if len(a) == 0:
-        return np.empty((0, 2, 2))
-    d = b - a
-    t0 = np.zeros(len(a))
-    t1 = np.ones(len(a))
-    for axis, (lo, hi) in enumerate(((win.lo[0], win.hi[0]), (win.lo[1], win.hi[1]))):
-        p = d[:, axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = np.where(p != 0, (lo - a[:, axis]) / np.where(p != 0, p, 1.0), -np.inf)
-            tb = np.where(p != 0, (hi - a[:, axis]) / np.where(p != 0, p, 1.0), np.inf)
-        enter = np.minimum(ta, tb)
-        exit_ = np.maximum(ta, tb)
-        t0 = np.maximum(t0, np.where(np.isfinite(enter), enter, 0.0))
-        t1 = np.minimum(t1, np.where(np.isfinite(exit_), exit_, 1.0))
-    t1 = np.maximum(t1, t0)
-    out = np.empty((len(a), 2, 2))
-    out[:, 0, :] = a + t0[:, None] * d
-    out[:, 1, :] = a + t1[:, None] * d
-    return out
+    # a posteriori buffer validation
+    if validate_buffer:
+        bb = tess.bboxes[clipped]
+        hull = ((bb[:, 0] <= sampling.lo[0] + tol) | (bb[:, 2] >= sampling.hi[0] - tol)
+                | (bb[:, 1] <= sampling.lo[1] + tol) | (bb[:, 3] >= sampling.hi[1] - tol))
+        hit = hull & np.isin(clipped, tess.cells_meeting(core_window))
+        if hit.any():
+            raise EdgeEffectError(
+                f"cell {int(clipped[np.argmax(hit)])} meets the core window but touches "
+                "the sampling hull; increase the buffer")
+    return tess
 
 
 def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Window) -> Tessellation:
@@ -356,53 +301,57 @@ def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Wi
     raise ParameterError(f"unknown lattice kind {kind!r}")
 
 
+def _lattice(centers, polys, core, tol, face_pairs, face_segments,
+             star_pairs=None, star_points=None) -> Tessellation:
+    """Tessellation of congruent k-gons polys (n, k, 2); the sampling window
+    is the hull of the core window and the cells."""
+    n, k = polys.shape[:2]
+    poly_xy = polys.reshape(-1, 2)
+    sampling = Window.hull([core, Window(tuple(poly_xy.min(axis=0)),
+                                         tuple(poly_xy.max(axis=0)))])
+    return Tessellation(
+        centers=centers, poly_xy=poly_xy, poly_ptr=np.arange(n + 1) * k,
+        core_window=core, sampling_window=sampling,
+        face_pairs=face_pairs.reshape(-1, 2), face_segments=face_segments.reshape(-1, 2, 2),
+        star_pairs=np.empty((0, 2), int) if star_pairs is None else star_pairs.reshape(-1, 2),
+        star_points=np.empty((0, 2)) if star_points is None else star_points.reshape(-1, 2),
+        tol=tol)
+
+
 def _square_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tessellation:
     i0 = math.floor((core.lo[0] - shift[0]) / s)
     i1 = math.ceil((core.hi[0] - shift[0]) / s) - 1
     j0 = math.floor((core.lo[1] - shift[1]) / s)
     j1 = math.ceil((core.hi[1] - shift[1]) / s) - 1
-    index = {}
-    cells = []
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            x0, y0 = shift[0] + i * s, shift[1] + j * s
-            poly = np.array([[x0, y0], [x0 + s, y0], [x0 + s, y0 + s], [x0, y0 + s]])
-            cid = len(cells)
-            index[(i, j)] = cid
-            cells.append(Cell(
-                id=cid, center=np.array([x0 + s / 2, y0 + s / 2]), polygon=poly,
-                diameter=s * math.sqrt(2.0),
-                touches_core_boundary=_not_strictly_inside(poly, core, tol)))
-    face_pairs, face_segments = [], []
-    star_pairs, star_points = [], []
-    for (i, j), cid in index.items():
-        if (i + 1, j) in index:
-            x = shift[0] + (i + 1) * s
-            face_pairs.append((cid, index[(i + 1, j)]))
-            face_segments.append([[x, shift[1] + j * s], [x, shift[1] + (j + 1) * s]])
-        if (i, j + 1) in index:
-            y = shift[1] + (j + 1) * s
-            face_pairs.append((cid, index[(i, j + 1)]))
-            face_segments.append([[shift[0] + i * s, y], [shift[0] + (i + 1) * s, y]])
-        for di, dj in ((1, 1), (1, -1)):
-            if (i + di, j + dj) in index:
-                corner = np.array([shift[0] + (i + 1) * s,
-                                   shift[1] + (j + (1 if dj == 1 else 0)) * s])
-                star_pairs.append((cid, index[(i + di, j + dj)]))
-                star_points.append(corner)
-    sampling = Window.hull([core] + [Window(tuple(c.polygon.min(axis=0)),
-                                            tuple(c.polygon.max(axis=0))) for c in cells])
-    return Tessellation(
-        cells=cells, core_window=core, sampling_window=sampling, buffer_width=0.0,
-        generator_config=None,
-        face_pairs=np.array(face_pairs, int).reshape(-1, 2),
-        face_segments=np.array(face_segments, float).reshape(-1, 2, 2),
-        star_pairs=np.array(star_pairs, int).reshape(-1, 2),
-        star_points=np.array(star_points, float).reshape(-1, 2),
-        tol=tol)
+    # grid points G[a, b] = (X[a], Y[b]); cell (i, j) has id (i - i0) * nj + (j - j0)
+    # and lower-left corner G[i - i0, j - j0]
+    X = shift[0] + np.arange(i0, i1 + 2) * s
+    Y = shift[1] + np.arange(j0, j1 + 2) * s
+    G = np.stack(np.meshgrid(X, Y, indexing="ij"), axis=-1)
+    ni, nj = len(X) - 1, len(Y) - 1
+    ids = np.arange(ni * nj).reshape(ni, nj)
+    x0, y0 = G[:-1, :-1].reshape(-1, 2).T
+    polys = np.stack([np.column_stack([x0, y0]), np.column_stack([x0 + s, y0]),
+                      np.column_stack([x0 + s, y0 + s]), np.column_stack([x0, y0 + s])], axis=1)
+    centers = np.column_stack([x0 + s / 2, y0 + s / 2])
+    # face pairs: (i, j)-(i+1, j) across x = X[i+1], then (i, j)-(i, j+1) across y = Y[j+1]
+    face_pairs = np.concatenate([
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])])
+    face_segments = np.concatenate([
+        np.stack([G[1:-1, :-1], G[1:-1, 1:]], axis=2).reshape(-1, 2, 2),
+        np.stack([G[:-1, 1:-1], G[1:, 1:-1]], axis=2).reshape(-1, 2, 2)])
+    # star pairs: (i, j)-(i+1, j+1) and (i, j+1)-(i+1, j), both at G[i+1, j+1]
+    star_pairs = np.concatenate([
+        np.column_stack([ids[:-1, :-1].ravel(), ids[1:, 1:].ravel()]),
+        np.column_stack([ids[:-1, 1:].ravel(), ids[1:, :-1].ravel()])])
+    corners = G[1:-1, 1:-1].reshape(-1, 2)
+    return _lattice(centers, polys, core, tol, face_pairs, face_segments,
+                    star_pairs, np.concatenate([corners, corners]))
 
 
-_HEX_NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1))  # one direction per unordered pair
+# one direction per unordered neighbor pair, and the hexagon edge it crosses
+_HEX_NEIGHBOR_STEPS = (((1, 0), 5), ((0, 1), 0), ((-1, 1), 1))
 
 
 def _hex_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tessellation:
@@ -414,55 +363,34 @@ def _hex_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tesse
     u = np.array([s, 0.0])
     v = np.array([s / 2.0, s * math.sqrt(3.0) / 2.0])
     # generous index ranges, filtered by cell/core overlap
-    corners = [np.array(c) for c in (core.lo, (core.lo[0], core.hi[1]),
-                                     (core.hi[0], core.lo[1]), core.hi)]
-    basis_inv = np.linalg.inv(np.column_stack([u, v]))
-    ab = [basis_inv @ (c - shift) for c in corners]
-    a_min = math.floor(min(p[0] for p in ab)) - 2
-    a_max = math.ceil(max(p[0] for p in ab)) + 2
-    b_min = math.floor(min(p[1] for p in ab)) - 2
-    b_max = math.ceil(max(p[1] for p in ab)) + 2
-    index = {}
-    cells = []
-    margin = r_circ
-    for a in range(a_min, a_max + 1):
-        for b in range(b_min, b_max + 1):
-            c = shift + a * u + b * v
-            if not (core.lo[0] - margin < c[0] < core.hi[0] + margin
-                    and core.lo[1] - margin < c[1] < core.hi[1] + margin):
-                continue
-            poly = hexagon + c
-            inter = clip_polygon_to_window(poly, core)
-            if len(inter) < 3 or polygon_area(inter) <= tol * s:
-                continue
-            cid = len(cells)
-            index[(a, b)] = cid
-            cells.append(Cell(id=cid, center=c.copy(), polygon=poly,
-                              diameter=2.0 * r_circ,
-                              touches_core_boundary=_not_strictly_inside(poly, core, tol)))
+    corners = np.array([core.lo, (core.lo[0], core.hi[1]), (core.hi[0], core.lo[1]), core.hi])
+    ab = (corners - shift) @ np.linalg.inv(np.column_stack([u, v])).T
+    a_min, b_min = np.floor(ab.min(axis=0)).astype(int) - 2
+    a_max, b_max = np.ceil(ab.max(axis=0)).astype(int) + 2
+    a, b = np.meshgrid(np.arange(a_min, a_max + 1), np.arange(b_min, b_max + 1), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    c = shift + a[:, None] * u + b[:, None] * v
+    lo, hi = np.asarray(core.lo), np.asarray(core.hi)
+    near = np.all((lo - r_circ < c) & (c < hi + r_circ), axis=1)
+    a, b, c = a[near], b[near], c[near]
+    polys = hexagon + c[:, None, :]
+    # hexagons inside the closed core are kept whole; the rest must meet the
+    # core window in positive area
+    keep = np.all((lo <= polys) & (polys <= hi), axis=(1, 2))
+    for k in np.nonzero(~keep)[0]:
+        inter = clip_polygon_to_window(polys[k], core)
+        keep[k] = len(inter) >= 3 and polygon_area(inter) > tol * s
+    a, b, c, polys = a[keep], b[keep], c[keep], polys[keep]
+    index = np.full((a_max - a_min + 2, b_max - b_min + 2), -1)
+    index[a - a_min, b - b_min] = np.arange(len(a))
     face_pairs, face_segments = [], []
-    for (a, b), cid in index.items():
-        cell_poly = cells[cid].polygon
-        for da, db in _HEX_NEIGHBOR_STEPS:
-            other = index.get((a + da, b + db))
-            if other is None:
-                continue
-            midpoint = (cells[cid].center + cells[other].center) / 2.0
-            edges = np.stack([cell_poly, np.roll(cell_poly, -1, axis=0)], axis=1)
-            mids = edges.mean(axis=1)
-            k = int(np.argmin(((mids - midpoint) ** 2).sum(axis=1)))
-            face_pairs.append((cid, other))
-            face_segments.append(edges[k])
-    sampling = Window.hull([core] + [Window(tuple(c.polygon.min(axis=0)),
-                                            tuple(c.polygon.max(axis=0))) for c in cells])
-    return Tessellation(
-        cells=cells, core_window=core, sampling_window=sampling, buffer_width=0.0,
-        generator_config=None,
-        face_pairs=np.array(face_pairs, int).reshape(-1, 2),
-        face_segments=np.array(face_segments, float).reshape(-1, 2, 2),
-        star_pairs=np.empty((0, 2), int),
-        star_points=np.empty((0, 2)),
-        tol=tol)
+    for (da, db), edge in _HEX_NEIGHBOR_STEPS:
+        other = index[a - a_min + da, b - b_min + db]  # -1 column/row pads the edges
+        has = other >= 0
+        face_pairs.append(np.column_stack([np.nonzero(has)[0], other[has]]))
+        face_segments.append(polys[has][:, [edge, (edge + 1) % 6]])
+    return _lattice(c, polys, core, tol, np.concatenate(face_pairs),
+                    np.concatenate(face_segments))
 
 
 def zero_cell(tess: Tessellation) -> int:
@@ -475,7 +403,7 @@ def zero_cell(tess: Tessellation) -> int:
 
 
 def build_adjacency(tess: Tessellation, mode: str) -> AdjacencyGraph:
-    """Neighbor lists in face or star mode, rooted at the zero cell.
+    """Face or star adjacency, rooted at the zero cell.
 
     If the origin is outside the core window the root falls back to the cell
     containing the core window's center.
@@ -485,15 +413,9 @@ def build_adjacency(tess: Tessellation, mode: str) -> AdjacencyGraph:
     edges = tess.face_pairs
     if mode == "star":
         edges = np.concatenate([edges, tess.star_pairs])
-    neighbors = [set() for _ in range(len(tess.cells))]
-    for i, j in edges.tolist():
-        neighbors[i].add(j)
-        neighbors[j].add(i)
     cw = tess.core_window
     if cw.lo[0] <= 0.0 <= cw.hi[0] and cw.lo[1] <= 0.0 <= cw.hi[1]:
         root = zero_cell(tess)
     else:
         root = tess.locate(cw.center)
-    flags = np.array([c.touches_core_boundary for c in tess.cells], bool)
-    return AdjacencyGraph(mode=mode, neighbors=[sorted(s) for s in neighbors],
-                          root=root, boundary_flags=flags, edges=edges)
+    return AdjacencyGraph(mode=mode, root=root, boundary_flags=tess.boundary, edges=edges)

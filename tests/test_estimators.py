@@ -114,7 +114,7 @@ def cross_fixture(black_tips=("N", "E", "W")):
     tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5),
                                       Window((-2.5, -2.5), (2.5, 2.5)))
     uniforms = np.ones(len(tess))
-    centers = {tuple(np.round(c.center).astype(int)): i for i, c in enumerate(tess.cells)}
+    centers = {tuple(np.round(c).astype(int)): i for i, c in enumerate(tess.centers)}
     black_cells = [(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)]  # hub + inner arms
     tips = {"N": (0, 2), "S": (0, -2), "E": (2, 0), "W": (-2, 0)}
     black_cells += [tips[t] for t in black_tips]

@@ -80,7 +80,7 @@ def test_U_definitional_recheck():
         box = field.box_window(i, j)
         # no cell may meet both this box and the >=2 shell
         for c in tess.cells_meeting(box):
-            poly = tess.cells[int(c)].polygon
+            poly = tess.polygon(c)
             if len(clip_polygon_to_window(poly, box)) == 0:
                 continue
             bb_lo = poly.min(axis=0)

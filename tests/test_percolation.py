@@ -72,8 +72,8 @@ def test_black_clusters_trivial_and_checkerboard():
     assert info.size == 64 and all(info.touches)
     # checkerboard: no face adjacency between same-color diagonal squares
     uniforms = np.ones(len(tess))
-    for i, c in enumerate(tess.cells):
-        ix, iy = int(np.floor(c.center[0])), int(np.floor(c.center[1]))
+    for i, c in enumerate(tess.centers):
+        ix, iy = int(np.floor(c[0])), int(np.floor(c[1]))
         if (ix + iy) % 2 == 0:
             uniforms[i] = 0.0
     checker = Coloring(uniforms, 0.5)
@@ -207,8 +207,8 @@ def test_spanning_cluster_count_trivials():
 def test_spanning_two_disjoint_rows():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
     uniforms = np.ones(len(tess))
-    for i, c in enumerate(tess.cells):
-        if int(np.floor(c.center[1])) in (0, 3):
+    for i, c in enumerate(tess.centers):
+        if int(np.floor(c[1])) in (0, 3):
             uniforms[i] = 0.0
     col = Coloring(uniforms, 0.5)
     assert spanning_cluster_count(tess, col, tess.core_window) == 2

@@ -27,14 +27,13 @@ def test_unit_grid_voronoi_cells_are_unit_squares():
     cfg = PointConfiguration(pts, Window((-7.5, -7.5), (7.5, 7.5)))
     tess = build_voronoi(cfg, Window((-4, -4), (4, 4)), 3.0)
     for k in range(len(tess)):
-        c = tess.cells[k]
-        if c.touches_core_boundary:
+        if tess.boundary[k]:
             continue
-        assert polygon_area(c.polygon) == pytest.approx(1.0, abs=1e-9)
-        assert c.diameter == pytest.approx(np.sqrt(2), abs=1e-9)
-        lo = c.polygon.min(axis=0)
-        hi = c.polygon.max(axis=0)
-        assert np.allclose(c.center, (lo + hi) / 2, atol=1e-9)
+        poly = tess.polygon(k)
+        assert polygon_area(poly) == pytest.approx(1.0, abs=1e-9)
+        lo = poly.min(axis=0)
+        hi = poly.max(axis=0)
+        assert np.allclose(tess.centers[k], (lo + hi) / 2, atol=1e-9)
 
 
 def test_triangle_generators_nearest_property():
@@ -70,7 +69,7 @@ def test_coverage_and_disjointness():
     for _ in range(500):
         x = rng.uniform(0, 15, 2)
         hits = [i for i in tess.cells_meeting(Window(tuple(x - 1e-9), tuple(x + 1e-9)))
-                if point_in_convex_polygon(x, tess.cells[i].polygon, tol=-tess.tol)]
+                if point_in_convex_polygon(x, tess.polygon(i), tol=-tess.tol)]
         if not hits:
             continue  # x within tolerance of a boundary; strict-interior test skipped it
         assert len(hits) == 1
@@ -86,13 +85,15 @@ def test_translation_covariance():
     shifted_cfg = PointConfiguration(cfg.points + s, cfg.window.shifted(s))
     shifted = build_voronoi(shifted_cfg, core.shifted(s), 4.0)
     scale = core.diagonal
-    for a, b in zip(tess.cells, shifted.cells):
-        assert len(a.polygon) == len(b.polygon)
+    assert len(tess) == len(shifted)
+    for i in range(len(tess)):
+        a, b = tess.polygon(i), shifted.polygon(i)
+        assert len(a) == len(b)
         # same vertex cycle up to rotation of the ring
-        diffs = b.polygon - s
-        k = int(np.argmin(np.linalg.norm(diffs - a.polygon[0], axis=1)))
+        diffs = b - s
+        k = int(np.argmin(np.linalg.norm(diffs - a[0], axis=1)))
         rolled = np.roll(diffs, -k, axis=0)
-        assert np.allclose(rolled, a.polygon, atol=1e-9 * scale)
+        assert np.allclose(rolled, a, atol=1e-9 * scale)
 
 
 def test_mean_face_degree_is_six():
@@ -100,8 +101,7 @@ def test_mean_face_degree_is_six():
     cfg = sample_poisson(1.0, core.expand(5), stream(23, 0, "tess"))
     tess = build_voronoi(cfg, core, 5.0)
     graph = build_adjacency(tess, "face")
-    degs = [len(graph.neighbors[i]) for i in range(len(tess))
-            if not tess.cells[i].touches_core_boundary]
+    degs = [len(graph.neighbors[i]) for i in range(len(tess)) if not tess.boundary[i]]
     assert len(degs) >= 1000
     assert abs(np.mean(degs) - 6.0) < 0.1
 
@@ -125,11 +125,11 @@ def test_square_lattice_cells_and_degrees():
     core = Window((0, 0), (5, 5))
     tess = build_lattice_tessellation("square", 1.0, (0, 0), core)
     assert len(tess) == 25
-    cell = tess.cells[tess.locate((2.5, 2.5))]
-    assert np.allclose(sorted(map(tuple, cell.polygon)), [(2, 2), (2, 3), (3, 2), (3, 3)])
+    poly = tess.polygon(tess.locate((2.5, 2.5)))
+    assert np.allclose(sorted(map(tuple, poly)), [(2, 2), (2, 3), (3, 2), (3, 3)])
     face = build_adjacency(tess, "face")
     star = build_adjacency(tess, "star")
-    inner = [i for i in range(len(tess)) if not tess.cells[i].touches_core_boundary]
+    inner = [i for i in range(len(tess)) if not tess.boundary[i]]
     assert {len(face.neighbors[i]) for i in inner} == {4}
     assert {len(star.neighbors[i]) for i in inner} == {8}
 
@@ -137,7 +137,7 @@ def test_square_lattice_cells_and_degrees():
 def test_hexagonal_lattice_degree():
     tess = build_lattice_tessellation("hexagonal", 1.0, (0.05, 0.02), Window((0, 0), (10, 10)))
     face = build_adjacency(tess, "face")
-    inner = [i for i in range(len(tess)) if not tess.cells[i].touches_core_boundary]
+    inner = [i for i in range(len(tess)) if not tess.boundary[i]]
     assert len(inner) > 20
     assert {len(face.neighbors[i]) for i in inner} == {6}
     assert len(tess.star_pairs) == 0
@@ -154,7 +154,7 @@ def test_lattice_covers_core():
 def test_zero_cell_tie_rule_square_lattice():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((-3, -3), (3, 3)))
     zc = zero_cell(tess)
-    assert np.allclose(tess.cells[zc].center, (-0.5, -0.5))
+    assert np.allclose(tess.centers[zc], (-0.5, -0.5))
 
 
 def test_zero_cell_generic_and_shifted():
@@ -167,7 +167,7 @@ def test_zero_cell_generic_and_shifted():
     assert zc == int(np.argmin(np.linalg.norm(cfg2.points, axis=1)))
     shifted = build_lattice_tessellation("square", 1.0, (0.3, 0.3), Window((-2, -2), (2, 2)))
     zc2 = zero_cell(shifted)
-    assert np.allclose(shifted.cells[zc2].center, (-0.2, -0.2))
+    assert np.allclose(shifted.centers[zc2], (-0.2, -0.2))
 
 
 def test_zero_cell_outside_window_errors():
