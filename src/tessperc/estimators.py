@@ -228,11 +228,13 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
                        window: Window, adjacency: str = "face") -> TrifurcationResult:
     """Count grid points of 3*r2*Z^2 in the window that are trifurcations.
 
-    A candidate x qualifies when the graph ball B_r1 around its cell is all
-    black, fits in x + [-r2, r2]^2, and after whitening the ball at least
-    three distinct window-boundary-touching black clusters meet the ball's
-    outer boundary ("infinite" replaced by its finite window surrogate).
-    Candidates whose ball leaves the window are skipped and counted.
+    A candidate x is skipped, and counted as skipped, when the graph ball
+    B_r1 around its cell leaves the window or does not fit in
+    x + [-r2, r2]^2; neither depends on the coloring. Any other candidate
+    qualifies when the ball is all black and, after whitening the ball, at
+    least three distinct window-boundary-touching black clusters meet the
+    ball's outer boundary ("infinite" replaced by its finite window
+    surrogate).
     """
     if r1 < 1:
         raise ParameterError("r1 must be at least 1")
@@ -257,10 +259,11 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
             x = np.array([i * step, j * step])
             candidates += 1
             ball = sorted(graph_ball(graph, tess.locate(x), r1).vertices)
-            if not _in_box(bb[ball], window.lo, window.hi, tol).all():
+            if not (_in_box(bb[ball], window.lo, window.hi, tol).all()
+                    and _in_box(bb[ball], x - r2, x + r2, tol).all()):
                 skipped += 1
                 continue
-            if not black[ball].all() or not _in_box(bb[ball], x - r2, x + r2, tol).all():
+            if not black[ball].all():
                 continue
             # whiten the ball, relabel, count boundary-touching clusters on its rim
             active = black.copy()

@@ -154,6 +154,18 @@ def test_trifurcation_ball_containment_r2():
     assert res.count == 0
 
 
+def test_trifurcation_ball_misfit_counts_as_skipped():
+    # on a shifted unit lattice the radius-1 ball around x reaches more
+    # than 1.5 from x, so no candidate fits and every one is skipped
+    spec = ExperimentSpec(
+        process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
+        window=Window((-10, -10), (10, 10)), p=0.6, replicates=5, master_seed=7)
+    out = estimate_trifurcation_density(spec, 0.6, 1, 1.5, spec.window, 5)
+    assert out["candidates"] == 25
+    assert out["mean_skipped"] == out["candidates"]
+    assert out["mean_count"] == 0.0
+
+
 def test_trifurcation_density_driver():
     spec = pv_spec(Window((-15, -15), (15, 15)), 0.8, 10, 21)
     out = estimate_trifurcation_density(spec, 0.8, 1, 3.0, spec.window, 10)
