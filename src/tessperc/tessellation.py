@@ -1,10 +1,10 @@
 """Tessellation construction: planar Voronoi and deterministic lattices.
 
-A Tessellation stores its n convex cells as arrays: generator centers, and
-the CCW vertex rings of all cells concatenated into one ragged array. It also
-stores the shared-boundary data needed for both adjacency notions: face
-adjacency (positive-length shared segment) and star adjacency (any contact,
-corner contacts included).
+A Tessellation stores its n convex cells, clipped to the sampling window, as
+arrays: generator centers, and the CCW vertex rings of all cells concatenated
+into one ragged array. It also stores the shared-boundary data needed for
+both adjacency notions: face adjacency (positive-length shared segment) and
+star adjacency (any contact, corner contacts included).
 
 Voronoi cells are computed with Qhull; a ring of distant mirror points makes
 every real region bounded, and the mirrors sit far enough away that their
@@ -197,17 +197,17 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
             f"generator {int(np.argmax(bad))} has an unbounded or degenerate region")
     ptr = np.concatenate([[0], np.cumsum(lengths)])
     starts = ptr[:-1]
-    local = np.arange(len(cat)) - starts[owner]
 
     # orient every ring CCW by reversing the clockwise ones
-    nxt = cat[np.where(local == lengths[owner] - 1, starts[owner], np.arange(len(cat)) + 1)]
+    nxt = np.append(cat[1:], 0)
+    nxt[ptr[1:] - 1] = cat[starts]  # each ring closes on its first vertex
     vx, vy = vor.vertices[:, 0], vor.vertices[:, 1]
     signed_area = np.add.reduceat(vx[cat] * vy[nxt] - vx[nxt] * vy[cat], starts)
-    flip = (signed_area < 0)[owner]
-    ring = cat[np.where(flip, ptr[1:][owner] - 1 - local, np.arange(len(cat)))]
-    poly_xy = vor.vertices[ring]
+    k = np.arange(len(cat))
+    ring = np.where((signed_area < 0)[owner], starts[owner] + ptr[1:][owner] - 1 - k, k)
+    poly_xy = vor.vertices[cat[ring]]
 
-    # clip the cells that reach the sampling window's boundary
+    # clip the cells that come within tol of the sampling window's boundary
     near_hull = ((poly_xy <= np.add(sampling.lo, tol))
                  | (poly_xy >= np.subtract(sampling.hi, tol))).any(axis=1)
     clipped = np.nonzero(np.logical_or.reduceat(near_hull, starts))[0]
@@ -245,7 +245,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     rank = np.empty(len(vor.vertices), int)
     rank[cat[first]] = first
     order = np.lexsort((owner, rank[cat]))
-    r_inc, c_inc = rank[cat][order], owner[order]
+    r_inc, c_inc = rank[cat[order]], owner[order]
     cand = [np.empty((0, 3), int)]  # (rank, a, b) rows, a < b
     for d in range(1, int(np.bincount(r_inc).max())):
         same = r_inc[:-d] == r_inc[d:]
@@ -271,12 +271,10 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
         star_pairs=star_all[first], star_points=points_all[first],
         tol=tol)
 
-    # a posteriori buffer validation
+    # a posteriori buffer validation: every clipped cell touches the sampling
+    # hull, so one that meets the core window was not determined by the sample
     if validate_buffer:
-        bb = tess.bboxes[clipped]
-        hull = ((bb[:, 0] <= sampling.lo[0] + tol) | (bb[:, 2] >= sampling.hi[0] - tol)
-                | (bb[:, 1] <= sampling.lo[1] + tol) | (bb[:, 3] >= sampling.hi[1] - tol))
-        hit = hull & np.isin(clipped, tess.cells_meeting(core_window))
+        hit = np.isin(clipped, tess.cells_meeting(core_window))
         if hit.any():
             raise EdgeEffectError(
                 f"cell {int(clipped[np.argmax(hit)])} meets the core window but touches "
