@@ -141,14 +141,9 @@ def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     assert _csv_bytes(one)
 
 
-def _small_voronoi(seed):
-    core = Window((-3.0, -3.0), (3.0, 3.0))
-    cfg = sample_poisson(1.0, core.expand(3.0), stream(seed, 0, "tess"))
-    return build_voronoi(cfg, core, 3.0)
-
-
 def test_render_svg_core_only_star_bytes(tmp_path):
-    tess = _small_voronoi(33)
+    core = Window((-3.0, -3.0), (3.0, 3.0))
+    tess = build_voronoi(sample_poisson(1.0, core.expand(3.0), stream(33, 0, "tess")), core, 3.0)
     col = color(tess, 0.5, stream(33, 0, "color"))
     out = tmp_path / "tess.svg"
     render_svg(tess, col, out, show_graph="star", core_only=True)
