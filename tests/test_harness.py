@@ -19,92 +19,136 @@ from tessperc.tessellation import build_voronoi
 SQ = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
 PV = {"kind": "poisson", "params": {"gamma": 1.0}}
 HEX = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0, "random_shift": True}}
+LINES = {"kind": "poisson_line", "params": {"line_intensity": 1.0}}
 W4 = [[-4.0, -4.0], [4.0, 4.0]]
 W6 = [[-6.0, -6.0], [6.0, 6.0]]
 
-# sha256 of every CSV each config writes. The digests pin the CSV payloads
-# byte for byte, so a change to cluster labelling, crossing geometry or CSV
-# formatting that moves any estimate fails here.
+# sha256 of every CSV each config writes, then of the run.json summary as
+# json.dumps(summary, sort_keys=True). The digests pin the payloads byte for
+# byte, so a change to cluster labelling, crossing geometry, CSV formatting or
+# summary shape that moves any estimate fails here.
 GOLDEN = {
     "crossing_face": ("run", {
         "op": "crossing", "process": SQ, "window": W6, "adjacency": "face",
         "p_grid": [0.55, 0.6], "replicates": 50, "master_seed": 11,
         "params": {"rect": [[-5.3, -3.7], [4.6, 4.2]]}}, {
-        "crossing.csv": "c5e1186d94748405abbf655cf21767734fc1813b65d099b8072706ac84aa2149"}),
+        "crossing.csv": "c5e1186d94748405abbf655cf21767734fc1813b65d099b8072706ac84aa2149"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
     "crossing_star": ("run", {
         "op": "crossing", "process": SQ, "window": W6, "adjacency": "star",
         "p_grid": [0.4, 0.45], "replicates": 50, "master_seed": 12,
         "params": {"rect": [[-4.5, -5.2], [5.1, 3.9]], "direction": "vertical"}}, {
-        "crossing.csv": "3affdc66fbb7ad34086f6f075172ed001e9f186756f8bce62e1aab7ebda40583"}),
+        "crossing.csv": "3affdc66fbb7ad34086f6f075172ed001e9f186756f8bce62e1aab7ebda40583"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
     "crossing_voronoi_star_white": ("run", {
         "op": "crossing", "process": PV, "window": [[-4.0, -4.0], [4.0, 4.0]],
         "adjacency": "star", "p": 0.5, "replicates": 50, "master_seed": 13,
         "params": {"rect": [[-3.5, -2.5], [3.0, 3.5]], "color": "white"}}, {
-        "crossing.csv": "e2ec32c586423ea72f362b3a305177296af1451f98a08590ebe83aa809a5c963"}),
+        "crossing.csv": "e2ec32c586423ea72f362b3a305177296af1451f98a08590ebe83aa809a5c963"},
+        "92eca19a4e4339efec750dbf374aaa6225c94e2054270537b2d32ff6d65402f8"),
     "theta": ("run", {
         "op": "theta", "process": SQ, "window": W6, "adjacency": "face",
         "p_grid": [0.6, 0.7], "replicates": 40, "master_seed": 14,
         "params": {"radii": [2, 4, 6]}}, {
-        "theta.csv": "209aa1d4f8b41ff7990ac10b3fa4a91aaac585079e2a603ee2247b14329af535"}),
+        "theta.csv": "209aa1d4f8b41ff7990ac10b3fa4a91aaac585079e2a603ee2247b14329af535"},
+        "027ac025ab7fc4b16a1d7fe9400ec86fc3d2ea71906be656f3779c87c6afac35"),
     "spanning": ("run", {
         "op": "spanning", "process": SQ, "window": W6, "adjacency": "face",
         "p": 0.75, "replicates": 100, "master_seed": 15,
         "params": {"analysis_window": [[-5.5, -2.2], [5.5, 2.3]]}}, {
-        "spanning.csv": "945d0e8ed6a7adb6a0ba5d812df98ecb3a496a5f6ecdb517df7cfa88dedbf31e"}),
+        "spanning.csv": "945d0e8ed6a7adb6a0ba5d812df98ecb3a496a5f6ecdb517df7cfa88dedbf31e"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
     "trifurcation_density": ("run", {
         "op": "trifurcation_density", "process": SQ,
         "window": [[-14.0, -14.0], [14.0, 14.0]], "adjacency": "face", "p": 0.58,
         "replicates": 20, "master_seed": 16, "params": {"r1": 1, "r2": 2.0}}, {
-        "trifurcation_density.csv": "c6c167e44970526e21fae94116259108521f35f2cdb51c7850c842ba0e7958f4"}),
+        "trifurcation_density.csv": "c6c167e44970526e21fae94116259108521f35f2cdb51c7850c842ba0e7958f4"},
+        "21656f241fa7f3c6261a1e3f3f7db8994663148589425ba65c693e98c160e07a"),
     "ggr": ("run", {
         "op": "ggr", "process": SQ, "window": W6, "adjacency": "face", "p": 0.6,
         "replicates": 20, "master_seed": 17, "params": {"n_max": 3}}, {
-        "ggr.csv": "02616a8e9cef65f9394b2338733649c4a769e95f0ba49edef48b02154ddcfa19"}),
+        "ggr.csv": "02616a8e9cef65f9394b2338733649c4a769e95f0ba49edef48b02154ddcfa19"},
+        "de096127ad04ef8b799858f5b38d5ce6c4cf45e2cec4cdf36e0c2f92aeaf1c96"),
     "recursion": ("run", {
         "op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]],
         "adjacency": "face", "p": 0.6, "replicates": 30, "master_seed": 18,
         "params": {"t": 1.0}}, {
-        "recursion.csv": "32f7d3acc58438be64916941f0a4b1e373fb5d1c22a0dda5a763efd96f126855"}),
+        "recursion.csv": "32f7d3acc58438be64916941f0a4b1e373fb5d1c22a0dda5a763efd96f126855"},
+        "bc5a3ea53b6ab5ed4a4782bc4c9132c23db35efd73f179ce06cbcf7ccde18a5b"),
     "mixture": ("run", {
         "op": "mixture", "process": SQ, "window": [[-4.0, -4.0], [4.0, 4.0]], "p": 0.55,
         "replicates": 40, "master_seed": 19, "params": {"spacing": 1.0}}, {
-        "mixture.csv": "4af2ba31b9c25a5e1fe5de1fe84f8732ff00ea1a8784a88a0b17732febfdeeb1"}),
+        "mixture.csv": "4af2ba31b9c25a5e1fe5de1fe84f8732ff00ea1a8784a88a0b17732febfdeeb1"},
+        "46fb82d1a1d7053bdbfb90c6bff13e55337f3a82f7917abe3f5c289423a89aeb"),
     "sweep_crossing": ("sweep", {
         "op": "crossing", "process": SQ, "window": W6, "adjacency": "star",
         "p_grid": [0.35, 0.4, 0.45], "replicates": 20, "master_seed": 20}, {
         "summary.csv": "b9ee0421b14ff62d3424d5064e350c2590d3137117c93d5a80dbd69768dcef28",
-        "sweep.csv": "be38906283499a3a5594e4bee677f908d9444bed378082228bca367dc4e60e6b"}),
+        "sweep.csv": "be38906283499a3a5594e4bee677f908d9444bed378082228bca367dc4e60e6b"},
+        "6742a4b7d6ed65c1134d2b4c73828121089e320f97645aae4ad608dcc8e8d942"),
     "theta_voronoi_face": ("run", {
         "op": "theta", "process": PV, "window": [[-5.0, -5.0], [5.0, 5.0]],
         "adjacency": "face", "p_grid": [0.5, 0.6], "replicates": 20, "master_seed": 25,
         "params": {"radii": [1, 2, 3]}}, {
-        "theta.csv": "a91c5ea09bdabb6dcb1b2db49508200ecb574ab4d112e1df9b89a4f803314c7b"}),
+        "theta.csv": "a91c5ea09bdabb6dcb1b2db49508200ecb574ab4d112e1df9b89a4f803314c7b"},
+        "027ac025ab7fc4b16a1d7fe9400ec86fc3d2ea71906be656f3779c87c6afac35"),
     "crossing_voronoi_face": ("run", {
         "op": "crossing", "process": PV, "window": W4, "adjacency": "face",
         "p_grid": [0.4, 0.5, 0.6], "replicates": 50, "master_seed": 26,
         "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
-        "crossing.csv": "20ea32fb358062cbabd23950ed28eb02af18b57b863c2bf817cdb70c938ae1a5"}),
+        "crossing.csv": "20ea32fb358062cbabd23950ed28eb02af18b57b863c2bf817cdb70c938ae1a5"},
+        "32a461613f889715441938eab4ee87cd6a246bbb6139a2249757b70ed8af3665"),
     "crossing_hexagonal": ("run", {
         "op": "crossing", "process": HEX, "window": W4, "adjacency": "face",
         "p_grid": [0.4, 0.5, 0.6], "replicates": 50, "master_seed": 27,
         "params": {"rect": [[-3.2, -3.1], [3.4, 2.9]]}}, {
-        "crossing.csv": "345e8aecd26eca81456e4a979865d506acab70cc9ae540d75352822659e2fd50"}),
+        "crossing.csv": "345e8aecd26eca81456e4a979865d506acab70cc9ae540d75352822659e2fd50"},
+        "32a461613f889715441938eab4ee87cd6a246bbb6139a2249757b70ed8af3665"),
     "pc_square": ("run", {
         "op": "pc", "process": SQ, "window": [[-3.0, -3.0], [3.0, 3.0]],
         "adjacency": "face", "replicates": 50, "master_seed": 28,
         "params": {"tolerance": 0.1, "replicates_per_probe": 50}}, {
-        "pc.csv": "ce53af97a52b109d770db3a687556e2f27c7b6d9ed803688987df15bc879aa04"}),
+        "pc.csv": "ce53af97a52b109d770db3a687556e2f27c7b6d9ed803688987df15bc879aa04"},
+        "23a29ec132eaf43566690a3799f4db9e2b67d5728150b47f12ec3682945af582"),
     "tameness": ("run", {
         "op": "tameness", "process": PV, "window": W6, "replicates": 4,
         "master_seed": 29, "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}}, {
-        "tameness.csv": "9dce19b16b12fa5affc57605ff7b9534ff69ea91a60937e195520b2c097d868f"}),
+        "tameness.csv": "9dce19b16b12fa5affc57605ff7b9534ff69ea91a60937e195520b2c097d868f"},
+        "6b75c93311a374726c04abad664d51a971afe47be84319467348bb9a9809d26e"),
     "sweep_smp_gap": ("sweep", {
         "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
         "master_seed": 30,
         "params": {"family": "crossing", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
                    "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}, {
-        "summary.csv": "0114114dc93107d949587176ae4cf4f6895637b9fe3c3e5cf8afe4f67c195716"}),
+        "summary.csv": "0114114dc93107d949587176ae4cf4f6895637b9fe3c3e5cf8afe4f67c195716"},
+        "16d11ea6d0bf68fbbbafd20483e3263b2ce5859f5a1316bbba19b87539a3f9f4"),
+    "void": ("run", {
+        "op": "void", "process": PV, "window": W4, "replicates": 200, "master_seed": 35,
+        "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [0.5, 1.0, 1.5]}}, {
+        "void.csv": "143a2ca79e2aaba7588264b4b2502de6e1c026e64740e1ae2310b6a98e4b733e"},
+        "32a461613f889715441938eab4ee87cd6a246bbb6139a2249757b70ed8af3665"),
+    "laplace": ("run", {
+        "op": "laplace", "process": PV, "window": W4, "replicates": 1000, "master_seed": 36,
+        "params": {"t": 0.3, "region": {"delta": 0.5, "ni": 2, "nj": 2}}}, {
+        "laplace.csv": "b6da4ef728717bedf9b2cea8cd9dbbb70ac876e723c16e0f755e9bc0d9237144"},
+        "95443f3217909081cf09fa7fcad5b1a8c383d5bac48c92bc0322bdddb6936dcf"),
+    "line_smp": ("run", {
+        "op": "line_smp", "process": LINES, "window": W4, "replicates": 100,
+        "master_seed": 37, "params": {"t_schedule": [1.0, 2.0, 4.0], "angle_tol": 0.3}}, {
+        "line_smp.csv": "0a4a98f08c78f6cd9c2f9743f0c90483a61535e1ec9dcfadcdda5c6ba2c91aa3"},
+        "faf5ad09b258a9a664186818415989622bdc910d7473dfe642bdc7f6b07e0b35"),
+    "smp_gap": ("run", {
+        "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+        "master_seed": 38,
+        "params": {"family": "crossing", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
+                   "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}, {
+        "smp_gap.csv": "bd9511e3eb2e81b389644db462c7f8f8c300debe552c3c472ff0a9c32a6b72c4"},
+        "18db5213caddfb1fa18140f77f3112dfb35456a759d4006fcabc4fc701d5f9d9"),
 }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_config(tmp_path, cfg) -> str:
@@ -115,11 +159,13 @@ def _write_config(tmp_path, cfg) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_harness_csv_digests(name, tmp_path):
-    entry, cfg, digests = GOLDEN[name]
+    entry, cfg, digests, summary_digest = GOLDEN[name]
     record = getattr(harness, entry)(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
     out = Path(record.out_dir)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    got = {p.name: _sha256(p.read_bytes()) for p in out.glob("*.csv")}
     assert got == digests
+    summary = json.loads((out / "run.json").read_text())["summary"]
+    assert _sha256(json.dumps(summary, sort_keys=True).encode()) == summary_digest
 
 
 def _csv_bytes(record) -> dict:
