@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, EstimatorFailure, ParameterError
 
@@ -55,11 +56,11 @@ def main(argv=None) -> int:
             record = sweep(args.config, out_dir=args.out, workers=workers)
             print(f"sweep[{record.op}]: wrote {record.out_dir}")
         elif args.command == "render":
-            from .harness import _spec_from_config, load_config
-            from .experiment import build_tessellation, coloring_for
+            from .experiment import ExperimentSpec, build_tessellation, coloring_for
+            from .harness import load_config
             from .render import render_svg
-            cfg = load_config(args.config)
-            spec = _spec_from_config(cfg, p=0.5 if cfg.get("p") is None else cfg["p"])
+            spec = ExperimentSpec.from_json(load_config(args.config))
+            spec = replace(spec, p=0.5 if spec.p is None else spec.p)
             tess = build_tessellation(spec, args.rep)
             col = coloring_for(spec, args.rep, tess)
             render_svg(tess, col, args.out, show_graph=args.show_graph,

@@ -51,6 +51,21 @@ class SmpGapCurve:
     replicates: int
     meta: dict = field(default_factory=dict)
 
+    @staticmethod
+    def from_indicators(t_values, vals, meta: dict) -> "SmpGapCurve":
+        """The curve over t_values from per-replicate lists holding one
+        (E_t, E'_t) indicator pair per t."""
+        curve = SmpGapCurve(t_values=t_values, p_joint=[], p_product=[], gap=[], sigma=[],
+                            replicates=len(vals), meta=meta)
+        for k in range(len(t_values)):
+            gap, sigma, pj, pe, pep = gap_from_indicators([v[k][0] for v in vals],
+                                                          [v[k][1] for v in vals])
+            curve.p_joint.append(pj)
+            curve.p_product.append(pe * pep)
+            curve.gap.append(gap)
+            curve.sigma.append(sigma)
+        return curve
+
     def ci(self, k: int, z: float = 1.96):
         return (max(0.0, self.gap[k] - z * self.sigma[k]), self.gap[k] + z * self.sigma[k])
 
@@ -111,17 +126,8 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
     else:
         raise ParameterError("event_family must be 'crossing' or 'void'")
     vals, failed = _run_replicates(fn, replicates, workers)
-    curve = SmpGapCurve(t_values=t_schedule, p_joint=[], p_product=[], gap=[], sigma=[],
-                        replicates=len(vals), meta={"family": event_family, "failed": failed})
-    for k in range(len(t_schedule)):
-        e = [v[k][0] for v in vals]
-        ep = [v[k][1] for v in vals]
-        gap, sigma, pj, pe, pep = gap_from_indicators(e, ep)
-        curve.p_joint.append(pj)
-        curve.p_product.append(pe * pep)
-        curve.gap.append(gap)
-        curve.sigma.append(sigma)
-    return curve
+    return SmpGapCurve.from_indicators(t_schedule, vals,
+                                       {"family": event_family, "failed": failed})
 
 
 def _line_crosses_lr(theta, r, rect: Window):
@@ -155,29 +161,17 @@ def line_process_smp_failure(line_intensity: float, t_schedule, replicates: int,
     t_max = max(t_schedule)
     corners = np.abs(np.array([LINE_SMP_Q2.hi, LINE_SMP_Q2.lo, LINE_SMP_Q1.lo]))
     disc_radius = t_max * float(np.sqrt((corners ** 2).sum(axis=1)).max()) + 1.0
-    indicators = {t: [] for t in t_schedule}
+    vals = []
     for rep in range(replicates):
         rng = stream(master_seed, rep, "lines")
         lines = sample_poisson_lines(line_intensity, disc_radius, rng)
         theta, r = (lines[:, 0], lines[:, 1]) if len(lines) else (np.empty(0), np.empty(0))
         near_horiz = np.abs(theta - np.pi / 2.0) < angle_tol
-        for t in t_schedule:
-            e = bool(np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q1.scaled(t))))
-            ep = bool(np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q2.scaled(t))))
-            indicators[t].append((1 if e else 0, 1 if ep else 0))
-    curve = SmpGapCurve(t_values=t_schedule, p_joint=[], p_product=[], gap=[], sigma=[],
-                        replicates=replicates,
-                        meta={"family": "line", "angle_tol": angle_tol,
-                              "line_intensity": line_intensity})
-    for t in t_schedule:
-        e = [v[0] for v in indicators[t]]
-        ep = [v[1] for v in indicators[t]]
-        gap, sigma, pj, pe, pep = gap_from_indicators(e, ep)
-        curve.p_joint.append(pj)
-        curve.p_product.append(pe * pep)
-        curve.gap.append(gap)
-        curve.sigma.append(sigma)
-    return curve
+        vals.append([tuple(int(np.any(near_horiz & _line_crosses_lr(theta, r, q.scaled(t))))
+                           for q in (LINE_SMP_Q1, LINE_SMP_Q2)) for t in t_schedule])
+    return SmpGapCurve.from_indicators(t_schedule, vals,
+                                       {"family": "line", "angle_tol": angle_tol,
+                                        "line_intensity": line_intensity})
 
 
 @dataclass

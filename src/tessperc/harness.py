@@ -4,6 +4,19 @@ Configs are JSON with a fixed schema; unknown keys are hard errors. Outputs
 land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json.
 CSV payloads are bit-identical across reruns and worker counts; run.json
 carries the volatile envelope (timestamps).
+
+Every op is one entry of OPS, keyed by its name. An entry holds
+- `keys`: the `params` keys the op allows;
+- `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
+  `p`, which load_config then requires; EACH_P ops are called once per p of
+  `p_grid` (or for the single `p`) and `run` concatenates their rows;
+- `fn(spec, params, workers) -> (rows, summary)`, where `spec.p` is the p of
+  the call and a summary of None stands for {"rows": len(rows)};
+- optionally `sweep(spec, params, workers) -> (rows, summary_rows, summary)`
+  for the `sweep` entry point, and `process`, the one process kind the op
+  accepts.
+The functions look estimators up in this module's namespace when they run,
+so a caller that rebinds such a name here (a tracer) sees every call.
 """
 
 from __future__ import annotations
@@ -12,41 +25,29 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .diagnostics import (line_process_smp_failure, mixture_nonergodic_demo,
                           smp_gap, tameness_report)
 from .errors import ConfigError, ParameterError
-from .estimators import (count_spanning_clusters, estimate_crossing_prob,
-                         estimate_pc, estimate_theta,
+from .estimators import (_guarded, _run_replicates, count_spanning_clusters,
+                         estimate_crossing_prob, estimate_pc, estimate_theta,
                          estimate_trifurcation_density, ggr_diagnostics,
                          verify_crossing_recursion)
 from .experiment import ExperimentSpec, build_tessellation, coloring_for
 from .geometry import GridRegion, Window
 from .percolation import CrossingQuery, crossing
-from .point_process import (ProcessSpec, estimate_laplace_functional,
-                            estimate_void_probability)
+from .point_process import estimate_laplace_functional, estimate_void_probability
+from .stats import PercResult
 
 _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
              "replicates", "master_seed", "params"}
 
-_OP_PARAM_KEYS = {
-    "void": {"Q", "t_values"},
-    "laplace": {"t", "region"},
-    "crossing": {"rect", "direction", "color"},
-    "theta": {"radii"},
-    "pc": {"tolerance", "replicates_per_probe"},
-    "spanning": {"analysis_window"},
-    "smp_gap": {"family", "Q", "Qprime", "t_schedule"},
-    "line_smp": {"t_schedule", "angle_tol"},
-    "mixture": {"spacing", "replicates_per_component"},
-    "tameness": {"delta", "n_schedule"},
-    "recursion": {"t"},
-    "trifurcation_density": {"r1", "r2", "analysis_window"},
-    "ggr": {"n_max"},
-}
+NO_P, ONE_P, EACH_P = "none", "one", "each"
 
 
 def load_config(path) -> dict:
@@ -64,43 +65,32 @@ def load_config(path) -> dict:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    op = cfg.get("op")
-    if op not in _OP_PARAM_KEYS:
-        raise ConfigError(f"{path}: 'op' must be one of {sorted(_OP_PARAM_KEYS)}, got {op!r}")
+    name = cfg.get("op")
+    if name not in OPS:
+        raise ConfigError(f"{path}: 'op' must be one of {sorted(OPS)}, got {name!r}")
+    op = OPS[name]
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}: 'params' must be an object")
-    bad = set(params) - _OP_PARAM_KEYS[op]
+    bad = set(params).difference(op.keys)
     if bad:
-        raise ConfigError(f"{path}: params for op {op!r}: unknown keys {sorted(bad)}")
+        raise ConfigError(f"{path}: params for op {name!r}: unknown keys {sorted(bad)}")
     for key in ("process", "window", "replicates", "master_seed"):
         if key not in cfg:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    if op in ("crossing", "theta", "spanning", "smp_gap", "recursion", "mixture",
-              "trifurcation_density", "ggr"):
-        if cfg.get("p") is None and cfg.get("p_grid") is None:
-            raise ConfigError(f"{path}: op {op!r} needs 'p' or 'p_grid'")
+    if op.p == ONE_P and cfg.get("p") is None:
+        raise ConfigError(f"{path}: op {name!r} needs 'p'")
+    if op.p == EACH_P and cfg.get("p") is None and cfg.get("p_grid") is None:
+        raise ConfigError(f"{path}: op {name!r} needs 'p' or 'p_grid'")
     if cfg.get("p_grid") is not None and len(cfg["p_grid"]) == 0:
         raise ConfigError(f"{path}: 'p_grid' must be non-empty")
     try:
-        _spec_from_config(cfg)
+        spec = ExperimentSpec.from_json(cfg)
     except (ParameterError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if op.process is not None and spec.process.kind != op.process:
+        raise ConfigError(f"{path}: op {name!r} requires a {op.process} process")
     return cfg
-
-
-def _spec_from_config(cfg: dict, p=None) -> ExperimentSpec:
-    return ExperimentSpec(
-        process=ProcessSpec.from_json(cfg["process"]),
-        window=Window.from_json(cfg["window"]),
-        adjacency=cfg.get("adjacency", "face"),
-        buffer=cfg.get("buffer"),
-        p=p if p is not None else cfg.get("p"),
-        p_grid=tuple(cfg["p_grid"]) if cfg.get("p_grid") else None,
-        replicates=int(cfg["replicates"]),
-        master_seed=int(cfg["master_seed"]),
-        params=dict(cfg.get("params", {})),
-    )
 
 
 def config_hash(cfg: dict) -> str:
@@ -122,137 +112,88 @@ def write_csv(path, fieldnames, rows) -> None:
             writer.writerow({k: _fmt_value(row.get(k)) for k in fieldnames})
 
 
-def _window_from(obj) -> Window:
-    return Window.from_json(obj)
+def _ci_row(res: dict, **lead) -> dict:
+    """The `lead` columns, then estimate, ci_lo, ci_hi and replicates of an
+    estimate mapping (a result dict, or vars() of a PercResult)."""
+    return {**lead, "estimate": res["estimate"], "ci_lo": res["ci"][0],
+            "ci_hi": res["ci"][1], "replicates": res["replicates"]}
 
 
-def _p_list(cfg) -> list:
-    if cfg.get("p_grid"):
-        return [float(p) for p in cfg["p_grid"]]
-    return [float(cfg["p"])]
+def _window(params, key, default: Window) -> Window:
+    return Window.from_json(params[key]) if key in params else default
 
 
-def _op_void(cfg, workers):
-    params = cfg["params"]
-    Q = _window_from(params["Q"])
-    res = estimate_void_probability(ProcessSpec.from_json(cfg["process"]), Q,
-                                    params["t_values"], int(cfg["replicates"]),
-                                    master_seed=int(cfg["master_seed"]))
-    rows = [{"t": r["t"], "estimate": r["estimate"], "ci_lo": r["ci"][0],
-             "ci_hi": r["ci"][1], "replicates": r["replicates"]} for r in res]
-    return rows, {"rows": len(rows)}
+def _void(spec, params, workers):
+    res = estimate_void_probability(spec.process, Window.from_json(params["Q"]),
+                                    params["t_values"], spec.replicates,
+                                    master_seed=spec.master_seed)
+    return [_ci_row(r, t=r["t"]) for r in res], None
 
 
-def _op_laplace(cfg, workers):
-    params = cfg["params"]
+def _laplace(spec, params, workers):
     reg = params["region"]
     region = GridRegion.rectangle(float(reg["delta"]), int(reg["ni"]), int(reg["nj"]),
                                   anchor=tuple(reg.get("anchor", (0, 0))))
-    res = estimate_laplace_functional(ProcessSpec.from_json(cfg["process"]),
-                                      float(params["t"]), region, int(cfg["replicates"]),
-                                      master_seed=int(cfg["master_seed"]))
-    rows = [{"t": params["t"], "estimate": res["estimate"], "ci_lo": res["ci"][0],
-             "ci_hi": res["ci"][1], "replicates": res["replicates"],
-             "reference_kind": res["reference"]["kind"],
-             "reference_value": res["reference"]["value"]}]
-    return rows, {"reference": res["reference"]}
+    res = estimate_laplace_functional(spec.process, float(params["t"]), region,
+                                      spec.replicates, master_seed=spec.master_seed)
+    ref = res["reference"]
+    return [{**_ci_row(res, t=params["t"]), "reference_kind": ref["kind"],
+             "reference_value": ref["value"]}], {"reference": ref}
 
 
-def _op_crossing(cfg, workers):
-    params = cfg["params"]
-    rows = []
-    for p in _p_list(cfg):
-        spec = _spec_from_config(cfg, p=p)
-        rect = _window_from(params["rect"]) if "rect" in params else spec.window
-        query = CrossingQuery(rect=rect, direction=params.get("direction", "horizontal"),
-                              color=params.get("color", "black"), adjacency=spec.adjacency)
-        res = estimate_crossing_prob(spec, query, p, spec.replicates, workers=workers)
-        rows.append({"p": p, "estimate": res.estimate, "ci_lo": res.ci[0],
-                     "ci_hi": res.ci[1], "replicates": res.replicates,
-                     "failed": res.failed})
-    return rows, {"rows": len(rows)}
+def _crossing(spec, params, workers):
+    query = CrossingQuery(rect=_window(params, "rect", spec.window),
+                          direction=params.get("direction", "horizontal"),
+                          color=params.get("color", "black"), adjacency=spec.adjacency)
+    res = estimate_crossing_prob(spec, query, spec.p, spec.replicates, workers=workers)
+    return [{**_ci_row(vars(res), p=spec.p), "failed": res.failed}], None
 
 
-def _op_theta(cfg, workers):
-    params = cfg["params"]
-    rows = []
-    for p in _p_list(cfg):
-        spec = _spec_from_config(cfg, p=p)
-        for res in estimate_theta(spec, p, params["radii"], spec.replicates,
-                                  workers=workers):
-            rows.append({"p": p, "radius": res.meta["radius"], "estimate": res.estimate,
-                         "ci_lo": res.ci[0], "ci_hi": res.ci[1],
-                         "replicates": res.replicates, "failed": res.failed})
-    return rows, {"rows": len(rows)}
+def _theta(spec, params, workers):
+    results = estimate_theta(spec, spec.p, params["radii"], spec.replicates, workers=workers)
+    return [{**_ci_row(vars(r), p=spec.p, radius=r.meta["radius"]), "failed": r.failed}
+            for r in results], None
 
 
-def _op_pc(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg, p=0.5)
-    est = estimate_pc(spec, float(params["tolerance"]),
-                      int(params["replicates_per_probe"]), workers=workers)
-    rows = [{"probe": k, "p": p, "estimate": r.estimate, "ci_lo": r.ci[0],
-             "ci_hi": r.ci[1], "replicates": r.replicates}
-            for k, (p, r) in enumerate(est.probes)]
+def _pc(spec, params, workers):
+    est = estimate_pc(spec, float(params["tolerance"]), int(params["replicates_per_probe"]),
+                      workers=workers)
+    rows = [_ci_row(vars(r), probe=k, p=p) for k, (p, r) in enumerate(est.probes)]
     return rows, {"interval": list(est.interval), "separated": est.separated}
 
 
-def _op_spanning(cfg, workers):
-    params = cfg["params"]
-    rows = []
-    for p in _p_list(cfg):
-        spec = _spec_from_config(cfg, p=p)
-        win = (_window_from(params["analysis_window"])
-               if "analysis_window" in params else spec.window)
-        res = count_spanning_clusters(spec, p, win, spec.replicates, workers=workers)
-        for count, freq in res.histogram.items():
-            rows.append({"p": p, "count": count, "frequency": freq,
-                         "replicates": res.replicates, "failed": res.failed})
-    return rows, {"rows": len(rows)}
+def _spanning(spec, params, workers):
+    win = _window(params, "analysis_window", spec.window)
+    res = count_spanning_clusters(spec, spec.p, win, spec.replicates, workers=workers)
+    return [{"p": spec.p, "count": count, "frequency": freq, "replicates": res.replicates,
+             "failed": res.failed} for count, freq in res.histogram.items()], None
 
 
-def _op_smp_gap(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg)
-    curve = smp_gap(spec, params.get("family", "crossing"), _window_from(params["Q"]),
-                    _window_from(params["Qprime"]), params["t_schedule"],
+def _smp_gap(spec, params, workers):
+    curve = smp_gap(spec, params.get("family", "crossing"), Window.from_json(params["Q"]),
+                    Window.from_json(params["Qprime"]), params["t_schedule"],
                     spec.replicates, workers=workers)
     return list(curve.rows()), {"replicates": curve.replicates, "meta": curve.meta}
 
 
-def _op_line_smp(cfg, workers):
-    params = cfg["params"]
-    proc = ProcessSpec.from_json(cfg["process"])
-    if proc.kind != "poisson_line":
-        raise ConfigError("line_smp requires a poisson_line process")
-    curve = line_process_smp_failure(proc["line_intensity"], params["t_schedule"],
-                                     int(cfg["replicates"]), float(params["angle_tol"]),
-                                     master_seed=int(cfg["master_seed"]))
+def _line_smp(spec, params, workers):
+    curve = line_process_smp_failure(spec.process["line_intensity"], params["t_schedule"],
+                                     spec.replicates, float(params["angle_tol"]),
+                                     master_seed=spec.master_seed)
     return list(curve.rows()), {"replicates": curve.replicates, "meta": curve.meta}
 
 
-def _op_mixture(cfg, workers):
-    params = cfg["params"]
-    res = mixture_nonergodic_demo(float(cfg["p"]), _window_from(cfg["window"]),
-                                  int(params.get("replicates_per_component",
-                                                 cfg["replicates"])),
-                                  master_seed=int(cfg["master_seed"]),
-                                  spacing=float(params.get("spacing", 2.0)),
-                                  workers=workers)
-    rows = [
-        {"component": "square", "estimate": res.square.estimate,
-         "ci_lo": res.square.ci[0], "ci_hi": res.square.ci[1],
-         "replicates": res.square.replicates},
-        {"component": "hexagonal", "estimate": res.hexagonal.estimate,
-         "ci_lo": res.hexagonal.ci[0], "ci_hi": res.hexagonal.ci[1],
-         "replicates": res.hexagonal.replicates},
-    ]
+def _mixture(spec, params, workers):
+    res = mixture_nonergodic_demo(spec.p, spec.window,
+                                  int(params.get("replicates_per_component", spec.replicates)),
+                                  master_seed=spec.master_seed,
+                                  spacing=float(params.get("spacing", 2.0)), workers=workers)
+    rows = [_ci_row(vars(r), component=name)
+            for name, r in (("square", res.square), ("hexagonal", res.hexagonal))]
     return rows, {"separation": res.separation, "pooled": res.pooled}
 
 
-def _op_tameness(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg, p=cfg.get("p") or 0.5)
+def _tameness(spec, params, workers):
     rep = tameness_report(spec, float(params["delta"]), params["n_schedule"],
                           spec.replicates, workers=workers)
     rows = []
@@ -260,63 +201,96 @@ def _op_tameness(cfg, workers):
         row = {"n": n}
         for name, curve in rep.curves.items():
             row[f"{name}_mean"] = curve["mean"][k]
-            row[f"{name}_ci_lo"] = curve["ci"][k][0]
-            row[f"{name}_ci_hi"] = curve["ci"][k][1]
+            row[f"{name}_ci_lo"], row[f"{name}_ci_hi"] = curve["ci"][k]
         rows.append(row)
     return rows, {"t1_bounded": rep.t1_bounded, "t2_margin": rep.t2_margin,
                   "limsup_proxy": rep.limsup_proxy}
 
 
-def _op_recursion(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg)
-    rep = verify_crossing_recursion(spec, float(cfg["p"]), float(params["t"]),
-                                    spec.replicates, workers=workers)
-    rows = [{"term": k, "estimate": v} for k, v in sorted(rep["rhs_terms"].items())]
-    rows.insert(0, {"term": "lhs", "estimate": rep["lhs"]})
-    summary = {k: rep[k] for k in ("lhs", "rhs", "slack", "inequality_margin", "holds",
-                                   "max_term", "max_value", "failed")}
-    return rows, summary
+def _recursion(spec, params, workers):
+    rep = verify_crossing_recursion(spec, spec.p, float(params["t"]), spec.replicates,
+                                    workers=workers)
+    rows = [{"term": "lhs", "estimate": rep["lhs"]}]
+    rows += [{"term": k, "estimate": v} for k, v in sorted(rep["rhs_terms"].items())]
+    return rows, {k: rep[k] for k in ("lhs", "rhs", "slack", "inequality_margin", "holds",
+                                      "max_term", "max_value", "failed")}
 
 
-def _op_trifurcation_density(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg)
-    win = (_window_from(params["analysis_window"])
-           if "analysis_window" in params else spec.window)
-    res = estimate_trifurcation_density(spec, float(cfg["p"]), int(params["r1"]),
-                                        float(params["r2"]), win, spec.replicates,
-                                        workers=workers)
-    rows = [{"window_area": res["window_area"], "mean_count": res["mean_count"],
-             "density": res["density"], "candidates": res["candidates"],
-             "mean_skipped": res["mean_skipped"], "replicates": res["replicates"]}]
-    return rows, res
+def _trifurcation_density(spec, params, workers):
+    res = estimate_trifurcation_density(spec, spec.p, int(params["r1"]), float(params["r2"]),
+                                        _window(params, "analysis_window", spec.window),
+                                        spec.replicates, workers=workers)
+    cols = ("window_area", "mean_count", "density", "candidates", "mean_skipped", "replicates")
+    return [{k: res[k] for k in cols}], res
 
 
-def _op_ggr(cfg, workers):
-    params = cfg["params"]
-    spec = _spec_from_config(cfg)
-    res = ggr_diagnostics(spec, float(cfg["p"]), int(params["n_max"]), spec.replicates)
-    rows = [{"n": n, "ball_size": res.ball_sizes[k], "g1_avg": res.g1_avg[k],
+def _ggr(spec, params, workers):
+    res = ggr_diagnostics(spec, spec.p, int(params["n_max"]), spec.replicates)
+    return [{"n": n, "ball_size": res.ball_sizes[k], "g1_avg": res.g1_avg[k],
              "g1_ci_lo": res.g1_ci[k][0], "g1_ci_hi": res.g1_ci[k][1],
-             "g2_avg": res.g2_avg[k]} for k, n in enumerate(res.ns)]
-    return rows, {"rows": len(rows)}
+             "g2_avg": res.g2_avg[k]} for k, n in enumerate(res.ns)], None
 
 
-_OPS = {
-    "void": _op_void,
-    "laplace": _op_laplace,
-    "crossing": _op_crossing,
-    "theta": _op_theta,
-    "pc": _op_pc,
-    "spanning": _op_spanning,
-    "smp_gap": _op_smp_gap,
-    "line_smp": _op_line_smp,
-    "mixture": _op_mixture,
-    "tameness": _op_tameness,
-    "recursion": _op_recursion,
-    "trifurcation_density": _op_trifurcation_density,
-    "ggr": _op_ggr,
+def _sweep_crossing(spec, params, workers):
+    if not spec.p_grid:
+        raise ConfigError("crossing sweep needs a p_grid")
+    p_grid = tuple(sorted(spec.p_grid))
+    rect = _window(params, "rect", spec.window)
+    direction = params.get("direction", "horizontal")
+    fn = _guarded(partial(_sweep_crossing_rep, spec, rect, direction, p_grid))
+    results, failed = _run_replicates(fn, spec.replicates, workers)
+    rows = [{"replicate": rep, "p": p, "indicator": ind}
+            for rep, indicators in results for p, ind in zip(p_grid, indicators)]
+    vals = [indicators for _, indicators in results]
+    # coupling spot check on ~1% of replicates: indicators must be monotone in p
+    step = max(1, len(vals) // 100)
+    for indicators in vals[::step]:
+        if any(b < a for a, b in zip(indicators, indicators[1:])):
+            raise ParameterError("coupling violation: crossing indicator not monotone in p")
+    summary_rows = []
+    for k, p in enumerate(p_grid):
+        res = PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed)
+        summary_rows.append({**_ci_row(vars(res), p=p), "failed": failed})
+    return rows, summary_rows, {}
+
+
+def _sweep_crossing_rep(spec: ExperimentSpec, rect, direction, p_grid, rep: int):
+    """(rep, crossing indicator per p); the id survives dropped failures."""
+    tess = build_tessellation(spec, rep)
+    col = coloring_for(spec, rep, tess, p_grid[0])
+    query = CrossingQuery(rect=rect, direction=direction, color="black",
+                          adjacency=spec.adjacency)
+    return rep, tuple(1 if crossing(tess, col.at_p(p), query) else 0 for p in p_grid)
+
+
+@dataclass(frozen=True)
+class Op:
+    keys: tuple
+    p: str
+    fn: Callable
+    sweep: Callable | None = None
+    process: str | None = None
+
+
+# The single registry of ops. Entries hold module-level functions that look
+# estimators up when they run; storing e.g. estimate_theta itself here would
+# hide later rebinding of the module attribute from the table.
+OPS = {
+    "void": Op(("Q", "t_values"), NO_P, _void),
+    "laplace": Op(("t", "region"), NO_P, _laplace),
+    "crossing": Op(("rect", "direction", "color"), EACH_P, _crossing, sweep=_sweep_crossing),
+    "theta": Op(("radii",), EACH_P, _theta),
+    "pc": Op(("tolerance", "replicates_per_probe"), NO_P, _pc),
+    "spanning": Op(("analysis_window",), EACH_P, _spanning),
+    "smp_gap": Op(("family", "Q", "Qprime", "t_schedule"), ONE_P, _smp_gap,
+                  sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers))),
+    "line_smp": Op(("t_schedule", "angle_tol"), NO_P, _line_smp, process="poisson_line"),
+    "mixture": Op(("spacing", "replicates_per_component"), ONE_P, _mixture),
+    "tameness": Op(("delta", "n_schedule"), NO_P, _tameness),
+    "recursion": Op(("t",), ONE_P, _recursion),
+    "trifurcation_density": Op(("r1", "r2", "analysis_window"), ONE_P,
+                               _trifurcation_density),
+    "ggr": Op(("n_max",), ONE_P, _ggr),
 }
 
 
@@ -331,9 +305,24 @@ class RunRecord:
     out_dir: str
 
     def to_json(self) -> dict:
-        return {"spec_hash": self.spec_hash, "op": self.op, "started": self.started,
-                "finished": self.finished, "version": self.version,
-                "summary": self.summary, "out_dir": self.out_dir}
+        return asdict(self)
+
+
+def _write_run(cfg: dict, out_dir, started: float, csvs: dict, summary: dict) -> RunRecord:
+    """Create out_dir/<hash prefix>/; write each non-empty CSV and run.json."""
+    finished = time.time()
+    h = config_hash(cfg)
+    target = Path(out_dir) / h[:16]
+    target.mkdir(parents=True, exist_ok=True)
+    for name, rows in csvs.items():
+        if rows:
+            write_csv(target / name, list(rows[0].keys()), rows)
+    record = RunRecord(spec_hash=h, op=cfg["op"], started=started, finished=finished,
+                       version=__version__, summary=summary, out_dir=str(target))
+    with open(target / "run.json", "w") as fh:
+        json.dump(record.to_json(), fh, indent=2, sort_keys=True, default=repr)
+        fh.write("\n")
+    return record
 
 
 def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
@@ -341,96 +330,29 @@ def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> Ru
     cfg = load_config(config_path)
     if seed_override is not None:
         cfg["master_seed"] = int(seed_override)
-    op = cfg["op"]
-    h = config_hash(cfg)
-    target = Path(out_dir) / h[:16]
-    target.mkdir(parents=True, exist_ok=True)
+    op = OPS[cfg["op"]]
+    spec = ExperimentSpec.from_json(cfg)
     started = time.time()
-    rows, summary = _OPS[op](cfg, workers)
-    finished = time.time()
-    if rows:
-        fieldnames = list(rows[0].keys())
-        write_csv(target / f"{op}.csv", fieldnames, rows)
-    record = RunRecord(spec_hash=h, op=op, started=started, finished=finished,
-                       version=__version__, summary=summary, out_dir=str(target))
-    with open(target / "run.json", "w") as fh:
-        json.dump(record.to_json(), fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
-    return record
+    rows, summary = [], None
+    for p in spec.p_grid if op.p == EACH_P and spec.p_grid else (spec.p,):
+        p_rows, summary = op.fn(replace(spec, p=None if p is None else float(p)),
+                                spec.params, workers)
+        rows += p_rows
+    summary = {"rows": len(rows)} if summary is None else summary
+    return _write_run(cfg, out_dir, started, {f"{cfg['op']}.csv": rows}, summary)
 
 
 def sweep(config_path, out_dir="runs", workers: int = 1) -> RunRecord:
     """Coupled sweep: per-replicate rows over the p-grid (shared uniforms per
     replicate) or the smp t-schedule; plus an aggregated summary CSV."""
     cfg = load_config(config_path)
-    op = cfg["op"]
-    h = config_hash(cfg)
-    target = Path(out_dir) / h[:16]
-    target.mkdir(parents=True, exist_ok=True)
+    op = OPS[cfg["op"]]
+    if op.sweep is None:
+        ops = sorted(name for name, o in OPS.items() if o.sweep is not None)
+        raise ConfigError(f"sweep supports ops {ops}, not {cfg['op']!r}")
+    spec = ExperimentSpec.from_json(cfg)
     started = time.time()
-    extra = {}
-    if op == "crossing":
-        if not cfg.get("p_grid"):
-            raise ConfigError("crossing sweep needs a p_grid")
-        rows, summary_rows = _sweep_crossing(cfg, workers)
-    elif op == "smp_gap":
-        summary_rows, extra = _op_smp_gap(cfg, workers)
-        rows = []
-    else:
-        raise ConfigError(f"sweep supports ops 'crossing' and 'smp_gap', not {op!r}")
-    if rows:
-        write_csv(target / "sweep.csv", list(rows[0].keys()), rows)
-    if summary_rows:
-        write_csv(target / "summary.csv", list(summary_rows[0].keys()), summary_rows)
-    finished = time.time()
+    rows, summary_rows, extra = op.sweep(spec, spec.params, workers)
     summary = {"rows": len(rows), "summary_rows": len(summary_rows), **extra}
-    record = RunRecord(spec_hash=h, op=op, started=started, finished=finished,
-                       version=__version__, summary=summary, out_dir=str(target))
-    with open(target / "run.json", "w") as fh:
-        json.dump(record.to_json(), fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
-    return record
-
-
-def _sweep_crossing(cfg, workers):
-    from functools import partial
-
-    from .estimators import _guarded, _run_replicates
-    from .stats import wilson_ci
-
-    p_grid = sorted(float(p) for p in cfg["p_grid"])
-    spec = _spec_from_config(cfg, p=p_grid[0])
-    params = cfg.get("params", {})
-    rect = _window_from(params["rect"]) if "rect" in params else spec.window
-    direction = params.get("direction", "horizontal")
-    fn = _guarded(partial(_sweep_crossing_rep, spec, rect, direction, tuple(p_grid)))
-    results, failed = _run_replicates(fn, spec.replicates, workers)
-    rows = []
-    for rep, indicators in results:
-        for p, ind in zip(p_grid, indicators):
-            rows.append({"replicate": rep, "p": p, "indicator": ind})
-    vals = [indicators for _, indicators in results]
-    # coupling spot check on ~1% of replicates: indicators must be monotone in p
-    step = max(1, len(vals) // 100)
-    for indicators in vals[::step]:
-        if any(b < a for a, b in zip(indicators, indicators[1:])):
-            raise ParameterError("coupling violation: crossing indicator not monotone in p")
-    summary_rows = []
-    for k, p in enumerate(p_grid):
-        hits = sum(v[k] for v in vals)
-        lo, hi = wilson_ci(hits, len(vals))
-        summary_rows.append({"p": p, "estimate": hits / len(vals), "ci_lo": lo,
-                             "ci_hi": hi, "replicates": len(vals), "failed": failed})
-    return rows, summary_rows
-
-
-def _sweep_crossing_rep(spec: ExperimentSpec, rect, direction, p_grid, rep: int):
-    """(rep, crossing indicator per p); the id survives dropped failures."""
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p_grid[0])
-    out = []
-    for p in p_grid:
-        q = CrossingQuery(rect=rect, direction=direction, color="black",
-                          adjacency=spec.adjacency)
-        out.append(1 if crossing(tess, col.at_p(p), q) else 0)
-    return rep, tuple(out)
+    return _write_run(cfg, out_dir, started, {"sweep.csv": rows, "summary.csv": summary_rows},
+                      summary)

@@ -257,3 +257,45 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
            "p": 0.5, "replicates": 50, "master_seed": 24, "colour": "black"}
     assert main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert "unknown top-level keys ['colour']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op,params", [
+    ("ggr", {"n_max": 2}),
+    ("recursion", {"t": 1.0}),
+    ("mixture", {"spacing": 1.0}),
+    ("smp_gap", {"Q": [[-1.0, -1.0], [0.0, 0.0]], "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                 "t_schedule": [1.0]}),
+    ("trifurcation_density", {"r1": 1, "r2": 2.0}),
+])
+def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, capsys):
+    cfg = {"op": op, "process": SQ, "window": W4, "p_grid": [0.5, 0.6], "replicates": 10,
+           "master_seed": 39, "params": params}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"op {op!r} needs 'p'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("sweep", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+               "master_seed": 40, "params": {"radii": [1]}}),
+    ("sweep", {"op": "crossing", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+               "master_seed": 41}),
+    ("run", {"op": "line_smp", "process": PV, "window": W4, "replicates": 10,
+             "master_seed": 42, "params": {"t_schedule": [1.0], "angle_tol": 0.3}}),
+], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson"])
+def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
+    _, cfg, _, _ = GOLDEN["sweep_crossing"]
+    path = _write_config(tmp_path, cfg)
+    assert main(["sweep", path, "--out", str(tmp_path / "cli")]) == 0
+    record = harness.sweep(path, out_dir=str(tmp_path / "api"))
+    cli_out = tmp_path / "cli" / Path(record.out_dir).name
+    assert _csv_bytes(record).keys() == {"sweep.csv", "summary.csv"}
+    assert {p.name: p.read_bytes() for p in cli_out.glob("*.csv")} == _csv_bytes(record)
