@@ -167,8 +167,12 @@ def line_process_smp_failure(line_intensity: float, t_schedule, replicates: int,
         lines = sample_poisson_lines(line_intensity, disc_radius, rng)
         theta, r = (lines[:, 0], lines[:, 1]) if len(lines) else (np.empty(0), np.empty(0))
         near_horiz = np.abs(theta - np.pi / 2.0) < angle_tol
-        vals.append([tuple(int(np.any(near_horiz & _line_crosses_lr(theta, r, q.scaled(t))))
-                           for q in (LINE_SMP_Q1, LINE_SMP_Q2)) for t in t_schedule])
+        pairs = []
+        for t in t_schedule:
+            e = np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q1.scaled(t)))
+            ep = np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q2.scaled(t)))
+            pairs.append((int(e), int(ep)))
+        vals.append(pairs)
     return SmpGapCurve.from_indicators(t_schedule, vals,
                                        {"family": "line", "angle_tol": angle_tol,
                                         "line_intensity": line_intensity})

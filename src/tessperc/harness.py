@@ -12,9 +12,9 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   `p_grid` (or for the single `p`) and `run` concatenates their rows;
 - `fn(spec, params, workers) -> (rows, summary)`, where `spec.p` is the p of
   the call and a summary of None stands for {"rows": len(rows)};
-- optionally `sweep(spec, params, workers) -> (rows, summary_rows, summary)`
-  for the `sweep` entry point, and `process`, the one process kind the op
-  accepts.
+- optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
+  for the `sweep` entry point (extra: more run.json summary fields), and
+  `process`, the one process kind the op accepts.
 The functions look estimators up in this module's namespace when they run,
 so a caller that rebinds such a name here (a tracer) sees every call.
 """
