@@ -7,7 +7,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, EstimatorFailure, ParameterError
+from .errors import (ConfigError, ConstructionError, EdgeEffectError, EstimatorFailure,
+                     ParameterError)
 
 
 def _default_workers() -> int:
@@ -69,7 +70,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, EstimatorFailure) as exc:
+    except (ParameterError, EstimatorFailure, ConstructionError, EdgeEffectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,12 +10,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import _guarded, _run_replicates
-from .experiment import ExperimentSpec, build_tessellation, coloring_for
-from .geometry import Window
-from .gridfield import (GridField, compute_U_field, compute_Y_field,
-                        greedy_animal_max, region_index_range, _edge_normals,
-                        _poly_box_overlaps)
+from .experiment import ExperimentSpec, build_tessellation, coloring_for, run_replicates
+from .geometry import Window, edge_normals, poly_box_overlaps
+from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
 from .percolation import CrossingQuery, crossing, spanning_cluster_count
 from .point_process import ProcessSpec, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
@@ -120,12 +117,12 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
             raise ParameterError(f"scaled rectangles at t={t} leave the core window")
         rects.append((rq, rqp))
     if event_family == "crossing":
-        fn = _guarded(partial(_smp_crossing_rep, spec, rects))
+        fn = partial(_smp_crossing_rep, spec, rects)
     elif event_family == "void":
-        fn = _guarded(partial(_smp_void_rep, spec, rects))
+        fn = partial(_smp_void_rep, spec, rects)
     else:
         raise ParameterError("event_family must be 'crossing' or 'void'")
-    vals, failed = _run_replicates(fn, replicates, workers)
+    vals, failed = run_replicates(fn, replicates, workers)
     return SmpGapCurve.from_indicators(t_schedule, vals,
                                        {"family": event_family, "failed": failed})
 
@@ -211,10 +208,9 @@ def mixture_nonergodic_demo(p: float, window: Window, replicates_per_component: 
             process=ProcessSpec(kind, {"spacing": spacing, "random_shift": True}),
             window=window, adjacency="face", p=p,
             replicates=replicates_per_component, master_seed=seed)
-        fn = _guarded(partial(_mixture_rep, spec, p, window))
-        vals, failed = _run_replicates(fn, replicates_per_component, workers)
-        results[kind] = PercResult.from_counts(sum(vals), len(vals), failed=failed,
-                                               spec_hash=spec.spec_hash())
+        vals, failed = run_replicates(partial(_mixture_rep, spec, p, window),
+                                      replicates_per_component, workers)
+        results[kind] = PercResult.from_counts(sum(vals), len(vals), failed=failed)
     sq, hx = results["square_lattice"], results["hexagonal_lattice"]
     pooled = (sq.successes + hx.successes) / (sq.replicates + hx.replicates)
     return MixtureResult(square=sq, hexagonal=hx,
@@ -272,8 +268,8 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: 
         raise ParameterError("region must contain the origin box for anchored animals")
     if (i1 - i0 + 1) * (j1 - j0 + 1) < max(schedule):
         raise ParameterError("region too small for the largest animal in the schedule")
-    fn = _guarded(partial(_tameness_rep, spec, delta, schedule, region, method))
-    vals, failed = _run_replicates(fn, replicates, workers)
+    vals, failed = run_replicates(partial(_tameness_rep, spec, delta, schedule, region, method),
+                                  replicates, workers)
     curves = {}
     for which in ("anchored_Y", "anchored_U", "free_Y", "free_U"):
         means, cis = [], []
@@ -364,8 +360,8 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
                 if not white[c]:
                     continue
                 poly = tess.polygon(c)
-                normals, offsets = _edge_normals(poly)
-                if _poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
+                normals, offsets = edge_normals(poly)
+                if poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
                     hit = True
                     break
             cache[key] = hit

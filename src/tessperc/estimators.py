@@ -1,9 +1,12 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
 Each estimator builds a fresh tessellation + coloring per replicate from
-deterministic streams, counts events, and reports Wilson intervals. Build
-failures (edge effects, degenerate inputs) abort the replicate and are
-counted; more than 1% failures fails the whole run.
+deterministic streams, counts events, and reports Wilson intervals. The
+replicates run through experiment.run_replicates, which drops and counts
+build failures (edge effects, degenerate inputs) and fails the run past
+its failure budget. Crossing probabilities have one estimator,
+estimate_crossing_curve: one tessellation and one coloring per replicate,
+thresholded at every p of a grid.
 """
 
 from __future__ import annotations
@@ -14,52 +17,42 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, ParameterError
+from .errors import ParameterError
 from .geometry import Window
 from .graphs import graph_ball, outer_boundary
 from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
                           label_components, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
-from .streams import stream
-from .experiment import ExperimentSpec, build_tessellation, coloring_for
-from .tessellation import AdjacencyGraph, Tessellation, build_adjacency, zero_cell
-
-FAILURE_BUDGET = 0.01
+from .experiment import ExperimentSpec, build_tessellation, coloring_for, run_replicates
+from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
-def _run_replicates(fn, replicates: int, workers: int = 1):
-    """Run a per-replicate closure, separating failures from results.
-
-    Returns (ordered results, failed count); raises when the failure budget
-    is exceeded.
-    """
-    from .experiment import parallel_map
-
-    results = parallel_map(fn, replicates, workers=workers)
-    ok = [r for r in results if r is not None]
-    failed = replicates - len(ok)
-    if failed > FAILURE_BUDGET * replicates:
-        raise EstimatorFailure(
-            f"{failed}/{replicates} replicates failed construction (> {FAILURE_BUDGET:.0%})")
-    return ok, failed
-
-
-def _guarded_call(fn, rep):
-    try:
-        return fn(rep)
-    except (ConstructionError, EdgeEffectError):
-        return None
-
-
-def _guarded(fn):
-    """Picklable wrapper mapping construction failures to None."""
-    return partial(_guarded_call, fn)
-
-
-def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p: float, rep: int):
+def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p_grid: tuple, rep: int):
+    """(rep, crossing indicator per p of p_grid) of one tessellation and one
+    coloring; the id survives dropped failures."""
     tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
-    return 1 if crossing(tess, col, query) else 0
+    col = coloring_for(spec, rep, tess, p_grid[0])
+    return rep, tuple(1 if crossing(tess, col.at_p(p), query) else 0 for p in p_grid)
+
+
+def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
+                            replicates: int, workers: int = 1) -> tuple[list, list]:
+    """Coupled crossing estimates over an increasing p_grid.
+
+    Returns the (rep, indicators) of every replicate that built and one
+    PercResult per p. Every p of a replicate thresholds the same uniforms,
+    so its black crossing indicators are nondecreasing in p and its white
+    ones nonincreasing; a spot check on ~1% of the replicates enforces this.
+    """
+    results, failed = run_replicates(partial(_crossing_rep, spec, query, p_grid),
+                                     replicates, workers)
+    vals = [indicators for _, indicators in results]
+    sign = 1 if query.color == "black" else -1
+    for indicators in vals[::max(1, len(vals) // 100)]:
+        if any(sign * (b - a) < 0 for a, b in zip(indicators, indicators[1:])):
+            raise ParameterError("coupling violation: crossing indicator not monotone in p")
+    return results, [PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed=failed)
+                     for k in range(len(p_grid))]
 
 
 def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p: float,
@@ -67,10 +60,7 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p: float,
     """Fraction of replicates with the requested crossing, fresh instance each."""
     if replicates < 50:
         raise ParameterError("crossing estimator needs at least 50 replicates")
-    fn = _guarded(partial(_crossing_rep, spec, query, p))
-    vals, failed = _run_replicates(fn, replicates, workers)
-    return PercResult.from_counts(sum(vals), len(vals), failed=failed,
-                                  spec_hash=spec.spec_hash())
+    return estimate_crossing_curve(spec, query, (p,), replicates, workers)[1][0]
 
 
 def _theta_rep(spec: ExperimentSpec, p: float, radii: tuple, rep: int):
@@ -97,15 +87,9 @@ def estimate_theta(spec: ExperimentSpec, p: float, radii, replicates: int,
     half_width = min(-cw.lo[0], -cw.lo[1], cw.hi[0], cw.hi[1])
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")
-    fn = _guarded(partial(_theta_rep, spec, p, radii))
-    vals, failed = _run_replicates(fn, replicates, workers)
-    out = []
-    for k, r in enumerate(radii):
-        hits = sum(v[k] for v in vals)
-        res = PercResult.from_counts(hits, len(vals), failed=failed,
-                                     spec_hash=spec.spec_hash(), radius=r)
-        out.append(res)
-    return out
+    vals, failed = run_replicates(partial(_theta_rep, spec, p, radii), replicates, workers)
+    return [PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed=failed, radius=r)
+            for k, r in enumerate(radii)]
 
 
 @dataclass
@@ -113,10 +97,6 @@ class PcEstimate:
     interval: tuple
     probes: list  # (p, PercResult) in probe order
     separated: bool
-
-    @property
-    def width(self) -> float:
-        return self.interval[1] - self.interval[0]
 
 
 def estimate_pc(spec: ExperimentSpec, tolerance: float, replicates_per_probe: int,
@@ -175,15 +155,10 @@ class SpanningCounts:
     histogram: dict
     replicates: int
     failed: int
-    spec_hash: str = ""
 
     def prob_at_least(self, k: int) -> float:
         hits = sum(v for c, v in self.histogram.items() if c >= k)
         return hits / self.replicates if self.replicates else float("nan")
-
-    def wilson_sigma_at_least(self, k: int) -> float:
-        hits = sum(v for c, v in self.histogram.items() if c >= k)
-        return wilson_sigma(hits, self.replicates)
 
 
 def _spanning_rep(spec: ExperimentSpec, p: float, window: Window, rep: int):
@@ -200,13 +175,12 @@ def count_spanning_clusters(spec: ExperimentSpec, p: float, window: Window,
         raise ParameterError("spanning counter needs at least 100 replicates")
     if not spec.window.contains_window(window, tol=1e-9):
         raise ParameterError("analysis window must lie inside the core window")
-    fn = _guarded(partial(_spanning_rep, spec, p, window))
-    vals, failed = _run_replicates(fn, replicates, workers)
+    vals, failed = run_replicates(partial(_spanning_rep, spec, p, window), replicates, workers)
     hist: dict = {}
     for v in vals:
         hist[v] = hist.get(v, 0) + 1
     return SpanningCounts(histogram=dict(sorted(hist.items())), replicates=len(vals),
-                          failed=failed, spec_hash=spec.spec_hash())
+                          failed=failed)
 
 
 @dataclass
@@ -291,8 +265,8 @@ def estimate_trifurcation_density(spec: ExperimentSpec, p: float, r1: int, r2: f
                                   window: Window, replicates: int,
                                   workers: int = 1) -> dict:
     """Mean trifurcation count and density over replicates."""
-    fn = _guarded(partial(_trifurcation_rep, spec, p, r1, r2, window))
-    vals, failed = _run_replicates(fn, replicates, workers)
+    vals, failed = run_replicates(partial(_trifurcation_rep, spec, p, r1, r2, window),
+                                  replicates, workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,
@@ -396,8 +370,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, p: float, t: float,
     big = Window((0.0, 0.0), (9 * t, 3 * t))
     if not spec.window.contains_window(big, tol=1e-9):
         raise ParameterError("core window must contain the 9t x 3t rectangle")
-    fn = _guarded(partial(_recursion_rep, spec, p, t))
-    vals, failed = _run_replicates(fn, replicates, workers)
+    vals, failed = run_replicates(partial(_recursion_rep, spec, p, t), replicates, workers)
     n = len(vals)
     keys = vals[0].keys()
     counts = {k: sum(v[k] for v in vals) for k in keys}

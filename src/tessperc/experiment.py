@@ -5,18 +5,21 @@ model, core window, buffer, coloring threshold(s), replicate count and the
 master seed. Replicate k of an experiment always sees the same tessellation
 and uniforms no matter how many workers run, because every draw comes from a
 stream keyed by (master_seed, k, tag).
+
+run_replicates is the one replicate runner: every estimator maps its
+per-replicate function through it, and it alone catches construction
+failures and owns the failure budget.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, ParameterError
 from .geometry import Window
 from .percolation import Coloring, color
 from .point_process import ProcessSpec, sample_process
@@ -26,6 +29,9 @@ from .tessellation import Tessellation, build_lattice_tessellation, build_vorono
 LATTICE_KINDS = ("square_lattice", "hexagonal_lattice")
 
 DEFAULT_BUFFER_SCALE = 5.0  # buffer = 5 / sqrt(intensity) unless overridden
+
+BUILD_ERRORS = (ConstructionError, EdgeEffectError)  # a replicate that raises these is dropped
+FAILURE_BUDGET = 0.01  # largest share of replicates that may fail construction
 
 
 @dataclass(frozen=True)
@@ -55,19 +61,6 @@ class ExperimentSpec:
             return 0.0
         return DEFAULT_BUFFER_SCALE / np.sqrt(self.process.intensity())
 
-    def to_json(self) -> dict:
-        return {
-            "process": self.process.to_json(),
-            "window": self.window.to_json(),
-            "adjacency": self.adjacency,
-            "buffer": self.buffer,
-            "p": self.p,
-            "p_grid": list(self.p_grid) if self.p_grid is not None else None,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-        }
-
     @staticmethod
     def from_json(obj) -> "ExperimentSpec":
         return ExperimentSpec(
@@ -81,10 +74,6 @@ class ExperimentSpec:
             master_seed=int(obj.get("master_seed", 0)),
             params=dict(obj.get("params", {})),
         )
-
-    def spec_hash(self) -> str:
-        canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def build_tessellation(spec: ExperimentSpec, rep: int) -> Tessellation:
@@ -112,15 +101,33 @@ def coloring_for(spec: ExperimentSpec, rep: int, tess: Tessellation,
     return color(tess, spec.p if p is None else p, rng)
 
 
-def parallel_map(fn, n: int, workers: int = 1, chunksize: int | None = None) -> list:
-    """Apply a picklable fn to 0..n-1, preserving index order.
+def _attempt(fn, rep: int):
+    """fn(rep), or the construction error it raised."""
+    try:
+        return fn(rep)
+    except BUILD_ERRORS as exc:
+        return exc
 
-    Aggregations downstream consume the ordered list, so results are
-    identical for every worker count.
+
+def run_replicates(fn, replicates: int, workers: int = 1) -> tuple[list, int]:
+    """Map fn over the replicate ids 0..replicates-1, in id order.
+
+    A replicate whose fn raises one of BUILD_ERRORS is dropped and counted;
+    more than FAILURE_BUDGET of them fail the whole run with
+    EstimatorFailure. Returns (results of the other replicates in id order,
+    failed count), the same for every worker count. With workers > 1, fn
+    must be picklable: it runs on a process pool.
     """
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    if chunksize is None:
-        chunksize = max(1, n // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n), chunksize=chunksize))
+    attempt = partial(_attempt, fn)
+    if workers > 1 and replicates > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, range(replicates),
+                                     chunksize=max(1, replicates // (8 * workers))))
+    else:
+        outcomes = [attempt(rep) for rep in range(replicates)]
+    results = [r for r in outcomes if not isinstance(r, BUILD_ERRORS)]
+    failed = replicates - len(results)
+    if failed > FAILURE_BUDGET * replicates:
+        raise EstimatorFailure(
+            f"{failed}/{replicates} replicates failed construction (> {FAILURE_BUDGET:.0%})")
+    return results, failed

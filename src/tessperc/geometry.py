@@ -78,11 +78,6 @@ class Window:
         return not (other.hi[0] < self.lo[0] or other.lo[0] > self.hi[0]
                     or other.hi[1] < self.lo[1] or other.lo[1] > self.hi[1])
 
-    def as_polygon(self) -> np.ndarray:
-        x0, y0 = self.lo
-        x1, y1 = self.hi
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], float)
-
     def to_json(self):
         return [list(self.lo), list(self.hi)]
 
@@ -162,6 +157,34 @@ def point_in_convex_polygon(point, poly: np.ndarray, tol: float = 0.0) -> bool:
     b = np.roll(poly, -1, axis=0)
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
     return bool(np.all(cross >= -tol))
+
+
+def edge_normals(poly: np.ndarray):
+    """(outward unit normals, offsets) of a CCW polygon's nondegenerate edges,
+    as poly_box_overlaps takes them."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW
+    lens = np.linalg.norm(normals, axis=1)
+    good = lens > 0
+    normals = normals[good] / lens[good][:, None]
+    offsets = (normals * poly[good]).sum(axis=1)
+    return normals, offsets
+
+
+def poly_box_overlaps(poly: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                      lo, hi, tol: float) -> bool:
+    """Positive-area convex-polygon/axis-box intersection via separating axes.
+
+    Boundary-only contact does not count: a cell coinciding with a box must
+    not register against the box's neighbors.
+    """
+    if poly[:, 0].min() >= hi[0] - tol or poly[:, 0].max() <= lo[0] + tol:
+        return False
+    if poly[:, 1].min() >= hi[1] - tol or poly[:, 1].max() <= lo[1] + tol:
+        return False
+    mins = (np.where(normals[:, 0] > 0, lo[0], hi[0]) * normals[:, 0]
+            + np.where(normals[:, 1] > 0, lo[1], hi[1]) * normals[:, 1])
+    return bool(np.all(mins < offsets - tol))
 
 
 def clip_segments_to_rect(a: np.ndarray, b: np.ndarray, rect: Window):

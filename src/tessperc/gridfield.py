@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Window
+from .geometry import Window, edge_normals, poly_box_overlaps
 from .tessellation import Tessellation
 
 
@@ -84,32 +84,6 @@ def compute_Y_field(tess: Tessellation, delta: float, region: Window) -> GridFie
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 
 
-def _poly_box_overlaps(poly: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-                       lo, hi, tol: float) -> bool:
-    """Positive-area convex-polygon/axis-box intersection via separating axes.
-
-    Boundary-only contact does not count: a cell coinciding with a box must
-    not register against the box's neighbors.
-    """
-    if poly[:, 0].min() >= hi[0] - tol or poly[:, 0].max() <= lo[0] + tol:
-        return False
-    if poly[:, 1].min() >= hi[1] - tol or poly[:, 1].max() <= lo[1] + tol:
-        return False
-    mins = (np.where(normals[:, 0] > 0, lo[0], hi[0]) * normals[:, 0]
-            + np.where(normals[:, 1] > 0, lo[1], hi[1]) * normals[:, 1])
-    return bool(np.all(mins < offsets - tol))
-
-
-def _edge_normals(poly: np.ndarray):
-    edges = np.roll(poly, -1, axis=0) - poly
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW
-    lens = np.linalg.norm(normals, axis=1)
-    good = lens > 0
-    normals = normals[good] / lens[good][:, None]
-    offsets = (normals * poly[good]).sum(axis=1)
-    return normals, offsets
-
-
 def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridField:
     """Indicator per box: some single cell meets it and a box at index
     distance >= 2 (in l-infinity)."""
@@ -128,7 +102,7 @@ def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridFie
                       & (bb[:, 3] >= (j0 - 0.5) * delta - tol))[0]
     for c in cand:
         poly = tess.polygon(c)
-        normals, offsets = _edge_normals(poly)
+        normals, offsets = edge_normals(poly)
         a0 = math.ceil(bb[c, 0] / delta - 0.5 - 1e-12)
         a1 = math.floor(bb[c, 2] / delta + 0.5 + 1e-12)
         b0 = math.ceil(bb[c, 1] / delta - 0.5 - 1e-12)
@@ -138,7 +112,7 @@ def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridFie
             for b in range(b0, b1 + 1):
                 lo = ((a - 0.5) * delta, (b - 0.5) * delta)
                 hi = ((a + 0.5) * delta, (b + 0.5) * delta)
-                if _poly_box_overlaps(poly, normals, offsets, lo, hi, tol):
+                if poly_box_overlaps(poly, normals, offsets, lo, hi, tol):
                     boxes.append((a, b))
         if not boxes:
             continue

@@ -1,5 +1,8 @@
 """Config-driven experiment runner: validation, dispatch, persistence.
 
+The harness estimates nothing itself: each op calls an estimator and
+formats its output as CSV rows and a run.json summary.
+
 Configs are JSON with a fixed schema; unknown keys are hard errors. Outputs
 land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json.
 CSV payloads are bit-identical across reruns and worker counts; run.json
@@ -26,7 +29,6 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -34,15 +36,14 @@ from . import __version__
 from .diagnostics import (line_process_smp_failure, mixture_nonergodic_demo,
                           smp_gap, tameness_report)
 from .errors import ConfigError, ParameterError
-from .estimators import (_guarded, _run_replicates, count_spanning_clusters,
+from .estimators import (count_spanning_clusters, estimate_crossing_curve,
                          estimate_crossing_prob, estimate_pc, estimate_theta,
                          estimate_trifurcation_density, ggr_diagnostics,
                          verify_crossing_recursion)
-from .experiment import ExperimentSpec, build_tessellation, coloring_for
+from .experiment import ExperimentSpec
 from .geometry import GridRegion, Window
-from .percolation import CrossingQuery, crossing
+from .percolation import CrossingQuery
 from .point_process import estimate_laplace_functional, estimate_void_probability
-from .stats import PercResult
 
 _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
              "replicates", "master_seed", "params"}
@@ -66,7 +67,7 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
     name = cfg.get("op")
-    if name not in OPS:
+    if not isinstance(name, str) or name not in OPS:
         raise ConfigError(f"{path}: 'op' must be one of {sorted(OPS)}, got {name!r}")
     op = OPS[name]
     params = cfg.get("params", {})
@@ -82,8 +83,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: op {name!r} needs 'p'")
     if op.p == EACH_P and cfg.get("p") is None and cfg.get("p_grid") is None:
         raise ConfigError(f"{path}: op {name!r} needs 'p' or 'p_grid'")
-    if cfg.get("p_grid") is not None and len(cfg["p_grid"]) == 0:
-        raise ConfigError(f"{path}: 'p_grid' must be non-empty")
+    p_grid = cfg.get("p_grid")
+    if p_grid is not None and not (isinstance(p_grid, list) and p_grid):
+        raise ConfigError(f"{path}: 'p_grid' must be a non-empty list")
     try:
         spec = ExperimentSpec.from_json(cfg)
     except (ParameterError, ConfigError, KeyError, TypeError, ValueError) as exc:
@@ -141,12 +143,20 @@ def _laplace(spec, params, workers):
              "reference_value": ref["value"]}], {"reference": ref}
 
 
+def _crossing_query(spec, params) -> CrossingQuery:
+    return CrossingQuery(rect=_window(params, "rect", spec.window),
+                         direction=params.get("direction", "horizontal"),
+                         color=params.get("color", "black"), adjacency=spec.adjacency)
+
+
+def _crossing_row(p, res) -> dict:
+    return {**_ci_row(vars(res), p=p), "failed": res.failed}
+
+
 def _crossing(spec, params, workers):
-    query = CrossingQuery(rect=_window(params, "rect", spec.window),
-                          direction=params.get("direction", "horizontal"),
-                          color=params.get("color", "black"), adjacency=spec.adjacency)
-    res = estimate_crossing_prob(spec, query, spec.p, spec.replicates, workers=workers)
-    return [{**_ci_row(vars(res), p=spec.p), "failed": res.failed}], None
+    res = estimate_crossing_prob(spec, _crossing_query(spec, params), spec.p,
+                                 spec.replicates, workers=workers)
+    return [_crossing_row(spec.p, res)], None
 
 
 def _theta(spec, params, workers):
@@ -235,32 +245,11 @@ def _sweep_crossing(spec, params, workers):
     if not spec.p_grid:
         raise ConfigError("crossing sweep needs a p_grid")
     p_grid = tuple(sorted(spec.p_grid))
-    rect = _window(params, "rect", spec.window)
-    direction = params.get("direction", "horizontal")
-    fn = _guarded(partial(_sweep_crossing_rep, spec, rect, direction, p_grid))
-    results, failed = _run_replicates(fn, spec.replicates, workers)
+    results, per_p = estimate_crossing_curve(spec, _crossing_query(spec, params), p_grid,
+                                             spec.replicates, workers=workers)
     rows = [{"replicate": rep, "p": p, "indicator": ind}
             for rep, indicators in results for p, ind in zip(p_grid, indicators)]
-    vals = [indicators for _, indicators in results]
-    # coupling spot check on ~1% of replicates: indicators must be monotone in p
-    step = max(1, len(vals) // 100)
-    for indicators in vals[::step]:
-        if any(b < a for a, b in zip(indicators, indicators[1:])):
-            raise ParameterError("coupling violation: crossing indicator not monotone in p")
-    summary_rows = []
-    for k, p in enumerate(p_grid):
-        res = PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed)
-        summary_rows.append({**_ci_row(vars(res), p=p), "failed": failed})
-    return rows, summary_rows, {}
-
-
-def _sweep_crossing_rep(spec: ExperimentSpec, rect, direction, p_grid, rep: int):
-    """(rep, crossing indicator per p); the id survives dropped failures."""
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p_grid[0])
-    query = CrossingQuery(rect=rect, direction=direction, color="black",
-                          adjacency=spec.adjacency)
-    return rep, tuple(1 if crossing(tess, col.at_p(p), query) else 0 for p in p_grid)
+    return rows, [_crossing_row(p, res) for p, res in zip(p_grid, per_p)], {}
 
 
 @dataclass(frozen=True)

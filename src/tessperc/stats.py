@@ -47,33 +47,19 @@ class PercResult:
     replicates: int
     successes: int = 0
     failed: int = 0
-    spec_hash: str = ""
     meta: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_counts(successes: int, n: int, failed: int = 0, spec_hash: str = "",
-                    **meta) -> "PercResult":
+    def from_counts(successes: int, n: int, failed: int = 0, **meta) -> "PercResult":
         return PercResult(
             estimate=successes / n if n else float("nan"),
             ci=wilson_ci(successes, n),
             replicates=n,
             successes=successes,
             failed=failed,
-            spec_hash=spec_hash,
             meta=dict(meta),
         )
 
     @property
     def sigma(self) -> float:
         return wilson_sigma(self.successes, self.replicates)
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci": list(self.ci),
-            "replicates": self.replicates,
-            "successes": self.successes,
-            "failed": self.failed,
-            "spec_hash": self.spec_hash,
-            **({"meta": self.meta} if self.meta else {}),
-        }

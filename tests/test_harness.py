@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tessperc import diagnostics, harness
+from tessperc import diagnostics, estimators, harness
 from tessperc.cli import main
 from tessperc.errors import EdgeEffectError
 from tessperc.experiment import ExperimentSpec
@@ -218,7 +218,8 @@ def _fail_rep_1(build):
 
 
 def test_sweep_keeps_replicate_ids_after_a_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "build_tessellation", _fail_rep_1(harness.build_tessellation))
+    monkeypatch.setattr(estimators, "build_tessellation",
+                        _fail_rep_1(estimators.build_tessellation))
     cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
            "p_grid": [0.4, 0.6], "replicates": 100, "master_seed": 21}
     record = harness.sweep(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
@@ -283,7 +284,12 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
                "master_seed": 41}),
     ("run", {"op": "line_smp", "process": PV, "window": W4, "replicates": 10,
              "master_seed": 42, "params": {"t_schedule": [1.0], "angle_tol": 0.3}}),
-], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson"])
+    ("run", {"op": ["crossing"], "process": SQ, "window": W4, "p": 0.6, "replicates": 50,
+             "master_seed": 43}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p_grid": 0.5, "replicates": 50,
+             "master_seed": 44}),
+], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
+        "op_not_a_string", "p_grid_not_a_list"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -299,3 +305,22 @@ def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
     cli_out = tmp_path / "cli" / Path(record.out_dir).name
     assert _csv_bytes(record).keys() == {"sweep.csv", "summary.csv"}
     assert {p.name: p.read_bytes() for p in cli_out.glob("*.csv")} == _csv_bytes(record)
+
+
+@pytest.mark.parametrize("color", ["black", "white"])
+def test_crossing_sweep_summary_matches_run(color, tmp_path):
+    cfg = {"op": "crossing", "process": SQ, "window": W6, "p_grid": [0.45, 0.55, 0.6],
+           "replicates": 50, "master_seed": 11,
+           "params": {"rect": [[-5.3, -3.7], [4.6, 4.2]], "color": color}}
+    path = _write_config(tmp_path, cfg)
+    ran = harness.run(path, out_dir=str(tmp_path / "run"))
+    swept = harness.sweep(path, out_dir=str(tmp_path / "sweep"))
+    assert _csv_bytes(swept)["summary.csv"] == _csv_bytes(ran)["crossing.csv"]
+
+
+@pytest.mark.parametrize("command,out", [("run", "out"), ("render", "out.svg")])
+def test_cli_reports_a_construction_failure_as_an_error(command, out, tmp_path, capsys):
+    cfg = {"op": "ggr", "process": PV, "window": W4, "buffer": 0.2, "p": 0.5,
+           "replicates": 2, "master_seed": 45, "params": {"n_max": 1}}
+    assert main([command, _write_config(tmp_path, cfg), "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
