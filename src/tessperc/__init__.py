@@ -19,11 +19,9 @@ from .point_process import (PointConfiguration, ProcessSpec,
 from .streams import stream
 from .tessellation import (AdjacencyGraph, Tessellation, build_adjacency,
                            build_lattice_tessellation, build_voronoi, zero_cell)
-from .graphs import (ball_growth_profile, enumerate_animals, graph_ball,
-                     inner_boundary, outer_boundary)
-from .percolation import (Coloring, CrossingQuery, black_clusters, color,
-                          cluster_reach, crossing, label_components,
-                          spanning_cluster_count)
+from .graphs import graph_ball, outer_boundary
+from .percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing,
+                          label_components, spanning_cluster_count)
 from .experiment import ExperimentSpec, build_tessellation, coloring_for
 from .estimators import (count_spanning_clusters, estimate_crossing_prob,
                          estimate_pc, estimate_theta,

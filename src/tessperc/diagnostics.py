@@ -63,8 +63,10 @@ class SmpGapCurve:
             curve.sigma.append(sigma)
         return curve
 
-    def ci(self, k: int, z: float = 1.96):
-        return (max(0.0, self.gap[k] - z * self.sigma[k]), self.gap[k] + z * self.sigma[k])
+    def ci(self, k: int):
+        """Normal-approximation 95% interval of gap k, clipped at 0."""
+        half = 1.96 * self.sigma[k]
+        return (max(0.0, self.gap[k] - half), self.gap[k] + half)
 
     def rows(self):
         for k, t in enumerate(self.t_values):
@@ -227,12 +229,10 @@ class TamenessReport:
     t1_bounded: bool
     t2_margin: float
     failed: int
-    method: str
-    region: Window
 
 
 def _tameness_rep(spec: ExperimentSpec, delta: float, schedule: tuple, region: Window,
-                  method: str, rep: int):
+                  rep: int):
     tess = build_tessellation(spec, rep)
     y_field = compute_Y_field(tess, delta, region)
     u_field = compute_U_field(tess, delta, region)
@@ -240,17 +240,18 @@ def _tameness_rep(spec: ExperimentSpec, delta: float, schedule: tuple, region: W
     for n in schedule:
         for name, fld in (("Y", y_field), ("U", u_field)):
             rng = stream(spec.master_seed, rep, f"animal:{name}:{n}")
-            anchored = greedy_animal_max(fld, n, method=method, anchor=(0, 0), rng=rng)
-            free = greedy_animal_max(fld, n, method=method, anchor=None, rng=rng)
+            anchored = greedy_animal_max(fld, n, method="local_search", anchor=(0, 0),
+                                         rng=rng)
+            free = greedy_animal_max(fld, n, method="local_search", anchor=None, rng=rng)
             out[f"anchored_{name}:{n}"] = anchored.best_value
             out[f"free_{name}:{n}"] = free.best_value
     return out
 
 
 def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: int,
-                    region: Window | None = None, method: str = "local_search",
                     workers: int = 1) -> TamenessReport:
-    """Greedy-animal average curves for the Y and U fields.
+    """Greedy-animal average curves for the Y and U fields, found by local
+    search over the boxes of the core window shrunk by 2 delta.
 
     Curves come in anchored (animal contains the origin box, the per-site
     quantity the definitions use) and free (animal anywhere in the region)
@@ -261,14 +262,13 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: 
     schedule = tuple(int(n) for n in n_schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ParameterError("n_schedule must be strictly increasing")
-    if region is None:
-        region = spec.window.expand(-2.0 * delta)
+    region = spec.window.expand(-2.0 * delta)
     i0, i1, j0, j1 = region_index_range(region, delta)
     if not (i0 <= 0 <= i1 and j0 <= 0 <= j1):
         raise ParameterError("region must contain the origin box for anchored animals")
     if (i1 - i0 + 1) * (j1 - j0 + 1) < max(schedule):
         raise ParameterError("region too small for the largest animal in the schedule")
-    vals, failed = run_replicates(partial(_tameness_rep, spec, delta, schedule, region, method),
+    vals, failed = run_replicates(partial(_tameness_rep, spec, delta, schedule, region),
                                   replicates, workers)
     curves = {}
     for which in ("anchored_Y", "anchored_U", "free_Y", "free_U"):
@@ -287,8 +287,7 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: 
     t2_margin = 1.0 - max(curves["anchored_U"]["mean"])
     return TamenessReport(delta=delta, n_schedule=list(schedule), replicates=len(vals),
                           curves=curves, limsup_proxy=proxies, t1_bounded=bool(t1_bounded),
-                          t2_margin=float(t2_margin), failed=failed, method=method,
-                          region=region)
+                          t2_margin=float(t2_margin), failed=failed)
 
 
 @dataclass

@@ -164,8 +164,7 @@ class SpanningCounts:
 def _spanning_rep(spec: ExperimentSpec, p: float, window: Window, rep: int):
     tess = build_tessellation(spec, rep)
     col = coloring_for(spec, rep, tess, p)
-    return spanning_cluster_count(tess, col, window, adjacency=spec.adjacency,
-                                  direction="horizontal")
+    return spanning_cluster_count(tess, col, window, adjacency=spec.adjacency)
 
 
 def count_spanning_clusters(spec: ExperimentSpec, p: float, window: Window,

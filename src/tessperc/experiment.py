@@ -53,6 +53,8 @@ class ExperimentSpec:
             raise ParameterError("p must lie in [0, 1]")
         if self.p_grid is not None:
             object.__setattr__(self, "p_grid", tuple(float(x) for x in self.p_grid))
+            if not all(0.0 <= x <= 1.0 for x in self.p_grid):
+                raise ParameterError(f"every p_grid value must lie in [0, 1], got {self.p_grid}")
 
     def buffer_width(self) -> float:
         if self.buffer is not None:

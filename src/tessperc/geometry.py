@@ -98,18 +98,6 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def polygon_centroid(poly: np.ndarray) -> np.ndarray:
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = cross.sum() / 2.0
-    if abs(a) < 1e-300:
-        return poly.mean(axis=0)
-    cx = ((x + xn) * cross).sum() / (6.0 * a)
-    cy = ((y + yn) * cross).sum() / (6.0 * a)
-    return np.array([cx, cy])
-
-
 def clip_polygon_halfplane(poly: np.ndarray, normal, offset: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon to {x : <normal, x> <= offset}.
 

@@ -1,11 +1,9 @@
-"""Graph-metric operations on adjacency graphs: balls, boundaries, animals."""
+"""Graph balls and outer boundaries on adjacency graphs."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError
 from .tessellation import AdjacencyGraph
@@ -40,85 +38,3 @@ def graph_ball(graph: AdjacencyGraph, root: int, n: int) -> BallResult:
 def outer_boundary(graph: AdjacencyGraph, vertex_set) -> set:
     s = set(vertex_set)
     return {w for v in s for w in graph.neighbors[v]} - s
-
-
-def inner_boundary(graph: AdjacencyGraph, vertex_set) -> set:
-    s = set(vertex_set)
-    return {v for v in s if any(w not in s for w in graph.neighbors[v])}
-
-
-@dataclass
-class AnimalCounts:
-    """counts[k] = number of connected vertex sets of size k+1 containing the root.
-
-    When complete is False the enumeration hit the node budget and the counts
-    are lower bounds (cutoff marker).
-    """
-
-    counts: list
-    complete: bool
-    nodes_visited: int
-
-    def count(self, n: int) -> int:
-        return self.counts[n - 1]
-
-
-def enumerate_animals(graph: AdjacencyGraph, root: int, n_max: int,
-                      node_budget: int = 5_000_000) -> AnimalCounts:
-    """Exact rooted-animal counts |A_n| for n = 1..n_max.
-
-    Duplicate-free depth-first growth: a vertex, once tried as an extension at
-    some level, is banned from all later subtrees of that level, so each
-    connected set is generated exactly once.
-    """
-    if n_max < 1:
-        raise ParameterError("n_max must be at least 1")
-    neighbors = graph.neighbors
-    counts = [0] * n_max
-    seen = {root}
-    state = {"nodes": 0, "complete": True}
-
-    def grow(candidates: list, size: int):
-        while candidates:
-            if state["nodes"] >= node_budget:
-                state["complete"] = False
-                return
-            v = candidates.pop()
-            state["nodes"] += 1
-            counts[size] += 1
-            if size + 1 < n_max:
-                new = [w for w in neighbors[v] if w not in seen]
-                seen.update(new)
-                grow(candidates + new, size + 1)
-                seen.difference_update(new)
-                if not state["complete"]:
-                    return
-
-    grow([root], 0)
-    return AnimalCounts(counts=counts, complete=state["complete"], nodes_visited=state["nodes"])
-
-
-@dataclass
-class GrowthProfile:
-    sizes: list
-    exponent: float
-    truncated: bool
-
-
-def ball_growth_profile(graph: AdjacencyGraph, root: int, n_max: int) -> GrowthProfile:
-    """|B_n| for n = 0..n_max and the log-log growth exponent.
-
-    The least-squares fit uses the top half of the range (n >= n_max // 2),
-    where the growth is in its asymptotic regime.
-    """
-    ball = graph_ball(graph, root, n_max)
-    sizes = [0] * (n_max + 1)
-    for v, d in ball.distances.items():
-        sizes[d] += 1
-    sizes = list(np.cumsum(sizes))
-    lo = max(2, n_max // 2)
-    ns = np.arange(lo, n_max + 1)
-    ys = np.log([sizes[k] for k in ns])
-    exponent = float(np.polyfit(np.log(ns), ys, 1)[0]) if len(ns) >= 2 else float("nan")
-    return GrowthProfile(sizes=[int(s) for s in sizes], exponent=exponent,
-                         truncated=ball.truncated)

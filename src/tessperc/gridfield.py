@@ -215,9 +215,15 @@ def _connected_after_swap(animal: set, drop: int, add: int, nbrs) -> bool:
     return len(seen) == len(new_set)
 
 
+# Local search effort: random-restart count, connectivity rejections allowed
+# per improvement round, and kick-and-regrow rounds per restart.
+LOCAL_SEARCH_STARTS = 32
+LOCAL_SEARCH_PATIENCE = 200
+LOCAL_SEARCH_KICKS = 4
+
+
 def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
-                      rng: np.random.Generator, starts: int = 32, patience: int = 200,
-                      kicks: int = 4):
+                      rng: np.random.Generator):
     ni, nj = values.shape
     flat = values.ravel().astype(float)
     nbrs = _grid_neighbors(ni, nj)
@@ -245,8 +251,7 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
         return animal
 
     def descend(animal):
-        # only value-improving (add u, drop w) swaps are proposed; patience
-        # bounds the connectivity rejections per improvement round
+        # only value-improving (add u, drop w) swaps are proposed
         boundary = boundary_of(animal)
         while True:
             droppable = [v for v in animal if v != anchor_id]
@@ -257,7 +262,7 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
             if not u_cands:
                 break
             improved = False
-            for _ in range(patience):
+            for _ in range(LOCAL_SEARCH_PATIENCE):
                 u = u_cands[int(rng.integers(len(u_cands)))]
                 w_cands = [a for a in droppable if flat[a] < flat[u]]
                 w = w_cands[int(rng.integers(len(w_cands)))]
@@ -292,6 +297,7 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
     best_total = -math.inf
     best_animal = None
     ranked = list(np.argsort(-flat, kind="stable"))
+    starts = LOCAL_SEARCH_STARTS
     for s in range(starts):
         if anchor_id is not None:
             start = anchor_id
@@ -302,7 +308,7 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
         eps = 0.0 if s == 0 else s / starts
         animal = descend(grow({start}, eps))
         total = sum(flat[v] for v in animal)
-        for _ in range(kicks):
+        for _ in range(LOCAL_SEARCH_KICKS):
             trial = descend(kick(set(animal)))
             t_total = sum(flat[v] for v in trial)
             if t_total > total:
@@ -315,8 +321,7 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
 
 def greedy_animal_max(field: GridField, n: int, method: str = "exact",
                       budget: int = 500_000, anchor=None,
-                      rng: np.random.Generator | None = None,
-                      starts: int = 32, patience: int = 200) -> AnimalSearchResult:
+                      rng: np.random.Generator | None = None) -> AnimalSearchResult:
     """Connected n-box set maximizing the field average.
 
     anchor=None searches animals anywhere in the field; anchor=(i, j) pins
@@ -346,8 +351,7 @@ def greedy_animal_max(field: GridField, n: int, method: str = "exact",
         else:
             used_method = "local_search"
     if used_method == "local_search":
-        total, animal = _local_search_max(field.values, n, anchor_id, rng,
-                                          starts=starts, patience=patience)
+        total, animal = _local_search_max(field.values, n, anchor_id, rng)
     if animal is None:
         raise ParameterError("no connected n-set found (field too small)")
     abs_animal = [(field.i0 + k // nj, field.j0 + k % nj) for k in sorted(animal)]

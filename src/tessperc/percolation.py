@@ -164,46 +164,9 @@ def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery) -> bo
 
 
 def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
-                           adjacency: str = "face", direction: str = "horizontal",
-                           color_name: str = "black") -> int:
-    """Number of distinct components joining the rect's opposite sides."""
-    return len(_spanning_labels(tess, coloring.mask(color_name), rect, adjacency, direction))
-
-
-@dataclass
-class ClusterInfo:
-    label: int
-    size: int
-    bbox: tuple
-    touches: tuple  # (L, R, B, T) of the reference rectangle
-
-
-@dataclass
-class ClusterLabeling:
-    labels: dict  # cell id -> label of its cluster
-    clusters: dict  # label -> ClusterInfo
-
-
-def black_clusters(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
-                   rect: Window) -> ClusterLabeling:
-    """Clusters of the black cells meeting rect under the graph's adjacency.
-
-    A cluster's label is its smallest cell id. Its bbox and side-touch flags
-    come from its cells' parts inside the rectangle.
-    """
-    in_rect, ext = _cells_in_rect(tess, coloring.black, rect)
-    labels = label_components(in_rect, graph.edges)[in_rect]
-    touches = _side_touches(ext, rect, tess.tol)
-    clusters = {}
-    for lab in np.unique(labels):
-        mine = labels == lab
-        e = ext[mine]
-        clusters[int(lab)] = ClusterInfo(
-            label=int(lab), size=int(mine.sum()),
-            bbox=(e[:, 0].min(), e[:, 1].min(), e[:, 2].max(), e[:, 3].max()),
-            touches=tuple(bool(t) for t in touches[mine].any(axis=0)))
-    return ClusterLabeling(labels=dict(zip(np.nonzero(in_rect)[0].tolist(), labels.tolist())),
-                           clusters=clusters)
+                           adjacency: str = "face") -> int:
+    """Number of distinct black components joining the rect's left and right sides."""
+    return len(_spanning_labels(tess, coloring.black, rect, adjacency, "horizontal"))
 
 
 def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,

@@ -50,6 +50,14 @@ _REQUIRED_PARAMS = {
 # perturbation_scale = 0 (exact lattice) is the only legal zero parameter
 _MAY_BE_ZERO = {("perturbed_lattice", "perturbation_scale")}
 
+# optional boolean parameters and the kinds that read them
+_FLAGS = {
+    "matern_cluster": ("include_parents",),
+    "thomas_cluster": ("include_parents",),
+    "square_lattice": ("random_shift",),
+    "hexagonal_lattice": ("random_shift",),
+}
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -68,7 +76,7 @@ class ProcessSpec:
             value = float(self.params[name])
             if value < 0 or (value == 0 and (self.kind, name) not in _MAY_BE_ZERO):
                 raise ParameterError(f"{self.kind}: parameter {name!r} must be positive")
-        unknown = set(self.params) - set(required) - {"include_parents", "random_shift"}
+        unknown = set(self.params) - set(required) - set(_FLAGS.get(self.kind, ()))
         if unknown:
             raise ParameterError(f"{self.kind}: unknown parameters {sorted(unknown)}")
 

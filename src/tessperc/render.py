@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ParameterError
 from .geometry import clip_polygon_to_window
 from .percolation import Coloring

@@ -24,8 +24,8 @@ def wilson_sigma(successes: int, n: int) -> float:
     return (hi - lo) / 2.0
 
 
-def mean_ci(values, z: float = 1.96) -> tuple[float, tuple[float, float]]:
-    """Sample mean with normal-approximation CI (compensated summation)."""
+def mean_ci(values) -> tuple[float, tuple[float, float]]:
+    """Sample mean with normal-approximation 95% CI (compensated summation)."""
     vals = list(values)
     n = len(vals)
     if n == 0:
@@ -34,7 +34,7 @@ def mean_ci(values, z: float = 1.96) -> tuple[float, tuple[float, float]]:
     if n == 1:
         return (m, (m, m))
     var = math.fsum((v - m) ** 2 for v in vals) / (n - 1)
-    half = z * math.sqrt(var / n)
+    half = 1.96 * math.sqrt(var / n)
     return (m, (m - half, m + half))
 
 
@@ -60,6 +60,3 @@ class PercResult:
             meta=dict(meta),
         )
 
-    @property
-    def sigma(self) -> float:
-        return wilson_sigma(self.successes, self.replicates)

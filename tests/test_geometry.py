@@ -4,7 +4,7 @@ import pytest
 from tessperc.errors import ParameterError
 from tessperc.geometry import (GridRegion, Window, clip_polygon_to_window,
                                clip_segments_to_rect, point_in_convex_polygon,
-                               polygon_area, polygon_centroid)
+                               polygon_area)
 
 
 def test_window_validation():
@@ -34,11 +34,10 @@ def test_window_expand_contains_intersects():
     assert not w.intersects(Window((11, 11), (12, 12)))
 
 
-def test_polygon_area_orientation_centroid():
+def test_polygon_area_orientation():
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
     assert polygon_area(sq) == pytest.approx(1.0)
     assert polygon_area(sq[::-1]) == pytest.approx(-1.0)
-    assert polygon_centroid(sq) == pytest.approx([0.5, 0.5])
 
 
 def test_clip_polygon_to_window():

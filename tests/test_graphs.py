@@ -1,15 +1,9 @@
-import math
-
-import numpy as np
 import pytest
 
 from tessperc.errors import ParameterError
 from tessperc.geometry import Window
-from tessperc.graphs import (ball_growth_profile, enumerate_animals, graph_ball,
-                             inner_boundary, outer_boundary)
-from tessperc.point_process import sample_poisson
-from tessperc.streams import stream
-from tessperc.tessellation import build_adjacency, build_lattice_tessellation, build_voronoi
+from tessperc.graphs import graph_ball, outer_boundary
+from tessperc.tessellation import build_adjacency, build_lattice_tessellation
 
 
 def square_graph(half=12):
@@ -17,20 +11,6 @@ def square_graph(half=12):
     tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5),
                                       Window((-w, -w), (w, w)))
     return build_adjacency(tess, "face"), tess
-
-
-def naive_animal_counts(neighbors, root, n_max):
-    """Independent oracle: breadth growth with frozenset deduplication."""
-    layers = [{frozenset([root])}]
-    for _ in range(n_max - 1):
-        new = set()
-        for animal in layers[-1]:
-            for v in animal:
-                for w in neighbors[v]:
-                    if w not in animal:
-                        new.add(animal | {w})
-        layers.append(new)
-    return [len(s) for s in layers]
 
 
 def test_ball_basics():
@@ -47,77 +27,7 @@ def test_ball_basics():
         graph_ball(g, g.root, -1)
 
 
-def test_boundaries():
-    g, _ = square_graph(4)
-    ball = graph_ball(g, g.root, 2).vertices
-    inner = inner_boundary(g, ball)
-    assert inner <= ball
-    # inner boundary of a diamond B_2 is its distance-2 shell (8 vertices)
-    assert len(inner) == 8
-    assert all(any(w not in ball for w in g.neighbors[v]) for v in inner)
-
-
 def test_ball_truncation_flag():
     g, _ = square_graph(3)
     assert not graph_ball(g, g.root, 2).truncated
     assert graph_ball(g, g.root, 3).truncated  # reaches boundary cells
-
-
-def test_animal_counts_match_naive_oracle():
-    g, _ = square_graph(8)
-    counts = enumerate_animals(g, g.root, 4).counts
-    naive = naive_animal_counts(g.neighbors, g.root, 4)
-    assert counts == naive == [1, 4, 18, 76]
-
-
-def test_animal_counts_frozen_values():
-    g, _ = square_graph(12)
-    res = enumerate_animals(g, g.root, 10)
-    assert res.complete
-    assert res.counts[:4] == [1, 4, 18, 76]
-    # growth rate sits below log 7 for n <= 10
-    assert all(math.log(c) / (k + 1) < math.log(7.0)
-               for k, c in enumerate(res.counts) if c > 0)
-    # monotone: every animal extends by a boundary vertex
-    assert all(b >= a for a, b in zip(res.counts, res.counts[1:]))
-
-
-def test_animal_oracle_equivalence_on_voronoi_graph():
-    core = Window((0, 0), (6, 6))
-    cfg = sample_poisson(1.0, core.expand(4), stream(55, 0, "tess"))
-    tess = build_voronoi(cfg, core, 4.0)
-    g = build_adjacency(tess, "face")
-    res = enumerate_animals(g, g.root, 5)
-    naive = naive_animal_counts(g.neighbors, g.root, 5)
-    assert res.counts == naive
-
-
-def test_animal_budget_cutoff():
-    g, _ = square_graph(10)
-    res = enumerate_animals(g, g.root, 10, node_budget=500)
-    assert not res.complete
-    assert res.nodes_visited <= 500
-
-
-def test_growth_profile_square_and_path():
-    g, _ = square_graph(33)
-    prof = ball_growth_profile(g, g.root, 30)
-    assert prof.sizes == [2 * n * n + 2 * n + 1 for n in range(31)]
-    assert abs(prof.exponent - 2.0) < 0.1
-    # single row of cells: the face graph is a path
-    tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5),
-                                      Window((-40.5, -0.5), (40.5, 0.5)))
-    gp = build_adjacency(tess, "face")
-    prof_path = ball_growth_profile(gp, gp.root, 30)
-    assert prof_path.sizes[:4] == [1, 3, 5, 7]
-    assert abs(prof_path.exponent - 1.0) < 0.1
-
-
-def test_growth_profile_poisson_voronoi():
-    core = Window((-100, -100), (100, 100))
-    cfg = sample_poisson(1.0, core.expand(5), stream(60, 0, "tess"))
-    tess = build_voronoi(cfg, core, 5.0)
-    g = build_adjacency(tess, "face")
-    prof = ball_growth_profile(g, g.root, 25)
-    assert not prof.truncated
-    assert 1.8 <= prof.exponent <= 2.2

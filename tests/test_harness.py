@@ -7,7 +7,7 @@ import pytest
 
 from tessperc import diagnostics, estimators, harness
 from tessperc.cli import main
-from tessperc.errors import EdgeEffectError
+from tessperc.errors import EdgeEffectError, ParameterError
 from tessperc.experiment import ExperimentSpec
 from tessperc.geometry import Window
 from tessperc.percolation import color
@@ -187,14 +187,30 @@ def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     assert _csv_bytes(one)
 
 
-def test_render_svg_core_only_star_bytes(tmp_path):
+def _render_instance():
     core = Window((-3.0, -3.0), (3.0, 3.0))
     tess = build_voronoi(sample_poisson(1.0, core.expand(3.0), stream(33, 0, "tess")), core, 3.0)
-    col = color(tess, 0.5, stream(33, 0, "color"))
+    return tess, color(tess, 0.5, stream(33, 0, "color"))
+
+
+def test_render_svg_core_only_star_bytes(tmp_path):
+    tess, col = _render_instance()
     out = tmp_path / "tess.svg"
     render_svg(tess, col, out, show_graph="star", core_only=True)
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "6252ac79ff01f8b6a8fb30fc668a5acbe7d5d724f52e162dda637ea274355411")
+
+
+def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):
+    tess, col = _render_instance()
+    out = tmp_path / "tess.svg"
+    render_svg(tess, col, out, show_graph="face")
+    text = out.read_text()
+    assert text.count("<polygon ") == len(tess)
+    face_pairs = {tuple(sorted(map(int, pair))) for pair in tess.face_pairs}
+    assert text.count("<line ") == len(face_pairs) > 0
+    with pytest.raises(ParameterError):
+        render_svg(tess, col, tmp_path / "edges.svg", show_graph="edges")
 
 
 def test_peierls_probe_result_pinned():
@@ -288,8 +304,10 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
              "master_seed": 43}),
     ("run", {"op": "crossing", "process": SQ, "window": W4, "p_grid": 0.5, "replicates": 50,
              "master_seed": 44}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.5, 1.5],
+             "replicates": 50, "master_seed": 46}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
-        "op_not_a_string", "p_grid_not_a_list"])
+        "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()

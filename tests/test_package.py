@@ -5,15 +5,80 @@ import tessperc
 
 SRC = Path(tessperc.__file__).resolve().parent
 
+# The entry points: the CLI, the harness op table, the SVG renderer and the
+# Peierls probe, as (module file, top-level name).
+ENTRY_POINTS = [("cli.py", "main"), ("harness.py", "OPS"), ("render.py", "render_svg"),
+                ("diagnostics.py", "peierls_probe")]
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _bound_names(node) -> list:
+    """Names a top-level statement defines (defs, classes, assignments)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _mentioned_names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
 
 def test_no_module_imports_another_modules_private_names():
     private = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             if node.level == 0 and not (node.module or "").startswith("tessperc"):
                 continue
-            private += [f"{path.name}: {alias.name}" for alias in node.names
+            private += [f"{name}: {alias.name}" for alias in node.names
                         if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert private == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = _mentioned_names(tree)
+        unused += [f"{name}: {alias}" for alias in imported if alias not in used]
+    assert unused == []
+
+
+def test_every_public_name_is_reached_from_an_entry_point():
+    """Name-level reachability: a reached top-level statement reaches every
+    top-level statement, in any module, that defines a name it mentions."""
+    modules = _modules()
+    defs = {}  # name -> top-level statements defining it
+    public = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            for name in _bound_names(node):
+                defs.setdefault(name, []).append(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((module, node))
+    todo = [node for module, root in ENTRY_POINTS for node in modules[module].body
+            if root in _bound_names(node)]
+    assert len(todo) == len(ENTRY_POINTS)
+    reached = set()
+    while todo:
+        node = todo.pop()
+        if id(node) in reached:
+            continue
+        reached.add(id(node))
+        todo += [d for name in _mentioned_names(node) for d in defs.get(name, ())]
+    assert [f"{module}: {node.name}" for module, node in public if id(node) not in reached] == []

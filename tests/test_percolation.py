@@ -5,9 +5,8 @@ import pytest
 
 from tessperc.errors import ParameterError
 from tessperc.geometry import Window
-from tessperc.percolation import (Coloring, CrossingQuery, black_clusters,
-                                  cluster_reach, color, crossing,
-                                  label_components, spanning_cluster_count)
+from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
+                                  crossing, label_components, spanning_cluster_count)
 from tessperc.point_process import sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
@@ -66,10 +65,8 @@ def test_black_clusters_trivial_and_checkerboard():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (8, 8)))
     graph = build_adjacency(tess, "face")
     all_black = Coloring(np.zeros(len(tess)), 1.0)
-    lab = black_clusters(tess, graph, all_black, tess.core_window)
-    assert len(lab.clusters) == 1
-    info = next(iter(lab.clusters.values()))
-    assert info.size == 64 and all(info.touches)
+    labels = label_components(all_black.black, graph.edges)
+    assert len(tess) == 64 and (labels == 0).all()
     # checkerboard: no face adjacency between same-color diagonal squares
     uniforms = np.ones(len(tess))
     for i, c in enumerate(tess.centers):
@@ -77,12 +74,14 @@ def test_black_clusters_trivial_and_checkerboard():
         if (ix + iy) % 2 == 0:
             uniforms[i] = 0.0
     checker = Coloring(uniforms, 0.5)
-    lab2 = black_clusters(tess, graph, checker, tess.core_window)
-    assert all(info.size == 1 for info in lab2.clusters.values())
+    black = np.nonzero(checker.black)[0]
+    assert len(black) == 32
+    labels = label_components(checker.black, graph.edges)
+    assert (labels[black] == black).all()
     # same coloring with star adjacency joins the diagonal
     star = build_adjacency(tess, "star")
-    lab3 = black_clusters(tess, star, checker, tess.core_window)
-    assert len(lab3.clusters) == 1
+    labels = label_components(checker.black, star.edges)
+    assert (labels[black] == black.min()).all()
 
 
 def assert_same_partition(labels, oracle, ids):
@@ -94,17 +93,7 @@ def assert_same_partition(labels, oracle, ids):
 
 
 def test_union_find_matches_bfs_oracle():
-    for seed in (5, 6, 7):
-        tess, col = poisson_setup(seed, side=15.0, p=0.55)
-        graph = build_adjacency(tess, "face")
-        lab = black_clusters(tess, graph, col, tess.core_window)
-        ids = sorted(lab.labels)
-        # same partition: label maps are a bijection
-        assert_same_partition(lab.labels, bfs_labels(graph.neighbors, ids), ids)
-        for label, info in lab.clusters.items():
-            members = [v for v in ids if lab.labels[v] == label]
-            assert info.label == label == min(members) and info.size == len(members)
-    # the kernel itself, on random active masks over face and star edges
+    # the kernel on random active masks over face and star edges
     rng = np.random.default_rng(8)
     for seed, mode in ((9, "face"), (10, "star"), (11, "star")):
         tess, _ = poisson_setup(seed, side=12.0)

@@ -31,6 +31,15 @@ def test_process_spec_validation():
     assert spec.intensity() == pytest.approx(2.0)
     # exact lattice (zero perturbation) is allowed
     ProcessSpec("perturbed_lattice", {"spacing": 1.0, "perturbation_scale": 0.0})
+    # each optional flag only on the kinds that read it
+    with pytest.raises(ParameterError):
+        ProcessSpec("poisson", {"gamma": 1.0, "include_parents": True})
+    ProcessSpec("thomas_cluster", {"gamma0": 1.0, "mu": 2.0, "sigma": 0.1,
+                                   "include_parents": True})
+    with pytest.raises(ParameterError):
+        ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.1,
+                                       "random_shift": True})
+    ProcessSpec("hexagonal_lattice", {"spacing": 1.0, "random_shift": True})
 
 
 def test_process_spec_json_roundtrip():
