@@ -156,10 +156,6 @@ class SpanningCounts:
     replicates: int
     failed: int
 
-    def prob_at_least(self, k: int) -> float:
-        hits = sum(v for c, v in self.histogram.items() if c >= k)
-        return hits / self.replicates if self.replicates else float("nan")
-
 
 def _spanning_rep(spec: ExperimentSpec, p: float, window: Window, rep: int):
     tess = build_tessellation(spec, rep)

@@ -1,7 +1,10 @@
-"""Planar primitives: axis-aligned windows, convex polygon clipping, grid boxes.
+"""Planar primitives: axis-aligned windows, ring clipping, grid boxes.
 
 Everything is 2-D and numpy-based. Polygons are (k, 2) float arrays with CCW
-vertex order; windows are axis-aligned rectangles.
+vertex order; windows are axis-aligned rectangles. Many polygons travel as
+one ragged pair (xy, ptr): ring i is xy[ptr[i]:ptr[i + 1]]. Rings are
+clipped to a window all at once by clip_rings_to_window, and measured by
+ring_areas.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ class Window:
         hi = a + t * (np.asarray(self.hi) - a)
         return Window(tuple(lo), tuple(hi))
 
-    def shifted(self, offset) -> "Window":
-        off = np.asarray(offset, float)
-        return Window(tuple(np.asarray(self.lo) + off), tuple(np.asarray(self.hi) + off))
-
     def contains_points(self, pts: np.ndarray, closed: bool = True) -> np.ndarray:
         pts = np.atleast_2d(pts)
         if closed:
@@ -92,50 +91,63 @@ class Window:
         return Window(tuple(los.min(axis=0)), tuple(his.max(axis=0)))
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Signed area (positive for CCW orientation)."""
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def ring_areas(xy: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Signed area of every ring xy[ptr[i]:ptr[i + 1]] (positive for CCW
+    orientation, 0 for an empty ring)."""
+    ptr = np.asarray(ptr)
+    full = ptr[:-1] < ptr[1:]
+    nxt = np.arange(1, len(xy) + 1)
+    nxt[ptr[1:][full] - 1] = ptr[:-1][full]  # each ring closes on its first vertex
+    x, y = xy[:, 0], xy[:, 1]
+    area = np.zeros(len(ptr) - 1)
+    if full.any():
+        area[full] = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, ptr[:-1][full])
+    return area
 
 
-def clip_polygon_halfplane(poly: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon to {x : <normal, x> <= offset}.
+def gather_rings(xy: np.ndarray, ptr: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The rings of the given ids, in that order, as one ragged (xy, ptr) pair."""
+    ids = np.asarray(ids, int)
+    starts = ptr[ids]
+    lengths = ptr[ids + 1] - starts
+    out_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    return xy[np.repeat(starts - out_ptr[:-1], lengths) + np.arange(out_ptr[-1])], out_ptr
 
-    Returns an empty (0, 2) array when nothing survives.
+
+def clip_rings_to_window(xy: np.ndarray, ptr: np.ndarray,
+                         win: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of every ring xy[ptr[i]:ptr[i + 1]] to a window.
+
+    Each of the window's four half-planes {x : <normal, x> <= offset} is one
+    pass over all rings at once. A pass walks each ring's edges (p_i, p_j),
+    j the next vertex, and emits p_i when it is inside, then the crossing
+    p_i + t (p_j - p_i), t = d_i / (d_i - d_j), when exactly one end is
+    inside. Returns the clipped rings as (xy, ptr); a ring with nothing
+    inside becomes empty.
     """
-    if len(poly) == 0:
-        return poly
-    n = np.asarray(normal, float)
-    dist = poly @ n - offset
-    inside = dist <= 0.0
-    if inside.all():
-        return poly
-    if not inside.any():
-        return np.empty((0, 2))
-    out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        pi, pj = poly[i], poly[j]
-        di, dj = dist[i], dist[j]
-        if di <= 0.0:
-            out.append(pi)
-            if dj > 0.0:
-                t = di / (di - dj)
-                out.append(pi + t * (pj - pi))
-        elif dj <= 0.0:
-            t = di / (di - dj)
-            out.append(pi + t * (pj - pi))
-    return np.array(out)
-
-
-def clip_polygon_to_window(poly: np.ndarray, win: Window) -> np.ndarray:
-    out = poly
-    out = clip_polygon_halfplane(out, (-1.0, 0.0), -win.lo[0])
-    out = clip_polygon_halfplane(out, (1.0, 0.0), win.hi[0])
-    out = clip_polygon_halfplane(out, (0.0, -1.0), -win.lo[1])
-    out = clip_polygon_halfplane(out, (0.0, 1.0), win.hi[1])
-    return out
+    xy = np.asarray(xy, float).reshape(-1, 2)
+    ptr = np.asarray(ptr, int)
+    for normal, offset in (((-1.0, 0.0), -win.lo[0]), ((1.0, 0.0), win.hi[0]),
+                           ((0.0, -1.0), -win.lo[1]), ((0.0, 1.0), win.hi[1])):
+        full = ptr[:-1] < ptr[1:]
+        nxt = np.arange(1, len(xy) + 1)
+        nxt[ptr[1:][full] - 1] = ptr[:-1][full]
+        dist = xy @ np.asarray(normal) - offset
+        inside = dist <= 0.0
+        cross = np.nonzero(inside != inside[nxt])[0]
+        di, dj = dist[cross], dist[nxt[cross]]
+        t = di / (di - dj)
+        pi = xy[cross]
+        # slot 0 holds p_i, slot 1 the crossing on the edge leaving p_i
+        emit = np.zeros((len(xy), 2), bool)
+        emit[:, 0] = inside
+        emit[cross, 1] = True
+        slots = np.empty((len(xy), 2, 2))
+        slots[:, 0] = xy
+        slots[cross, 1] = pi + t[:, None] * (xy[nxt[cross]] - pi)
+        xy = slots[emit]
+        ptr = np.concatenate([[0], np.cumsum(emit.sum(axis=1))])[ptr]
+    return xy, ptr
 
 
 def point_in_convex_polygon(point, poly: np.ndarray, tol: float = 0.0) -> bool:

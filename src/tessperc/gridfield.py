@@ -31,29 +31,9 @@ class GridField:
     j0: int
     values: np.ndarray
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def contains_index(self, i: int, j: int) -> bool:
         ni, nj = self.values.shape
         return self.i0 <= i < self.i0 + ni and self.j0 <= j < self.j0 + nj
-
-    def value(self, i: int, j: int) -> float:
-        return float(self.values[i - self.i0, j - self.j0])
-
-    def box_window(self, i: int, j: int) -> Window:
-        d = self.delta
-        return Window(((i - 0.5) * d, (j - 0.5) * d), ((i + 0.5) * d, (j + 0.5) * d))
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def indices(self):
-        ni, nj = self.values.shape
-        for a in range(ni):
-            for b in range(nj):
-                yield (self.i0 + a, self.j0 + b)
 
 
 def region_index_range(region: Window, delta: float):

@@ -4,9 +4,10 @@ Colorings store one uniform per cell and a threshold, so re-thresholding at a
 different p reuses the same randomness (monotone coupling across p).
 Every cluster is found by label_components: each active cell is labelled
 with the smallest cell id in its component, inactive cells with -1.
-Crossing connectivity inside a rectangle is geometric: face edges count only
-where the shared boundary segment clipped to the rectangle has positive
-length; star mode additionally accepts corner contacts inside the rectangle.
+Crossing connectivity inside a rectangle is geometric: a cell takes part only
+where it meets the rectangle in positive area, face edges count only where
+the shared boundary segment clipped to the rectangle has positive length, and
+star mode additionally accepts corner contacts inside the rectangle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Window, clip_polygon_to_window, clip_segments_to_rect
+from .geometry import Window, clip_rings_to_window, clip_segments_to_rect, gather_rings
 from .tessellation import AdjacencyGraph, Tessellation
 
 
@@ -94,25 +95,31 @@ class CrossingQuery:
 
 
 def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
-    """Active cells meeting rect, as a mask, and the [xmin, ymin, xmax, ymax]
-    extents of their parts inside rect in increasing id order.
+    """Active cells that meet rect in positive area, as a mask, and the
+    [xmin, ymin, xmax, ymax] extents of their parts inside rect in
+    increasing id order.
 
-    A cell whose bbox lies inside rect is its own part, so only the cells
-    that cross the rectangle's boundary are clipped.
+    A cell whose bbox lies inside rect is its own part. The cells that cross
+    the rectangle's boundary are clipped to it in one batch, and a part of
+    zero width or height (a convex cell touching rect only along a side or
+    at a corner) is dropped.
     """
     ids = tess.cells_meeting(rect)
     ids = ids[active[ids]]
     ext = tess.bboxes[ids]
     inside = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
               & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
-    keep = np.ones(len(ids), bool)
-    for k in np.nonzero(~inside)[0]:
-        part = clip_polygon_to_window(tess.polygon(ids[k]), rect)
-        if len(part) == 0:
-            keep[k] = False
-        else:
-            ext[k, :2] = part.min(axis=0)
-            ext[k, 2:] = part.max(axis=0)
+    keep = inside.copy()
+    cut = np.nonzero(~inside)[0]
+    if len(cut):
+        xy, ptr = clip_rings_to_window(*gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]),
+                                       rect)
+        part = ptr[:-1] < ptr[1:]
+        cut, starts = cut[part], ptr[:-1][part]
+        ext[cut] = np.column_stack([np.minimum.reduceat(xy, starts),
+                                    np.maximum.reduceat(xy, starts)])
+        keep[cut] = ((ext[cut, 2] - ext[cut, 0] > tess.tol)
+                     & (ext[cut, 3] - ext[cut, 1] > tess.tol))
     in_rect = np.zeros(len(tess), bool)
     in_rect[ids[keep]] = True
     return in_rect, ext[keep]

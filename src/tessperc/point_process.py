@@ -8,7 +8,6 @@ stream handle, so replicates parallelize without shared state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -133,13 +132,6 @@ class PointConfiguration:
 
     def __len__(self):
         return len(self.points)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in self.points:
-                writer.writerow([repr(float(x)), repr(float(y))])
 
 
 def sample_poisson(gamma: float, window: Window, rng: np.random.Generator) -> PointConfiguration:

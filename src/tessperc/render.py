@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ParameterError
-from .geometry import clip_polygon_to_window
+from .geometry import clip_rings_to_window, gather_rings
 from .percolation import Coloring
 from .tessellation import Tessellation
 
@@ -28,8 +28,9 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         raise ParameterError("show_graph must be 'none', 'face' or 'star'")
     win = tess.core_window if core_only else tess.sampling_window
     if core_only:
-        drawn = [int(i) for i in tess.cells_meeting(win)
-                 if len(clip_polygon_to_window(tess.polygon(i), win))]
+        ids = tess.cells_meeting(win)
+        _, ptr = clip_rings_to_window(*gather_rings(tess.poly_xy, tess.poly_ptr, ids), win)
+        drawn = ids[ptr[:-1] < ptr[1:]].tolist()
     else:
         drawn = list(range(len(tess)))
     drawn_set = set(drawn)

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.spatial import QhullError, Voronoi
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
-from .geometry import (Window, clip_polygon_to_window, clip_segments_to_rect,
-                       point_in_convex_polygon, polygon_area)
+from .geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
+                       point_in_convex_polygon, ring_areas)
 from .point_process import PointConfiguration
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
@@ -199,12 +199,9 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     starts = ptr[:-1]
 
     # orient every ring CCW by reversing the clockwise ones
-    nxt = np.append(cat[1:], 0)
-    nxt[ptr[1:] - 1] = cat[starts]  # each ring closes on its first vertex
-    vx, vy = vor.vertices[:, 0], vor.vertices[:, 1]
-    signed_area = np.add.reduceat(vx[cat] * vy[nxt] - vx[nxt] * vy[cat], starts)
     k = np.arange(len(cat))
-    ring = np.where((signed_area < 0)[owner], starts[owner] + ptr[1:][owner] - 1 - k, k)
+    clockwise = ring_areas(vor.vertices[cat], ptr) < 0
+    ring = np.where(clockwise[owner], starts[owner] + ptr[1:][owner] - 1 - k, k)
     poly_xy = vor.vertices[cat[ring]]
 
     # clip the cells that come within tol of the sampling window's boundary
@@ -212,16 +209,16 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
                  | (poly_xy >= np.subtract(sampling.hi, tol))).any(axis=1)
     clipped = np.nonzero(np.logical_or.reduceat(near_hull, starts))[0]
     if len(clipped):
-        pieces, prev = [], 0
-        for i in clipped:
-            poly = clip_polygon_to_window(poly_xy[ptr[i]:ptr[i + 1]], sampling)
-            if len(poly) < 3:
-                raise ConstructionError(f"cell of generator {i} degenerated under clipping")
-            pieces += [poly_xy[ptr[prev]:ptr[i]], poly]
-            lengths[i] = len(poly)
-            prev = i + 1
-        poly_xy = np.concatenate(pieces + [poly_xy[ptr[prev]:]])
-        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        cut_xy, cut_ptr = clip_rings_to_window(*gather_rings(poly_xy, ptr, clipped), sampling)
+        short = np.diff(cut_ptr) < 3
+        if short.any():
+            raise ConstructionError(
+                f"cell of generator {int(clipped[np.argmax(short)])} degenerated under clipping")
+        # rings n.. of the joined arrays are the clipped cells, in id order
+        ids = np.arange(n)
+        ids[clipped] = n + np.arange(len(clipped))
+        poly_xy, ptr = gather_rings(np.concatenate([poly_xy, cut_xy]),
+                                    np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), ids)
 
     ridge_pts = np.asarray(vor.ridge_points)
     real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
@@ -375,9 +372,10 @@ def _hex_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tesse
     # hexagons inside the closed core are kept whole; the rest must meet the
     # core window in positive area
     keep = np.all((lo <= polys) & (polys <= hi), axis=(1, 2))
-    for k in np.nonzero(~keep)[0]:
-        inter = clip_polygon_to_window(polys[k], core)
-        keep[k] = len(inter) >= 3 and polygon_area(inter) > tol * s
+    edge = np.nonzero(~keep)[0]
+    part_xy, part_ptr = clip_rings_to_window(polys[edge].reshape(-1, 2),
+                                             np.arange(len(edge) + 1) * 6, core)
+    keep[edge] = (np.diff(part_ptr) >= 3) & (ring_areas(part_xy, part_ptr) > tol * s)
     a, b, c, polys = a[keep], b[keep], c[keep], polys[keep]
     index = np.full((a_max - a_min + 2, b_max - b_min + 2), -1)
     index[a - a_min, b - b_min] = np.arange(len(a))

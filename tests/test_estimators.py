@@ -106,7 +106,6 @@ def test_spanning_counts_trivials():
     assert res1.histogram == {1: 100}
     res0 = count_spanning_clusters(spec, 0.0, spec.window, 100)
     assert res0.histogram == {0: 100}
-    assert res0.prob_at_least(1) == 0.0
 
 
 def cross_fixture(black_tips=("N", "E", "W")):

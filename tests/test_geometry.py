@@ -1,10 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessperc.errors import ParameterError
-from tessperc.geometry import (GridRegion, Window, clip_polygon_to_window,
-                               clip_segments_to_rect, point_in_convex_polygon,
-                               polygon_area)
+from tessperc.geometry import (GridRegion, Window, clip_rings_to_window,
+                               clip_segments_to_rect, gather_rings,
+                               point_in_convex_polygon, ring_areas)
+
+
+def clip_polygon_halfplane(poly, normal, offset):
+    """Reference Sutherland-Hodgman clip of one polygon to
+    {x : <normal, x> <= offset}, one vertex at a time."""
+    if len(poly) == 0:
+        return poly
+    n = np.asarray(normal, float)
+    dist = poly @ n - offset
+    inside = dist <= 0.0
+    if inside.all():
+        return poly
+    if not inside.any():
+        return np.empty((0, 2))
+    out = []
+    k = len(poly)
+    for i in range(k):
+        j = (i + 1) % k
+        pi, pj = poly[i], poly[j]
+        di, dj = dist[i], dist[j]
+        if di <= 0.0:
+            out.append(pi)
+            if dj > 0.0:
+                t = di / (di - dj)
+                out.append(pi + t * (pj - pi))
+        elif dj <= 0.0:
+            t = di / (di - dj)
+            out.append(pi + t * (pj - pi))
+    return np.array(out)
+
+
+def clip_polygon_to_window(poly, win):
+    out = poly
+    out = clip_polygon_halfplane(out, (-1.0, 0.0), -win.lo[0])
+    out = clip_polygon_halfplane(out, (1.0, 0.0), win.hi[0])
+    out = clip_polygon_halfplane(out, (0.0, -1.0), -win.lo[1])
+    out = clip_polygon_halfplane(out, (0.0, 1.0), win.hi[1])
+    return out
+
+
+def ragged(rings):
+    ptr = np.concatenate([[0], np.cumsum([len(r) for r in rings])]).astype(int)
+    xy = np.concatenate([np.reshape(r, (-1, 2)) for r in rings] + [np.empty((0, 2))])
+    return xy.astype(float), ptr
 
 
 def test_window_validation():
@@ -36,16 +82,87 @@ def test_window_expand_contains_intersects():
 
 def test_polygon_area_orientation():
     sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
-    assert polygon_area(sq) == pytest.approx(1.0)
-    assert polygon_area(sq[::-1]) == pytest.approx(-1.0)
+    assert ring_areas(sq, [0, 4])[0] == pytest.approx(1.0)
+    assert ring_areas(sq[::-1], [0, 4])[0] == pytest.approx(-1.0)
 
 
-def test_clip_polygon_to_window():
+def test_clip_rings_to_window():
     sq = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float)
-    clipped = clip_polygon_to_window(sq, Window((1, 1), (3, 3)))
-    assert polygon_area(clipped) == pytest.approx(1.0)
-    empty = clip_polygon_to_window(sq, Window((5, 5), (6, 6)))
-    assert len(empty) == 0
+    xy, ptr = clip_rings_to_window(*ragged([sq, sq]), Window((1, 1), (3, 3)))
+    assert ptr.tolist() == [0, 4, 8]
+    assert ring_areas(xy, ptr) == pytest.approx([1.0, 1.0])
+    xy, ptr = clip_rings_to_window(*ragged([sq, sq]), Window((5, 5), (6, 6)))
+    assert ptr.tolist() == [0, 0, 0] and len(xy) == 0
+
+
+def test_gather_rings_and_ring_areas():
+    tri = [[0, 0], [1, 0], [0, 1]]
+    sq = [[0, 0], [2, 0], [2, 2], [0, 2]]
+    xy, ptr = ragged([tri, [], sq])
+    assert ring_areas(xy, ptr).tolist() == [0.5, 0.0, 4.0]
+    got_xy, got_ptr = gather_rings(xy, ptr, [2, 1, 0, 2])
+    assert got_ptr.tolist() == [0, 4, 4, 7, 11]
+    assert got_xy.tolist() == sq + tri + sq
+
+
+def _grid_ring(draw):
+    """Convex ring with integer vertices on the boundary of a square, so
+    vertices often lie exactly on a window line."""
+    cx, cy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    r = draw(st.integers(1, 4))
+    directions = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    chosen = draw(st.lists(st.sampled_from(range(8)), min_size=3, max_size=8, unique=True))
+    return [(cx + r * directions[k][0], cy + r * directions[k][1]) for k in sorted(chosen)]
+
+
+def _round_ring(draw):
+    """Strictly convex ring: sorted angles on a circle."""
+    floats = st.floats(-5, 5, allow_nan=False)
+    cx, cy = draw(floats), draw(floats)
+    r = draw(st.floats(0.01, 4))
+    angles = np.sort(draw(st.lists(st.floats(0, 2 * np.pi, exclude_max=True),
+                                   min_size=3, max_size=9, unique=True)))
+    return np.column_stack([cx + r * np.cos(angles), cy + r * np.sin(angles)])
+
+
+@st.composite
+def rings_and_window(draw):
+    rings = []
+    for kind in draw(st.lists(st.sampled_from(["grid", "round", "empty"]), max_size=12)):
+        rings.append([] if kind == "empty"
+                     else _grid_ring(draw) if kind == "grid" else _round_ring(draw))
+    if draw(st.booleans()):
+        lo = (draw(st.integers(-6, 5)), draw(st.integers(-6, 5)))
+        sides = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    else:
+        lo = (draw(st.floats(-6, 5)), draw(st.floats(-6, 5)))
+        sides = (draw(st.floats(0.01, 8)), draw(st.floats(0.01, 8)))
+    return rings, Window(lo, (lo[0] + sides[0], lo[1] + sides[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings_and_window())
+def test_clip_rings_matches_the_per_polygon_clipper(case):
+    rings, win = case
+    xy, ptr = ragged(rings)
+    got_xy, got_ptr = clip_rings_to_window(xy, ptr, win)
+    want = [clip_polygon_to_window(xy[ptr[i]:ptr[i + 1]], win) for i in range(len(rings))]
+    assert np.diff(got_ptr).tolist() == [len(w) for w in want]
+    want_xy = np.concatenate([w.reshape(-1, 2) for w in want] + [np.empty((0, 2))])
+    assert got_xy.tobytes() == want_xy.tobytes()
+
+
+def test_clip_rings_edge_cases():
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+    win = Window((0, 0), (1, 1))
+    # a ring on the window's boundary lines is inside; one outside vanishes
+    xy, ptr = clip_rings_to_window(*ragged([sq, [], sq + 3, sq + 0.5]), win)
+    assert np.diff(ptr).tolist() == [4, 0, 0, 4]
+    assert xy[:4].tolist() == sq.tolist()
+    assert ring_areas(xy, ptr)[3] == pytest.approx(0.25)
+    # a ring touching the window along one side keeps a zero-area part
+    xy, ptr = clip_rings_to_window(*ragged([sq + [1, 0]]), win)
+    assert len(xy) > 0 and ring_areas(xy, ptr)[0] == 0.0
 
 
 def test_point_in_convex_polygon():

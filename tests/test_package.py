@@ -59,18 +59,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _public_methods(node) -> list:
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [m for m in node.body
+            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+
+def _mentions_outside(node, skipped) -> set:
+    """Names node mentions, leaving out the subtrees in skipped."""
+    names, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if any(n is s for s in skipped):
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        todo += ast.iter_child_nodes(n)
+    return names
+
+
 def test_every_public_name_is_reached_from_an_entry_point():
-    """Name-level reachability: a reached top-level statement reaches every
-    top-level statement, in any module, that defines a name it mentions."""
+    """Name-level reachability: a reached node reaches every node, in any
+    module, that defines a name it mentions. The nodes are the top-level
+    statements and the public methods of top-level classes; a class reaches
+    its private and dunder methods but not its public ones."""
     modules = _modules()
-    defs = {}  # name -> top-level statements defining it
+    defs = {}  # name -> nodes defining it
     public = []
     for module, tree in modules.items():
         for node in tree.body:
             for name in _bound_names(node):
                 defs.setdefault(name, []).append(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append((module, node))
+                public.append((f"{module}: {node.name}", node))
+                for method in _public_methods(node):
+                    defs.setdefault(method.name, []).append(method)
+                    public.append((f"{module}: {node.name}.{method.name}", method))
     todo = [node for module, root in ENTRY_POINTS for node in modules[module].body
             if root in _bound_names(node)]
     assert len(todo) == len(ENTRY_POINTS)
@@ -80,5 +107,6 @@ def test_every_public_name_is_reached_from_an_entry_point():
         if id(node) in reached:
             continue
         reached.add(id(node))
-        todo += [d for name in _mentioned_names(node) for d in defs.get(name, ())]
-    assert [f"{module}: {node.name}" for module, node in public if id(node) not in reached] == []
+        mentioned = _mentions_outside(node, _public_methods(node))
+        todo += [d for name in mentioned for d in defs.get(name, ())]
+    assert [name for name, node in public if id(node) not in reached] == []

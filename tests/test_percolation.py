@@ -203,6 +203,20 @@ def test_spanning_two_disjoint_rows():
     assert spanning_cluster_count(tess, col, tess.core_window) == 2
 
 
+@pytest.mark.parametrize("adjacency", ["face", "star"])
+def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
+    # a black row of unit cells just above rect [0,4]^2 meets it only along
+    # its top side, and the row one step lower lies inside it
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((-6, -6), (6, 6)))
+    rect = Window((0, 0), (4, 4))
+    x, y = tess.centers.T
+    for y0, crosses in ((4, False), (3, True)):
+        row = (y0 < y) & (y < y0 + 1) & (-1 < x) & (x < 5)
+        col = Coloring(np.where(row, 0.0, 1.0), 0.5)
+        assert crossing(tess, col, CrossingQuery(rect, adjacency=adjacency)) == crosses
+        assert spanning_cluster_count(tess, col, rect, adjacency=adjacency) == int(crosses)
+
+
 def test_spanning_rect_must_lie_in_core_window():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
     col = color(tess, 0.5, stream(3, 0, "color"))
