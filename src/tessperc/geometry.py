@@ -91,13 +91,20 @@ class Window:
         return Window(tuple(los.min(axis=0)), tuple(his.max(axis=0)))
 
 
+def _ring_next(ptr: np.ndarray, m: int) -> np.ndarray:
+    """Index of the next vertex of every vertex of m ragged rings."""
+    full = ptr[:-1] < ptr[1:]
+    nxt = np.arange(1, m + 1)
+    nxt[ptr[1:][full] - 1] = ptr[:-1][full]  # each ring closes on its first vertex
+    return nxt
+
+
 def ring_areas(xy: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """Signed area of every ring xy[ptr[i]:ptr[i + 1]] (positive for CCW
     orientation, 0 for an empty ring)."""
     ptr = np.asarray(ptr)
     full = ptr[:-1] < ptr[1:]
-    nxt = np.arange(1, len(xy) + 1)
-    nxt[ptr[1:][full] - 1] = ptr[:-1][full]  # each ring closes on its first vertex
+    nxt = _ring_next(ptr, len(xy))
     x, y = xy[:, 0], xy[:, 1]
     area = np.zeros(len(ptr) - 1)
     if full.any():
@@ -129,9 +136,7 @@ def clip_rings_to_window(xy: np.ndarray, ptr: np.ndarray,
     ptr = np.asarray(ptr, int)
     for normal, offset in (((-1.0, 0.0), -win.lo[0]), ((1.0, 0.0), win.hi[0]),
                            ((0.0, -1.0), -win.lo[1]), ((0.0, 1.0), win.hi[1])):
-        full = ptr[:-1] < ptr[1:]
-        nxt = np.arange(1, len(xy) + 1)
-        nxt[ptr[1:][full] - 1] = ptr[:-1][full]
+        nxt = _ring_next(ptr, len(xy))
         dist = xy @ np.asarray(normal) - offset
         inside = dist <= 0.0
         cross = np.nonzero(inside != inside[nxt])[0]

@@ -72,8 +72,9 @@ def test_U_definitional_recheck():
     delta = 2.0
     field = compute_U_field(tess, delta, Window((-10, -10), (10, 10)))
     rng = np.random.default_rng(0)
+    idx = list(np.ndindex(field.values.shape))
     for _ in range(100):
-        a, b = (rng.integers(n) for n in field.values.shape)
+        a, b = idx[rng.integers(len(idx))]
         if field.values[a, b] != 0:
             continue
         i, j = field.i0 + a, field.j0 + b
