@@ -74,10 +74,10 @@ def test_U_definitional_recheck():
     rng = np.random.default_rng(0)
     idx = list(np.ndindex(field.values.shape))
     for _ in range(100):
-        a, b = idx[rng.integers(len(idx))]
-        if field.values[a, b] != 0:
+        ka, kb = idx[rng.integers(len(idx))]
+        if field.values[ka, kb] != 0:
             continue
-        i, j = field.i0 + a, field.j0 + b
+        i, j = field.i0 + ka, field.j0 + kb
         box = Window(((i - 0.5) * delta, (j - 0.5) * delta), ((i + 0.5) * delta, (j + 0.5) * delta))
         # no cell may meet both this box and the >=2 shell
         for c in tess.cells_meeting(box):
