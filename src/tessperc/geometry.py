@@ -107,8 +107,7 @@ def ring_areas(xy: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     nxt = _ring_next(ptr, len(xy))
     x, y = xy[:, 0], xy[:, 1]
     area = np.zeros(len(ptr) - 1)
-    if full.any():
-        area[full] = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, ptr[:-1][full])
+    area[full] = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, ptr[:-1][full])
     return area
 
 
