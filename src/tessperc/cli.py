@@ -33,6 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out", default="runs")
     p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
 
     p_render = sub.add_parser("render", help="render one replicate as SVG")
     p_render.add_argument("config")
@@ -54,7 +55,8 @@ def main(argv=None) -> int:
             print(f"{record.op}: wrote {record.out_dir} (hash {record.spec_hash[:16]})")
         elif args.command == "sweep":
             from .harness import sweep
-            record = sweep(args.config, out_dir=args.out, workers=workers)
+            record = sweep(args.config, out_dir=args.out, workers=workers,
+                           seed_override=args.seed)
             print(f"sweep[{record.op}]: wrote {record.out_dir}")
         elif args.command == "render":
             from .experiment import ExperimentSpec, build_tessellation, coloring_for

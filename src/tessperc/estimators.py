@@ -55,12 +55,16 @@ def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
                      for k in range(len(p_grid))]
 
 
-def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p: float,
-                           replicates: int, workers: int = 1) -> PercResult:
-    """Fraction of replicates with the requested crossing, fresh instance each."""
+def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p_grid,
+                           replicates: int, workers: int = 1) -> list[PercResult]:
+    """Fraction of replicates with the requested crossing at each p of p_grid
+    (any order, repeats allowed), one PercResult per entry. Every p reads the
+    same replicates: one estimate_crossing_curve over the sorted grid."""
     if replicates < 50:
         raise ParameterError("crossing estimator needs at least 50 replicates")
-    return estimate_crossing_curve(spec, query, (p,), replicates, workers)[1][0]
+    grid = tuple(sorted(p_grid))
+    per_p = dict(zip(grid, estimate_crossing_curve(spec, query, grid, replicates, workers)[1]))
+    return [per_p[p] for p in p_grid]
 
 
 def _theta_rep(spec: ExperimentSpec, p: float, radii: tuple, rep: int):
@@ -119,8 +123,8 @@ def estimate_pc(spec: ExperimentSpec, tolerance: float, replicates_per_probe: in
             process=spec.process, window=spec.window, adjacency=spec.adjacency,
             buffer=spec.buffer, p=p, replicates=replicates_per_probe,
             master_seed=spec.master_seed + len(probes) + 1, params=dict(spec.params))
-        res = estimate_crossing_prob(probe_spec, query, p, replicates_per_probe,
-                                     workers=workers)
+        (res,) = estimate_crossing_prob(probe_spec, query, (p,), replicates_per_probe,
+                                        workers=workers)
         probes.append((p, res))
         return res
 

@@ -49,8 +49,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.adjacency not in ("face", "star"):
             raise ParameterError("adjacency must be 'face' or 'star'")
-        if self.p is not None and not (0.0 <= self.p <= 1.0):
-            raise ParameterError("p must lie in [0, 1]")
+        if self.p is not None:
+            if not 0.0 <= self.p <= 1.0:
+                raise ParameterError("p must lie in [0, 1]")
+            object.__setattr__(self, "p", float(self.p))
         if self.p_grid is not None:
             object.__setattr__(self, "p_grid", tuple(float(x) for x in self.p_grid))
             if not all(0.0 <= x <= 1.0 for x in self.p_grid):

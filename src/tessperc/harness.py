@@ -11,10 +11,10 @@ carries the volatile envelope (timestamps).
 Every op is one entry of OPS, keyed by its name. An entry holds
 - `keys`: the `params` keys the op allows;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
-  `p`, which load_config then requires; EACH_P ops are called once per p of
-  `p_grid` (or for the single `p`) and `run` concatenates their rows;
-- `fn(spec, params, workers) -> (rows, summary)`, where `spec.p` is the p of
-  the call and a summary of None stands for {"rows": len(rows)};
+  `p`, which load_config then requires; EACH_P ops write rows for every p of
+  `p_grid` in config order (or for the single `p`);
+- `fn(spec, params, workers) -> (rows, summary)`, where a summary of None
+  stands for {"rows": len(rows)};
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
   for the `sweep` entry point (extra: more run.json summary fields), and
   `process`, the one process kind the op accepts.
@@ -28,7 +28,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -153,16 +153,22 @@ def _crossing_row(p, res) -> dict:
     return {**_ci_row(vars(res), p=p), "failed": res.failed}
 
 
+def _each_p(spec) -> tuple:
+    return spec.p_grid or (spec.p,)
+
+
 def _crossing(spec, params, workers):
-    res = estimate_crossing_prob(spec, _crossing_query(spec, params), spec.p,
-                                 spec.replicates, workers=workers)
-    return [_crossing_row(spec.p, res)], None
+    ps = _each_p(spec)
+    results = estimate_crossing_prob(spec, _crossing_query(spec, params), ps,
+                                     spec.replicates, workers=workers)
+    return [_crossing_row(p, res) for p, res in zip(ps, results)], None
 
 
 def _theta(spec, params, workers):
-    results = estimate_theta(spec, spec.p, params["radii"], spec.replicates, workers=workers)
-    return [{**_ci_row(vars(r), p=spec.p, radius=r.meta["radius"]), "failed": r.failed}
-            for r in results], None
+    return [{**_ci_row(vars(r), p=p, radius=r.meta["radius"]), "failed": r.failed}
+            for p in _each_p(spec)
+            for r in estimate_theta(spec, p, params["radii"], spec.replicates,
+                                    workers=workers)], None
 
 
 def _pc(spec, params, workers):
@@ -174,9 +180,12 @@ def _pc(spec, params, workers):
 
 def _spanning(spec, params, workers):
     win = _window(params, "analysis_window", spec.window)
-    res = count_spanning_clusters(spec, spec.p, win, spec.replicates, workers=workers)
-    return [{"p": spec.p, "count": count, "frequency": freq, "replicates": res.replicates,
-             "failed": res.failed} for count, freq in res.histogram.items()], None
+    rows = []
+    for p in _each_p(spec):
+        res = count_spanning_clusters(spec, p, win, spec.replicates, workers=workers)
+        rows += [{"p": p, "count": count, "frequency": freq, "replicates": res.replicates,
+                  "failed": res.failed} for count, freq in res.histogram.items()]
+    return rows, None
 
 
 def _smp_gap(spec, params, workers):
@@ -314,27 +323,28 @@ def _write_run(cfg: dict, out_dir, started: float, csvs: dict, summary: dict) ->
     return record
 
 
-def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
-    """Execute the op named in the config; write <op>.csv and run.json."""
+def _load_seeded(config_path, seed_override) -> dict:
+    """load_config, with master_seed replaced by seed_override when given."""
     cfg = load_config(config_path)
     if seed_override is not None:
         cfg["master_seed"] = int(seed_override)
-    op = OPS[cfg["op"]]
+    return cfg
+
+
+def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
+    """Execute the op named in the config; write <op>.csv and run.json."""
+    cfg = _load_seeded(config_path, seed_override)
     spec = ExperimentSpec.from_json(cfg)
     started = time.time()
-    rows, summary = [], None
-    for p in spec.p_grid if op.p == EACH_P and spec.p_grid else (spec.p,):
-        p_rows, summary = op.fn(replace(spec, p=None if p is None else float(p)),
-                                spec.params, workers)
-        rows += p_rows
+    rows, summary = OPS[cfg["op"]].fn(spec, spec.params, workers)
     summary = {"rows": len(rows)} if summary is None else summary
     return _write_run(cfg, out_dir, started, {f"{cfg['op']}.csv": rows}, summary)
 
 
-def sweep(config_path, out_dir="runs", workers: int = 1) -> RunRecord:
+def sweep(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
     """Coupled sweep: per-replicate rows over the p-grid (shared uniforms per
     replicate) or the smp t-schedule; plus an aggregated summary CSV."""
-    cfg = load_config(config_path)
+    cfg = _load_seeded(config_path, seed_override)
     op = OPS[cfg["op"]]
     if op.sweep is None:
         ops = sorted(name for name, o in OPS.items() if o.sweep is not None)

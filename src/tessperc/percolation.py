@@ -8,6 +8,12 @@ Crossing connectivity inside a rectangle is geometric: a cell takes part only
 where it meets the rectangle in positive area, face edges count only where
 the shared boundary segment clipped to the rectangle has positive length, and
 star mode additionally accepts corner contacts inside the rectangle.
+
+None of that geometry depends on the colours, so each (rect, adjacency) gets
+one rectangle graph per tessellation, built with every cell active on its
+first query and memoised on the Tessellation (a dict field, so it is freed
+with the instance). A query then only labels the graph under its colour's
+active mask, and every p of a coupled sweep reuses one build.
 """
 
 from __future__ import annotations
@@ -94,8 +100,8 @@ class CrossingQuery:
             raise ParameterError("adjacency must be face or star")
 
 
-def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
-    """Active cells that meet rect in positive area, as a mask, and the
+def _cells_in_rect(tess: Tessellation, rect: Window):
+    """Cells that meet rect in positive area, as a mask, and the
     [xmin, ymin, xmax, ymax] extents of their parts inside rect in
     increasing id order.
 
@@ -105,7 +111,6 @@ def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
     at a corner) is dropped.
     """
     ids = tess.cells_meeting(rect)
-    ids = ids[active[ids]]
     ext = tess.bboxes[ids]
     inside = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
               & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
@@ -125,42 +130,66 @@ def _cells_in_rect(tess: Tessellation, active: np.ndarray, rect: Window):
     return in_rect, ext[keep]
 
 
-def _side_touches(ext: np.ndarray, rect: Window, tol: float) -> np.ndarray:
-    """Per-extent (L, R, B, T) flags: does it reach that side of rect."""
-    return np.column_stack([ext[:, 0] <= rect.lo[0] + tol, ext[:, 2] >= rect.hi[0] - tol,
-                            ext[:, 1] <= rect.lo[1] + tol, ext[:, 3] >= rect.hi[1] - tol])
-
-
 def _rect_edges(tess: Tessellation, in_rect: np.ndarray, rect: Window,
                 adjacency: str) -> np.ndarray:
     """Pairs of in-rect cells whose shared boundary piece inside rect has
-    positive length; star mode also takes point contacts inside rect."""
+    positive length; star mode also takes point contacts inside rect.
+
+    A face segment with both ends in rect is not clipped: Liang-Barsky would
+    return t0 = 0 and t1 = 1 exactly, so its clipped length is its full length.
+    """
     tol = tess.tol
+    face = adjacency == "face"
     fp = tess.face_pairs
     both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
     seg = tess.face_segments[both]
-    ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
-    if adjacency == "face":
-        return fp[both][ok & (lengths > tol)]
+    a, b = seg[:, 0], seg[:, 1]
+    keep = np.linalg.norm(b - a, axis=1) > tol if face else np.ones(len(seg), bool)
+    cut = np.nonzero(~(rect.contains_points(a) & rect.contains_points(b)))[0]
+    if len(cut):
+        ok, lengths = clip_segments_to_rect(a[cut], b[cut], rect)
+        keep[cut] = ok & (lengths > tol) if face else ok
+    if face:
+        return fp[both][keep]
     sp = tess.star_pairs
     both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
     pts = tess.star_points[both_sp]
     inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
               & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
-    return np.concatenate([fp[both][ok], sp[both_sp][inside]])
+    return np.concatenate([fp[both][keep], sp[both_sp][inside]])
+
+
+def _rect_graph(tess: Tessellation, rect: Window, adjacency: str):
+    """(edges, sides) of the graph of all cells inside rect, whatever their
+    colour: the edges between in-rect cells, and the ids of the in-rect cells
+    that reach each side (L, R, B, T). Built on the first query of a
+    (rect, adjacency) and kept on tess for the later ones."""
+    if not tess.core_window.contains_window(rect, tol=tess.tol):
+        raise ParameterError("rectangle must lie inside the core window")
+    key = (rect, adjacency)
+    if key not in tess._rect_graphs:
+        in_rect, ext = _cells_in_rect(tess, rect)
+        ids, tol = np.nonzero(in_rect)[0], tess.tol
+        sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
+                 ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
+        tess._rect_graphs[key] = (_rect_edges(tess, in_rect, rect, adjacency), sides)
+    return tess._rect_graphs[key]
 
 
 def _spanning_labels(tess: Tessellation, active: np.ndarray, rect: Window,
                      adjacency: str, direction: str) -> np.ndarray:
     """Labels of the components of active cells inside rect that join its
-    start and end sides (left/right when horizontal, else bottom/top)."""
-    if not tess.core_window.contains_window(rect, tol=tess.tol):
-        raise ParameterError("rectangle must lie inside the core window")
-    in_rect, ext = _cells_in_rect(tess, active, rect)
-    labels = label_components(in_rect, _rect_edges(tess, in_rect, rect, adjacency))[in_rect]
-    touches = _side_touches(ext, rect, tess.tol)
+    start and end sides (left/right when horizontal, else bottom/top).
+
+    An edge of the rect graph joins two in-rect cells, so an in-rect cell's
+    component under label_components(active, edges) is its component among
+    the active in-rect cells; inactive side cells carry -1 and are dropped.
+    """
+    edges, sides = _rect_graph(tess, rect, adjacency)
+    labels = label_components(active, edges)
     start, end = (0, 1) if direction == "horizontal" else (2, 3)
-    return np.intersect1d(labels[touches[:, start]], labels[touches[:, end]])
+    common = np.intersect1d(labels[sides[start]], labels[sides[end]])
+    return common[common >= 0]
 
 
 def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery) -> bool:

@@ -31,8 +31,10 @@ def lattice_spec(window, p, replicates, seed, spacing=1.0):
 def test_crossing_prob_trivial_endpoints():
     spec = pv_spec(Window((0, 0), (8, 8)), 1.0, 50, 1)
     q = CrossingQuery(rect=spec.window)
-    assert estimate_crossing_prob(spec, q, 1.0, 50).estimate == 1.0
-    assert estimate_crossing_prob(spec, q, 0.0, 50).estimate == 0.0
+    results = estimate_crossing_prob(spec, q, (1.0, 0.0, 1.0), 50)
+    assert [r.estimate for r in results] == [1.0, 0.0, 1.0]
+    with pytest.raises(ParameterError):
+        estimate_crossing_prob(spec, q, (0.5,), 49)
 
 
 def test_theta_trivials_and_monotonicity():

@@ -325,6 +325,33 @@ def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
     assert {p.name: p.read_bytes() for p in cli_out.glob("*.csv")} == _csv_bytes(record)
 
 
+def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypatch):
+    built = []
+    build = estimators.build_tessellation
+    monkeypatch.setattr(estimators, "build_tessellation",
+                        lambda spec, rep: built.append(rep) or build(spec, rep))
+    cfg = {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
+           "replicates": 50, "master_seed": 47}
+    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    assert sorted(built) == list(range(50))
+    with open(Path(record.out_dir) / "crossing.csv", newline="") as fh:
+        assert [row["p"] for row in csv.DictReader(fh)] == ["0.6", "0.4", "0.5"]
+
+
+def test_cli_sweep_seed_overrides_master_seed(tmp_path):
+    _, cfg, _, _ = GOLDEN["sweep_crossing"]
+    seeded = tmp_path / "seeded"
+    seeded.mkdir()
+    record = harness.sweep(_write_config(seeded, {**cfg, "master_seed": 7}),
+                           out_dir=str(tmp_path / "api"))
+    assert main(["sweep", _write_config(tmp_path, cfg), "--seed", "7",
+                 "--out", str(tmp_path / "cli")]) == 0
+    cli_out = tmp_path / "cli" / Path(record.out_dir).name
+    assert {p.name: p.read_bytes() for p in cli_out.glob("*.csv")} == _csv_bytes(record)
+    assert _csv_bytes(record) != _csv_bytes(harness.sweep(_write_config(tmp_path, cfg),
+                                                          out_dir=str(tmp_path / "unseeded")))
+
+
 @pytest.mark.parametrize("color", ["black", "white"])
 def test_crossing_sweep_summary_matches_run(color, tmp_path):
     cfg = {"op": "crossing", "process": SQ, "window": W6, "p_grid": [0.45, 0.55, 0.6],

@@ -2,12 +2,17 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tessperc import percolation
 from tessperc.errors import ParameterError
-from tessperc.geometry import Window
+from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, coloring_for
+from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
+                               gather_rings)
 from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
                                   crossing, label_components, spanning_cluster_count)
-from tessperc.point_process import sample_poisson
+from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
                                    build_voronoi, zero_cell)
@@ -233,3 +238,139 @@ def test_cluster_reach():
     # all black: reach = farthest cell corner
     reach = cluster_reach(tess, graph, col.at_p(1.0), root)
     assert reach == pytest.approx(np.sqrt(2) * 5.5)
+
+
+# Reference: the rectangle graph built from the active cells only, one build
+# per query, as percolation did before the per-tessellation memo. Every
+# Liang-Barsky clip is made here, inner face segments included.
+
+def _ref_cells_in_rect(tess, active, rect):
+    ids = tess.cells_meeting(rect)
+    ids = ids[active[ids]]
+    ext = tess.bboxes[ids]
+    inside = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
+              & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
+    keep = inside.copy()
+    cut = np.nonzero(~inside)[0]
+    if len(cut):
+        xy, ptr = clip_rings_to_window(*gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]),
+                                       rect)
+        part = ptr[:-1] < ptr[1:]
+        cut, starts = cut[part], ptr[:-1][part]
+        ext[cut] = np.column_stack([np.minimum.reduceat(xy, starts),
+                                    np.maximum.reduceat(xy, starts)])
+        keep[cut] = ((ext[cut, 2] - ext[cut, 0] > tess.tol)
+                     & (ext[cut, 3] - ext[cut, 1] > tess.tol))
+    in_rect = np.zeros(len(tess), bool)
+    in_rect[ids[keep]] = True
+    return in_rect, ext[keep]
+
+
+def _ref_rect_edges(tess, in_rect, rect, adjacency):
+    tol = tess.tol
+    fp = tess.face_pairs
+    both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
+    seg = tess.face_segments[both]
+    ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
+    if adjacency == "face":
+        return fp[both][ok & (lengths > tol)]
+    sp = tess.star_pairs
+    both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
+    pts = tess.star_points[both_sp]
+    inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
+              & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
+    return np.concatenate([fp[both][ok], sp[both_sp][inside]])
+
+
+def _ref_spanning_labels(tess, active, rect, adjacency, direction):
+    if not tess.core_window.contains_window(rect, tol=tess.tol):
+        raise ParameterError("rectangle must lie inside the core window")
+    in_rect, ext = _ref_cells_in_rect(tess, active, rect)
+    labels = label_components(in_rect, _ref_rect_edges(tess, in_rect, rect, adjacency))[in_rect]
+    tol = tess.tol
+    touches = np.column_stack([ext[:, 0] <= rect.lo[0] + tol, ext[:, 2] >= rect.hi[0] - tol,
+                               ext[:, 1] <= rect.lo[1] + tol, ext[:, 3] >= rect.hi[1] - tol])
+    start, end = (0, 1) if direction == "horizontal" else (2, 3)
+    return np.intersect1d(labels[touches[:, start]], labels[touches[:, end]])
+
+
+_KINDS = {
+    "square": ProcessSpec("square_lattice", {"spacing": 1.0}),
+    "square_shifted": ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
+    "hexagonal": ProcessSpec("hexagonal_lattice", {"spacing": 1.0, "random_shift": True}),
+    "voronoi": ProcessSpec("poisson", {"gamma": 1.0}),
+}
+_CORE = Window((-4.0, -4.0), (4.0, 4.0))
+
+
+@st.composite
+def _rects(draw):
+    """A rect inside _CORE: integer corners (so lattice edges run along its
+    sides) or float ones."""
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(-4, 3)), draw(st.integers(-4, 3))
+        return Window((x0, y0), (draw(st.integers(x0 + 1, 4)), draw(st.integers(y0 + 1, 4))))
+    x0, y0 = draw(st.floats(-4, 3.5)), draw(st.floats(-4, 3.5))
+    return Window((x0, y0), (draw(st.floats(x0 + 0.25, 4)), draw(st.floats(y0 + 0.25, 4))))
+
+
+@st.composite
+def _instances(draw):
+    """(tessellation, its uniforms, two rects inside its core)."""
+    spec = ExperimentSpec(process=_KINDS[draw(st.sampled_from(sorted(_KINDS)))],
+                          window=_CORE, master_seed=draw(st.integers(0, 10_000)))
+    try:
+        tess = build_tessellation(spec, 0)
+    except BUILD_ERRORS:
+        assume(False)
+    return tess, coloring_for(spec, 0, tess, 0.5).uniforms, (draw(_rects()), draw(_rects()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances(), st.lists(st.floats(0, 1), min_size=2, max_size=3))
+def test_memoised_rect_graph_matches_the_active_first_reference(instance, ps):
+    tess, uniforms, rects = instance
+    built = None
+    for p in ps:
+        col = Coloring(uniforms, p)
+        for rect in rects:
+            for adjacency in ("face", "star"):
+                for name in ("black", "white"):
+                    for direction in ("horizontal", "vertical"):
+                        want = _ref_spanning_labels(tess, col.mask(name), rect, adjacency,
+                                                    direction)
+                        got = percolation._spanning_labels(tess, col.mask(name), rect,
+                                                           adjacency, direction)
+                        assert np.array_equal(got, want)
+                        query = CrossingQuery(rect, direction, name, adjacency)
+                        assert crossing(tess, col, query) == (len(want) > 0)
+                want = _ref_spanning_labels(tess, col.black, rect, adjacency, "horizontal")
+                assert spanning_cluster_count(tess, col, rect, adjacency) == len(want)
+        built = built or dict(tess._rect_graphs)
+    # one build per (rect, adjacency); every later p reads the same graph
+    assert set(tess._rect_graphs) == {(r, a) for r in rects for a in ("face", "star")}
+    assert all(tess._rect_graphs[key] is graph for key, graph in built.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances())
+def test_inner_face_segments_skip_the_clip_without_changing_the_edges(instance):
+    tess, _, rects = instance
+    for rect in rects:
+        in_rect, ext = percolation._cells_in_rect(tess, rect)
+        want_in_rect, want_ext = _ref_cells_in_rect(tess, np.ones(len(tess), bool), rect)
+        assert np.array_equal(in_rect, want_in_rect) and np.array_equal(ext, want_ext)
+        for adjacency in ("face", "star"):
+            assert np.array_equal(percolation._rect_edges(tess, in_rect, rect, adjacency),
+                                  _ref_rect_edges(tess, in_rect, rect, adjacency))
+
+
+def test_rect_outside_the_core_raises_on_every_call():
+    tess, col = poisson_setup(9, side=10.0)
+    rect = Window((0, 0), (11, 11))
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            crossing(tess, col, CrossingQuery(rect=rect))
+        with pytest.raises(ParameterError):
+            spanning_cluster_count(tess, col, rect)
+    assert tess._rect_graphs == {}
