@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .geometry import Window
 from .graphs import graph_ball, outer_boundary
 from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
-                          label_components, spanning_cluster_count)
+                          label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .experiment import ExperimentSpec, build_tessellation, coloring_for, run_replicates
 from .tessellation import Tessellation, build_adjacency, zero_cell
@@ -29,10 +29,12 @@ from .tessellation import Tessellation, build_adjacency, zero_cell
 
 def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p_grid: tuple, rep: int):
     """(rep, crossing indicator per p of p_grid) of one tessellation and one
-    coloring; the id survives dropped failures."""
+    coloring, whose rectangle graph is built once; the id survives dropped
+    failures."""
     tess = build_tessellation(spec, rep)
     col = coloring_for(spec, rep, tess, p_grid[0])
-    return rep, tuple(1 if crossing(tess, col.at_p(p), query) else 0 for p in p_grid)
+    graph = rect_graph(tess, query.rect, query.adjacency)
+    return rep, tuple(1 if crossing(tess, col.at_p(p), query, graph) else 0 for p in p_grid)
 
 
 def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,

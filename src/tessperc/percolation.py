@@ -9,11 +9,10 @@ where it meets the rectangle in positive area, face edges count only where
 the shared boundary segment clipped to the rectangle has positive length, and
 star mode additionally accepts corner contacts inside the rectangle.
 
-None of that geometry depends on the colours, so each (rect, adjacency) gets
-one rectangle graph per tessellation, built with every cell active on its
-first query and memoised on the Tessellation (a dict field, so it is freed
-with the instance). A query then only labels the graph under its colour's
-active mask, and every p of a coupled sweep reuses one build.
+None of that geometry depends on the colours: rect_graph builds it once for
+every cell of a tessellation, and a query only labels that graph under its
+colour's active mask. A caller that asks one rect at several p (a coupled
+sweep) builds the graph once and passes it to each crossing call.
 """
 
 from __future__ import annotations
@@ -133,76 +132,68 @@ def _cells_in_rect(tess: Tessellation, rect: Window):
 def _rect_edges(tess: Tessellation, in_rect: np.ndarray, rect: Window,
                 adjacency: str) -> np.ndarray:
     """Pairs of in-rect cells whose shared boundary piece inside rect has
-    positive length; star mode also takes point contacts inside rect.
-
-    A face segment with both ends in rect is not clipped: Liang-Barsky would
-    return t0 = 0 and t1 = 1 exactly, so its clipped length is its full length.
-    """
+    positive length; star mode also takes point contacts inside rect."""
     tol = tess.tol
-    face = adjacency == "face"
     fp = tess.face_pairs
     both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
     seg = tess.face_segments[both]
-    a, b = seg[:, 0], seg[:, 1]
-    keep = np.linalg.norm(b - a, axis=1) > tol if face else np.ones(len(seg), bool)
-    cut = np.nonzero(~(rect.contains_points(a) & rect.contains_points(b)))[0]
-    if len(cut):
-        ok, lengths = clip_segments_to_rect(a[cut], b[cut], rect)
-        keep[cut] = ok & (lengths > tol) if face else ok
-    if face:
-        return fp[both][keep]
+    ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
+    if adjacency == "face":
+        return fp[both][ok & (lengths > tol)]
     sp = tess.star_pairs
     both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
     pts = tess.star_points[both_sp]
     inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
               & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
-    return np.concatenate([fp[both][keep], sp[both_sp][inside]])
+    return np.concatenate([fp[both][ok], sp[both_sp][inside]])
 
 
-def _rect_graph(tess: Tessellation, rect: Window, adjacency: str):
-    """(edges, sides) of the graph of all cells inside rect, whatever their
-    colour: the edges between in-rect cells, and the ids of the in-rect cells
-    that reach each side (L, R, B, T). Built on the first query of a
-    (rect, adjacency) and kept on tess for the later ones."""
+def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
+    """(edges, sides): the graph of all cells inside rect, whatever their
+    colour. edges join in-rect cells; sides holds the ids of the in-rect
+    cells that reach each side of rect, in the order L, R, B, T."""
     if not tess.core_window.contains_window(rect, tol=tess.tol):
         raise ParameterError("rectangle must lie inside the core window")
-    key = (rect, adjacency)
-    if key not in tess._rect_graphs:
-        in_rect, ext = _cells_in_rect(tess, rect)
-        ids, tol = np.nonzero(in_rect)[0], tess.tol
-        sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
-                 ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
-        tess._rect_graphs[key] = (_rect_edges(tess, in_rect, rect, adjacency), sides)
-    return tess._rect_graphs[key]
+    in_rect, ext = _cells_in_rect(tess, rect)
+    ids, tol = np.nonzero(in_rect)[0], tess.tol
+    sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
+             ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
+    return _rect_edges(tess, in_rect, rect, adjacency), sides
 
 
-def _spanning_labels(tess: Tessellation, active: np.ndarray, rect: Window,
-                     adjacency: str, direction: str) -> np.ndarray:
-    """Labels of the components of active cells inside rect that join its
-    start and end sides (left/right when horizontal, else bottom/top).
+def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
+    """Labels of the components of active cells of a rect_graph that join
+    its start and end sides (left/right when horizontal, else bottom/top).
 
-    An edge of the rect graph joins two in-rect cells, so an in-rect cell's
+    An edge of the graph joins two in-rect cells, so an in-rect cell's
     component under label_components(active, edges) is its component among
     the active in-rect cells; inactive side cells carry -1 and are dropped.
     """
-    edges, sides = _rect_graph(tess, rect, adjacency)
+    edges, sides = graph
     labels = label_components(active, edges)
     start, end = (0, 1) if direction == "horizontal" else (2, 3)
     common = np.intersect1d(labels[sides[start]], labels[sides[end]])
     return common[common >= 0]
 
 
-def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery) -> bool:
+def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery,
+             graph=None) -> bool:
     """True iff some monochromatic component joins the rectangle's start and
-    end sides through interiors and shared boundary pieces inside the rect."""
-    return len(_spanning_labels(tess, coloring.mask(query.color), query.rect,
-                                query.adjacency, query.direction)) > 0
+    end sides through interiors and shared boundary pieces inside the rect.
+
+    graph, when given, is rect_graph(tess, query.rect, query.adjacency),
+    built once by a caller that asks the same query at several p.
+    """
+    if graph is None:
+        graph = rect_graph(tess, query.rect, query.adjacency)
+    return len(_spanning_labels(coloring.mask(query.color), graph, query.direction)) > 0
 
 
 def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
                            adjacency: str = "face") -> int:
     """Number of distinct black components joining the rect's left and right sides."""
-    return len(_spanning_labels(tess, coloring.black, rect, adjacency, "horizontal"))
+    return len(_spanning_labels(coloring.black, rect_graph(tess, rect, adjacency),
+                                "horizontal"))
 
 
 def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,

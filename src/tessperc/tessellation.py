@@ -54,9 +54,6 @@ class Tessellation:
     face_pairs[k] = (i, j) share the edge face_segments[k], unclipped, whose
     part inside the sampling window has positive length; star_pairs are the
     additional corner-only contacts at star_points.
-
-    _rect_graphs is percolation's memo of colour-independent rectangle
-    graphs, keyed by (rect, adjacency); it lives and dies with the instance.
     """
 
     centers: np.ndarray
@@ -71,7 +68,6 @@ class Tessellation:
     tol: float
     bboxes: np.ndarray = field(init=False, repr=False)
     boundary: np.ndarray = field(init=False, repr=False)
-    _rect_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         starts = self.poly_ptr[:-1]

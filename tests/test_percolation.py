@@ -225,8 +225,11 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
 def test_spanning_rect_must_lie_in_core_window():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
     col = color(tess, 0.5, stream(3, 0, "color"))
+    rect = Window((1, 1), (6, 4))
     with pytest.raises(ParameterError):
-        spanning_cluster_count(tess, col, Window((1, 1), (6, 4)))
+        spanning_cluster_count(tess, col, rect)
+    with pytest.raises(ParameterError):
+        crossing(tess, col, CrossingQuery(rect=rect))
 
 
 def test_cluster_reach():
@@ -241,8 +244,7 @@ def test_cluster_reach():
 
 
 # Reference: the rectangle graph built from the active cells only, one build
-# per query, as percolation did before the per-tessellation memo. Every
-# Liang-Barsky clip is made here, inner face segments included.
+# per query, as percolation did before rect_graph took every cell.
 
 def _ref_cells_in_rect(tess, active, rect):
     ids = tess.cells_meeting(rect)
@@ -328,49 +330,21 @@ def _instances(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_instances(), st.lists(st.floats(0, 1), min_size=2, max_size=3))
-def test_memoised_rect_graph_matches_the_active_first_reference(instance, ps):
+def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
     tess, uniforms, rects = instance
-    built = None
-    for p in ps:
-        col = Coloring(uniforms, p)
-        for rect in rects:
-            for adjacency in ("face", "star"):
+    for rect in rects:
+        for adjacency in ("face", "star"):
+            graph = percolation.rect_graph(tess, rect, adjacency)
+            for p in ps:
+                col = Coloring(uniforms, p)
                 for name in ("black", "white"):
                     for direction in ("horizontal", "vertical"):
                         want = _ref_spanning_labels(tess, col.mask(name), rect, adjacency,
                                                     direction)
-                        got = percolation._spanning_labels(tess, col.mask(name), rect,
-                                                           adjacency, direction)
+                        got = percolation._spanning_labels(col.mask(name), graph, direction)
                         assert np.array_equal(got, want)
                         query = CrossingQuery(rect, direction, name, adjacency)
                         assert crossing(tess, col, query) == (len(want) > 0)
+                        assert crossing(tess, col, query, graph) == (len(want) > 0)
                 want = _ref_spanning_labels(tess, col.black, rect, adjacency, "horizontal")
                 assert spanning_cluster_count(tess, col, rect, adjacency) == len(want)
-        built = built or dict(tess._rect_graphs)
-    # one build per (rect, adjacency); every later p reads the same graph
-    assert set(tess._rect_graphs) == {(r, a) for r in rects for a in ("face", "star")}
-    assert all(tess._rect_graphs[key] is graph for key, graph in built.items())
-
-
-@settings(max_examples=40, deadline=None)
-@given(_instances())
-def test_inner_face_segments_skip_the_clip_without_changing_the_edges(instance):
-    tess, _, rects = instance
-    for rect in rects:
-        in_rect, ext = percolation._cells_in_rect(tess, rect)
-        want_in_rect, want_ext = _ref_cells_in_rect(tess, np.ones(len(tess), bool), rect)
-        assert np.array_equal(in_rect, want_in_rect) and np.array_equal(ext, want_ext)
-        for adjacency in ("face", "star"):
-            assert np.array_equal(percolation._rect_edges(tess, in_rect, rect, adjacency),
-                                  _ref_rect_edges(tess, in_rect, rect, adjacency))
-
-
-def test_rect_outside_the_core_raises_on_every_call():
-    tess, col = poisson_setup(9, side=10.0)
-    rect = Window((0, 0), (11, 11))
-    for _ in range(2):
-        with pytest.raises(ParameterError):
-            crossing(tess, col, CrossingQuery(rect=rect))
-        with pytest.raises(ParameterError):
-            spanning_cluster_count(tess, col, rect)
-    assert tess._rect_graphs == {}
