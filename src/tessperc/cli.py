@@ -18,6 +18,14 @@ def _default_workers() -> int:
         return 1
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tessperc",
                                      description="Percolation experiments on random tessellations")
@@ -26,13 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the op named in a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="runs", help="output directory (default: runs)")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_worker_count, default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
 
     p_sweep = sub.add_parser("sweep", help="coupled p-grid / t-schedule sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out", default="runs")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=_worker_count, default=None)
     p_sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
 
     p_render = sub.add_parser("render", help="render one replicate as SVG")

@@ -12,6 +12,7 @@ thresholded at every p of a grid.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -69,22 +70,25 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p_grid,
     return [per_p[p] for p in p_grid]
 
 
-def _theta_rep(spec: ExperimentSpec, p: float, radii: tuple, rep: int):
+def _theta_rep(spec: ExperimentSpec, p_grid: tuple, radii: tuple, rep: int):
+    """Reach indicator per radius, per p of p_grid, of one tessellation and
+    one coloring thresholded at every p."""
     tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
+    col = coloring_for(spec, rep, tess, p_grid[0])
     graph = build_adjacency(tess, spec.adjacency)
     root = zero_cell(tess)
-    reach = cluster_reach(tess, graph, col, root)
-    return tuple(1 if reach >= r else 0 for r in radii)
+    reach = [cluster_reach(tess, graph, col.at_p(p), root) for p in p_grid]
+    return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
 
 
-def estimate_theta(spec: ExperimentSpec, p: float, radii, replicates: int,
-                   workers: int = 1) -> list[PercResult]:
+def estimate_theta(spec: ExperimentSpec, p_grid, radii, replicates: int,
+                   workers: int = 1) -> list[list[PercResult]]:
     """Finite proxy of the percolation function: P[zero cell's black cluster
-    reaches Euclidean distance r from the origin], per radius.
+    reaches Euclidean distance r from the origin], per radius, for each p of
+    p_grid (one list of PercResults per entry).
 
-    All radii are evaluated on the same replicates, so the estimates are
-    nonincreasing in r by construction.
+    All radii and every p are evaluated on the same replicates, so the
+    estimates are nonincreasing in r by construction.
     """
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -93,9 +97,10 @@ def estimate_theta(spec: ExperimentSpec, p: float, radii, replicates: int,
     half_width = min(-cw.lo[0], -cw.lo[1], cw.hi[0], cw.hi[1])
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")
-    vals, failed = run_replicates(partial(_theta_rep, spec, p, radii), replicates, workers)
-    return [PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed=failed, radius=r)
-            for k, r in enumerate(radii)]
+    vals, failed = run_replicates(partial(_theta_rep, spec, p_grid, radii), replicates, workers)
+    return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed,
+                                    radius=r)
+             for k, r in enumerate(radii)] for i in range(len(p_grid))]
 
 
 @dataclass
@@ -163,25 +168,28 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(spec: ExperimentSpec, p: float, window: Window, rep: int):
+def _spanning_rep(spec: ExperimentSpec, p_grid: tuple, window: Window, rep: int):
+    """Spanning cluster count per p of p_grid on one tessellation, whose
+    rectangle graph is built once, and one coloring."""
     tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
-    return spanning_cluster_count(tess, col, window, adjacency=spec.adjacency)
+    col = coloring_for(spec, rep, tess, p_grid[0])
+    graph = rect_graph(tess, window, spec.adjacency)
+    return tuple(spanning_cluster_count(tess, col.at_p(p), window, spec.adjacency, graph)
+                 for p in p_grid)
 
 
-def count_spanning_clusters(spec: ExperimentSpec, p: float, window: Window,
-                            replicates: int, workers: int = 1) -> SpanningCounts:
-    """Histogram of the number of distinct left-right spanning black clusters."""
+def count_spanning_clusters(spec: ExperimentSpec, p_grid, window: Window,
+                            replicates: int, workers: int = 1) -> list[SpanningCounts]:
+    """Histogram of the number of distinct left-right spanning black clusters,
+    for each p of p_grid; every p reads the same replicates."""
     if replicates < 100:
         raise ParameterError("spanning counter needs at least 100 replicates")
     if not spec.window.contains_window(window, tol=1e-9):
         raise ParameterError("analysis window must lie inside the core window")
-    vals, failed = run_replicates(partial(_spanning_rep, spec, p, window), replicates, workers)
-    hist: dict = {}
-    for v in vals:
-        hist[v] = hist.get(v, 0) + 1
-    return SpanningCounts(histogram=dict(sorted(hist.items())), replicates=len(vals),
-                          failed=failed)
+    vals, failed = run_replicates(partial(_spanning_rep, spec, p_grid, window), replicates,
+                                  workers)
+    return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
+                           replicates=len(vals), failed=failed) for k in range(len(p_grid))]
 
 
 @dataclass

@@ -12,8 +12,8 @@ Every op is one entry of OPS, keyed by its name. An entry holds
 - `keys`: the `params` keys the op allows;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
   `p`, which load_config then requires; EACH_P ops write rows for every p of
-  `p_grid` in config order (or for the single `p`), crossing from one
-  estimator call over the grid, the others through _per_p;
+  `p_grid` in config order (or for the single `p`), from one estimator
+  call over the grid that builds each replicate once;
 - `fn(spec, params, workers) -> (rows, summary)`, where a summary of None
   stands for {"rows": len(rows)};
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
@@ -158,14 +158,6 @@ def _each_p(spec) -> tuple:
     return spec.p_grid or (spec.p,)
 
 
-def _per_p(rows_at):
-    """The fn of an EACH_P op that makes one estimator call per p: the rows
-    of rows_at(spec, p, params, workers) for each p, in config order."""
-    def fn(spec, params, workers):
-        return [row for p in _each_p(spec) for row in rows_at(spec, p, params, workers)], None
-    return fn
-
-
 def _crossing(spec, params, workers):
     ps = _each_p(spec)
     results = estimate_crossing_prob(spec, _crossing_query(spec, params), ps,
@@ -173,10 +165,11 @@ def _crossing(spec, params, workers):
     return [_crossing_row(p, res) for p, res in zip(ps, results)], None
 
 
-def _theta(spec, p, params, workers):
+def _theta(spec, params, workers):
+    ps = _each_p(spec)
+    per_p = estimate_theta(spec, ps, params["radii"], spec.replicates, workers=workers)
     return [{**_ci_row(vars(r), p=p, radius=r.meta["radius"]), "failed": r.failed}
-            for r in estimate_theta(spec, p, params["radii"], spec.replicates,
-                                    workers=workers)]
+            for p, results in zip(ps, per_p) for r in results], None
 
 
 def _pc(spec, params, workers):
@@ -186,11 +179,13 @@ def _pc(spec, params, workers):
     return rows, {"interval": list(est.interval), "separated": est.separated}
 
 
-def _spanning(spec, p, params, workers):
-    res = count_spanning_clusters(spec, p, _window(params, "analysis_window", spec.window),
-                                  spec.replicates, workers=workers)
+def _spanning(spec, params, workers):
+    ps = _each_p(spec)
+    per_p = count_spanning_clusters(spec, ps, _window(params, "analysis_window", spec.window),
+                                    spec.replicates, workers=workers)
     return [{"p": p, "count": count, "frequency": freq, "replicates": res.replicates,
-             "failed": res.failed} for count, freq in res.histogram.items()]
+             "failed": res.failed} for p, res in zip(ps, per_p)
+            for count, freq in res.histogram.items()], None
 
 
 def _smp_gap(spec, params, workers):
@@ -282,9 +277,9 @@ OPS = {
     "void": Op(("Q", "t_values"), NO_P, _void),
     "laplace": Op(("t", "region"), NO_P, _laplace),
     "crossing": Op(("rect", "direction", "color"), EACH_P, _crossing, sweep=_sweep_crossing),
-    "theta": Op(("radii",), EACH_P, _per_p(_theta)),
+    "theta": Op(("radii",), EACH_P, _theta),
     "pc": Op(("tolerance", "replicates_per_probe"), NO_P, _pc),
-    "spanning": Op(("analysis_window",), EACH_P, _per_p(_spanning)),
+    "spanning": Op(("analysis_window",), EACH_P, _spanning),
     "smp_gap": Op(("family", "Q", "Qprime", "t_schedule"), ONE_P, _smp_gap,
                   sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers))),
     "line_smp": Op(("t_schedule", "angle_tol"), NO_P, _line_smp, process="poisson_line"),

@@ -190,10 +190,14 @@ def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery,
 
 
 def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
-                           adjacency: str = "face") -> int:
-    """Number of distinct black components joining the rect's left and right sides."""
-    return len(_spanning_labels(coloring.black, rect_graph(tess, rect, adjacency),
-                                "horizontal"))
+                           adjacency: str = "face", graph=None) -> int:
+    """Number of distinct black components joining the rect's left and right sides.
+
+    graph, when given, is rect_graph(tess, rect, adjacency), as in crossing.
+    """
+    if graph is None:
+        graph = rect_graph(tess, rect, adjacency)
+    return len(_spanning_labels(coloring.black, graph, "horizontal"))
 
 
 def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import QhullError, Voronoi
@@ -189,7 +190,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # regions of the real generators, concatenated: cell owner[k] has vertex cat[k]
     regions = [vor.regions[r] for r in vor.point_region[:n]]
     lengths = np.fromiter(map(len, regions), int, count=n)
-    cat = np.fromiter((v for r in regions for v in r), int, count=int(lengths.sum()))
+    cat = np.fromiter(chain.from_iterable(regions), int, count=int(lengths.sum()))
     owner = np.repeat(np.arange(n), lengths)
     bad = (lengths < 3) | (np.bincount(owner[cat < 0], minlength=n) > 0)
     if bad.any():
@@ -220,10 +221,11 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
         poly_xy, ptr = gather_rings(np.concatenate([poly_xy, cut_xy]),
                                     np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), ids)
 
-    ridge_pts = np.asarray(vor.ridge_points)
+    ridge_pts = vor.ridge_points
     real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
     pairs = ridge_pts[real].astype(int)
-    ridge_v = np.asarray(vor.ridge_vertices)[real]
+    ridge_v = np.fromiter(chain.from_iterable(vor.ridge_vertices), int,
+                          count=2 * len(ridge_pts)).reshape(-1, 2)[real]
     if (ridge_v < 0).any():
         raise ConstructionError("unbounded ridge between real generators")
     seg_a = vor.vertices[ridge_v[:, 0]]
@@ -235,29 +237,39 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
 
     # corner-only contacts: generators whose regions share a Voronoi vertex
     # inside the sampling window without sharing a face (cocircular
-    # degeneracies). Each (vertex, cell) incidence is ranked by the vertex's
-    # first position in the regions, then by cell; a vertex's cells are then
-    # consecutive and every pair of them is a candidate contact.
-    _, first = np.unique(cat, return_index=True)
+    # degeneracies, or a ridge that leaves the window at its vertex). At a
+    # vertex of exactly three real cells each pair of them shares a ridge
+    # ending there (mirror cells never reach the window), so only a vertex
+    # with four or more real cells, or one that ends a real ridge that is not
+    # a face, can carry such a contact. Each (vertex, cell) incidence of
+    # those vertices is ranked by the vertex's first position in the regions,
+    # then by cell; a vertex's cells are then consecutive and every pair of
+    # them is a candidate contact.
+    counts = np.bincount(cat, minlength=len(vor.vertices))
+    search = counts >= 4
+    search[ridge_v[~face_mask]] = True
+    at = np.nonzero(search)[0]
+    search[at] = sampling.expand(tol).contains_points(vor.vertices[at])
+    k_inc = np.nonzero(search[cat])[0]
+    v_inc = cat[k_inc]
+    _, first = np.unique(v_inc, return_index=True)
     rank = np.empty(len(vor.vertices), int)
-    rank[cat[first]] = first
-    order = np.lexsort((owner, rank[cat]))
-    r_inc, c_inc = rank[cat[order]], owner[order]
+    rank[v_inc[first]] = k_inc[first]
+    order = np.lexsort((owner[k_inc], rank[v_inc]))
+    r_inc, c_inc = rank[v_inc[order]], owner[k_inc[order]]
     cand = [np.empty((0, 3), int)]  # (rank, a, b) rows, a < b
-    for d in range(1, int(np.bincount(r_inc).max())):
+    for d in range(1, int(counts[search].max(initial=0))):
         same = r_inc[:-d] == r_inc[d:]
         cand.append(np.column_stack([r_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
     cand = np.concatenate(cand)
     cand = cand[np.lexsort(cand.T[::-1])]
-    vertex = vor.vertices[cat[cand[:, 0]]]
-    face_keys = np.sort(face_pairs, axis=1) @ [n, 1]
-    corner = (sampling.expand(tol).contains_points(vertex)
-              & ~np.isin(cand[:, 1:] @ [n, 1], face_keys))
+    if len(cand):  # general position leaves none; then skip the costly face lookup
+        cand = cand[~np.isin(cand[:, 1:] @ [n, 1], np.sort(face_pairs, axis=1) @ [n, 1])]
 
     # ridge contacts come before corner contacts; keep the first point per pair
-    star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[corner, 1:]])
+    star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[:, 1:]])
     points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
-                                 vertex[corner]])
+                                 vor.vertices[cat[cand[:, 0]]]])
     _, first = np.unique(star_all @ [n, 1], return_index=True)
 
     tess = Tessellation(

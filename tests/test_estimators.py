@@ -39,17 +39,16 @@ def test_crossing_prob_trivial_endpoints():
 
 def test_theta_trivials_and_monotonicity():
     spec = pv_spec(Window((-8, -8), (8, 8)), 0.5, 60, 2)
-    ones = estimate_theta(spec, 1.0, (2, 4), 60)
+    ones, zeros = estimate_theta(spec, (1.0, 0.0), (2, 4), 60)
     assert [r.estimate for r in ones] == [1.0, 1.0]
-    zeros = estimate_theta(spec, 0.0, (2, 4), 60)
     assert [r.estimate for r in zeros] == [0.0, 0.0]
-    mid = estimate_theta(spec, 0.5, (2, 4, 6), 60)
+    (mid,) = estimate_theta(spec, (0.5,), (2, 4, 6), 60)
     ests = [r.estimate for r in mid]
     assert all(b <= a for a, b in zip(ests, ests[1:]))
     with pytest.raises(ParameterError):
-        estimate_theta(spec, 0.5, (2, 20), 60)  # exceeds half-width
+        estimate_theta(spec, (0.5,), (2, 20), 60)  # exceeds half-width
     with pytest.raises(ParameterError):
-        estimate_theta(spec, 0.5, (4, 2), 60)
+        estimate_theta(spec, (0.5,), (4, 2), 60)
 
 
 def lattice_crossover_oracle(L, reps, seed, p_lo=0.5, p_hi=0.7, iters=12):
@@ -104,9 +103,8 @@ def test_pc_tolerance_validation():
 
 def test_spanning_counts_trivials():
     spec = pv_spec(Window((0, 0), (10, 10)), 1.0, 100, 3)
-    res1 = count_spanning_clusters(spec, 1.0, spec.window, 100)
+    res1, res0 = count_spanning_clusters(spec, (1.0, 0.0), spec.window, 100)
     assert res1.histogram == {1: 100}
-    res0 = count_spanning_clusters(spec, 0.0, spec.window, 100)
     assert res0.histogram == {0: 100}
 
 

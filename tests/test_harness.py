@@ -338,6 +338,44 @@ def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypa
         assert [row["p"] for row in csv.DictReader(fh)] == ["0.6", "0.4", "0.5"]
 
 
+@pytest.mark.parametrize("op,replicates,params", [
+    ("theta", 20, {"radii": [1, 2]}),
+    ("spanning", 100, {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}),
+])
+def test_theta_and_spanning_runs_build_each_replicate_once_for_a_p_grid(
+        op, replicates, params, tmp_path, monkeypatch):
+    built = []
+    build = estimators.build_tessellation
+    monkeypatch.setattr(estimators, "build_tessellation",
+                        lambda spec, rep: built.append(rep) or build(spec, rep))
+    cfg = {"op": op, "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
+           "replicates": replicates, "master_seed": 48, "params": params}
+    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "grid"))
+    assert sorted(built) == list(range(replicates))
+    with open(Path(record.out_dir) / f"{op}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # the grid's rows are those of one run per p, in config order
+    want = []
+    for p in cfg["p_grid"]:
+        one = harness.run(_write_config(tmp_path, {**cfg, "p_grid": [p]}),
+                          out_dir=str(tmp_path / str(p)))
+        with open(Path(one.out_dir) / f"{op}.csv", newline="") as fh:
+            want += list(csv.reader(fh))[1:]
+    assert rows[1:] == want
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_worker(command, workers, tmp_path, capsys):
+    _, cfg, _, _ = GOLDEN["sweep_crossing"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, _write_config(tmp_path, cfg), "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_seed_overrides_master_seed(tmp_path):
     _, cfg, _, _ = GOLDEN["sweep_crossing"]
     seeded = tmp_path / "seeded"

@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Voronoi
 
+from tessperc import tessellation
 from tessperc.errors import ConstructionError, EdgeEffectError, ParameterError
-from tessperc.geometry import Window, point_in_convex_polygon, ring_areas
+from tessperc.geometry import Window, clip_segments_to_rect, point_in_convex_polygon, ring_areas
 from tessperc.point_process import PointConfiguration, ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
@@ -236,3 +240,108 @@ def _grid_voronoi():
 ])
 def test_geometry_digest(name, build, digest):
     assert _geometry_digest(build()) == digest
+
+
+# Reference: the corner-contact search over every (vertex, cell) incidence,
+# as build_voronoi ran it before it searched only the vertices that can carry
+# a corner contact.
+
+def _ref_star_contacts(points, sampling, tol):
+    n = len(points)
+    ang = 2 * np.pi * np.arange(tessellation._MIRROR_COUNT) / tessellation._MIRROR_COUNT
+    radius = tessellation._MIRROR_RADIUS_FACTOR * sampling.diagonal
+    mirrors = sampling.center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    vor = Voronoi(np.vstack([points, mirrors]))
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    cat = np.array([v for r in regions for v in r], int)
+    owner = np.repeat(np.arange(n), [len(r) for r in regions])
+    ridge_pts = np.asarray(vor.ridge_points)
+    real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
+    pairs = ridge_pts[real].astype(int)
+    ridge_v = np.asarray(vor.ridge_vertices)[real]
+    seg_a, seg_b = vor.vertices[ridge_v[:, 0]], vor.vertices[ridge_v[:, 1]]
+    ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
+    face_mask = ok & (seg_len > tol)
+    contact_mask = ok & ~face_mask
+
+    _, first = np.unique(cat, return_index=True)
+    rank = np.empty(len(vor.vertices), int)
+    rank[cat[first]] = first
+    order = np.lexsort((owner, rank[cat]))
+    r_inc, c_inc = rank[cat[order]], owner[order]
+    cand = [np.empty((0, 3), int)]
+    for d in range(1, int(np.bincount(r_inc).max())):
+        same = r_inc[:-d] == r_inc[d:]
+        cand.append(np.column_stack([r_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
+    cand = np.concatenate(cand)
+    cand = cand[np.lexsort(cand.T[::-1])]
+    vertex = vor.vertices[cat[cand[:, 0]]]
+    face_keys = np.sort(pairs[face_mask], axis=1) @ [n, 1]
+    corner = (sampling.expand(tol).contains_points(vertex)
+              & ~np.isin(cand[:, 1:] @ [n, 1], face_keys))
+
+    star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[corner, 1:]])
+    points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
+                                 vertex[corner]])
+    _, first = np.unique(star_all @ [n, 1], return_index=True)
+    return star_all[first], points_all[first]
+
+
+_GRIDS = {
+    "integer": np.eye(2),
+    "sheared": np.array([[1.0, 0.0], [0.5, 1.0]]),
+    "rotated": np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]]),
+    "perturbed": np.eye(2),
+}
+
+
+@st.composite
+def _star_cases(draw):
+    """(configuration, core window, validate_buffer). Grids get sampling
+    window sides on a generator row, a vertex row or between, and core
+    sides on vertex or generator rows; Poisson configurations get buffers
+    from 0.5 to 5."""
+    validate = draw(st.booleans())
+    kind = draw(st.sampled_from(sorted(_GRIDS) + ["poisson"]))
+    if kind == "poisson":
+        side, buffer = draw(st.sampled_from([4.0, 8.0])), draw(st.sampled_from([0.5, 2.0, 5.0]))
+        core = Window((0.0, 0.0), (side, side))
+        rng = stream(draw(st.integers(0, 10_000)), 0, "tess")
+        return sample_poisson(1.0, core.expand(buffer), rng), core, validate
+    m = draw(st.integers(3, 6))
+    pts = grid_points(-m, m) @ _GRIDS[kind]
+    if kind == "perturbed":
+        rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+        pts = pts + rng.uniform(-1e-12, 1e-12, pts.shape)
+    pad = [draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for _ in range(4)]
+    lo, hi = pts.min(axis=0) - pad[:2], pts.max(axis=0) + pad[2:]
+    inset = [draw(st.sampled_from([1.0, 1.5, 2.0])) for _ in range(4)]
+    core = Window((-m + inset[0], -m + inset[1]), (m - inset[2], m - inset[3]))
+    return PointConfiguration(pts, Window(tuple(lo), tuple(hi))), core, validate
+
+
+@settings(max_examples=80, deadline=None)
+@given(_star_cases())
+def test_star_contacts_match_the_all_vertex_reference(case):
+    cfg, core, validate = case
+    try:
+        tess = build_voronoi(cfg, core, validate_buffer=validate)
+    except EdgeEffectError:  # the contacts do not depend on the validation
+        tess = build_voronoi(cfg, core, validate_buffer=False)
+    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol)
+    assert tess.star_pairs.dtype == pairs.dtype and tess.star_pairs.tobytes() == pairs.tobytes()
+    assert tess.star_points.tobytes() == points.tobytes()
+
+
+def test_corner_contact_at_a_vertex_just_outside_the_sampling_window():
+    # the generators' circumcenter (0, 0.75) lies 1e-12 above the window,
+    # within tolerance; the ridge of generators 0 and 1 runs outward from it,
+    # so those two cells touch the window only at that vertex
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -0.5]])
+    cfg = PointConfiguration(pts, Window((-1.0, -0.5), (1.0, 0.75 - 1e-12)))
+    tess = build_voronoi(cfg, Window((-0.5, -0.25), (0.5, 0.25)), validate_buffer=False)
+    assert tess.star_pairs.tolist() == [[0, 1]]
+    assert tess.star_points == pytest.approx(np.array([[0.0, 0.75]]), abs=1e-12)
+    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol)
+    assert tess.star_pairs.tobytes() == pairs.tobytes()
+    assert tess.star_points.tobytes() == points.tobytes()
