@@ -11,19 +11,25 @@ from .errors import (ConfigError, ConstructionError, EdgeEffectError, EstimatorF
                      ParameterError)
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TESSPERC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _worker_count(text: str) -> int:
-    """argparse type of --workers: an integer of at least 1."""
-    n = int(text)
+    """argparse type of --workers, and the check of TESSPERC_WORKERS: an
+    integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _default_workers(parser: argparse.ArgumentParser) -> int:
+    """TESSPERC_WORKERS, checked as --workers is (1 when unset or empty); a
+    bad value is a usage error."""
+    try:
+        return _worker_count(os.environ.get("TESSPERC_WORKERS") or "1")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"TESSPERC_WORKERS: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    workers = getattr(args, "workers", None) or _default_workers()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "render":
+        workers = args.workers or _default_workers(parser)
     try:
         if args.command == "run":
             from .harness import run

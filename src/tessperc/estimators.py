@@ -1,12 +1,15 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
-Each estimator builds a fresh tessellation + coloring per replicate from
-deterministic streams, counts events, and reports Wilson intervals. The
-replicates run through experiment.run_replicates, which drops and counts
-build failures (edge effects, degenerate inputs) and fails the run past
-its failure budget. Crossing probabilities have one estimator,
-estimate_crossing_curve: one tessellation and one coloring per replicate,
-thresholded at every p of a grid.
+Each replicate draws its coloring, and its tessellation where that varies
+by replicate, from deterministic streams; the estimators count events and
+report Wilson intervals. The replicates run through
+experiment.run_replicates, which drops and counts build failures (edge
+effects, degenerate inputs) and fails the run past its failure budget.
+Crossing probabilities have one estimator, estimate_crossing_curve: one
+coloring per replicate, thresholded at every p of a grid. It builds a
+tessellation that does not vary by replicate (an unshifted lattice), and
+its rectangle graph, once per estimate; the other estimators build one
+tessellation per replicate.
 """
 
 from __future__ import annotations
@@ -24,17 +27,27 @@ from .graphs import graph_ball, outer_boundary
 from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
                           label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
-from .experiment import ExperimentSpec, build_tessellation, coloring_for, run_replicates
+from .experiment import (ExperimentSpec, build_tessellation, coloring_for, run_replicates,
+                         varies_by_replicate)
 from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
-def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p_grid: tuple, rep: int):
-    """(rep, crossing indicator per p of p_grid) of one tessellation and one
-    coloring, whose rectangle graph is built once; the id survives dropped
-    failures."""
+def _crossing_instance(spec: ExperimentSpec, query: CrossingQuery, rep: int):
+    """(tessellation of replicate rep, its rectangle graph for query)."""
     tess = build_tessellation(spec, rep)
+    return tess, rect_graph(tess, query.rect, query.adjacency)
+
+
+def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p_grid: tuple, instance,
+                  rep: int):
+    """(rep, crossing indicator per p of p_grid) of one coloring of a
+    tessellation and its rectangle graph; the id survives dropped failures.
+
+    instance is the (tessellation, rectangle graph) pair that every
+    replicate shares, or None to build the replicate's own pair.
+    """
+    tess, graph = instance or _crossing_instance(spec, query, rep)
     col = coloring_for(spec, rep, tess, p_grid[0])
-    graph = rect_graph(tess, query.rect, query.adjacency)
     return rep, tuple(1 if crossing(tess, col.at_p(p), query, graph) else 0 for p in p_grid)
 
 
@@ -46,8 +59,11 @@ def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
     PercResult per p. Every p of a replicate thresholds the same uniforms,
     so its black crossing indicators are nondecreasing in p and its white
     ones nonincreasing; a spot check on ~1% of the replicates enforces this.
+    A tessellation that does not vary by replicate is built once, with its
+    rectangle graph, and every replicate colours that one.
     """
-    results, failed = run_replicates(partial(_crossing_rep, spec, query, p_grid),
+    instance = None if varies_by_replicate(spec) else _crossing_instance(spec, query, 0)
+    results, failed = run_replicates(partial(_crossing_rep, spec, query, p_grid, instance),
                                      replicates, workers)
     vals = [indicators for _, indicators in results]
     sign = 1 if query.color == "black" else -1

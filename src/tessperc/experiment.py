@@ -80,12 +80,20 @@ class ExperimentSpec:
         )
 
 
+def varies_by_replicate(spec: ExperimentSpec) -> bool:
+    """Whether build_tessellation(spec, rep) depends on rep: true for every
+    point process and for a lattice with random_shift. An unshifted lattice
+    reads no stream, so one build serves every replicate."""
+    return (spec.process.kind not in LATTICE_KINDS
+            or bool(spec.process.params.get("random_shift", False)))
+
+
 def build_tessellation(spec: ExperimentSpec, rep: int) -> Tessellation:
     """The standard per-replicate tessellation for an experiment."""
     kind = spec.process.kind
     if kind in LATTICE_KINDS:
         spacing = float(spec.process.params["spacing"])
-        if spec.process.params.get("random_shift", False):
+        if varies_by_replicate(spec):
             rng = stream(spec.master_seed, rep, "shift")
             shift = rng.random(2) * spacing
         else:

@@ -8,7 +8,7 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_prob
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
                                  verify_crossing_recursion)
-from tessperc.experiment import ExperimentSpec
+from tessperc.experiment import ExperimentSpec, build_tessellation, varies_by_replicate
 from tessperc.geometry import Window
 from tessperc.percolation import Coloring, CrossingQuery, color
 from tessperc.point_process import ProcessSpec
@@ -26,6 +26,22 @@ def lattice_spec(window, p, replicates, seed, spacing=1.0):
     return ExperimentSpec(process=ProcessSpec("square_lattice", {"spacing": spacing}),
                           window=window, adjacency="face", p=p,
                           replicates=replicates, master_seed=seed)
+
+
+@pytest.mark.parametrize("kind,params,varies", [
+    ("square_lattice", {"spacing": 1.0}, False),
+    ("hexagonal_lattice", {"spacing": 1.0, "random_shift": False}, False),
+    ("square_lattice", {"spacing": 1.0, "random_shift": True}, True),
+    ("hexagonal_lattice", {"spacing": 1.0, "random_shift": True}, True),
+    ("poisson", {"gamma": 1.0}, True),
+])
+def test_varies_by_replicate_matches_build_tessellation(kind, params, varies):
+    spec = ExperimentSpec(process=ProcessSpec(kind, params), window=Window((-3, -3), (3, 3)),
+                          master_seed=5)
+    assert varies_by_replicate(spec) is varies
+    a, b = build_tessellation(spec, 0), build_tessellation(spec, 1)
+    same = a.poly_xy.shape == b.poly_xy.shape and np.array_equal(a.poly_xy, b.poly_xy)
+    assert same is not varies
 
 
 def test_crossing_prob_trivial_endpoints():

@@ -19,6 +19,9 @@ from tessperc.tessellation import build_voronoi
 SQ = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
 PV = {"kind": "poisson", "params": {"gamma": 1.0}}
 HEX = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0, "random_shift": True}}
+# without random_shift every replicate sees the same lattice
+SQ_FIXED = {"kind": "square_lattice", "params": {"spacing": 1.0}}
+HEX_FIXED = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0}}
 LINES = {"kind": "poisson_line", "params": {"line_intensity": 1.0}}
 W4 = [[-4.0, -4.0], [4.0, 4.0]]
 W6 = [[-6.0, -6.0], [6.0, 6.0]]
@@ -144,6 +147,26 @@ GOLDEN = {
                    "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}, {
         "smp_gap.csv": "bd9511e3eb2e81b389644db462c7f8f8c300debe552c3c472ff0a9c32a6b72c4"},
         "18db5213caddfb1fa18140f77f3112dfb35456a759d4006fcabc4fc701d5f9d9"),
+    "pc_square_unshifted": ("run", {
+        "op": "pc", "process": SQ_FIXED, "window": W4, "adjacency": "face",
+        "replicates": 50, "master_seed": 50,
+        "params": {"tolerance": 0.1, "replicates_per_probe": 50}}, {
+        "pc.csv": "d8bf0c6caacf7099a1130f0485395a0af57e5d7104e98bc199dac7d3f214874d"},
+        "4314384d5afe1cb7df37c2727f4061fc2c07d608b5573b391971f543db00d7b8"),
+    "crossing_square_unshifted_star_white": ("run", {
+        "op": "crossing", "process": SQ_FIXED, "window": W6, "adjacency": "star",
+        "p_grid": [0.55, 0.6, 0.65], "replicates": 50, "master_seed": 51,
+        "params": {"rect": [[-4.5, -5.2], [5.1, 3.9]], "direction": "vertical",
+                   "color": "white"}}, {
+        "crossing.csv": "09dca417b3d01b93940233dac7c7e0c5551b3d1a06f1a18aeb984fcf2a5b67ef"},
+        "32a461613f889715441938eab4ee87cd6a246bbb6139a2249757b70ed8af3665"),
+    "sweep_crossing_hexagonal_unshifted": ("sweep", {
+        "op": "crossing", "process": HEX_FIXED, "window": W4, "adjacency": "face",
+        "p_grid": [0.4, 0.5, 0.6], "replicates": 20, "master_seed": 52,
+        "params": {"rect": [[-3.2, -3.1], [3.4, 2.9]]}}, {
+        "summary.csv": "93d48fd8241bd3ce8d81a8f15e2fda2a3878f2a678c92c15ec9b17fbcfbb71a9",
+        "sweep.csv": "80ee8243847e87cef83f42e3fbd4c49fe877eab906c067b5401cb6e49fd07863"},
+        "6742a4b7d6ed65c1134d2b4c73828121089e320f97645aae4ad608dcc8e8d942"),
 }
 
 
@@ -178,7 +201,9 @@ def _csv_bytes(record) -> dict:
     {"op": "spanning", "process": SQ, "window": W4, "adjacency": "star", "p": 0.5,
      "replicates": 100, "master_seed": 32,
      "params": {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}},
-], ids=["theta_voronoi", "spanning_shifted_lattice"])
+    {"op": "pc", "process": SQ_FIXED, "window": W4, "adjacency": "face", "replicates": 50,
+     "master_seed": 49, "params": {"tolerance": 0.1, "replicates_per_probe": 50}},
+], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice"])
 def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     path = _write_config(tmp_path, cfg)
     one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
@@ -325,11 +350,17 @@ def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
     assert {p.name: p.read_bytes() for p in cli_out.glob("*.csv")} == _csv_bytes(record)
 
 
-def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypatch):
+def _record_builds(monkeypatch) -> list:
+    """The replicate id of every estimators.build_tessellation call, in call order."""
     built = []
     build = estimators.build_tessellation
     monkeypatch.setattr(estimators, "build_tessellation",
                         lambda spec, rep: built.append(rep) or build(spec, rep))
+    return built
+
+
+def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypatch):
+    built = _record_builds(monkeypatch)
     cfg = {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
            "replicates": 50, "master_seed": 47}
     record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
@@ -344,10 +375,7 @@ def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypa
 ])
 def test_theta_and_spanning_runs_build_each_replicate_once_for_a_p_grid(
         op, replicates, params, tmp_path, monkeypatch):
-    built = []
-    build = estimators.build_tessellation
-    monkeypatch.setattr(estimators, "build_tessellation",
-                        lambda spec, rep: built.append(rep) or build(spec, rep))
+    built = _record_builds(monkeypatch)
     cfg = {"op": op, "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
            "replicates": replicates, "master_seed": 48, "params": params}
     record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "grid"))
@@ -364,6 +392,20 @@ def test_theta_and_spanning_runs_build_each_replicate_once_for_a_p_grid(
     assert rows[1:] == want
 
 
+def test_unshifted_lattice_is_built_once_per_crossing_estimate(tmp_path, monkeypatch):
+    built = _record_builds(monkeypatch)
+    cfg = {"op": "crossing", "process": SQ_FIXED, "window": W4, "p_grid": [0.6, 0.4, 0.5],
+           "replicates": 50, "master_seed": 53}
+    harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "crossing"))
+    assert len(built) == 1
+    built.clear()
+    _, cfg, _, _ = GOLDEN["pc_square_unshifted"]
+    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "pc"))
+    with open(Path(record.out_dir) / "pc.csv", newline="") as fh:
+        probes = list(csv.DictReader(fh))
+    assert len(built) == len(probes) > 1
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_rejects_fewer_than_one_worker(command, workers, tmp_path, capsys):
@@ -373,6 +415,21 @@ def test_cli_rejects_fewer_than_one_worker(command, workers, tmp_path, capsys):
         main([command, _write_config(tmp_path, cfg), "--out", str(out), "--workers", workers])
     assert exc.value.code == 2
     assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,message", [
+    ("two", "TESSPERC_WORKERS: must be an integer, got 'two'"),
+    ("-3", "TESSPERC_WORKERS: must be at least 1, got -3"),
+])
+def test_cli_rejects_a_bad_tessperc_workers(value, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TESSPERC_WORKERS", value)
+    _, cfg, _, _ = GOLDEN["sweep_crossing"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
