@@ -10,10 +10,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError
-from .experiment import ExperimentSpec, build_tessellation, coloring_for, run_replicates
+from .experiment import (ExperimentSpec, as_built, build_tessellation, map_replicates,
+                         run_replicates)
 from .geometry import Window, edge_normals, poly_box_overlaps
 from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
-from .percolation import CrossingQuery, crossing, spanning_cluster_count
+from .percolation import Coloring, CrossingQuery, crossing, spanning_cluster_count
 from .point_process import ProcessSpec, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import stream
@@ -75,17 +76,14 @@ class SmpGapCurve:
                    "gap": self.gap[k], "ci_lo": lo, "ci_hi": hi}
 
 
-def _smp_crossing_rep(spec: ExperimentSpec, rects, rep: int):
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess)
-    out = []
-    for rq, rqp in rects:
-        e = crossing(tess, col, CrossingQuery(rect=rq, direction="horizontal",
-                                              color="black", adjacency=spec.adjacency))
-        ep = crossing(tess, col, CrossingQuery(rect=rqp, direction="horizontal",
-                                               color="black", adjacency=spec.adjacency))
-        out.append((1 if e else 0, 1 if ep else 0))
-    return out
+def _smp_crossing_rep(p: float, adjacency: str, rects, tess, uniforms, rep: int):
+    col = Coloring(uniforms, p)
+
+    def crosses(rect):
+        return 1 if crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
+                                                      color="black", adjacency=adjacency)) else 0
+
+    return [(crosses(rq), crosses(rqp)) for rq, rqp in rects]
 
 
 def _smp_void_rep(spec: ExperimentSpec, rects, rep: int):
@@ -119,12 +117,13 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
             raise ParameterError(f"scaled rectangles at t={t} leave the core window")
         rects.append((rq, rqp))
     if event_family == "crossing":
-        fn = partial(_smp_crossing_rep, spec, rects)
+        vals, failed = run_replicates(spec, build_tessellation, as_built,
+                                      partial(_smp_crossing_rep, spec.p, spec.adjacency, rects),
+                                      replicates, workers)
     elif event_family == "void":
-        fn = partial(_smp_void_rep, spec, rects)
+        vals, failed = map_replicates(partial(_smp_void_rep, spec, rects), replicates, workers)
     else:
         raise ParameterError("event_family must be 'crossing' or 'void'")
-    vals, failed = run_replicates(fn, replicates, workers)
     return SmpGapCurve.from_indicators(t_schedule, vals,
                                        {"family": event_family, "failed": failed})
 
@@ -186,10 +185,9 @@ class MixtureResult:
     p: float
 
 
-def _mixture_rep(spec: ExperimentSpec, p: float, window: Window, rep: int):
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
-    return 1 if spanning_cluster_count(tess, col, window, adjacency="face") >= 1 else 0
+def _mixture_rep(p: float, window: Window, tess, uniforms, rep: int):
+    return 1 if spanning_cluster_count(tess, Coloring(uniforms, p), window,
+                                       adjacency="face") >= 1 else 0
 
 
 def mixture_nonergodic_demo(p: float, window: Window, replicates_per_component: int,
@@ -210,7 +208,8 @@ def mixture_nonergodic_demo(p: float, window: Window, replicates_per_component: 
             process=ProcessSpec(kind, {"spacing": spacing, "random_shift": True}),
             window=window, adjacency="face", p=p,
             replicates=replicates_per_component, master_seed=seed)
-        vals, failed = run_replicates(partial(_mixture_rep, spec, p, window),
+        vals, failed = run_replicates(spec, build_tessellation, as_built,
+                                      partial(_mixture_rep, p, window),
                                       replicates_per_component, workers)
         results[kind] = PercResult.from_counts(sum(vals), len(vals), failed=failed)
     sq, hx = results["square_lattice"], results["hexagonal_lattice"]
@@ -231,18 +230,19 @@ class TamenessReport:
     failed: int
 
 
-def _tameness_rep(spec: ExperimentSpec, delta: float, schedule: tuple, region: Window,
-                  rep: int):
-    tess = build_tessellation(spec, rep)
-    y_field = compute_Y_field(tess, delta, region)
-    u_field = compute_U_field(tess, delta, region)
+def _tameness_prepare(delta: float, region: Window, tess):
+    """The Y and U fields of a tessellation."""
+    return compute_Y_field(tess, delta, region), compute_U_field(tess, delta, region)
+
+
+def _tameness_rep(master_seed: int, schedule: tuple, fields, uniforms, rep: int):
+    """Anchored and free animal maxima of both fields; the colouring is not read."""
     out = {}
     for n in schedule:
-        for name, fld in (("Y", y_field), ("U", u_field)):
-            rng = stream(spec.master_seed, rep, f"animal:{name}:{n}")
-            anchored = greedy_animal_max(fld, n, method="local_search", anchor=(0, 0),
-                                         rng=rng)
-            free = greedy_animal_max(fld, n, method="local_search", anchor=None, rng=rng)
+        for name, fld in zip(("Y", "U"), fields):
+            rng = stream(master_seed, rep, f"animal:{name}:{n}")
+            anchored = greedy_animal_max(fld, n, rng, anchor=(0, 0))
+            free = greedy_animal_max(fld, n, rng)
             out[f"anchored_{name}:{n}"] = anchored.best_value
             out[f"free_{name}:{n}"] = free.best_value
     return out
@@ -268,7 +268,9 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: 
         raise ParameterError("region must contain the origin box for anchored animals")
     if (i1 - i0 + 1) * (j1 - j0 + 1) < max(schedule):
         raise ParameterError("region too small for the largest animal in the schedule")
-    vals, failed = run_replicates(partial(_tameness_rep, spec, delta, schedule, region),
+    vals, failed = run_replicates(spec, build_tessellation,
+                                  partial(_tameness_prepare, delta, region),
+                                  partial(_tameness_rep, spec.master_seed, schedule),
                                   replicates, workers)
     curves = {}
     for which in ("anchored_Y", "anchored_U", "free_Y", "free_U"):
@@ -300,6 +302,7 @@ class PeierlsResult:
     bounds: list
     below_bound: list
     replicates: int
+    failed: int
 
 
 def _ring_boxes(length: int, rng: np.random.Generator):
@@ -322,6 +325,43 @@ def _ring_boxes(length: int, rng: np.random.Generator):
     return boxes
 
 
+def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
+                 master_seed: int, tess, uniforms, rep: int):
+    """Per cycle length, whether every box of a random circuit of that
+    length around the origin meets a white cell."""
+    white = Coloring(uniforms, p).mask("white")
+    bb = tess.bboxes
+    cache: dict = {}
+
+    def box_white(ix, jy):
+        key = (ix, jy)
+        if key in cache:
+            return cache[key]
+        lo = ((ix - 0.5) * delta, (jy - 0.5) * delta)
+        hi = ((ix + 0.5) * delta, (jy + 0.5) * delta)
+        if not window.contains_window(Window(lo, hi), tol=tess.tol):
+            raise ParameterError("circuit box leaves the analysis window")
+        cand = np.nonzero((bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0])
+                          & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1]))[0]
+        hit = False
+        for c in cand:
+            if not white[c]:
+                continue
+            poly = tess.polygon(c)
+            normals, offsets = edge_normals(poly)
+            if poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
+                hit = True
+                break
+        cache[key] = hit
+        return hit
+
+    out = []
+    for ln in cycle_lengths:
+        ring = _ring_boxes(ln, stream(master_seed, rep, f"cycle:{ln}"))
+        out.append(all(box_white(a, b) for a, b in ring))
+    return out
+
+
 def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
                   replicates: int, c3: float, c4: float,
                   cycle_lengths=(8, 16, 32)) -> PeierlsResult:
@@ -329,52 +369,24 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
     all-white-circuit bound evaluated with empirically measured constants.
 
     c3 (< 1) and c4 come from a prior tameness report (the U and Y curve
-    levels); c3 >= 1 declines the probe.
+    levels); c3 >= 1 declines the probe. Replicates whose tessellation fails
+    to build are dropped and counted in failed.
     """
     if c3 >= 1.0:
         return PeierlsResult(declined=True, reason=f"empirical c3={c3} >= 1",
                              cycle_lengths=list(cycle_lengths), estimates=[], sigmas=[],
-                             bounds=[], below_bound=[], replicates=0)
+                             bounds=[], below_bound=[], replicates=0, failed=0)
     exponent = 3.0 ** 4 * c4 / (1.0 - c3)
-    counts = {ln: 0 for ln in cycle_lengths}
-    for rep in range(replicates):
-        tess = build_tessellation(spec, rep)
-        col = coloring_for(spec, rep, tess, p)
-        white = ~col.black
-        bb = tess.bboxes
-        cache: dict = {}
-
-        def box_white(ix, jy):
-            key = (ix, jy)
-            if key in cache:
-                return cache[key]
-            lo = ((ix - 0.5) * delta, (jy - 0.5) * delta)
-            hi = ((ix + 0.5) * delta, (jy + 0.5) * delta)
-            if not window.contains_window(Window(lo, hi), tol=tess.tol):
-                raise ParameterError("circuit box leaves the analysis window")
-            cand = np.nonzero((bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0])
-                              & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1]))[0]
-            hit = False
-            for c in cand:
-                if not white[c]:
-                    continue
-                poly = tess.polygon(c)
-                normals, offsets = edge_normals(poly)
-                if poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
-                    hit = True
-                    break
-            cache[key] = hit
-            return hit
-
-        for ln in cycle_lengths:
-            rng = stream(spec.master_seed, rep, f"cycle:{ln}")
-            ring = _ring_boxes(ln, rng)
-            if all(box_white(a, b) for a, b in ring):
-                counts[ln] += 1
+    vals, failed = run_replicates(
+        spec, build_tessellation, as_built,
+        partial(_peierls_rep, p, delta, window, tuple(cycle_lengths), spec.master_seed),
+        replicates)
+    n = len(vals)
     estimates, sigmas, bounds, below = [], [], [], []
-    for ln in cycle_lengths:
-        est = counts[ln] / replicates
-        sig = wilson_sigma(counts[ln], replicates)
+    for k, ln in enumerate(cycle_lengths):
+        hits = sum(v[k] for v in vals)
+        est = hits / n
+        sig = wilson_sigma(hits, n)
         bound = (1.0 - p ** exponent) ** ((1.0 - c3) * ln / 9.0)
         estimates.append(est)
         sigmas.append(sig)
@@ -382,4 +394,4 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
         below.append(bool(est <= bound + 3.0 * sig))
     return PeierlsResult(declined=False, reason="", cycle_lengths=list(cycle_lengths),
                          estimates=estimates, sigmas=sigmas, bounds=bounds,
-                         below_bound=below, replicates=replicates)
+                         below_bound=below, replicates=n, failed=failed)

@@ -1,15 +1,18 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
-Each replicate draws its coloring, and its tessellation where that varies
-by replicate, from deterministic streams; the estimators count events and
-report Wilson intervals. The replicates run through
-experiment.run_replicates, which drops and counts build failures (edge
-effects, degenerate inputs) and fails the run past its failure budget.
-Crossing probabilities have one estimator, estimate_crossing_curve: one
-coloring per replicate, thresholded at every p of a grid. It builds a
-tessellation that does not vary by replicate (an unshifted lattice), and
-its rectangle graph, once per estimate; the other estimators build one
-tessellation per replicate.
+Every estimator is a prepare/query pair run by experiment.run_replicates:
+prepare builds the colour-independent part of a query (a rectangle graph,
+the adjacency graph and zero cell) once per tessellation, and query reads
+one replicate's colouring uniforms, thresholded at each p it asks. The
+runner builds a tessellation that does not vary by replicate (an unshifted
+lattice) once per run, drops and counts build failures (edge effects,
+degenerate inputs) and fails the run past its failure budget. The
+estimators count events and report Wilson intervals. Crossing
+probabilities have one estimator, estimate_crossing_curve, which
+thresholds each replicate's colouring at every p of a grid.
+
+The build, crossing, adjacency, zero-cell and reach functions are looked
+up in this module, so a wrapper on these bindings sees every call.
 """
 
 from __future__ import annotations
@@ -27,28 +30,22 @@ from .graphs import graph_ball, outer_boundary
 from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
                           label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
-from .experiment import (ExperimentSpec, build_tessellation, coloring_for, run_replicates,
-                         varies_by_replicate)
+from .experiment import (ExperimentSpec, as_built, build_tessellation, coloring_for,
+                         run_replicates)
 from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
-def _crossing_instance(spec: ExperimentSpec, query: CrossingQuery, rep: int):
-    """(tessellation of replicate rep, its rectangle graph for query)."""
-    tess = build_tessellation(spec, rep)
-    return tess, rect_graph(tess, query.rect, query.adjacency)
+def _rect_prepare(rect: Window, adjacency: str, tess: Tessellation):
+    """(tessellation, its rectangle graph of rect)."""
+    return tess, rect_graph(tess, rect, adjacency)
 
 
-def _crossing_rep(spec: ExperimentSpec, query: CrossingQuery, p_grid: tuple, instance,
-                  rep: int):
+def _crossing_rep(query: CrossingQuery, p_grid: tuple, prepared, uniforms, rep: int):
     """(rep, crossing indicator per p of p_grid) of one coloring of a
-    tessellation and its rectangle graph; the id survives dropped failures.
-
-    instance is the (tessellation, rectangle graph) pair that every
-    replicate shares, or None to build the replicate's own pair.
-    """
-    tess, graph = instance or _crossing_instance(spec, query, rep)
-    col = coloring_for(spec, rep, tess, p_grid[0])
-    return rep, tuple(1 if crossing(tess, col.at_p(p), query, graph) else 0 for p in p_grid)
+    tessellation and its rectangle graph; the id survives dropped failures."""
+    tess, graph = prepared
+    return rep, tuple(1 if crossing(tess, Coloring(uniforms, p), query, graph) else 0
+                      for p in p_grid)
 
 
 def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
@@ -59,12 +56,10 @@ def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
     PercResult per p. Every p of a replicate thresholds the same uniforms,
     so its black crossing indicators are nondecreasing in p and its white
     ones nonincreasing; a spot check on ~1% of the replicates enforces this.
-    A tessellation that does not vary by replicate is built once, with its
-    rectangle graph, and every replicate colours that one.
     """
-    instance = None if varies_by_replicate(spec) else _crossing_instance(spec, query, 0)
-    results, failed = run_replicates(partial(_crossing_rep, spec, query, p_grid, instance),
-                                     replicates, workers)
+    results, failed = run_replicates(spec, build_tessellation,
+                                     partial(_rect_prepare, query.rect, query.adjacency),
+                                     partial(_crossing_rep, query, p_grid), replicates, workers)
     vals = [indicators for _, indicators in results]
     sign = 1 if query.color == "black" else -1
     for indicators in vals[::max(1, len(vals) // 100)]:
@@ -86,14 +81,16 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p_grid,
     return [per_p[p] for p in p_grid]
 
 
-def _theta_rep(spec: ExperimentSpec, p_grid: tuple, radii: tuple, rep: int):
+def _theta_prepare(adjacency: str, tess: Tessellation):
+    """(tessellation, its adjacency graph, its zero cell)."""
+    return tess, build_adjacency(tess, adjacency), zero_cell(tess)
+
+
+def _theta_rep(p_grid: tuple, radii: tuple, prepared, uniforms, rep: int):
     """Reach indicator per radius, per p of p_grid, of one tessellation and
     one coloring thresholded at every p."""
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p_grid[0])
-    graph = build_adjacency(tess, spec.adjacency)
-    root = zero_cell(tess)
-    reach = [cluster_reach(tess, graph, col.at_p(p), root) for p in p_grid]
+    tess, graph, root = prepared
+    reach = [cluster_reach(tess, graph, Coloring(uniforms, p), root) for p in p_grid]
     return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
 
 
@@ -113,7 +110,9 @@ def estimate_theta(spec: ExperimentSpec, p_grid, radii, replicates: int,
     half_width = min(-cw.lo[0], -cw.lo[1], cw.hi[0], cw.hi[1])
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")
-    vals, failed = run_replicates(partial(_theta_rep, spec, p_grid, radii), replicates, workers)
+    vals, failed = run_replicates(spec, build_tessellation,
+                                  partial(_theta_prepare, spec.adjacency),
+                                  partial(_theta_rep, p_grid, radii), replicates, workers)
     return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed,
                                     radius=r)
              for k, r in enumerate(radii)] for i in range(len(p_grid))]
@@ -184,13 +183,12 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(spec: ExperimentSpec, p_grid: tuple, window: Window, rep: int):
-    """Spanning cluster count per p of p_grid on one tessellation, whose
-    rectangle graph is built once, and one coloring."""
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p_grid[0])
-    graph = rect_graph(tess, window, spec.adjacency)
-    return tuple(spanning_cluster_count(tess, col.at_p(p), window, spec.adjacency, graph)
+def _spanning_rep(p_grid: tuple, window: Window, adjacency: str, prepared, uniforms,
+                  rep: int):
+    """Spanning cluster count per p of p_grid on one tessellation and its
+    rectangle graph of window, and one coloring."""
+    tess, graph = prepared
+    return tuple(spanning_cluster_count(tess, Coloring(uniforms, p), window, adjacency, graph)
                  for p in p_grid)
 
 
@@ -202,8 +200,10 @@ def count_spanning_clusters(spec: ExperimentSpec, p_grid, window: Window,
         raise ParameterError("spanning counter needs at least 100 replicates")
     if not spec.window.contains_window(window, tol=1e-9):
         raise ParameterError("analysis window must lie inside the core window")
-    vals, failed = run_replicates(partial(_spanning_rep, spec, p_grid, window), replicates,
-                                  workers)
+    vals, failed = run_replicates(spec, build_tessellation,
+                                  partial(_rect_prepare, window, spec.adjacency),
+                                  partial(_spanning_rep, p_grid, window, spec.adjacency),
+                                  replicates, workers)
     return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
                            replicates=len(vals), failed=failed) for k in range(len(p_grid))]
 
@@ -278,11 +278,9 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
                               candidates=candidates, skipped=skipped, points=points)
 
 
-def _trifurcation_rep(spec: ExperimentSpec, p: float, r1: int, r2: float,
-                      window: Window, rep: int):
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
-    res = find_trifurcations(tess, col, r1, r2, window, adjacency=spec.adjacency)
+def _trifurcation_rep(p: float, r1: int, r2: float, window: Window, adjacency: str,
+                      tess: Tessellation, uniforms, rep: int):
+    res = find_trifurcations(tess, Coloring(uniforms, p), r1, r2, window, adjacency=adjacency)
     return (res.count, res.candidates, res.skipped)
 
 
@@ -290,8 +288,9 @@ def estimate_trifurcation_density(spec: ExperimentSpec, p: float, r1: int, r2: f
                                   window: Window, replicates: int,
                                   workers: int = 1) -> dict:
     """Mean trifurcation count and density over replicates."""
-    vals, failed = run_replicates(partial(_trifurcation_rep, spec, p, r1, r2, window),
-                                  replicates, workers)
+    vals, failed = run_replicates(
+        spec, build_tessellation, as_built,
+        partial(_trifurcation_rep, p, r1, r2, window, spec.adjacency), replicates, workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,
@@ -356,30 +355,24 @@ def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int)
                      g2_avg=g2_avg, truncated=ball.truncated)
 
 
-def _recursion_rep(spec: ExperimentSpec, p: float, t: float, rep: int):
-    tess = build_tessellation(spec, rep)
-    col = coloring_for(spec, rep, tess, p)
-    adj = spec.adjacency
+def _recursion_rep(p: float, t: float, adjacency: str, tess: Tessellation, uniforms,
+                   rep: int):
+    col = Coloring(uniforms, p)
 
-    def h_fail(x0, y0, x1, y1):
-        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction="horizontal",
-                          color="black", adjacency=adj)
+    def fails(direction, x0, y0, x1, y1):
+        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction=direction,
+                          color="black", adjacency=adjacency)
         return 0 if crossing(tess, col, q) else 1
 
-    def v_fail(x0, y0, x1, y1):
-        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction="vertical",
-                          color="black", adjacency=adj)
-        return 0 if crossing(tess, col, q) else 1
-
-    out = {"lhs": h_fail(0, 0, 9 * t, 3 * t)}
+    out = {"lhs": fails("horizontal", 0, 0, 9 * t, 3 * t)}
     for strip, y0 in (("bottom", 0.0), ("top", 2 * t)):
-        out[f"{strip}_strip"] = h_fail(0, y0, 9 * t, y0 + t)
+        out[f"{strip}_strip"] = fails("horizontal", 0, y0, 9 * t, y0 + t)
         for k, x0 in enumerate((0, 2 * t, 4 * t, 6 * t)):
-            out[f"{strip}_H{k}"] = h_fail(x0, y0, x0 + 3 * t, y0 + t)
+            out[f"{strip}_H{k}"] = fails("horizontal", x0, y0, x0 + 3 * t, y0 + t)
         for k, x0 in enumerate((2 * t, 4 * t, 6 * t)):
-            out[f"{strip}_V{k}"] = v_fail(x0, y0, x0 + t, y0 + t)
+            out[f"{strip}_V{k}"] = fails("vertical", x0, y0, x0 + t, y0 + t)
     out["f_H"] = out["bottom_H0"]
-    out["f_V"] = v_fail(0, 0, t, 3 * t)
+    out["f_V"] = fails("vertical", 0, 0, t, 3 * t)
     return out
 
 
@@ -395,7 +388,9 @@ def verify_crossing_recursion(spec: ExperimentSpec, p: float, t: float,
     big = Window((0.0, 0.0), (9 * t, 3 * t))
     if not spec.window.contains_window(big, tol=1e-9):
         raise ParameterError("core window must contain the 9t x 3t rectangle")
-    vals, failed = run_replicates(partial(_recursion_rep, spec, p, t), replicates, workers)
+    vals, failed = run_replicates(spec, build_tessellation, as_built,
+                                  partial(_recursion_rep, p, t, spec.adjacency), replicates,
+                                  workers)
     n = len(vals)
     keys = vals[0].keys()
     counts = {k: sum(v[k] for v in vals) for k in keys}

@@ -6,9 +6,12 @@ master seed. Replicate k of an experiment always sees the same tessellation
 and uniforms no matter how many workers run, because every draw comes from a
 stream keyed by (master_seed, k, tag).
 
-run_replicates is the one replicate runner: every estimator maps its
-per-replicate function through it, and it alone catches construction
-failures and owns the failure budget.
+run_replicates is the one replicate pipeline. It builds the tessellation
+once per run when it does not vary by replicate (an unshifted lattice) and
+once per replicate otherwise, runs the query's colour-independent
+preparation once per build, and hands the query each replicate's colouring
+uniforms. map_replicates, under it, alone catches construction failures and
+owns the failure budget.
 """
 
 from __future__ import annotations
@@ -113,6 +116,42 @@ def coloring_for(spec: ExperimentSpec, rep: int, tess: Tessellation,
     return color(tess, spec.p if p is None else p, rng)
 
 
+def as_built(tess: Tessellation) -> Tessellation:
+    """The preparation of a query that reads only the tessellation."""
+    return tess
+
+
+def _instance(spec: ExperimentSpec, build, prepare, rep: int):
+    """(tessellation of replicate rep, what prepare makes of it)."""
+    tess = build(spec, rep)
+    return tess, prepare(tess)
+
+
+def _replicate(spec: ExperimentSpec, build, prepare, query, shared, rep: int):
+    """query of replicate rep's colouring uniforms on the shared (tessellation,
+    prepared) pair, or on the replicate's own when shared is None."""
+    tess, prepared = shared or _instance(spec, build, prepare, rep)
+    uniforms = coloring_for(spec, rep, tess, 0.0).uniforms  # the query sets each threshold
+    return query(prepared, uniforms, rep)
+
+
+def run_replicates(spec: ExperimentSpec, build, prepare, query, replicates: int,
+                   workers: int = 1) -> tuple[list, int]:
+    """query(prepared, uniforms, rep) for rep in 0..replicates-1, through
+    map_replicates.
+
+    build(spec, rep) is the caller's binding of build_tessellation, so a
+    wrapper on that binding sees every build. It runs once per run when the
+    tessellation does not vary by replicate, with replicate 0's id, and once
+    per replicate otherwise; prepare(tess) runs once per build. uniforms are
+    the replicate's colouring, one uniform per cell from its "color" stream.
+    With workers > 1, build, prepare and query must be picklable.
+    """
+    shared = None if varies_by_replicate(spec) else _instance(spec, build, prepare, 0)
+    return map_replicates(partial(_replicate, spec, build, prepare, query, shared),
+                          replicates, workers)
+
+
 def _attempt(fn, rep: int):
     """fn(rep), or the construction error it raised."""
     try:
@@ -121,7 +160,7 @@ def _attempt(fn, rep: int):
         return exc
 
 
-def run_replicates(fn, replicates: int, workers: int = 1) -> tuple[list, int]:
+def map_replicates(fn, replicates: int, workers: int = 1) -> tuple[list, int]:
     """Map fn over the replicate ids 0..replicates-1, in id order.
 
     A replicate whose fn raises one of BUILD_ERRORS is dropped and counted;

@@ -2,8 +2,8 @@
 
 Y counts cell centers per delta-box; U marks boxes from which a single cell
 reaches boxes at l-infinity index distance >= 2 (the large-cell indicator).
-greedy_animal_max finds connected n-box sets maximizing the field average,
-exactly (duplicate-free enumeration) or by randomized local search.
+greedy_animal_max finds connected n-box sets maximizing the field average
+by randomized local search.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ class AnimalSearchResult:
     n: int
     best_value: float
     best_animal: list
-    method: str
-    exact_flag: bool
 
 
 def _grid_neighbors(ni: int, nj: int):
@@ -129,56 +127,6 @@ def _grid_neighbors(ni: int, nj: int):
             out.append(k + 1)
         return out
     return nbrs
-
-
-def _exact_max(values: np.ndarray, n: int, anchor_id: int | None, budget: int):
-    """Best sum over connected n-box sets (duplicate-free DFS growth).
-
-    anchor_id fixes a box the animal must contain; otherwise every animal is
-    generated once, rooted at its minimum linear index.
-    """
-    ni, nj = values.shape
-    flat = values.ravel()
-    nbrs = _grid_neighbors(ni, nj)
-    state = {"nodes": 0, "complete": True, "best": -math.inf, "animal": None}
-
-    def grow(candidates, chosen, total, seen, min_id):
-        if state["nodes"] >= budget:
-            state["complete"] = False
-            return
-        while candidates:
-            if state["nodes"] >= budget:
-                state["complete"] = False
-                return
-            v = candidates.pop()
-            state["nodes"] += 1
-            chosen.append(v)
-            total += flat[v]
-            if len(chosen) == n:
-                if total > state["best"]:
-                    state["best"] = total
-                    state["animal"] = list(chosen)
-            else:
-                new = [w for w in nbrs(v) if w not in seen and w >= min_id]
-                seen.update(new)
-                grow(candidates + new, chosen, total, seen, min_id)
-                seen.difference_update(new)
-                if not state["complete"]:
-                    chosen.pop()
-                    return
-            chosen.pop()
-            total -= flat[v]
-
-    if anchor_id is not None:
-        seen = {anchor_id}
-        grow([anchor_id], [], 0.0, seen, 0)
-    else:
-        for root in range(ni * nj):
-            seen = {root}
-            grow([root], [], 0.0, seen, root)
-            if not state["complete"]:
-                break
-    return state["best"], state["animal"], state["complete"]
 
 
 def _connected_after_swap(animal: set, drop: int, add: int, nbrs) -> bool:
@@ -299,14 +247,13 @@ def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
     return best_total, best_animal
 
 
-def greedy_animal_max(field: GridField, n: int, method: str = "exact",
-                      budget: int = 500_000, anchor=None,
-                      rng: np.random.Generator | None = None) -> AnimalSearchResult:
-    """Connected n-box set maximizing the field average.
+def greedy_animal_max(field: GridField, n: int, rng: np.random.Generator,
+                      anchor=None) -> AnimalSearchResult:
+    """Connected n-box set maximizing the field average, found by local
+    search drawing from rng.
 
     anchor=None searches animals anywhere in the field; anchor=(i, j) pins
-    the animal to contain that box (the per-site variant). Exact enumeration
-    falls back to local search when its node budget is exhausted.
+    the animal to contain that box (the per-site variant).
     """
     ni, nj = field.values.shape
     if n < 1 or n > ni * nj:
@@ -317,23 +264,6 @@ def greedy_animal_max(field: GridField, n: int, method: str = "exact",
         if not field.contains_index(ai, aj):
             raise ParameterError(f"anchor box {anchor} outside the field range")
         anchor_id = (ai - field.i0) * nj + (aj - field.j0)
-    if method not in ("exact", "local_search"):
-        raise ParameterError("method must be 'exact' or 'local_search'")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    used_method = method
-    exact_flag = False
-    if method == "exact":
-        total, animal, complete = _exact_max(field.values, n, anchor_id, budget)
-        if complete and animal is not None:
-            exact_flag = True
-        else:
-            used_method = "local_search"
-    if used_method == "local_search":
-        total, animal = _local_search_max(field.values, n, anchor_id, rng)
-    if animal is None:
-        raise ParameterError("no connected n-set found (field too small)")
+    total, animal = _local_search_max(field.values, n, anchor_id, rng)
     abs_animal = [(field.i0 + k // nj, field.j0 + k % nj) for k in sorted(animal)]
-    return AnimalSearchResult(n=n, best_value=float(total) / n, best_animal=abs_animal,
-                              method=used_method, exact_flag=exact_flag)
+    return AnimalSearchResult(n=n, best_value=float(total) / n, best_animal=abs_animal)

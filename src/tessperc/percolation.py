@@ -39,10 +39,6 @@ class Coloring:
     def black(self) -> np.ndarray:
         return self.uniforms < self.p
 
-    def at_p(self, p: float) -> "Coloring":
-        """Same uniforms, new threshold (the coupling across p)."""
-        return Coloring(self.uniforms, p)
-
     def mask(self, color: str) -> np.ndarray:
         if color == "black":
             return self.black

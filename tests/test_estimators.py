@@ -8,7 +8,8 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_prob
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
                                  verify_crossing_recursion)
-from tessperc.experiment import ExperimentSpec, build_tessellation, varies_by_replicate
+from tessperc.experiment import (ExperimentSpec, build_tessellation, run_replicates,
+                                 varies_by_replicate)
 from tessperc.geometry import Window
 from tessperc.percolation import Coloring, CrossingQuery, color
 from tessperc.point_process import ProcessSpec
@@ -42,6 +43,30 @@ def test_varies_by_replicate_matches_build_tessellation(kind, params, varies):
     a, b = build_tessellation(spec, 0), build_tessellation(spec, 1)
     same = a.poly_xy.shape == b.poly_xy.shape and np.array_equal(a.poly_xy, b.poly_xy)
     assert same is not varies
+
+
+@pytest.mark.parametrize("random_shift,builds", [(False, [0]), (True, [0, 1, 2])])
+def test_run_replicates_prepares_once_per_build(random_shift, builds):
+    spec = ExperimentSpec(
+        process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": random_shift}),
+        window=Window((-2, -2), (2, 2)), master_seed=58)
+    built, prepared = [], []
+
+    def build(spec, rep):
+        built.append(rep)
+        return build_tessellation(spec, rep)
+
+    def prepare(tess):
+        prepared.append(tess)
+        return tess
+
+    vals, failed = run_replicates(spec, build, prepare,
+                                  lambda tess, uniforms, rep: (rep, tess, uniforms), 3)
+    assert built == builds and len(prepared) == len(builds) and failed == 0
+    assert [rep for rep, _, _ in vals] == [0, 1, 2]
+    for rep, tess, uniforms in vals:
+        assert tess is prepared[rep if random_shift else 0]
+        assert np.array_equal(uniforms, stream(58, rep, "color").random(len(tess)))
 
 
 def test_crossing_prob_trivial_endpoints():
@@ -155,7 +180,7 @@ def test_trifurcation_two_tips_insufficient():
 
 def test_trifurcation_needs_black_ball():
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, coloring.at_p(0.0), r1=1, r2=1.5,
+    res = find_trifurcations(tess, Coloring(coloring.uniforms, 0.0), r1=1, r2=1.5,
                              window=tess.core_window)
     assert res.count == 0
     with pytest.raises(ParameterError):

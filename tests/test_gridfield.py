@@ -5,8 +5,8 @@ import pytest
 
 from tessperc.errors import ParameterError
 from tessperc.geometry import Window, clip_rings_to_window, ring_areas
-from tessperc.gridfield import (GridField, compute_U_field, compute_Y_field,
-                                greedy_animal_max)
+from tessperc.gridfield import (AnimalSearchResult, GridField, compute_U_field,
+                                compute_Y_field, greedy_animal_max)
 from tessperc.point_process import PointConfiguration, sample_matern_hardcore, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import build_lattice_tessellation, build_voronoi
@@ -109,11 +109,52 @@ def test_field_region_validation():
         compute_Y_field(tess, 0.0, Window((-2, -2), (2, 2)))
 
 
+def exact_animal_max(field: GridField, n: int, anchor=None) -> AnimalSearchResult:
+    """Best connected n-box animal by duplicate-free DFS growth: the exact
+    reference of the local search in greedy_animal_max.
+
+    With anchor=(i, j) every animal holds that box; otherwise every animal
+    is generated once, rooted at its smallest linear index.
+    """
+    ni, nj = field.values.shape
+    flat = field.values.ravel()
+
+    def nbrs(k):
+        i, j = divmod(k, nj)
+        return [w for w, inside in ((k - nj, i > 0), (k + nj, i < ni - 1),
+                                    (k - 1, j > 0), (k + 1, j < nj - 1)) if inside]
+
+    best = {"total": -math.inf, "animal": None}
+
+    def grow(candidates, chosen, total, seen, min_id):
+        while candidates:
+            v = candidates.pop()
+            chosen.append(v)
+            if len(chosen) == n:
+                if total + flat[v] > best["total"]:
+                    best["total"], best["animal"] = total + flat[v], list(chosen)
+            else:
+                new = [w for w in nbrs(v) if w not in seen and w >= min_id]
+                seen.update(new)
+                grow(candidates + new, chosen, total + flat[v], seen, min_id)
+                seen.difference_update(new)
+            chosen.pop()
+
+    if anchor is not None:
+        root = (anchor[0] - field.i0) * nj + (anchor[1] - field.j0)
+        grow([root], [], 0.0, {root}, 0)
+    else:
+        for root in range(ni * nj):
+            grow([root], [], 0.0, {root}, root)
+    animal = [(field.i0 + k // nj, field.j0 + k % nj) for k in sorted(best["animal"])]
+    return AnimalSearchResult(n=n, best_value=float(best["total"]) / n, best_animal=animal)
+
+
 def test_animal_constant_field():
     field = GridField(1.0, 0, 0, np.full((6, 6), 3.0))
     for n in (1, 4, 9):
-        for method in ("exact", "local_search"):
-            res = greedy_animal_max(field, n, method=method)
+        for res in (exact_animal_max(field, n),
+                    greedy_animal_max(field, n, np.random.default_rng(0))):
             assert res.best_value == pytest.approx(3.0)
             assert len(res.best_animal) == n
 
@@ -122,11 +163,10 @@ def test_animal_single_hot_box():
     values = np.zeros((7, 7))
     values[3, 3] = 100.0
     field = GridField(1.0, 0, 0, values)
-    res = greedy_animal_max(field, 3, method="exact")
+    res = exact_animal_max(field, 3)
     assert res.best_value == pytest.approx(100.0 / 3.0)
     assert (3, 3) in res.best_animal
-    ls = greedy_animal_max(field, 3, method="local_search",
-                           rng=np.random.default_rng(1))
+    ls = greedy_animal_max(field, 3, np.random.default_rng(1))
     assert ls.best_value == pytest.approx(100.0 / 3.0)
 
 
@@ -136,9 +176,8 @@ def test_animal_local_matches_exact_100_trials():
         values = rng.poisson(3.0, size=(6, 6)).astype(float)
         field = GridField(1.0, 0, 0, values)
         n = int(rng.integers(2, 9))
-        exact = greedy_animal_max(field, n, method="exact")
-        local = greedy_animal_max(field, n, method="local_search",
-                                  rng=np.random.default_rng(trial))
+        exact = exact_animal_max(field, n)
+        local = greedy_animal_max(field, n, np.random.default_rng(trial))
         assert local.best_value <= exact.best_value + 1e-9
         assert local.best_value == pytest.approx(exact.best_value)
 
@@ -152,9 +191,8 @@ def test_animal_dominates_adversarial_set():
     i = int(min(max(i, 0), 3))
     bar = [(i + k, int(j)) for k in range(5)]
     bar_value = sum(values[a, b] for a, b in bar) / 5
-    for method in ("exact", "local_search"):
-        res = greedy_animal_max(field, 5, method=method,
-                                rng=np.random.default_rng(0))
+    for res in (exact_animal_max(field, 5),
+                greedy_animal_max(field, 5, np.random.default_rng(0))):
         assert res.best_value >= bar_value - 1e-9
 
 
@@ -162,31 +200,18 @@ def test_animal_anchored_vs_free():
     rng = np.random.default_rng(17)
     values = rng.poisson(3.0, size=(6, 6)).astype(float)
     field = GridField(1.0, -3, -3, values)
-    free = greedy_animal_max(field, 4, method="exact")
-    anchored = greedy_animal_max(field, 4, method="exact", anchor=(0, 0))
+    free = exact_animal_max(field, 4)
+    anchored = exact_animal_max(field, 4, anchor=(0, 0))
     assert anchored.best_value <= free.best_value + 1e-9
     assert (0, 0) in anchored.best_animal
-
-
-def test_animal_budget_fallback():
-    rng = np.random.default_rng(3)
-    field = GridField(1.0, 0, 0, rng.poisson(2.0, size=(12, 12)).astype(float))
-    res = greedy_animal_max(field, 10, method="exact", budget=200,
-                            rng=np.random.default_rng(0))
-    assert res.method == "local_search"
-    assert not res.exact_flag
-    full = greedy_animal_max(field, 4, method="exact")
-    assert full.exact_flag
 
 
 def test_animal_validation():
     field = GridField(1.0, 0, 0, np.zeros((3, 3)))
     with pytest.raises(ParameterError):
-        greedy_animal_max(field, 10)
+        greedy_animal_max(field, 10, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        greedy_animal_max(field, 2, anchor=(5, 5))
-    with pytest.raises(ParameterError):
-        greedy_animal_max(field, 2, method="annealing")
+        greedy_animal_max(field, 2, np.random.default_rng(0), anchor=(5, 5))
 
 
 def test_matern_hardcore_packing_bound():
@@ -199,6 +224,5 @@ def test_matern_hardcore_packing_bound():
         tess = build_voronoi(cfg, core, 4.0)
         field = compute_Y_field(tess, delta, Window((-8, -8), (8, 8)))
         assert field.values.max() <= bound
-        res = greedy_animal_max(field, 8, method="local_search",
-                                rng=np.random.default_rng(seed))
+        res = greedy_animal_max(field, 8, np.random.default_rng(seed))
         assert res.best_value <= bound

@@ -167,6 +167,24 @@ GOLDEN = {
         "summary.csv": "93d48fd8241bd3ce8d81a8f15e2fda2a3878f2a678c92c15ec9b17fbcfbb71a9",
         "sweep.csv": "80ee8243847e87cef83f42e3fbd4c49fe877eab906c067b5401cb6e49fd07863"},
         "6742a4b7d6ed65c1134d2b4c73828121089e320f97645aae4ad608dcc8e8d942"),
+    "theta_square_unshifted": ("run", {
+        "op": "theta", "process": SQ_FIXED, "window": W6, "adjacency": "face",
+        "p_grid": [0.6, 0.7], "replicates": 40, "master_seed": 54,
+        "params": {"radii": [2, 4, 6]}}, {
+        "theta.csv": "492cdbaa4b48c608464cedd62d281c9791c5dbdde26c120e140d0fd78f0bcd6b"},
+        "027ac025ab7fc4b16a1d7fe9400ec86fc3d2ea71906be656f3779c87c6afac35"),
+    "spanning_square_unshifted_star": ("run", {
+        "op": "spanning", "process": SQ_FIXED, "window": W6, "adjacency": "star",
+        "p_grid": [0.4, 0.5], "replicates": 100, "master_seed": 55,
+        "params": {"analysis_window": [[-5.5, -2.2], [5.5, 2.3]]}}, {
+        "spanning.csv": "3700654d94418c4f4aac632f4c69bb7416e200e2057ca131c6c19fe02bd9b6cd"},
+        "de096127ad04ef8b799858f5b38d5ce6c4cf45e2cec4cdf36e0c2f92aeaf1c96"),
+    "recursion_square_unshifted": ("run", {
+        "op": "recursion", "process": SQ_FIXED, "window": [[0.0, 0.0], [11.7, 3.9]],
+        "adjacency": "face", "p": 0.6, "replicates": 30, "master_seed": 56,
+        "params": {"t": 1.3}}, {
+        "recursion.csv": "9ec90668f2675d793f9f8977ef6f284dc88161157fb3aff4dc49d3d94f92799d"},
+        "4ee34064147fc71c259d910353533df62374545c5e11118004e011383545b390"),
 }
 
 
@@ -247,7 +265,7 @@ def test_peierls_probe_result_pinned():
         declined=False, reason="", cycle_lengths=[8, 16], estimates=[0.7, 0.4],
         sigmas=[0.13936099742505348, 0.14798927814636098],
         bounds=[0.9514940774912729, 0.9053409795009684], below_bound=[True, True],
-        replicates=10)
+        replicates=10, failed=0)
 
 
 def _fail_rep_1(build):
@@ -256,6 +274,16 @@ def _fail_rep_1(build):
             raise EdgeEffectError("forced failure")
         return build(spec, rep)
     return wrapped
+
+
+def test_peierls_probe_counts_a_build_failure(monkeypatch):
+    monkeypatch.setattr(diagnostics, "build_tessellation",
+                        _fail_rep_1(diagnostics.build_tessellation))
+    spec = ExperimentSpec(process=ProcessSpec.from_json(SQ),
+                          window=Window((-4.0, -4.0), (4.0, 4.0)), master_seed=59)
+    res = diagnostics.peierls_probe(spec, 0.5, 1.0, Window((-3.0, -3.0), (3.0, 3.0)),
+                                    replicates=100, c3=0.5, c4=0.02, cycle_lengths=(8,))
+    assert (res.replicates, res.failed) == (99, 1)
 
 
 def test_sweep_keeps_replicate_ids_after_a_failure(tmp_path, monkeypatch):
@@ -351,35 +379,62 @@ def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
 
 
 def _record_builds(monkeypatch) -> list:
-    """The replicate id of every estimators.build_tessellation call, in call order."""
+    """The replicate id of every build_tessellation call of the estimators and
+    diagnostics, in call order."""
     built = []
-    build = estimators.build_tessellation
-    monkeypatch.setattr(estimators, "build_tessellation",
-                        lambda spec, rep: built.append(rep) or build(spec, rep))
+    for module in (estimators, diagnostics):
+        monkeypatch.setattr(module, "build_tessellation",
+                            lambda spec, rep, build=module.build_tessellation:
+                            built.append(rep) or build(spec, rep))
     return built
 
 
-def test_crossing_run_builds_each_replicate_once_for_a_p_grid(tmp_path, monkeypatch):
+# op -> (replicates, config keys) of a small run of each op that builds
+# through the replicate runner
+BUILD_COUNT_RUNS = {
+    "crossing": (50, {"p_grid": [0.6, 0.4, 0.5]}),
+    "theta": (20, {"p_grid": [0.6, 0.4, 0.5], "params": {"radii": [1, 2]}}),
+    "spanning": (100, {"p_grid": [0.6, 0.4, 0.5],
+                       "params": {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}}),
+    "trifurcation_density": (4, {"p": 0.58, "params": {"r1": 1, "r2": 2.0}}),
+    "recursion": (10, {"p": 0.6, "window": [[0.0, 0.0], [9.0, 3.0]], "params": {"t": 1.0}}),
+    "smp_gap": (10, {"p": 0.6, "params": {"Q": [[-1.0, -1.0], [0.0, 0.0]],
+                                          "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                                          "t_schedule": [1.0, 2.0]}}),
+    "mixture": (10, {"p": 0.55, "params": {"spacing": 1.0}}),
+    "tameness": (3, {"params": {"delta": 1.0, "n_schedule": [1, 2]}}),
+}
+
+
+@pytest.mark.parametrize("process", [SQ_FIXED, SQ], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("op", sorted(BUILD_COUNT_RUNS))
+def test_each_op_builds_once_per_run_or_once_per_replicate(op, process, tmp_path,
+                                                           monkeypatch):
+    """An unshifted lattice is built once per run, a shifted one once per
+    replicate. The mixture's two lattice components always shift, whatever
+    the configured process."""
     built = _record_builds(monkeypatch)
-    cfg = {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
-           "replicates": 50, "master_seed": 47}
-    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
-    assert sorted(built) == list(range(50))
-    with open(Path(record.out_dir) / "crossing.csv", newline="") as fh:
-        assert [row["p"] for row in csv.DictReader(fh)] == ["0.6", "0.4", "0.5"]
+    replicates, keys = BUILD_COUNT_RUNS[op]
+    cfg = {"op": op, "process": process, "window": W4, "replicates": replicates,
+           "master_seed": 57, **keys}
+    harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    if op == "mixture":
+        assert sorted(built) == sorted(2 * list(range(replicates)))
+    elif process is SQ_FIXED:
+        assert built == [0]
+    else:
+        assert sorted(built) == list(range(replicates))
 
 
 @pytest.mark.parametrize("op,replicates,params", [
+    ("crossing", 50, {}),
     ("theta", 20, {"radii": [1, 2]}),
     ("spanning", 100, {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}),
 ])
-def test_theta_and_spanning_runs_build_each_replicate_once_for_a_p_grid(
-        op, replicates, params, tmp_path, monkeypatch):
-    built = _record_builds(monkeypatch)
+def test_grid_run_rows_match_one_run_per_p(op, replicates, params, tmp_path):
     cfg = {"op": op, "process": SQ, "window": W4, "p_grid": [0.6, 0.4, 0.5],
            "replicates": replicates, "master_seed": 48, "params": params}
     record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "grid"))
-    assert sorted(built) == list(range(replicates))
     with open(Path(record.out_dir) / f"{op}.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     # the grid's rows are those of one run per p, in config order
@@ -394,11 +449,6 @@ def test_theta_and_spanning_runs_build_each_replicate_once_for_a_p_grid(
 
 def test_unshifted_lattice_is_built_once_per_crossing_estimate(tmp_path, monkeypatch):
     built = _record_builds(monkeypatch)
-    cfg = {"op": "crossing", "process": SQ_FIXED, "window": W4, "p_grid": [0.6, 0.4, 0.5],
-           "replicates": 50, "master_seed": 53}
-    harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "crossing"))
-    assert len(built) == 1
-    built.clear()
     _, cfg, _, _ = GOLDEN["pc_square_unshifted"]
     record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "pc"))
     with open(Path(record.out_dir) / "pc.csv", newline="") as fh:

@@ -30,9 +30,9 @@ def test_coloring_thresholds():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (100, 100)))
     col0 = color(tess, 0.0, stream(1, 0, "color"))
     assert not col0.black.any()
-    col1 = col0.at_p(1.0)
+    col1 = Coloring(col0.uniforms, 1.0)
     assert col1.black.all()
-    col = col0.at_p(0.37)
+    col = Coloring(col0.uniforms, 0.37)
     frac = col.black.mean()
     assert abs(frac - 0.37) < 3 * np.sqrt(0.37 * 0.63 / 10_000)
     with pytest.raises(ParameterError):
@@ -41,8 +41,8 @@ def test_coloring_thresholds():
 
 def test_coupling_monotone():
     tess, col = poisson_setup(3)
-    b1 = col.at_p(0.3).black
-    b2 = col.at_p(0.6).black
+    b1 = Coloring(col.uniforms, 0.3).black
+    b2 = Coloring(col.uniforms, 0.6).black
     assert (b1 <= b2).all()
 
 
@@ -130,10 +130,10 @@ def test_crossing_trivials_and_errors():
     tess, col = poisson_setup(9, side=10.0)
     rect = Window((1, 1), (9, 9))
     q = CrossingQuery(rect=rect, direction="horizontal", color="black", adjacency="face")
-    assert crossing(tess, col.at_p(1.0), q)
-    assert not crossing(tess, col.at_p(0.0), q)
+    assert crossing(tess, Coloring(col.uniforms, 1.0), q)
+    assert not crossing(tess, Coloring(col.uniforms, 0.0), q)
     qw = CrossingQuery(rect=rect, direction="vertical", color="white", adjacency="star")
-    assert crossing(tess, col.at_p(0.0), qw)
+    assert crossing(tess, Coloring(col.uniforms, 0.0), qw)
     with pytest.raises(ParameterError):
         crossing(tess, col, CrossingQuery(rect=Window((0, 0), (11, 11))))
 
@@ -194,8 +194,8 @@ def test_fkg_nested_crossings_positively_associated():
 def test_spanning_cluster_count_trivials():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (6, 6)))
     col = color(tess, 0.5, stream(2, 0, "color"))
-    assert spanning_cluster_count(tess, col.at_p(1.0), tess.core_window) == 1
-    assert spanning_cluster_count(tess, col.at_p(0.0), tess.core_window) == 0
+    assert spanning_cluster_count(tess, Coloring(col.uniforms, 1.0), tess.core_window) == 1
+    assert spanning_cluster_count(tess, Coloring(col.uniforms, 0.0), tess.core_window) == 0
 
 
 def test_spanning_two_disjoint_rows():
@@ -237,9 +237,9 @@ def test_cluster_reach():
     graph = build_adjacency(tess, "face")
     root = zero_cell(tess)
     col = color(tess, 0.5, stream(4, 0, "color"))
-    assert cluster_reach(tess, graph, col.at_p(0.0), root) == 0.0
+    assert cluster_reach(tess, graph, Coloring(col.uniforms, 0.0), root) == 0.0
     # all black: reach = farthest cell corner
-    reach = cluster_reach(tess, graph, col.at_p(1.0), root)
+    reach = cluster_reach(tess, graph, Coloring(col.uniforms, 1.0), root)
     assert reach == pytest.approx(np.sqrt(2) * 5.5)
 
 
