@@ -32,7 +32,7 @@ from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
 from .stats import PercResult, mean_ci, wilson_sigma
 from .experiment import (ExperimentSpec, as_built, build_tessellation, coloring_for,
                          run_replicates)
-from .tessellation import Tessellation, build_adjacency, zero_cell
+from .tessellation import AdjacencyGraph, Tessellation, build_adjacency, zero_cell
 
 
 def _rect_prepare(rect: Window, adjacency: str, tess: Tessellation):
@@ -223,9 +223,9 @@ def _in_box(bb: np.ndarray, lo, hi, tol: float) -> np.ndarray:
             & (bb[:, 1] >= lo[1] - tol) & (bb[:, 3] <= hi[1] + tol))
 
 
-def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: float,
-                       window: Window, adjacency: str = "face") -> TrifurcationResult:
-    """Count grid points of 3*r2*Z^2 in the window that are trifurcations.
+def find_trifurcations(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
+                       r1: int, r2: float, window: Window) -> TrifurcationResult:
+    """Count grid points of 3*r2*Z^2 in the window that are trifurcations of graph.
 
     A candidate x is skipped, and counted as skipped, when the graph ball
     B_r1 around its cell leaves the window or does not fit in
@@ -239,7 +239,6 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
         raise ParameterError("r1 must be at least 1")
     if r2 <= 0:
         raise ParameterError("r2 must be positive")
-    graph = build_adjacency(tess, adjacency)
     black = coloring.black
     tol = tess.tol
     bb = tess.bboxes
@@ -278,9 +277,14 @@ def find_trifurcations(tess: Tessellation, coloring: Coloring, r1: int, r2: floa
                               candidates=candidates, skipped=skipped, points=points)
 
 
-def _trifurcation_rep(p: float, r1: int, r2: float, window: Window, adjacency: str,
-                      tess: Tessellation, uniforms, rep: int):
-    res = find_trifurcations(tess, Coloring(uniforms, p), r1, r2, window, adjacency=adjacency)
+def _trifurcation_prepare(adjacency: str, tess: Tessellation):
+    """(tessellation, its adjacency graph)."""
+    return tess, build_adjacency(tess, adjacency)
+
+
+def _trifurcation_rep(p: float, r1: int, r2: float, window: Window, prepared, uniforms,
+                      rep: int):
+    res = find_trifurcations(*prepared, Coloring(uniforms, p), r1, r2, window)
     return (res.count, res.candidates, res.skipped)
 
 
@@ -289,8 +293,8 @@ def estimate_trifurcation_density(spec: ExperimentSpec, p: float, r1: int, r2: f
                                   workers: int = 1) -> dict:
     """Mean trifurcation count and density over replicates."""
     vals, failed = run_replicates(
-        spec, build_tessellation, as_built,
-        partial(_trifurcation_rep, p, r1, r2, window, spec.adjacency), replicates, workers)
+        spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency),
+        partial(_trifurcation_rep, p, r1, r2, window), replicates, workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,

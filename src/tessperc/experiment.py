@@ -2,9 +2,11 @@
 
 An ExperimentSpec pins down everything a replicate needs: the tessellation
 model, core window, buffer, coloring threshold(s), replicate count and the
-master seed. Replicate k of an experiment always sees the same tessellation
-and uniforms no matter how many workers run, because every draw comes from a
-stream keyed by (master_seed, k, tag).
+master seed. build_tessellation reads the process kind's point_process.KINDS
+entry: a lattice kind builds its cell shape, any other kind samples points
+for a Voronoi tessellation. Replicate k of an experiment always sees the
+same tessellation and uniforms no matter how many workers run, because
+every draw comes from a stream keyed by (master_seed, k, tag).
 
 run_replicates is the one replicate pipeline. It builds the tessellation
 once per run when it does not vary by replicate (an unshifted lattice) and
@@ -25,11 +27,9 @@ import numpy as np
 from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, ParameterError
 from .geometry import Window
 from .percolation import Coloring, color
-from .point_process import ProcessSpec, sample_process
+from .point_process import KINDS, ProcessSpec, sample_process
 from .streams import stream
 from .tessellation import Tessellation, build_lattice_tessellation, build_voronoi
-
-LATTICE_KINDS = ("square_lattice", "hexagonal_lattice")
 
 DEFAULT_BUFFER_SCALE = 5.0  # buffer = 5 / sqrt(intensity) unless overridden
 
@@ -64,7 +64,7 @@ class ExperimentSpec:
     def buffer_width(self) -> float:
         if self.buffer is not None:
             return float(self.buffer)
-        if self.process.kind in LATTICE_KINDS:
+        if KINDS[self.process.kind].lattice:
             return 0.0
         return DEFAULT_BUFFER_SCALE / np.sqrt(self.process.intensity())
 
@@ -87,22 +87,18 @@ def varies_by_replicate(spec: ExperimentSpec) -> bool:
     """Whether build_tessellation(spec, rep) depends on rep: true for every
     point process and for a lattice with random_shift. An unshifted lattice
     reads no stream, so one build serves every replicate."""
-    return (spec.process.kind not in LATTICE_KINDS
-            or bool(spec.process.params.get("random_shift", False)))
+    process = spec.process
+    return KINDS[process.kind].lattice is None or process.params.get("random_shift", False)
 
 
 def build_tessellation(spec: ExperimentSpec, rep: int) -> Tessellation:
     """The standard per-replicate tessellation for an experiment."""
-    kind = spec.process.kind
-    if kind in LATTICE_KINDS:
-        spacing = float(spec.process.params["spacing"])
-        if varies_by_replicate(spec):
-            rng = stream(spec.master_seed, rep, "shift")
-            shift = rng.random(2) * spacing
-        else:
-            shift = np.zeros(2)
-        return build_lattice_tessellation(kind.replace("_lattice", ""), spacing, shift,
-                                          spec.window)
+    shape = KINDS[spec.process.kind].lattice
+    if shape is not None:
+        spacing = spec.process["spacing"]
+        shift = (stream(spec.master_seed, rep, "shift").random(2) * spacing
+                 if varies_by_replicate(spec) else np.zeros(2))
+        return build_lattice_tessellation(shape, spacing, shift, spec.window)
     rng = stream(spec.master_seed, rep, "tess")
     buffer_width = spec.buffer_width()
     sampling = spec.window.expand(buffer_width)

@@ -18,7 +18,8 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   stands for {"rows": len(rows)};
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
   for the `sweep` entry point (extra: more run.json summary fields), and
-  `process`, the one process kind the op accepts.
+  `process`, the one process kind the op accepts. A kind with no areal
+  intensity is accepted only by an op whose `process` names it.
 The functions look estimators up in this module's namespace when they run,
 so a caller that rebinds such a name here (a tracer) sees every call.
 """
@@ -44,7 +45,7 @@ from .estimators import (count_spanning_clusters, estimate_crossing_curve,
 from .experiment import ExperimentSpec
 from .geometry import GridRegion, Window
 from .percolation import CrossingQuery
-from .point_process import estimate_laplace_functional, estimate_void_probability
+from .point_process import KINDS, estimate_laplace_functional, estimate_void_probability
 
 _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
              "replicates", "master_seed", "params"}
@@ -93,6 +94,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if op.process is not None and spec.process.kind != op.process:
         raise ConfigError(f"{path}: op {name!r} requires a {op.process} process")
+    if op.process is None and KINDS[spec.process.kind].intensity is None:
+        raise ConfigError(f"{path}: op {name!r}: {spec.process.kind} has no areal intensity")
     return cfg
 
 

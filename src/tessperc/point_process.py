@@ -2,14 +2,17 @@
 
 Supported processes: homogeneous Poisson, Matern and Thomas cluster
 processes, Matern type-II hard-core thinning, perturbed square lattices and
-an isotropic Poisson line process. All samplers are pure functions of a
-stream handle, so replicates parallelize without shared state.
+an isotropic Poisson line process; the square and hexagonal lattices are
+built as tessellations directly. All samplers are pure functions of a stream
+handle, so replicates parallelize without shared state. Each kind is one
+entry of KINDS, so a new kind is one entry plus its sampler.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,43 +22,26 @@ from .geometry import GridRegion, Window
 from .stats import PercResult, mean_ci
 from .streams import stream
 
-PROCESS_KINDS = (
-    "poisson",
-    "matern_cluster",
-    "thomas_cluster",
-    "matern_hardcore_II",
-    "perturbed_lattice",
-    "poisson_line",
-    # deterministic tessellation models, built directly (no point sampling)
-    "square_lattice",
-    "hexagonal_lattice",
-)
-
 # Gaussian offsets beyond 6 sigma are discarded (mass < 1e-8); makes the
 # Thomas process exactly restrictable with a finite parent buffer.
 THOMAS_TRUNCATION_SIGMAS = 6.0
 
-_REQUIRED_PARAMS = {
-    "poisson": ("gamma",),
-    "matern_cluster": ("gamma0", "mu", "radius"),
-    "thomas_cluster": ("gamma0", "mu", "sigma"),
-    "matern_hardcore_II": ("gamma_proposal", "hardcore_radius"),
-    "perturbed_lattice": ("spacing", "perturbation_scale"),
-    "poisson_line": ("line_intensity",),
-    "square_lattice": ("spacing",),
-    "hexagonal_lattice": ("spacing",),
-}
 
-# perturbation_scale = 0 (exact lattice) is the only legal zero parameter
-_MAY_BE_ZERO = {("perturbed_lattice", "perturbation_scale")}
+@dataclass(frozen=True)
+class Kind:
+    """A process kind: its required parameters (positive, or zero when in
+    may_be_zero), optional boolean flags, intensity(spec) in points per unit
+    area, restriction buffer(spec), sample(spec, window, rng) and, for a
+    lattice, the cell shape build_lattice_tessellation builds. None stands
+    for no areal intensity or no planar sampler."""
 
-# optional boolean parameters and the kinds that read them
-_FLAGS = {
-    "matern_cluster": ("include_parents",),
-    "thomas_cluster": ("include_parents",),
-    "square_lattice": ("random_shift",),
-    "hexagonal_lattice": ("random_shift",),
-}
+    params: tuple
+    intensity: Callable | None
+    sample: Callable | None = None
+    buffer: Callable = lambda spec: 0.0
+    may_be_zero: tuple = ()
+    flags: tuple = ()
+    lattice: str | None = None
 
 
 @dataclass(frozen=True)
@@ -66,16 +52,19 @@ class ProcessSpec:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
+        entry = KINDS.get(self.kind)
+        if entry is None:
             raise ParameterError(f"unknown process kind {self.kind!r}")
-        required = _REQUIRED_PARAMS[self.kind]
-        for name in required:
+        for name in entry.params:
             if name not in self.params:
                 raise ParameterError(f"{self.kind}: missing parameter {name!r}")
             value = float(self.params[name])
-            if value < 0 or (value == 0 and (self.kind, name) not in _MAY_BE_ZERO):
-                raise ParameterError(f"{self.kind}: parameter {name!r} must be positive")
-        unknown = set(self.params) - set(required) - set(_FLAGS.get(self.kind, ()))
+            if not (0 < value < math.inf or (value == 0 and name in entry.may_be_zero)):
+                raise ParameterError(f"{self.kind}: {name!r} must be finite and positive")
+        for name in set(entry.flags).intersection(self.params):
+            if not isinstance(self.params[name], bool):
+                raise ParameterError(f"{self.kind}: flag {name!r} must be true or false")
+        unknown = set(self.params) - set(entry.params) - set(entry.flags)
         if unknown:
             raise ParameterError(f"{self.kind}: unknown parameters {sorted(unknown)}")
 
@@ -84,30 +73,14 @@ class ProcessSpec:
 
     def intensity(self) -> float:
         """Mean number of points per unit area."""
-        if self.kind == "poisson":
-            return self["gamma"]
-        if self.kind in ("matern_cluster", "thomas_cluster"):
-            return self["gamma0"] * self["mu"]
-        if self.kind == "matern_hardcore_II":
-            g, r = self["gamma_proposal"], self["hardcore_radius"]
-            return (1.0 - math.exp(-g * math.pi * r * r)) / (math.pi * r * r)
-        if self.kind in ("perturbed_lattice", "square_lattice"):
-            return 1.0 / self["spacing"] ** 2
-        if self.kind == "hexagonal_lattice":
-            return 2.0 / (math.sqrt(3.0) * self["spacing"] ** 2)
-        raise ParameterError(f"{self.kind} has no areal intensity")
+        intensity = KINDS[self.kind].intensity
+        if intensity is None:
+            raise ParameterError(f"{self.kind} has no areal intensity")
+        return intensity(self)
 
     def restriction_buffer(self) -> float:
         """Margin so that sampling on window+margin restricts exactly to window."""
-        if self.kind == "matern_cluster":
-            return self["radius"]
-        if self.kind == "thomas_cluster":
-            return THOMAS_TRUNCATION_SIGMAS * self["sigma"]
-        if self.kind == "matern_hardcore_II":
-            return self["hardcore_radius"]
-        if self.kind == "perturbed_lattice":
-            return self["spacing"] / 2.0 + self["perturbation_scale"] / 2.0
-        return 0.0
+        return KINDS[self.kind].buffer(self)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": {k: self.params[k] for k in sorted(self.params)}}
@@ -159,21 +132,18 @@ def _cluster_offsets(spec: ProcessSpec, count: int, rng: np.random.Generator) ->
     return off
 
 
-def sample_cluster_process(spec: ProcessSpec, window: Window, buffer: float,
-                           rng: np.random.Generator,
-                           include_parents: bool = False) -> PointConfiguration:
+def sample_cluster_process(spec: ProcessSpec, window: Window,
+                           rng: np.random.Generator) -> PointConfiguration:
     """Poisson cluster process (Matern or Thomas offspring) restricted to window.
 
-    Parents live on window+buffer; the buffer must cover the maximal offspring
-    reach so the restriction to the window is exact.
+    Parents live on window + spec.restriction_buffer(), the maximal offspring
+    reach, so the restriction to the window is exact. With the spec's
+    include_parents flag the parents inside the window are points too.
     """
     if spec.kind not in ("matern_cluster", "thomas_cluster"):
         raise ParameterError("cluster sampler needs a matern_cluster or thomas_cluster spec")
-    reach = spec.restriction_buffer()
-    if buffer < reach - 1e-12:
-        raise ParameterError(
-            f"buffer {buffer} too small: offspring reach {reach} for {spec.kind}")
-    parent_window = window.expand(buffer)
+    include_parents = spec.params.get("include_parents", False)
+    parent_window = window.expand(spec.restriction_buffer())
     parents = sample_poisson(spec["gamma0"], parent_window, rng).points
     counts = rng.poisson(spec["mu"], size=len(parents))
     total = int(counts.sum())
@@ -250,22 +220,51 @@ def sample_poisson_lines(line_intensity: float, disc_radius: float,
     return np.column_stack([theta, r]) if n else np.empty((0, 2))
 
 
+def _hardcore_intensity(spec: ProcessSpec) -> float:
+    g, r = spec["gamma_proposal"], spec["hardcore_radius"]
+    return (1.0 - math.exp(-g * math.pi * r * r)) / (math.pi * r * r)
+
+
+# The single table of process kinds.
+KINDS = {
+    "poisson": Kind(
+        ("gamma",), lambda spec: spec["gamma"],
+        lambda spec, window, rng: sample_poisson(spec["gamma"], window, rng)),
+    "matern_cluster": Kind(
+        ("gamma0", "mu", "radius"), lambda spec: spec["gamma0"] * spec["mu"],
+        sample_cluster_process, buffer=lambda spec: spec["radius"], flags=("include_parents",)),
+    "thomas_cluster": Kind(
+        ("gamma0", "mu", "sigma"), lambda spec: spec["gamma0"] * spec["mu"],
+        sample_cluster_process, buffer=lambda spec: THOMAS_TRUNCATION_SIGMAS * spec["sigma"],
+        flags=("include_parents",)),
+    "matern_hardcore_II": Kind(
+        ("gamma_proposal", "hardcore_radius"), _hardcore_intensity,
+        lambda spec, window, rng: sample_matern_hardcore(
+            spec["gamma_proposal"], spec["hardcore_radius"], window, rng),
+        buffer=lambda spec: spec["hardcore_radius"]),
+    "perturbed_lattice": Kind(
+        ("spacing", "perturbation_scale"), lambda spec: 1.0 / spec["spacing"] ** 2,
+        lambda spec, window, rng: sample_perturbed_lattice(
+            spec["spacing"], spec["perturbation_scale"], window, rng),
+        buffer=lambda spec: spec["spacing"] / 2.0 + spec["perturbation_scale"] / 2.0,
+        may_be_zero=("perturbation_scale",)),  # 0: the exact lattice
+    "poisson_line": Kind(("line_intensity",), None),
+    "square_lattice": Kind(
+        ("spacing",), lambda spec: 1.0 / spec["spacing"] ** 2,
+        flags=("random_shift",), lattice="square"),
+    "hexagonal_lattice": Kind(
+        ("spacing",), lambda spec: 2.0 / (math.sqrt(3.0) * spec["spacing"] ** 2),
+        flags=("random_shift",), lattice="hexagonal"),
+}
+
+
 def sample_process(spec: ProcessSpec, window: Window,
                    rng: np.random.Generator) -> PointConfiguration:
     """Sample any areal process restricted to a window (edge effects handled)."""
-    if spec.kind == "poisson":
-        return sample_poisson(spec["gamma"], window, rng)
-    if spec.kind in ("matern_cluster", "thomas_cluster"):
-        return sample_cluster_process(
-            spec, window, spec.restriction_buffer(), rng,
-            include_parents=bool(spec.params.get("include_parents", False)))
-    if spec.kind == "matern_hardcore_II":
-        return sample_matern_hardcore(spec["gamma_proposal"], spec["hardcore_radius"],
-                                      window, rng)
-    if spec.kind == "perturbed_lattice":
-        return sample_perturbed_lattice(spec["spacing"], spec["perturbation_scale"],
-                                        window, rng)
-    raise ParameterError(f"{spec.kind} does not sample to a planar configuration")
+    sample = KINDS[spec.kind].sample
+    if sample is None:
+        raise ParameterError(f"{spec.kind} does not sample to a planar configuration")
+    return sample(spec, window, rng)
 
 
 def estimate_void_probability(spec: ProcessSpec, Q: Window, t_values, replicates: int,
@@ -304,11 +303,6 @@ def estimate_void_probability(spec: ProcessSpec, Q: Window, t_values, replicates
     return results
 
 
-def _cluster_size_mgf(spec: ProcessSpec, t: float) -> float:
-    # offspring count is Poisson(mu) for both cluster kinds
-    return math.exp(spec["mu"] * (math.exp(t) - 1.0))
-
-
 def laplace_bound(spec: ProcessSpec, t: float, region: GridRegion) -> dict:
     """Analytic reference for E[exp(t N(region))] where that is available.
 
@@ -322,7 +316,8 @@ def laplace_bound(spec: ProcessSpec, t: float, region: GridRegion) -> dict:
         return {"kind": "exact", "value": value}
     if spec.kind in ("matern_cluster", "thomas_cluster"):
         n = len(region.boxes)
-        value = math.exp(spec["gamma0"] * region.delta ** 2 * (_cluster_size_mgf(spec, t) - 1.0) * n)
+        mgf = math.exp(spec["mu"] * (math.exp(t) - 1.0))  # offspring count ~ Poisson(mu)
+        value = math.exp(spec["gamma0"] * region.delta ** 2 * (mgf - 1.0) * n)
         return {"kind": "upper_bound", "value": value,
                 "note": "exponent uses delta^d * n (proof version); the statement prints delta * n"}
     return {"kind": "none", "value": float("nan")}

@@ -14,7 +14,7 @@ from tessperc.geometry import Window
 from tessperc.percolation import Coloring, CrossingQuery, color
 from tessperc.point_process import ProcessSpec
 from tessperc.streams import stream
-from tessperc.tessellation import build_lattice_tessellation
+from tessperc.tessellation import build_adjacency, build_lattice_tessellation
 
 
 def pv_spec(window, p, replicates, seed, gamma=1.0, adjacency="face"):
@@ -165,7 +165,8 @@ def cross_fixture(black_tips=("N", "E", "W")):
 
 def test_trifurcation_hand_fixture():
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, coloring, r1=1, r2=1.5, window=tess.core_window)
+    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=1.5,
+                             window=tess.core_window)
     assert res.candidates == 1
     assert res.count == 1
     assert res.points == [(0.0, 0.0)]
@@ -174,23 +175,26 @@ def test_trifurcation_hand_fixture():
 
 def test_trifurcation_two_tips_insufficient():
     tess, coloring = cross_fixture(black_tips=("N", "E"))
-    res = find_trifurcations(tess, coloring, r1=1, r2=1.5, window=tess.core_window)
+    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=1.5,
+                             window=tess.core_window)
     assert res.count == 0
 
 
 def test_trifurcation_needs_black_ball():
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, Coloring(coloring.uniforms, 0.0), r1=1, r2=1.5,
+    graph = build_adjacency(tess, "face")
+    res = find_trifurcations(tess, graph, Coloring(coloring.uniforms, 0.0), r1=1, r2=1.5,
                              window=tess.core_window)
     assert res.count == 0
     with pytest.raises(ParameterError):
-        find_trifurcations(tess, coloring, r1=0, r2=1.5, window=tess.core_window)
+        find_trifurcations(tess, graph, coloring, r1=0, r2=1.5, window=tess.core_window)
 
 
 def test_trifurcation_ball_containment_r2():
     # shrinking r2 below the ball extent disqualifies the hub
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, coloring, r1=1, r2=0.4, window=tess.core_window)
+    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=0.4,
+                             window=tess.core_window)
     assert res.count == 0
 
 

@@ -1,17 +1,18 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from tessperc import diagnostics, estimators, harness
 from tessperc.cli import main
-from tessperc.errors import EdgeEffectError, ParameterError
-from tessperc.experiment import ExperimentSpec
+from tessperc.errors import ConfigError, EdgeEffectError, ParameterError
+from tessperc.experiment import ExperimentSpec, build_tessellation, coloring_for
 from tessperc.geometry import Window
-from tessperc.percolation import color
-from tessperc.point_process import ProcessSpec, sample_poisson
+from tessperc.percolation import CrossingQuery, color, crossing
+from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.render import render_svg
 from tessperc.streams import stream
 from tessperc.tessellation import build_voronoi
@@ -23,6 +24,12 @@ HEX = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0, "random_shift": T
 SQ_FIXED = {"kind": "square_lattice", "params": {"spacing": 1.0}}
 HEX_FIXED = {"kind": "hexagonal_lattice", "params": {"spacing": 1.0}}
 LINES = {"kind": "poisson_line", "params": {"line_intensity": 1.0}}
+MATERN = {"kind": "matern_cluster",
+          "params": {"gamma0": 0.5, "mu": 2.0, "radius": 0.3, "include_parents": True}}
+THOMAS = {"kind": "thomas_cluster", "params": {"gamma0": 0.5, "mu": 2.0, "sigma": 0.2}}
+HARDCORE = {"kind": "matern_hardcore_II",
+            "params": {"gamma_proposal": 2.0, "hardcore_radius": 0.4}}
+PERTURBED = {"kind": "perturbed_lattice", "params": {"spacing": 1.0, "perturbation_scale": 0.5}}
 W4 = [[-4.0, -4.0], [4.0, 4.0]]
 W6 = [[-6.0, -6.0], [6.0, 6.0]]
 
@@ -185,6 +192,30 @@ GOLDEN = {
         "params": {"t": 1.3}}, {
         "recursion.csv": "9ec90668f2675d793f9f8977ef6f284dc88161157fb3aff4dc49d3d94f92799d"},
         "4ee34064147fc71c259d910353533df62374545c5e11118004e011383545b390"),
+    "crossing_matern_cluster_parents": ("run", {
+        "op": "crossing", "process": MATERN, "window": W4, "adjacency": "face",
+        "p_grid": [0.45, 0.55], "replicates": 50, "master_seed": 60,
+        "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
+        "crossing.csv": "3e1fa0a9196075984fb27c54106753a5d02c2c447e7ae9411b9f949b1b4c2309"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
+    "crossing_thomas_cluster": ("run", {
+        "op": "crossing", "process": THOMAS, "window": W4, "adjacency": "face",
+        "p_grid": [0.45, 0.55], "replicates": 50, "master_seed": 61,
+        "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
+        "crossing.csv": "928e84a0c3b50e9968207d3c64992e95d204134e955e5033575c488caa82300e"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
+    "crossing_matern_hardcore_II": ("run", {
+        "op": "crossing", "process": HARDCORE, "window": W4, "adjacency": "face",
+        "p_grid": [0.45, 0.55], "replicates": 50, "master_seed": 62,
+        "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
+        "crossing.csv": "9880e7e6e15bb5dc810ec56944fce5bafbad4acada94cd8a1ea52e943f716b42"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
+    "crossing_perturbed_lattice": ("run", {
+        "op": "crossing", "process": PERTURBED, "window": W4, "adjacency": "face",
+        "p_grid": [0.45, 0.55], "replicates": 50, "master_seed": 63,
+        "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
+        "crossing.csv": "3f7003d412eb0e5e0b3db20a005c07d1cc769402611ef6165cdeabb4c51b186d"},
+        "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
 }
 
 
@@ -359,13 +390,43 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
              "master_seed": 44}),
     ("run", {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.5, 1.5],
              "replicates": 50, "master_seed": 46}),
+    ("run", {"op": "crossing", "process": {"kind": "poisson", "params": {"gamma": math.nan}},
+             "window": W4, "p": 0.5, "replicates": 50, "master_seed": 64}),
+    ("run", {"op": "crossing", "process": {"kind": "square_lattice",
+                                           "params": {"spacing": math.inf}},
+             "window": W4, "p": 0.5, "replicates": 50, "master_seed": 65}),
+    ("run", {"op": "crossing", "process": {"kind": "square_lattice",
+                                           "params": {"spacing": 1.0, "random_shift": "no"}},
+             "window": W4, "p": 0.5, "replicates": 50, "master_seed": 66}),
+    ("run", {"op": "crossing", "process": LINES, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 67}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
-        "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range"])
+        "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
+        "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, _write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
+    """A kind that samples points or names a lattice shape builds and answers
+    a crossing; any other kind is rejected at load time."""
+    kind = KINDS[name]
+    cfg = {"op": "crossing", "process": {"kind": name, "params": dict.fromkeys(kind.params, 1.0)},
+           "window": W4, "p": 0.5, "replicates": 50, "master_seed": 68}
+    path = _write_config(tmp_path, cfg)
+    if kind.sample is None and kind.lattice is None:
+        with pytest.raises(ConfigError, match="no areal intensity"):
+            harness.load_config(path)
+        return
+    spec = ExperimentSpec.from_json(harness.load_config(path))
+    tess = build_tessellation(spec, 0)
+    query = CrossingQuery(rect=spec.window)
+    for p, crossed in ((0.0, False), (1.0, True)):
+        assert crossing(tess, coloring_for(spec, 0, tess, p), query) is crossed
 
 
 def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):
@@ -412,8 +473,13 @@ def test_each_op_builds_once_per_run_or_once_per_replicate(op, process, tmp_path
                                                            monkeypatch):
     """An unshifted lattice is built once per run, a shifted one once per
     replicate. The mixture's two lattice components always shift, whatever
-    the configured process."""
+    the configured process. The trifurcation count builds one adjacency
+    graph per build."""
     built = _record_builds(monkeypatch)
+    graphs = []
+    monkeypatch.setattr(estimators, "build_adjacency",
+                        lambda tess, mode, build=estimators.build_adjacency:
+                        graphs.append(mode) or build(tess, mode))
     replicates, keys = BUILD_COUNT_RUNS[op]
     cfg = {"op": op, "process": process, "window": W4, "replicates": replicates,
            "master_seed": 57, **keys}
@@ -424,6 +490,8 @@ def test_each_op_builds_once_per_run_or_once_per_replicate(op, process, tmp_path
         assert built == [0]
     else:
         assert sorted(built) == list(range(replicates))
+    if op == "trifurcation_density":
+        assert len(graphs) == len(built)
 
 
 @pytest.mark.parametrize("op,replicates,params", [

@@ -40,6 +40,17 @@ def test_process_spec_validation():
         ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.1,
                                        "random_shift": True})
     ProcessSpec("hexagonal_lattice", {"spacing": 1.0, "random_shift": True})
+    # every parameter is finite and every flag a boolean
+    for bad in ({"gamma": math.nan}, {"gamma": math.inf}):
+        with pytest.raises(ParameterError, match="must be finite and positive"):
+            ProcessSpec("poisson", bad)
+    with pytest.raises(ParameterError, match="must be finite and positive"):
+        ProcessSpec("square_lattice", {"spacing": math.inf})
+    with pytest.raises(ParameterError, match="must be true or false"):
+        ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": "no"})
+    with pytest.raises(ParameterError, match="must be true or false"):
+        ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.1,
+                                       "include_parents": 1})
 
 
 def test_process_spec_json_roundtrip():
@@ -98,7 +109,7 @@ def test_poisson_superposition():
 
 def test_cluster_process_intensity():
     spec = ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.1})
-    counts = [len(sample_cluster_process(spec, WIN10, 0.1, stream(9, r, "cl")))
+    counts = [len(sample_cluster_process(spec, WIN10, stream(9, r, "cl")))
               for r in range(1000)]
     mean = np.mean(counts)
     sd = np.std(counts) / math.sqrt(1000)
@@ -107,12 +118,8 @@ def test_cluster_process_intensity():
 
 def test_cluster_process_edge_cases():
     spec = ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 1e-12, "radius": 0.1})
-    cfg = sample_cluster_process(spec, WIN10, 0.1, stream(9, 0, "cl"))
+    cfg = sample_cluster_process(spec, WIN10, stream(9, 0, "cl"))
     assert len(cfg) == 0
-    with pytest.raises(ParameterError):
-        sample_cluster_process(
-            ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.5}),
-            WIN10, 0.1, stream(9, 0, "cl"))
 
 
 def test_matern_cluster_diameter_bound():
@@ -125,7 +132,7 @@ def test_matern_cluster_diameter_bound():
 
 def test_thomas_truncation_records_metadata():
     spec = ProcessSpec("thomas_cluster", {"gamma0": 1.0, "mu": 2.0, "sigma": 0.1})
-    cfg = sample_cluster_process(spec, WIN10, 0.6, stream(9, 1, "cl"))
+    cfg = sample_cluster_process(spec, WIN10, stream(9, 1, "cl"))
     assert cfg.meta["truncation_sigmas"] == 6.0
 
 
