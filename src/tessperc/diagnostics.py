@@ -1,5 +1,8 @@
 """Scale-mixing gap curves, the line-process counterexample, the lattice
-mixture demo, tameness curves and the white-circuit probe."""
+mixture demo, tameness curves and the white-circuit probe. The probe finds
+the circuit boxes that white cells meet with geometry.rings_meet_boxes,
+the kernel of the tameness fields, in one call per circuit.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import numpy as np
 from .errors import ParameterError
 from .experiment import (ExperimentSpec, as_built, build_tessellation, map_replicates,
                          run_replicates)
-from .geometry import Window, edge_normals, poly_box_overlaps
+from .geometry import Window, rings_meet_boxes
 from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
 from .percolation import Coloring, CrossingQuery, crossing, spanning_cluster_count
 from .point_process import ProcessSpec, sample_poisson_lines, sample_process
@@ -328,37 +331,25 @@ def _ring_boxes(length: int, rng: np.random.Generator):
 def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
                  master_seed: int, tess, uniforms, rep: int):
     """Per cycle length, whether every box of a random circuit of that
-    length around the origin meets a white cell."""
+    length around the origin meets a white cell. Every circuit box is
+    checked against the analysis window before any colour is read."""
+    rings = [np.array(_ring_boxes(ln, stream(master_seed, rep, f"cycle:{ln}")))
+             for ln in cycle_lengths]
+    boxes = np.concatenate(rings)
+    if (((boxes - 0.5) * delta < np.subtract(window.lo, tess.tol)).any()
+            or ((boxes + 0.5) * delta > np.add(window.hi, tess.tol)).any()):
+        raise ParameterError("circuit box leaves the analysis window")
     white = Coloring(uniforms, p).mask("white")
     bb = tess.bboxes
-    cache: dict = {}
-
-    def box_white(ix, jy):
-        key = (ix, jy)
-        if key in cache:
-            return cache[key]
-        lo = ((ix - 0.5) * delta, (jy - 0.5) * delta)
-        hi = ((ix + 0.5) * delta, (jy + 0.5) * delta)
-        if not window.contains_window(Window(lo, hi), tol=tess.tol):
-            raise ParameterError("circuit box leaves the analysis window")
-        cand = np.nonzero((bb[:, 0] <= hi[0]) & (bb[:, 2] >= lo[0])
-                          & (bb[:, 1] <= hi[1]) & (bb[:, 3] >= lo[1]))[0]
-        hit = False
-        for c in cand:
-            if not white[c]:
-                continue
-            poly = tess.polygon(c)
-            normals, offsets = edge_normals(poly)
-            if poly_box_overlaps(poly, normals, offsets, lo, hi, tess.tol):
-                hit = True
-                break
-        cache[key] = hit
-        return hit
-
     out = []
-    for ln in cycle_lengths:
-        ring = _ring_boxes(ln, stream(master_seed, rep, f"cycle:{ln}"))
-        out.append(all(box_white(a, b) for a, b in ring))
+    for ring in rings:
+        lo, hi = (ring[:, None] - 0.5) * delta, (ring[:, None] + 0.5) * delta
+        # (ring box, white cell) pairs whose closed bboxes meet
+        k, c = np.nonzero((bb[:, 0] <= hi[..., 0]) & (bb[:, 2] >= lo[..., 0])
+                          & (bb[:, 1] <= hi[..., 1]) & (bb[:, 3] >= lo[..., 1]) & white)
+        hit = np.zeros(len(ring), bool)
+        hit[k[rings_meet_boxes(tess.poly_xy, tess.poly_ptr, c, ring[k], delta, tess.tol)]] = True
+        out.append(bool(hit.all()))
     return out
 
 

@@ -4,7 +4,13 @@ Everything is 2-D and numpy-based. Polygons are (k, 2) float arrays with CCW
 vertex order; windows are axis-aligned rectangles. Many polygons travel as
 one ragged pair (xy, ptr): ring i is xy[ptr[i]:ptr[i + 1]]. Rings are
 clipped to a window all at once by clip_rings_to_window, and measured by
-ring_areas.
+ring_areas and ring_extents.
+
+One rule decides whether a convex ring meets a window in positive area:
+parts_with_area clips it and keeps a part wider and taller than tol. The
+crossing layer applies it to a rectangle, and rings_meet_boxes, the batch
+cell-box overlap kernel of the grid fields and the Peierls probe, to many
+(ring, grid box) pairs at once.
 """
 
 from __future__ import annotations
@@ -154,6 +160,40 @@ def clip_rings_to_window(xy: np.ndarray, ptr: np.ndarray,
     return xy, ptr
 
 
+def ring_extents(xy: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """[xmin, ymin, xmax, ymax] of every ring xy[ptr[i]:ptr[i + 1]] (NaN for
+    an empty ring)."""
+    full = ptr[:-1] < ptr[1:]
+    starts = ptr[:-1][full]
+    ext = np.full((len(ptr) - 1, 4), np.nan)
+    ext[full] = np.column_stack([np.minimum.reduceat(xy, starts),
+                                 np.maximum.reduceat(xy, starts)])
+    return ext
+
+
+def parts_with_area(xy: np.ndarray, ptr: np.ndarray, win: Window, tol: float):
+    """(mask, extents) of the parts of convex rings inside win: the mask
+    keeps a part wider and taller than tol, so a ring touching win only
+    along a side or at a corner does not meet it."""
+    ext = ring_extents(*clip_rings_to_window(xy, ptr, win))
+    return (ext[:, 2] - ext[:, 0] > tol) & (ext[:, 3] - ext[:, 1] > tol), ext
+
+
+def rings_meet_boxes(xy: np.ndarray, ptr: np.ndarray, ids, boxes, delta: float,
+                     tol: float) -> np.ndarray:
+    """Mask of the pairs (ring ids[k], grid box boxes[k]) that meet in
+    positive area, box (a, b) being delta * ((a, b) + [-1/2, 1/2]^2).
+
+    Each pair's ring is shifted by its box's centre, so one clip to the
+    origin box serves every pair.
+    """
+    ring_xy, ring_ptr = gather_rings(xy, ptr, ids)
+    centres = np.asarray(boxes, float).reshape(-1, 2) * delta
+    ring_xy = ring_xy - np.repeat(centres, np.diff(ring_ptr), axis=0)
+    half = delta / 2.0
+    return parts_with_area(ring_xy, ring_ptr, Window((-half, -half), (half, half)), tol)[0]
+
+
 def point_in_convex_polygon(point, poly: np.ndarray, tol: float = 0.0) -> bool:
     """Membership test for a CCW convex polygon, boundary counts within tol."""
     p = np.asarray(point, float)
@@ -161,34 +201,6 @@ def point_in_convex_polygon(point, poly: np.ndarray, tol: float = 0.0) -> bool:
     b = np.roll(poly, -1, axis=0)
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
     return bool(np.all(cross >= -tol))
-
-
-def edge_normals(poly: np.ndarray):
-    """(outward unit normals, offsets) of a CCW polygon's nondegenerate edges,
-    as poly_box_overlaps takes them."""
-    edges = np.roll(poly, -1, axis=0) - poly
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW
-    lens = np.linalg.norm(normals, axis=1)
-    good = lens > 0
-    normals = normals[good] / lens[good][:, None]
-    offsets = (normals * poly[good]).sum(axis=1)
-    return normals, offsets
-
-
-def poly_box_overlaps(poly: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-                      lo, hi, tol: float) -> bool:
-    """Positive-area convex-polygon/axis-box intersection via separating axes.
-
-    Boundary-only contact does not count: a cell coinciding with a box must
-    not register against the box's neighbors.
-    """
-    if poly[:, 0].min() >= hi[0] - tol or poly[:, 0].max() <= lo[0] + tol:
-        return False
-    if poly[:, 1].min() >= hi[1] - tol or poly[:, 1].max() <= lo[1] + tol:
-        return False
-    mins = (np.where(normals[:, 0] > 0, lo[0], hi[0]) * normals[:, 0]
-            + np.where(normals[:, 1] > 0, lo[1], hi[1]) * normals[:, 1])
-    return bool(np.all(mins < offsets - tol))
 
 
 def clip_segments_to_rect(a: np.ndarray, b: np.ndarray, rect: Window):

@@ -2,8 +2,10 @@
 
 Y counts cell centers per delta-box; U marks boxes from which a single cell
 reaches boxes at l-infinity index distance >= 2 (the large-cell indicator).
-greedy_animal_max finds connected n-box sets maximizing the field average
-by randomized local search.
+Which boxes a cell meets in positive area is decided for all candidate
+(cell, box) pairs at once by geometry.rings_meet_boxes. greedy_animal_max
+finds connected n-box sets maximizing the field average by randomized local
+search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Window, edge_normals, poly_box_overlaps
+from .geometry import Window, rings_meet_boxes
 from .tessellation import Tessellation
 
 
@@ -48,61 +50,52 @@ def region_index_range(region: Window, delta: float):
     return i0, i1, j0, j1
 
 
-def compute_Y_field(tess: Tessellation, delta: float, region: Window) -> GridField:
-    """Per-box count of cell centers; boxes are half-open so no double counting."""
+def _field_range(tess: Tessellation, delta: float, region: Window):
+    """region_index_range of a field over region, checked against tess."""
     if delta <= 0:
         raise ParameterError("delta must be positive")
     if not tess.core_window.contains_window(region, tol=tess.tol):
         raise ParameterError("region must lie inside the core window")
-    i0, i1, j0, j1 = region_index_range(region, delta)
+    return region_index_range(region, delta)
+
+
+def compute_Y_field(tess: Tessellation, delta: float, region: Window) -> GridField:
+    """Per-box count of cell centers; boxes are half-open so no double counting."""
+    i0, i1, j0, j1 = _field_range(tess, delta, region)
     values = np.zeros((i1 - i0 + 1, j1 - j0 + 1), int)
-    centers = tess.centers
-    idx = np.floor(centers / delta + 0.5).astype(int)
-    for (ci, cj) in idx:
-        if i0 <= ci <= i1 and j0 <= cj <= j1:
-            values[ci - i0, cj - j0] += 1
+    idx = np.floor(tess.centers / delta + 0.5).astype(int) - (i0, j0)
+    inside = ((idx >= 0) & (idx < values.shape)).all(axis=1)
+    np.add.at(values, tuple(idx[inside].T), 1)
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 
 
 def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridField:
     """Indicator per box: some single cell meets it and a box at index
     distance >= 2 (in l-infinity)."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
-    if not tess.core_window.contains_window(region, tol=tess.tol):
-        raise ParameterError("region must lie inside the core window")
-    i0, i1, j0, j1 = region_index_range(region, delta)
+    i0, i1, j0, j1 = _field_range(tess, delta, region)
     values = np.zeros((i1 - i0 + 1, j1 - j0 + 1), np.int8)
-    tol = tess.tol
     bb = tess.bboxes
     # cells whose bbox meets the region are the only ones that can set U
-    cand = np.nonzero((bb[:, 0] <= (i1 + 0.5) * delta + tol)
-                      & (bb[:, 2] >= (i0 - 0.5) * delta - tol)
-                      & (bb[:, 1] <= (j1 + 0.5) * delta + tol)
-                      & (bb[:, 3] >= (j0 - 0.5) * delta - tol))[0]
-    for c in cand:
-        poly = tess.polygon(c)
-        normals, offsets = edge_normals(poly)
-        a0 = math.ceil(bb[c, 0] / delta - 0.5 - 1e-12)
-        a1 = math.floor(bb[c, 2] / delta + 0.5 + 1e-12)
-        b0 = math.ceil(bb[c, 1] / delta - 0.5 - 1e-12)
-        b1 = math.floor(bb[c, 3] / delta + 0.5 + 1e-12)
-        boxes = []
-        for a in range(a0, a1 + 1):
-            for b in range(b0, b1 + 1):
-                lo = ((a - 0.5) * delta, (b - 0.5) * delta)
-                hi = ((a + 0.5) * delta, (b + 0.5) * delta)
-                if poly_box_overlaps(poly, normals, offsets, lo, hi, tol):
-                    boxes.append((a, b))
-        if not boxes:
-            continue
-        arr = np.array(boxes)
-        amin, bmin = arr.min(axis=0)
-        amax, bmax = arr.max(axis=0)
-        for (a, b) in boxes:
-            if i0 <= a <= i1 and j0 <= b <= j1:
-                if max(amax - a, a - amin, bmax - b, b - bmin) >= 2:
-                    values[a - i0, b - j0] = 1
+    cand = tess.cells_meeting(Window(((i0 - 0.5) * delta, (j0 - 0.5) * delta),
+                                     ((i1 + 0.5) * delta, (j1 + 0.5) * delta)))
+    # every candidate is paired with each box of its bbox's index range
+    lo = np.ceil(bb[cand, :2] / delta - 0.5 - 1e-12).astype(int)
+    hi = np.floor(bb[cand, 2:] / delta + 0.5 + 1e-12).astype(int)
+    span = hi - lo + 1
+    count = span[:, 0] * span[:, 1]
+    cell = np.repeat(np.arange(len(cand)), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    boxes = lo[cell] + np.column_stack([k // span[cell, 1], k % span[cell, 1]])
+    hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, cand[cell], boxes, delta, tess.tol)
+    cell, boxes = cell[hit], boxes[hit]
+    # index extents of the boxes each cell meets
+    first, last = hi.copy(), lo.copy()
+    np.minimum.at(first, cell, boxes)
+    np.maximum.at(last, cell, boxes)
+    reach = np.maximum(last[cell] - boxes, boxes - first[cell]).max(axis=1)
+    inside = ((boxes >= (i0, j0)) & (boxes <= (i1, j1))).all(axis=1)
+    ab = boxes[inside & (reach >= 2)] - (i0, j0)
+    values[ab[:, 0], ab[:, 1]] = 1
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 
 

@@ -17,9 +17,11 @@ Every op is one entry of OPS, keyed by its name. An entry holds
 - `fn(spec, params, workers) -> (rows, summary)`, where a summary of None
   stands for {"rows": len(rows)};
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
-  for the `sweep` entry point (extra: more run.json summary fields), and
-  `process`, the one process kind the op accepts. A kind with no areal
-  intensity is accepted only by an op whose `process` names it.
+  for the `sweep` entry point (extra: more run.json summary fields),
+  `process`, the one process kind the op accepts, and `samples(params)`,
+  true when the op samples points from the process. A kind with no areal
+  intensity is accepted only by an op whose `process` names it, and a kind
+  with no planar sampler by no op that samples.
 The functions look estimators up in this module's namespace when they run,
 so a caller that rebinds such a name here (a tracer) sees every call.
 """
@@ -96,6 +98,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: op {name!r} requires a {op.process} process")
     if op.process is None and KINDS[spec.process.kind].intensity is None:
         raise ConfigError(f"{path}: op {name!r}: {spec.process.kind} has no areal intensity")
+    if op.samples(params) and KINDS[spec.process.kind].sample is None:
+        raise ConfigError(f"{path}: op {name!r}: {spec.process.kind} does not sample "
+                          "to a planar configuration")
     return cfg
 
 
@@ -271,20 +276,22 @@ class Op:
     fn: Callable
     sweep: Callable | None = None
     process: str | None = None
+    samples: Callable = lambda params: False
 
 
 # The single registry of ops. Entries hold module-level functions that look
 # estimators up when they run; storing e.g. estimate_theta itself here would
 # hide later rebinding of the module attribute from the table.
 OPS = {
-    "void": Op(("Q", "t_values"), NO_P, _void),
-    "laplace": Op(("t", "region"), NO_P, _laplace),
+    "void": Op(("Q", "t_values"), NO_P, _void, samples=lambda params: True),
+    "laplace": Op(("t", "region"), NO_P, _laplace, samples=lambda params: True),
     "crossing": Op(("rect", "direction", "color"), EACH_P, _crossing, sweep=_sweep_crossing),
     "theta": Op(("radii",), EACH_P, _theta),
     "pc": Op(("tolerance", "replicates_per_probe"), NO_P, _pc),
     "spanning": Op(("analysis_window",), EACH_P, _spanning),
     "smp_gap": Op(("family", "Q", "Qprime", "t_schedule"), ONE_P, _smp_gap,
-                  sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers))),
+                  sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers)),
+                  samples=lambda params: params.get("family") == "void"),
     "line_smp": Op(("t_schedule", "angle_tol"), NO_P, _line_smp, process="poisson_line"),
     "mixture": Op(("spacing", "replicates_per_component"), ONE_P, _mixture),
     "tameness": Op(("delta", "n_schedule"), NO_P, _tameness),

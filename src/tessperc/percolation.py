@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Window, clip_rings_to_window, clip_segments_to_rect, gather_rings
+from .geometry import Window, clip_segments_to_rect, gather_rings, parts_with_area
 from .tessellation import AdjacencyGraph, Tessellation
 
 
@@ -101,25 +101,17 @@ def _cells_in_rect(tess: Tessellation, rect: Window):
     increasing id order.
 
     A cell whose bbox lies inside rect is its own part. The cells that cross
-    the rectangle's boundary are clipped to it in one batch, and a part of
-    zero width or height (a convex cell touching rect only along a side or
-    at a corner) is dropped.
+    the rectangle's boundary are clipped to it in one batch by
+    parts_with_area, which drops a cell touching rect only along a side or
+    at a corner.
     """
     ids = tess.cells_meeting(rect)
     ext = tess.bboxes[ids]
-    inside = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
-              & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
-    keep = inside.copy()
-    cut = np.nonzero(~inside)[0]
-    if len(cut):
-        xy, ptr = clip_rings_to_window(*gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]),
-                                       rect)
-        part = ptr[:-1] < ptr[1:]
-        cut, starts = cut[part], ptr[:-1][part]
-        ext[cut] = np.column_stack([np.minimum.reduceat(xy, starts),
-                                    np.maximum.reduceat(xy, starts)])
-        keep[cut] = ((ext[cut, 2] - ext[cut, 0] > tess.tol)
-                     & (ext[cut, 3] - ext[cut, 1] > tess.tol))
+    keep = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
+            & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
+    cut = np.nonzero(~keep)[0]
+    keep[cut], ext[cut] = parts_with_area(*gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]),
+                                          rect, tess.tol)
     in_rect = np.zeros(len(tess), bool)
     in_rect[ids[keep]] = True
     return in_rect, ext[keep]

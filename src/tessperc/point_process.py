@@ -11,6 +11,7 @@ entry of KINDS, so a new kind is one entry plus its sampler.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,7 +59,9 @@ class ProcessSpec:
         for name in entry.params:
             if name not in self.params:
                 raise ParameterError(f"{self.kind}: missing parameter {name!r}")
-            value = float(self.params[name])
+            value = self.params[name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{self.kind}: {name!r} must be a number")
             if not (0 < value < math.inf or (value == 0 and name in entry.may_be_zero)):
                 raise ParameterError(f"{self.kind}: {name!r} must be finite and positive")
         for name in set(entry.flags).intersection(self.params):

@@ -23,7 +23,7 @@ from scipy.spatial import QhullError, Voronoi
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
-                       point_in_convex_polygon, ring_areas)
+                       point_in_convex_polygon, ring_areas, ring_extents)
 from .point_process import PointConfiguration
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
@@ -71,12 +71,7 @@ class Tessellation:
     boundary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        starts = self.poly_ptr[:-1]
-        x, y = self.poly_xy[:, 0], self.poly_xy[:, 1]
-        self.bboxes = np.column_stack([np.minimum.reduceat(x, starts),
-                                       np.minimum.reduceat(y, starts),
-                                       np.maximum.reduceat(x, starts),
-                                       np.maximum.reduceat(y, starts)])
+        self.bboxes = ring_extents(self.poly_xy, self.poly_ptr)
         bb, lo, hi, tol = self.bboxes, self.core_window.lo, self.core_window.hi, self.tol
         self.boundary = ((bb[:, 0] <= lo[0] + tol) | (bb[:, 2] >= hi[0] - tol)
                          | (bb[:, 1] <= lo[1] + tol) | (bb[:, 3] >= hi[1] - tol))

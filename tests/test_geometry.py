@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from tessperc.errors import ParameterError
 from tessperc.geometry import (GridRegion, Window, clip_rings_to_window,
                                clip_segments_to_rect, gather_rings,
-                               point_in_convex_polygon, ring_areas)
+                               point_in_convex_polygon, ring_areas, ring_extents,
+                               rings_meet_boxes)
+from tessperc.point_process import sample_poisson
+from tessperc.streams import stream
+from tessperc.tessellation import build_lattice_tessellation, build_voronoi
 
 
 def clip_polygon_halfplane(poly, normal, offset):
@@ -163,6 +168,116 @@ def test_clip_rings_edge_cases():
     # a ring touching the window along one side keeps a zero-area part
     xy, ptr = clip_rings_to_window(*ragged([sq + [1, 0]]), win)
     assert len(xy) > 0 and ring_areas(xy, ptr)[0] == 0.0
+
+
+def edge_normals(poly):
+    """(outward unit normals, offsets) of a CCW polygon's nondegenerate edges,
+    as poly_box_overlaps takes them."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW
+    lens = np.linalg.norm(normals, axis=1)
+    good = lens > 0
+    normals = normals[good] / lens[good][:, None]
+    offsets = (normals * poly[good]).sum(axis=1)
+    return normals, offsets
+
+
+def poly_box_overlaps(poly, normals, offsets, lo, hi, tol):
+    """Reference positive-area convex-polygon/axis-box test by separating
+    axes, one polygon and one box at a time; boundary-only contact does not
+    count."""
+    if poly[:, 0].min() >= hi[0] - tol or poly[:, 0].max() <= lo[0] + tol:
+        return False
+    if poly[:, 1].min() >= hi[1] - tol or poly[:, 1].max() <= lo[1] + tol:
+        return False
+    mins = (np.where(normals[:, 0] > 0, lo[0], hi[0]) * normals[:, 0]
+            + np.where(normals[:, 1] > 0, lo[1], hi[1]) * normals[:, 1])
+    return bool(np.all(mins < offsets - tol))
+
+
+def assert_kernel_matches_separating_axes(xy, ptr, delta, tol):
+    """rings_meet_boxes against poly_box_overlaps for every ring and every
+    box of its bbox's index range widened by one box."""
+    ids, boxes, want = [], [], []
+    for i, (x0, y0, x1, y1) in enumerate(ring_extents(xy, ptr)):
+        poly = xy[ptr[i]:ptr[i + 1]]
+        normals, offsets = edge_normals(poly)
+        for a in range(int(np.floor(x0 / delta)) - 1, int(np.ceil(x1 / delta)) + 2):
+            for b in range(int(np.floor(y0 / delta)) - 1, int(np.ceil(y1 / delta)) + 2):
+                lo = ((a - 0.5) * delta, (b - 0.5) * delta)
+                hi = ((a + 0.5) * delta, (b + 0.5) * delta)
+                ids.append(i)
+                boxes.append((a, b))
+                want.append(poly_box_overlaps(poly, normals, offsets, lo, hi, tol))
+    got = rings_meet_boxes(xy, ptr, np.array(ids, int), np.array(boxes, int), delta, tol)
+    assert got.tolist() == want
+    return sum(want)
+
+
+@st.composite
+def dyadic_cells(draw):
+    """Convex cells with vertices on the 1/64 grid, and a dyadic delta.
+
+    The kernel keeps a clipped part wider and taller than tol, the reference
+    separates by axes with slack tol; the two can disagree only when a
+    contact's depth lies within about tol of the threshold. Dyadic vertices
+    and box sides make every contact either an exact touch (depth 0) or at
+    least about 1e-5 deep, so the rules must agree on every pair. Hull cells
+    come from random grid points; rectangle cells have corners on half
+    multiples of delta, so they coincide with a box or share its edges.
+    """
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    rings = []
+    for kind in draw(st.lists(st.sampled_from(["hull", "rect"]), min_size=1, max_size=6)):
+        if kind == "hull":
+            pts = np.array(draw(st.lists(st.tuples(st.integers(-192, 192), st.integers(-192, 192)),
+                                         min_size=3, max_size=8, unique=True)), float) / 64
+            try:
+                hull = ConvexHull(pts)
+            except QhullError:
+                assume(False)
+            rings.append(pts[hull.vertices])
+        else:
+            a0, b0 = draw(st.integers(-6, 5)), draw(st.integers(-6, 5))
+            a1, b1 = a0 + draw(st.integers(1, 4)), b0 + draw(st.integers(1, 4))
+            lo, hi = np.array([a0, b0]) * delta / 2, np.array([a1, b1]) * delta / 2
+            rings.append(np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]]))
+    xy, ptr = ragged(rings)
+    return xy, ptr, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_cells())
+def test_rings_meet_boxes_matches_separating_axes(case):
+    xy, ptr, delta = case
+    assert_kernel_matches_separating_axes(xy, ptr, delta, 1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda core: build_voronoi(sample_poisson(1.0, core.expand(4.0), stream(3, 0, "kernel")),
+                               core, 4.0),
+    lambda core: build_lattice_tessellation("square", 1.0, (-0.5, -0.5), core),
+    lambda core: build_lattice_tessellation("square", 1.0, (0.0, 0.0), core),
+    lambda core: build_lattice_tessellation("hexagonal", 1.0, (0.3, 0.1), core),
+], ids=["voronoi", "square_on_boxes", "square_on_box_edges", "hexagonal"])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_rings_meet_boxes_matches_separating_axes_on_tessellations(build, delta):
+    tess = build(Window((-4.0, -4.0), (4.0, 4.0)))
+    assert assert_kernel_matches_separating_axes(tess.poly_xy, tess.poly_ptr, delta, tess.tol) > 0
+
+
+def test_rings_meet_boxes_keeps_only_positive_area():
+    sq = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    xy, ptr = ragged([sq])
+    # the unit cell is box (0, 0); its edge and corner neighbours touch it only
+    boxes = [(0, 0), (1, 0), (1, 1), (0, -1), (2, 0)]
+    assert rings_meet_boxes(xy, ptr, [0] * 5, boxes, 1.0, 1e-9).tolist() == [
+        True, False, False, False, False]
+    # at delta 1/2 the cell shifted by 1/4 is four boxes and shares edges with more
+    boxes = [(0, 0), (1, 1), (2, 0), (-1, 0), (2, 2)]
+    assert rings_meet_boxes(xy + 0.25, ptr, [0] * 5, boxes, 0.5, 1e-9).tolist() == [
+        True, True, False, False, False]
+    assert rings_meet_boxes(xy, ptr, [], np.empty((0, 2), int), 1.0, 1e-9).shape == (0,)
 
 
 def test_point_in_convex_polygon():

@@ -252,7 +252,10 @@ def _csv_bytes(record) -> dict:
      "params": {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}},
     {"op": "pc", "process": SQ_FIXED, "window": W4, "adjacency": "face", "replicates": 50,
      "master_seed": 49, "params": {"tolerance": 0.1, "replicates_per_probe": 50}},
-], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice"])
+    {"op": "tameness", "process": PV, "window": W6, "replicates": 4, "master_seed": 69,
+     "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}},
+], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice",
+        "tameness_voronoi"])
 def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     path = _write_config(tmp_path, cfg)
     one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
@@ -297,6 +300,17 @@ def test_peierls_probe_result_pinned():
         sigmas=[0.13936099742505348, 0.14798927814636098],
         bounds=[0.9514940774912729, 0.9053409795009684], below_bound=[True, True],
         replicates=10, failed=0)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.99])
+def test_peierls_circuit_leaving_the_window_is_refused_at_every_p(p):
+    """A circuit box outside the analysis window is an error whatever the
+    colours, not only when every earlier box met a white cell."""
+    spec = ExperimentSpec(process=ProcessSpec.from_json(SQ_FIXED),
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), master_seed=1)
+    with pytest.raises(ParameterError, match="circuit box leaves the analysis window"):
+        diagnostics.peierls_probe(spec, p, 1.0, Window((-3.5, -3.5), (3.5, 3.5)),
+                                  replicates=1, c3=0.5, c4=0.02, cycle_lengths=(16,))
 
 
 def _fail_rep_1(build):
@@ -400,9 +414,22 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
              "window": W4, "p": 0.5, "replicates": 50, "master_seed": 66}),
     ("run", {"op": "crossing", "process": LINES, "window": W4, "p": 0.5, "replicates": 50,
              "master_seed": 67}),
+    ("run", {"op": "crossing", "process": {"kind": "poisson", "params": {"gamma": "1.5"}},
+             "window": W4, "p": 0.5, "replicates": 50, "master_seed": 70}),
+    ("run", {"op": "void", "process": SQ, "window": W4, "replicates": 50, "master_seed": 71,
+             "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [1.0]}}),
+    ("run", {"op": "laplace", "process": HEX, "window": W4, "replicates": 50,
+             "master_seed": 72,
+             "params": {"t": 1.0, "region": {"delta": 1.0, "ni": 2, "nj": 2}}}),
+    ("sweep", {"op": "smp_gap", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+               "master_seed": 73,
+               "params": {"family": "void", "Q": [[-1.0, -1.0], [0.0, 0.0]],
+                          "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0]}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
-        "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line"])
+        "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
+        "quoted_number_parameter", "void_on_square_lattice", "laplace_on_hexagonal_lattice",
+        "smp_gap_void_on_square_lattice"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()

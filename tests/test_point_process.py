@@ -46,6 +46,10 @@ def test_process_spec_validation():
             ProcessSpec("poisson", bad)
     with pytest.raises(ParameterError, match="must be finite and positive"):
         ProcessSpec("square_lattice", {"spacing": math.inf})
+    # a numeric parameter is a number, not a string or a boolean
+    for bad in ({"gamma": "1.5"}, {"gamma": True}):
+        with pytest.raises(ParameterError, match="must be a number"):
+            ProcessSpec("poisson", bad)
     with pytest.raises(ParameterError, match="must be true or false"):
         ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": "no"})
     with pytest.raises(ParameterError, match="must be true or false"):
