@@ -17,16 +17,14 @@ from .point_process import (PointConfiguration, ProcessSpec,
                             sample_matern_hardcore, sample_perturbed_lattice,
                             sample_poisson, sample_poisson_lines, sample_process)
 from .streams import stream
-from .tessellation import (AdjacencyGraph, Tessellation, build_adjacency,
-                           build_lattice_tessellation, build_voronoi, zero_cell)
-from .graphs import graph_ball, outer_boundary
+from .tessellation import (Tessellation, build_adjacency, build_lattice_tessellation,
+                           build_voronoi, zero_cell)
 from .percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing,
-                          label_components, spanning_cluster_count)
+                          hop_balls, label_components, spanning_cluster_count)
 from .experiment import ExperimentSpec, build_tessellation, coloring_for
-from .estimators import (count_spanning_clusters, estimate_crossing_prob,
-                         estimate_pc, estimate_theta,
-                         estimate_trifurcation_density, find_trifurcations,
-                         ggr_diagnostics, verify_crossing_recursion)
+from .estimators import (count_spanning_clusters, estimate_crossing_prob, estimate_pc,
+                         estimate_theta, estimate_trifurcation_density, find_trifurcations,
+                         ggr_diagnostics, trifurcation_candidates, verify_crossing_recursion)
 from .gridfield import (AnimalSearchResult, GridField, compute_U_field,
                         compute_Y_field, greedy_animal_max)
 from .diagnostics import (SmpGapCurve, gap_from_indicators,

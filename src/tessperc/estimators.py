@@ -2,8 +2,9 @@
 
 Every estimator is a prepare/query pair run by experiment.run_replicates:
 prepare builds the colour-independent part of a query (a rectangle graph,
-the adjacency graph and zero cell) once per tessellation, and query reads
-one replicate's colouring uniforms, thresholded at each p it asks. The
+the cell graph and zero cell, or the trifurcation candidates with their
+balls and rims) once per tessellation, and query reads one replicate's
+colouring uniforms, thresholded at each p it asks. The
 runner builds a tessellation that does not vary by replicate (an unshifted
 lattice) once per run, drops and counts build failures (edge effects,
 degenerate inputs) and fails the run past its failure budget. The
@@ -11,8 +12,10 @@ estimators count events and report Wilson intervals. Crossing
 probabilities have one estimator, estimate_crossing_curve, which
 thresholds each replicate's colouring at every p of a grid.
 
-The build, crossing, adjacency, zero-cell and reach functions are looked
-up in this module, so a wrapper on these bindings sees every call.
+The ggr diagnostics colour one build once per replicate through
+experiment.map_replicates. The build, crossing, adjacency, zero-cell, reach
+and ball functions are looked up in this module, so a wrapper on these
+bindings sees every call.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .graphs import graph_ball, outer_boundary
-from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing,
+from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing, hop_balls,
                           label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .experiment import (ExperimentSpec, as_built, build_tessellation, coloring_for,
-                         run_replicates)
-from .tessellation import AdjacencyGraph, Tessellation, build_adjacency, zero_cell
+                         map_replicates, run_replicates)
+from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
 def _rect_prepare(rect: Window, adjacency: str, tess: Tessellation):
@@ -82,15 +84,15 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p_grid,
 
 
 def _theta_prepare(adjacency: str, tess: Tessellation):
-    """(tessellation, its adjacency graph, its zero cell)."""
+    """(tessellation, its cell graph edges, its zero cell)."""
     return tess, build_adjacency(tess, adjacency), zero_cell(tess)
 
 
 def _theta_rep(p_grid: tuple, radii: tuple, prepared, uniforms, rep: int):
     """Reach indicator per radius, per p of p_grid, of one tessellation and
     one coloring thresholded at every p."""
-    tess, graph, root = prepared
-    reach = [cluster_reach(tess, graph, Coloring(uniforms, p), root) for p in p_grid]
+    tess, edges, root = prepared
+    reach = [cluster_reach(tess, edges, Coloring(uniforms, p), root) for p in p_grid]
     return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
 
 
@@ -218,73 +220,86 @@ class TrifurcationResult:
 
 
 def _in_box(bb: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Mask of the [xmin, ymin, xmax, ymax] boxes inside [lo, hi] grown by tol."""
-    return ((bb[:, 0] >= lo[0] - tol) & (bb[:, 2] <= hi[0] + tol)
-            & (bb[:, 1] >= lo[1] - tol) & (bb[:, 3] <= hi[1] + tol))
+    """Mask of the [xmin, ymin, xmax, ymax] boxes inside [lo, hi] grown by
+    tol; lo and hi are one corner pair or one per box."""
+    return ((bb[:, :2] >= np.subtract(lo, tol)) & (bb[:, 2:] <= np.add(hi, tol))).all(axis=1)
 
 
-def find_trifurcations(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
-                       r1: int, r2: float, window: Window) -> TrifurcationResult:
-    """Count grid points of 3*r2*Z^2 in the window that are trifurcations of graph.
+@dataclass
+class TrifurcationCandidates:
+    """The colour-independent part of a trifurcation count: the cell graph,
+    the cells that touch the window's boundary, and each candidate that fits
+    as (grid point, cells of its ball B_r1, cells of the ball's rim)."""
+    edges: np.ndarray
+    touching: np.ndarray
+    window: Window
+    fitting: list
+    candidates: int
 
-    A candidate x is skipped, and counted as skipped, when the graph ball
-    B_r1 around its cell leaves the window or does not fit in
-    x + [-r2, r2]^2; neither depends on the coloring. Any other candidate
-    qualifies when the ball is all black and, after whitening the ball, at
-    least three distinct window-boundary-touching black clusters meet the
-    ball's outer boundary ("infinite" replaced by its finite window
-    surrogate).
+
+def trifurcation_candidates(tess: Tessellation, edges: np.ndarray, r1: int, r2: float,
+                            window: Window) -> TrifurcationCandidates:
+    """The grid points of 3*r2*Z^2 in the window and their balls in the cell
+    graph edges, which one hop_balls call of radius r1 + 1 grows around
+    every candidate's cell: B_r1 is hops <= r1 and its rim, the cells
+    outside it with a neighbour in it, is hop r1 + 1.
+
+    A candidate whose ball leaves the window or does not fit in
+    x + [-r2, r2]^2 is skipped; neither depends on the colouring.
     """
     if r1 < 1:
         raise ParameterError("r1 must be at least 1")
     if r2 <= 0:
         raise ParameterError("r2 must be positive")
+    step, tol = 3.0 * r2, tess.tol
+    axes = [[k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+            for lo, hi in zip(window.lo, window.hi)]
+    grid = np.array([(x, y) for x in axes[0] for y in axes[1]]).reshape(-1, 2)
+    owner, cell, hops = hop_balls(edges, len(tess), [tess.locate(x) for x in grid], r1 + 1)
+    bb = tess.bboxes[cell]
+    misfit = (hops <= r1) & ~(_in_box(bb, window.lo, window.hi, tol)
+                              & _in_box(bb, grid[owner] - r2, grid[owner] + r2, tol))
+    fits = np.bincount(owner[misfit], minlength=len(grid)) == 0
+    split = np.searchsorted(owner, np.arange(1, len(grid)))
+    fitting = [(tuple(x), c[h <= r1], c[h > r1])
+               for x, c, h, ok in zip(grid.tolist(), np.split(cell, split),
+                                      np.split(hops, split), fits) if ok]
+    return TrifurcationCandidates(edges=edges, window=window, fitting=fitting,
+                                  touching=~_in_box(tess.bboxes, window.lo, window.hi, -tol),
+                                  candidates=len(grid))
+
+
+def find_trifurcations(cands: TrifurcationCandidates, coloring: Coloring) -> TrifurcationResult:
+    """Count the candidate grid points that are trifurcations of the colouring.
+
+    A fitting candidate qualifies when its ball is all black and, after
+    whitening the ball, at least three distinct window-boundary-touching
+    black clusters meet the ball's rim ("infinite" replaced by its finite
+    window surrogate).
+    """
     black = coloring.black
-    tol = tess.tol
-    bb = tess.bboxes
-    touching = ~_in_box(bb, window.lo, window.hi, -tol)
-    step = 3.0 * r2
-    i0 = math.ceil((window.lo[0]) / step)
-    i1 = math.floor((window.hi[0]) / step)
-    j0 = math.ceil((window.lo[1]) / step)
-    j1 = math.floor((window.hi[1]) / step)
-    count = 0
-    skipped = 0
-    candidates = 0
     points = []
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            x = np.array([i * step, j * step])
-            candidates += 1
-            ball = sorted(graph_ball(graph, tess.locate(x), r1).vertices)
-            if not (_in_box(bb[ball], window.lo, window.hi, tol).all()
-                    and _in_box(bb[ball], x - r2, x + r2, tol).all()):
-                skipped += 1
-                continue
-            if not black[ball].all():
-                continue
-            # whiten the ball, relabel, count boundary-touching clusters on its rim
-            active = black.copy()
-            active[ball] = False
-            labels = label_components(active, graph.edges)
-            touching_labels = set(labels[active & touching].tolist())
-            # white rim cells are labelled -1, never a touching label
-            rim_labels = {int(labels[v]) for v in outer_boundary(graph, ball)}
-            if len(rim_labels & touching_labels) >= 3:
-                count += 1
-                points.append((float(x[0]), float(x[1])))
-    return TrifurcationResult(count=count, density=count / window.area,
-                              candidates=candidates, skipped=skipped, points=points)
+    for x, ball, rim in cands.fitting:
+        if not black[ball].all():
+            continue
+        active = black.copy()
+        active[ball] = False
+        labels = label_components(active, cands.edges)
+        # white rim cells are labelled -1, never a touching label
+        if len(np.intersect1d(labels[rim], labels[active & cands.touching])) >= 3:
+            points.append(x)
+    return TrifurcationResult(count=len(points), density=len(points) / cands.window.area,
+                              candidates=cands.candidates,
+                              skipped=cands.candidates - len(cands.fitting), points=points)
 
 
-def _trifurcation_prepare(adjacency: str, tess: Tessellation):
-    """(tessellation, its adjacency graph)."""
-    return tess, build_adjacency(tess, adjacency)
+def _trifurcation_prepare(adjacency: str, r1: int, r2: float, window: Window,
+                          tess: Tessellation) -> TrifurcationCandidates:
+    return trifurcation_candidates(tess, build_adjacency(tess, adjacency), r1, r2, window)
 
 
-def _trifurcation_rep(p: float, r1: int, r2: float, window: Window, prepared, uniforms,
-                      rep: int):
-    res = find_trifurcations(*prepared, Coloring(uniforms, p), r1, r2, window)
+def _trifurcation_rep(p: float, cands: TrifurcationCandidates, uniforms, rep: int):
+    res = find_trifurcations(cands, Coloring(uniforms, p))
     return (res.count, res.candidates, res.skipped)
 
 
@@ -293,8 +308,8 @@ def estimate_trifurcation_density(spec: ExperimentSpec, p: float, r1: int, r2: f
                                   workers: int = 1) -> dict:
     """Mean trifurcation count and density over replicates."""
     vals, failed = run_replicates(
-        spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency),
-        partial(_trifurcation_rep, p, r1, r2, window), replicates, workers)
+        spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency, r1, r2, window),
+        partial(_trifurcation_rep, p), replicates, workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,
@@ -315,48 +330,59 @@ class GgrResult:
     g1_avg: list
     g1_ci: list
     g2_avg: list
-    truncated: bool
 
 
-def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int) -> GgrResult:
+def _ggr_rep(spec: ExperimentSpec, p: float, tess: Tessellation, edges: np.ndarray,
+             rows: np.ndarray, near: np.ndarray, size: int, rep: int) -> np.ndarray:
+    """Per cell of a ball of size cells, whether its neighbours meet >= 2
+    distinct boundary-touching black clusters under replicate rep's
+    colouring; near[k] is a neighbour of ball cell rows[k]."""
+    black = coloring_for(spec, rep, tess, p).black
+    labels = label_components(black, edges)
+    touching = np.zeros(len(tess) + 1, bool)  # white cells are -1: the last, False
+    touching[labels[black & tess.boundary]] = True
+    hit = touching[labels[near]]
+    # two distinct labels meet a cell iff their least and greatest differ
+    least, most = np.full(size, len(tess)), np.full(size, -1)
+    np.minimum.at(least, rows[hit], labels[near[hit]])
+    np.maximum.at(most, rows[hit], labels[near[hit]])
+    return most > least
+
+
+def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int,
+                    workers: int) -> GgrResult:
     """Ball averages of the two uniqueness diagnostics on one instance.
 
+    The balls B_n, n <= n_max, are rooted at the zero cell, or at the cell
+    of the core window's centre when the origin lies outside the window.
     g1(v) is estimated over replicated colorings as the fraction in which v
     is adjacent to >= 2 distinct boundary-touching ("infinite") black
     clusters; g2(v) = |outer boundary of {v}| is deterministic.
     """
     tess = build_tessellation(spec, 0)
-    graph = build_adjacency(tess, spec.adjacency)
-    ball = graph_ball(graph, graph.root, n_max)
-    if ball.truncated:
+    edges = build_adjacency(tess, spec.adjacency)
+    cw = tess.core_window
+    origin = np.zeros(2)
+    root = tess.locate(origin if cw.contains_points(origin)[0] else cw.center)
+    _, ball, hops = hop_balls(edges, len(tess), [root], n_max)
+    if tess.boundary[ball].any():
         raise ParameterError("n_max ball leaves the core window; enlarge the window")
-    dist = ball.distances
-    ball_members = [sorted(v for v, d in dist.items() if d <= n) for n in range(n_max + 1)]
-
-    per_rep_l = []
-    for rep in range(replicates):
-        black = coloring_for(spec, rep, tess, p).black
-        labels = label_components(black, graph.edges)
-        touching = set(labels[black & graph.boundary_flags].tolist())
-        labels = labels.tolist()  # white cells are -1, never a touching label
-        l_indicator = {}
-        for v in dist:
-            near = {labels[w] for w in graph.neighbors[v]}
-            l_indicator[v] = 1 if len(near & touching) >= 2 else 0
-        per_rep_l.append(l_indicator)
-
-    g1_avg, g1_ci, g2_avg, sizes = [], [], [], []
-    ns = list(range(n_max + 1))
-    for n in ns:
-        members = ball_members[n]
-        sizes.append(len(members))
-        per_rep_means = [sum(l[v] for v in members) / len(members) for l in per_rep_l]
-        m, ci = mean_ci(per_rep_means)
+    # every ball cell with its neighbours at hop 1; the ball is in hop order,
+    # so B_n is its first sizes[n] cells
+    rows, near, step = hop_balls(edges, len(tess), ball, 1)
+    rows, near = rows[step == 1], near[step == 1]
+    degree = np.bincount(rows, minlength=len(ball))
+    sizes = np.searchsorted(hops, np.arange(n_max + 1), side="right").tolist()
+    per_rep_l, _ = map_replicates(partial(_ggr_rep, spec, p, tess, edges, rows, near, len(ball)),
+                                  replicates, workers)
+    g1_avg, g1_ci, g2_avg = [], [], []
+    for size in sizes:
+        m, ci = mean_ci([int(l[:size].sum()) / size for l in per_rep_l])
         g1_avg.append(m)
         g1_ci.append(ci)
-        g2_avg.append(sum(len(graph.neighbors[v]) for v in members) / len(members))
-    return GgrResult(ns=ns, ball_sizes=sizes, g1_avg=g1_avg, g1_ci=g1_ci,
-                     g2_avg=g2_avg, truncated=ball.truncated)
+        g2_avg.append(int(degree[:size].sum()) / size)
+    return GgrResult(ns=list(range(n_max + 1)), ball_sizes=sizes, g1_avg=g1_avg,
+                     g1_ci=g1_ci, g2_avg=g2_avg)
 
 
 def _recursion_rep(p: float, t: float, adjacency: str, tess: Tessellation, uniforms,

@@ -3,7 +3,8 @@
 The harness estimates nothing itself: each op calls an estimator and
 formats its output as CSV rows and a run.json summary.
 
-Configs are JSON with a fixed schema; unknown keys are hard errors. Outputs
+Configs are JSON with a fixed schema; unknown keys are hard errors, and so
+is a radii or schedule param that is not a non-empty list of numbers. Outputs
 land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json.
 CSV payloads are bit-identical across reruns and worker counts; run.json
 carries the volatile envelope (timestamps).
@@ -53,6 +54,7 @@ _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
              "replicates", "master_seed", "params"}
 
 NO_P, ONE_P, EACH_P = "none", "one", "each"
+_LIST_KEYS = {"radii", "n_schedule", "t_schedule", "t_values"}  # lists of numbers
 
 
 def load_config(path) -> dict:
@@ -80,6 +82,10 @@ def load_config(path) -> dict:
     bad = set(params).difference(op.keys)
     if bad:
         raise ConfigError(f"{path}: params for op {name!r}: unknown keys {sorted(bad)}")
+    for key in _LIST_KEYS.intersection(params):
+        vals = params[key]
+        if not (isinstance(vals, list) and vals and all(type(v) in (int, float) for v in vals)):
+            raise ConfigError(f"{path}: params {key!r} must be a non-empty list of numbers")
     for key in ("process", "window", "replicates", "master_seed"):
         if key not in cfg:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -252,7 +258,7 @@ def _trifurcation_density(spec, params, workers):
 
 
 def _ggr(spec, params, workers):
-    res = ggr_diagnostics(spec, spec.p, int(params["n_max"]), spec.replicates)
+    res = ggr_diagnostics(spec, spec.p, int(params["n_max"]), spec.replicates, workers)
     return [{"n": n, "ball_size": res.ball_sizes[k], "g1_avg": res.g1_avg[k],
              "g1_ci_lo": res.g1_ci[k][0], "g1_ci_hi": res.g1_ci[k][1],
              "g2_avg": res.g2_avg[k]} for k, n in enumerate(res.ns)], None

@@ -2,8 +2,11 @@
 
 Colorings store one uniform per cell and a threshold, so re-thresholding at a
 different p reuses the same randomness (monotone coupling across p).
-Every cluster is found by label_components: each active cell is labelled
-with the smallest cell id in its component, inactive cells with -1.
+A cell graph is an (m, 2) array of cell pairs, and two numpy kernels serve
+it. Every cluster is found by label_components: each active cell is
+labelled with the smallest cell id in its component, inactive cells with -1.
+Every graph ball is grown by hop_balls, which takes the balls of many roots
+at once, one compressed-neighbour gather per hop.
 Crossing connectivity inside a rectangle is geometric: a cell takes part only
 where it meets the rectangle in positive area, face edges count only where
 the shared boundary segment clipped to the rectangle has positive length, and
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window, clip_segments_to_rect, gather_rings, parts_with_area
-from .tessellation import AdjacencyGraph, Tessellation
+from .tessellation import Tessellation, neighbor_csr
 
 
 @dataclass
@@ -77,6 +80,37 @@ def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
                 break
             parent = jumped
     return np.where(active, parent, -1)
+
+
+def hop_balls(edges: np.ndarray, n: int, roots, radius: int):
+    """(owner, vertex, hops): every vertex within radius hops of each root of
+    a graph on vertices 0..n-1, with its hop distance from roots[owner].
+
+    One row per (root position, vertex) pair, ordered by owner, then hops,
+    then vertex; a repeated root gets a ball per position. Each hop gathers
+    the neighbours of every ball's shell at once, as keys owner * n + vertex,
+    and keeps the keys in neither of the last two shells (in an undirected
+    graph no neighbour of shell h lies further in).
+    """
+    if radius < 0:
+        raise ParameterError("ball radius must be nonnegative")
+    ptr, nbr = neighbor_csr(n, edges)
+    roots = np.asarray(roots, int).reshape(-1)
+    shells = [np.arange(len(roots)) * n + roots]  # sorted, duplicate-free keys
+    for _ in range(radius):
+        front = shells[-1]
+        v = front % n
+        deg = ptr[v + 1] - ptr[v]
+        at = np.repeat(ptr[v] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        reached = np.repeat(front - v, deg) + nbr[at]
+        # known keys get even codes and reached ones odd, so after one sort a
+        # run of equal keys starts with an odd code iff its key is new
+        code = np.sort(np.concatenate([2 * np.concatenate(shells[-2:]), 2 * reached + 1]))
+        shells.append(code[(np.diff(code >> 1, prepend=-1) != 0) & (code % 2 == 1)] >> 1)
+    keys = np.concatenate(shells)
+    hops = np.repeat(np.arange(len(shells)), [len(k) for k in shells])
+    rows = np.sort((keys // n * len(shells) + hops) * n + keys % n)  # owner, hops, vertex
+    return rows // n // len(shells), rows % n, rows // n % len(shells)
 
 
 @dataclass(frozen=True)
@@ -188,15 +222,16 @@ def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
     return len(_spanning_labels(coloring.black, graph, "horizontal"))
 
 
-def cluster_reach(tess: Tessellation, graph: AdjacencyGraph, coloring: Coloring,
+def cluster_reach(tess: Tessellation, edges: np.ndarray, coloring: Coloring,
                   root: int) -> float:
-    """Max Euclidean distance from the origin reached by the root's black cluster.
+    """Max Euclidean distance from the origin reached by the root's black
+    cluster in the cell graph edges.
 
     Returns 0.0 when the root cell is white (empty cluster).
     """
     black = coloring.black
     if not black[root]:
         return 0.0
-    labels = label_components(black, graph.edges)
+    labels = label_components(black, edges)
     corners = tess.poly_xy[np.repeat(labels == labels[root], np.diff(tess.poly_ptr))]
     return float(np.sqrt((corners ** 2).sum(axis=1)).max())

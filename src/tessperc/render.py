@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ParameterError
 from .geometry import clip_rings_to_window, gather_rings
 from .percolation import Coloring
-from .tessellation import Tessellation
+from .tessellation import Tessellation, build_adjacency
 
 _BLACK = "#000000"
 _WHITE = "#ffffff"
@@ -33,7 +35,6 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         drawn = ids[ptr[:-1] < ptr[1:]].tolist()
     else:
         drawn = list(range(len(tess)))
-    drawn_set = set(drawn)
     black = coloring.black
     stroke_w = 0.003 * min(win.sides)
     x0, y0 = win.lo
@@ -49,13 +50,11 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         parts.append(f'<polygon id="cell{i}" points="{pts}" fill="{fill}" '
                      f'stroke="#777777" stroke-width="{_fmt(stroke_w)}"/>')
     if show_graph != "none":
-        pairs = [tuple(sorted(map(int, p))) for p in tess.face_pairs]
-        if show_graph == "star":
-            pairs += [tuple(sorted(map(int, p))) for p in tess.star_pairs]
+        pairs = np.unique(np.sort(build_adjacency(tess, show_graph), axis=1), axis=0)
+        shown = np.zeros(len(tess), bool)
+        shown[drawn] = True
         color = _EDGE[show_graph]
-        for i, j in sorted(set(pairs)):
-            if i not in drawn_set or j not in drawn_set:
-                continue
+        for i, j in pairs[shown[pairs].all(axis=1)]:
             a, b = tess.centers[i], tess.centers[j]
             parts.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(-a[1])}" '
                          f'x2="{_fmt(b[0])}" y2="{_fmt(-b[1])}" '

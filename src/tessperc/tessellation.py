@@ -4,7 +4,9 @@ A Tessellation stores its n convex cells, clipped to the sampling window, as
 arrays: generator centers, and the CCW vertex rings of all cells concatenated
 into one ragged array. It also stores the shared-boundary data needed for
 both adjacency notions: face adjacency (positive-length shared segment) and
-star adjacency (any contact, corner contacts included).
+star adjacency (any contact, corner contacts included). A cell graph is an
+(m, 2) array of cell pairs, which build_adjacency returns for either notion;
+neighbor_csr turns one into compressed neighbour lists.
 
 Voronoi cells are computed with Qhull; a ring of distant mirror points makes
 every real region bounded, and the mirrors sit far enough away that their
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -32,13 +33,13 @@ _MIRROR_COUNT = 16
 _MIRROR_RADIUS_FACTOR = 4.0
 
 
-def _neighbor_lists(n: int, edges: np.ndarray) -> list:
-    """Sorted, duplicate-free neighbor list of every vertex 0..n-1."""
+def neighbor_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, nbr): the sorted, duplicate-free neighbours of vertex v of an
+    undirected edge list over 0..n-1 are nbr[ptr[v]:ptr[v + 1]]."""
     e = np.asarray(edges, int).reshape(-1, 2)
-    keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
-    ptr = np.searchsorted(keys // n, np.arange(n + 1)).tolist()
-    flat = (keys % n).tolist()
-    return [flat[ptr[i]:ptr[i + 1]] for i in range(n)]
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique sorts far slower
+    return np.searchsorted(keys // n, np.arange(n + 1)), keys % n
 
 
 @dataclass
@@ -105,39 +106,18 @@ class Tessellation:
 
     def to_json(self) -> dict:
         n = len(self)
-        face = _neighbor_lists(n, self.face_pairs)
-        star = _neighbor_lists(n, np.concatenate([self.face_pairs, self.star_pairs]))
+        (fp, face), (sp, star) = (neighbor_csr(n, build_adjacency(self, mode))
+                                  for mode in ("face", "star"))
         return {
             "core_window": self.core_window.to_json(),
             "cells": [{
                 "id": i,
                 "center": self.centers[i].tolist(),
                 "polygon": self.polygon(i).tolist(),
-                "neighbors_face": face[i],
-                "neighbors_star": star[i],
+                "neighbors_face": face[fp[i]:fp[i + 1]].tolist(),
+                "neighbors_star": star[sp[i]:sp[i + 1]].tolist(),
             } for i in range(n)],
         }
-
-
-@dataclass
-class AdjacencyGraph:
-    """Symmetric loop-free adjacency over cell ids, rooted at the zero cell.
-
-    edges holds the (i, j) cell pairs; neighbors[v] is the sorted list of
-    v's neighbors, built from edges on first use.
-    """
-
-    mode: str
-    root: int
-    boundary_flags: np.ndarray
-    edges: np.ndarray
-
-    @cached_property
-    def neighbors(self) -> list:
-        return _neighbor_lists(len(self), self.edges)
-
-    def __len__(self):
-        return len(self.boundary_flags)
 
 
 def build_voronoi(points: PointConfiguration, core_window: Window,
@@ -405,20 +385,11 @@ def zero_cell(tess: Tessellation) -> int:
     return tess.locate(origin)
 
 
-def build_adjacency(tess: Tessellation, mode: str) -> AdjacencyGraph:
-    """Face or star adjacency, rooted at the zero cell.
-
-    If the origin is outside the core window the root falls back to the cell
-    containing the core window's center.
-    """
+def build_adjacency(tess: Tessellation, mode: str) -> np.ndarray:
+    """The (m, 2) cell pairs of face adjacency, or of star adjacency: the
+    face pairs followed by the corner-only star pairs."""
     if mode not in ("face", "star"):
         raise ParameterError("adjacency mode must be 'face' or 'star'")
-    edges = tess.face_pairs
-    if mode == "star":
-        edges = np.concatenate([edges, tess.star_pairs])
-    cw = tess.core_window
-    if cw.lo[0] <= 0.0 <= cw.hi[0] and cw.lo[1] <= 0.0 <= cw.hi[1]:
-        root = zero_cell(tess)
-    else:
-        root = tess.locate(cw.center)
-    return AdjacencyGraph(mode=mode, root=root, boundary_flags=tess.boundary, edges=edges)
+    if mode == "face":
+        return tess.face_pairs
+    return np.concatenate([tess.face_pairs, tess.star_pairs])

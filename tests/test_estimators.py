@@ -7,7 +7,7 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_prob
                                  estimate_pc, estimate_theta,
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
-                                 verify_crossing_recursion)
+                                 trifurcation_candidates, verify_crossing_recursion)
 from tessperc.experiment import (ExperimentSpec, build_tessellation, run_replicates,
                                  varies_by_replicate)
 from tessperc.geometry import Window
@@ -165,8 +165,9 @@ def cross_fixture(black_tips=("N", "E", "W")):
 
 def test_trifurcation_hand_fixture():
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=1.5,
-                             window=tess.core_window)
+    res = find_trifurcations(trifurcation_candidates(tess, build_adjacency(tess, "face"),
+                                                     r1=1, r2=1.5, window=tess.core_window),
+                             coloring)
     assert res.candidates == 1
     assert res.count == 1
     assert res.points == [(0.0, 0.0)]
@@ -175,26 +176,28 @@ def test_trifurcation_hand_fixture():
 
 def test_trifurcation_two_tips_insufficient():
     tess, coloring = cross_fixture(black_tips=("N", "E"))
-    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=1.5,
-                             window=tess.core_window)
+    res = find_trifurcations(trifurcation_candidates(tess, build_adjacency(tess, "face"),
+                                                     r1=1, r2=1.5, window=tess.core_window),
+                             coloring)
     assert res.count == 0
 
 
 def test_trifurcation_needs_black_ball():
     tess, coloring = cross_fixture()
-    graph = build_adjacency(tess, "face")
-    res = find_trifurcations(tess, graph, Coloring(coloring.uniforms, 0.0), r1=1, r2=1.5,
-                             window=tess.core_window)
+    edges = build_adjacency(tess, "face")
+    cands = trifurcation_candidates(tess, edges, r1=1, r2=1.5, window=tess.core_window)
+    res = find_trifurcations(cands, Coloring(coloring.uniforms, 0.0))
     assert res.count == 0
     with pytest.raises(ParameterError):
-        find_trifurcations(tess, graph, coloring, r1=0, r2=1.5, window=tess.core_window)
+        trifurcation_candidates(tess, edges, r1=0, r2=1.5, window=tess.core_window)
 
 
 def test_trifurcation_ball_containment_r2():
     # shrinking r2 below the ball extent disqualifies the hub
     tess, coloring = cross_fixture()
-    res = find_trifurcations(tess, build_adjacency(tess, "face"), coloring, r1=1, r2=0.4,
-                             window=tess.core_window)
+    res = find_trifurcations(trifurcation_candidates(tess, build_adjacency(tess, "face"),
+                                                     r1=1, r2=0.4, window=tess.core_window),
+                             coloring)
     assert res.count == 0
 
 
@@ -219,16 +222,16 @@ def test_trifurcation_density_driver():
 
 def test_ggr_square_lattice_g2():
     spec = lattice_spec(Window((-10.5, -10.5), (10.5, 10.5)), 0.5, 30, 5)
-    res = ggr_diagnostics(spec, 0.5, 4, 30)
+    res = ggr_diagnostics(spec, 0.5, 4, 30, workers=1)
     assert all(v == pytest.approx(4.0) for v in res.g2_avg)
-    res0 = ggr_diagnostics(spec, 0.0, 4, 30)
+    res0 = ggr_diagnostics(spec, 0.0, 4, 30, workers=1)
     assert all(v == 0.0 for v in res0.g1_avg)
 
 
 def test_ggr_ball_must_fit():
     spec = lattice_spec(Window((-3.5, -3.5), (3.5, 3.5)), 0.5, 10, 5)
     with pytest.raises(ParameterError):
-        ggr_diagnostics(spec, 0.5, 10, 10)
+        ggr_diagnostics(spec, 0.5, 10, 10, workers=1)
 
 
 def test_recursion_trivial_endpoints():

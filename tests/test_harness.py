@@ -216,6 +216,29 @@ GOLDEN = {
         "params": {"rect": [[-3.5, -3.0], [3.0, 3.5]]}}, {
         "crossing.csv": "3f7003d412eb0e5e0b3db20a005c07d1cc769402611ef6165cdeabb4c51b186d"},
         "67456591822caf45834c4199b5488c920348a00abb7fd134406cc5f2f6e68da9"),
+    "ggr_voronoi_star": ("run", {
+        "op": "ggr", "process": PV, "window": W6, "adjacency": "star", "p": 0.5,
+        "replicates": 20, "master_seed": 74, "params": {"n_max": 3}}, {
+        "ggr.csv": "daa4deb03e5838bd5ef24486f772460e45553f42c94627980fcb3cc692494153"},
+        "de096127ad04ef8b799858f5b38d5ce6c4cf45e2cec4cdf36e0c2f92aeaf1c96"),
+    # the origin lies outside the window, so the ball is rooted at the centre cell
+    "ggr_off_origin": ("run", {
+        "op": "ggr", "process": SQ, "window": [[1.0, 1.0], [13.0, 13.0]], "adjacency": "face",
+        "p": 0.6, "replicates": 20, "master_seed": 75, "params": {"n_max": 3}}, {
+        "ggr.csv": "17e24922ca65e958dec8750a9871b7e1ed19af9349b9f2a873b446db169af452"},
+        "de096127ad04ef8b799858f5b38d5ce6c4cf45e2cec4cdf36e0c2f92aeaf1c96"),
+    "trifurcation_voronoi_face": ("run", {
+        "op": "trifurcation_density", "process": {"kind": "poisson", "params": {"gamma": 2.0}},
+        "window": [[-9.0, -9.0], [9.0, 9.0]], "adjacency": "face", "p": 0.55,
+        "replicates": 30, "master_seed": 76, "params": {"r1": 1, "r2": 2.0}}, {
+        "trifurcation_density.csv": "29b28cd76eeda24979c58113c1d015ce02a33c71938793ea7e5f9738aeb3b2a4"},
+        "3aac855eb0571c662729939ec30e097f7bc1c89151fb0320896d8973683e4857"),
+    "trifurcation_square_unshifted_star": ("run", {
+        "op": "trifurcation_density", "process": SQ_FIXED,
+        "window": [[-14.0, -14.0], [14.0, 14.0]], "adjacency": "star", "p": 0.5,
+        "replicates": 20, "master_seed": 77, "params": {"r1": 1, "r2": 2.0}}, {
+        "trifurcation_density.csv": "4ee30a436aa3dfc0676043a6ae2414f6f127afc2eb6eeffa0fa58b486e46fbc8"},
+        "7d78459094e49742afc4dffaad152a3cd4e8a13e2aaf7a99f49c580103a2e81d"),
 }
 
 
@@ -254,8 +277,13 @@ def _csv_bytes(record) -> dict:
      "master_seed": 49, "params": {"tolerance": 0.1, "replicates_per_probe": 50}},
     {"op": "tameness", "process": PV, "window": W6, "replicates": 4, "master_seed": 69,
      "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}},
+    {"op": "ggr", "process": PV, "window": W6, "adjacency": "star", "p": 0.5,
+     "replicates": 12, "master_seed": 78, "params": {"n_max": 3}},
+    {"op": "trifurcation_density", "process": SQ, "window": [[-14.0, -14.0], [14.0, 14.0]],
+     "adjacency": "face", "p": 0.58, "replicates": 8, "master_seed": 79,
+     "params": {"r1": 1, "r2": 2.0}},
 ], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice",
-        "tameness_voronoi"])
+        "tameness_voronoi", "ggr_voronoi", "trifurcation_shifted_lattice"])
 def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     path = _write_config(tmp_path, cfg)
     one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
@@ -425,11 +453,29 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
                "master_seed": 73,
                "params": {"family": "void", "Q": [[-1.0, -1.0], [0.0, 0.0]],
                           "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 80, "params": {"radii": "12"}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 81, "params": {"radii": []}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 82, "params": {"radii": [1, "2"]}}),
+    ("run", {"op": "tameness", "process": PV, "window": W4, "replicates": 2,
+             "master_seed": 83, "params": {"delta": 1.0, "n_schedule": []}}),
+    ("run", {"op": "void", "process": PV, "window": W4, "replicates": 50, "master_seed": 84,
+             "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": []}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+             "master_seed": 85,
+             "params": {"Q": [[-1.5, -1.0], [-0.5, 0.0]], "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                        "t_schedule": []}}),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 86, "params": {"t_schedule": [1.0, True], "angle_tol": 0.3}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
         "quoted_number_parameter", "void_on_square_lattice", "laplace_on_hexagonal_lattice",
-        "smp_gap_void_on_square_lattice"])
+        "smp_gap_void_on_square_lattice", "radii_not_a_list", "radii_empty",
+        "radii_quoted_number", "n_schedule_empty", "t_values_empty", "t_schedule_empty",
+        "t_schedule_boolean"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -519,6 +565,19 @@ def test_each_op_builds_once_per_run_or_once_per_replicate(op, process, tmp_path
         assert sorted(built) == list(range(replicates))
     if op == "trifurcation_density":
         assert len(graphs) == len(built)
+
+
+def test_unshifted_trifurcation_run_grows_every_ball_in_one_call(tmp_path, monkeypatch):
+    """The candidates' balls are prepared once per build, all in one
+    hop_balls call, and an unshifted lattice builds once per run."""
+    calls = []
+    monkeypatch.setattr(estimators, "hop_balls",
+                        lambda *args, grow=estimators.hop_balls: calls.append(args[2])
+                        or grow(*args))
+    _, cfg, digests, _ = GOLDEN["trifurcation_square_unshifted_star"]
+    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    assert {p.name: _sha256(p.read_bytes()) for p in Path(record.out_dir).glob("*.csv")} == digests
+    assert len(calls) == 1 and len(calls[0]) == 25
 
 
 @pytest.mark.parametrize("op,replicates,params", [

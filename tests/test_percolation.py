@@ -15,7 +15,7 @@ from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
 from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
-                                   build_voronoi, zero_cell)
+                                   build_voronoi, neighbor_csr, zero_cell)
 
 
 def poisson_setup(seed, side=20.0, p=0.5):
@@ -46,6 +46,12 @@ def test_coupling_monotone():
     assert (b1 <= b2).all()
 
 
+def csr_lists(n, edges):
+    """Neighbour list of every vertex, read from its compressed rows."""
+    ptr, nbr = neighbor_csr(n, edges)
+    return [nbr[ptr[v]:ptr[v + 1]].tolist() for v in range(n)]
+
+
 def bfs_labels(neighbors, active_ids):
     """Independent cluster labeling oracle."""
     active = set(active_ids)
@@ -68,9 +74,9 @@ def bfs_labels(neighbors, active_ids):
 
 def test_black_clusters_trivial_and_checkerboard():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (8, 8)))
-    graph = build_adjacency(tess, "face")
+    edges = build_adjacency(tess, "face")
     all_black = Coloring(np.zeros(len(tess)), 1.0)
-    labels = label_components(all_black.black, graph.edges)
+    labels = label_components(all_black.black, edges)
     assert len(tess) == 64 and (labels == 0).all()
     # checkerboard: no face adjacency between same-color diagonal squares
     uniforms = np.ones(len(tess))
@@ -81,11 +87,11 @@ def test_black_clusters_trivial_and_checkerboard():
     checker = Coloring(uniforms, 0.5)
     black = np.nonzero(checker.black)[0]
     assert len(black) == 32
-    labels = label_components(checker.black, graph.edges)
+    labels = label_components(checker.black, edges)
     assert (labels[black] == black).all()
     # same coloring with star adjacency joins the diagonal
     star = build_adjacency(tess, "star")
-    labels = label_components(checker.black, star.edges)
+    labels = label_components(checker.black, star)
     assert (labels[black] == black.min()).all()
 
 
@@ -102,12 +108,13 @@ def test_union_find_matches_bfs_oracle():
     rng = np.random.default_rng(8)
     for seed, mode in ((9, "face"), (10, "star"), (11, "star")):
         tess, _ = poisson_setup(seed, side=12.0)
-        graph = build_adjacency(tess, mode)
+        edges = build_adjacency(tess, mode)
+        neighbors = csr_lists(len(tess), edges)
         for frac in (0.3, 0.55, 0.8):
             active = rng.random(len(tess)) < frac
-            labels = label_components(active, graph.edges)
+            labels = label_components(active, edges)
             ids = np.nonzero(active)[0].tolist()
-            oracle = bfs_labels(graph.neighbors, ids)
+            oracle = bfs_labels(neighbors, ids)
             assert_same_partition(labels, oracle, ids)
             assert (labels[~active] == -1).all()
             for v in ids:
@@ -117,13 +124,9 @@ def test_union_find_matches_bfs_oracle():
         n = int(rng.integers(1, 40))
         edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
         active = rng.random(n) < 0.7
-        neighbors = [[] for _ in range(n)]
-        for i, j in edges:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
         labels = label_components(active, edges)
         ids = np.nonzero(active)[0].tolist()
-        assert_same_partition(labels, bfs_labels(neighbors, ids), ids)
+        assert_same_partition(labels, bfs_labels(csr_lists(n, edges), ids), ids)
 
 
 def test_crossing_trivials_and_errors():
@@ -234,12 +237,12 @@ def test_spanning_rect_must_lie_in_core_window():
 
 def test_cluster_reach():
     tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5), Window((-5.5, -5.5), (5.5, 5.5)))
-    graph = build_adjacency(tess, "face")
+    edges = build_adjacency(tess, "face")
     root = zero_cell(tess)
     col = color(tess, 0.5, stream(4, 0, "color"))
-    assert cluster_reach(tess, graph, Coloring(col.uniforms, 0.0), root) == 0.0
+    assert cluster_reach(tess, edges, Coloring(col.uniforms, 0.0), root) == 0.0
     # all black: reach = farthest cell corner
-    reach = cluster_reach(tess, graph, Coloring(col.uniforms, 1.0), root)
+    reach = cluster_reach(tess, edges, Coloring(col.uniforms, 1.0), root)
     assert reach == pytest.approx(np.sqrt(2) * 5.5)
 
 

@@ -13,7 +13,7 @@ from tessperc.geometry import Window, clip_segments_to_rect, point_in_convex_pol
 from tessperc.point_process import PointConfiguration, ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
-                                   build_voronoi, zero_cell)
+                                   build_voronoi, neighbor_csr, zero_cell)
 
 
 def grid_points(lo, hi):
@@ -107,8 +107,7 @@ def test_mean_face_degree_is_six():
     core = Window((0, 0), (40, 40))
     cfg = sample_poisson(1.0, core.expand(5), stream(23, 0, "tess"))
     tess = build_voronoi(cfg, core, 5.0)
-    graph = build_adjacency(tess, "face")
-    degs = [len(graph.neighbors[i]) for i in range(len(tess)) if not tess.boundary[i]]
+    degs = np.diff(neighbor_csr(len(tess), build_adjacency(tess, "face"))[0])[~tess.boundary]
     assert len(degs) >= 1000
     assert abs(np.mean(degs) - 6.0) < 0.1
 
@@ -120,12 +119,13 @@ def test_face_and_star_coincide_in_general_position():
 
 def test_adjacency_symmetry_and_subset():
     tess, _ = poisson_tess(31, core_side=10.0)
-    face = build_adjacency(tess, "face")
-    star = build_adjacency(tess, "star")
-    for v in range(len(tess)):
-        for w in face.neighbors[v]:
-            assert v in face.neighbors[w]
-        assert set(face.neighbors[v]) <= set(star.neighbors[v])
+    n = len(tess)
+    (fp, face), (sp, star) = (neighbor_csr(n, build_adjacency(tess, mode))
+                              for mode in ("face", "star"))
+    for v in range(n):
+        for w in face[fp[v]:fp[v + 1]]:
+            assert v in face[fp[w]:fp[w + 1]]
+        assert set(face[fp[v]:fp[v + 1]]) <= set(star[sp[v]:sp[v + 1]])
 
 
 def test_square_lattice_cells_and_degrees():
@@ -134,19 +134,18 @@ def test_square_lattice_cells_and_degrees():
     assert len(tess) == 25
     poly = tess.polygon(tess.locate((2.5, 2.5)))
     assert np.allclose(sorted(map(tuple, poly)), [(2, 2), (2, 3), (3, 2), (3, 3)])
-    face = build_adjacency(tess, "face")
-    star = build_adjacency(tess, "star")
-    inner = [i for i in range(len(tess)) if not tess.boundary[i]]
-    assert {len(face.neighbors[i]) for i in inner} == {4}
-    assert {len(star.neighbors[i]) for i in inner} == {8}
+    inner = ~tess.boundary
+    for mode, degree in (("face", 4), ("star", 8)):
+        ptr, _ = neighbor_csr(len(tess), build_adjacency(tess, mode))
+        assert set(np.diff(ptr)[inner]) == {degree}
 
 
 def test_hexagonal_lattice_degree():
     tess = build_lattice_tessellation("hexagonal", 1.0, (0.05, 0.02), Window((0, 0), (10, 10)))
-    face = build_adjacency(tess, "face")
-    inner = [i for i in range(len(tess)) if not tess.boundary[i]]
-    assert len(inner) > 20
-    assert {len(face.neighbors[i]) for i in inner} == {6}
+    ptr, _ = neighbor_csr(len(tess), build_adjacency(tess, "face"))
+    inner = ~tess.boundary
+    assert inner.sum() > 20
+    assert set(np.diff(ptr)[inner]) == {6}
     assert len(tess.star_pairs) == 0
 
 
