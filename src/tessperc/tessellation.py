@@ -104,21 +104,6 @@ class Tessellation:
             raise ConstructionError(f"point {p} is not covered by any cell")
         return min(hits, key=lambda i: (self.centers[i, 0], self.centers[i, 1]))
 
-    def to_json(self) -> dict:
-        n = len(self)
-        (fp, face), (sp, star) = (neighbor_csr(n, build_adjacency(self, mode))
-                                  for mode in ("face", "star"))
-        return {
-            "core_window": self.core_window.to_json(),
-            "cells": [{
-                "id": i,
-                "center": self.centers[i].tolist(),
-                "polygon": self.polygon(i).tolist(),
-                "neighbors_face": face[fp[i]:fp[i + 1]].tolist(),
-                "neighbors_star": star[sp[i]:sp[i + 1]].tolist(),
-            } for i in range(n)],
-        }
-
 
 def build_voronoi(points: PointConfiguration, core_window: Window,
                   buffer_width: float | None = None,

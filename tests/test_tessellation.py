@@ -202,9 +202,27 @@ def test_edge_effect_detection():
         build_voronoi(cfg, core, 0.0)
 
 
+def _tessellation_json(tess):
+    """The core window, and per cell its center, ring and sorted face and
+    star neighbours, as a JSON object."""
+    n = len(tess)
+    (fp, face), (sp, star) = (neighbor_csr(n, build_adjacency(tess, mode))
+                              for mode in ("face", "star"))
+    return {
+        "core_window": tess.core_window.to_json(),
+        "cells": [{
+            "id": i,
+            "center": tess.centers[i].tolist(),
+            "polygon": tess.polygon(i).tolist(),
+            "neighbors_face": face[fp[i]:fp[i + 1]].tolist(),
+            "neighbors_star": star[sp[i]:sp[i + 1]].tolist(),
+        } for i in range(n)],
+    }
+
+
 def test_tessellation_json_export():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (3, 3)))
-    obj = tess.to_json()
+    obj = _tessellation_json(tess)
     assert len(obj["cells"]) == 9
     center_cell = [c for c in obj["cells"] if c["center"] == [1.5, 1.5]][0]
     assert len(center_cell["neighbors_face"]) == 4
@@ -213,7 +231,7 @@ def test_tessellation_json_export():
 
 def _geometry_digest(tess):
     """sha256 of the JSON export plus the star contact points in sorted pair order."""
-    h = hashlib.sha256(json.dumps(tess.to_json()).encode())
+    h = hashlib.sha256(json.dumps(_tessellation_json(tess)).encode())
     pairs = np.sort(tess.star_pairs, axis=1)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     h.update(np.ascontiguousarray(tess.star_points[order], dtype=float).tobytes())
