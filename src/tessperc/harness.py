@@ -19,10 +19,12 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   stands for {"rows": len(rows)};
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
   for the `sweep` entry point (extra: more run.json summary fields),
-  `process`, the one process kind the op accepts, and `samples(params)`,
-  true when the op samples points from the process. A kind with no areal
-  intensity is accepted only by an op whose `process` names it, and a kind
-  with no planar sampler by no op that samples.
+  `process`, the one process kind the op accepts, `samples(params)`, true
+  when the op samples points from the process, and `face_only`, true when
+  the op always uses face adjacency, so that load_config rejects
+  `"adjacency": "star"`. A kind with no areal intensity is accepted only by
+  an op whose `process` names it, and a kind with no planar sampler by no
+  op that samples.
 The functions look estimators up in this module's namespace when they run,
 so a caller that rebinds such a name here (a tracer) sees every call.
 """
@@ -100,6 +102,8 @@ def load_config(path) -> dict:
         spec = ExperimentSpec.from_json(cfg)
     except (ParameterError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if op.face_only and spec.adjacency != "face":
+        raise ConfigError(f"{path}: op {name!r} uses face adjacency only")
     if op.process is not None and spec.process.kind != op.process:
         raise ConfigError(f"{path}: op {name!r} requires a {op.process} process")
     if op.process is None and KINDS[spec.process.kind].intensity is None:
@@ -217,6 +221,8 @@ def _line_smp(spec, params, workers):
 
 
 def _mixture(spec, params, workers):
+    """Spanning of randomly shifted square and hexagonal lattices of the
+    given spacing, under face adjacency; the config's `process` is not read."""
     res = mixture_nonergodic_demo(spec.p, spec.window,
                                   int(params.get("replicates_per_component", spec.replicates)),
                                   master_seed=spec.master_seed,
@@ -283,6 +289,7 @@ class Op:
     sweep: Callable | None = None
     process: str | None = None
     samples: Callable = lambda params: False
+    face_only: bool = False
 
 
 # The single registry of ops. Entries hold module-level functions that look
@@ -299,7 +306,7 @@ OPS = {
                   sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers)),
                   samples=lambda params: params.get("family") == "void"),
     "line_smp": Op(("t_schedule", "angle_tol"), NO_P, _line_smp, process="poisson_line"),
-    "mixture": Op(("spacing", "replicates_per_component"), ONE_P, _mixture),
+    "mixture": Op(("spacing", "replicates_per_component"), ONE_P, _mixture, face_only=True),
     "tameness": Op(("delta", "n_schedule"), NO_P, _tameness),
     "recursion": Op(("t",), ONE_P, _recursion),
     "trifurcation_density": Op(("r1", "r2", "analysis_window"), ONE_P,

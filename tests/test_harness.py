@@ -469,13 +469,15 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
                         "t_schedule": []}}),
     ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
              "master_seed": 86, "params": {"t_schedule": [1.0, True], "angle_tol": 0.3}}),
+    ("run", {"op": "mixture", "process": SQ, "window": W4, "adjacency": "star", "p": 0.55,
+             "replicates": 10, "master_seed": 87, "params": {"spacing": 1.0}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
         "quoted_number_parameter", "void_on_square_lattice", "laplace_on_hexagonal_lattice",
         "smp_gap_void_on_square_lattice", "radii_not_a_list", "radii_empty",
         "radii_quoted_number", "n_schedule_empty", "t_values_empty", "t_schedule_empty",
-        "t_schedule_boolean"])
+        "t_schedule_boolean", "mixture_star_adjacency"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
