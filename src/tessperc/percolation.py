@@ -6,7 +6,8 @@ A cell graph is an (m, 2) array of cell pairs, and two numpy kernels serve
 it. Every cluster is found by label_components: each active cell is
 labelled with the smallest cell id in its component, inactive cells with -1.
 Every graph ball is grown by hop_balls, which takes the balls of many roots
-at once, one compressed-neighbour gather per hop.
+at once, one gather per hop from the compressed neighbour lists that
+neighbor_csr makes of the graph.
 Crossing connectivity inside a rectangle is geometric: a cell takes part only
 where it meets the rectangle in positive area, face edges count only where
 the shared boundary segment clipped to the rectangle has positive length, and
@@ -21,12 +22,15 @@ sweep) builds the graph once and passes it to each crossing call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window, clip_segments_to_rect, gather_rings, parts_with_area
-from .tessellation import Tessellation, neighbor_csr
+
+if TYPE_CHECKING:  # tessellation builds on label_components
+    from .tessellation import Tessellation
 
 
 @dataclass
@@ -80,6 +84,15 @@ def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
                 break
             parent = jumped
     return np.where(active, parent, -1)
+
+
+def neighbor_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, nbr): the sorted, duplicate-free neighbours of vertex v of an
+    undirected edge list over 0..n-1 are nbr[ptr[v]:ptr[v + 1]]."""
+    e = np.asarray(edges, int).reshape(-1, 2)
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique sorts far slower
+    return np.searchsorted(keys // n, np.arange(n + 1)), keys % n
 
 
 def hop_balls(edges: np.ndarray, n: int, roots, radius: int):

@@ -5,41 +5,36 @@ arrays: generator centers, and the CCW vertex rings of all cells concatenated
 into one ragged array. It also stores the shared-boundary data needed for
 both adjacency notions: face adjacency (positive-length shared segment) and
 star adjacency (any contact, corner contacts included). A cell graph is an
-(m, 2) array of cell pairs, which build_adjacency returns for either notion;
-neighbor_csr turns one into compressed neighbour lists.
+(m, 2) array of cell pairs, which build_adjacency returns for either notion.
 
-Voronoi cells are computed with Qhull; a ring of distant mirror points makes
-every real region bounded, and the mirrors sit far enough away that their
-bisectors cannot enter the sampling window, so the clipped cells are exact.
+Voronoi cells are read off Qhull's Delaunay triangulation of the generators
+plus a mirror ring: distant points that make every real region bounded, far
+enough away that their bisectors cannot enter the sampling window, so the
+clipped cells are exact. The Voronoi vertices are the triangles'
+circumcentres, cocircular triangles sharing one; a cell's ring is its
+vertices in angular order around its generator, and the ridge between two
+generators runs between the circumcentres on either side of their Delaunay
+edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
-from scipy.spatial import QhullError, Voronoi
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
                        point_in_convex_polygon, ring_areas, ring_extents)
+from .percolation import label_components
 from .point_process import PointConfiguration
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
 
 _MIRROR_COUNT = 16
 _MIRROR_RADIUS_FACTOR = 4.0
-
-
-def neighbor_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, nbr): the sorted, duplicate-free neighbours of vertex v of an
-    undirected edge list over 0..n-1 are nbr[ptr[v]:ptr[v + 1]]."""
-    e = np.asarray(edges, int).reshape(-1, 2)
-    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique sorts far slower
-    return np.searchsorted(keys // n, np.arange(n + 1)), keys % n
 
 
 @dataclass
@@ -105,6 +100,38 @@ class Tessellation:
         return min(hits, key=lambda i: (self.centers[i, 0], self.centers[i, 1]))
 
 
+def _mirror_ring(sampling: Window) -> np.ndarray:
+    """The distant points added to every Voronoi construction on a sampling
+    window, so that the region of every real generator is bounded."""
+    ang = 2 * np.pi * np.arange(_MIRROR_COUNT) / _MIRROR_COUNT
+    radius = _MIRROR_RADIUS_FACTOR * sampling.diagonal
+    return sampling.center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def _voronoi_vertices(tri: Delaunay, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(centres, vertex): the circumcentre of every Delaunay triangle, and
+    the Voronoi vertex each triangle belongs to.
+
+    Triangles joined by a Voronoi ridge no longer than tol (cocircular
+    generators) form one group, which is one Voronoi vertex, as a merged
+    Qhull facet would be: vertex[t] is the smallest triangle id of t's group,
+    and centres[vertex[t]] its position. The circumcentres use the
+    arithmetic of Qhull's qh_voronoi_center.
+    """
+    corner = tri.points[tri.simplices]
+    p0 = corner[:, 0]
+    (x0, y0), (x1, y1) = (corner[:, 1] - p0).T, (corner[:, 2] - p0).T
+    s0, s1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    f = 0.5 / (x0 * y1 - x1 * y0)
+    centres = np.column_stack([(s0 * y1 - s1 * y0) * f, (x0 * s1 - x1 * s0) * f]) + p0
+    n_tri = len(centres)
+    t, u = np.repeat(np.arange(n_tri), 3), tri.neighbors.ravel()
+    inner = np.nonzero(u > t)[0]
+    merge = inner[((centres[t[inner]] - centres[u[inner]]) ** 2).sum(axis=1) <= tol * tol]
+    return centres, label_components(np.ones(n_tri, bool),
+                                     np.column_stack([t[merge], u[merge]]))
+
+
 def build_voronoi(points: PointConfiguration, core_window: Window,
                   buffer_width: float | None = None,
                   validate_buffer: bool = True) -> Tessellation:
@@ -138,32 +165,35 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     if cross.max() <= tol * sampling.diagonal ** 2:
         raise ConstructionError("generators are collinear")
 
-    center = sampling.center
-    radius = _MIRROR_RADIUS_FACTOR * sampling.diagonal
-    ang = 2 * np.pi * np.arange(_MIRROR_COUNT) / _MIRROR_COUNT
-    mirrors = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     try:
-        vor = Voronoi(np.vstack([pts, mirrors]))
+        tri = Delaunay(np.vstack([pts, _mirror_ring(sampling)]))
     except QhullError as exc:
         raise ConstructionError(f"voronoi construction failed: {exc}") from exc
+    simplices = tri.simplices
+    n_tri = len(simplices)
+    centres, vertex = _voronoi_vertices(tri, tol)
 
-    # regions of the real generators, concatenated: cell owner[k] has vertex cat[k]
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    lengths = np.fromiter(map(len, regions), int, count=n)
-    cat = np.fromiter(chain.from_iterable(regions), int, count=int(lengths.sum()))
-    owner = np.repeat(np.arange(n), lengths)
-    bad = (lengths < 3) | (np.bincount(owner[cat < 0], minlength=n) > 0)
-    if bad.any():
+    # each cell's ring: its distinct vertices in angular order around its
+    # generator, so CCW. The pseudo-angle dx / (|dx| + |dy|), folded to
+    # [0, 4), sorts as the polar angle does; the incidences of one vertex
+    # (the triangles of a group) sort next to each other and are kept once.
+    owner, cat = simplices.ravel(), np.repeat(vertex, 3)
+    keep = owner < n
+    owner, cat = owner[keep], cat[keep]
+    dx, dy = (centres[cat] - pts[owner]).T
+    r = dx / (np.abs(dx) + np.abs(dy))
+    order = np.argsort(owner * 4.0 + np.where(dy >= 0, 1.0 - r, 3.0 + r))
+    owner, cat = owner[order], cat[order]
+    first = np.ones(len(cat), bool)
+    first[1:] = (cat[1:] != cat[:-1]) | (owner[1:] != owner[:-1])
+    owner, cat = owner[first], cat[first]
+    lengths = np.bincount(owner, minlength=n)
+    if (lengths < 3).any():
         raise ConstructionError(
-            f"generator {int(np.argmax(bad))} has an unbounded or degenerate region")
+            f"generator {int(np.argmax(lengths < 3))} has an unbounded or degenerate region")
     ptr = np.concatenate([[0], np.cumsum(lengths)])
     starts = ptr[:-1]
-
-    # orient every ring CCW by reversing the clockwise ones
-    k = np.arange(len(cat))
-    clockwise = ring_areas(vor.vertices[cat], ptr) < 0
-    ring = np.where(clockwise[owner], starts[owner] + ptr[1:][owner] - 1 - k, k)
-    poly_xy = vor.vertices[cat[ring]]
+    poly_xy = centres[cat]
 
     # clip the cells that come within tol of the sampling window's boundary
     near_hull = ((poly_xy <= np.add(sampling.lo, tol))
@@ -181,15 +211,21 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
         poly_xy, ptr = gather_rings(np.concatenate([poly_xy, cut_xy]),
                                     np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), ids)
 
-    ridge_pts = vor.ridge_points
-    real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
-    pairs = ridge_pts[real].astype(int)
-    ridge_v = np.fromiter(chain.from_iterable(vor.ridge_vertices), int,
-                          count=2 * len(ridge_pts)).reshape(-1, 2)[real]
-    if (ridge_v < 0).any():
+    # the Voronoi ridges of real generators: Delaunay edge k of triangle t
+    # joins generators a and b, opposite corner k, and is shared with triangle
+    # u (-1 on the hull). Each inner edge is one ridge, taken from its lower
+    # triangle, unless both triangles are one vertex.
+    t, u = np.repeat(np.arange(n_tri), 3), tri.neighbors.ravel()
+    a, b = simplices[:, [1, 2, 0]].ravel(), simplices[:, [2, 0, 1]].ravel()
+    real = (a < n) & (b < n)
+    if (real & (u < 0)).any():
         raise ConstructionError("unbounded ridge between real generators")
-    seg_a = vor.vertices[ridge_v[:, 0]]
-    seg_b = vor.vertices[ridge_v[:, 1]]
+    ridge = np.nonzero(real & (u > t))[0]
+    ridge = ridge[vertex[t[ridge]] != vertex[u[ridge]]]
+    pairs = np.column_stack([a[ridge], b[ridge]])
+    ridge_v = np.column_stack([vertex[t[ridge]], vertex[u[ridge]]])
+    seg_a = centres[ridge_v[:, 0]]
+    seg_b = centres[ridge_v[:, 1]]
     ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
     face_mask = ok & (seg_len > tol)
     contact_mask = ok & ~face_mask
@@ -202,18 +238,18 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # ending there (mirror cells never reach the window), so only a vertex
     # with four or more real cells, or one that ends a real ridge that is not
     # a face, can carry such a contact. Each (vertex, cell) incidence of
-    # those vertices is ranked by the vertex's first position in the regions,
+    # those vertices is ranked by the vertex's first position in the rings,
     # then by cell; a vertex's cells are then consecutive and every pair of
     # them is a candidate contact.
-    counts = np.bincount(cat, minlength=len(vor.vertices))
+    counts = np.bincount(cat, minlength=n_tri)
     search = counts >= 4
     search[ridge_v[~face_mask]] = True
     at = np.nonzero(search)[0]
-    search[at] = sampling.expand(tol).contains_points(vor.vertices[at])
+    search[at] = sampling.expand(tol).contains_points(centres[at])
     k_inc = np.nonzero(search[cat])[0]
     v_inc = cat[k_inc]
     _, first = np.unique(v_inc, return_index=True)
-    rank = np.empty(len(vor.vertices), int)
+    rank = np.empty(n_tri, int)
     rank[v_inc[first]] = k_inc[first]
     order = np.lexsort((owner[k_inc], rank[v_inc]))
     r_inc, c_inc = rank[v_inc[order]], owner[k_inc[order]]
@@ -229,7 +265,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # ridge contacts come before corner contacts; keep the first point per pair
     star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[:, 1:]])
     points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
-                                 vor.vertices[cat[cand[:, 0]]]])
+                                 centres[cat[cand[:, 0]]]])
     _, first = np.unique(star_all @ [n, 1], return_index=True)
 
     tess = Tessellation(

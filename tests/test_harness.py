@@ -303,7 +303,7 @@ def test_render_svg_core_only_star_bytes(tmp_path):
     out = tmp_path / "tess.svg"
     render_svg(tess, col, out, show_graph="star", core_only=True)
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "6252ac79ff01f8b6a8fb30fc668a5acbe7d5d724f52e162dda637ea274355411")
+            == "5165a7b50a4c65a2cd630ab6ae4f5ce0e85a680682ac23e9653af083e9dfac1d")
 
 
 def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):

@@ -10,12 +10,12 @@ from tessperc.errors import ParameterError
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, coloring_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings)
-from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
-                                  crossing, label_components, spanning_cluster_count)
+from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing,
+                                  label_components, neighbor_csr, spanning_cluster_count)
 from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
-                                   build_voronoi, neighbor_csr, zero_cell)
+                                   build_voronoi, zero_cell)
 
 
 def poisson_setup(seed, side=20.0, p=0.5):

@@ -1,19 +1,23 @@
 import hashlib
 import json
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Voronoi
+from scipy.spatial import Delaunay, QhullError, Voronoi
 
 from tessperc import tessellation
 from tessperc.errors import ConstructionError, EdgeEffectError, ParameterError
-from tessperc.geometry import Window, clip_segments_to_rect, point_in_convex_polygon, ring_areas
-from tessperc.point_process import PointConfiguration, ProcessSpec, sample_poisson
+from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
+                               point_in_convex_polygon, ring_areas)
+from tessperc.percolation import neighbor_csr
+from tessperc.point_process import (KINDS, PointConfiguration, ProcessSpec, sample_poisson,
+                                    sample_process)
 from tessperc.streams import stream
-from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
-                                   build_voronoi, neighbor_csr, zero_cell)
+from tessperc.tessellation import (Tessellation, build_adjacency, build_lattice_tessellation,
+                                   build_voronoi, zero_cell)
 
 
 def grid_points(lo, hi):
@@ -245,9 +249,9 @@ def _grid_voronoi():
 
 @pytest.mark.parametrize("name, build, digest", [
     ("poisson_voronoi", lambda: poisson_tess(43, core_side=8.0)[0],
-     "bcd088b3f25089e138ed623febf5e5c14168fd5f7a6574fb3960eed7426c0f0d"),
+     "c83570834077fb7cc54f5d3a68eb4cef202830a3e7c01d87135f2848c41fb22a"),
     ("grid_voronoi", _grid_voronoi,
-     "abce1609306f3001b72a52919568982c80da56cf7800ccc0eeb1ad2d329563ee"),
+     "437806aa9bdc7ca5426eaab06fb953bb2c505b10c91f14a769d950467206e065"),
     ("shifted_square", lambda: build_lattice_tessellation(
         "square", 1.0, (0.3, 0.7), Window((-3, -3), (4, 3))),
      "68db0a82e8178821359f678d9565483e6fd2c1ac539c97450c031af0d56bd0c2"),
@@ -261,28 +265,27 @@ def test_geometry_digest(name, build, digest):
 
 # Reference: the corner-contact search over every (vertex, cell) incidence,
 # as build_voronoi ran it before it searched only the vertices that can carry
-# a corner contact.
+# a corner contact. It reads the same Voronoi vertices as build_voronoi.
 
 def _ref_star_contacts(points, sampling, tol):
     n = len(points)
-    ang = 2 * np.pi * np.arange(tessellation._MIRROR_COUNT) / tessellation._MIRROR_COUNT
-    radius = tessellation._MIRROR_RADIUS_FACTOR * sampling.diagonal
-    mirrors = sampling.center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    vor = Voronoi(np.vstack([points, mirrors]))
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    cat = np.array([v for r in regions for v in r], int)
-    owner = np.repeat(np.arange(n), [len(r) for r in regions])
-    ridge_pts = np.asarray(vor.ridge_points)
-    real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
-    pairs = ridge_pts[real].astype(int)
-    ridge_v = np.asarray(vor.ridge_vertices)[real]
-    seg_a, seg_b = vor.vertices[ridge_v[:, 0]], vor.vertices[ridge_v[:, 1]]
+    tri = Delaunay(np.vstack([points, tessellation._mirror_ring(sampling)]))
+    vertices, group = tessellation._voronoi_vertices(tri, tol)
+    keys = np.unique(tri.simplices.ravel() * len(vertices) + np.repeat(group, 3))
+    owner, cat = np.divmod(keys[keys < n * len(vertices)], len(vertices))
+    t, u = np.repeat(np.arange(len(vertices)), 3), tri.neighbors.ravel()
+    ends = np.column_stack([tri.simplices[:, [1, 2, 0]].ravel(),
+                            tri.simplices[:, [2, 0, 1]].ravel()])
+    ridge = np.nonzero((ends < n).all(axis=1) & (u > t))[0]
+    ridge = ridge[group[t[ridge]] != group[u[ridge]]]
+    pairs = ends[ridge]
+    seg_a, seg_b = vertices[group[t[ridge]]], vertices[group[u[ridge]]]
     ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
     face_mask = ok & (seg_len > tol)
     contact_mask = ok & ~face_mask
 
     _, first = np.unique(cat, return_index=True)
-    rank = np.empty(len(vor.vertices), int)
+    rank = np.empty(len(vertices), int)
     rank[cat[first]] = first
     order = np.lexsort((owner, rank[cat]))
     r_inc, c_inc = rank[cat[order]], owner[order]
@@ -292,7 +295,7 @@ def _ref_star_contacts(points, sampling, tol):
         cand.append(np.column_stack([r_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
     cand = np.concatenate(cand)
     cand = cand[np.lexsort(cand.T[::-1])]
-    vertex = vor.vertices[cat[cand[:, 0]]]
+    vertex = vertices[cat[cand[:, 0]]]
     face_keys = np.sort(pairs[face_mask], axis=1) @ [n, 1]
     corner = (sampling.expand(tol).contains_points(vertex)
               & ~np.isin(cand[:, 1:] @ [n, 1], face_keys))
@@ -350,15 +353,220 @@ def test_star_contacts_match_the_all_vertex_reference(case):
     assert tess.star_points.tobytes() == points.tobytes()
 
 
-def test_corner_contact_at_a_vertex_just_outside_the_sampling_window():
+def _vertex_just_outside_case():
     # the generators' circumcenter (0, 0.75) lies 1e-12 above the window,
     # within tolerance; the ridge of generators 0 and 1 runs outward from it,
     # so those two cells touch the window only at that vertex
     pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -0.5]])
     cfg = PointConfiguration(pts, Window((-1.0, -0.5), (1.0, 0.75 - 1e-12)))
-    tess = build_voronoi(cfg, Window((-0.5, -0.25), (0.5, 0.25)), validate_buffer=False)
+    return cfg, Window((-0.5, -0.25), (0.5, 0.25)), False
+
+
+def test_corner_contact_at_a_vertex_just_outside_the_sampling_window():
+    cfg, core, validate = _vertex_just_outside_case()
+    tess = build_voronoi(cfg, core, validate_buffer=validate)
     assert tess.star_pairs.tolist() == [[0, 1]]
     assert tess.star_points == pytest.approx(np.array([[0.0, 0.75]]), abs=1e-12)
     pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol)
     assert tess.star_pairs.tobytes() == pairs.tobytes()
     assert tess.star_points.tobytes() == points.tobytes()
+
+
+def test_repeated_generator_is_a_degenerate_region():
+    # Qhull leaves a repeated point out of every triangle, so its cell has no
+    # vertex. The list-based reference instead gave it a copy of its twin's
+    # cell, with no face neighbour: two cells overlapped.
+    pts = np.vstack([grid_points(-3, 3) + [0.3, 0.1], [[0.3, 0.1]]])
+    cfg = PointConfiguration(pts, Window((-3.5, -3.5), (3.5, 3.5)))
+    core = Window((-2, -2), (2, 2))
+    with pytest.raises(ConstructionError, match="generator 49 has an unbounded or degenerate"):
+        build_voronoi(cfg, core, validate_buffer=False)
+    ref = _list_build_voronoi(cfg, core, validate_buffer=False)
+    assert np.array_equal(ref.polygon(49), ref.polygon(24))
+    assert 49 not in ref.face_pairs
+
+
+# Reference: build_voronoi as it was built on scipy.spatial.Voronoi, reading
+# Qhull's regions and ridges as Python lists.
+
+def _list_build_voronoi(points, core_window, buffer_width=None, validate_buffer=True):
+    pts = points.points
+    n = len(pts)
+    if n < 3:
+        raise ConstructionError("voronoi construction needs at least 3 generators")
+    sampling = points.window
+    if buffer_width is None:
+        buffer_width = min(core_window.lo[0] - sampling.lo[0],
+                           core_window.lo[1] - sampling.lo[1],
+                           sampling.hi[0] - core_window.hi[0],
+                           sampling.hi[1] - core_window.hi[1])
+    if buffer_width < 0 or not sampling.contains_window(core_window.expand(buffer_width), tol=1e-9):
+        raise ParameterError("sampling window must contain core window + buffer")
+    tol = tessellation.TOL_SCALE * core_window.diagonal
+
+    d0 = pts - pts[0]
+    far = int(np.argmax((d0 ** 2).sum(axis=1)))
+    cross = np.abs(d0[:, 0] * d0[far, 1] - d0[:, 1] * d0[far, 0])
+    if cross.max() <= tol * sampling.diagonal ** 2:
+        raise ConstructionError("generators are collinear")
+
+    try:
+        vor = Voronoi(np.vstack([pts, tessellation._mirror_ring(sampling)]))
+    except QhullError as exc:
+        raise ConstructionError(f"voronoi construction failed: {exc}") from exc
+
+    # regions of the real generators, concatenated: cell owner[k] has vertex cat[k]
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    lengths = np.fromiter(map(len, regions), int, count=n)
+    cat = np.fromiter(chain.from_iterable(regions), int, count=int(lengths.sum()))
+    owner = np.repeat(np.arange(n), lengths)
+    bad = (lengths < 3) | (np.bincount(owner[cat < 0], minlength=n) > 0)
+    if bad.any():
+        raise ConstructionError(
+            f"generator {int(np.argmax(bad))} has an unbounded or degenerate region")
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
+    starts = ptr[:-1]
+
+    # orient every ring CCW by reversing the clockwise ones
+    k = np.arange(len(cat))
+    clockwise = ring_areas(vor.vertices[cat], ptr) < 0
+    ring = np.where(clockwise[owner], starts[owner] + ptr[1:][owner] - 1 - k, k)
+    poly_xy = vor.vertices[cat[ring]]
+
+    # clip the cells that come within tol of the sampling window's boundary
+    near_hull = ((poly_xy <= np.add(sampling.lo, tol))
+                 | (poly_xy >= np.subtract(sampling.hi, tol))).any(axis=1)
+    clipped = np.nonzero(np.logical_or.reduceat(near_hull, starts))[0]
+    if len(clipped):
+        cut_xy, cut_ptr = clip_rings_to_window(*gather_rings(poly_xy, ptr, clipped), sampling)
+        short = np.diff(cut_ptr) < 3
+        if short.any():
+            raise ConstructionError(
+                f"cell of generator {int(clipped[np.argmax(short)])} degenerated under clipping")
+        ids = np.arange(n)
+        ids[clipped] = n + np.arange(len(clipped))
+        poly_xy, ptr = gather_rings(np.concatenate([poly_xy, cut_xy]),
+                                    np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), ids)
+
+    ridge_pts = vor.ridge_points
+    real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
+    pairs = ridge_pts[real].astype(int)
+    ridge_v = np.fromiter(chain.from_iterable(vor.ridge_vertices), int,
+                          count=2 * len(ridge_pts)).reshape(-1, 2)[real]
+    if (ridge_v < 0).any():
+        raise ConstructionError("unbounded ridge between real generators")
+    seg_a = vor.vertices[ridge_v[:, 0]]
+    seg_b = vor.vertices[ridge_v[:, 1]]
+    ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
+    face_mask = ok & (seg_len > tol)
+    contact_mask = ok & ~face_mask
+    face_pairs = pairs[face_mask]
+
+    # corner-only contacts: every pair of real cells at a Voronoi vertex
+    # inside the sampling window that is not a face pair
+    pairs_at = {}
+    for cell, region in enumerate(regions):
+        for v in region:
+            pairs_at.setdefault(v, []).append(cell)
+    faces = {tuple(sorted(p)) for p in face_pairs.tolist()}
+    corner = {}
+    inside = sampling.expand(tol).contains_points(vor.vertices)
+    for v in sorted(pairs_at):
+        if inside[v]:
+            for pair in combinations(sorted(pairs_at[v]), 2):
+                if pair not in faces:
+                    corner.setdefault(pair, vor.vertices[v])
+
+    star = {}
+    for pair, a, b in zip(np.sort(pairs[contact_mask], axis=1).tolist(),
+                          seg_a[contact_mask], seg_b[contact_mask]):
+        star.setdefault(tuple(pair), (a + b) / 2.0)
+    for pair, point in corner.items():
+        star.setdefault(pair, point)
+    star_pairs = sorted(star)
+
+    tess = Tessellation(
+        centers=pts, poly_xy=poly_xy, poly_ptr=ptr,
+        core_window=core_window, sampling_window=sampling,
+        face_pairs=face_pairs,
+        face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
+        star_pairs=np.array(star_pairs, int).reshape(-1, 2),
+        star_points=np.array([star[p] for p in star_pairs], float).reshape(-1, 2),
+        tol=tol)
+    if validate_buffer:
+        hit = np.isin(clipped, tess.cells_meeting(core_window))
+        if hit.any():
+            raise EdgeEffectError(
+                f"cell {int(clipped[np.argmax(hit)])} meets the core window but touches "
+                "the sampling hull; increase the buffer")
+    return tess
+
+
+# parameters of every planar process kind, and the exact lattice
+_KIND_CASES = {
+    "poisson": ("poisson", {"gamma": 1.0}),
+    "matern_cluster": ("matern_cluster", {"gamma0": 0.3, "mu": 4.0, "radius": 0.6}),
+    "thomas_cluster": ("thomas_cluster", {"gamma0": 0.3, "mu": 4.0, "sigma": 0.4}),
+    "matern_hardcore_II": ("matern_hardcore_II",
+                           {"gamma_proposal": 2.0, "hardcore_radius": 0.4}),
+    "perturbed_lattice": ("perturbed_lattice", {"spacing": 1.0, "perturbation_scale": 0.5}),
+    "exact_lattice": ("perturbed_lattice", {"spacing": 1.0, "perturbation_scale": 0.0}),
+}
+
+
+def test_kind_cases_cover_every_planar_kind():
+    assert {kind for kind, _ in _KIND_CASES.values()} == {
+        name for name, kind in KINDS.items() if kind.sample is not None}
+
+
+@st.composite
+def _kind_cases(draw):
+    """(configuration, core window, validate_buffer) of a process kind, on
+    core sides 4 or 8 at offsets 0, 0.25 or 0.5, with buffers from 0.5 to 5."""
+    kind, params = _KIND_CASES[draw(st.sampled_from(sorted(_KIND_CASES)))]
+    side, buffer = draw(st.sampled_from([4.0, 8.0])), draw(st.sampled_from([0.5, 2.0, 5.0]))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    core = Window((offset, offset), (offset + side, offset + side))
+    rng = stream(draw(st.integers(0, 10_000)), 0, "tess")
+    cfg = sample_process(ProcessSpec(kind, params), core.expand(buffer), rng)
+    return cfg, core, draw(st.booleans())
+
+
+def _build_or_error(build, cfg, core, validate):
+    try:
+        return build(cfg, core, validate_buffer=validate)
+    except (ConstructionError, EdgeEffectError) as exc:
+        return type(exc)
+
+
+def _clipped(tess):
+    """Cells with a ring vertex within tol of the sampling window's boundary."""
+    bb, lo, hi = tess.bboxes, tess.sampling_window.lo, tess.sampling_window.hi
+    return np.nonzero((bb[:, :2] <= np.add(lo, tess.tol)).any(axis=1)
+                      | (bb[:, 2:] >= np.subtract(hi, tess.tol)).any(axis=1))[0]
+
+
+def _pair_set(pairs):
+    return {tuple(sorted(p)) for p in pairs.tolist()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_star_cases(), _kind_cases(), st.just(_vertex_just_outside_case())))
+def test_build_matches_the_list_based_reference(case):
+    cfg, core, validate = case
+    tess = _build_or_error(build_voronoi, cfg, core, validate)
+    ref = _build_or_error(_list_build_voronoi, cfg, core, validate)
+    if tess is EdgeEffectError and ref is EdgeEffectError:  # compare the geometry anyway
+        tess, ref = (_build_or_error(build, cfg, core, False)
+                     for build in (build_voronoi, _list_build_voronoi))
+    if isinstance(tess, type) or isinstance(ref, type):
+        assert tess is ref
+        return
+    assert _pair_set(tess.face_pairs) == _pair_set(ref.face_pairs)
+    assert _pair_set(tess.star_pairs) == _pair_set(ref.star_pairs)
+    assert np.array_equal(np.diff(tess.poly_ptr), np.diff(ref.poly_ptr))
+    assert np.array_equal(_clipped(tess), _clipped(ref))
+    for i in range(len(tess)):
+        ring, ref_ring = tess.polygon(i), ref.polygon(i)
+        start = int(np.argmin(np.abs(ref_ring - ring[0]).max(axis=1)))
+        assert np.abs(np.roll(ref_ring, -start, axis=0) - ring).max() <= tess.tol
