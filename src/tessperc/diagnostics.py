@@ -1,13 +1,14 @@
 """Scale-mixing gap curves, the line-process counterexample, the lattice
 mixture demo, tameness curves and the white-circuit probe. The probe finds
 the circuit boxes that white cells meet with geometry.rings_meet_boxes,
-the kernel of the tameness fields, in one call per circuit.
+the kernel of the tameness fields, in one call per circuit. A diagnostic
+that takes an ExperimentSpec reads p (if any) and the replicate count from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -102,7 +103,7 @@ def _smp_void_rep(spec: ExperimentSpec, rects, rep: int):
 
 
 def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
-            t_schedule, replicates: int, workers: int = 1) -> SmpGapCurve:
+            t_schedule, workers: int = 1) -> SmpGapCurve:
     """|P[E_t and E'_t] - P[E_t] P[E'_t]| per t for events determined by the
     rectangles tQ and tQ' (scaled about the global origin).
 
@@ -121,10 +122,11 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
         rects.append((rq, rqp))
     if event_family == "crossing":
         vals, failed = run_replicates(spec, build_tessellation, as_built,
-                                      partial(_smp_crossing_rep, spec.p, spec.adjacency, rects),
-                                      replicates, workers)
+                                      partial(_smp_crossing_rep, spec.required_p(),
+                                              spec.adjacency, rects), workers)
     elif event_family == "void":
-        vals, failed = map_replicates(partial(_smp_void_rep, spec, rects), replicates, workers)
+        vals, failed = map_replicates(partial(_smp_void_rep, spec, rects), spec.replicates,
+                                      workers)
     else:
         raise ParameterError("event_family must be 'crossing' or 'void'")
     return SmpGapCurve.from_indicators(t_schedule, vals,
@@ -193,27 +195,26 @@ def _mixture_rep(p: float, window: Window, tess, uniforms, rep: int):
                                        adjacency="face") >= 1 else 0
 
 
-def mixture_nonergodic_demo(p: float, window: Window, replicates_per_component: int,
-                            master_seed: int = 0, spacing: float = 2.0,
+def mixture_nonergodic_demo(spec: ExperimentSpec, spacing: float = 2.0,
                             workers: int = 1) -> MixtureResult:
     """Spanning frequencies of the two mixture components (randomly shifted
-    square vs hexagonal lattices) and their separation.
+    square vs hexagonal lattices of the given spacing, face adjacency, the
+    spec's p, window and replicates each) and their separation.
 
     The pooled value is the spanning frequency of the 50/50 mixture; between
     the two lattice thresholds it sits strictly between 0 and 1, which is the
     non-ergodicity on display.
     """
+    p = spec.required_p()
     if not (0.0 < p < 1.0):
         raise ParameterError("p must be strictly between 0 and 1")
     results = {}
-    for kind, seed in (("square_lattice", master_seed), ("hexagonal_lattice", master_seed + 1)):
-        spec = ExperimentSpec(
-            process=ProcessSpec(kind, {"spacing": spacing, "random_shift": True}),
-            window=window, adjacency="face", p=p,
-            replicates=replicates_per_component, master_seed=seed)
-        vals, failed = run_replicates(spec, build_tessellation, as_built,
-                                      partial(_mixture_rep, p, window),
-                                      replicates_per_component, workers)
+    for kind, offset in (("square_lattice", 0), ("hexagonal_lattice", 1)):
+        lattice = ProcessSpec(kind, {"spacing": spacing, "random_shift": True})
+        component = replace(spec, process=lattice, adjacency="face",
+                            master_seed=spec.master_seed + offset)
+        vals, failed = run_replicates(component, build_tessellation, as_built,
+                                      partial(_mixture_rep, p, spec.window), workers)
         results[kind] = PercResult.from_counts(sum(vals), len(vals), failed=failed)
     sq, hx = results["square_lattice"], results["hexagonal_lattice"]
     pooled = (sq.successes + hx.successes) / (sq.replicates + hx.replicates)
@@ -251,7 +252,7 @@ def _tameness_rep(master_seed: int, schedule: tuple, fields, uniforms, rep: int)
     return out
 
 
-def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: int,
+def tameness_report(spec: ExperimentSpec, delta: float, n_schedule,
                     workers: int = 1) -> TamenessReport:
     """Greedy-animal average curves for the Y and U fields, found by local
     search over the boxes of the core window shrunk by 2 delta.
@@ -273,8 +274,7 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule, replicates: 
         raise ParameterError("region too small for the largest animal in the schedule")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_tameness_prepare, delta, region),
-                                  partial(_tameness_rep, spec.master_seed, schedule),
-                                  replicates, workers)
+                                  partial(_tameness_rep, spec.master_seed, schedule), workers)
     curves = {}
     for which in ("anchored_Y", "anchored_U", "free_Y", "free_U"):
         means, cis = [], []
@@ -353,8 +353,7 @@ def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
     return out
 
 
-def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
-                  replicates: int, c3: float, c4: float,
+def peierls_probe(spec: ExperimentSpec, delta: float, window: Window, c3: float, c4: float,
                   cycle_lengths=(8, 16, 32)) -> PeierlsResult:
     """P[every box of a random circuit meets a white cell], versus the
     all-white-circuit bound evaluated with empirically measured constants.
@@ -363,6 +362,7 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
     levels); c3 >= 1 declines the probe. Replicates whose tessellation fails
     to build are dropped and counted in failed.
     """
+    p = spec.required_p()
     if c3 >= 1.0:
         return PeierlsResult(declined=True, reason=f"empirical c3={c3} >= 1",
                              cycle_lengths=list(cycle_lengths), estimates=[], sigmas=[],
@@ -370,8 +370,7 @@ def peierls_probe(spec: ExperimentSpec, p: float, delta: float, window: Window,
     exponent = 3.0 ** 4 * c4 / (1.0 - c3)
     vals, failed = run_replicates(
         spec, build_tessellation, as_built,
-        partial(_peierls_rep, p, delta, window, tuple(cycle_lengths), spec.master_seed),
-        replicates)
+        partial(_peierls_rep, p, delta, window, tuple(cycle_lengths), spec.master_seed))
     n = len(vals)
     estimates, sigmas, bounds, below = [], [], [], []
     for k, ln in enumerate(cycle_lengths):

@@ -1,16 +1,17 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
-Every estimator is a prepare/query pair run by experiment.run_replicates:
-prepare builds the colour-independent part of a query (a rectangle graph,
-the cell graph and zero cell, or the trifurcation candidates with their
-balls and rims) once per tessellation, and query reads one replicate's
-colouring uniforms, thresholded at each p it asks. The
+Every estimator reads p (or the p-grid, spec.ps) and the replicate count
+from its ExperimentSpec. It is a prepare/query pair run by
+experiment.run_replicates: prepare builds the colour-independent part of a
+query (a rectangle graph, the cell graph and zero cell, or the trifurcation
+candidates with their balls and rims) once per tessellation, and query reads
+one replicate's colouring uniforms, thresholded at each p it asks. The
 runner builds a tessellation that does not vary by replicate (an unshifted
 lattice) once per run, drops and counts build failures (edge effects,
-degenerate inputs) and fails the run past its failure budget. The
-estimators count events and report Wilson intervals. Crossing
-probabilities have one estimator, estimate_crossing_curve, which
-thresholds each replicate's colouring at every p of a grid.
+degenerate inputs) and fails the run past its failure budget. The estimators
+count events and report Wilson intervals. Crossing probabilities have one
+estimator, estimate_crossing_curve, which thresholds each replicate's
+colouring at every p of the spec's grid.
 
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, crossing, adjacency, zero-cell, reach
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -50,9 +51,9 @@ def _crossing_rep(query: CrossingQuery, p_grid: tuple, prepared, uniforms, rep: 
                       for p in p_grid)
 
 
-def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
-                            replicates: int, workers: int = 1) -> tuple[list, list]:
-    """Coupled crossing estimates over an increasing p_grid.
+def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery,
+                            workers: int = 1) -> tuple[list, list]:
+    """Coupled crossing estimates over the increasing grid spec.ps.
 
     Returns the (rep, indicators) of every replicate that built and one
     PercResult per p. Every p of a replicate thresholds the same uniforms,
@@ -61,26 +62,26 @@ def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery, p_grid,
     """
     results, failed = run_replicates(spec, build_tessellation,
                                      partial(_rect_prepare, query.rect, query.adjacency),
-                                     partial(_crossing_rep, query, p_grid), replicates, workers)
+                                     partial(_crossing_rep, query, spec.ps), workers)
     vals = [indicators for _, indicators in results]
     sign = 1 if query.color == "black" else -1
     for indicators in vals[::max(1, len(vals) // 100)]:
         if any(sign * (b - a) < 0 for a, b in zip(indicators, indicators[1:])):
             raise ParameterError("coupling violation: crossing indicator not monotone in p")
     return results, [PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed=failed)
-                     for k in range(len(p_grid))]
+                     for k in range(len(spec.ps))]
 
 
-def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery, p_grid,
-                           replicates: int, workers: int = 1) -> list[PercResult]:
-    """Fraction of replicates with the requested crossing at each p of p_grid
+def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,
+                           workers: int = 1) -> list[PercResult]:
+    """Fraction of replicates with the requested crossing at each p of spec.ps
     (any order, repeats allowed), one PercResult per entry. Every p reads the
     same replicates: one estimate_crossing_curve over the sorted grid."""
-    if replicates < 50:
+    if spec.replicates < 50:
         raise ParameterError("crossing estimator needs at least 50 replicates")
-    grid = tuple(sorted(p_grid))
-    per_p = dict(zip(grid, estimate_crossing_curve(spec, query, grid, replicates, workers)[1]))
-    return [per_p[p] for p in p_grid]
+    grid = tuple(sorted(spec.ps))
+    per_p = dict(zip(grid, estimate_crossing_curve(replace(spec, p_grid=grid), query, workers)[1]))
+    return [per_p[p] for p in spec.ps]
 
 
 def _theta_prepare(adjacency: str, tess: Tessellation):
@@ -96,11 +97,10 @@ def _theta_rep(p_grid: tuple, radii: tuple, prepared, uniforms, rep: int):
     return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
 
 
-def estimate_theta(spec: ExperimentSpec, p_grid, radii, replicates: int,
-                   workers: int = 1) -> list[list[PercResult]]:
+def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[PercResult]]:
     """Finite proxy of the percolation function: P[zero cell's black cluster
     reaches Euclidean distance r from the origin], per radius, for each p of
-    p_grid (one list of PercResults per entry).
+    spec.ps (one list of PercResults per entry).
 
     All radii and every p are evaluated on the same replicates, so the
     estimates are nonincreasing in r by construction.
@@ -114,10 +114,10 @@ def estimate_theta(spec: ExperimentSpec, p_grid, radii, replicates: int,
         raise ParameterError("max radius exceeds the core half-width")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_theta_prepare, spec.adjacency),
-                                  partial(_theta_rep, p_grid, radii), replicates, workers)
+                                  partial(_theta_rep, spec.ps, radii), workers)
     return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed,
                                     radius=r)
-             for k, r in enumerate(radii)] for i in range(len(p_grid))]
+             for k, r in enumerate(radii)] for i in range(len(spec.ps))]
 
 
 @dataclass
@@ -127,9 +127,9 @@ class PcEstimate:
     separated: bool
 
 
-def estimate_pc(spec: ExperimentSpec, tolerance: float, replicates_per_probe: int,
-                workers: int = 1) -> PcEstimate:
-    """Bracket the crossing-probability crossover of the core-window square.
+def estimate_pc(spec: ExperimentSpec, tolerance: float, workers: int = 1) -> PcEstimate:
+    """Bracket the crossing-probability crossover of the core-window square,
+    with spec.replicates replicates per probe; the spec's p is not read.
 
     Bisection on p: a probe moves an endpoint only when its Wilson interval
     is fully on one side of 1/2; a straddling probe stops the refinement and
@@ -143,12 +143,9 @@ def estimate_pc(spec: ExperimentSpec, tolerance: float, replicates_per_probe: in
     probes: list = []
 
     def probe(p: float) -> PercResult:
-        probe_spec = ExperimentSpec(
-            process=spec.process, window=spec.window, adjacency=spec.adjacency,
-            buffer=spec.buffer, p=p, replicates=replicates_per_probe,
-            master_seed=spec.master_seed + len(probes) + 1, params=dict(spec.params))
-        (res,) = estimate_crossing_prob(probe_spec, query, (p,), replicates_per_probe,
-                                        workers=workers)
+        probe_spec = replace(spec, p=p, p_grid=None,
+                             master_seed=spec.master_seed + len(probes) + 1)
+        (res,) = estimate_crossing_prob(probe_spec, query, workers=workers)
         probes.append((p, res))
         return res
 
@@ -194,20 +191,19 @@ def _spanning_rep(p_grid: tuple, window: Window, adjacency: str, prepared, unifo
                  for p in p_grid)
 
 
-def count_spanning_clusters(spec: ExperimentSpec, p_grid, window: Window,
-                            replicates: int, workers: int = 1) -> list[SpanningCounts]:
+def count_spanning_clusters(spec: ExperimentSpec, window: Window,
+                            workers: int = 1) -> list[SpanningCounts]:
     """Histogram of the number of distinct left-right spanning black clusters,
-    for each p of p_grid; every p reads the same replicates."""
-    if replicates < 100:
+    for each p of spec.ps; every p reads the same replicates."""
+    if spec.replicates < 100:
         raise ParameterError("spanning counter needs at least 100 replicates")
     if not spec.window.contains_window(window, tol=1e-9):
         raise ParameterError("analysis window must lie inside the core window")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_rect_prepare, window, spec.adjacency),
-                                  partial(_spanning_rep, p_grid, window, spec.adjacency),
-                                  replicates, workers)
+                                  partial(_spanning_rep, spec.ps, window, spec.adjacency), workers)
     return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
-                           replicates=len(vals), failed=failed) for k in range(len(p_grid))]
+                           replicates=len(vals), failed=failed) for k in range(len(spec.ps))]
 
 
 @dataclass
@@ -303,13 +299,12 @@ def _trifurcation_rep(p: float, cands: TrifurcationCandidates, uniforms, rep: in
     return (res.count, res.candidates, res.skipped)
 
 
-def estimate_trifurcation_density(spec: ExperimentSpec, p: float, r1: int, r2: float,
-                                  window: Window, replicates: int,
+def estimate_trifurcation_density(spec: ExperimentSpec, r1: int, r2: float, window: Window,
                                   workers: int = 1) -> dict:
-    """Mean trifurcation count and density over replicates."""
+    """Mean trifurcation count and density over replicates at the spec's p."""
     vals, failed = run_replicates(
         spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency, r1, r2, window),
-        partial(_trifurcation_rep, p), replicates, workers)
+        partial(_trifurcation_rep, spec.required_p()), workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,
@@ -332,12 +327,12 @@ class GgrResult:
     g2_avg: list
 
 
-def _ggr_rep(spec: ExperimentSpec, p: float, tess: Tessellation, edges: np.ndarray,
+def _ggr_rep(spec: ExperimentSpec, tess: Tessellation, edges: np.ndarray,
              rows: np.ndarray, near: np.ndarray, size: int, rep: int) -> np.ndarray:
     """Per cell of a ball of size cells, whether its neighbours meet >= 2
     distinct boundary-touching black clusters under replicate rep's
     colouring; near[k] is a neighbour of ball cell rows[k]."""
-    black = coloring_for(spec, rep, tess, p).black
+    black = coloring_for(spec, rep, tess).black
     labels = label_components(black, edges)
     touching = np.zeros(len(tess) + 1, bool)  # white cells are -1: the last, False
     touching[labels[black & tess.boundary]] = True
@@ -349,8 +344,7 @@ def _ggr_rep(spec: ExperimentSpec, p: float, tess: Tessellation, edges: np.ndarr
     return most > least
 
 
-def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int,
-                    workers: int) -> GgrResult:
+def ggr_diagnostics(spec: ExperimentSpec, n_max: int, workers: int) -> GgrResult:
     """Ball averages of the two uniqueness diagnostics on one instance.
 
     The balls B_n, n <= n_max, are rooted at the zero cell, or at the cell
@@ -373,8 +367,8 @@ def ggr_diagnostics(spec: ExperimentSpec, p: float, n_max: int, replicates: int,
     rows, near = rows[step == 1], near[step == 1]
     degree = np.bincount(rows, minlength=len(ball))
     sizes = np.searchsorted(hops, np.arange(n_max + 1), side="right").tolist()
-    per_rep_l, _ = map_replicates(partial(_ggr_rep, spec, p, tess, edges, rows, near, len(ball)),
-                                  replicates, workers)
+    per_rep_l, _ = map_replicates(partial(_ggr_rep, spec, tess, edges, rows, near, len(ball)),
+                                  spec.replicates, workers)
     g1_avg, g1_ci, g2_avg = [], [], []
     for size in sizes:
         m, ci = mean_ci([int(l[:size].sum()) / size for l in per_rep_l])
@@ -406,10 +400,9 @@ def _recursion_rep(p: float, t: float, adjacency: str, tess: Tessellation, unifo
     return out
 
 
-def verify_crossing_recursion(spec: ExperimentSpec, p: float, t: float,
-                              replicates: int, workers: int = 1) -> dict:
-    """Estimate both sides of the 9t x 3t crossing chain and check the
-    square-renormalization inequality within Monte Carlo slack.
+def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) -> dict:
+    """Estimate both sides of the 9t x 3t crossing chain at the spec's p and
+    check the square-renormalization inequality within Monte Carlo slack.
 
     lhs = P[no horizontal crossing of [0,9t]x[0,3t]] is checked against
     (7 max{P[H(3t,t) fails], P[V(t,3t) fails]})^2 plus 3x the joint CI
@@ -419,7 +412,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, p: float, t: float,
     if not spec.window.contains_window(big, tol=1e-9):
         raise ParameterError("core window must contain the 9t x 3t rectangle")
     vals, failed = run_replicates(spec, build_tessellation, as_built,
-                                  partial(_recursion_rep, p, t, spec.adjacency), replicates,
+                                  partial(_recursion_rep, spec.required_p(), t, spec.adjacency),
                                   workers)
     n = len(vals)
     keys = vals[0].keys()
@@ -431,7 +424,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, p: float, t: float,
     rhs = (7.0 * maxf) ** 2
     slack = 3.0 * sig["lhs"] + 49.0 * ((maxf + 3.0 * w_max) ** 2 - maxf ** 2)
     return {
-        "t": t, "p": p, "replicates": n, "failed": failed,
+        "t": t, "p": spec.p, "replicates": n, "failed": failed,
         "lhs": est["lhs"], "lhs_sigma": sig["lhs"],
         "rhs_terms": {k: est[k] for k in sorted(keys) if k != "lhs"},
         "max_term": max_key, "max_value": maxf,

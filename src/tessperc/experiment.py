@@ -2,11 +2,13 @@
 
 An ExperimentSpec pins down everything a replicate needs: the tessellation
 model, core window, buffer, coloring threshold(s), replicate count and the
-master seed. build_tessellation reads the process kind's point_process.KINDS
-entry: a lattice kind builds its cell shape, any other kind samples points
-for a Voronoi tessellation. Replicate k of an experiment always sees the
-same tessellation and uniforms no matter how many workers run, because
-every draw comes from a stream keyed by (master_seed, k, tag).
+master seed. Estimators and diagnostics read them from the spec (p through
+required_p(), the p-grid through ps) and take none of them again.
+build_tessellation reads the process kind's point_process.KINDS entry: a
+lattice kind builds its cell shape, any other kind samples points for a
+Voronoi tessellation. Replicate k of an experiment always sees the same
+tessellation and uniforms no matter how many workers run, because every
+draw comes from a stream keyed by (master_seed, k, tag).
 
 run_replicates is the one replicate pipeline. It builds the tessellation
 once per run when it does not vary by replicate (an unshifted lattice) and
@@ -18,6 +20,7 @@ owns the failure budget.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,13 +31,24 @@ from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, Parame
 from .geometry import Window
 from .percolation import Coloring, color
 from .point_process import KINDS, ProcessSpec, sample_process
-from .streams import stream
+from .streams import MAX_SEED, stream
 from .tessellation import Tessellation, build_lattice_tessellation, build_voronoi
 
 DEFAULT_BUFFER_SCALE = 5.0  # buffer = 5 / sqrt(intensity) unless overridden
 
 BUILD_ERRORS = (ConstructionError, EdgeEffectError)  # a replicate that raises these is dropped
 FAILURE_BUDGET = 0.01  # largest share of replicates that may fail construction
+
+
+def _number(x, kind=numbers.Real) -> bool:
+    """Whether x is a number of kind (a JSON number, not a bool)."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _probability(name: str, x) -> float:
+    if not (_number(x) and 0.0 <= x <= 1.0):
+        raise ParameterError(f"{name} must be a number in [0, 1], got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,29 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.adjacency not in ("face", "star"):
             raise ParameterError("adjacency must be 'face' or 'star'")
+        if not (_number(self.replicates, numbers.Integral) and self.replicates >= 1):
+            raise ParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not (_number(self.master_seed, numbers.Integral) and 0 <= self.master_seed < MAX_SEED):
+            raise ParameterError(
+                f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
+        if self.buffer is not None and not (_number(self.buffer) and 0 <= self.buffer < np.inf):
+            raise ParameterError(f"buffer must be a finite number >= 0, got {self.buffer!r}")
         if self.p is not None:
-            if not 0.0 <= self.p <= 1.0:
-                raise ParameterError("p must lie in [0, 1]")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", _probability("p", self.p))
         if self.p_grid is not None:
-            object.__setattr__(self, "p_grid", tuple(float(x) for x in self.p_grid))
-            if not all(0.0 <= x <= 1.0 for x in self.p_grid):
-                raise ParameterError(f"every p_grid value must lie in [0, 1], got {self.p_grid}")
+            object.__setattr__(self, "p_grid", tuple(_probability("every p_grid value", x)
+                                                     for x in self.p_grid))
+
+    def required_p(self) -> float:
+        """p, which a run at one threshold reads; ParameterError when unset."""
+        if self.p is None:
+            raise ParameterError("the spec sets no p")
+        return self.p
+
+    @property
+    def ps(self) -> tuple:
+        """The thresholds of a run over a grid: p_grid in config order, else (p,)."""
+        return self.p_grid or (self.required_p(),)
 
     def buffer_width(self) -> float:
         if self.buffer is not None:
@@ -77,8 +106,8 @@ class ExperimentSpec:
             buffer=obj.get("buffer"),
             p=obj.get("p"),
             p_grid=tuple(obj["p_grid"]) if obj.get("p_grid") else None,
-            replicates=int(obj.get("replicates", 100)),
-            master_seed=int(obj.get("master_seed", 0)),
+            replicates=obj.get("replicates", 100),
+            master_seed=obj.get("master_seed", 0),
             params=dict(obj.get("params", {})),
         )
 
@@ -100,16 +129,18 @@ def build_tessellation(spec: ExperimentSpec, rep: int) -> Tessellation:
                  if varies_by_replicate(spec) else np.zeros(2))
         return build_lattice_tessellation(shape, spacing, shift, spec.window)
     rng = stream(spec.master_seed, rep, "tess")
-    buffer_width = spec.buffer_width()
-    sampling = spec.window.expand(buffer_width)
-    config = sample_process(spec.process, sampling, rng)
-    return build_voronoi(config, spec.window, buffer_width)
+    config = sample_process(spec.process, spec.window.expand(spec.buffer_width()), rng)
+    return build_voronoi(config, spec.window)
 
 
-def coloring_for(spec: ExperimentSpec, rep: int, tess: Tessellation,
-                 p: float | None = None) -> Coloring:
-    rng = stream(spec.master_seed, rep, "color")
-    return color(tess, spec.p if p is None else p, rng)
+def _uniforms(spec: ExperimentSpec, rep: int, tess: Tessellation) -> np.ndarray:
+    """Replicate rep's colouring uniforms, one per cell, for every threshold."""
+    return color(tess, 0.0, stream(spec.master_seed, rep, "color")).uniforms
+
+
+def coloring_for(spec: ExperimentSpec, rep: int, tess: Tessellation) -> Coloring:
+    """Replicate rep's colouring of tess at the spec's p."""
+    return Coloring(_uniforms(spec, rep, tess), spec.required_p())
 
 
 def as_built(tess: Tessellation) -> Tessellation:
@@ -127,14 +158,13 @@ def _replicate(spec: ExperimentSpec, build, prepare, query, shared, rep: int):
     """query of replicate rep's colouring uniforms on the shared (tessellation,
     prepared) pair, or on the replicate's own when shared is None."""
     tess, prepared = shared or _instance(spec, build, prepare, rep)
-    uniforms = coloring_for(spec, rep, tess, 0.0).uniforms  # the query sets each threshold
-    return query(prepared, uniforms, rep)
+    return query(prepared, _uniforms(spec, rep, tess), rep)
 
 
-def run_replicates(spec: ExperimentSpec, build, prepare, query, replicates: int,
+def run_replicates(spec: ExperimentSpec, build, prepare, query,
                    workers: int = 1) -> tuple[list, int]:
-    """query(prepared, uniforms, rep) for rep in 0..replicates-1, through
-    map_replicates.
+    """query(prepared, uniforms, rep) for rep in 0..spec.replicates-1,
+    through map_replicates.
 
     build(spec, rep) is the caller's binding of build_tessellation, so a
     wrapper on that binding sees every build. It runs once per run when the
@@ -145,7 +175,7 @@ def run_replicates(spec: ExperimentSpec, build, prepare, query, replicates: int,
     """
     shared = None if varies_by_replicate(spec) else _instance(spec, build, prepare, 0)
     return map_replicates(partial(_replicate, spec, build, prepare, query, shared),
-                          replicates, workers)
+                          spec.replicates, workers)
 
 
 def _attempt(fn, rep: int):

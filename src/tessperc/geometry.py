@@ -83,9 +83,6 @@ class Window:
         return not (other.hi[0] < self.lo[0] or other.lo[0] > self.hi[0]
                     or other.hi[1] < self.lo[1] or other.lo[1] > self.hi[1])
 
-    def to_json(self):
-        return [list(self.lo), list(self.hi)]
-
     @staticmethod
     def from_json(obj) -> "Window":
         return Window(tuple(obj[0]), tuple(obj[1]))

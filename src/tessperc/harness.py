@@ -13,10 +13,12 @@ Every op is one entry of OPS, keyed by its name. An entry holds
 - `keys`: the `params` keys the op allows;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
   `p`, which load_config then requires; EACH_P ops write rows for every p of
-  `p_grid` in config order (or for the single `p`), from one estimator
+  spec.ps, `p_grid` in config order (or the single `p`), from one estimator
   call over the grid that builds each replicate once;
 - `fn(spec, params, workers) -> (rows, summary)`, where a summary of None
-  stands for {"rows": len(rows)};
+  stands for {"rows": len(rows)}. Estimators read p, the p-grid and the
+  replicate count from the spec; `replicates_per_probe` and
+  `replicates_per_component` replace its `replicates`;
 - optionally `sweep(spec, params, workers) -> (rows, summary_rows, extra)`
   for the `sweep` entry point (extra: more run.json summary fields),
   `process`, the one process kind the op accepts, `samples(params)`, true
@@ -35,7 +37,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -172,44 +174,35 @@ def _crossing_row(p, res) -> dict:
     return {**_ci_row(vars(res), p=p), "failed": res.failed}
 
 
-def _each_p(spec) -> tuple:
-    return spec.p_grid or (spec.p,)
-
-
 def _crossing(spec, params, workers):
-    ps = _each_p(spec)
-    results = estimate_crossing_prob(spec, _crossing_query(spec, params), ps,
-                                     spec.replicates, workers=workers)
-    return [_crossing_row(p, res) for p, res in zip(ps, results)], None
+    results = estimate_crossing_prob(spec, _crossing_query(spec, params), workers=workers)
+    return [_crossing_row(p, res) for p, res in zip(spec.ps, results)], None
 
 
 def _theta(spec, params, workers):
-    ps = _each_p(spec)
-    per_p = estimate_theta(spec, ps, params["radii"], spec.replicates, workers=workers)
+    per_p = estimate_theta(spec, params["radii"], workers=workers)
     return [{**_ci_row(vars(r), p=p, radius=r.meta["radius"]), "failed": r.failed}
-            for p, results in zip(ps, per_p) for r in results], None
+            for p, results in zip(spec.ps, per_p) for r in results], None
 
 
 def _pc(spec, params, workers):
-    est = estimate_pc(spec, float(params["tolerance"]), int(params["replicates_per_probe"]),
-                      workers=workers)
+    est = estimate_pc(replace(spec, replicates=int(params["replicates_per_probe"])),
+                      float(params["tolerance"]), workers=workers)
     rows = [_ci_row(vars(r), probe=k, p=p) for k, (p, r) in enumerate(est.probes)]
     return rows, {"interval": list(est.interval), "separated": est.separated}
 
 
 def _spanning(spec, params, workers):
-    ps = _each_p(spec)
-    per_p = count_spanning_clusters(spec, ps, _window(params, "analysis_window", spec.window),
-                                    spec.replicates, workers=workers)
+    per_p = count_spanning_clusters(spec, _window(params, "analysis_window", spec.window),
+                                    workers=workers)
     return [{"p": p, "count": count, "frequency": freq, "replicates": res.replicates,
-             "failed": res.failed} for p, res in zip(ps, per_p)
+             "failed": res.failed} for p, res in zip(spec.ps, per_p)
             for count, freq in res.histogram.items()], None
 
 
 def _smp_gap(spec, params, workers):
     curve = smp_gap(spec, params.get("family", "crossing"), Window.from_json(params["Q"]),
-                    Window.from_json(params["Qprime"]), params["t_schedule"],
-                    spec.replicates, workers=workers)
+                    Window.from_json(params["Qprime"]), params["t_schedule"], workers=workers)
     return list(curve.rows()), {"replicates": curve.replicates, "meta": curve.meta}
 
 
@@ -223,9 +216,8 @@ def _line_smp(spec, params, workers):
 def _mixture(spec, params, workers):
     """Spanning of randomly shifted square and hexagonal lattices of the
     given spacing, under face adjacency; the config's `process` is not read."""
-    res = mixture_nonergodic_demo(spec.p, spec.window,
-                                  int(params.get("replicates_per_component", spec.replicates)),
-                                  master_seed=spec.master_seed,
+    replicates = int(params.get("replicates_per_component", spec.replicates))
+    res = mixture_nonergodic_demo(replace(spec, replicates=replicates),
                                   spacing=float(params.get("spacing", 2.0)), workers=workers)
     rows = [_ci_row(vars(r), component=name)
             for name, r in (("square", res.square), ("hexagonal", res.hexagonal))]
@@ -233,8 +225,7 @@ def _mixture(spec, params, workers):
 
 
 def _tameness(spec, params, workers):
-    rep = tameness_report(spec, float(params["delta"]), params["n_schedule"],
-                          spec.replicates, workers=workers)
+    rep = tameness_report(spec, float(params["delta"]), params["n_schedule"], workers=workers)
     rows = []
     for k, n in enumerate(rep.n_schedule):
         row = {"n": n}
@@ -247,8 +238,7 @@ def _tameness(spec, params, workers):
 
 
 def _recursion(spec, params, workers):
-    rep = verify_crossing_recursion(spec, spec.p, float(params["t"]), spec.replicates,
-                                    workers=workers)
+    rep = verify_crossing_recursion(spec, float(params["t"]), workers=workers)
     rows = [{"term": "lhs", "estimate": rep["lhs"]}]
     rows += [{"term": k, "estimate": v} for k, v in sorted(rep["rhs_terms"].items())]
     return rows, {k: rep[k] for k in ("lhs", "rhs", "slack", "inequality_margin", "holds",
@@ -256,15 +246,15 @@ def _recursion(spec, params, workers):
 
 
 def _trifurcation_density(spec, params, workers):
-    res = estimate_trifurcation_density(spec, spec.p, int(params["r1"]), float(params["r2"]),
+    res = estimate_trifurcation_density(spec, int(params["r1"]), float(params["r2"]),
                                         _window(params, "analysis_window", spec.window),
-                                        spec.replicates, workers=workers)
+                                        workers=workers)
     cols = ("window_area", "mean_count", "density", "candidates", "mean_skipped", "replicates")
     return [{k: res[k] for k in cols}], res
 
 
 def _ggr(spec, params, workers):
-    res = ggr_diagnostics(spec, spec.p, int(params["n_max"]), spec.replicates, workers)
+    res = ggr_diagnostics(spec, int(params["n_max"]), workers)
     return [{"n": n, "ball_size": res.ball_sizes[k], "g1_avg": res.g1_avg[k],
              "g1_ci_lo": res.g1_ci[k][0], "g1_ci_hi": res.g1_ci[k][1],
              "g2_avg": res.g2_avg[k]} for k, n in enumerate(res.ns)], None
@@ -273,12 +263,11 @@ def _ggr(spec, params, workers):
 def _sweep_crossing(spec, params, workers):
     if not spec.p_grid:
         raise ConfigError("crossing sweep needs a p_grid")
-    p_grid = tuple(sorted(spec.p_grid))
-    results, per_p = estimate_crossing_curve(spec, _crossing_query(spec, params), p_grid,
-                                             spec.replicates, workers=workers)
+    spec = replace(spec, p_grid=tuple(sorted(spec.p_grid)))
+    results, per_p = estimate_crossing_curve(spec, _crossing_query(spec, params), workers=workers)
     rows = [{"replicate": rep, "p": p, "indicator": ind}
-            for rep, indicators in results for p, ind in zip(p_grid, indicators)]
-    return rows, [_crossing_row(p, res) for p, res in zip(p_grid, per_p)], {}
+            for rep, indicators in results for p, ind in zip(spec.p_grid, indicators)]
+    return rows, [_crossing_row(p, res) for p, res in zip(spec.p_grid, per_p)], {}
 
 
 @dataclass(frozen=True)

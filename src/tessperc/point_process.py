@@ -85,9 +85,6 @@ class ProcessSpec:
         """Margin so that sampling on window+margin restricts exactly to window."""
         return KINDS[self.kind].buffer(self)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": {k: self.params[k] for k in sorted(self.params)}}
-
     @staticmethod
     def from_json(obj) -> "ProcessSpec":
         return ProcessSpec(obj["kind"], dict(obj["params"]))

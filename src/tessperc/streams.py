@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import ParameterError
 
-_MAX_SEED = 2 ** 64
+MAX_SEED = 2 ** 64
 
 
 def stream_key(master_seed: int, replicate: int, tag: str) -> int:
-    if not (0 <= master_seed < _MAX_SEED):
+    if not (0 <= master_seed < MAX_SEED):
         raise ParameterError("master seed must fit in an unsigned 64-bit integer")
     if replicate < 0:
         raise ParameterError("replicate index must be nonnegative")

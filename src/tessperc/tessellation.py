@@ -133,30 +133,24 @@ def _voronoi_vertices(tri: Delaunay, tol: float) -> tuple[np.ndarray, np.ndarray
 
 
 def build_voronoi(points: PointConfiguration, core_window: Window,
-                  buffer_width: float | None = None,
                   validate_buffer: bool = True) -> Tessellation:
     """Voronoi tessellation of a sampled configuration, clipped to its window.
 
     The configuration window is the sampling window; it must contain the core
-    window plus the buffer on every side. After construction, any cell that
-    meets the core window while touching the sampling hull raises
-    EdgeEffectError (the buffer was too small to determine it). That check
-    presumes the configuration restricts an infinite process; pass
-    validate_buffer=False when the configuration is the whole process (a
-    handful of explicit generators), where hull-clipped cells are exact.
+    window. After construction, any cell that meets the core window while
+    touching the sampling hull raises EdgeEffectError (the buffer was too
+    small to determine it). That check presumes the configuration restricts
+    an infinite process; pass validate_buffer=False when the configuration is
+    the whole process (a handful of explicit generators), where hull-clipped
+    cells are exact.
     """
     pts = points.points
     n = len(pts)
     if n < 3:
         raise ConstructionError("voronoi construction needs at least 3 generators")
     sampling = points.window
-    if buffer_width is None:
-        buffer_width = min(core_window.lo[0] - sampling.lo[0],
-                           core_window.lo[1] - sampling.lo[1],
-                           sampling.hi[0] - core_window.hi[0],
-                           sampling.hi[1] - core_window.hi[1])
-    if buffer_width < 0 or not sampling.contains_window(core_window.expand(buffer_width), tol=1e-9):
-        raise ParameterError("sampling window must contain core window + buffer")
+    if not sampling.contains_window(core_window, tol=1e-9):
+        raise ParameterError("sampling window must contain the core window")
     tol = TOL_SCALE * core_window.diagonal
 
     d0 = pts - pts[0]

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from tessperc.errors import ParameterError
-from tessperc.estimators import (count_spanning_clusters, estimate_crossing_prob,
-                                 estimate_pc, estimate_theta,
+from tessperc import diagnostics, estimators
+from tessperc.diagnostics import (mixture_nonergodic_demo, peierls_probe, smp_gap,
+                                  tameness_report)
+from tessperc.errors import EdgeEffectError, ParameterError
+from tessperc.estimators import (count_spanning_clusters, estimate_crossing_curve,
+                                 estimate_crossing_prob, estimate_pc, estimate_theta,
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
                                  trifurcation_candidates, verify_crossing_recursion)
-from tessperc.experiment import (ExperimentSpec, build_tessellation, run_replicates,
-                                 varies_by_replicate)
+from tessperc.experiment import (ExperimentSpec, build_tessellation, coloring_for,
+                                 run_replicates, varies_by_replicate)
 from tessperc.geometry import Window
 from tessperc.percolation import Coloring, CrossingQuery, color
 from tessperc.point_process import ProcessSpec
@@ -49,7 +54,7 @@ def test_varies_by_replicate_matches_build_tessellation(kind, params, varies):
 def test_run_replicates_prepares_once_per_build(random_shift, builds):
     spec = ExperimentSpec(
         process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": random_shift}),
-        window=Window((-2, -2), (2, 2)), master_seed=58)
+        window=Window((-2, -2), (2, 2)), replicates=3, master_seed=58)
     built, prepared = [], []
 
     def build(spec, rep):
@@ -61,7 +66,7 @@ def test_run_replicates_prepares_once_per_build(random_shift, builds):
         return tess
 
     vals, failed = run_replicates(spec, build, prepare,
-                                  lambda tess, uniforms, rep: (rep, tess, uniforms), 3)
+                                  lambda tess, uniforms, rep: (rep, tess, uniforms))
     assert built == builds and len(prepared) == len(builds) and failed == 0
     assert [rep for rep, _, _ in vals] == [0, 1, 2]
     for rep, tess, uniforms in vals:
@@ -72,24 +77,24 @@ def test_run_replicates_prepares_once_per_build(random_shift, builds):
 def test_crossing_prob_trivial_endpoints():
     spec = pv_spec(Window((0, 0), (8, 8)), 1.0, 50, 1)
     q = CrossingQuery(rect=spec.window)
-    results = estimate_crossing_prob(spec, q, (1.0, 0.0, 1.0), 50)
+    results = estimate_crossing_prob(replace(spec, p_grid=(1.0, 0.0, 1.0)), q)
     assert [r.estimate for r in results] == [1.0, 0.0, 1.0]
     with pytest.raises(ParameterError):
-        estimate_crossing_prob(spec, q, (0.5,), 49)
+        estimate_crossing_prob(replace(spec, p_grid=(0.5,), replicates=49), q)
 
 
 def test_theta_trivials_and_monotonicity():
     spec = pv_spec(Window((-8, -8), (8, 8)), 0.5, 60, 2)
-    ones, zeros = estimate_theta(spec, (1.0, 0.0), (2, 4), 60)
+    ones, zeros = estimate_theta(replace(spec, p_grid=(1.0, 0.0)), (2, 4))
     assert [r.estimate for r in ones] == [1.0, 1.0]
     assert [r.estimate for r in zeros] == [0.0, 0.0]
-    (mid,) = estimate_theta(spec, (0.5,), (2, 4, 6), 60)
+    (mid,) = estimate_theta(spec, (2, 4, 6))
     ests = [r.estimate for r in mid]
     assert all(b <= a for a, b in zip(ests, ests[1:]))
     with pytest.raises(ParameterError):
-        estimate_theta(spec, (0.5,), (2, 20), 60)  # exceeds half-width
+        estimate_theta(spec, (2, 20))  # exceeds half-width
     with pytest.raises(ParameterError):
-        estimate_theta(spec, (0.5,), (4, 2), 60)
+        estimate_theta(spec, (4, 2))
 
 
 def lattice_crossover_oracle(L, reps, seed, p_lo=0.5, p_hi=0.7, iters=12):
@@ -120,7 +125,7 @@ def lattice_crossover_oracle(L, reps, seed, p_lo=0.5, p_hi=0.7, iters=12):
 def test_pc_square_lattice_contains_oracle_crossover():
     window = Window((0, 0), (32, 32))
     spec = lattice_spec(window, 0.5, 150, 11)
-    est = estimate_pc(spec, 0.02, 150)
+    est = estimate_pc(spec, 0.02)
     oracle = lattice_crossover_oracle(32, 150, 3)
     lo, hi = est.interval
     assert lo - 0.02 <= oracle <= hi + 0.02
@@ -132,19 +137,19 @@ def test_pc_single_row_degenerate():
     # sits near 1 (1-D behavior)
     window = Window((0, 0), (30, 1))
     spec = lattice_spec(window, 0.5, 120, 13)
-    est = estimate_pc(spec, 0.05, 120)
+    est = estimate_pc(spec, 0.05)
     assert est.interval[0] >= 0.9
 
 
 def test_pc_tolerance_validation():
     spec = lattice_spec(Window((0, 0), (8, 8)), 0.5, 60, 1)
     with pytest.raises(ParameterError):
-        estimate_pc(spec, 0.001, 60)
+        estimate_pc(spec, 0.001)
 
 
 def test_spanning_counts_trivials():
     spec = pv_spec(Window((0, 0), (10, 10)), 1.0, 100, 3)
-    res1, res0 = count_spanning_clusters(spec, (1.0, 0.0), spec.window, 100)
+    res1, res0 = count_spanning_clusters(replace(spec, p_grid=(1.0, 0.0)), spec.window)
     assert res1.histogram == {1: 100}
     assert res0.histogram == {0: 100}
 
@@ -207,7 +212,7 @@ def test_trifurcation_ball_misfit_counts_as_skipped():
     spec = ExperimentSpec(
         process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
         window=Window((-10, -10), (10, 10)), p=0.6, replicates=5, master_seed=7)
-    out = estimate_trifurcation_density(spec, 0.6, 1, 1.5, spec.window, 5)
+    out = estimate_trifurcation_density(spec, 1, 1.5, spec.window)
     assert out["candidates"] == 25
     assert out["mean_skipped"] == out["candidates"]
     assert out["mean_count"] == 0.0
@@ -215,30 +220,30 @@ def test_trifurcation_ball_misfit_counts_as_skipped():
 
 def test_trifurcation_density_driver():
     spec = pv_spec(Window((-15, -15), (15, 15)), 0.8, 10, 21)
-    out = estimate_trifurcation_density(spec, 0.8, 1, 3.0, spec.window, 10)
+    out = estimate_trifurcation_density(spec, 1, 3.0, spec.window)
     assert out["replicates"] == 10
     assert out["density"] >= 0.0
 
 
 def test_ggr_square_lattice_g2():
     spec = lattice_spec(Window((-10.5, -10.5), (10.5, 10.5)), 0.5, 30, 5)
-    res = ggr_diagnostics(spec, 0.5, 4, 30, workers=1)
+    res = ggr_diagnostics(spec, 4, workers=1)
     assert all(v == pytest.approx(4.0) for v in res.g2_avg)
-    res0 = ggr_diagnostics(spec, 0.0, 4, 30, workers=1)
+    res0 = ggr_diagnostics(replace(spec, p=0.0), 4, workers=1)
     assert all(v == 0.0 for v in res0.g1_avg)
 
 
 def test_ggr_ball_must_fit():
     spec = lattice_spec(Window((-3.5, -3.5), (3.5, 3.5)), 0.5, 10, 5)
     with pytest.raises(ParameterError):
-        ggr_diagnostics(spec, 0.5, 10, 10, workers=1)
+        ggr_diagnostics(spec, 10, workers=1)
 
 
 def test_recursion_trivial_endpoints():
     spec = pv_spec(Window((0, 0), (18, 6)), 1.0, 60, 7)
-    rep1 = verify_crossing_recursion(spec, 1.0, 2.0, 60)
+    rep1 = verify_crossing_recursion(spec, 2.0)
     assert rep1["lhs"] == 0.0 and rep1["holds"]
-    rep0 = verify_crossing_recursion(spec, 0.0, 2.0, 60)
+    rep0 = verify_crossing_recursion(replace(spec, p=0.0), 2.0)
     assert rep0["lhs"] == 1.0
     assert rep0["rhs"] == pytest.approx(49.0)
     assert rep0["holds"]
@@ -247,11 +252,89 @@ def test_recursion_trivial_endpoints():
 def test_recursion_window_validation():
     spec = pv_spec(Window((0, 0), (10, 10)), 0.7, 60, 7)
     with pytest.raises(ParameterError):
-        verify_crossing_recursion(spec, 0.7, 2.0, 60)
+        verify_crossing_recursion(spec, 2.0)
 
 
 def test_recursion_small_supercritical():
     spec = pv_spec(Window((0, 0), (36, 12)), 0.75, 80, 9)
-    rep = verify_crossing_recursion(spec, 0.75, 4.0, 80)
+    rep = verify_crossing_recursion(spec, 4.0)
     assert rep["holds"]
     assert set(rep["rhs_terms"]) >= {"f_H", "f_V", "bottom_H0", "top_V2"}
+
+
+# Every function that reads p, the p-grid or the replicate count from its
+# spec: name -> (which p it reads: "grid" through spec.ps, "one" through
+# required_p, or "none"; its call on a spec, returning the (replicates,
+# failed) pair of each estimate it reports, or None when it reports none).
+W5 = Window((-5.0, -5.0), (5.0, 5.0))
+
+
+def _counted(*results):
+    """The (replicates, failed) pair of each result, a dict or an object."""
+    return [(r["replicates"], r["failed"]) if isinstance(r, dict) else (r.replicates, r.failed)
+            for r in results]
+
+
+SPEC_READERS = {
+    "estimate_crossing_curve": (
+        "grid", lambda spec: _counted(*estimate_crossing_curve(spec, CrossingQuery(W5))[1])),
+    "estimate_crossing_prob": (
+        "grid", lambda spec: _counted(*estimate_crossing_prob(spec, CrossingQuery(W5)))),
+    "estimate_theta": (
+        "grid", lambda spec: _counted(*sum(estimate_theta(spec, (1, 2)), []))),
+    "count_spanning_clusters": (
+        "grid", lambda spec: _counted(*count_spanning_clusters(spec, W5))),
+    "estimate_pc": (
+        "none", lambda spec: _counted(*(r for _, r in estimate_pc(spec, 0.1).probes))),
+    "estimate_trifurcation_density": (
+        "one", lambda spec: _counted(estimate_trifurcation_density(spec, 1, 2.0, W5))),
+    "verify_crossing_recursion": (
+        "one", lambda spec: _counted(verify_crossing_recursion(spec, 0.5))),
+    "ggr_diagnostics": ("one", lambda spec: ggr_diagnostics(spec, 1, 1) and None),
+    "coloring_for": (
+        "one", lambda spec: coloring_for(spec, 0, build_tessellation(spec, 0)) and None),
+    "smp_gap": ("one", lambda spec: [
+        (c.replicates, c.meta["failed"]) for c in [smp_gap(
+            spec, "crossing", Window((-1, -1), (0, 0)), Window((0.5, 0.5), (1.5, 1.5)), [1.0])]]),
+    "peierls_probe": ("one", lambda spec: _counted(
+        peierls_probe(spec, 1.0, Window((-4.5, -4.5), (4.5, 4.5)), 0.5, 0.02, (8,)))),
+    "mixture_nonergodic_demo": ("one", lambda spec: (lambda m: _counted(m.square, m.hexagonal))(
+        mixture_nonergodic_demo(spec, 1.0))),
+    "tameness_report": ("none", lambda spec: _counted(tameness_report(spec, 1.0, (1, 2)))),
+}
+COUNTLESS = {"ggr_diagnostics", "coloring_for"}  # report no replicate count
+
+
+def _shifted_spec(**fields):
+    """A spec of 100 replicates of a randomly shifted unit square lattice on W5."""
+    return ExperimentSpec(
+        process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
+        window=W5, replicates=100, master_seed=90, **fields)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (reads, _) in SPEC_READERS.items()
+                                        if reads != "none"))
+def test_a_spec_without_p_is_a_parameter_error(name):
+    """A single-p reader does not fall back on the grid; a grid reader falls
+    back on p, so it fails only when the spec sets neither."""
+    reads, call = SPEC_READERS[name]
+    spec = _shifted_spec(p_grid=None if reads == "grid" else (0.5,))
+    with pytest.raises(ParameterError, match="the spec sets no p"):
+        call(spec)
+
+
+@pytest.mark.parametrize("name", sorted(set(SPEC_READERS) - COUNTLESS))
+def test_each_estimate_accounts_for_every_replicate_of_the_spec(name, monkeypatch):
+    """With replicate 1's build failing, every estimate counts the spec's
+    other 99 replicates and the one failure."""
+    def fail_rep_1(build):
+        def wrapped(spec, rep):
+            if rep == 1:
+                raise EdgeEffectError("forced failure")
+            return build(spec, rep)
+        return wrapped
+
+    for module in (estimators, diagnostics):
+        monkeypatch.setattr(module, "build_tessellation", fail_rep_1(module.build_tessellation))
+    pairs = SPEC_READERS[name][1](_shifted_spec(p=0.6))
+    assert pairs and all(pair == (99, 1) for pair in pairs)

@@ -255,7 +255,7 @@ def test_rings_meet_boxes_matches_separating_axes(case):
 
 @pytest.mark.parametrize("build", [
     lambda core: build_voronoi(sample_poisson(1.0, core.expand(4.0), stream(3, 0, "kernel")),
-                               core, 4.0),
+                               core),
     lambda core: build_lattice_tessellation("square", 1.0, (-0.5, -0.5), core),
     lambda core: build_lattice_tessellation("square", 1.0, (0.0, 0.0), core),
     lambda core: build_lattice_tessellation("hexagonal", 1.0, (0.3, 0.1), core),

@@ -45,10 +45,11 @@ def test_ball_basics():
 def test_ball_truncation_flag():
     """ggr refuses a ball that reaches a cell on the window's boundary."""
     spec = ExperimentSpec(process=ProcessSpec("square_lattice", {"spacing": 1.0}),
-                          window=Window((-3.5, -3.5), (3.5, 3.5)), master_seed=3)
-    assert ggr_diagnostics(spec, 0.5, 2, 2, workers=1).ball_sizes == [1, 5, 13]
+                          window=Window((-3.5, -3.5), (3.5, 3.5)), p=0.5, replicates=2,
+                          master_seed=3)
+    assert ggr_diagnostics(spec, 2, workers=1).ball_sizes == [1, 5, 13]
     with pytest.raises(ParameterError, match="n_max ball leaves the core window"):
-        ggr_diagnostics(spec, 0.5, 3, 2, workers=1)
+        ggr_diagnostics(spec, 3, workers=1)
 
 
 def bfs_ball(neighbors, root, radius) -> dict:
@@ -71,8 +72,7 @@ def reference_graph(name: str, mode: str):
     """(edges, n, neighbour lists) of a small tessellation."""
     core = Window((-4.0, -4.0), (4.0, 4.0))
     if name == "voronoi":
-        tess = build_voronoi(sample_poisson(1.5, core.expand(3.0), stream(5, 0, "tess")),
-                             core, 3.0)
+        tess = build_voronoi(sample_poisson(1.5, core.expand(3.0), stream(5, 0, "tess")), core)
     else:
         tess = build_lattice_tessellation(name, 1.0, (0.3, 0.1), core)
     edges = build_adjacency(tess, mode)

@@ -16,13 +16,13 @@ def grid_voronoi(half=9, core=6.0):
     pts = np.array([[i, j] for i in range(-half, half + 1)
                     for j in range(-half, half + 1)], float)
     cfg = PointConfiguration(pts, Window((-half - 0.5, -half - 0.5), (half + 0.5, half + 0.5)))
-    return build_voronoi(cfg, Window((-core, -core), (core, core)), 2.0)
+    return build_voronoi(cfg, Window((-core, -core), (core, core)))
 
 
 def pv_tess(seed, side=16.0, gamma=1.0):
     core = Window((-side, -side), (side, side))
     cfg = sample_poisson(gamma, core.expand(5), stream(seed, 0, "tess"))
-    return build_voronoi(cfg, core, 5.0)
+    return build_voronoi(cfg, core)
 
 
 def test_Y_unit_grid_aligned():
@@ -221,7 +221,7 @@ def test_matern_hardcore_packing_bound():
     core = Window((-10, -10), (10, 10))
     for seed in range(5):
         cfg = sample_matern_hardcore(3.0, r_hard, core.expand(4), stream(seed, 0, "m2"))
-        tess = build_voronoi(cfg, core, 4.0)
+        tess = build_voronoi(cfg, core)
         field = compute_Y_field(tess, delta, Window((-8, -8), (8, 8)))
         assert field.values.max() <= bound
         res = greedy_animal_max(field, 8, np.random.default_rng(seed))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -294,7 +295,7 @@ def test_csvs_identical_across_worker_counts(cfg, tmp_path):
 
 def _render_instance():
     core = Window((-3.0, -3.0), (3.0, 3.0))
-    tess = build_voronoi(sample_poisson(1.0, core.expand(3.0), stream(33, 0, "tess")), core, 3.0)
+    tess = build_voronoi(sample_poisson(1.0, core.expand(3.0), stream(33, 0, "tess")), core)
     return tess, color(tess, 0.5, stream(33, 0, "color"))
 
 
@@ -320,9 +321,10 @@ def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):
 
 def test_peierls_probe_result_pinned():
     spec = ExperimentSpec(process=ProcessSpec.from_json(PV),
-                          window=Window((-8.0, -8.0), (8.0, 8.0)), master_seed=34)
-    res = diagnostics.peierls_probe(spec, 0.5, 1.0, Window((-7.5, -7.5), (7.5, 7.5)),
-                                    replicates=10, c3=0.5, c4=0.02, cycle_lengths=(8, 16))
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), p=0.5, replicates=10,
+                          master_seed=34)
+    res = diagnostics.peierls_probe(spec, 1.0, Window((-7.5, -7.5), (7.5, 7.5)),
+                                    c3=0.5, c4=0.02, cycle_lengths=(8, 16))
     assert res == diagnostics.PeierlsResult(
         declined=False, reason="", cycle_lengths=[8, 16], estimates=[0.7, 0.4],
         sigmas=[0.13936099742505348, 0.14798927814636098],
@@ -335,10 +337,11 @@ def test_peierls_circuit_leaving_the_window_is_refused_at_every_p(p):
     """A circuit box outside the analysis window is an error whatever the
     colours, not only when every earlier box met a white cell."""
     spec = ExperimentSpec(process=ProcessSpec.from_json(SQ_FIXED),
-                          window=Window((-8.0, -8.0), (8.0, 8.0)), master_seed=1)
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), p=p, replicates=1,
+                          master_seed=1)
     with pytest.raises(ParameterError, match="circuit box leaves the analysis window"):
-        diagnostics.peierls_probe(spec, p, 1.0, Window((-3.5, -3.5), (3.5, 3.5)),
-                                  replicates=1, c3=0.5, c4=0.02, cycle_lengths=(16,))
+        diagnostics.peierls_probe(spec, 1.0, Window((-3.5, -3.5), (3.5, 3.5)),
+                                  c3=0.5, c4=0.02, cycle_lengths=(16,))
 
 
 def _fail_rep_1(build):
@@ -353,9 +356,10 @@ def test_peierls_probe_counts_a_build_failure(monkeypatch):
     monkeypatch.setattr(diagnostics, "build_tessellation",
                         _fail_rep_1(diagnostics.build_tessellation))
     spec = ExperimentSpec(process=ProcessSpec.from_json(SQ),
-                          window=Window((-4.0, -4.0), (4.0, 4.0)), master_seed=59)
-    res = diagnostics.peierls_probe(spec, 0.5, 1.0, Window((-3.0, -3.0), (3.0, 3.0)),
-                                    replicates=100, c3=0.5, c4=0.02, cycle_lengths=(8,))
+                          window=Window((-4.0, -4.0), (4.0, 4.0)), p=0.5, replicates=100,
+                          master_seed=59)
+    res = diagnostics.peierls_probe(spec, 1.0, Window((-3.0, -3.0), (3.0, 3.0)),
+                                    c3=0.5, c4=0.02, cycle_lengths=(8,))
     assert (res.replicates, res.failed) == (99, 1)
 
 
@@ -471,13 +475,52 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
              "master_seed": 86, "params": {"t_schedule": [1.0, True], "angle_tol": 0.3}}),
     ("run", {"op": "mixture", "process": SQ, "window": W4, "adjacency": "star", "p": 0.55,
              "replicates": 10, "master_seed": 87, "params": {"spacing": 1.0}}),
+    ("run", {"op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]], "p": 0.6,
+             "replicates": 0, "master_seed": 88, "params": {"t": 1.0}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": -4,
+             "master_seed": 89, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": "3",
+             "master_seed": 90, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 2.9,
+             "master_seed": 91, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": True,
+             "master_seed": 92, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 2,
+             "master_seed": True, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 2,
+             "master_seed": -1, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 2,
+             "master_seed": 2 ** 64, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 2,
+             "master_seed": "7", "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": PV, "window": W4, "buffer": -1, "p": 0.6,
+             "replicates": 2, "master_seed": 93, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": PV, "window": W4, "buffer": "2", "p": 0.6,
+             "replicates": 2, "master_seed": 94, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": PV, "window": W4, "buffer": True, "p": 0.6,
+             "replicates": 2, "master_seed": 95, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": PV, "window": W4, "buffer": math.inf, "p": 0.6,
+             "replicates": 2, "master_seed": 96, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": True, "replicates": 2,
+             "master_seed": 97, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": "0.5", "replicates": 2,
+             "master_seed": 98, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p_grid": [0.5, False],
+             "replicates": 2, "master_seed": 99, "params": {"radii": [1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p_grid": ["0.5"], "replicates": 2,
+             "master_seed": 100, "params": {"radii": [1]}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
         "quoted_number_parameter", "void_on_square_lattice", "laplace_on_hexagonal_lattice",
         "smp_gap_void_on_square_lattice", "radii_not_a_list", "radii_empty",
         "radii_quoted_number", "n_schedule_empty", "t_values_empty", "t_schedule_empty",
-        "t_schedule_boolean", "mixture_star_adjacency"])
+        "t_schedule_boolean", "mixture_star_adjacency", "replicates_zero",
+        "replicates_negative", "replicates_quoted", "replicates_fractional",
+        "replicates_boolean", "master_seed_boolean", "master_seed_negative",
+        "master_seed_too_large", "master_seed_quoted", "buffer_negative", "buffer_quoted",
+        "buffer_boolean", "buffer_infinite", "p_boolean", "p_quoted", "p_grid_boolean",
+        "p_grid_quoted"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -501,7 +544,7 @@ def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
     tess = build_tessellation(spec, 0)
     query = CrossingQuery(rect=spec.window)
     for p, crossed in ((0.0, False), (1.0, True)):
-        assert crossing(tess, coloring_for(spec, 0, tess, p), query) is crossed
+        assert crossing(tess, coloring_for(replace(spec, p=p), 0, tess), query) is crossed
 
 
 def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):

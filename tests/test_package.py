@@ -85,19 +85,23 @@ def test_every_public_name_is_reached_from_an_entry_point():
     """Name-level reachability: a reached node reaches every node, in any
     module, that defines a name it mentions. The nodes are the top-level
     statements and the public methods of top-level classes; a class reaches
-    its private and dunder methods but not its public ones."""
+    its private and dunder methods but not its public ones. A method whose
+    name more than one class defines is reached only from a node that
+    mentions both the name and its class."""
     modules = _modules()
-    defs = {}  # name -> nodes defining it
+    defs = {}  # name -> (node defining it, its class or None)
     public = []
     for module, tree in modules.items():
         for node in tree.body:
             for name in _bound_names(node):
-                defs.setdefault(name, []).append(node)
+                defs.setdefault(name, []).append((node, None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 public.append((f"{module}: {node.name}", node))
                 for method in _public_methods(node):
-                    defs.setdefault(method.name, []).append(method)
+                    defs.setdefault(method.name, []).append((method, node.name))
                     public.append((f"{module}: {node.name}.{method.name}", method))
+    shared = {name for name, found in defs.items()
+              if len({cls for _, cls in found if cls is not None}) > 1}
     todo = [node for module, root in ENTRY_POINTS for node in modules[module].body
             if root in _bound_names(node)]
     assert len(todo) == len(ENTRY_POINTS)
@@ -108,5 +112,6 @@ def test_every_public_name_is_reached_from_an_entry_point():
             continue
         reached.add(id(node))
         mentioned = _mentions_outside(node, _public_methods(node))
-        todo += [d for name in mentioned for d in defs.get(name, ())]
+        todo += [d for name in mentioned for d, cls in defs.get(name, ())
+                 if cls is None or name not in shared or cls in mentioned]
     assert [name for name, node in public if id(node) not in reached] == []

@@ -21,7 +21,7 @@ from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
 def poisson_setup(seed, side=20.0, p=0.5):
     core = Window((0, 0), (side, side))
     cfg = sample_poisson(1.0, core.expand(5), stream(seed, 0, "tess"))
-    tess = build_voronoi(cfg, core, 5.0)
+    tess = build_voronoi(cfg, core)
     col = color(tess, p, stream(seed, 0, "color"))
     return tess, col
 
@@ -323,12 +323,12 @@ def _rects(draw):
 def _instances(draw):
     """(tessellation, its uniforms, two rects inside its core)."""
     spec = ExperimentSpec(process=_KINDS[draw(st.sampled_from(sorted(_KINDS)))],
-                          window=_CORE, master_seed=draw(st.integers(0, 10_000)))
+                          window=_CORE, p=0.5, master_seed=draw(st.integers(0, 10_000)))
     try:
         tess = build_tessellation(spec, 0)
     except BUILD_ERRORS:
         assume(False)
-    return tess, coloring_for(spec, 0, tess, 0.5).uniforms, (draw(_rects()), draw(_rects()))
+    return tess, coloring_for(spec, 0, tess).uniforms, (draw(_rects()), draw(_rects()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,13 +27,13 @@ def grid_points(lo, hi):
 def poisson_tess(seed, core_side=30.0, gamma=1.0, buffer=5.0):
     core = Window((0, 0), (core_side, core_side))
     cfg = sample_poisson(gamma, core.expand(buffer), stream(seed, 0, "tess"))
-    return build_voronoi(cfg, core, buffer), cfg
+    return build_voronoi(cfg, core), cfg
 
 
 def test_unit_grid_voronoi_cells_are_unit_squares():
     pts = grid_points(-7, 7)
     cfg = PointConfiguration(pts, Window((-7.5, -7.5), (7.5, 7.5)))
-    tess = build_voronoi(cfg, Window((-4, -4), (4, 4)), 3.0)
+    tess = build_voronoi(cfg, Window((-4, -4), (4, 4)))
     areas = ring_areas(tess.poly_xy, tess.poly_ptr)
     for k in range(len(tess)):
         if tess.boundary[k]:
@@ -49,7 +49,7 @@ def test_triangle_generators_nearest_property():
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
     cfg = PointConfiguration(pts, Window((-10, -10), (14, 13)))
     # three generators are the whole process: hull-clipped cells are exact
-    tess = build_voronoi(cfg, Window((1, 0.5), (3, 2)), 5.0, validate_buffer=False)
+    tess = build_voronoi(cfg, Window((1, 0.5), (3, 2)), validate_buffer=False)
     rng = np.random.default_rng(0)
     for _ in range(200):
         x = rng.uniform([1, 0.5], [3, 2])
@@ -89,12 +89,12 @@ def test_coverage_and_disjointness():
 def test_translation_covariance():
     core = Window((0, 0), (10, 10))
     cfg = sample_poisson(1.0, core.expand(4), stream(19, 0, "tess"))
-    tess = build_voronoi(cfg, core, 4.0)
+    tess = build_voronoi(cfg, core)
     s = np.array([3.25, -1.5])
     def moved(w):
         return Window(tuple(w.lo + s), tuple(w.hi + s))
 
-    shifted = build_voronoi(PointConfiguration(cfg.points + s, moved(cfg.window)), moved(core), 4.0)
+    shifted = build_voronoi(PointConfiguration(cfg.points + s, moved(cfg.window)), moved(core))
     scale = core.diagonal
     assert len(tess) == len(shifted)
     for i in range(len(tess)):
@@ -110,7 +110,7 @@ def test_translation_covariance():
 def test_mean_face_degree_is_six():
     core = Window((0, 0), (40, 40))
     cfg = sample_poisson(1.0, core.expand(5), stream(23, 0, "tess"))
-    tess = build_voronoi(cfg, core, 5.0)
+    tess = build_voronoi(cfg, core)
     degs = np.diff(neighbor_csr(len(tess), build_adjacency(tess, "face"))[0])[~tess.boundary]
     assert len(degs) >= 1000
     assert abs(np.mean(degs) - 6.0) < 0.1
@@ -172,7 +172,7 @@ def test_zero_cell_generic_and_shifted():
     # origin outside that core window ([0,10]^2 contains it on the corner)
     core = Window((-5, -5), (5, 5))
     cfg2 = sample_poisson(1.0, core.expand(5), stream(37, 1, "tess"))
-    t2 = build_voronoi(cfg2, core, 5.0)
+    t2 = build_voronoi(cfg2, core)
     zc = zero_cell(t2)
     assert zc == int(np.argmin(np.linalg.norm(cfg2.points, axis=1)))
     shifted = build_lattice_tessellation("square", 1.0, (0.3, 0.3), Window((-2, -2), (2, 2)))
@@ -190,12 +190,20 @@ def test_construction_errors():
     with pytest.raises(ConstructionError):
         build_voronoi(PointConfiguration(np.array([[0.0, 0.0], [1.0, 1.0]]),
                                          Window((-1, -1), (2, 2))),
-                      Window((-0.5, -0.5), (1.5, 1.5)), 0.5)
+                      Window((-0.5, -0.5), (1.5, 1.5)))
     collinear = PointConfiguration(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
                                              [3.0, 0.0]]),
                                    Window((-1, -1), (4, 1)))
     with pytest.raises(ConstructionError):
-        build_voronoi(collinear, Window((0, -0.5), (3, 0.5)), 0.5)
+        build_voronoi(collinear, Window((0, -0.5), (3, 0.5)))
+
+
+@pytest.mark.parametrize("core", [Window((1, 1), (10.5, 9)), Window((-0.5, 2), (4, 3))])
+def test_sampling_window_must_contain_the_core_window(core):
+    cfg = sample_poisson(1.0, Window((0, 0), (10, 10)), stream(41, 0, "tess"))
+    for build in (build_voronoi, _list_build_voronoi):
+        with pytest.raises(ParameterError, match="sampling window must contain the core window"):
+            build(cfg, core)
 
 
 def test_edge_effect_detection():
@@ -203,7 +211,7 @@ def test_edge_effect_detection():
     core = Window((0, 0), (10, 10))
     cfg = sample_poisson(1.0, core, stream(41, 0, "tess"))
     with pytest.raises(EdgeEffectError):
-        build_voronoi(cfg, core, 0.0)
+        build_voronoi(cfg, core)
 
 
 def _tessellation_json(tess):
@@ -213,7 +221,7 @@ def _tessellation_json(tess):
     (fp, face), (sp, star) = (neighbor_csr(n, build_adjacency(tess, mode))
                               for mode in ("face", "star"))
     return {
-        "core_window": tess.core_window.to_json(),
+        "core_window": [list(tess.core_window.lo), list(tess.core_window.hi)],
         "cells": [{
             "id": i,
             "center": tess.centers[i].tolist(),
@@ -244,7 +252,7 @@ def _geometry_digest(tess):
 
 def _grid_voronoi():
     cfg = PointConfiguration(grid_points(-7, 7), Window((-7.5, -7.5), (7.5, 7.5)))
-    return build_voronoi(cfg, Window((-4, -4), (4, 4)), 3.0)
+    return build_voronoi(cfg, Window((-4, -4), (4, 4)))
 
 
 @pytest.mark.parametrize("name, build, digest", [
@@ -389,19 +397,14 @@ def test_repeated_generator_is_a_degenerate_region():
 # Reference: build_voronoi as it was built on scipy.spatial.Voronoi, reading
 # Qhull's regions and ridges as Python lists.
 
-def _list_build_voronoi(points, core_window, buffer_width=None, validate_buffer=True):
+def _list_build_voronoi(points, core_window, validate_buffer=True):
     pts = points.points
     n = len(pts)
     if n < 3:
         raise ConstructionError("voronoi construction needs at least 3 generators")
     sampling = points.window
-    if buffer_width is None:
-        buffer_width = min(core_window.lo[0] - sampling.lo[0],
-                           core_window.lo[1] - sampling.lo[1],
-                           sampling.hi[0] - core_window.hi[0],
-                           sampling.hi[1] - core_window.hi[1])
-    if buffer_width < 0 or not sampling.contains_window(core_window.expand(buffer_width), tol=1e-9):
-        raise ParameterError("sampling window must contain core window + buffer")
+    if not sampling.contains_window(core_window, tol=1e-9):
+        raise ParameterError("sampling window must contain the core window")
     tol = tessellation.TOL_SCALE * core_window.diagonal
 
     d0 = pts - pts[0]
