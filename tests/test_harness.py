@@ -155,6 +155,13 @@ GOLDEN = {
                    "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0, 2.0]}}, {
         "smp_gap.csv": "bd9511e3eb2e81b389644db462c7f8f8c300debe552c3c472ff0a9c32a6b72c4"},
         "18db5213caddfb1fa18140f77f3112dfb35456a759d4006fcabc4fc701d5f9d9"),
+    "smp_gap_void": ("run", {
+        "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 40,
+        "master_seed": 102,
+        "params": {"family": "void", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
+                   "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [0.5, 1.0, 1.5]}}, {
+        "smp_gap.csv": "3981d1a067735b82bb7c2e739ca9ddc5e0320c70208b5237257f4cd668088c2e"},
+        "f0d364459166a9be5093ac6a55b692e1f263780f373857c760a9b018a524f1d6"),
     "pc_square_unshifted": ("run", {
         "op": "pc", "process": SQ_FIXED, "window": W4, "adjacency": "face",
         "replicates": 50, "master_seed": 50,
@@ -283,8 +290,19 @@ def _csv_bytes(record) -> dict:
     {"op": "trifurcation_density", "process": SQ, "window": [[-14.0, -14.0], [14.0, 14.0]],
      "adjacency": "face", "p": 0.58, "replicates": 8, "master_seed": 79,
      "params": {"r1": 1, "r2": 2.0}},
+    {"op": "void", "process": THOMAS, "window": W4, "replicates": 100, "master_seed": 103,
+     "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [0.5, 1.0, 0.0]}},
+    {"op": "laplace", "process": MATERN, "window": W4, "replicates": 1000, "master_seed": 104,
+     "params": {"t": 0.2, "region": {"delta": 0.5, "ni": 2, "nj": 3, "anchor": [-1, 0]}}},
+    {"op": "line_smp", "process": LINES, "window": W4, "replicates": 60, "master_seed": 105,
+     "params": {"t_schedule": [1.0, 2.0], "angle_tol": 0.4}},
+    {"op": "smp_gap", "process": HARDCORE, "window": W4, "p": 0.5, "replicates": 30,
+     "master_seed": 106,
+     "params": {"family": "void", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
+                "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [0.5, 1.0]}},
 ], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice",
-        "tameness_voronoi", "ggr_voronoi", "trifurcation_shifted_lattice"])
+        "tameness_voronoi", "ggr_voronoi", "trifurcation_shifted_lattice", "void_thomas",
+        "laplace_matern", "line_smp", "smp_gap_void_hardcore"])
 def test_csvs_identical_across_worker_counts(cfg, tmp_path):
     path = _write_config(tmp_path, cfg)
     one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
