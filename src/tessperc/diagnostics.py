@@ -1,8 +1,15 @@
-"""Scale-mixing gap curves, the line-process counterexample, the lattice
+"""Void probabilities and Laplace functionals of a point process,
+scale-mixing gap curves, the line-process counterexample, the lattice
 mixture demo, tameness curves and the white-circuit probe. The probe finds
 the circuit boxes that white cells meet with geometry.rings_meet_boxes,
-the kernel of the tameness fields, in one call per circuit. A diagnostic
-that takes an ExperimentSpec reads p (if any) and the replicate count from it.
+the kernel of the tameness fields, in one call per circuit.
+
+Every diagnostic takes an ExperimentSpec and reads the process, p (if any),
+the replicate count and the master seed from it. Each Monte Carlo loop is a
+per-replicate function mapped by experiment.map_replicates, or by
+run_replicates when it colours a tessellation, so every worker count gives
+the same results. The void probabilities and the void family of smp_gap
+share one per-replicate function, _void_rep.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EstimatorFailure, ParameterError
 from .experiment import (ExperimentSpec, as_built, build_tessellation, map_replicates,
                          run_replicates)
-from .geometry import Window, rings_meet_boxes
+from .geometry import GridRegion, Window, rings_meet_boxes
 from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
 from .percolation import Coloring, CrossingQuery, crossing, spanning_cluster_count
-from .point_process import ProcessSpec, sample_poisson_lines, sample_process
+from .point_process import ProcessSpec, laplace_bound, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import stream
 
@@ -43,6 +50,70 @@ def gap_from_indicators(e, ep):
     return abs(cov), sigma, float((e * ep).mean()), float(pe), float(pep)
 
 
+def _void_rep(spec: ExperimentSpec, window: Window, tag: str, rects, rep: int) -> tuple:
+    """Per rect, 1 when no point of replicate rep's sample of the spec's
+    process on window, drawn from stream tag, lies in it, else 0. A rect of
+    None is empty, so it is always void."""
+    pts = sample_process(spec.process, window, stream(spec.master_seed, rep, tag)).points
+    return tuple(0 if rect is not None and len(pts) and rect.contains_points(pts).any() else 1
+                 for rect in rects)
+
+
+def estimate_void_probability(spec: ExperimentSpec, Q: Window, t_values,
+                              workers: int = 1) -> list[dict]:
+    """Empirical P[no point of the spec's process in tQ] per t, with Wilson
+    95% intervals.
+
+    tQ scales about Q's lower corner so the regions are nested across t and a
+    single configuration per replicate, sampled on the largest, serves every t.
+    """
+    if spec.replicates < 100:
+        raise ParameterError("void estimator needs at least 100 replicates")
+    t_values = [float(t) for t in t_values]
+    if any(t < 0 for t in t_values):
+        raise ParameterError("t values must be nonnegative")
+    t_max = max(t_values)
+    if t_max == 0:
+        return [{"t": t, "estimate": 1.0, "ci": (1.0, 1.0), "replicates": spec.replicates}
+                for t in t_values]
+    rects = [Q.scaled(t, about=Q.lo) if t > 0 else None for t in t_values]
+    vals, _ = map_replicates(partial(_void_rep, spec, Q.scaled(t_max, about=Q.lo), "void", rects),
+                             spec.replicates, workers)
+    results = []
+    for k, t in enumerate(t_values):
+        res = PercResult.from_counts(sum(v[k] for v in vals), len(vals))
+        results.append({"t": t, "estimate": res.estimate, "ci": res.ci, "replicates": len(vals)})
+    return results
+
+
+def _laplace_rep(spec: ExperimentSpec, t: float, region: GridRegion, window: Window,
+                 rep: int) -> float:
+    """exp(t * N(region)) of replicate rep's sample of the spec's process on window."""
+    rng = stream(spec.master_seed, rep, "laplace")
+    arg = t * region.count_points(sample_process(spec.process, window, rng).points)
+    if arg > 700.0:
+        raise EstimatorFailure(f"exp overflow in laplace estimator (t*count = {arg:.1f}); reduce t")
+    return math.exp(arg)
+
+
+def estimate_laplace_functional(spec: ExperimentSpec, t: float, region: GridRegion,
+                                workers: int = 1) -> dict:
+    """Monte Carlo E[exp(t * N(region))] of the spec's process, with
+    point_process.laplace_bound as an analytic side-by-side reference."""
+    if t < 0:
+        raise ParameterError("t must be nonnegative")
+    if spec.replicates < 1000:
+        raise ParameterError("laplace estimator needs at least 1000 replicates")
+    window = region.bounding_window().expand(spec.process.restriction_buffer() + 1e-9)
+    vals, _ = map_replicates(partial(_laplace_rep, spec, t, region, window), spec.replicates,
+                             workers)
+    estimate, ci = mean_ci(vals)
+    if not math.isfinite(estimate):
+        raise EstimatorFailure("laplace estimate overflowed to non-finite value")
+    return {"estimate": estimate, "ci": ci, "replicates": len(vals),
+            "reference": laplace_bound(spec.process, t, region)}
+
+
 @dataclass
 class SmpGapCurve:
     t_values: list
@@ -55,13 +126,13 @@ class SmpGapCurve:
 
     @staticmethod
     def from_indicators(t_values, vals, meta: dict) -> "SmpGapCurve":
-        """The curve over t_values from per-replicate lists holding one
-        (E_t, E'_t) indicator pair per t."""
+        """The curve over t_values from per-replicate tuples holding the
+        indicators E_t, E'_t of each t in turn."""
         curve = SmpGapCurve(t_values=t_values, p_joint=[], p_product=[], gap=[], sigma=[],
                             replicates=len(vals), meta=meta)
         for k in range(len(t_values)):
-            gap, sigma, pj, pe, pep = gap_from_indicators([v[k][0] for v in vals],
-                                                          [v[k][1] for v in vals])
+            gap, sigma, pj, pe, pep = gap_from_indicators([v[2 * k] for v in vals],
+                                                          [v[2 * k + 1] for v in vals])
             curve.p_joint.append(pj)
             curve.p_product.append(pe * pep)
             curve.gap.append(gap)
@@ -80,26 +151,11 @@ class SmpGapCurve:
                    "gap": self.gap[k], "ci_lo": lo, "ci_hi": hi}
 
 
-def _smp_crossing_rep(p: float, adjacency: str, rects, tess, uniforms, rep: int):
+def _smp_crossing_rep(p: float, adjacency: str, rects, tess, uniforms, rep: int) -> tuple:
+    """Per rect, 1 when the colouring at p has a black horizontal crossing of it."""
     col = Coloring(uniforms, p)
-
-    def crosses(rect):
-        return 1 if crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
-                                                      color="black", adjacency=adjacency)) else 0
-
-    return [(crosses(rq), crosses(rqp)) for rq, rqp in rects]
-
-
-def _smp_void_rep(spec: ExperimentSpec, rects, rep: int):
-    rng = stream(spec.master_seed, rep, "smp-void")
-    config = sample_process(spec.process, spec.window, rng)
-    pts = config.points
-    out = []
-    for rq, rqp in rects:
-        e = 0 if len(pts) and rq.contains_points(pts).any() else 1
-        ep = 0 if len(pts) and rqp.contains_points(pts).any() else 1
-        out.append((e, ep))
-    return out
+    return tuple(1 if crossing(tess, col, CrossingQuery(rect, "horizontal", "black"), adjacency)
+                 else 0 for rect in rects)
 
 
 def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
@@ -115,18 +171,16 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
     t_schedule = [float(t) for t in t_schedule]
     rects = []
     for t in t_schedule:
-        rq, rqp = Q.scaled(t), Qprime.scaled(t)
-        if not (spec.window.contains_window(rq, tol=1e-9)
-                and spec.window.contains_window(rqp, tol=1e-9)):
+        rects += [Q.scaled(t), Qprime.scaled(t)]
+        if not all(spec.window.contains_window(rect, tol=1e-9) for rect in rects[-2:]):
             raise ParameterError(f"scaled rectangles at t={t} leave the core window")
-        rects.append((rq, rqp))
     if event_family == "crossing":
         vals, failed = run_replicates(spec, build_tessellation, as_built,
                                       partial(_smp_crossing_rep, spec.required_p(),
                                               spec.adjacency, rects), workers)
     elif event_family == "void":
-        vals, failed = map_replicates(partial(_smp_void_rep, spec, rects), spec.replicates,
-                                      workers)
+        vals, failed = map_replicates(partial(_void_rep, spec, spec.window, "smp-void", rects),
+                                      spec.replicates, workers)
     else:
         raise ParameterError("event_family must be 'crossing' or 'void'")
     return SmpGapCurve.from_indicators(t_schedule, vals,
@@ -151,34 +205,36 @@ LINE_SMP_Q1 = Window((-0.5, -0.5), (0.5, 0.5))
 LINE_SMP_Q2 = Window((1.0, -0.5), (2.0, 0.5))
 
 
-def line_process_smp_failure(line_intensity: float, t_schedule, replicates: int,
-                             angle_tol: float, master_seed: int = 0) -> SmpGapCurve:
-    """Gap curve for near-horizontal line crossings of two scaled squares.
+def _line_smp_rep(spec: ExperimentSpec, disc_radius: float, angle_tol: float, t_schedule,
+                  rep: int) -> tuple:
+    """Per t, the indicators E_t and E'_t of replicate rep's lines."""
+    rng = stream(spec.master_seed, rep, "lines")
+    theta, r = sample_poisson_lines(spec.process["line_intensity"], disc_radius, rng).T
+    near_horiz = np.abs(theta - np.pi / 2.0) < angle_tol
+    return tuple(int(np.any(near_horiz & _line_crosses_lr(theta, r, q.scaled(t))))
+                 for t in t_schedule for q in (LINE_SMP_Q1, LINE_SMP_Q2))
+
+
+def line_process_smp_failure(spec: ExperimentSpec, t_schedule, angle_tol: float,
+                             workers: int = 1) -> SmpGapCurve:
+    """Gap curve for near-horizontal line crossings of two scaled squares,
+    for the spec's poisson_line process.
 
     E_t: some line within angle_tol of horizontal crosses t*Q1 left to right
     (Q1 the unit square at the origin, Q2 = Q1 + (1.5, 0)). A single long
     line induces both events at every scale, so the gap stays bounded away
     from zero: the scale-mixing property fails for line processes.
     """
+    if spec.process.kind != "poisson_line":
+        raise ParameterError("the line-process gap curve needs a poisson_line process")
     t_schedule = [float(t) for t in t_schedule]
-    t_max = max(t_schedule)
     corners = np.abs(np.array([LINE_SMP_Q2.hi, LINE_SMP_Q2.lo, LINE_SMP_Q1.lo]))
-    disc_radius = t_max * float(np.sqrt((corners ** 2).sum(axis=1)).max()) + 1.0
-    vals = []
-    for rep in range(replicates):
-        rng = stream(master_seed, rep, "lines")
-        lines = sample_poisson_lines(line_intensity, disc_radius, rng)
-        theta, r = (lines[:, 0], lines[:, 1]) if len(lines) else (np.empty(0), np.empty(0))
-        near_horiz = np.abs(theta - np.pi / 2.0) < angle_tol
-        pairs = []
-        for t in t_schedule:
-            e = np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q1.scaled(t)))
-            ep = np.any(near_horiz & _line_crosses_lr(theta, r, LINE_SMP_Q2.scaled(t)))
-            pairs.append((int(e), int(ep)))
-        vals.append(pairs)
+    disc_radius = max(t_schedule) * float(np.sqrt((corners ** 2).sum(axis=1)).max()) + 1.0
+    vals, _ = map_replicates(partial(_line_smp_rep, spec, disc_radius, angle_tol, t_schedule),
+                             spec.replicates, workers)
     return SmpGapCurve.from_indicators(t_schedule, vals,
                                        {"family": "line", "angle_tol": angle_tol,
-                                        "line_intensity": line_intensity})
+                                        "line_intensity": spec.process["line_intensity"]})
 
 
 @dataclass

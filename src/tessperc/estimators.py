@@ -13,6 +13,10 @@ count events and report Wilson intervals. Crossing probabilities have one
 estimator, estimate_crossing_curve, which thresholds each replicate's
 colouring at every p of the spec's grid.
 
+The spec is also the one source of the adjacency: every estimator builds
+its cell graph or rectangle graph at spec.adjacency, and a CrossingQuery
+names only the rect, direction and colour.
+
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, crossing, adjacency, zero-cell, reach
 and ball functions are looked up in this module, so a wrapper on these
@@ -47,7 +51,7 @@ def _crossing_rep(query: CrossingQuery, p_grid: tuple, prepared, uniforms, rep: 
     """(rep, crossing indicator per p of p_grid) of one coloring of a
     tessellation and its rectangle graph; the id survives dropped failures."""
     tess, graph = prepared
-    return rep, tuple(1 if crossing(tess, Coloring(uniforms, p), query, graph) else 0
+    return rep, tuple(1 if crossing(tess, Coloring(uniforms, p), query, graph=graph) else 0
                       for p in p_grid)
 
 
@@ -61,7 +65,7 @@ def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery,
     ones nonincreasing; a spot check on ~1% of the replicates enforces this.
     """
     results, failed = run_replicates(spec, build_tessellation,
-                                     partial(_rect_prepare, query.rect, query.adjacency),
+                                     partial(_rect_prepare, query.rect, spec.adjacency),
                                      partial(_crossing_rep, query, spec.ps), workers)
     vals = [indicators for _, indicators in results]
     sign = 1 if query.color == "black" else -1
@@ -138,8 +142,7 @@ def estimate_pc(spec: ExperimentSpec, tolerance: float, workers: int = 1) -> PcE
     """
     if tolerance < 0.01:
         raise ParameterError("tolerance must be at least 0.01")
-    query = CrossingQuery(rect=spec.window, direction="horizontal", color="black",
-                          adjacency=spec.adjacency)
+    query = CrossingQuery(rect=spec.window, direction="horizontal", color="black")
     probes: list = []
 
     def probe(p: float) -> PercResult:
@@ -182,12 +185,11 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(p_grid: tuple, window: Window, adjacency: str, prepared, uniforms,
-                  rep: int):
+def _spanning_rep(p_grid: tuple, window: Window, prepared, uniforms, rep: int):
     """Spanning cluster count per p of p_grid on one tessellation and its
     rectangle graph of window, and one coloring."""
     tess, graph = prepared
-    return tuple(spanning_cluster_count(tess, Coloring(uniforms, p), window, adjacency, graph)
+    return tuple(spanning_cluster_count(tess, Coloring(uniforms, p), window, graph=graph)
                  for p in p_grid)
 
 
@@ -201,7 +203,7 @@ def count_spanning_clusters(spec: ExperimentSpec, window: Window,
         raise ParameterError("analysis window must lie inside the core window")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_rect_prepare, window, spec.adjacency),
-                                  partial(_spanning_rep, spec.ps, window, spec.adjacency), workers)
+                                  partial(_spanning_rep, spec.ps, window), workers)
     return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
                            replicates=len(vals), failed=failed) for k in range(len(spec.ps))]
 
@@ -384,9 +386,8 @@ def _recursion_rep(p: float, t: float, adjacency: str, tess: Tessellation, unifo
     col = Coloring(uniforms, p)
 
     def fails(direction, x0, y0, x1, y1):
-        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction=direction,
-                          color="black", adjacency=adjacency)
-        return 0 if crossing(tess, col, q) else 1
+        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction=direction, color="black")
+        return 0 if crossing(tess, col, q, adjacency) else 1
 
     out = {"lhs": fails("horizontal", 0, 0, 9 * t, 3 * t)}
     for strip, y0 in (("bottom", 0.0), ("top", 2 * t)):

@@ -42,8 +42,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .diagnostics import (line_process_smp_failure, mixture_nonergodic_demo,
-                          smp_gap, tameness_report)
+from .diagnostics import (estimate_laplace_functional, estimate_void_probability,
+                          line_process_smp_failure, mixture_nonergodic_demo, smp_gap,
+                          tameness_report)
 from .errors import ConfigError, ParameterError
 from .estimators import (count_spanning_clusters, estimate_crossing_curve,
                          estimate_crossing_prob, estimate_pc, estimate_theta,
@@ -52,7 +53,7 @@ from .estimators import (count_spanning_clusters, estimate_crossing_curve,
 from .experiment import ExperimentSpec
 from .geometry import GridRegion, Window
 from .percolation import CrossingQuery
-from .point_process import KINDS, estimate_laplace_functional, estimate_void_probability
+from .point_process import KINDS
 
 _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
              "replicates", "master_seed", "params"}
@@ -147,9 +148,8 @@ def _window(params, key, default: Window) -> Window:
 
 
 def _void(spec, params, workers):
-    res = estimate_void_probability(spec.process, Window.from_json(params["Q"]),
-                                    params["t_values"], spec.replicates,
-                                    master_seed=spec.master_seed)
+    res = estimate_void_probability(spec, Window.from_json(params["Q"]), params["t_values"],
+                                    workers=workers)
     return [_ci_row(r, t=r["t"]) for r in res], None
 
 
@@ -157,8 +157,7 @@ def _laplace(spec, params, workers):
     reg = params["region"]
     region = GridRegion.rectangle(float(reg["delta"]), int(reg["ni"]), int(reg["nj"]),
                                   anchor=tuple(reg.get("anchor", (0, 0))))
-    res = estimate_laplace_functional(spec.process, float(params["t"]), region,
-                                      spec.replicates, master_seed=spec.master_seed)
+    res = estimate_laplace_functional(spec, float(params["t"]), region, workers=workers)
     ref = res["reference"]
     return [{**_ci_row(res, t=params["t"]), "reference_kind": ref["kind"],
              "reference_value": ref["value"]}], {"reference": ref}
@@ -167,7 +166,7 @@ def _laplace(spec, params, workers):
 def _crossing_query(spec, params) -> CrossingQuery:
     return CrossingQuery(rect=_window(params, "rect", spec.window),
                          direction=params.get("direction", "horizontal"),
-                         color=params.get("color", "black"), adjacency=spec.adjacency)
+                         color=params.get("color", "black"))
 
 
 def _crossing_row(p, res) -> dict:
@@ -207,9 +206,8 @@ def _smp_gap(spec, params, workers):
 
 
 def _line_smp(spec, params, workers):
-    curve = line_process_smp_failure(spec.process["line_intensity"], params["t_schedule"],
-                                     spec.replicates, float(params["angle_tol"]),
-                                     master_seed=spec.master_seed)
+    curve = line_process_smp_failure(spec, params["t_schedule"], float(params["angle_tol"]),
+                                     workers=workers)
     return list(curve.rows()), {"replicates": curve.replicates, "meta": curve.meta}
 
 

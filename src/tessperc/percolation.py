@@ -17,6 +17,10 @@ None of that geometry depends on the colours: rect_graph builds it once for
 every cell of a tessellation, and a query only labels that graph under its
 colour's active mask. A caller that asks one rect at several p (a coupled
 sweep) builds the graph once and passes it to each crossing call.
+
+A CrossingQuery names the event (rect, direction, colour) and not the cell
+graph: crossing and spanning_cluster_count take the adjacency as an
+argument, and rect_graph, where the crossing path reads it, checks it.
 """
 
 from __future__ import annotations
@@ -131,15 +135,12 @@ class CrossingQuery:
     rect: Window
     direction: str = "horizontal"
     color: str = "black"
-    adjacency: str = "face"
 
     def __post_init__(self):
         if self.direction not in ("horizontal", "vertical"):
             raise ParameterError("direction must be horizontal or vertical")
         if self.color not in ("black", "white"):
             raise ParameterError("color must be black or white")
-        if self.adjacency not in ("face", "star"):
-            raise ParameterError("adjacency must be face or star")
 
 
 def _cells_in_rect(tess: Tessellation, rect: Window):
@@ -187,6 +188,8 @@ def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
     """(edges, sides): the graph of all cells inside rect, whatever their
     colour. edges join in-rect cells; sides holds the ids of the in-rect
     cells that reach each side of rect, in the order L, R, B, T."""
+    if adjacency not in ("face", "star"):
+        raise ParameterError("adjacency must be face or star")
     if not tess.core_window.contains_window(rect, tol=tess.tol):
         raise ParameterError("rectangle must lie inside the core window")
     in_rect, ext = _cells_in_rect(tess, rect)
@@ -212,15 +215,15 @@ def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
 
 
 def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery,
-             graph=None) -> bool:
+             adjacency: str = "face", graph=None) -> bool:
     """True iff some monochromatic component joins the rectangle's start and
     end sides through interiors and shared boundary pieces inside the rect.
 
-    graph, when given, is rect_graph(tess, query.rect, query.adjacency),
-    built once by a caller that asks the same query at several p.
+    graph, when given, is rect_graph(tess, query.rect, adjacency), built
+    once by a caller that asks the same query at several p.
     """
     if graph is None:
-        graph = rect_graph(tess, query.rect, query.adjacency)
+        graph = rect_graph(tess, query.rect, adjacency)
     return len(_spanning_labels(coloring.mask(query.color), graph, query.direction)) > 0
 
 

@@ -1,11 +1,14 @@
-"""Planar point-process samplers and the two process-level estimators.
+"""Planar point-process samplers, the process table and a Laplace reference.
 
 Supported processes: homogeneous Poisson, Matern and Thomas cluster
 processes, Matern type-II hard-core thinning, perturbed square lattices and
 an isotropic Poisson line process; the square and hexagonal lattices are
 built as tessellations directly. All samplers are pure functions of a stream
 handle, so replicates parallelize without shared state. Each kind is one
-entry of KINDS, so a new kind is one entry plus its sampler.
+entry of KINDS, so a new kind is one entry plus its sampler. laplace_bound
+is the analytic reference of diagnostics.estimate_laplace_functional; the
+Monte Carlo estimators of a process live in diagnostics, on the replicate
+runner.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EstimatorFailure, ParameterError
+from .errors import ParameterError
 from .geometry import GridRegion, Window
-from .stats import PercResult, mean_ci
-from .streams import stream
 
 # Gaussian offsets beyond 6 sigma are discarded (mass < 1e-8); makes the
 # Thomas process exactly restrictable with a finite parent buffer.
@@ -267,42 +268,6 @@ def sample_process(spec: ProcessSpec, window: Window,
     return sample(spec, window, rng)
 
 
-def estimate_void_probability(spec: ProcessSpec, Q: Window, t_values, replicates: int,
-                              master_seed: int = 0) -> list[dict]:
-    """Empirical P[no point in tQ] per t, with Wilson 95% intervals.
-
-    tQ scales about Q's lower corner so the regions are nested across t and a
-    single configuration per replicate serves every t.
-    """
-    if replicates < 100:
-        raise ParameterError("void estimator needs at least 100 replicates")
-    t_values = [float(t) for t in t_values]
-    if any(t < 0 for t in t_values):
-        raise ParameterError("t values must be nonnegative")
-    anchor = Q.lo
-    t_max = max(t_values)
-    results = []
-    if t_max == 0:
-        return [{"t": t, "estimate": 1.0, "ci": (1.0, 1.0), "replicates": replicates}
-                for t in t_values]
-    big = Q.scaled(t_max, about=anchor)
-    regions = {t: Q.scaled(t, about=anchor) for t in t_values if t > 0}
-    void_counts = {t: 0 for t in t_values}
-    for rep in range(replicates):
-        rng = stream(master_seed, rep, "void")
-        config = sample_process(spec, big, rng)
-        for t in t_values:
-            if t == 0:
-                void_counts[t] += 1
-            elif len(config) == 0 or not regions[t].contains_points(config.points).any():
-                void_counts[t] += 1
-    for t in t_values:
-        res = PercResult.from_counts(void_counts[t], replicates)
-        results.append({"t": t, "estimate": res.estimate, "ci": res.ci,
-                        "replicates": replicates})
-    return results
-
-
 def laplace_bound(spec: ProcessSpec, t: float, region: GridRegion) -> dict:
     """Analytic reference for E[exp(t N(region))] where that is available.
 
@@ -321,28 +286,3 @@ def laplace_bound(spec: ProcessSpec, t: float, region: GridRegion) -> dict:
         return {"kind": "upper_bound", "value": value,
                 "note": "exponent uses delta^d * n (proof version); the statement prints delta * n"}
     return {"kind": "none", "value": float("nan")}
-
-
-def estimate_laplace_functional(spec: ProcessSpec, t: float, region: GridRegion,
-                                replicates: int, master_seed: int = 0) -> dict:
-    """Monte Carlo E[exp(t * N(region))] with an analytic side-by-side reference."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    if replicates < 1000:
-        raise ParameterError("laplace estimator needs at least 1000 replicates")
-    sample_window = region.bounding_window().expand(spec.restriction_buffer() + 1e-9)
-    vals = []
-    for rep in range(replicates):
-        rng = stream(master_seed, rep, "laplace")
-        config = sample_process(spec, sample_window, rng)
-        count = region.count_points(config.points)
-        arg = t * count
-        if arg > 700.0:
-            raise EstimatorFailure(
-                f"exp overflow in laplace estimator (t*count = {arg:.1f}); reduce t")
-        vals.append(math.exp(arg))
-    estimate, ci = mean_ci(vals)
-    if not math.isfinite(estimate):
-        raise EstimatorFailure("laplace estimate overflowed to non-finite value")
-    return {"estimate": estimate, "ci": ci, "replicates": replicates,
-            "reference": laplace_bound(spec, t, region)}

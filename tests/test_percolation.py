@@ -132,11 +132,11 @@ def test_union_find_matches_bfs_oracle():
 def test_crossing_trivials_and_errors():
     tess, col = poisson_setup(9, side=10.0)
     rect = Window((1, 1), (9, 9))
-    q = CrossingQuery(rect=rect, direction="horizontal", color="black", adjacency="face")
-    assert crossing(tess, Coloring(col.uniforms, 1.0), q)
-    assert not crossing(tess, Coloring(col.uniforms, 0.0), q)
-    qw = CrossingQuery(rect=rect, direction="vertical", color="white", adjacency="star")
-    assert crossing(tess, Coloring(col.uniforms, 0.0), qw)
+    q = CrossingQuery(rect=rect, direction="horizontal", color="black")
+    assert crossing(tess, Coloring(col.uniforms, 1.0), q, adjacency="face")
+    assert not crossing(tess, Coloring(col.uniforms, 0.0), q, adjacency="face")
+    qw = CrossingQuery(rect=rect, direction="vertical", color="white")
+    assert crossing(tess, Coloring(col.uniforms, 0.0), qw, adjacency="star")
     with pytest.raises(ParameterError):
         crossing(tess, col, CrossingQuery(rect=Window((0, 0), (11, 11))))
 
@@ -146,9 +146,9 @@ def test_planar_dichotomy_sampled_instances():
         tess, col = poisson_setup(100 + seed, side=15.0, p=0.5)
         rect = tess.core_window
         black_h = crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
-                                                    color="black", adjacency="face"))
+                                                    color="black"), adjacency="face")
         white_v = crossing(tess, col, CrossingQuery(rect=rect, direction="vertical",
-                                                    color="white", adjacency="star"))
+                                                    color="white"), adjacency="star")
         assert black_h != white_v
 
 
@@ -157,9 +157,9 @@ def test_dichotomy_on_subrects():
     rects = [Window((1, 2), (12, 9)), Window((0.5, 0.5), (19, 19)), Window((5, 5), (9, 15))]
     for rect in rects:
         black_h = crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
-                                                    color="black", adjacency="face"))
+                                                    color="black"), adjacency="face")
         white_v = crossing(tess, col, CrossingQuery(rect=rect, direction="vertical",
-                                                    color="white", adjacency="star"))
+                                                    color="white"), adjacency="star")
         assert black_h != white_v
 
 
@@ -170,10 +170,10 @@ def test_color_symmetry_at_half():
     rect = Window((0, 0), (12, 12))
     for seed in range(n):
         tess, col = poisson_setup(300 + seed, side=12.0, p=0.5)
-        hits_b += crossing(tess, col, CrossingQuery(rect=rect, color="black",
-                                                    adjacency="face"))
-        hits_w += crossing(tess, col, CrossingQuery(rect=rect, color="white",
-                                                    adjacency="face"))
+        hits_b += crossing(tess, col, CrossingQuery(rect=rect, color="black"),
+                           adjacency="face")
+        hits_w += crossing(tess, col, CrossingQuery(rect=rect, color="white"),
+                           adjacency="face")
     pb, pw = hits_b / n, hits_w / n
     se = np.sqrt(pb * (1 - pb) / n + pw * (1 - pw) / n) + 1e-9
     assert abs(pb - pw) < 3 * se
@@ -185,8 +185,8 @@ def test_fkg_nested_crossings_positively_associated():
     pairs = []
     for seed in range(100):
         tess, col = poisson_setup(500 + seed, side=12.0, p=0.5)
-        a = crossing(tess, col, CrossingQuery(rect=inner, color="black", adjacency="face"))
-        b = crossing(tess, col, CrossingQuery(rect=outer, color="black", adjacency="face"))
+        a = crossing(tess, col, CrossingQuery(rect=inner, color="black"), adjacency="face")
+        b = crossing(tess, col, CrossingQuery(rect=outer, color="black"), adjacency="face")
         pairs.append((int(a), int(b)))
     arr = np.array(pairs, float)
     cov = arr[:, 0] * arr[:, 1] - arr[:, 0].mean() * arr[:, 1].mean()
@@ -221,7 +221,7 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
     for y0, crosses in ((4, False), (3, True)):
         row = (y0 < y) & (y < y0 + 1) & (-1 < x) & (x < 5)
         col = Coloring(np.where(row, 0.0, 1.0), 0.5)
-        assert crossing(tess, col, CrossingQuery(rect, adjacency=adjacency)) == crosses
+        assert crossing(tess, col, CrossingQuery(rect), adjacency=adjacency) == crosses
         assert spanning_cluster_count(tess, col, rect, adjacency=adjacency) == int(crosses)
 
 
@@ -233,6 +233,18 @@ def test_spanning_rect_must_lie_in_core_window():
         spanning_cluster_count(tess, col, rect)
     with pytest.raises(ParameterError):
         crossing(tess, col, CrossingQuery(rect=rect))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tess, col, rect: percolation.rect_graph(tess, rect, "starr"),
+    lambda tess, col, rect: crossing(tess, col, CrossingQuery(rect), adjacency="starr"),
+    lambda tess, col, rect: spanning_cluster_count(tess, col, rect, adjacency="starr"),
+], ids=["rect_graph", "crossing", "spanning_cluster_count"])
+def test_unknown_adjacency_is_a_parameter_error(call):
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
+    col = color(tess, 0.5, stream(3, 0, "color"))
+    with pytest.raises(ParameterError, match="adjacency must be face or star"):
+        call(tess, col, Window((1, 1), (4, 4)))
 
 
 def test_cluster_reach():
@@ -346,8 +358,8 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
                                                     direction)
                         got = percolation._spanning_labels(col.mask(name), graph, direction)
                         assert np.array_equal(got, want)
-                        query = CrossingQuery(rect, direction, name, adjacency)
-                        assert crossing(tess, col, query) == (len(want) > 0)
-                        assert crossing(tess, col, query, graph) == (len(want) > 0)
+                        query = CrossingQuery(rect, direction, name)
+                        assert crossing(tess, col, query, adjacency) == (len(want) > 0)
+                        assert crossing(tess, col, query, graph=graph) == (len(want) > 0)
                 want = _ref_spanning_labels(tess, col.black, rect, adjacency, "horizontal")
                 assert spanning_cluster_count(tess, col, rect, adjacency) == len(want)

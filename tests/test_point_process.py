@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tessperc.diagnostics import estimate_laplace_functional, estimate_void_probability
 from tessperc.errors import EstimatorFailure, ParameterError
+from tessperc.experiment import ExperimentSpec
 from tessperc.geometry import GridRegion, Window
 from tessperc.point_process import (PointConfiguration, ProcessSpec,
-                                    estimate_laplace_functional,
-                                    estimate_void_probability,
                                     sample_cluster_process,
                                     sample_matern_hardcore,
                                     sample_perturbed_lattice, sample_poisson,
@@ -16,6 +16,13 @@ from tessperc.point_process import (PointConfiguration, ProcessSpec,
 from tessperc.streams import stream
 
 WIN10 = Window((0, 0), (10, 10))
+
+
+def run_spec(process, replicates, seed):
+    """A spec of replicates samples of process; the process-level estimators
+    do not read its window."""
+    return ExperimentSpec(process=process, window=WIN10, replicates=replicates,
+                          master_seed=seed)
 
 
 def test_process_spec_validation():
@@ -227,8 +234,8 @@ def test_point_configuration_validation():
 
 def test_void_probability_poisson_oracle():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
-    res = estimate_void_probability(spec, Window((0, 0), (1, 1)), [0, 1, 2], 3000,
-                                    master_seed=41)
+    res = estimate_void_probability(run_spec(spec, 3000, 41), Window((0, 0), (1, 1)),
+                                    [0, 1, 2])
     by_t = {r["t"]: r for r in res}
     assert by_t[0]["estimate"] == 1.0
     for t in (1, 2):
@@ -240,8 +247,8 @@ def test_void_probability_poisson_oracle():
 
 def test_void_probability_monotone_for_cluster():
     spec = ProcessSpec("matern_cluster", {"gamma0": 0.5, "mu": 2.0, "radius": 0.2})
-    res = estimate_void_probability(spec, Window((0, 0), (1, 1)), [0.5, 1, 1.5, 2], 300,
-                                    master_seed=4)
+    res = estimate_void_probability(run_spec(spec, 300, 4), Window((0, 0), (1, 1)),
+                                    [0.5, 1, 1.5, 2])
     ests = [r["estimate"] for r in res]
     assert all(b <= a + 1e-12 for a, b in zip(ests, ests[1:]))
 
@@ -249,9 +256,9 @@ def test_void_probability_monotone_for_cluster():
 def test_laplace_trivial_and_poisson_oracle():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
     region = GridRegion.rectangle(1.0, 2, 2)
-    res0 = estimate_laplace_functional(spec, 0.0, region, 1000, master_seed=2)
+    res0 = estimate_laplace_functional(run_spec(spec, 1000, 2), 0.0, region)
     assert res0["estimate"] == pytest.approx(1.0)
-    res = estimate_laplace_functional(spec, 0.5, region, 4000, master_seed=2)
+    res = estimate_laplace_functional(run_spec(spec, 4000, 2), 0.5, region)
     truth = math.exp(4 * (math.exp(0.5) - 1))
     half = (res["ci"][1] - res["ci"][0]) / 2
     assert abs(res["estimate"] - truth) < 3 * half / 1.96 + 1e-9
@@ -262,7 +269,7 @@ def test_laplace_trivial_and_poisson_oracle():
 def test_laplace_cluster_bound():
     spec = ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.2})
     region = GridRegion.rectangle(1.0, 2, 2)
-    res = estimate_laplace_functional(spec, 0.3, region, 3000, master_seed=6)
+    res = estimate_laplace_functional(run_spec(spec, 3000, 6), 0.3, region)
     assert res["reference"]["kind"] == "upper_bound"
     assert "delta" in res["reference"]["note"]
     assert res["estimate"] <= res["reference"]["value"] + (res["ci"][1] - res["ci"][0])
@@ -272,7 +279,7 @@ def test_laplace_overflow_reports_failure():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
     region = GridRegion.rectangle(2.0, 4, 4)
     with pytest.raises(EstimatorFailure):
-        estimate_laplace_functional(spec, 50.0, region, 1000, master_seed=2)
+        estimate_laplace_functional(run_spec(spec, 1000, 2), 50.0, region)
 
 
 def test_sample_process_dispatch():
