@@ -2,14 +2,10 @@
 scale-mixing gap curves, the line-process counterexample, the lattice
 mixture demo, tameness curves and the white-circuit probe. The probe finds
 the circuit boxes that white cells meet with geometry.rings_meet_boxes,
-the kernel of the tameness fields, in one call per circuit.
-
-Every diagnostic takes an ExperimentSpec and reads the process, p (if any),
-the replicate count and the master seed from it. Each Monte Carlo loop is a
-per-replicate function mapped by experiment.map_replicates, or by
-run_replicates when it colours a tessellation, so every worker count gives
-the same results. The void probabilities and the void family of smp_gap
-share one per-replicate function, _void_rep.
+the kernel of the tameness fields, in one call per circuit. Every
+diagnostic reads the process, p (if any), the replicate count and the seed
+from its ExperimentSpec, and maps a per-replicate function with
+experiment.map_replicates (run_replicates when it colours a tessellation).
 """
 
 from __future__ import annotations
@@ -79,11 +75,9 @@ def estimate_void_probability(spec: ExperimentSpec, Q: Window, t_values,
     rects = [Q.scaled(t, about=Q.lo) if t > 0 else None for t in t_values]
     vals, _ = map_replicates(partial(_void_rep, spec, Q.scaled(t_max, about=Q.lo), "void", rects),
                              spec.replicates, workers)
-    results = []
-    for k, t in enumerate(t_values):
-        res = PercResult.from_counts(sum(v[k] for v in vals), len(vals))
-        results.append({"t": t, "estimate": res.estimate, "ci": res.ci, "replicates": len(vals)})
-    return results
+    per_t = [PercResult.from_counts(sum(v[k] for v in vals), len(vals)) for k in range(len(rects))]
+    return [{"t": t, "estimate": r.estimate, "ci": r.ci, "replicates": r.replicates}
+            for t, r in zip(t_values, per_t)]
 
 
 def _laplace_rep(spec: ExperimentSpec, t: float, region: GridRegion, window: Window,

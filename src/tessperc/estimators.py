@@ -1,21 +1,19 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
-Every estimator reads p (or the p-grid, spec.ps) and the replicate count
-from its ExperimentSpec. It is a prepare/query pair run by
-experiment.run_replicates: prepare builds the colour-independent part of a
-query (a rectangle graph, the cell graph and zero cell, or the trifurcation
-candidates with their balls and rims) once per tessellation, and query reads
-one replicate's colouring uniforms, thresholded at each p it asks. The
-runner builds a tessellation that does not vary by replicate (an unshifted
-lattice) once per run, drops and counts build failures (edge effects,
-degenerate inputs) and fails the run past its failure budget. The estimators
-count events and report Wilson intervals. Crossing probabilities have one
-estimator, estimate_crossing_curve, which thresholds each replicate's
-colouring at every p of the spec's grid.
-
-The spec is also the one source of the adjacency: every estimator builds
-its cell graph or rectangle graph at spec.adjacency, and a CrossingQuery
-names only the rect, direction and colour.
+Every estimator reads p (or the p-grid, spec.ps), the replicate count and
+the adjacency from its ExperimentSpec: it builds its cell or rectangle graph
+at spec.adjacency, and a CrossingQuery names only the rect, direction and
+colour. It is a prepare/query pair run by experiment.run_replicates: prepare
+builds the colour-independent part of a query (a rectangle graph, the cell
+graph and zero cell, or the trifurcation candidates with their balls and
+rims) once per tessellation, and query reads one replicate's colouring
+uniforms, thresholded at each p it asks. The runner builds a tessellation
+that does not vary by replicate (an unshifted lattice) once per run, drops
+and counts build failures (edge effects, degenerate inputs) and fails the
+run past its failure budget. The estimators count events and report Wilson
+intervals. Crossing probabilities have one estimator,
+estimate_crossing_curve, which thresholds each replicate's colouring at
+every p of the spec's grid.
 
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, crossing, adjacency, zero-cell, reach

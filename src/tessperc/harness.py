@@ -4,13 +4,16 @@ The harness estimates nothing itself: each op calls an estimator and
 formats its output as CSV rows and a run.json summary.
 
 Configs are JSON with a fixed schema; unknown keys are hard errors, and so
-is a radii or schedule param that is not a non-empty list of numbers. Outputs
+are a missing required param or region key (delta, ni, nj), a radii or
+schedule param that is not a non-empty list of numbers, and a count param
+(_COUNT_KEYS, the region's ni and nj) that is not an integer >= 1. Outputs
 land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json.
 CSV payloads are bit-identical across reruns and worker counts; run.json
 carries the volatile envelope (timestamps).
 
 Every op is one entry of OPS, keyed by its name. An entry holds
-- `keys`: the `params` keys the op allows;
+- `required`: the `params` keys the op needs, and `optional` the others it
+  allows;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
   `p`, which load_config then requires; EACH_P ops write rows for every p of
   spec.ps, `p_grid` in config order (or the single `p`), from one estimator
@@ -60,9 +63,11 @@ _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
 
 NO_P, ONE_P, EACH_P = "none", "one", "each"
 _LIST_KEYS = {"radii", "n_schedule", "t_schedule", "t_values"}  # lists of numbers
+_COUNT_KEYS = {"replicates_per_probe", "replicates_per_component", "r1", "n_max"}  # ints >= 1
 
 
-def load_config(path) -> dict:
+def load_config(path, seed_override=None) -> dict:
+    """The checked config at path, master_seed replaced by seed_override if given."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -74,6 +79,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    if seed_override is not None:
+        cfg["master_seed"] = seed_override
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
@@ -84,13 +91,23 @@ def load_config(path) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}: 'params' must be an object")
-    bad = set(params).difference(op.keys)
+    bad = set(params).difference(op.required, op.optional)
     if bad:
         raise ConfigError(f"{path}: params for op {name!r}: unknown keys {sorted(bad)}")
+    missing = [key for key in op.required if key not in params]
+    if missing:
+        raise ConfigError(f"{path}: params for op {name!r}: missing keys {missing}")
     for key in _LIST_KEYS.intersection(params):
         vals = params[key]
         if not (isinstance(vals, list) and vals and all(type(v) in (int, float) for v in vals)):
             raise ConfigError(f"{path}: params {key!r} must be a non-empty list of numbers")
+    region = params.get("region")
+    if not (region is None or isinstance(region, dict) and {"delta", "ni", "nj"} <= region.keys()):
+        raise ConfigError(f"{path}: params 'region' must be an object with 'delta', 'ni' and 'nj'")
+    counts = [(key, params[key]) for key in sorted(_COUNT_KEYS.intersection(params))]
+    for key, value in counts + [(f"region {k}", region[k]) for k in ("ni", "nj") if region]:
+        if not (type(value) is int and value >= 1):
+            raise ConfigError(f"{path}: params {key!r} must be an integer >= 1, got {value!r}")
     for key in ("process", "window", "replicates", "master_seed"):
         if key not in cfg:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -155,7 +172,7 @@ def _void(spec, params, workers):
 
 def _laplace(spec, params, workers):
     reg = params["region"]
-    region = GridRegion.rectangle(float(reg["delta"]), int(reg["ni"]), int(reg["nj"]),
+    region = GridRegion.rectangle(float(reg["delta"]), reg["ni"], reg["nj"],
                                   anchor=tuple(reg.get("anchor", (0, 0))))
     res = estimate_laplace_functional(spec, float(params["t"]), region, workers=workers)
     ref = res["reference"]
@@ -185,7 +202,7 @@ def _theta(spec, params, workers):
 
 
 def _pc(spec, params, workers):
-    est = estimate_pc(replace(spec, replicates=int(params["replicates_per_probe"])),
+    est = estimate_pc(replace(spec, replicates=params["replicates_per_probe"]),
                       float(params["tolerance"]), workers=workers)
     rows = [_ci_row(vars(r), probe=k, p=p) for k, (p, r) in enumerate(est.probes)]
     return rows, {"interval": list(est.interval), "separated": est.separated}
@@ -214,7 +231,7 @@ def _line_smp(spec, params, workers):
 def _mixture(spec, params, workers):
     """Spanning of randomly shifted square and hexagonal lattices of the
     given spacing, under face adjacency; the config's `process` is not read."""
-    replicates = int(params.get("replicates_per_component", spec.replicates))
+    replicates = params.get("replicates_per_component", spec.replicates)
     res = mixture_nonergodic_demo(replace(spec, replicates=replicates),
                                   spacing=float(params.get("spacing", 2.0)), workers=workers)
     rows = [_ci_row(vars(r), component=name)
@@ -244,7 +261,7 @@ def _recursion(spec, params, workers):
 
 
 def _trifurcation_density(spec, params, workers):
-    res = estimate_trifurcation_density(spec, int(params["r1"]), float(params["r2"]),
+    res = estimate_trifurcation_density(spec, params["r1"], float(params["r2"]),
                                         _window(params, "analysis_window", spec.window),
                                         workers=workers)
     cols = ("window_area", "mean_count", "density", "candidates", "mean_skipped", "replicates")
@@ -252,7 +269,7 @@ def _trifurcation_density(spec, params, workers):
 
 
 def _ggr(spec, params, workers):
-    res = ggr_diagnostics(spec, int(params["n_max"]), workers)
+    res = ggr_diagnostics(spec, params["n_max"], workers)
     return [{"n": n, "ball_size": res.ball_sizes[k], "g1_avg": res.g1_avg[k],
              "g1_ci_lo": res.g1_ci[k][0], "g1_ci_hi": res.g1_ci[k][1],
              "g2_avg": res.g2_avg[k]} for k, n in enumerate(res.ns)], None
@@ -270,9 +287,10 @@ def _sweep_crossing(spec, params, workers):
 
 @dataclass(frozen=True)
 class Op:
-    keys: tuple
+    required: tuple
     p: str
     fn: Callable
+    optional: tuple = ()
     sweep: Callable | None = None
     process: str | None = None
     samples: Callable = lambda params: False
@@ -285,19 +303,19 @@ class Op:
 OPS = {
     "void": Op(("Q", "t_values"), NO_P, _void, samples=lambda params: True),
     "laplace": Op(("t", "region"), NO_P, _laplace, samples=lambda params: True),
-    "crossing": Op(("rect", "direction", "color"), EACH_P, _crossing, sweep=_sweep_crossing),
+    "crossing": Op((), EACH_P, _crossing, ("rect", "direction", "color"), sweep=_sweep_crossing),
     "theta": Op(("radii",), EACH_P, _theta),
     "pc": Op(("tolerance", "replicates_per_probe"), NO_P, _pc),
-    "spanning": Op(("analysis_window",), EACH_P, _spanning),
-    "smp_gap": Op(("family", "Q", "Qprime", "t_schedule"), ONE_P, _smp_gap,
+    "spanning": Op((), EACH_P, _spanning, ("analysis_window",)),
+    "smp_gap": Op(("Q", "Qprime", "t_schedule"), ONE_P, _smp_gap, ("family",),
                   sweep=lambda spec, params, workers: ([], *_smp_gap(spec, params, workers)),
                   samples=lambda params: params.get("family") == "void"),
     "line_smp": Op(("t_schedule", "angle_tol"), NO_P, _line_smp, process="poisson_line"),
-    "mixture": Op(("spacing", "replicates_per_component"), ONE_P, _mixture, face_only=True),
+    "mixture": Op((), ONE_P, _mixture, ("spacing", "replicates_per_component"), face_only=True),
     "tameness": Op(("delta", "n_schedule"), NO_P, _tameness),
     "recursion": Op(("t",), ONE_P, _recursion),
-    "trifurcation_density": Op(("r1", "r2", "analysis_window"), ONE_P,
-                               _trifurcation_density),
+    "trifurcation_density": Op(("r1", "r2"), ONE_P, _trifurcation_density,
+                               ("analysis_window",)),
     "ggr": Op(("n_max",), ONE_P, _ggr),
 }
 
@@ -333,17 +351,9 @@ def _write_run(cfg: dict, out_dir, started: float, csvs: dict, summary: dict) ->
     return record
 
 
-def _load_seeded(config_path, seed_override) -> dict:
-    """load_config, with master_seed replaced by seed_override when given."""
-    cfg = load_config(config_path)
-    if seed_override is not None:
-        cfg["master_seed"] = int(seed_override)
-    return cfg
-
-
 def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
     """Execute the op named in the config; write <op>.csv and run.json."""
-    cfg = _load_seeded(config_path, seed_override)
+    cfg = load_config(config_path, seed_override)
     spec = ExperimentSpec.from_json(cfg)
     started = time.time()
     rows, summary = OPS[cfg["op"]].fn(spec, spec.params, workers)
@@ -354,7 +364,7 @@ def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> Ru
 def sweep(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> RunRecord:
     """Coupled sweep: per-replicate rows over the p-grid (shared uniforms per
     replicate) or the smp t-schedule; plus an aggregated summary CSV."""
-    cfg = _load_seeded(config_path, seed_override)
+    cfg = load_config(config_path, seed_override)
     op = OPS[cfg["op"]]
     if op.sweep is None:
         ops = sorted(name for name, o in OPS.items() if o.sweep is not None)

@@ -16,11 +16,9 @@ star mode additionally accepts corner contacts inside the rectangle.
 None of that geometry depends on the colours: rect_graph builds it once for
 every cell of a tessellation, and a query only labels that graph under its
 colour's active mask. A caller that asks one rect at several p (a coupled
-sweep) builds the graph once and passes it to each crossing call.
-
-A CrossingQuery names the event (rect, direction, colour) and not the cell
-graph: crossing and spanning_cluster_count take the adjacency as an
-argument, and rect_graph, where the crossing path reads it, checks it.
+sweep) builds the graph once and passes it to each crossing call. A
+CrossingQuery names the event, not the graph: crossing and
+spanning_cluster_count take the adjacency, which rect_graph checks.
 """
 
 from __future__ import annotations

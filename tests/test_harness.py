@@ -527,6 +527,41 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
              "replicates": 2, "master_seed": 99, "params": {"radii": [1]}}),
     ("run", {"op": "theta", "process": SQ, "window": W4, "p_grid": ["0.5"], "replicates": 2,
              "master_seed": 100, "params": {"radii": [1]}}),
+    ("run", {"op": "void", "process": PV, "window": W4, "replicates": 100, "master_seed": 110,
+             "params": {"t_values": [1.0]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 111}),
+    ("run", {"op": "pc", "process": SQ, "window": W4, "replicates": 50, "master_seed": 112,
+             "params": {"replicates_per_probe": 50}}),
+    ("run", {"op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]], "p": 0.6,
+             "replicates": 10, "master_seed": 113}),
+    ("run", {"op": "ggr", "process": SQ, "window": W6, "p": 0.6, "replicates": 10,
+             "master_seed": 114}),
+    ("run", {"op": "tameness", "process": PV, "window": W6, "replicates": 2,
+             "master_seed": 115, "params": {"n_schedule": [1, 2]}}),
+    ("run", {"op": "trifurcation_density", "process": SQ, "window": W6, "p": 0.58,
+             "replicates": 2, "master_seed": 116, "params": {"r1": 1}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+             "master_seed": 117,
+             "params": {"Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [1.0]}}),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 118, "params": {"t_schedule": [1.0]}}),
+    ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
+             "master_seed": 119, "params": {"t": 0.3, "region": {"delta": 0.5, "nj": 2}}}),
+    ("run", {"op": "pc", "process": SQ, "window": W4, "replicates": 50, "master_seed": 120,
+             "params": {"tolerance": 0.1, "replicates_per_probe": 2.9}}),
+    ("run", {"op": "mixture", "process": SQ, "window": W4, "p": 0.55, "replicates": 10,
+             "master_seed": 121, "params": {"replicates_per_component": 0}}),
+    ("run", {"op": "trifurcation_density", "process": SQ, "window": W6, "p": 0.58,
+             "replicates": 2, "master_seed": 122, "params": {"r1": 1.7, "r2": 2.0}}),
+    ("run", {"op": "ggr", "process": SQ, "window": W6, "p": 0.6, "replicates": 10,
+             "master_seed": 123, "params": {"n_max": True}}),
+    ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
+             "master_seed": 124, "params": {"t": 0.3, "region": {"delta": 0.5, "ni": "2",
+                                                                  "nj": 2}}}),
+    ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
+             "master_seed": 125, "params": {"t": 0.3, "region": {"delta": 0.5, "ni": 2,
+                                                                  "nj": 0}}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -538,12 +573,27 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
         "replicates_boolean", "master_seed_boolean", "master_seed_negative",
         "master_seed_too_large", "master_seed_quoted", "buffer_negative", "buffer_quoted",
         "buffer_boolean", "buffer_infinite", "p_boolean", "p_quoted", "p_grid_boolean",
-        "p_grid_quoted"])
+        "p_grid_quoted", "void_without_Q", "theta_without_radii", "pc_without_tolerance",
+        "recursion_without_t", "ggr_without_n_max", "tameness_without_delta",
+        "trifurcation_density_without_r2", "smp_gap_without_Q", "line_smp_without_angle_tol",
+        "laplace_region_without_ni", "replicates_per_probe_fractional",
+        "replicates_per_component_zero", "r1_fractional", "n_max_boolean", "region_ni_quoted",
+        "region_nj_zero"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, _write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_out_of_range_seed_is_a_config_error(command, seed, tmp_path, capsys):
+    _, cfg, _, _ = GOLDEN["sweep_crossing"]
+    out = tmp_path / "out"
+    assert main([command, _write_config(tmp_path, cfg), "--seed", seed, "--out", str(out)]) == 2
+    assert "master_seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(KINDS))
