@@ -253,6 +253,14 @@ def test_void_probability_monotone_for_cluster():
     assert all(b <= a + 1e-12 for a, b in zip(ests, ests[1:]))
 
 
+def test_void_probability_counts_a_repeated_t_once_per_entry():
+    spec = run_spec(ProcessSpec("poisson", {"gamma": 1.0}), 100, 5)
+    res = estimate_void_probability(spec, Window((0, 0), (1, 1)), [0.2, 0, 0.2])
+    assert res[0] == res[2]
+    assert res[0]["estimate"] <= 1.0
+    assert res[1]["estimate"] == 1.0
+
+
 def test_laplace_trivial_and_poisson_oracle():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
     region = GridRegion.rectangle(1.0, 2, 2)
