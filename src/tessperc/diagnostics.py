@@ -1,11 +1,14 @@
 """Void probabilities and Laplace functionals of a point process,
 scale-mixing gap curves, the line-process counterexample, the lattice
-mixture demo, tameness curves and the white-circuit probe. The probe finds
-the circuit boxes that white cells meet with geometry.rings_meet_boxes,
-the kernel of the tameness fields, in one call per circuit. Every
-diagnostic reads the process, p (if any), the replicate count and the seed
-from its ExperimentSpec, and maps a per-replicate function with
-experiment.map_replicates (run_replicates when it colours a tessellation).
+mixture demo, tameness curves and the white-circuit probe. Every diagnostic
+reads the process, p (if any), the replicate count and the seed from its
+ExperimentSpec. Those that read crossings (the smp gap's crossing family and
+the mixture demo) ask them of estimators.estimate_crossing_curve, the one
+crossing path. The others map a per-replicate function with
+experiment.map_replicates, or with run_replicates when they colour a
+tessellation. The probe finds the circuit boxes that white cells meet with
+geometry.rings_meet_boxes, the kernel of the tameness fields, in one call
+per circuit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .experiment import (ExperimentSpec, as_built, build_tessellation, map_repli
                          run_replicates)
 from .geometry import GridRegion, Window, rings_meet_boxes
 from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
-from .percolation import Coloring, CrossingQuery, crossing, spanning_cluster_count
+from .estimators import estimate_crossing_curve
+from .percolation import Coloring, CrossingQuery
 from .point_process import ProcessSpec, laplace_bound, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import stream
@@ -145,13 +149,6 @@ class SmpGapCurve:
                    "gap": self.gap[k], "ci_lo": lo, "ci_hi": hi}
 
 
-def _smp_crossing_rep(p: float, adjacency: str, rects, tess, uniforms, rep: int) -> tuple:
-    """Per rect, 1 when the colouring at p has a black horizontal crossing of it."""
-    col = Coloring(uniforms, p)
-    return tuple(1 if crossing(tess, col, CrossingQuery(rect, "horizontal", "black"), adjacency)
-                 else 0 for rect in rects)
-
-
 def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
             t_schedule, workers: int = 1) -> SmpGapCurve:
     """|P[E_t and E'_t] - P[E_t] P[E'_t]| per t for events determined by the
@@ -169,9 +166,10 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
         if not all(spec.window.contains_window(rect, tol=1e-9) for rect in rects[-2:]):
             raise ParameterError(f"scaled rectangles at t={t} leave the core window")
     if event_family == "crossing":
-        vals, failed = run_replicates(spec, build_tessellation, as_built,
-                                      partial(_smp_crossing_rep, spec.required_p(),
-                                              spec.adjacency, rects), workers)
+        results, curves = estimate_crossing_curve(
+            replace(spec, p_grid=None), tuple(CrossingQuery(rect) for rect in rects), workers)
+        vals = [tuple(ind for (ind,) in indicators) for _, indicators in results]
+        failed = curves[0][0].failed
     elif event_family == "void":
         vals, failed = map_replicates(partial(_void_rep, spec, spec.window, "smp-void", rects),
                                       spec.replicates, workers)
@@ -240,11 +238,6 @@ class MixtureResult:
     p: float
 
 
-def _mixture_rep(p: float, window: Window, tess, uniforms, rep: int):
-    return 1 if spanning_cluster_count(tess, Coloring(uniforms, p), window,
-                                       adjacency="face") >= 1 else 0
-
-
 def mixture_nonergodic_demo(spec: ExperimentSpec, spacing: float = 2.0,
                             workers: int = 1) -> MixtureResult:
     """Spanning frequencies of the two mixture components (randomly shifted
@@ -258,15 +251,15 @@ def mixture_nonergodic_demo(spec: ExperimentSpec, spacing: float = 2.0,
     p = spec.required_p()
     if not (0.0 < p < 1.0):
         raise ParameterError("p must be strictly between 0 and 1")
-    results = {}
+    results = []
     for kind, offset in (("square_lattice", 0), ("hexagonal_lattice", 1)):
         lattice = ProcessSpec(kind, {"spacing": spacing, "random_shift": True})
-        component = replace(spec, process=lattice, adjacency="face",
+        component = replace(spec, process=lattice, adjacency="face", p_grid=None,
                             master_seed=spec.master_seed + offset)
-        vals, failed = run_replicates(component, build_tessellation, as_built,
-                                      partial(_mixture_rep, p, spec.window), workers)
-        results[kind] = PercResult.from_counts(sum(vals), len(vals), failed=failed)
-    sq, hx = results["square_lattice"], results["hexagonal_lattice"]
+        # a black horizontal crossing of the window is a spanning black cluster
+        _, [[res]] = estimate_crossing_curve(component, (CrossingQuery(spec.window),), workers)
+        results.append(res)
+    sq, hx = results
     pooled = (sq.successes + hx.successes) / (sq.replicates + hx.replicates)
     return MixtureResult(square=sq, hexagonal=hx,
                          separation=abs(sq.estimate - hx.estimate), pooled=pooled, p=p)

@@ -1,24 +1,25 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
 Every estimator reads p (or the p-grid, spec.ps), the replicate count and
-the adjacency from its ExperimentSpec: it builds its cell or rectangle graph
+the adjacency from its ExperimentSpec: it builds its cell or rectangle graphs
 at spec.adjacency, and a CrossingQuery names only the rect, direction and
 colour. It is a prepare/query pair run by experiment.run_replicates: prepare
-builds the colour-independent part of a query (a rectangle graph, the cell
-graph and zero cell, or the trifurcation candidates with their balls and
-rims) once per tessellation, and query reads one replicate's colouring
+builds the colour-independent part of a query (the rectangle graphs, the
+cell graph and zero cell, or the trifurcation candidates with their balls
+and rims) once per tessellation, and query reads one replicate's colouring
 uniforms, thresholded at each p it asks. The runner builds a tessellation
 that does not vary by replicate (an unshifted lattice) once per run, drops
 and counts build failures (edge effects, degenerate inputs) and fails the
 run past its failure budget. The estimators count events and report Wilson
-intervals. Crossing probabilities have one estimator,
-estimate_crossing_curve, which thresholds each replicate's colouring at
-every p of the spec's grid.
+intervals. Every crossing indicator (of the crossing estimates, p_c, the
+recursion, and the smp gap and mixture in diagnostics) comes from
+estimate_crossing_curve, which builds one rectangle graph per query and
+thresholds each replicate's colouring at every p of the spec's grid.
 
 The ggr diagnostics colour one build once per replicate through
-experiment.map_replicates. The build, crossing, adjacency, zero-cell, reach
-and ball functions are looked up in this module, so a wrapper on these
-bindings sees every call.
+experiment.map_replicates. The build, rectangle-graph, crossing, adjacency,
+zero-cell, reach and ball functions are looked up in this module, so a
+wrapper on these bindings sees every call.
 """
 
 from __future__ import annotations
@@ -35,43 +36,46 @@ from .geometry import Window
 from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing, hop_balls,
                           label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
-from .experiment import (ExperimentSpec, as_built, build_tessellation, coloring_for,
-                         map_replicates, run_replicates)
+from .experiment import (ExperimentSpec, build_tessellation, coloring_for, map_replicates,
+                         run_replicates)
 from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
-def _rect_prepare(rect: Window, adjacency: str, tess: Tessellation):
-    """(tessellation, its rectangle graph of rect)."""
-    return tess, rect_graph(tess, rect, adjacency)
+def _rect_prepare(rects, adjacency: str, tess: Tessellation) -> tuple:
+    """The rectangle graph of each rect of rects."""
+    return tuple(rect_graph(tess, rect, adjacency) for rect in rects)
 
 
-def _crossing_rep(query: CrossingQuery, p_grid: tuple, prepared, uniforms, rep: int):
-    """(rep, crossing indicator per p of p_grid) of one coloring of a
-    tessellation and its rectangle graph; the id survives dropped failures."""
-    tess, graph = prepared
-    return rep, tuple(1 if crossing(tess, Coloring(uniforms, p), query, graph=graph) else 0
-                      for p in p_grid)
+def _crossing_rep(queries: tuple, p_grid: tuple, graphs, uniforms, rep: int):
+    """(rep, indicators): indicators[j][k] is 1 when the coloring at p_grid[k]
+    has the crossing queries[j] on graphs[j]; the id survives dropped failures."""
+    colorings = [Coloring(uniforms, p) for p in p_grid]
+    return rep, tuple(tuple(1 if crossing(graph, col, query) else 0 for col in colorings)
+                      for query, graph in zip(queries, graphs))
 
 
-def estimate_crossing_curve(spec: ExperimentSpec, query: CrossingQuery,
+def estimate_crossing_curve(spec: ExperimentSpec, queries: tuple,
                             workers: int = 1) -> tuple[list, list]:
-    """Coupled crossing estimates over the increasing grid spec.ps.
+    """Coupled crossing estimates of each query over the increasing grid spec.ps.
 
-    Returns the (rep, indicators) of every replicate that built and one
-    PercResult per p. Every p of a replicate thresholds the same uniforms,
-    so its black crossing indicators are nondecreasing in p and its white
-    ones nonincreasing; a spot check on ~1% of the replicates enforces this.
+    Returns the (rep, indicators) of every replicate that built, as in
+    _crossing_rep, and per query one PercResult per p. Every p of a replicate
+    thresholds the same uniforms, so its black crossing indicators are
+    nondecreasing in p and its white ones nonincreasing; a spot check on ~1%
+    of the replicates enforces this.
     """
-    results, failed = run_replicates(spec, build_tessellation,
-                                     partial(_rect_prepare, query.rect, spec.adjacency),
-                                     partial(_crossing_rep, query, spec.ps), workers)
+    results, failed = run_replicates(
+        spec, build_tessellation,
+        partial(_rect_prepare, tuple(q.rect for q in queries), spec.adjacency),
+        partial(_crossing_rep, queries, spec.ps), workers)
     vals = [indicators for _, indicators in results]
-    sign = 1 if query.color == "black" else -1
     for indicators in vals[::max(1, len(vals) // 100)]:
-        if any(sign * (b - a) < 0 for a, b in zip(indicators, indicators[1:])):
-            raise ParameterError("coupling violation: crossing indicator not monotone in p")
-    return results, [PercResult.from_counts(sum(v[k] for v in vals), len(vals), failed=failed)
-                     for k in range(len(spec.ps))]
+        for query, ind in zip(queries, indicators):
+            sign = 1 if query.color == "black" else -1
+            if any(sign * (b - a) < 0 for a, b in zip(ind, ind[1:])):
+                raise ParameterError("coupling violation: crossing indicator not monotone in p")
+    return results, [[PercResult.from_counts(sum(v[j][k] for v in vals), len(vals), failed=failed)
+                      for k in range(len(spec.ps))] for j in range(len(queries))]
 
 
 def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,
@@ -82,7 +86,8 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,
     if spec.replicates < 50:
         raise ParameterError("crossing estimator needs at least 50 replicates")
     grid = tuple(sorted(spec.ps))
-    per_p = dict(zip(grid, estimate_crossing_curve(replace(spec, p_grid=grid), query, workers)[1]))
+    _, (curve,) = estimate_crossing_curve(replace(spec, p_grid=grid), (query,), workers)
+    per_p = dict(zip(grid, curve))
     return [per_p[p] for p in spec.ps]
 
 
@@ -183,12 +188,9 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(p_grid: tuple, window: Window, prepared, uniforms, rep: int):
-    """Spanning cluster count per p of p_grid on one tessellation and its
-    rectangle graph of window, and one coloring."""
-    tess, graph = prepared
-    return tuple(spanning_cluster_count(tess, Coloring(uniforms, p), window, graph=graph)
-                 for p in p_grid)
+def _spanning_rep(p_grid: tuple, graph, uniforms, rep: int):
+    """Spanning cluster count per p of p_grid of one coloring on a rect graph."""
+    return tuple(spanning_cluster_count(graph, Coloring(uniforms, p)) for p in p_grid)
 
 
 def count_spanning_clusters(spec: ExperimentSpec, window: Window,
@@ -200,8 +202,8 @@ def count_spanning_clusters(spec: ExperimentSpec, window: Window,
     if not spec.window.contains_window(window, tol=1e-9):
         raise ParameterError("analysis window must lie inside the core window")
     vals, failed = run_replicates(spec, build_tessellation,
-                                  partial(_rect_prepare, window, spec.adjacency),
-                                  partial(_spanning_rep, spec.ps, window), workers)
+                                  partial(rect_graph, rect=window, adjacency=spec.adjacency),
+                                  partial(_spanning_rep, spec.ps), workers)
     return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
                            replicates=len(vals), failed=failed) for k in range(len(spec.ps))]
 
@@ -379,26 +381,6 @@ def ggr_diagnostics(spec: ExperimentSpec, n_max: int, workers: int) -> GgrResult
                      g1_ci=g1_ci, g2_avg=g2_avg)
 
 
-def _recursion_rep(p: float, t: float, adjacency: str, tess: Tessellation, uniforms,
-                   rep: int):
-    col = Coloring(uniforms, p)
-
-    def fails(direction, x0, y0, x1, y1):
-        q = CrossingQuery(rect=Window((x0, y0), (x1, y1)), direction=direction, color="black")
-        return 0 if crossing(tess, col, q, adjacency) else 1
-
-    out = {"lhs": fails("horizontal", 0, 0, 9 * t, 3 * t)}
-    for strip, y0 in (("bottom", 0.0), ("top", 2 * t)):
-        out[f"{strip}_strip"] = fails("horizontal", 0, y0, 9 * t, y0 + t)
-        for k, x0 in enumerate((0, 2 * t, 4 * t, 6 * t)):
-            out[f"{strip}_H{k}"] = fails("horizontal", x0, y0, x0 + 3 * t, y0 + t)
-        for k, x0 in enumerate((2 * t, 4 * t, 6 * t)):
-            out[f"{strip}_V{k}"] = fails("vertical", x0, y0, x0 + t, y0 + t)
-    out["f_H"] = out["bottom_H0"]
-    out["f_V"] = fails("vertical", 0, 0, t, 3 * t)
-    return out
-
-
 def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) -> dict:
     """Estimate both sides of the 9t x 3t crossing chain at the spec's p and
     check the square-renormalization inequality within Monte Carlo slack.
@@ -410,14 +392,22 @@ def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) 
     big = Window((0.0, 0.0), (9 * t, 3 * t))
     if not spec.window.contains_window(big, tol=1e-9):
         raise ParameterError("core window must contain the 9t x 3t rectangle")
-    vals, failed = run_replicates(spec, build_tessellation, as_built,
-                                  partial(_recursion_rep, spec.required_p(), t, spec.adjacency),
-                                  workers)
-    n = len(vals)
-    keys = vals[0].keys()
-    counts = {k: sum(v[k] for v in vals) for k in keys}
-    est = {k: counts[k] / n for k in keys}
-    sig = {k: wilson_sigma(counts[k], n) for k in keys}
+    # the black crossing of each term's rect, (direction, x0, y0, x1, y1) by term name
+    terms = {"lhs": ("horizontal", 0, 0, 9 * t, 3 * t), "f_V": ("vertical", 0, 0, t, 3 * t)}
+    for strip, y0 in (("bottom", 0.0), ("top", 2 * t)):
+        terms[f"{strip}_strip"] = ("horizontal", 0, y0, 9 * t, y0 + t)
+        for k, x0 in enumerate((0, 2 * t, 4 * t, 6 * t)):
+            terms[f"{strip}_H{k}"] = ("horizontal", x0, y0, x0 + 3 * t, y0 + t)
+        for k, x0 in enumerate((2 * t, 4 * t, 6 * t)):
+            terms[f"{strip}_V{k}"] = ("vertical", x0, y0, x0 + t, y0 + t)
+    queries = tuple(CrossingQuery(Window((x0, y0), (x1, y1)), direction)
+                    for direction, x0, y0, x1, y1 in terms.values())
+    _, curves = estimate_crossing_curve(replace(spec, p_grid=None), queries, workers)
+    n, failed = curves[0][0].replicates, curves[0][0].failed
+    counts = {k: n - res.successes for k, (res,) in zip(terms, curves)}  # failures per term
+    counts["f_H"] = counts["bottom_H0"]
+    est = {k: counts[k] / n for k in counts}
+    sig = {k: wilson_sigma(counts[k], n) for k in counts}
     max_key = "f_H" if est["f_H"] >= est["f_V"] else "f_V"
     maxf, w_max = est[max_key], sig[max_key]
     rhs = (7.0 * maxf) ** 2
@@ -425,7 +415,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) 
     return {
         "t": t, "p": spec.p, "replicates": n, "failed": failed,
         "lhs": est["lhs"], "lhs_sigma": sig["lhs"],
-        "rhs_terms": {k: est[k] for k in sorted(keys) if k != "lhs"},
+        "rhs_terms": {k: est[k] for k in sorted(counts) if k != "lhs"},
         "max_term": max_key, "max_value": maxf,
         "rhs": rhs, "slack": slack,
         "inequality_margin": rhs + slack - est["lhs"],

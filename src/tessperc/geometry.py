@@ -85,6 +85,9 @@ class Window:
 
     @staticmethod
     def from_json(obj) -> "Window":
+        if not (isinstance(obj, list) and len(obj) == 2 and all(
+                isinstance(c, list) and all(type(v) in (int, float) for v in c) for c in obj)):
+            raise ParameterError(f"a window must be [[x0, y0], [x1, y1]] of numbers, got {obj!r}")
         return Window(tuple(obj[0]), tuple(obj[1]))
 
     @staticmethod

@@ -3,13 +3,13 @@
 The harness estimates nothing itself: each op calls an estimator and
 formats its output as CSV rows and a run.json summary.
 
-Configs are JSON with a fixed schema; unknown keys are hard errors, and so
-are a missing required param or region key (delta, ni, nj), a radii or
-schedule param that is not a non-empty list of numbers, and a count param
-(_COUNT_KEYS, the region's ni and nj) that is not an integer >= 1. Outputs
-land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json.
-CSV payloads are bit-identical across reruns and worker counts; run.json
-carries the volatile envelope (timestamps).
+Configs are JSON with a fixed schema, and load_config checks every param
+before a run starts. Unknown keys are hard errors, and so are a missing
+required param and a malformed region, list (_LIST_KEYS), count
+(_COUNT_KEYS), real (_REAL_KEYS), window (_WINDOW_KEYS) or choice
+(_CHOICES) param. Outputs land in out_dir/<spec_hash>/: one RFC-4180 CSV
+per operation plus run.json. CSV payloads are bit-identical across reruns
+and worker counts; run.json carries the volatile envelope (timestamps).
 
 Every op is one entry of OPS, keyed by its name. An entry holds
 - `required`: the `params` keys the op needs, and `optional` the others it
@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -64,6 +65,14 @@ _TOP_KEYS = {"op", "process", "window", "adjacency", "buffer", "p", "p_grid",
 NO_P, ONE_P, EACH_P = "none", "one", "each"
 _LIST_KEYS = {"radii", "n_schedule", "t_schedule", "t_values"}  # lists of numbers
 _COUNT_KEYS = {"replicates_per_probe", "replicates_per_component", "r1", "n_max"}  # ints >= 1
+_REAL_KEYS = {"t", "tolerance", "angle_tol", "delta", "r2", "spacing"}  # finite numbers
+_WINDOW_KEYS = {"Q", "Qprime", "rect", "analysis_window"}
+_CHOICES = {"direction": ("horizontal", "vertical"), "color": ("black", "white"),
+            "family": ("crossing", "void")}
+
+
+def _finite(x) -> bool:  # a JSON number, not a bool, a string or NaN
+    return type(x) is int or type(x) is float and math.isfinite(x)
 
 
 def load_config(path, seed_override=None) -> dict:
@@ -102,12 +111,23 @@ def load_config(path, seed_override=None) -> dict:
         if not (isinstance(vals, list) and vals and all(type(v) in (int, float) for v in vals)):
             raise ConfigError(f"{path}: params {key!r} must be a non-empty list of numbers")
     region = params.get("region")
-    if not (region is None or isinstance(region, dict) and {"delta", "ni", "nj"} <= region.keys()):
-        raise ConfigError(f"{path}: params 'region' must be an object with 'delta', 'ni' and 'nj'")
+    if not (region is None or isinstance(region, dict)
+            and {"delta", "ni", "nj"} <= region.keys() <= {"delta", "ni", "nj", "anchor"}
+            and _finite(region["delta"]) and region["delta"] > 0
+            and isinstance(region.get("anchor", []), list)
+            and [type(a) for a in region.get("anchor", [0, 0])] == [int, int]):
+        raise ConfigError(f"{path}: params 'region' must hold a positive number 'delta', 'ni', "
+                          f"'nj' and optionally an integer pair 'anchor', got {region!r}")
     counts = [(key, params[key]) for key in sorted(_COUNT_KEYS.intersection(params))]
     for key, value in counts + [(f"region {k}", region[k]) for k in ("ni", "nj") if region]:
         if not (type(value) is int and value >= 1):
             raise ConfigError(f"{path}: params {key!r} must be an integer >= 1, got {value!r}")
+    for key in sorted(_REAL_KEYS.intersection(params)):
+        if not _finite(params[key]):
+            raise ConfigError(f"{path}: params {key!r}: {params[key]!r} is not a finite number")
+    for key, allowed in _CHOICES.items():
+        if params.get(key, allowed[0]) not in allowed:
+            raise ConfigError(f"{path}: params {key!r} must be in {allowed}, got {params[key]!r}")
     for key in ("process", "window", "replicates", "master_seed"):
         if key not in cfg:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -120,6 +140,8 @@ def load_config(path, seed_override=None) -> dict:
         raise ConfigError(f"{path}: 'p_grid' must be a non-empty list")
     try:
         spec = ExperimentSpec.from_json(cfg)
+        for key in sorted(_WINDOW_KEYS.intersection(params)):
+            Window.from_json(params[key])
     except (ParameterError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if op.face_only and spec.adjacency != "face":
@@ -279,9 +301,10 @@ def _sweep_crossing(spec, params, workers):
     if not spec.p_grid:
         raise ConfigError("crossing sweep needs a p_grid")
     spec = replace(spec, p_grid=tuple(sorted(spec.p_grid)))
-    results, per_p = estimate_crossing_curve(spec, _crossing_query(spec, params), workers=workers)
+    results, (per_p,) = estimate_crossing_curve(spec, (_crossing_query(spec, params),),
+                                                workers=workers)
     rows = [{"replicate": rep, "p": p, "indicator": ind}
-            for rep, indicators in results for p, ind in zip(spec.p_grid, indicators)]
+            for rep, (indicators,) in results for p, ind in zip(spec.p_grid, indicators)]
     return rows, [_crossing_row(p, res) for p, res in zip(spec.p_grid, per_p)], {}
 
 

@@ -14,11 +14,11 @@ the shared boundary segment clipped to the rectangle has positive length, and
 star mode additionally accepts corner contacts inside the rectangle.
 
 None of that geometry depends on the colours: rect_graph builds it once for
-every cell of a tessellation, and a query only labels that graph under its
-colour's active mask. A caller that asks one rect at several p (a coupled
-sweep) builds the graph once and passes it to each crossing call. A
-CrossingQuery names the event, not the graph: crossing and
-spanning_cluster_count take the adjacency, which rect_graph checks.
+every cell of a tessellation, and it alone reads and checks the adjacency.
+crossing and spanning_cluster_count take its graph and only label it under
+a colour's active mask, so a caller builds each rect's graph once per
+tessellation and asks it at every p and colour. A CrossingQuery names the
+event (rect, direction, colour), not the graph.
 """
 
 from __future__ import annotations
@@ -212,27 +212,16 @@ def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
     return common[common >= 0]
 
 
-def crossing(tess: Tessellation, coloring: Coloring, query: CrossingQuery,
-             adjacency: str = "face", graph=None) -> bool:
-    """True iff some monochromatic component joins the rectangle's start and
-    end sides through interiors and shared boundary pieces inside the rect.
-
-    graph, when given, is rect_graph(tess, query.rect, adjacency), built
-    once by a caller that asks the same query at several p.
-    """
-    if graph is None:
-        graph = rect_graph(tess, query.rect, adjacency)
+def crossing(graph, coloring: Coloring, query: CrossingQuery) -> bool:
+    """True iff some component of the query's colour in graph, the
+    rect_graph of query.rect, joins the rectangle's start and end sides
+    through interiors and shared boundary pieces inside the rect."""
     return len(_spanning_labels(coloring.mask(query.color), graph, query.direction)) > 0
 
 
-def spanning_cluster_count(tess: Tessellation, coloring: Coloring, rect: Window,
-                           adjacency: str = "face", graph=None) -> int:
-    """Number of distinct black components joining the rect's left and right sides.
-
-    graph, when given, is rect_graph(tess, rect, adjacency), as in crossing.
-    """
-    if graph is None:
-        graph = rect_graph(tess, rect, adjacency)
+def spanning_cluster_count(graph, coloring: Coloring) -> int:
+    """Number of distinct black components of a rect_graph joining its
+    rect's left and right sides."""
     return len(_spanning_labels(coloring.black, graph, "horizontal"))
 
 

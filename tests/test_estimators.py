@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from tessperc import diagnostics, estimators
+from tessperc import diagnostics, estimators, percolation
 from tessperc.diagnostics import (mixture_nonergodic_demo, peierls_probe, smp_gap,
                                   tameness_report)
 from tessperc.errors import EdgeEffectError, ParameterError
@@ -262,6 +262,24 @@ def test_recursion_small_supercritical():
     assert set(rep["rhs_terms"]) >= {"f_H", "f_V", "bottom_H0", "top_V2"}
 
 
+@pytest.mark.parametrize("call,rects", [
+    (lambda spec: verify_crossing_recursion(spec, 1.0), 18),
+    (lambda spec: smp_gap(spec, "crossing", Window((-1, -1), (0, 0)),
+                          Window((0.5, 0.5), (1.5, 1.5)), [1.0, 2.0]), 4),
+], ids=["recursion", "smp_gap_crossing"])
+def test_rect_graphs_are_built_once_per_run_on_an_unshifted_lattice(call, rects, monkeypatch):
+    """Every query rect's graph is built once per build, and an unshifted
+    lattice builds once per run: one rect_graph call per rect, not one per
+    replicate."""
+    built, build = [], percolation.rect_graph
+    for module in (percolation, estimators):
+        monkeypatch.setattr(module, "rect_graph", lambda tess, rect, adjacency:
+                            built.append(rect) or build(tess, rect, adjacency))
+    spec = lattice_spec(Window((-3, -3), (9, 9)), 0.6, 20, 12, spacing=0.5)
+    call(spec)
+    assert len(built) == len(set(built)) == rects
+
+
 # Every function that reads p, the p-grid or the replicate count from its
 # spec: name -> (which p it reads: "grid" through spec.ps, "one" through
 # required_p, or "none"; its call on a spec, returning the (replicates,
@@ -277,7 +295,7 @@ def _counted(*results):
 
 SPEC_READERS = {
     "estimate_crossing_curve": (
-        "grid", lambda spec: _counted(*estimate_crossing_curve(spec, CrossingQuery(W5))[1])),
+        "grid", lambda spec: _counted(*estimate_crossing_curve(spec, (CrossingQuery(W5),))[1][0])),
     "estimate_crossing_prob": (
         "grid", lambda spec: _counted(*estimate_crossing_prob(spec, CrossingQuery(W5)))),
     "estimate_theta": (

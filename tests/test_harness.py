@@ -12,7 +12,7 @@ from tessperc.cli import main
 from tessperc.errors import ConfigError, EdgeEffectError, ParameterError
 from tessperc.experiment import ExperimentSpec, build_tessellation, coloring_for
 from tessperc.geometry import Window
-from tessperc.percolation import CrossingQuery, color, crossing
+from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
 from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.render import render_svg
 from tessperc.streams import stream
@@ -394,8 +394,9 @@ def test_sweep_keeps_replicate_ids_after_a_failure(tmp_path, monkeypatch):
 
 
 def test_smp_gap_sweep_reports_failures_in_run_json(tmp_path, monkeypatch):
-    monkeypatch.setattr(diagnostics, "build_tessellation",
-                        _fail_rep_1(diagnostics.build_tessellation))
+    # the crossing family builds through estimators.estimate_crossing_curve
+    monkeypatch.setattr(estimators, "build_tessellation",
+                        _fail_rep_1(estimators.build_tessellation))
     cfg = {"op": "smp_gap", "process": SQ, "window": [[-4.0, -4.0], [4.0, 4.0]], "p": 0.6,
            "replicates": 100, "master_seed": 22,
            "params": {"family": "crossing", "Q": [[-1.0, -1.0], [0.0, 0.0]],
@@ -439,6 +440,12 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
     assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"op {op!r} needs 'p'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _laplace_region(**region) -> dict:
+    """A laplace config whose region is delta 0.5, ni = nj = 2 updated by region."""
+    return {"op": "laplace", "process": PV, "window": W4, "replicates": 1000, "master_seed": 141,
+            "params": {"t": 0.3, "region": {"delta": 0.5, "ni": 2, "nj": 2, **region}}}
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -562,6 +569,47 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
     ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
              "master_seed": 125, "params": {"t": 0.3, "region": {"delta": 0.5, "ni": 2,
                                                                   "nj": 0}}}),
+    ("run", _laplace_region(anchor="ab")),
+    ("run", _laplace_region(anchor=[0.5, 0])),
+    ("run", _laplace_region(anchor=[0, 0, 0])),
+    ("run", _laplace_region(anhcor=[0, 0])),
+    ("run", _laplace_region(delta=0)),
+    ("run", _laplace_region(delta="0.5")),
+    ("run", _laplace_region(delta=math.inf)),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 126, "params": {"t_schedule": [1.0], "angle_tol": "0.3"}}),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 127, "params": {"t_schedule": [1.0], "angle_tol": math.nan}}),
+    ("run", {"op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]], "p": 0.6,
+             "replicates": 10, "master_seed": 128, "params": {"t": [1]}}),
+    ("run", {"op": "pc", "process": SQ, "window": W4, "replicates": 50, "master_seed": 129,
+             "params": {"tolerance": True, "replicates_per_probe": 50}}),
+    ("run", {"op": "tameness", "process": PV, "window": W6, "replicates": 2,
+             "master_seed": 130, "params": {"delta": math.inf, "n_schedule": [1, 2]}}),
+    ("run", {"op": "trifurcation_density", "process": SQ, "window": W6, "p": 0.58,
+             "replicates": 2, "master_seed": 131, "params": {"r1": 1, "r2": "2.0"}}),
+    ("run", {"op": "mixture", "process": SQ, "window": W4, "p": 0.55, "replicates": 10,
+             "master_seed": 132, "params": {"spacing": None}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 133, "params": {"rect": "x"}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 134, "params": {"rect": [["-1", "-1"], ["1", "1"]]}}),
+    ("run", {"op": "spanning", "process": SQ, "window": W4, "p": 0.5, "replicates": 100,
+             "master_seed": 135, "params": {"analysis_window": [[-3.0, -3.0]]}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+             "master_seed": 136, "params": {"Q": [[0.0, 0.0], [-1.0, -1.0]],
+                                            "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                                            "t_schedule": [1.0]}}),
+    ("run", {"op": "void", "process": PV, "window": W4, "replicates": 100, "master_seed": 137,
+             "params": {"Q": [[0.0, 0.0], [1.0, 1.0, 2.0]], "t_values": [1.0]}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 138, "params": {"direction": "diagonal"}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 139, "params": {"color": "red"}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+             "master_seed": 140, "params": {"family": "voids", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
+                                            "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                                            "t_schedule": [1.0]}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -578,7 +626,12 @@ def test_single_p_op_with_only_p_grid_is_a_config_error(op, params, tmp_path, ca
         "trifurcation_density_without_r2", "smp_gap_without_Q", "line_smp_without_angle_tol",
         "laplace_region_without_ni", "replicates_per_probe_fractional",
         "replicates_per_component_zero", "r1_fractional", "n_max_boolean", "region_ni_quoted",
-        "region_nj_zero"])
+        "region_nj_zero", "region_anchor_string", "region_anchor_fractional",
+        "region_anchor_three_entries", "region_misspelled_key", "region_delta_zero",
+        "region_delta_quoted", "region_delta_infinite", "angle_tol_quoted", "angle_tol_nan",
+        "t_list", "tolerance_boolean", "delta_infinite", "r2_quoted", "spacing_null",
+        "rect_string", "rect_quoted_corners", "analysis_window_one_corner", "Q_reversed",
+        "Q_three_coordinates", "direction_diagonal", "color_red", "family_voids"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -610,9 +663,10 @@ def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
         return
     spec = ExperimentSpec.from_json(harness.load_config(path))
     tess = build_tessellation(spec, 0)
-    query = CrossingQuery(rect=spec.window)
+    graph = rect_graph(tess, spec.window, spec.adjacency)
     for p, crossed in ((0.0, False), (1.0, True)):
-        assert crossing(tess, coloring_for(replace(spec, p=p), 0, tess), query) is crossed
+        coloring = coloring_for(replace(spec, p=p), 0, tess)
+        assert crossing(graph, coloring, CrossingQuery(rect=spec.window)) is crossed
 
 
 def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):

@@ -11,7 +11,8 @@ from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings)
 from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing,
-                                  label_components, neighbor_csr, spanning_cluster_count)
+                                  label_components, neighbor_csr, rect_graph,
+                                  spanning_cluster_count)
 from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
@@ -24,6 +25,11 @@ def poisson_setup(seed, side=20.0, p=0.5):
     tess = build_voronoi(cfg, core)
     col = color(tess, p, stream(seed, 0, "color"))
     return tess, col
+
+
+def crosses(tess, col, query, adjacency="face"):
+    """crossing on the rect graph of the query's rect, built for this one call."""
+    return crossing(rect_graph(tess, query.rect, adjacency), col, query)
 
 
 def test_coloring_thresholds():
@@ -133,22 +139,20 @@ def test_crossing_trivials_and_errors():
     tess, col = poisson_setup(9, side=10.0)
     rect = Window((1, 1), (9, 9))
     q = CrossingQuery(rect=rect, direction="horizontal", color="black")
-    assert crossing(tess, Coloring(col.uniforms, 1.0), q, adjacency="face")
-    assert not crossing(tess, Coloring(col.uniforms, 0.0), q, adjacency="face")
+    assert crosses(tess, Coloring(col.uniforms, 1.0), q)
+    assert not crosses(tess, Coloring(col.uniforms, 0.0), q)
     qw = CrossingQuery(rect=rect, direction="vertical", color="white")
-    assert crossing(tess, Coloring(col.uniforms, 0.0), qw, adjacency="star")
+    assert crosses(tess, Coloring(col.uniforms, 0.0), qw, "star")
     with pytest.raises(ParameterError):
-        crossing(tess, col, CrossingQuery(rect=Window((0, 0), (11, 11))))
+        rect_graph(tess, Window((0, 0), (11, 11)), "face")
 
 
 def test_planar_dichotomy_sampled_instances():
     for seed in range(40):
         tess, col = poisson_setup(100 + seed, side=15.0, p=0.5)
         rect = tess.core_window
-        black_h = crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
-                                                    color="black"), adjacency="face")
-        white_v = crossing(tess, col, CrossingQuery(rect=rect, direction="vertical",
-                                                    color="white"), adjacency="star")
+        black_h = crosses(tess, col, CrossingQuery(rect, "horizontal", "black"), "face")
+        white_v = crosses(tess, col, CrossingQuery(rect, "vertical", "white"), "star")
         assert black_h != white_v
 
 
@@ -156,10 +160,8 @@ def test_dichotomy_on_subrects():
     tess, col = poisson_setup(250, side=20.0, p=0.5)
     rects = [Window((1, 2), (12, 9)), Window((0.5, 0.5), (19, 19)), Window((5, 5), (9, 15))]
     for rect in rects:
-        black_h = crossing(tess, col, CrossingQuery(rect=rect, direction="horizontal",
-                                                    color="black"), adjacency="face")
-        white_v = crossing(tess, col, CrossingQuery(rect=rect, direction="vertical",
-                                                    color="white"), adjacency="star")
+        black_h = crosses(tess, col, CrossingQuery(rect, "horizontal", "black"), "face")
+        white_v = crosses(tess, col, CrossingQuery(rect, "vertical", "white"), "star")
         assert black_h != white_v
 
 
@@ -170,10 +172,9 @@ def test_color_symmetry_at_half():
     rect = Window((0, 0), (12, 12))
     for seed in range(n):
         tess, col = poisson_setup(300 + seed, side=12.0, p=0.5)
-        hits_b += crossing(tess, col, CrossingQuery(rect=rect, color="black"),
-                           adjacency="face")
-        hits_w += crossing(tess, col, CrossingQuery(rect=rect, color="white"),
-                           adjacency="face")
+        graph = rect_graph(tess, rect, "face")
+        hits_b += crossing(graph, col, CrossingQuery(rect=rect, color="black"))
+        hits_w += crossing(graph, col, CrossingQuery(rect=rect, color="white"))
     pb, pw = hits_b / n, hits_w / n
     se = np.sqrt(pb * (1 - pb) / n + pw * (1 - pw) / n) + 1e-9
     assert abs(pb - pw) < 3 * se
@@ -185,8 +186,8 @@ def test_fkg_nested_crossings_positively_associated():
     pairs = []
     for seed in range(100):
         tess, col = poisson_setup(500 + seed, side=12.0, p=0.5)
-        a = crossing(tess, col, CrossingQuery(rect=inner, color="black"), adjacency="face")
-        b = crossing(tess, col, CrossingQuery(rect=outer, color="black"), adjacency="face")
+        a = crosses(tess, col, CrossingQuery(rect=inner, color="black"))
+        b = crosses(tess, col, CrossingQuery(rect=outer, color="black"))
         pairs.append((int(a), int(b)))
     arr = np.array(pairs, float)
     cov = arr[:, 0] * arr[:, 1] - arr[:, 0].mean() * arr[:, 1].mean()
@@ -197,8 +198,9 @@ def test_fkg_nested_crossings_positively_associated():
 def test_spanning_cluster_count_trivials():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (6, 6)))
     col = color(tess, 0.5, stream(2, 0, "color"))
-    assert spanning_cluster_count(tess, Coloring(col.uniforms, 1.0), tess.core_window) == 1
-    assert spanning_cluster_count(tess, Coloring(col.uniforms, 0.0), tess.core_window) == 0
+    graph = rect_graph(tess, tess.core_window, "face")
+    assert spanning_cluster_count(graph, Coloring(col.uniforms, 1.0)) == 1
+    assert spanning_cluster_count(graph, Coloring(col.uniforms, 0.0)) == 0
 
 
 def test_spanning_two_disjoint_rows():
@@ -208,7 +210,7 @@ def test_spanning_two_disjoint_rows():
         if int(np.floor(c[1])) in (0, 3):
             uniforms[i] = 0.0
     col = Coloring(uniforms, 0.5)
-    assert spanning_cluster_count(tess, col, tess.core_window) == 2
+    assert spanning_cluster_count(rect_graph(tess, tess.core_window, "face"), col) == 2
 
 
 @pytest.mark.parametrize("adjacency", ["face", "star"])
@@ -218,33 +220,28 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((-6, -6), (6, 6)))
     rect = Window((0, 0), (4, 4))
     x, y = tess.centers.T
-    for y0, crosses in ((4, False), (3, True)):
+    for y0, crossed in ((4, False), (3, True)):
         row = (y0 < y) & (y < y0 + 1) & (-1 < x) & (x < 5)
         col = Coloring(np.where(row, 0.0, 1.0), 0.5)
-        assert crossing(tess, col, CrossingQuery(rect), adjacency=adjacency) == crosses
-        assert spanning_cluster_count(tess, col, rect, adjacency=adjacency) == int(crosses)
+        graph = rect_graph(tess, rect, adjacency)
+        assert crossing(graph, col, CrossingQuery(rect)) == crossed
+        assert spanning_cluster_count(graph, col) == int(crossed)
 
 
 def test_spanning_rect_must_lie_in_core_window():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
-    col = color(tess, 0.5, stream(3, 0, "color"))
-    rect = Window((1, 1), (6, 4))
-    with pytest.raises(ParameterError):
-        spanning_cluster_count(tess, col, rect)
-    with pytest.raises(ParameterError):
-        crossing(tess, col, CrossingQuery(rect=rect))
+    for adjacency in ("face", "star"):
+        with pytest.raises(ParameterError, match="inside the core window"):
+            rect_graph(tess, Window((1, 1), (6, 4)), adjacency)
 
 
 @pytest.mark.parametrize("call", [
-    lambda tess, col, rect: percolation.rect_graph(tess, rect, "starr"),
-    lambda tess, col, rect: crossing(tess, col, CrossingQuery(rect), adjacency="starr"),
-    lambda tess, col, rect: spanning_cluster_count(tess, col, rect, adjacency="starr"),
-], ids=["rect_graph", "crossing", "spanning_cluster_count"])
+    lambda tess, rect: rect_graph(tess, rect, "starr"),
+], ids=["rect_graph"])
 def test_unknown_adjacency_is_a_parameter_error(call):
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
-    col = color(tess, 0.5, stream(3, 0, "color"))
     with pytest.raises(ParameterError, match="adjacency must be face or star"):
-        call(tess, col, Window((1, 1), (4, 4)))
+        call(tess, Window((1, 1), (4, 4)))
 
 
 def test_cluster_reach():
@@ -349,7 +346,7 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
     tess, uniforms, rects = instance
     for rect in rects:
         for adjacency in ("face", "star"):
-            graph = percolation.rect_graph(tess, rect, adjacency)
+            graph = rect_graph(tess, rect, adjacency)
             for p in ps:
                 col = Coloring(uniforms, p)
                 for name in ("black", "white"):
@@ -359,7 +356,6 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
                         got = percolation._spanning_labels(col.mask(name), graph, direction)
                         assert np.array_equal(got, want)
                         query = CrossingQuery(rect, direction, name)
-                        assert crossing(tess, col, query, adjacency) == (len(want) > 0)
-                        assert crossing(tess, col, query, graph=graph) == (len(want) > 0)
+                        assert crossing(graph, col, query) == (len(want) > 0)
                 want = _ref_spanning_labels(tess, col.black, rect, adjacency, "horizontal")
-                assert spanning_cluster_count(tess, col, rect, adjacency) == len(want)
+                assert spanning_cluster_count(graph, col) == len(want)
