@@ -15,15 +15,17 @@ once per run when it does not vary by replicate (an unshifted lattice) and
 once per replicate otherwise, runs the query's colour-independent
 preparation once per build, and hands the query each replicate's colouring
 uniforms. map_replicates, under it, alone catches construction failures and
-owns the failure budget.
+owns the failure budget. It imports the process pool only when workers > 1,
+and run_replicates imports scipy.spatial before a pool of Voronoi builds
+forks, so that the workers inherit it rather than each importing it.
 """
 
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import import_module
 
 import numpy as np
 
@@ -173,6 +175,8 @@ def run_replicates(spec: ExperimentSpec, build, prepare, query,
     the replicate's colouring, one uniform per cell from its "color" stream.
     With workers > 1, build, prepare and query must be picklable.
     """
+    if workers > 1 and KINDS[spec.process.kind].lattice is None:
+        import_module("scipy.spatial")  # each worker's build_voronoi imports it
     shared = None if varies_by_replicate(spec) else _instance(spec, build, prepare, 0)
     return map_replicates(partial(_replicate, spec, build, prepare, query, shared),
                           spec.replicates, workers)
@@ -197,6 +201,8 @@ def map_replicates(fn, replicates: int, workers: int = 1) -> tuple[list, int]:
     """
     attempt = partial(_attempt, fn)
     if workers > 1 and replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, range(replicates),
                                      chunksize=max(1, replicates // (8 * workers))))

@@ -7,7 +7,8 @@ Configs are JSON with a fixed schema, and load_config checks every param
 before a run starts. Unknown keys are hard errors, and so are a missing
 required param and a malformed region, list (_LIST_KEYS), count
 (_COUNT_KEYS), real (_REAL_KEYS), window (_WINDOW_KEYS) or choice
-(_CHOICES) param. Outputs land in out_dir/<spec_hash>/: one RFC-4180 CSV
+(_CHOICES) param, and so is a `buffer` on a lattice kind, which is built
+without one. Outputs land in out_dir/<spec_hash>/: one RFC-4180 CSV
 per operation plus run.json. CSV payloads are bit-identical across reruns
 and worker counts; run.json carries the volatile envelope (timestamps).
 
@@ -15,9 +16,9 @@ Every op is one entry of OPS, keyed by its name. An entry holds
 - `required`: the `params` keys the op needs, and `optional` the others it
   allows;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
-  `p`, which load_config then requires; EACH_P ops write rows for every p of
-  spec.ps, `p_grid` in config order (or the single `p`), from one estimator
-  call over the grid that builds each replicate once;
+  `p`, which load_config then requires, and reject a `p_grid`; EACH_P ops
+  write rows for every p of spec.ps, `p_grid` in config order (or the single
+  `p`), from one estimator call over the grid that builds each replicate once;
 - `fn(spec, params, workers) -> (rows, summary)`, where a summary of None
   stands for {"rows": len(rows)}. Estimators read p, the p-grid and the
   replicate count from the spec; `replicates_per_probe` and
@@ -133,6 +134,8 @@ def load_config(path, seed_override=None) -> dict:
             raise ConfigError(f"{path}: missing required key {key!r}")
     if op.p == ONE_P and cfg.get("p") is None:
         raise ConfigError(f"{path}: op {name!r} needs 'p'")
+    if op.p == ONE_P and cfg.get("p_grid") is not None:
+        raise ConfigError(f"{path}: op {name!r} reads one p and takes no 'p_grid'")
     if op.p == EACH_P and cfg.get("p") is None and cfg.get("p_grid") is None:
         raise ConfigError(f"{path}: op {name!r} needs 'p' or 'p_grid'")
     p_grid = cfg.get("p_grid")
@@ -144,6 +147,9 @@ def load_config(path, seed_override=None) -> dict:
             Window.from_json(params[key])
     except (ParameterError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if spec.buffer is not None and KINDS[spec.process.kind].lattice is not None:
+        raise ConfigError(f"{path}: a {spec.process.kind} is built without a buffer; "
+                          "drop 'buffer'")
     if op.face_only and spec.adjacency != "face":
         raise ConfigError(f"{path}: op {name!r} uses face adjacency only")
     if op.process is not None and spec.process.kind != op.process:

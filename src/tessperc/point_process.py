@@ -8,7 +8,8 @@ handle, so replicates parallelize without shared state. Each kind is one
 entry of KINDS, so a new kind is one entry plus its sampler. laplace_bound
 is the analytic reference of diagnostics.estimate_laplace_functional; the
 Monte Carlo estimators of a process live in diagnostics, on the replicate
-runner.
+runner. sample_matern_hardcore imports scipy.spatial when it first runs, not
+at module load, so a run of any other kind never pays that import.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .geometry import GridRegion, Window
@@ -168,12 +168,10 @@ def sample_matern_hardcore(gamma_proposal: float, hardcore_radius: float, window
     marks = rng.random(len(proposals))
     keep = np.ones(len(proposals), bool)
     if len(proposals):
-        tree = cKDTree(proposals)
-        for i, j in tree.query_pairs(hardcore_radius):
-            if marks[i] < marks[j]:
-                keep[j] = False
-            else:
-                keep[i] = False
+        from scipy.spatial import cKDTree
+
+        i, j = cKDTree(proposals).query_pairs(hardcore_radius, output_type="ndarray").T
+        keep[np.where(marks[i] < marks[j], j, i)] = False
     pts = proposals[keep]
     inside = window.contains_points(pts) if len(pts) else np.zeros(0, bool)
     return PointConfiguration(pts[inside] if len(pts) else pts, window)

@@ -14,22 +14,26 @@ clipped cells are exact. The Voronoi vertices are the triangles'
 circumcentres, cocircular triangles sharing one; a cell's ring is its
 vertices in angular order around its generator, and the ridge between two
 generators runs between the circumcentres on either side of their Delaunay
-edge.
+edge. build_voronoi imports scipy.spatial when it first runs, not at module
+load, so a run that builds only lattices never pays that import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
                        point_in_convex_polygon, ring_areas, ring_extents)
 from .percolation import label_components
 from .point_process import PointConfiguration
+
+if TYPE_CHECKING:
+    from scipy.spatial import Delaunay
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
 
@@ -144,6 +148,8 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     the whole process (a handful of explicit generators), where hull-clipped
     cells are exact.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     pts = points.points
     n = len(pts)
     if n < 3:

@@ -610,6 +610,21 @@ def _laplace_region(**region) -> dict:
              "master_seed": 140, "params": {"family": "voids", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
                                             "Qprime": [[0.5, 0.5], [1.5, 1.5]],
                                             "t_schedule": [1.0]}}),
+    ("run", {"op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]], "p": 0.6,
+             "p_grid": [0.5, 0.6], "replicates": 10, "master_seed": 142, "params": {"t": 1.0}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "p_grid": [0.4, 0.5],
+             "replicates": 20, "master_seed": 143,
+             "params": {"Q": [[-1.5, -1.0], [-0.5, 0.0]], "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                        "t_schedule": [1.0]}}),
+    ("run", {"op": "mixture", "process": SQ, "window": W4, "p": 0.55, "p_grid": [0.5, 0.55],
+             "replicates": 10, "master_seed": 144, "params": {"spacing": 1.0}}),
+    ("run", {"op": "trifurcation_density", "process": SQ,
+             "window": [[-14.0, -14.0], [14.0, 14.0]], "p": 0.58, "p_grid": [0.5, 0.58],
+             "replicates": 2, "master_seed": 145, "params": {"r1": 1, "r2": 2.0}}),
+    ("run", {"op": "ggr", "process": SQ, "window": W6, "p": 0.6, "p_grid": [0.5, 0.6],
+             "replicates": 10, "master_seed": 146, "params": {"n_max": 3}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "buffer": 3.0, "p": 0.5,
+             "replicates": 50, "master_seed": 147}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -631,7 +646,9 @@ def _laplace_region(**region) -> dict:
         "region_delta_quoted", "region_delta_infinite", "angle_tol_quoted", "angle_tol_nan",
         "t_list", "tolerance_boolean", "delta_infinite", "r2_quoted", "spacing_null",
         "rect_string", "rect_quoted_corners", "analysis_window_one_corner", "Q_reversed",
-        "Q_three_coordinates", "direction_diagonal", "color_red", "family_voids"])
+        "Q_three_coordinates", "direction_diagonal", "color_red", "family_voids",
+        "recursion_with_p_grid", "smp_gap_with_p_grid", "mixture_with_p_grid",
+        "trifurcation_density_with_p_grid", "ggr_with_p_grid", "buffer_on_square_lattice"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()

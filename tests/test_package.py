@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tessperc
@@ -115,3 +119,55 @@ def test_every_public_name_is_reached_from_an_entry_point():
         todo += [d for name in mentioned for d, cls in defs.get(name, ())
                  if cls is None or name not in shared or cls in mentioned]
     assert [name for name, node in public if id(node) not in reached] == []
+
+
+# Run in a fresh interpreter: the CLI rejecting a config, a square-lattice
+# crossing and p_c run at workers=1, then one Poisson build. Prints, after
+# each stage, the loaded scipy modules and whether the process pool is loaded.
+_STARTUP_PROBE = """
+import json, sys
+from tessperc import harness
+from tessperc.cli import main
+from tessperc.experiment import ExperimentSpec, build_tessellation
+
+work = sys.argv[1]
+sq = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
+configs = {
+    "rejected": {"op": "crossing", "process": sq, "window": [[-4, -4], [4, 4]],
+                 "buffer": 3.0, "p": 0.5, "replicates": 50, "master_seed": 1},
+    "crossing": {"op": "crossing", "process": sq, "window": [[-4, -4], [4, 4]],
+                 "p": 0.5, "replicates": 50, "master_seed": 2},
+    "pc": {"op": "pc", "process": sq, "window": [[-4, -4], [4, 4]], "replicates": 10,
+           "master_seed": 3, "params": {"tolerance": 0.2, "replicates_per_probe": 50}},
+}
+stages = {}
+for name, cfg in configs.items():
+    path = f"{work}/{name}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    if name == "rejected":
+        stages[name] = main(["run", path, "--out", f"{work}/out"])
+    else:
+        harness.run(path, out_dir=f"{work}/out", workers=1)
+    stages[name + "_modules"] = sorted(m for m in sys.modules
+                                       if m.split(".")[0] == "scipy"
+                                       or m == "concurrent.futures.process")
+spec = ExperimentSpec.from_json({"process": {"kind": "poisson", "params": {"gamma": 1.0}},
+                                 "window": [[-3, -3], [3, 3]]})
+build_tessellation(spec, 0)
+stages["poisson_build_loads_spatial"] = "scipy.spatial" in sys.modules
+print(json.dumps(stages))
+"""
+
+
+def test_lattice_runs_and_rejected_configs_load_neither_scipy_nor_the_pool(tmp_path):
+    """scipy is imported by the first Voronoi build (or Matern II thinning)
+    and the process pool by the first run with workers > 1, not at start-up."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages == {"rejected": 2, "rejected_modules": [], "crossing_modules": [],
+                      "pc_modules": [], "poisson_build_loads_spatial": True}

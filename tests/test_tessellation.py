@@ -198,6 +198,19 @@ def test_construction_errors():
         build_voronoi(collinear, Window((0, -0.5), (3, 0.5)))
 
 
+def test_qhull_failure_is_a_construction_error(monkeypatch):
+    """build_voronoi reads scipy.spatial.Delaunay when it runs, so a Qhull
+    failure on generators that pass the collinearity check still surfaces
+    as a ConstructionError."""
+    def fail(points):
+        raise QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr("scipy.spatial.Delaunay", fail)
+    cfg = PointConfiguration(grid_points(0, 3), Window((-1, -1), (4, 4)))
+    with pytest.raises(ConstructionError, match="voronoi construction failed: QH6154"):
+        build_voronoi(cfg, Window((0, 0), (3, 3)))
+
+
 @pytest.mark.parametrize("core", [Window((1, 1), (10.5, 9)), Window((-0.5, 2), (4, 3))])
 def test_sampling_window_must_contain_the_core_window(core):
     cfg = sample_poisson(1.0, Window((0, 0), (10, 10)), stream(41, 0, "tess"))
