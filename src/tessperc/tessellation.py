@@ -8,13 +8,18 @@ star adjacency (any contact, corner contacts included). A cell graph is an
 (m, 2) array of cell pairs, which build_adjacency returns for either notion.
 
 Voronoi cells are read off Qhull's Delaunay triangulation of the generators
-plus a mirror ring: distant points that make every real region bounded, far
-enough away that their bisectors cannot enter the sampling window, so the
-clipped cells are exact. The Voronoi vertices are the triangles'
-circumcentres, cocircular triangles sharing one; a cell's ring is its
-vertices in angular order around its generator, and the ridge between two
-generators runs between the circumcentres on either side of their Delaunay
-edge. build_voronoi imports scipy.spatial when it first runs, not at module
+plus a mirror ring of three far points, the corners of an equilateral
+triangle around the sampling window. The triangle contains every generator,
+so every real region is bounded. Each far point is at least 3.5 window
+diagonals from every window point, and every generator is within one, so no
+mirror region enters the window and the clipped cells are exact. Three is
+the fewest far points that bound every region and the cheapest for Qhull:
+four or more make a near-flat upper hull in its lifted space, which costs it
+markedly more. The Voronoi vertices are the triangles' circumcentres,
+cocircular triangles sharing one; a cell's ring is its vertices in angular
+order around its generator, and the ridge between two generators runs
+between the circumcentres on either side of their Delaunay edge.
+build_voronoi imports scipy.spatial when it first runs, not at module
 load, so a run that builds only lattices never pays that import.
 """
 
@@ -37,8 +42,7 @@ if TYPE_CHECKING:
 
 TOL_SCALE = 1e-9  # geometric tolerance = TOL_SCALE * core window diagonal
 
-_MIRROR_COUNT = 16
-_MIRROR_RADIUS_FACTOR = 4.0
+_MIRROR_RADIUS_FACTOR = 4.0  # circumradius of the mirror triangle / window diagonal
 
 
 @dataclass
@@ -105,9 +109,18 @@ class Tessellation:
 
 
 def _mirror_ring(sampling: Window) -> np.ndarray:
-    """The distant points added to every Voronoi construction on a sampling
-    window, so that the region of every real generator is bounded."""
-    ang = 2 * np.pi * np.arange(_MIRROR_COUNT) / _MIRROR_COUNT
+    """The three far points added to every Voronoi construction on a
+    sampling window: the corners of an equilateral triangle centred on the
+    window, with circumradius _MIRROR_RADIUS_FACTOR × diagonal.
+
+    The triangle's inradius is 2 × diagonal, so it holds the window and every
+    generator, and each generator's region is bounded. Each corner is at least
+    3.5 × diagonal from every window point, and some generator is within one
+    diagonal of it, so no corner's region enters the window. Qhull's cost
+    grows with the number of far points (they form a near-flat upper hull in
+    its lifted space), and three is the fewest that bound every region.
+    """
+    ang = 2 * np.pi * np.arange(3) / 3
     radius = _MIRROR_RADIUS_FACTOR * sampling.diagonal
     return sampling.center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
 

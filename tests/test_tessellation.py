@@ -4,7 +4,7 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError, Voronoi
 
@@ -12,7 +12,7 @@ from tessperc import tessellation
 from tessperc.errors import ConstructionError, EdgeEffectError, ParameterError
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
                                point_in_convex_polygon, ring_areas)
-from tessperc.percolation import neighbor_csr
+from tessperc.percolation import label_components, neighbor_csr
 from tessperc.point_process import (KINDS, PointConfiguration, ProcessSpec, sample_poisson,
                                     sample_process)
 from tessperc.streams import stream
@@ -270,7 +270,7 @@ def _grid_voronoi():
 
 @pytest.mark.parametrize("name, build, digest", [
     ("poisson_voronoi", lambda: poisson_tess(43, core_side=8.0)[0],
-     "c83570834077fb7cc54f5d3a68eb4cef202830a3e7c01d87135f2848c41fb22a"),
+     "d5f8954f28bd7ab663f6571f78a09d5df4268d2945f2f667b1cac276cfc2fc14"),
     ("grid_voronoi", _grid_voronoi,
      "437806aa9bdc7ca5426eaab06fb953bb2c505b10c91f14a769d950467206e065"),
     ("shifted_square", lambda: build_lattice_tessellation(
@@ -431,8 +431,19 @@ def _list_build_voronoi(points, core_window, validate_buffer=True):
     except QhullError as exc:
         raise ConstructionError(f"voronoi construction failed: {exc}") from exc
 
+    # merge the Voronoi vertices joined by a ridge no longer than tol, as
+    # build_voronoi merges cocircular triangles: Qhull can leave such a pair
+    # about 1e-12 apart on a jittered grid. Each vertex becomes the smallest
+    # id of its group, and a ring keeps a merged vertex once.
+    ridge_v = np.array(vor.ridge_vertices)
+    short = (ridge_v >= 0).all(axis=1) & (np.linalg.norm(
+        vor.vertices[ridge_v[:, 0]] - vor.vertices[ridge_v[:, 1]], axis=1) <= tol)
+    group = label_components(np.ones(len(vor.vertices), bool), ridge_v[short])
+    ridge_v = np.where(ridge_v >= 0, group[ridge_v], -1)
+
     # regions of the real generators, concatenated: cell owner[k] has vertex cat[k]
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    regions = [list(dict.fromkeys(group[v] if v >= 0 else -1 for v in vor.regions[r]))
+               for r in vor.point_region[:n]]
     lengths = np.fromiter(map(len, regions), int, count=n)
     cat = np.fromiter(chain.from_iterable(regions), int, count=int(lengths.sum()))
     owner = np.repeat(np.arange(n), lengths)
@@ -466,11 +477,10 @@ def _list_build_voronoi(points, core_window, validate_buffer=True):
 
     ridge_pts = vor.ridge_points
     real = (ridge_pts[:, 0] < n) & (ridge_pts[:, 1] < n)
-    pairs = ridge_pts[real].astype(int)
-    ridge_v = np.fromiter(chain.from_iterable(vor.ridge_vertices), int,
-                          count=2 * len(ridge_pts)).reshape(-1, 2)[real]
-    if (ridge_v < 0).any():
+    if (ridge_v[real] < 0).any():
         raise ConstructionError("unbounded ridge between real generators")
+    real &= ridge_v[:, 0] != ridge_v[:, 1]
+    pairs, ridge_v = ridge_pts[real].astype(int), ridge_v[real]
     seg_a = vor.vertices[ridge_v[:, 0]]
     seg_b = vor.vertices[ridge_v[:, 1]]
     ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
@@ -566,8 +576,41 @@ def _pair_set(pairs):
     return {tuple(sorted(p)) for p in pairs.tolist()}
 
 
+def _assert_same_cells(tess, ref):
+    """Equal face and star pair sets and ring lengths, and rings that agree
+    within tess.tol once each is rotated to a common start."""
+    assert _pair_set(tess.face_pairs) == _pair_set(ref.face_pairs)
+    assert _pair_set(tess.star_pairs) == _pair_set(ref.star_pairs)
+    assert np.array_equal(np.diff(tess.poly_ptr), np.diff(ref.poly_ptr))
+    for i in range(len(tess)):
+        ring, ref_ring = tess.polygon(i), ref.polygon(i)
+        start = int(np.argmin(np.abs(ref_ring - ring[0]).max(axis=1)))
+        assert np.abs(np.roll(ref_ring, -start, axis=0) - ring).max() <= tess.tol
+
+
+def _jittered_grid_case():
+    # a 7×7 grid jittered by ±1e-12 on which Qhull's Voronoi output keeps
+    # two vertices of one four-cell vertex about 3.6e-12 apart, joined by a
+    # ridge between real generators; build_voronoi merges them at tol
+    pts = grid_points(-3, 3) + np.random.default_rng(44).uniform(-1e-12, 1e-12, (49, 2))
+    cfg = PointConfiguration(pts, Window(tuple(pts.min(axis=0)), tuple(pts.max(axis=0))))
+    return cfg, Window((-2.0, -2.0), (2.0, 2.0)), False
+
+
+def test_jittered_grid_case_has_a_ridge_shorter_than_tol():
+    cfg, core, _ = _jittered_grid_case()
+    n, tol = len(cfg.points), tessellation.TOL_SCALE * core.diagonal
+    vor = Voronoi(np.vstack([cfg.points, tessellation._mirror_ring(cfg.window)]))
+    ends = np.array(vor.ridge_vertices)
+    real = (vor.ridge_points < n).all(axis=1) & (ends >= 0).all(axis=1)
+    seg = vor.vertices[ends[real]]
+    length = np.linalg.norm(seg[:, 0] - seg[:, 1], axis=1)
+    assert ((length > 0) & (length <= tol)).any()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(_star_cases(), _kind_cases(), st.just(_vertex_just_outside_case())))
+@example(_jittered_grid_case())
 def test_build_matches_the_list_based_reference(case):
     cfg, core, validate = case
     tess = _build_or_error(build_voronoi, cfg, core, validate)
@@ -578,11 +621,60 @@ def test_build_matches_the_list_based_reference(case):
     if isinstance(tess, type) or isinstance(ref, type):
         assert tess is ref
         return
-    assert _pair_set(tess.face_pairs) == _pair_set(ref.face_pairs)
-    assert _pair_set(tess.star_pairs) == _pair_set(ref.star_pairs)
-    assert np.array_equal(np.diff(tess.poly_ptr), np.diff(ref.poly_ptr))
+    _assert_same_cells(tess, ref)
     assert np.array_equal(_clipped(tess), _clipped(ref))
-    for i in range(len(tess)):
-        ring, ref_ring = tess.polygon(i), ref.polygon(i)
-        start = int(np.argmin(np.abs(ref_ring - ring[0]).max(axis=1)))
-        assert np.abs(np.roll(ref_ring, -start, axis=0) - ring).max() <= tess.tol
+
+
+def _sixteen_point_ring(sampling):
+    """The mirror ring build_voronoi used before its three far points: 16
+    points evenly spaced on the circle of radius _MIRROR_RADIUS_FACTOR ×
+    diagonal around the sampling window."""
+    ang = 2 * np.pi * np.arange(16) / 16
+    radius = tessellation._MIRROR_RADIUS_FACTOR * sampling.diagonal
+    return sampling.center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_kind_cases(), _star_cases()))
+def test_three_far_points_build_what_a_sixteen_point_ring_builds(case):
+    cfg, core, validate = case
+    tess = _build_or_error(build_voronoi, cfg, core, validate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tessellation, "_mirror_ring", _sixteen_point_ring)
+        ref = _build_or_error(build_voronoi, cfg, core, validate)
+    if isinstance(tess, type) or isinstance(ref, type):
+        assert tess is ref
+        return
+    assert np.array_equal(tess.poly_ptr, ref.poly_ptr)
+    _assert_same_cells(tess, ref)
+
+
+@st.composite
+def _three_generator_cases(draw):
+    """Three generators that are the whole process, in a window of aspect
+    ratio 1/3 to 4, built with validate_buffer=False."""
+    w, h = draw(st.sampled_from([1.0, 2.0, 4.0])), draw(st.sampled_from([1.0, 3.0]))
+    window = Window((0.0, 0.0), (w, h))
+    pts = np.random.default_rng(draw(st.integers(0, 10_000))).uniform((0, 0), (w, h), (3, 2))
+    return PointConfiguration(pts, window), window, False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_star_cases(), _three_generator_cases()))
+def test_clipped_cells_cover_the_sampling_window(case):
+    cfg, core, _ = case
+    tess = build_voronoi(cfg, core, validate_buffer=False)
+    sampling = tess.sampling_window
+    # the cells tile the window; vertex merging at tol and rounding move the
+    # total by far less than 1e-9 of its area
+    areas = ring_areas(tess.poly_xy, tess.poly_ptr)
+    assert (areas > 0).all()
+    assert abs(areas.sum() - sampling.area) <= 1e-9 * sampling.area
+    # no far point is within 3.5 diagonals of the window, and the triangle
+    # of far points holds the window
+    mirror = tessellation._mirror_ring(sampling)
+    corners = np.array([sampling.lo, (sampling.hi[0], sampling.lo[1]),
+                        sampling.hi, (sampling.lo[0], sampling.hi[1])])
+    dist = np.linalg.norm(mirror[:, None] - corners[None], axis=2)
+    assert len(mirror) == 3 and dist.min() >= 3.5 * sampling.diagonal
+    assert all(point_in_convex_polygon(c, mirror) for c in corners)
