@@ -75,10 +75,10 @@ def main(argv=None) -> int:
                            seed_override=args.seed)
             print(f"sweep[{record.op}]: wrote {record.out_dir}")
         elif args.command == "render":
-            from .experiment import ExperimentSpec, build_tessellation, coloring_for
+            from .experiment import build_tessellation, coloring_for
             from .harness import load_config
             from .render import render_svg
-            spec = ExperimentSpec.from_json(load_config(args.config))
+            spec = load_config(args.config).spec
             spec = replace(spec, p=0.5 if spec.p is None else spec.p)
             tess = build_tessellation(spec, args.rep)
             col = coloring_for(spec, args.rep, tess)

@@ -225,7 +225,7 @@ def line_process_smp_failure(spec: ExperimentSpec, t_schedule, angle_tol: float,
     vals, _ = map_replicates(partial(_line_smp_rep, spec, disc_radius, angle_tol, t_schedule),
                              spec.replicates, workers)
     return SmpGapCurve.from_indicators(t_schedule, vals,
-                                       {"family": "line", "angle_tol": angle_tol,
+                                       {"family": "line", "angle_tol": float(angle_tol),
                                         "line_intensity": spec.process["line_intensity"]})
 
 

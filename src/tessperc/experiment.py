@@ -23,7 +23,7 @@ forks, so that the workers inherit it rather than each importing it.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
 
@@ -63,7 +63,6 @@ class ExperimentSpec:
     p_grid: tuple | None = None
     replicates: int = 100
     master_seed: int = 0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.adjacency not in ("face", "star"):
@@ -110,7 +109,6 @@ class ExperimentSpec:
             p_grid=tuple(obj["p_grid"]) if obj.get("p_grid") else None,
             replicates=obj.get("replicates", 100),
             master_seed=obj.get("master_seed", 0),
-            params=dict(obj.get("params", {})),
         )
 
 

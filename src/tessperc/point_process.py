@@ -88,6 +88,11 @@ class ProcessSpec:
 
     @staticmethod
     def from_json(obj) -> "ProcessSpec":
+        if not isinstance(obj, dict):
+            raise ParameterError(f"a process must be an object, got {obj!r}")
+        missing = [key for key in ("kind", "params") if key not in obj]
+        if missing:
+            raise ParameterError(f"process: missing keys {missing}")
         return ProcessSpec(obj["kind"], dict(obj["params"]))
 
 

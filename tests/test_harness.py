@@ -247,6 +247,23 @@ GOLDEN = {
         "replicates": 20, "master_seed": 77, "params": {"r1": 1, "r2": 2.0}}, {
         "trifurcation_density.csv": "4ee30a436aa3dfc0676043a6ae2414f6f127afc2eb6eeffa0fa58b486e46fbc8"},
         "7d78459094e49742afc4dffaad152a3cd4e8a13e2aaf7a99f49c580103a2e81d"),
+    # integer params: the CSV echoes laplace's t as written (1, not 1.0) and
+    # run.json the line-process angle_tol as a float (1.0)
+    "laplace_integer_t": ("run", {
+        "op": "laplace", "process": PV, "window": W4, "replicates": 1000, "master_seed": 148,
+        "params": {"t": 1, "region": {"delta": 1, "ni": 1, "nj": 2}}}, {
+        "laplace.csv": "79d8c71147c05c8949912bd10ab8aa5dfa2930e269ec26b76f1cf1deb8f214c8"},
+        "6d499a02fb348a33513fe28e1c6aca7a5ea138d4a789e52c54d0f8244cb85c59"),
+    "tameness_integer_delta": ("run", {
+        "op": "tameness", "process": PV, "window": W6, "replicates": 4, "master_seed": 149,
+        "params": {"delta": 1, "n_schedule": [1, 2, 4]}}, {
+        "tameness.csv": "b5d55d32630cd75274e37c7b8decdbc702247b5b5b7a7938395a9f93696f2a2a"},
+        "e9dbd4db281f17848db879084b786f40bd0874aecb5bcb094ebc94e8bdb12d69"),
+    "line_smp_integer_angle_tol": ("run", {
+        "op": "line_smp", "process": LINES, "window": W4, "replicates": 100,
+        "master_seed": 150, "params": {"t_schedule": [1, 2], "angle_tol": 1}}, {
+        "line_smp.csv": "918151214e494cf7762e587cdd684862c83f8469f8fe9d1a11c314927d47622f"},
+        "e79dfb641f98fe581fae50556fc247cf830db9b8875997357214ee8af7ffdd94"),
 }
 
 
@@ -625,6 +642,12 @@ def _laplace_region(**region) -> dict:
              "replicates": 10, "master_seed": 146, "params": {"n_max": 3}}),
     ("run", {"op": "crossing", "process": SQ, "window": W4, "buffer": 3.0, "p": 0.5,
              "replicates": 50, "master_seed": 147}),
+    ("run", {"op": "tameness", "process": PV, "window": W6, "replicates": 2,
+             "master_seed": 151, "params": {"delta": 1.0, "n_schedule": [1.5, 2.5]}}),
+    ("run", {"op": "tameness", "process": PV, "window": W6, "replicates": 2,
+             "master_seed": 152, "params": {"delta": 0, "n_schedule": [1, 2]}}),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 153, "params": {"t_schedule": [1.0], "angle_tol": -0.3}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -648,12 +671,65 @@ def _laplace_region(**region) -> dict:
         "rect_string", "rect_quoted_corners", "analysis_window_one_corner", "Q_reversed",
         "Q_three_coordinates", "direction_diagonal", "color_red", "family_voids",
         "recursion_with_p_grid", "smp_gap_with_p_grid", "mixture_with_p_grid",
-        "trifurcation_density_with_p_grid", "ggr_with_p_grid", "buffer_on_square_lattice"])
+        "trifurcation_density_with_p_grid", "ggr_with_p_grid", "buffer_on_square_lattice",
+        "n_schedule_fractional", "delta_zero", "angle_tol_negative"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, _write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("process,message", [
+    ({"kind": "poisson"}, "process: missing keys ['params']"),
+    ({"params": {"gamma": 1.0}}, "process: missing keys ['kind']"),
+    ([], "a process must be an object, got []"),
+], ids=["without_params", "without_kind", "a_list"])
+def test_malformed_process_is_a_config_error_naming_the_key(process, message, tmp_path,
+                                                             capsys):
+    cfg = {"op": "crossing", "process": process, "window": W4, "p": 0.5, "replicates": 10,
+           "master_seed": 154}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_render_of_a_rejected_config_writes_no_svg(tmp_path, capsys):
+    cfg = {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 10,
+           "master_seed": 155, "params": {"color": "red"}}
+    svg = tmp_path / "out.svg"
+    assert main(["render", _write_config(tmp_path, cfg), "--out", str(svg)]) == 2
+    assert "params 'color'" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def _valid_params(op) -> dict:
+    """A value for every param of op that its parser takes."""
+    values = {"Q": [[-1.5, -1.0], [-0.5, 0.0]], "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+              "rect": W4, "analysis_window": W4, "t_values": [1.0], "t_schedule": [1.0],
+              "radii": [1], "n_schedule": [1, 2], "region": {"delta": 0.5, "ni": 2, "nj": 2},
+              "direction": "vertical", "color": "white", "family": "crossing"}
+    return {key: values.get(key, 1) for key in harness.OPS[op].params}
+
+
+@pytest.mark.parametrize("op", sorted(harness.OPS))
+def test_load_config_takes_exactly_the_parser_keys_of_each_op(op, tmp_path):
+    """load_config accepts the op's parser keys and no other; leaving out a
+    required one, or adding an unknown one, is a ConfigError naming it."""
+    entry = harness.OPS[op]
+    process = {"poisson_line": LINES}.get(entry.process, PV)
+    cfg = {"op": op, "process": process, "window": W6, "p": 0.5, "replicates": 10,
+           "master_seed": 156, "params": _valid_params(op)}
+    assert harness.load_config(_write_config(tmp_path, cfg)).args.keys() == entry.params.keys()
+    for key, parser in entry.params.items():
+        if not isinstance(parser, tuple):  # a param without a default
+            params = {k: v for k, v in cfg["params"].items() if k != key}
+            with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+                harness.load_config(_write_config(tmp_path, {**cfg, "params": params}))
+    with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\]"):
+        harness.load_config(_write_config(tmp_path, {**cfg, "params": {**cfg["params"],
+                                                                       "bogus": 1}}))
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -678,7 +754,7 @@ def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
         with pytest.raises(ConfigError, match="no areal intensity"):
             harness.load_config(path)
         return
-    spec = ExperimentSpec.from_json(harness.load_config(path))
+    spec = harness.load_config(path).spec
     tess = build_tessellation(spec, 0)
     graph = rect_graph(tess, spec.window, spec.adjacency)
     for p, crossed in ((0.0, False), (1.0, True)):

@@ -279,7 +279,7 @@ def _grid_voronoi():
     ("shifted_hexagonal", lambda: build_lattice_tessellation(
         "hexagonal", 1.0, (0.05, 0.02), Window((-3, -3), (4, 4))),
      "b36f94f39782d0d7fa621ad8fe26e483b14feac7cd2f93f34e6732530e13113d"),
-])
+], ids=["poisson_voronoi", "grid_voronoi", "shifted_square", "shifted_hexagonal"])
 def test_geometry_digest(name, build, digest):
     assert _geometry_digest(build()) == digest
 
