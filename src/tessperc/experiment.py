@@ -94,8 +94,6 @@ class ExperimentSpec:
     def buffer_width(self) -> float:
         if self.buffer is not None:
             return float(self.buffer)
-        if KINDS[self.process.kind].lattice:
-            return 0.0
         return DEFAULT_BUFFER_SCALE / np.sqrt(self.process.intensity())
 
     @staticmethod

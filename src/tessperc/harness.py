@@ -18,8 +18,9 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   receives the parsed values and defaults as `args`;
 - `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
   `p`, which load_config then requires, and reject a `p_grid`; EACH_P ops
-  write rows for every p of spec.ps, `p_grid` in config order (or the single
-  `p`), from one estimator call over the grid that builds each replicate once;
+  take a `p` or a `p_grid`, not both, and write rows for every p of
+  spec.ps, `p_grid` in config order (or the single `p`), from one estimator
+  call over the grid that builds each replicate once;
 - `fn(spec, args, workers) -> (rows, summary)`, where a summary of None
   stands for {"rows": len(rows)}. Estimators read p, the p-grid and the
   replicate count from the spec; `replicates_per_probe` and
@@ -152,8 +153,8 @@ def load_config(path, seed_override=None) -> Config:
         raise ConfigError(f"{path}: op {name!r} needs 'p'")
     if op.p == ONE_P and cfg.get("p_grid") is not None:
         raise ConfigError(f"{path}: op {name!r} reads one p and takes no 'p_grid'")
-    if op.p == EACH_P and cfg.get("p") is None and cfg.get("p_grid") is None:
-        raise ConfigError(f"{path}: op {name!r} needs 'p' or 'p_grid'")
+    if op.p == EACH_P and (cfg.get("p") is None) == (cfg.get("p_grid") is None):
+        raise ConfigError(f"{path}: op {name!r} needs one of 'p' and 'p_grid'")
     p_grid = cfg.get("p_grid")
     if p_grid is not None and not (isinstance(p_grid, list) and p_grid):
         raise ConfigError(f"{path}: 'p_grid' must be a non-empty list")
@@ -362,12 +363,12 @@ OPS = {
                   samples=lambda args: args["family"] == "void"),
     "line_smp": Op(NO_P, _line_smp, {"t_schedule": _numbers, "angle_tol": _positive},
                    process="poisson_line"),
-    "mixture": Op(ONE_P, _mixture, {"spacing": (_real, 2.0),
+    "mixture": Op(ONE_P, _mixture, {"spacing": (_positive, 2.0),
                                     "replicates_per_component": (_count, None)}, face_only=True),
     "tameness": Op(NO_P, _tameness, {"delta": _positive, "n_schedule": _counts}),
-    "recursion": Op(ONE_P, _recursion, {"t": _real}),
+    "recursion": Op(ONE_P, _recursion, {"t": _positive}),
     "trifurcation_density": Op(ONE_P, _trifurcation_density,
-                               {"r1": _count, "r2": _real,
+                               {"r1": _count, "r2": _positive,
                                 "analysis_window": (Window.from_json, None)}),
     "ggr": Op(ONE_P, _ggr, {"n_max": _count}),
 }

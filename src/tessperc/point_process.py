@@ -93,6 +93,9 @@ class ProcessSpec:
         missing = [key for key in ("kind", "params") if key not in obj]
         if missing:
             raise ParameterError(f"process: missing keys {missing}")
+        unknown = set(obj) - {"kind", "params"}
+        if unknown:
+            raise ParameterError(f"process: unknown keys {sorted(unknown)}")
         return ProcessSpec(obj["kind"], dict(obj["params"]))
 
 

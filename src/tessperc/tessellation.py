@@ -8,19 +8,21 @@ star adjacency (any contact, corner contacts included). A cell graph is an
 (m, 2) array of cell pairs, which build_adjacency returns for either notion.
 
 Voronoi cells are read off Qhull's Delaunay triangulation of the generators
-plus a mirror ring of three far points, the corners of an equilateral
-triangle around the sampling window. The triangle contains every generator,
-so every real region is bounded. Each far point is at least 3.5 window
-diagonals from every window point, and every generator is within one, so no
-mirror region enters the window and the clipped cells are exact. Three is
-the fewest far points that bound every region and the cheapest for Qhull:
-four or more make a near-flat upper hull in its lifted space, which costs it
-markedly more. The Voronoi vertices are the triangles' circumcentres,
-cocircular triangles sharing one; a cell's ring is its vertices in angular
-order around its generator, and the ridge between two generators runs
-between the circumcentres on either side of their Delaunay edge.
-build_voronoi imports scipy.spatial when it first runs, not at module
-load, so a run that builds only lattices never pays that import.
+plus the three far points of _mirror_ring, which bound every real region and
+whose own regions never enter the window, so the clipped cells are exact.
+The Voronoi vertices are the triangles' circumcentres, cocircular triangles
+sharing one; a cell's ring is its vertices in angular order around its
+generator, and the ridge between two generators runs between the
+circumcentres on either side of their Delaunay edge. build_voronoi imports
+scipy.spatial when it first runs, not at module load, so a run that builds
+only lattices never pays that import.
+
+Lattice cells come from _LATTICES, one unit cell per kind, laid out at the
+anchors shift + a u + b v of an index box in (a, b) order, the id order. A
+cell is kept when its ring overlaps the core window by more than tol along
+x, y and its other edge normals: these axes separate a convex ring from the
+window, so nothing is clipped. Each step's neighbour pairs are one slice of
+the grid of kept ids, and they share ring corners.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConstructionError, EdgeEffectError, ParameterError
 from .geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
-                       point_in_convex_polygon, ring_areas, ring_extents)
+                       point_in_convex_polygon, ring_extents)
 from .percolation import label_components
 from .point_process import PointConfiguration
 
@@ -250,35 +252,27 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # vertex of exactly three real cells each pair of them shares a ridge
     # ending there (mirror cells never reach the window), so only a vertex
     # with four or more real cells, or one that ends a real ridge that is not
-    # a face, can carry such a contact. Each (vertex, cell) incidence of
-    # those vertices is ranked by the vertex's first position in the rings,
-    # then by cell; a vertex's cells are then consecutive and every pair of
-    # them is a candidate contact.
+    # a face, can carry such a contact. The (vertex, cell) incidences of
+    # those vertices, sorted by vertex and then cell, put a vertex's cells
+    # next to each other, and every pair of them is a candidate contact.
     counts = np.bincount(cat, minlength=n_tri)
     search = counts >= 4
     search[ridge_v[~face_mask]] = True
     at = np.nonzero(search)[0]
     search[at] = sampling.expand(tol).contains_points(centres[at])
-    k_inc = np.nonzero(search[cat])[0]
-    v_inc = cat[k_inc]
-    _, first = np.unique(v_inc, return_index=True)
-    rank = np.empty(n_tri, int)
-    rank[v_inc[first]] = k_inc[first]
-    order = np.lexsort((owner[k_inc], rank[v_inc]))
-    r_inc, c_inc = rank[v_inc[order]], owner[k_inc[order]]
-    cand = [np.empty((0, 3), int)]  # (rank, a, b) rows, a < b
+    v_inc, c_inc = np.divmod(np.sort((cat * n + owner)[search[cat]]), n)
+    cand = [np.empty((0, 3), int)]  # (vertex, a, b) rows, a < b
     for d in range(1, int(counts[search].max(initial=0))):
-        same = r_inc[:-d] == r_inc[d:]
-        cand.append(np.column_stack([r_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
+        same = v_inc[:-d] == v_inc[d:]
+        cand.append(np.column_stack([v_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
     cand = np.concatenate(cand)
-    cand = cand[np.lexsort(cand.T[::-1])]
     if len(cand):  # general position leaves none; then skip the costly face lookup
         cand = cand[~np.isin(cand[:, 1:] @ [n, 1], np.sort(face_pairs, axis=1) @ [n, 1])]
 
     # ridge contacts come before corner contacts; keep the first point per pair
     star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[:, 1:]])
     points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
-                                 centres[cat[cand[:, 0]]]])
+                                 centres[cand[:, 0]]])
     _, first = np.unique(star_all @ [n, 1], return_index=True)
 
     tess = Tessellation(
@@ -300,114 +294,81 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     return tess
 
 
-def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Window) -> Tessellation:
-    """Deterministic congruent-cell tessellation (square or hexagonal).
+def _square(s: float):
+    """Squares of side s, anchored at their lower-left corners."""
+    ring = np.array([(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)])
+    return np.array([(s, 0.0), (0.0, s)]), ring, (s / 2, s / 2), ()
 
-    Cells are those whose interior meets the core window interior; centers
-    are barycenters. Face/star pair data is produced analytically.
-    """
+
+def _hexagonal(s: float):
+    """Pointy-top hexagons s across the flats, anchored at their centres."""
+    angles = np.deg2rad(np.arange(30, 390, 60))
+    ring = s / math.sqrt(3.0) * np.column_stack([np.cos(angles), np.sin(angles)])
+    basis = np.array([(s, 0.0), (s / 2.0, s * math.sqrt(3.0) / 2.0)])
+    return basis, ring, (0.0, 0.0), ((0.5, math.sqrt(3.0) / 2), (-0.5, math.sqrt(3.0) / 2))
+
+
+# kind -> (unit cell of spacing s: anchor basis (u, v), ring at anchor 0,
+# centre offset, edge normals besides x and y; face steps; star steps). A
+# step ((da, db), corners) per unordered neighbour pair joins the cells at
+# anchors (a, b) and (a + da, b + db), which share those ring corners.
+_LATTICES = {
+    "square": (_square, (((1, 0), (1, 2)), ((0, 1), (3, 2))), (((1, 1), (2,)), ((1, -1), (1,)))),
+    "hexagonal": (_hexagonal, (((1, 0), (5, 0)), ((0, 1), (0, 1)), ((-1, 1), (1, 2))), ()),
+}
+
+
+def _contacts(ids: np.ndarray, polys: np.ndarray, steps, k: int):
+    """Per step, the pairs (ids[a, b], ids[a + da, b + db]) of kept cells and their k corners."""
+    na, nb = ids.shape
+    pairs = [np.empty((0, 2), int)]
+    for (da, db), _ in steps:
+        first = ids[max(-da, 0):na - max(da, 0), max(-db, 0):nb - max(db, 0)].ravel()
+        second = ids[max(da, 0):na - max(-da, 0), max(db, 0):nb - max(-db, 0)].ravel()
+        pairs.append(np.column_stack([first, second])[(first >= 0) & (second >= 0)])
+    corners = [polys[p[:, 0]][:, c] for p, (_, c) in zip(pairs[1:], steps)]
+    return np.concatenate(pairs), np.concatenate([np.empty((0, k, 2))] + corners)
+
+
+def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Window) -> Tessellation:
+    """Square or hexagonal lattice cells that meet the core window (module docstring)."""
     if spacing <= 0:
         raise ParameterError("spacing must be positive")
+    if kind not in _LATTICES:
+        raise ParameterError(f"unknown lattice kind {kind!r}")
+    unit, faces, stars = _LATTICES[kind]
+    basis, ring, centre, normals = unit(spacing)
     shift = np.asarray(shift, float)
     tol = TOL_SCALE * core_window.diagonal
-    if kind == "square":
-        return _square_lattice(spacing, shift, core_window, tol)
-    if kind == "hexagonal":
-        return _hex_lattice(spacing, shift, core_window, tol)
-    raise ParameterError(f"unknown lattice kind {kind!r}")
-
-
-def _lattice(centers, polys, core, tol, face_pairs, face_segments,
-             star_pairs=None, star_points=None) -> Tessellation:
-    """Tessellation of congruent k-gons polys (n, k, 2); the sampling window
-    is the hull of the core window and the cells."""
-    n, k = polys.shape[:2]
-    poly_xy = polys.reshape(-1, 2)
-    sampling = Window.hull([core, Window(tuple(poly_xy.min(axis=0)),
-                                         tuple(poly_xy.max(axis=0)))])
+    (x0, y0), (x1, y1) = core_window.lo, core_window.hi
+    window = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    r_lo, r_hi = ring.min(axis=0), ring.max(axis=0)
+    # every cell that meets the window has its anchor in the hull of corner - ring point;
+    # einsum and a written-out inverse keep BLAS and LAPACK (0.6 MB of RSS) out of the run
+    (u0, u1), (v0, v1) = basis
+    inverse = np.array([(v1, -u1), (-v0, u0)]) / (u0 * v1 - u1 * v0)
+    ab = np.einsum("...j,jk", (window[:, None] - ring).reshape(-1, 2) - shift, inverse)
+    a = np.arange(math.floor(ab[:, 0].min()), math.ceil(ab[:, 0].max()) + 1)
+    b = np.arange(math.floor(ab[:, 1].min()), math.ceil(ab[:, 1].max()) + 1)
+    x, y = (np.add.outer(shift[i] + a * basis[0, i], b * basis[1, i]) for i in (0, 1))
+    keep = ((np.minimum(x + r_hi[0], x1) - np.maximum(x + r_lo[0], x0) > tol)
+            & (np.minimum(y + r_hi[1], y1) - np.maximum(y + r_lo[1], y0) > tol))
+    for n in normals:
+        sn, (un, vn), r, c = (np.einsum("...j,j", m, n) for m in (shift, basis, ring, window))
+        at = np.add.outer(sn + a * un, b * vn)
+        keep &= np.minimum(at + r.max(), c.max()) - np.maximum(at + r.min(), c.min()) > tol
+    ids = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
+    x, y = x[keep], y[keep]
+    polys = np.stack([np.add.outer(x, ring[:, 0]), np.add.outer(y, ring[:, 1])], axis=-1)
+    face_pairs, face_segments = _contacts(ids, polys, faces, 2)
+    star_pairs, star_points = _contacts(ids, polys, stars, 1)
+    hull = Window((x.min() + r_lo[0], y.min() + r_lo[1]), (x.max() + r_hi[0], y.max() + r_hi[1]))
     return Tessellation(
-        centers=centers, poly_xy=poly_xy, poly_ptr=np.arange(n + 1) * k,
-        core_window=core, sampling_window=sampling,
-        face_pairs=face_pairs.reshape(-1, 2), face_segments=face_segments.reshape(-1, 2, 2),
-        star_pairs=np.empty((0, 2), int) if star_pairs is None else star_pairs.reshape(-1, 2),
-        star_points=np.empty((0, 2)) if star_points is None else star_points.reshape(-1, 2),
-        tol=tol)
-
-
-def _square_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tessellation:
-    i0 = math.floor((core.lo[0] - shift[0]) / s)
-    i1 = math.ceil((core.hi[0] - shift[0]) / s) - 1
-    j0 = math.floor((core.lo[1] - shift[1]) / s)
-    j1 = math.ceil((core.hi[1] - shift[1]) / s) - 1
-    # grid points G[a, b] = (X[a], Y[b]); cell (i, j) has id (i - i0) * nj + (j - j0)
-    # and lower-left corner G[i - i0, j - j0]
-    X = shift[0] + np.arange(i0, i1 + 2) * s
-    Y = shift[1] + np.arange(j0, j1 + 2) * s
-    G = np.stack(np.meshgrid(X, Y, indexing="ij"), axis=-1)
-    ni, nj = len(X) - 1, len(Y) - 1
-    ids = np.arange(ni * nj).reshape(ni, nj)
-    x0, y0 = G[:-1, :-1].reshape(-1, 2).T
-    polys = np.stack([np.column_stack([x0, y0]), np.column_stack([x0 + s, y0]),
-                      np.column_stack([x0 + s, y0 + s]), np.column_stack([x0, y0 + s])], axis=1)
-    centers = np.column_stack([x0 + s / 2, y0 + s / 2])
-    # face pairs: (i, j)-(i+1, j) across x = X[i+1], then (i, j)-(i, j+1) across y = Y[j+1]
-    face_pairs = np.concatenate([
-        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
-        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])])
-    face_segments = np.concatenate([
-        np.stack([G[1:-1, :-1], G[1:-1, 1:]], axis=2).reshape(-1, 2, 2),
-        np.stack([G[:-1, 1:-1], G[1:, 1:-1]], axis=2).reshape(-1, 2, 2)])
-    # star pairs: (i, j)-(i+1, j+1) and (i, j+1)-(i+1, j), both at G[i+1, j+1]
-    star_pairs = np.concatenate([
-        np.column_stack([ids[:-1, :-1].ravel(), ids[1:, 1:].ravel()]),
-        np.column_stack([ids[:-1, 1:].ravel(), ids[1:, :-1].ravel()])])
-    corners = G[1:-1, 1:-1].reshape(-1, 2)
-    return _lattice(centers, polys, core, tol, face_pairs, face_segments,
-                    star_pairs, np.concatenate([corners, corners]))
-
-
-# one direction per unordered neighbor pair, and the hexagon edge it crosses
-_HEX_NEIGHBOR_STEPS = (((1, 0), 5), ((0, 1), 0), ((-1, 1), 1))
-
-
-def _hex_lattice(s: float, shift: np.ndarray, core: Window, tol: float) -> Tessellation:
-    # pointy-top hexagons, across-flats width s, centers on a triangular
-    # lattice generated by u = (s, 0) and v = (s/2, s*sqrt(3)/2)
-    r_circ = s / math.sqrt(3.0)
-    angles = np.deg2rad(np.arange(30, 390, 60))
-    hexagon = r_circ * np.column_stack([np.cos(angles), np.sin(angles)])
-    u = np.array([s, 0.0])
-    v = np.array([s / 2.0, s * math.sqrt(3.0) / 2.0])
-    # generous index ranges, filtered by cell/core overlap
-    corners = np.array([core.lo, (core.lo[0], core.hi[1]), (core.hi[0], core.lo[1]), core.hi])
-    ab = (corners - shift) @ np.linalg.inv(np.column_stack([u, v])).T
-    a_min, b_min = np.floor(ab.min(axis=0)).astype(int) - 2
-    a_max, b_max = np.ceil(ab.max(axis=0)).astype(int) + 2
-    a, b = np.meshgrid(np.arange(a_min, a_max + 1), np.arange(b_min, b_max + 1), indexing="ij")
-    a, b = a.ravel(), b.ravel()
-    c = shift + a[:, None] * u + b[:, None] * v
-    lo, hi = np.asarray(core.lo), np.asarray(core.hi)
-    near = np.all((lo - r_circ < c) & (c < hi + r_circ), axis=1)
-    a, b, c = a[near], b[near], c[near]
-    polys = hexagon + c[:, None, :]
-    # hexagons inside the closed core are kept whole; the rest must meet the
-    # core window in positive area
-    keep = np.all((lo <= polys) & (polys <= hi), axis=(1, 2))
-    edge = np.nonzero(~keep)[0]
-    part_xy, part_ptr = clip_rings_to_window(polys[edge].reshape(-1, 2),
-                                             np.arange(len(edge) + 1) * 6, core)
-    keep[edge] = (np.diff(part_ptr) >= 3) & (ring_areas(part_xy, part_ptr) > tol * s)
-    a, b, c, polys = a[keep], b[keep], c[keep], polys[keep]
-    index = np.full((a_max - a_min + 2, b_max - b_min + 2), -1)
-    index[a - a_min, b - b_min] = np.arange(len(a))
-    face_pairs, face_segments = [], []
-    for (da, db), edge in _HEX_NEIGHBOR_STEPS:
-        other = index[a - a_min + da, b - b_min + db]  # -1 column/row pads the edges
-        has = other >= 0
-        face_pairs.append(np.column_stack([np.nonzero(has)[0], other[has]]))
-        face_segments.append(polys[has][:, [edge, (edge + 1) % 6]])
-    return _lattice(c, polys, core, tol, np.concatenate(face_pairs),
-                    np.concatenate(face_segments))
+        centers=np.column_stack([x + centre[0], y + centre[1]]), poly_xy=polys.reshape(-1, 2),
+        poly_ptr=np.arange(len(x) + 1) * len(ring),
+        core_window=core_window, sampling_window=Window.hull([core_window, hull]),
+        face_pairs=face_pairs, face_segments=face_segments,
+        star_pairs=star_pairs, star_points=star_points.reshape(-1, 2), tol=tol)
 
 
 def zero_cell(tess: Tessellation) -> int:

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from tessperc.errors import ParameterError
-from tessperc.geometry import (GridRegion, Window, clip_rings_to_window,
+from tessperc.geometry import (GridRegion, Window, _ring_next, clip_rings_to_window,
                                clip_segments_to_rect, gather_rings,
-                               point_in_convex_polygon, ring_areas, ring_extents,
-                               rings_meet_boxes)
+                               point_in_convex_polygon, ring_extents, rings_meet_boxes)
 from tessperc.point_process import sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import build_lattice_tessellation, build_voronoi
@@ -83,6 +82,19 @@ def test_window_expand_contains_intersects():
     assert not w.contains_window(Window((1, 1), (11, 9)))
     assert w.intersects(Window((9, 9), (12, 12)))
     assert not w.intersects(Window((11, 11), (12, 12)))
+
+
+def ring_areas(xy: np.ndarray, ptr) -> np.ndarray:
+    """Signed area of every ring xy[ptr[i]:ptr[i + 1]] (positive for CCW
+    orientation, 0 for an empty ring). The tessellation and grid-field tests
+    use it as an oracle; the library itself measures no area."""
+    ptr = np.asarray(ptr)
+    full = ptr[:-1] < ptr[1:]
+    nxt = _ring_next(ptr, len(xy))
+    x, y = xy[:, 0], xy[:, 1]
+    area = np.zeros(len(ptr) - 1)
+    area[full] = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, ptr[:-1][full])
+    return area
 
 
 def test_polygon_area_orientation():

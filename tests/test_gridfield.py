@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from tessperc.errors import ParameterError
-from tessperc.geometry import Window, clip_rings_to_window, ring_areas
+from tessperc.geometry import Window, clip_rings_to_window
 from tessperc.gridfield import (AnimalSearchResult, GridField, compute_U_field,
                                 compute_Y_field, greedy_animal_max)
 from tessperc.point_process import PointConfiguration, sample_matern_hardcore, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import build_lattice_tessellation, build_voronoi
+from test_geometry import ring_areas
 
 
 def grid_voronoi(half=9, core=6.0):

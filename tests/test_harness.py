@@ -648,6 +648,14 @@ def _laplace_region(**region) -> dict:
              "master_seed": 152, "params": {"delta": 0, "n_schedule": [1, 2]}}),
     ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
              "master_seed": 153, "params": {"t_schedule": [1.0], "angle_tol": -0.3}}),
+    ("run", {"op": "mixture", "process": SQ, "window": W4, "p": 0.55, "replicates": 10,
+             "master_seed": 157, "params": {"spacing": 0}}),
+    ("run", {"op": "recursion", "process": SQ, "window": [[0.0, 0.0], [9.0, 3.0]], "p": 0.6,
+             "replicates": 10, "master_seed": 158, "params": {"t": 0}}),
+    ("run", {"op": "trifurcation_density", "process": SQ, "window": W6, "p": 0.58,
+             "replicates": 2, "master_seed": 159, "params": {"r1": 1, "r2": -2.0}}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.9, "p_grid": [0.3, 0.5],
+             "replicates": 50, "master_seed": 160}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -672,7 +680,8 @@ def _laplace_region(**region) -> dict:
         "Q_three_coordinates", "direction_diagonal", "color_red", "family_voids",
         "recursion_with_p_grid", "smp_gap_with_p_grid", "mixture_with_p_grid",
         "trifurcation_density_with_p_grid", "ggr_with_p_grid", "buffer_on_square_lattice",
-        "n_schedule_fractional", "delta_zero", "angle_tol_negative"])
+        "n_schedule_fractional", "delta_zero", "angle_tol_negative", "spacing_zero",
+        "recursion_t_zero", "r2_negative", "crossing_with_p_and_p_grid"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -684,7 +693,8 @@ def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     ({"kind": "poisson"}, "process: missing keys ['params']"),
     ({"params": {"gamma": 1.0}}, "process: missing keys ['kind']"),
     ([], "a process must be an object, got []"),
-], ids=["without_params", "without_kind", "a_list"])
+    ({**SQ, "extra": 1}, "process: unknown keys ['extra']"),
+], ids=["without_params", "without_kind", "a_list", "process_extra_key"])
 def test_malformed_process_is_a_config_error_naming_the_key(process, message, tmp_path,
                                                              capsys):
     cfg = {"op": "crossing", "process": process, "window": W4, "p": 0.5, "replicates": 10,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -11,13 +12,14 @@ from scipy.spatial import Delaunay, QhullError, Voronoi
 from tessperc import tessellation
 from tessperc.errors import ConstructionError, EdgeEffectError, ParameterError
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
-                               point_in_convex_polygon, ring_areas)
+                               point_in_convex_polygon, ring_extents)
 from tessperc.percolation import label_components, neighbor_csr
 from tessperc.point_process import (KINDS, PointConfiguration, ProcessSpec, sample_poisson,
                                     sample_process)
 from tessperc.streams import stream
 from tessperc.tessellation import (Tessellation, build_adjacency, build_lattice_tessellation,
                                    build_voronoi, zero_cell)
+from test_geometry import ring_areas
 
 
 def grid_points(lo, hi):
@@ -273,9 +275,11 @@ def _grid_voronoi():
      "d5f8954f28bd7ab663f6571f78a09d5df4268d2945f2f667b1cac276cfc2fc14"),
     ("grid_voronoi", _grid_voronoi,
      "437806aa9bdc7ca5426eaab06fb953bb2c505b10c91f14a769d950467206e065"),
+    # star points are ring corners x0 + s, up to 2.2e-16 from the grid points
+    # shift + (i + 1) s of the per-kind builders (digest 68db0a82…)
     ("shifted_square", lambda: build_lattice_tessellation(
         "square", 1.0, (0.3, 0.7), Window((-3, -3), (4, 3))),
-     "68db0a82e8178821359f678d9565483e6fd2c1ac539c97450c031af0d56bd0c2"),
+     "7d77a53240104554b21cdbc882f10358dee6188f047af142a399ef08a5231bdd"),
     ("shifted_hexagonal", lambda: build_lattice_tessellation(
         "hexagonal", 1.0, (0.05, 0.02), Window((-3, -3), (4, 4))),
      "b36f94f39782d0d7fa621ad8fe26e483b14feac7cd2f93f34e6732530e13113d"),
@@ -678,3 +682,171 @@ def test_clipped_cells_cover_the_sampling_window(case):
     dist = np.linalg.norm(mirror[:, None] - corners[None], axis=2)
     assert len(mirror) == 3 and dist.min() >= 3.5 * sampling.diagonal
     assert all(point_in_convex_polygon(c, mirror) for c in corners)
+
+
+# Reference: build_lattice_tessellation as it was before one table of unit
+# cells drove it, one builder per kind. The square builder took an exact
+# index range from floor and ceil; the hexagonal one took a generous range,
+# kept the hexagons inside the closed core whole and clipped the others,
+# keeping a part of area above tol × spacing.
+
+def _ref_lattice(centers, polys, core, tol, face_pairs, face_segments,
+                 star_pairs=None, star_points=None):
+    n, k = polys.shape[:2]
+    poly_xy = polys.reshape(-1, 2)
+    sampling = Window.hull([core, Window(tuple(poly_xy.min(axis=0)),
+                                         tuple(poly_xy.max(axis=0)))])
+    return Tessellation(
+        centers=centers, poly_xy=poly_xy, poly_ptr=np.arange(n + 1) * k,
+        core_window=core, sampling_window=sampling,
+        face_pairs=face_pairs.reshape(-1, 2), face_segments=face_segments.reshape(-1, 2, 2),
+        star_pairs=np.empty((0, 2), int) if star_pairs is None else star_pairs.reshape(-1, 2),
+        star_points=np.empty((0, 2)) if star_points is None else star_points.reshape(-1, 2),
+        tol=tol)
+
+
+def _ref_square_lattice(s, shift, core, tol):
+    i0 = math.floor((core.lo[0] - shift[0]) / s)
+    i1 = math.ceil((core.hi[0] - shift[0]) / s) - 1
+    j0 = math.floor((core.lo[1] - shift[1]) / s)
+    j1 = math.ceil((core.hi[1] - shift[1]) / s) - 1
+    X = shift[0] + np.arange(i0, i1 + 2) * s
+    Y = shift[1] + np.arange(j0, j1 + 2) * s
+    G = np.stack(np.meshgrid(X, Y, indexing="ij"), axis=-1)
+    ni, nj = len(X) - 1, len(Y) - 1
+    ids = np.arange(ni * nj).reshape(ni, nj)
+    x0, y0 = G[:-1, :-1].reshape(-1, 2).T
+    polys = np.stack([np.column_stack([x0, y0]), np.column_stack([x0 + s, y0]),
+                      np.column_stack([x0 + s, y0 + s]), np.column_stack([x0, y0 + s])], axis=1)
+    centers = np.column_stack([x0 + s / 2, y0 + s / 2])
+    face_pairs = np.concatenate([
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])])
+    face_segments = np.concatenate([
+        np.stack([G[1:-1, :-1], G[1:-1, 1:]], axis=2).reshape(-1, 2, 2),
+        np.stack([G[:-1, 1:-1], G[1:, 1:-1]], axis=2).reshape(-1, 2, 2)])
+    star_pairs = np.concatenate([
+        np.column_stack([ids[:-1, :-1].ravel(), ids[1:, 1:].ravel()]),
+        np.column_stack([ids[:-1, 1:].ravel(), ids[1:, :-1].ravel()])])
+    corners = G[1:-1, 1:-1].reshape(-1, 2)
+    return _ref_lattice(centers, polys, core, tol, face_pairs, face_segments,
+                        star_pairs, np.concatenate([corners, corners]))
+
+
+_REF_HEX_NEIGHBOR_STEPS = (((1, 0), 5), ((0, 1), 0), ((-1, 1), 1))
+
+
+def _ref_hex_lattice(s, shift, core, tol):
+    r_circ = s / math.sqrt(3.0)
+    angles = np.deg2rad(np.arange(30, 390, 60))
+    hexagon = r_circ * np.column_stack([np.cos(angles), np.sin(angles)])
+    u = np.array([s, 0.0])
+    v = np.array([s / 2.0, s * math.sqrt(3.0) / 2.0])
+    corners = np.array([core.lo, (core.lo[0], core.hi[1]), (core.hi[0], core.lo[1]), core.hi])
+    ab = (corners - shift) @ np.linalg.inv(np.column_stack([u, v])).T
+    a_min, b_min = np.floor(ab.min(axis=0)).astype(int) - 2
+    a_max, b_max = np.ceil(ab.max(axis=0)).astype(int) + 2
+    a, b = np.meshgrid(np.arange(a_min, a_max + 1), np.arange(b_min, b_max + 1), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    c = shift + a[:, None] * u + b[:, None] * v
+    lo, hi = np.asarray(core.lo), np.asarray(core.hi)
+    near = np.all((lo - r_circ < c) & (c < hi + r_circ), axis=1)
+    a, b, c = a[near], b[near], c[near]
+    polys = hexagon + c[:, None, :]
+    keep = np.all((lo <= polys) & (polys <= hi), axis=(1, 2))
+    edge = np.nonzero(~keep)[0]
+    part_xy, part_ptr = clip_rings_to_window(polys[edge].reshape(-1, 2),
+                                             np.arange(len(edge) + 1) * 6, core)
+    keep[edge] = (np.diff(part_ptr) >= 3) & (ring_areas(part_xy, part_ptr) > tol * s)
+    a, b, c, polys = a[keep], b[keep], c[keep], polys[keep]
+    index = np.full((a_max - a_min + 2, b_max - b_min + 2), -1)
+    index[a - a_min, b - b_min] = np.arange(len(a))
+    face_pairs, face_segments = [], []
+    for (da, db), edge in _REF_HEX_NEIGHBOR_STEPS:
+        other = index[a - a_min + da, b - b_min + db]
+        has = other >= 0
+        face_pairs.append(np.column_stack([np.nonzero(has)[0], other[has]]))
+        face_segments.append(polys[has][:, [edge, (edge + 1) % 6]])
+    return _ref_lattice(c, polys, core, tol, np.concatenate(face_pairs),
+                        np.concatenate(face_segments))
+
+
+_REF_LATTICES = {"square": _ref_square_lattice, "hexagonal": _ref_hex_lattice}
+
+
+def _without_near_ties(tess, spacing):
+    """tess without the cells whose part inside the core window is no wider
+    or no taller than tol, or of area at most 2 tol × spacing, renumbered in
+    order, with the sampling window of the cells left. The builder keeps a
+    cell whose ring overlaps the core by more than tol along every
+    separating axis; the reference square builder kept whatever its index
+    range held, and the hexagonal one a part of area above tol × spacing.
+    Only such cells can tell the rules apart."""
+    part_xy, part_ptr = clip_rings_to_window(tess.poly_xy, tess.poly_ptr, tess.core_window)
+    ext, tol = ring_extents(part_xy, part_ptr), tess.tol
+    tie = ((ext[:, 2] - ext[:, 0] <= tol) | (ext[:, 3] - ext[:, 1] <= tol)
+           | (ring_areas(part_xy, part_ptr) <= 2 * tol * spacing))
+    if not tie.any():
+        return tess
+    keep = ~tie
+    ids = np.cumsum(keep) - 1
+    xy, ptr = gather_rings(tess.poly_xy, tess.poly_ptr, np.nonzero(keep)[0])
+    face, star = keep[tess.face_pairs].all(axis=1), keep[tess.star_pairs].all(axis=1)
+    hull = Window(tuple(xy.min(axis=0)), tuple(xy.max(axis=0)))
+    return Tessellation(
+        centers=tess.centers[keep], poly_xy=xy, poly_ptr=ptr, core_window=tess.core_window,
+        sampling_window=Window.hull([tess.core_window, hull]),
+        face_pairs=ids[tess.face_pairs[face]], face_segments=tess.face_segments[face],
+        star_pairs=ids[tess.star_pairs[star]], star_points=tess.star_points[star], tol=tol)
+
+
+@st.composite
+def _lattice_cases(draw):
+    """(kind, spacing, shift, core window): spacings 0.1 to 2, a zero or a
+    random shift, and window corners with 0 to 2 decimals."""
+    kind = draw(st.sampled_from(sorted(_REF_LATTICES)))
+    spacing = draw(st.sampled_from([0.1, 0.7, 1.0, 1.3, 2.0]))
+    shift = (0.0, 0.0)
+    if draw(st.booleans()):
+        shift = tuple(np.random.default_rng(draw(st.integers(0, 10_000))).random(2) * spacing)
+    scale = 10 ** draw(st.integers(0, 2))
+    lo = [draw(st.integers(-5 * scale, 5 * scale)) for _ in range(2)]
+    hi = [k + draw(st.integers(1, 8 * scale)) for k in lo]
+    return kind, spacing, shift, Window((lo[0] / scale, lo[1] / scale), (hi[0] / scale, hi[1] / scale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_cases())
+@example(("square", 0.1, (0.0, 0.0), Window((0.3, 0.3), (0.5, 0.5))))
+@example(("hexagonal", 0.1, (0.08552803087512423, 0.07112645952610148),
+          Window((-2.5, -4.9), (4.5, 0.09999999999999964))))
+def test_lattice_matches_the_two_builder_reference(case):
+    kind, spacing, shift, core = case
+    got = build_lattice_tessellation(kind, spacing, shift, core)
+    ref = _REF_LATTICES[kind](spacing, np.asarray(shift, float), core,
+                              tessellation.TOL_SCALE * core.diagonal)
+    got, ref = _without_near_ties(got, spacing), _without_near_ties(ref, spacing)
+    for name in ("centers", "poly_xy", "poly_ptr", "face_pairs", "star_pairs", "bboxes",
+                 "boundary"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.sampling_window, got.tol) == (ref.sampling_window, ref.tol)
+    # a square's shared ends are its ring corners x0 + s; the reference's were
+    # the grid points shift + (i + 1) s, a few roundings away
+    ulp = 0.0 if kind == "hexagonal" else 3 * np.spacing(np.abs(ref.poly_xy).max() + spacing)
+    for name in ("face_segments", "star_points"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and (np.abs(a - b) <= ulp).all(), name
+
+
+def test_square_lattice_keeps_no_sliver_of_a_rounded_index_range():
+    """0.3 / 0.1 rounds to 2.9999999999999996, so the reference's index
+    range floor((lo - shift) / s) took in a column and a row of cells that
+    meet [0.3, 0.5]^2 in a sliver 5.6e-17 wide. The builder keeps the four
+    cells inside."""
+    core = Window((0.3, 0.3), (0.5, 0.5))
+    tess = build_lattice_tessellation("square", 0.1, (0.0, 0.0), core)
+    ref = _ref_square_lattice(0.1, np.zeros(2), core, tess.tol)
+    assert (len(tess), len(ref)) == (4, 9)
+    assert np.array_equal(tess.centers, ref.centers[[4, 5, 7, 8]])
+    assert tess.sampling_window == core and ref.sampling_window.lo == (0.2, 0.2)
