@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .percolation import (Coloring, CrossingQuery, cluster_reach, crossing, hop_balls,
-                          label_components, rect_graph, spanning_cluster_count)
+from .percolation import (Coloring, CrossingQuery, cluster_reach, common_labels, crossing,
+                          hop_balls, label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .experiment import (ExperimentSpec, build_tessellation, coloring_for, map_replicates,
                          run_replicates)
@@ -283,8 +283,7 @@ def find_trifurcations(cands: TrifurcationCandidates, coloring: Coloring) -> Tri
         active = black.copy()
         active[ball] = False
         labels = label_components(active, cands.edges)
-        # white rim cells are labelled -1, never a touching label
-        if len(np.intersect1d(labels[rim], labels[active & cands.touching])) >= 3:
+        if len(common_labels(labels, rim, active & cands.touching)) >= 3:
             points.append(x)
     return TrifurcationResult(count=len(points), density=len(points) / cands.window.area,
                               candidates=cands.candidates,

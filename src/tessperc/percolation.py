@@ -5,6 +5,8 @@ different p reuses the same randomness (monotone coupling across p).
 A cell graph is an (m, 2) array of cell pairs, and two numpy kernels serve
 it. Every cluster is found by label_components: each active cell is
 labelled with the smallest cell id in its component, inactive cells with -1.
+It re-reads every active edge each round (a hook can move a non-root and so
+part a joined edge), and it ends as each round lowers the sum of the parents.
 Every graph ball is grown by hop_balls, which takes the balls of many roots
 at once, one gather per hop from the compressed neighbour lists that
 neighbor_csr makes of the graph.
@@ -65,26 +67,27 @@ def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Connected components of the active vertices of an edge list.
 
     labels[v] is the smallest vertex id in v's component for active v and -1
-    for inactive v; edges with an inactive endpoint are ignored. Hook and
-    compress: every root that is the larger endpoint of an edge between two
-    components is hooked under the smallest root across such edges, then
-    pointer jumping flattens the forest, until no edge joins two components.
+    for inactive v; edges with an inactive endpoint are ignored. Each round
+    hooks the larger parent of each edge's ends under the least smaller one,
+    then jumps every vertex to its great-grandparent (Shiloach and Vishkin,
+    J. Algorithms 3 (1982) 57-67). Every edge is read each round: a hook can
+    move a non-root and part an edge whose ends shared a parent. Parents
+    never exceed their vertex and stay in its component, so a round that
+    finds unequal parents lowers parent.sum() (a flat forest's hook moves a
+    root, else the hook or the jump moves some vertex) and the loop ends,
+    with each tree rooted at its smallest id.
     """
     parent = np.arange(len(active))
     edges = np.asarray(edges, int).reshape(-1, 2)
     a, b = edges[active[edges[:, 0]] & active[edges[:, 1]]].T
     while True:
         ra, rb = parent[a], parent[b]
-        split = ra != rb
-        if not split.any():
+        if (ra == rb).all():
             break
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+        parent = parent[parent[parent]]
+    while not ((jumped := parent[parent]) == parent).all():
+        parent = jumped
     return np.where(active, parent, -1)
 
 
@@ -197,6 +200,15 @@ def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
     return _rect_edges(tess, in_rect, rect, adjacency), sides
 
 
+def common_labels(labels: np.ndarray, first, second) -> np.ndarray:
+    """The sorted distinct labels >= 0 that cells of both first and second
+    (id arrays or masks) carry under labels, a label_components output."""
+    mark = np.zeros((2, len(labels) + 1), bool)  # the -1 of inactive cells: the last slot
+    mark[0, labels[first]] = True
+    mark[1, labels[second]] = mark[0, labels[second]]
+    return np.nonzero(mark[1, :-1])[0]
+
+
 def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
     """Labels of the components of active cells of a rect_graph that join
     its start and end sides (left/right when horizontal, else bottom/top).
@@ -206,10 +218,8 @@ def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
     the active in-rect cells; inactive side cells carry -1 and are dropped.
     """
     edges, sides = graph
-    labels = label_components(active, edges)
     start, end = (0, 1) if direction == "horizontal" else (2, 3)
-    common = np.intersect1d(labels[sides[start]], labels[sides[end]])
-    return common[common >= 0]
+    return common_labels(label_components(active, edges), sides[start], sides[end])
 
 
 def crossing(graph, coloring: Coloring, query: CrossingQuery) -> bool:

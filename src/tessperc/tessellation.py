@@ -357,6 +357,8 @@ def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Wi
         sn, (un, vn), r, c = (np.einsum("...j,j", m, n) for m in (shift, basis, ring, window))
         at = np.add.outer(sn + a * un, b * vn)
         keep &= np.minimum(at + r.max(), c.max()) - np.maximum(at + r.min(), c.min()) > tol
+    if not keep.any():
+        raise ConstructionError("no lattice cell meets the core window in positive area")
     ids = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
     x, y = x[keep], y[keep]
     polys = np.stack([np.add.outer(x, ring[:, 0]), np.add.outer(y, ring[:, 1])], axis=-1)

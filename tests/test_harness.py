@@ -921,6 +921,14 @@ def test_cli_sweep_seed_overrides_master_seed(tmp_path):
                                                           out_dir=str(tmp_path / "unseeded")))
 
 
+@pytest.mark.parametrize("process", [SQ_FIXED, HEX_FIXED], ids=["square", "hexagonal"])
+def test_cli_reports_a_lattice_on_a_sliver_window_as_an_error(process, tmp_path, capsys):
+    cfg = {"op": "crossing", "process": process, "window": [[0, 0], [1e-12, 1]], "p": 0.5,
+           "replicates": 50, "master_seed": 1}
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: no lattice cell meets the core window in positive area\n"
+
+
 @pytest.mark.parametrize("color", ["black", "white"])
 def test_crossing_sweep_summary_matches_run(color, tmp_path):
     cfg = {"op": "crossing", "process": SQ, "window": W6, "p_grid": [0.45, 0.55, 0.6],

@@ -139,6 +139,9 @@ configs = {
                  "p": 0.5, "replicates": 50, "master_seed": 2},
     "pc": {"op": "pc", "process": sq, "window": [[-4, -4], [4, 4]], "replicates": 10,
            "master_seed": 3, "params": {"tolerance": 0.2, "replicates_per_probe": 50}},
+    "sweep_star": {"op": "crossing", "process": sq, "window": [[-4, -4], [4, 4]],
+                   "adjacency": "star", "p_grid": [0.4, 0.5], "replicates": 3,
+                   "master_seed": 4},
 }
 stages = {}
 for name, cfg in configs.items():
@@ -147,6 +150,8 @@ for name, cfg in configs.items():
         json.dump(cfg, fh)
     if name == "rejected":
         stages[name] = main(["run", path, "--out", f"{work}/out"])
+    elif name == "sweep_star":
+        harness.sweep(path, out_dir=f"{work}/out", workers=1)
     else:
         harness.run(path, out_dir=f"{work}/out", workers=1)
     stages[name + "_modules"] = sorted(m for m in sys.modules
@@ -162,7 +167,8 @@ print(json.dumps(stages))
 
 def test_lattice_runs_and_rejected_configs_load_neither_scipy_nor_the_pool(tmp_path):
     """scipy is imported by the first Voronoi build (or Matern II thinning)
-    and the process pool by the first run with workers > 1, not at start-up."""
+    and the process pool by the first run with workers > 1, not at start-up,
+    nor by lattice crossing, p_c and star-adjacency sweep runs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)], env=env,
@@ -170,4 +176,5 @@ def test_lattice_runs_and_rejected_configs_load_neither_scipy_nor_the_pool(tmp_p
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout.splitlines()[-1])
     assert stages == {"rejected": 2, "rejected_modules": [], "crossing_modules": [],
-                      "pc_modules": [], "poisson_build_loads_spatial": True}
+                      "pc_modules": [], "sweep_star_modules": [],
+                      "poisson_build_loads_spatial": True}

@@ -10,9 +10,9 @@ from tessperc.errors import ParameterError
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, coloring_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings)
-from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing,
-                                  label_components, neighbor_csr, rect_graph,
-                                  spanning_cluster_count)
+from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
+                                  common_labels, crossing, label_components, neighbor_csr,
+                                  rect_graph, spanning_cluster_count)
 from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
@@ -133,6 +133,84 @@ def test_union_find_matches_bfs_oracle():
         labels = label_components(active, edges)
         ids = np.nonzero(active)[0].tolist()
         assert_same_partition(labels, bfs_labels(csr_lists(n, edges), ids), ids)
+
+
+def assert_least_id_labels(labels, edges, active):
+    """labels[v] is the smallest id in v's component of the active vertices
+    under the BFS oracle, and -1 for inactive v."""
+    n = len(active)
+    ids = np.nonzero(active)[0].tolist()
+    oracle = bfs_labels(csr_lists(n, edges), ids)
+    least = {}
+    for v in ids:  # ids ascend, so each component's first id is its least
+        least.setdefault(oracle[v], v)
+    expected = np.full(n, -1)
+    expected[ids] = [least[oracle[v]] for v in ids]
+    assert np.array_equal(labels, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), per_vertex=st.floats(0, 3), loops=st.floats(0, 1),
+       frac=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_label_components_matches_bfs_oracle_on_random_graphs(n, per_vertex, loops, frac, seed):
+    """Random multigraphs: repeated edges in both orders, self-loops, any mask."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, max(n, 1), size=(int(per_vertex * n), 2))
+    selfloop = rng.random(len(edges)) < loops
+    edges[selfloop, 1] = edges[selfloop, 0]
+    edges = np.concatenate([edges, edges[rng.random(len(edges)) < 0.3, ::-1]])
+    active = rng.random(n) < frac
+    assert_least_id_labels(label_components(active, edges), edges, active)
+
+
+def _comb(teeth, length):
+    """A spine of teeth vertices, each with a path of length vertices
+    hanging from it; the spine takes the largest ids."""
+    n = teeth * (length + 1)
+    spine = np.arange(n - teeth, n)
+    tooth = np.arange(n - teeth).reshape(teeth, length)
+    hang = np.column_stack([spine, tooth[:, 0]])
+    down = np.column_stack([tooth[:, :-1].ravel(), tooth[:, 1:].ravel()])
+    return n, np.concatenate([np.column_stack([spine[1:], spine[:-1]]), hang, down])
+
+
+_PERM = np.random.default_rng(5).permutation(3000)
+ADVERSARIAL_GRAPHS = {
+    "no_vertices": (0, np.zeros((0, 2), int)),
+    "no_edges": (40, np.zeros((0, 2), int)),
+    "shuffled_path": (3000, np.column_stack([_PERM[:-1], _PERM[1:]])),
+    "decreasing_path": (3000, np.column_stack([np.arange(2999, 0, -1), np.arange(2998, -1, -1)])),
+    "star": (500, np.column_stack([np.full(499, 499), np.arange(499)])),
+    "comb": _comb(60, 25),
+}
+
+
+@pytest.mark.parametrize("mask", ["all", "random"])
+@pytest.mark.parametrize("name", list(ADVERSARIAL_GRAPHS))
+def test_label_components_on_adversarial_graphs(name, mask):
+    n, edges = ADVERSARIAL_GRAPHS[name]
+    active = np.ones(n, bool) if mask == "all" else np.random.default_rng(6).random(n) < 0.8
+    labels = label_components(active, edges)
+    assert_least_id_labels(labels, edges, active)
+    if mask == "all" and len(edges):
+        assert (labels == 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_common_labels_is_intersect1d_without_negatives(data):
+    """Label arrays with -1 entries, empty sides and repeated ids; the
+    second side also as a mask."""
+    n = data.draw(st.integers(0, 30))
+    labels = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)), int)
+    side = st.lists(st.integers(0, n - 1), max_size=40) if n else st.just([])
+    first, second = (np.array(data.draw(side), int) for _ in range(2))
+    ref = np.intersect1d(labels[first], labels[second])
+    got = common_labels(labels, first, second)
+    assert np.array_equal(got, ref[ref >= 0])
+    mask = np.zeros(n, bool)
+    mask[second] = True
+    assert np.array_equal(common_labels(labels, first, mask), got)
 
 
 def test_crossing_trivials_and_errors():

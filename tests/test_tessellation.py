@@ -839,6 +839,14 @@ def test_lattice_matches_the_two_builder_reference(case):
         assert a.shape == b.shape and (np.abs(a - b) <= ulp).all(), name
 
 
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+@pytest.mark.parametrize("core", [Window((0, 0), (1e-12, 1)), Window((0, 0), (1, 1e-12))])
+def test_lattice_on_a_window_thinner_than_tol_is_a_construction_error(kind, core):
+    """No cell meets such a window in more than tol, so none is kept."""
+    with pytest.raises(ConstructionError, match="no lattice cell"):
+        build_lattice_tessellation(kind, 1.0, (0.0, 0.0), core)
+
+
 def test_square_lattice_keeps_no_sliver_of_a_rounded_index_range():
     """0.3 / 0.1 rounds to 2.9999999999999996, so the reference's index
     range floor((lo - shift) / s) took in a column and a row of cells that
