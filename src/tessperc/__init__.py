@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConstructionError, EdgeEffectError,
                      EstimatorFailure, ParameterError)
-from .geometry import GridRegion, Window
+from .geometry import Window
 from .point_process import (PointConfiguration, ProcessSpec, sample_cluster_process,
                             sample_matern_hardcore, sample_perturbed_lattice,
                             sample_poisson, sample_poisson_lines, sample_process)

@@ -6,9 +6,8 @@ ExperimentSpec. Those that read crossings (the smp gap's crossing family and
 the mixture demo) ask them of estimators.estimate_crossing_curve, the one
 crossing path. The others map a per-replicate function with
 experiment.map_replicates, or with run_replicates when they colour a
-tessellation. The probe finds the circuit boxes that white cells meet with
-geometry.rings_meet_boxes, the kernel of the tameness fields, in one call
-per circuit.
+tessellation. The Laplace count and the probe's white boxes come from
+gridfield's two grid kernels, box_counts and cell_box_pairs, as Y and U do.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ import numpy as np
 from .errors import EstimatorFailure, ParameterError
 from .experiment import (ExperimentSpec, as_built, build_tessellation, map_replicates,
                          run_replicates)
-from .geometry import GridRegion, Window, rings_meet_boxes
-from .gridfield import compute_U_field, compute_Y_field, greedy_animal_max, region_index_range
+from .geometry import Window, boxes_window, region_index_range
+from .gridfield import (box_counts, cell_box_pairs, compute_U_field, compute_Y_field,
+                        greedy_animal_max)
 from .estimators import estimate_crossing_curve
 from .percolation import Coloring, CrossingQuery
 from .point_process import ProcessSpec, laplace_bound, sample_poisson_lines, sample_process
@@ -84,32 +84,33 @@ def estimate_void_probability(spec: ExperimentSpec, Q: Window, t_values,
             for t, r in zip(t_values, per_t)]
 
 
-def _laplace_rep(spec: ExperimentSpec, t: float, region: GridRegion, window: Window,
+def _laplace_rep(spec: ExperimentSpec, t: float, delta: float, region: Window, window: Window,
                  rep: int) -> float:
     """exp(t * N(region)) of replicate rep's sample of the spec's process on window."""
-    rng = stream(spec.master_seed, rep, "laplace")
-    arg = t * region.count_points(sample_process(spec.process, window, rng).points)
+    pts = sample_process(spec.process, window, stream(spec.master_seed, rep, "laplace")).points
+    arg = t * int(box_counts(pts, delta, region).values.sum())
     if arg > 700.0:
         raise EstimatorFailure(f"exp overflow in laplace estimator (t*count = {arg:.1f}); reduce t")
     return math.exp(arg)
 
 
-def estimate_laplace_functional(spec: ExperimentSpec, t: float, region: GridRegion,
+def estimate_laplace_functional(spec: ExperimentSpec, t: float, delta: float, region: Window,
                                 workers: int = 1) -> dict:
-    """Monte Carlo E[exp(t * N(region))] of the spec's process, with
+    """Monte Carlo E[exp(t * N(region))] of the spec's process, N counting
+    the points in the delta-boxes that lie fully inside region, with
     point_process.laplace_bound as an analytic side-by-side reference."""
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if spec.replicates < 1000:
         raise ParameterError("laplace estimator needs at least 1000 replicates")
-    window = region.bounding_window().expand(spec.process.restriction_buffer() + 1e-9)
-    vals, _ = map_replicates(partial(_laplace_rep, spec, t, region, window), spec.replicates,
-                             workers)
+    window = region.expand(spec.process.restriction_buffer() + 1e-9)
+    vals, _ = map_replicates(partial(_laplace_rep, spec, t, delta, region, window),
+                             spec.replicates, workers)
     estimate, ci = mean_ci(vals)
     if not math.isfinite(estimate):
         raise EstimatorFailure("laplace estimate overflowed to non-finite value")
     return {"estimate": estimate, "ci": ci, "replicates": len(vals),
-            "reference": laplace_bound(spec.process, t, region)}
+            "reference": laplace_bound(spec.process, t, delta, region)}
 
 
 @dataclass
@@ -379,21 +380,17 @@ def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
     rings = [np.array(_ring_boxes(ln, stream(master_seed, rep, f"cycle:{ln}")))
              for ln in cycle_lengths]
     boxes = np.concatenate(rings)
-    if (((boxes - 0.5) * delta < np.subtract(window.lo, tess.tol)).any()
-            or ((boxes + 0.5) * delta > np.add(window.hi, tess.tol)).any()):
+    lo, hi = boxes.min(axis=0), boxes.max(axis=0)
+    hull = boxes_window(delta, lo, hi)
+    if not window.contains_window(hull, tol=tess.tol):
         raise ParameterError("circuit box leaves the analysis window")
-    white = Coloring(uniforms, p).mask("white")
-    bb = tess.bboxes
-    out = []
-    for ring in rings:
-        lo, hi = (ring[:, None] - 0.5) * delta, (ring[:, None] + 0.5) * delta
-        # (ring box, white cell) pairs whose closed bboxes meet
-        k, c = np.nonzero((bb[:, 0] <= hi[..., 0]) & (bb[:, 2] >= lo[..., 0])
-                          & (bb[:, 1] <= hi[..., 1]) & (bb[:, 3] >= lo[..., 1]) & white)
-        hit = np.zeros(len(ring), bool)
-        hit[k[rings_meet_boxes(tess.poly_xy, tess.poly_ptr, c, ring[k], delta, tess.tol)]] = True
-        out.append(bool(hit.all()))
-    return out
+    cand = tess.cells_meeting(hull)
+    _, met = cell_box_pairs(tess, delta, cand[Coloring(uniforms, p).mask("white")[cand]])
+    # mark the boxes of the circuits' hull that a white cell meets
+    white_met = np.zeros(hi - lo + 1, bool)
+    met = met[((met >= lo) & (met <= hi)).all(axis=1)] - lo
+    white_met[met[:, 0], met[:, 1]] = True
+    return [bool(white_met[ring[:, 0] - lo[0], ring[:, 1] - lo[1]].all()) for ring in rings]
 
 
 def peierls_probe(spec: ExperimentSpec, delta: float, window: Window, c3: float, c4: float,

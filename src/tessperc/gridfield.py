@@ -1,11 +1,12 @@
-"""Grid box fields over a tessellation and greedy-animal maximization.
+"""The two kernels on geometry's delta-grid, box fields over a tessellation
+and greedy-animal maximization.
 
-Y counts cell centers per delta-box; U marks boxes from which a single cell
-reaches boxes at l-infinity index distance >= 2 (the large-cell indicator).
-Which boxes a cell meets in positive area is decided for all candidate
-(cell, box) pairs at once by geometry.rings_meet_boxes. greedy_animal_max
-finds connected n-box sets maximizing the field average by randomized local
-search.
+box_counts counts points per box: Y (cell centers per box) and the Laplace
+count use it. cell_box_pairs lists the (cell, box) pairs that meet in
+positive area: U (boxes from which a single cell reaches boxes at
+l-infinity index distance >= 2) and the Peierls probe use it.
+greedy_animal_max finds connected n-box sets maximizing the field average
+by randomized local search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Window, rings_meet_boxes
+from .geometry import Window, boxes_window, region_index_range, rings_meet_boxes
 from .tessellation import Tessellation
 
 
@@ -38,61 +39,61 @@ class GridField:
         return self.i0 <= i < self.i0 + ni and self.j0 <= j < self.j0 + nj
 
 
-def region_index_range(region: Window, delta: float):
-    """Indices of boxes fully contained in the region (with float slack)."""
-    eps = 1e-9 * delta
-    i0 = math.ceil(region.lo[0] / delta + 0.5 - eps)
-    i1 = math.floor(region.hi[0] / delta - 0.5 + eps)
-    j0 = math.ceil(region.lo[1] / delta + 0.5 - eps)
-    j1 = math.floor(region.hi[1] / delta - 0.5 + eps)
-    if i1 < i0 or j1 < j0:
-        raise ParameterError("region holds no complete grid box at this delta")
-    return i0, i1, j0, j1
-
-
-def _field_range(tess: Tessellation, delta: float, region: Window):
-    """region_index_range of a field over region, checked against tess."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
-    if not tess.core_window.contains_window(region, tol=tess.tol):
-        raise ParameterError("region must lie inside the core window")
-    return region_index_range(region, delta)
-
-
-def compute_Y_field(tess: Tessellation, delta: float, region: Window) -> GridField:
-    """Per-box count of cell centers; boxes are half-open so no double counting."""
-    i0, i1, j0, j1 = _field_range(tess, delta, region)
+def box_counts(pts: np.ndarray, delta: float, region: Window) -> GridField:
+    """Number of points in each box of region. Boxes are half-open, so
+    floor(x / delta + 1/2) puts each point in exactly one box."""
+    i0, i1, j0, j1 = region_index_range(region, delta)
     values = np.zeros((i1 - i0 + 1, j1 - j0 + 1), int)
-    idx = np.floor(tess.centers / delta + 0.5).astype(int) - (i0, j0)
+    idx = np.floor(np.reshape(pts, (-1, 2)) / delta + 0.5).astype(int) - (i0, j0)
     inside = ((idx >= 0) & (idx < values.shape)).all(axis=1)
     np.add.at(values, tuple(idx[inside].T), 1)
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 
 
+def cell_box_pairs(tess: Tessellation, delta: float, cells) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, boxes): the pairs (cell ids[k], box boxes[k]) of the given
+    cells and the delta-grid that meet in positive area, found by one
+    rings_meet_boxes call over each cell's bbox index range."""
+    cells = np.asarray(cells, int)
+    bb = tess.bboxes[cells]
+    lo = np.ceil(bb[:, :2] / delta - 0.5 - 1e-12).astype(int)
+    hi = np.floor(bb[:, 2:] / delta + 0.5 + 1e-12).astype(int)
+    span = hi - lo + 1
+    count = span[:, 0] * span[:, 1]
+    cell = np.repeat(np.arange(len(cells)), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    boxes = lo[cell] + np.column_stack([k // span[cell, 1], k % span[cell, 1]])
+    hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, cells[cell], boxes, delta, tess.tol)
+    return cells[cell[hit]], boxes[hit]
+
+
+def _check_region(tess: Tessellation, region: Window):
+    """Refuse a field region that leaves the core window of tess."""
+    if not tess.core_window.contains_window(region, tol=tess.tol):
+        raise ParameterError("region must lie inside the core window")
+
+
+def compute_Y_field(tess: Tessellation, delta: float, region: Window) -> GridField:
+    """Per-box count of cell centers."""
+    _check_region(tess, region)
+    return box_counts(tess.centers, delta, region)
+
+
 def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridField:
     """Indicator per box: some single cell meets it and a box at index
     distance >= 2 (in l-infinity)."""
-    i0, i1, j0, j1 = _field_range(tess, delta, region)
+    _check_region(tess, region)
+    i0, i1, j0, j1 = region_index_range(region, delta)
     values = np.zeros((i1 - i0 + 1, j1 - j0 + 1), np.int8)
-    bb = tess.bboxes
-    # cells whose bbox meets the region are the only ones that can set U
-    cand = tess.cells_meeting(Window(((i0 - 0.5) * delta, (j0 - 0.5) * delta),
-                                     ((i1 + 0.5) * delta, (j1 + 0.5) * delta)))
-    # every candidate is paired with each box of its bbox's index range
-    lo = np.ceil(bb[cand, :2] / delta - 0.5 - 1e-12).astype(int)
-    hi = np.floor(bb[cand, 2:] / delta + 0.5 + 1e-12).astype(int)
-    span = hi - lo + 1
-    count = span[:, 0] * span[:, 1]
-    cell = np.repeat(np.arange(len(cand)), count)
-    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-    boxes = lo[cell] + np.column_stack([k // span[cell, 1], k % span[cell, 1]])
-    hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, cand[cell], boxes, delta, tess.tol)
-    cell, boxes = cell[hit], boxes[hit]
+    # cells whose bbox meets the region's boxes are the only ones that can set U
+    cells, boxes = cell_box_pairs(tess, delta,
+                                  tess.cells_meeting(boxes_window(delta, (i0, j0), (i1, j1))))
     # index extents of the boxes each cell meets
-    first, last = hi.copy(), lo.copy()
-    np.minimum.at(first, cell, boxes)
-    np.maximum.at(last, cell, boxes)
-    reach = np.maximum(last[cell] - boxes, boxes - first[cell]).max(axis=1)
+    first = np.full((len(tess), 2), np.iinfo(int).max)
+    last = np.full((len(tess), 2), np.iinfo(int).min)
+    np.minimum.at(first, cells, boxes)
+    np.maximum.at(last, cells, boxes)
+    reach = np.maximum(last[cells] - boxes, boxes - first[cells]).max(axis=1)
     inside = ((boxes >= (i0, j0)) & (boxes <= (i1, j1))).all(axis=1)
     ab = boxes[inside & (reach >= 2)] - (i0, j0)
     values[ab[:, 0], ab[:, 1]] = 1

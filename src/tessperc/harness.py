@@ -16,15 +16,16 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   load_config parses each key once, and a missing key without a default,
   or a value its parser refuses, is a ConfigError naming the key; the op
   receives the parsed values and defaults as `args`;
-- `p`: how the op uses p. NO_P ops ignore it; ONE_P ops read the config's
+- `p`: how the op uses p. NO_P ops read none, and load_config rejects a
+  `p` or a `p_grid`; ONE_P ops read the config's
   `p`, which load_config then requires, and reject a `p_grid`; EACH_P ops
   take a `p` or a `p_grid`, not both, and write rows for every p of
   spec.ps, `p_grid` in config order (or the single `p`), from one estimator
   call over the grid that builds each replicate once;
 - `fn(spec, args, workers) -> (rows, summary)`, where a summary of None
   stands for {"rows": len(rows)}. Estimators read p, the p-grid and the
-  replicate count from the spec; `replicates_per_probe` and
-  `replicates_per_component` replace its `replicates`;
+  replicate count from the spec; `replicates_per_probe` replaces its
+  `replicates`;
 - optionally `sweep(spec, args, workers) -> (rows, summary_rows, extra)`
   for the `sweep` entry point (extra: more run.json summary fields),
   `process`, the one process kind the op accepts, `samples(args)`, true
@@ -58,7 +59,7 @@ from .estimators import (count_spanning_clusters, estimate_crossing_curve,
                          estimate_trifurcation_density, ggr_diagnostics,
                          verify_crossing_recursion)
 from .experiment import ExperimentSpec
-from .geometry import GridRegion, Window
+from .geometry import Window, boxes_window
 from .percolation import CrossingQuery
 from .point_process import KINDS
 
@@ -89,7 +90,8 @@ _count = _check(lambda x: type(x) is int and x >= 1, "an integer >= 1")
 _real = _check(lambda x: type(x) is int or type(x) is float and math.isfinite(x),
                "a finite number")
 _positive = _check(lambda x: _real(x) > 0, "a positive finite number")
-_counts, _numbers = _list_of(_count), _list_of(_real)
+_nonnegative = _check(lambda x: _real(x) >= 0, "a nonnegative finite number")
+_counts, _positives = _list_of(_count), _list_of(_positive)
 
 
 def _choice(*allowed) -> tuple:
@@ -97,16 +99,17 @@ def _choice(*allowed) -> tuple:
     return _check(lambda x: x in allowed, f"one of {allowed}"), allowed[0]
 
 
-def _region(reg) -> GridRegion:
-    """The GridRegion.rectangle of a positive 'delta', counts 'ni' and 'nj'
-    and an optional integer pair 'anchor'."""
+def _region(reg) -> tuple[float, Window]:
+    """(delta, window) of the ni by nj boxes of the delta-grid from box
+    'anchor' up, of a positive 'delta', counts 'ni' and 'nj' and an
+    optional integer pair 'anchor'."""
     anchor = reg.get("anchor", [0, 0]) if isinstance(reg, dict) else None
     if not (isinstance(anchor, list) and [type(a) for a in anchor] == [int, int]
             and {"delta", "ni", "nj"} <= reg.keys() <= {"delta", "ni", "nj", "anchor"}):
         raise ConfigError("must hold 'delta', 'ni', 'nj' and optionally an integer pair "
                           f"'anchor', got {reg!r}")
-    return GridRegion.rectangle(float(_positive(reg["delta"])), _count(reg["ni"]),
-                                _count(reg["nj"]), anchor=tuple(anchor))
+    delta, ni, nj = float(_positive(reg["delta"])), _count(reg["ni"]), _count(reg["nj"])
+    return delta, boxes_window(delta, anchor, (anchor[0] + ni - 1, anchor[1] + nj - 1))
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,8 @@ def load_config(path, seed_override=None) -> Config:
     for key in ("process", "window", "replicates", "master_seed"):
         if key not in cfg:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    if op.p == NO_P and (cfg.get("p") is not None or cfg.get("p_grid") is not None):
+        raise ConfigError(f"{path}: op {name!r} reads no p; drop 'p' and 'p_grid'")
     if op.p == ONE_P and cfg.get("p") is None:
         raise ConfigError(f"{path}: op {name!r} needs 'p'")
     if op.p == ONE_P and cfg.get("p_grid") is not None:
@@ -219,7 +224,7 @@ def _void(spec, args, workers):
 
 
 def _laplace(spec, args, workers):
-    res = estimate_laplace_functional(spec, args["t"], args["region"], workers=workers)
+    res = estimate_laplace_functional(spec, args["t"], *args["region"], workers=workers)
     ref = res["reference"]
     return [{**_ci_row(res, t=args["t"]), "reference_kind": ref["kind"],
              "reference_value": ref["value"]}], {"reference": ref}
@@ -275,9 +280,7 @@ def _line_smp(spec, args, workers):
 def _mixture(spec, args, workers):
     """Spanning of randomly shifted square and hexagonal lattices of the
     given spacing, under face adjacency; the config's `process` is not read."""
-    replicates = args["replicates_per_component"] or spec.replicates
-    res = mixture_nonergodic_demo(replace(spec, replicates=replicates),
-                                  spacing=args["spacing"], workers=workers)
+    res = mixture_nonergodic_demo(spec, spacing=args["spacing"], workers=workers)
     rows = [_ci_row(vars(r), component=name)
             for name, r in (("square", res.square), ("hexagonal", res.hexagonal))]
     return rows, {"separation": res.separation, "pooled": res.pooled}
@@ -293,7 +296,8 @@ def _tameness(spec, args, workers):
             row[f"{name}_ci_lo"], row[f"{name}_ci_hi"] = curve["ci"][k]
         rows.append(row)
     return rows, {"t1_bounded": rep.t1_bounded, "t2_margin": rep.t2_margin,
-                  "limsup_proxy": rep.limsup_proxy}
+                  "limsup_proxy": rep.limsup_proxy, "replicates": rep.replicates,
+                  "failed": rep.failed}
 
 
 def _recursion(spec, args, workers):
@@ -347,24 +351,26 @@ class Op:
 # estimators up when they run; storing e.g. estimate_theta itself here would
 # hide later rebinding of the module attribute from the table.
 OPS = {
-    "void": Op(NO_P, _void, {"Q": Window.from_json, "t_values": _numbers},
+    "void": Op(NO_P, _void, {"Q": Window.from_json, "t_values": _list_of(_nonnegative)},
                samples=lambda args: True),
-    "laplace": Op(NO_P, _laplace, {"t": _real, "region": _region}, samples=lambda args: True),
+    "laplace": Op(NO_P, _laplace, {"t": _nonnegative, "region": _region},
+                  samples=lambda args: True),
     "crossing": Op(EACH_P, _crossing, {"rect": (Window.from_json, None),
                                        "direction": _choice("horizontal", "vertical"),
                                        "color": _choice("black", "white")},
                    sweep=_sweep_crossing),
-    "theta": Op(EACH_P, _theta, {"radii": _numbers}),
-    "pc": Op(NO_P, _pc, {"tolerance": _real, "replicates_per_probe": _count}),
+    "theta": Op(EACH_P, _theta, {"radii": _positives}),
+    "pc": Op(NO_P, _pc, {"tolerance": _check(lambda x: _real(x) >= 0.01, "a number >= 0.01"),
+                         "replicates_per_probe": _count}),
     "spanning": Op(EACH_P, _spanning, {"analysis_window": (Window.from_json, None)}),
     "smp_gap": Op(ONE_P, _smp_gap, {"Q": Window.from_json, "Qprime": Window.from_json,
-                                    "t_schedule": _numbers, "family": _choice("crossing", "void")},
+                                    "t_schedule": _positives,
+                                    "family": _choice("crossing", "void")},
                   sweep=lambda spec, args, workers: ([], *_smp_gap(spec, args, workers)),
                   samples=lambda args: args["family"] == "void"),
-    "line_smp": Op(NO_P, _line_smp, {"t_schedule": _numbers, "angle_tol": _positive},
+    "line_smp": Op(NO_P, _line_smp, {"t_schedule": _positives, "angle_tol": _positive},
                    process="poisson_line"),
-    "mixture": Op(ONE_P, _mixture, {"spacing": (_positive, 2.0),
-                                    "replicates_per_component": (_count, None)}, face_only=True),
+    "mixture": Op(ONE_P, _mixture, {"spacing": (_positive, 2.0)}, face_only=True),
     "tameness": Op(NO_P, _tameness, {"delta": _positive, "n_schedule": _counts}),
     "recursion": Op(ONE_P, _recursion, {"t": _positive}),
     "trifurcation_density": Op(ONE_P, _trifurcation_density,

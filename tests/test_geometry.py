@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from tessperc.errors import ParameterError
-from tessperc.geometry import (GridRegion, Window, _ring_next, clip_rings_to_window,
+from tessperc.geometry import (Window, _ring_next, clip_rings_to_window,
                                clip_segments_to_rect, gather_rings,
                                point_in_convex_polygon, ring_extents, rings_meet_boxes)
 from tessperc.point_process import sample_poisson
@@ -316,14 +316,3 @@ def test_clip_segments_touching_boundary():
     # vertical segment running along the right edge
     ok, lengths = clip_segments_to_rect(np.array([[1.0, -1.0]]), np.array([[1.0, 2.0]]), rect)
     assert ok[0] and lengths[0] == pytest.approx(1.0)
-
-
-def test_grid_region():
-    reg = GridRegion.rectangle(0.5, 2, 2)
-    assert reg.area == pytest.approx(1.0)
-    w = reg.bounding_window()
-    assert w.lo == (-0.25, -0.25) and w.hi == (0.75, 0.75)
-    pts = np.array([[0.0, 0.0], [0.6, 0.6], [5.0, 5.0]])
-    assert reg.count_points(pts) == 2
-    with pytest.raises(ParameterError):
-        GridRegion(0.0, ((0, 0),))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessperc.errors import ParameterError
-from tessperc.geometry import Window, clip_rings_to_window
-from tessperc.gridfield import (AnimalSearchResult, GridField, compute_U_field,
-                                compute_Y_field, greedy_animal_max)
+from tessperc.geometry import Window, clip_rings_to_window, rings_meet_boxes
+from tessperc.gridfield import (AnimalSearchResult, GridField, box_counts, cell_box_pairs,
+                                compute_U_field, compute_Y_field, greedy_animal_max)
 from tessperc.point_process import PointConfiguration, sample_matern_hardcore, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import build_lattice_tessellation, build_voronoi
@@ -24,6 +26,62 @@ def pv_tess(seed, side=16.0, gamma=1.0):
     core = Window((-side, -side), (side, side))
     cfg = sample_poisson(gamma, core.expand(5), stream(seed, 0, "tess"))
     return build_voronoi(cfg, core)
+
+
+def test_box_counts_counts_a_point_on_box_edges_once():
+    # at delta 1/2 the region holds boxes (0, 0) to (1, 1), whose half-open
+    # union is [-1/4, 3/4)^2; the points are every box corner, edge midpoint
+    # and centre, and each box keeps its lower-left corner, the midpoints of
+    # its lower and left edges and its centre
+    region = Window((-0.25, -0.25), (0.75, 0.75))
+    grid = np.array([-0.25, 0.0, 0.25, 0.5, 0.75])
+    pts = np.array([(x, y) for x in grid for y in grid])
+    field = box_counts(pts, 0.5, region)
+    assert (field.delta, field.i0, field.j0) == (0.5, 0, 0)
+    assert field.values.tolist() == [[4, 4], [4, 4]]
+    assert box_counts(np.array([[0.0, 0.0], [0.6, 0.6], [5.0, 5.0]]), 0.5,
+                      region).values.sum() == 2
+    assert box_counts(np.empty((0, 2)), 0.5, region).values.sum() == 0
+    for delta in (0.0, -0.5):
+        with pytest.raises(ParameterError, match="grid delta must be positive"):
+            box_counts(pts, delta, region)
+
+
+def brute_force_pairs(tess, delta):
+    """The (cell, box) pairs that rings_meet_boxes accepts among all pairs
+    of a cell of tess and a box of a window holding every cell."""
+    bb = tess.bboxes
+    lo = np.floor(bb[:, :2].min(axis=0) / delta).astype(int) - 1
+    hi = np.ceil(bb[:, 2:].max(axis=0) / delta).astype(int) + 1
+    boxes = np.array([(a, b) for a in range(lo[0], hi[0] + 1) for b in range(lo[1], hi[1] + 1)])
+    ids = np.repeat(np.arange(len(tess)), len(boxes))
+    boxes = np.tile(boxes, (len(tess), 1))
+    hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, ids, boxes, delta, tess.tol)
+    return set(zip(ids[hit].tolist(), map(tuple, boxes[hit].tolist())))
+
+
+@st.composite
+def tessellations(draw):
+    """A Poisson-Voronoi tessellation, or a randomly shifted square or
+    hexagonal lattice (shifts of 0 and 1/2 put cell edges on box edges)."""
+    core = Window((-3.0, -3.0), (3.0, 3.0))
+    kind = draw(st.sampled_from(["voronoi", "square", "hexagonal"]))
+    if kind == "voronoi":
+        seed = draw(st.integers(0, 2 ** 32))
+        return build_voronoi(sample_poisson(1.0, core.expand(4.0), stream(seed, 0, "pairs")), core)
+    spacing = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    shift = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0))
+    return build_lattice_tessellation(kind, spacing, (spacing * draw(shift), spacing * draw(shift)),
+                                      core)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tessellations(), st.sampled_from([0.5, 0.75, 1.0, 2.0]))
+def test_cell_box_pairs_match_brute_force(tess, delta):
+    ids, boxes = cell_box_pairs(tess, delta, np.arange(len(tess)))
+    got = list(zip(ids.tolist(), map(tuple, boxes.tolist())))
+    assert len(got) == len(set(got))
+    assert set(got) == brute_force_pairs(tess, delta)
 
 
 def test_Y_unit_grid_aligned():

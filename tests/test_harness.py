@@ -5,13 +5,14 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tessperc import diagnostics, estimators, harness
 from tessperc.cli import main
 from tessperc.errors import ConfigError, EdgeEffectError, ParameterError
 from tessperc.experiment import ExperimentSpec, build_tessellation, coloring_for
-from tessperc.geometry import Window
+from tessperc.geometry import Window, rings_meet_boxes
 from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
 from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.render import render_svg
@@ -125,7 +126,7 @@ GOLDEN = {
         "op": "tameness", "process": PV, "window": W6, "replicates": 4,
         "master_seed": 29, "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}}, {
         "tameness.csv": "9dce19b16b12fa5affc57605ff7b9534ff69ea91a60937e195520b2c097d868f"},
-        "6b75c93311a374726c04abad664d51a971afe47be84319467348bb9a9809d26e"),
+        "410c274de8ad0d7e45fbf46f347d03519aaed0fdc869bebfb6aac2be16f76a66"),
     "sweep_smp_gap": ("sweep", {
         "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
         "master_seed": 30,
@@ -258,7 +259,7 @@ GOLDEN = {
         "op": "tameness", "process": PV, "window": W6, "replicates": 4, "master_seed": 149,
         "params": {"delta": 1, "n_schedule": [1, 2, 4]}}, {
         "tameness.csv": "b5d55d32630cd75274e37c7b8decdbc702247b5b5b7a7938395a9f93696f2a2a"},
-        "e9dbd4db281f17848db879084b786f40bd0874aecb5bcb094ebc94e8bdb12d69"),
+        "6037fc303f8a010a763f10a730a6331d268ddfccc27858505cf53da9c5925662"),
     "line_smp_integer_angle_tol": ("run", {
         "op": "line_smp", "process": LINES, "window": W4, "replicates": 100,
         "master_seed": 150, "params": {"t_schedule": [1, 2], "angle_tol": 1}}, {
@@ -365,6 +366,33 @@ def test_peierls_probe_result_pinned():
         sigmas=[0.13936099742505348, 0.14798927814636098],
         bounds=[0.9514940774912729, 0.9053409795009684], below_bound=[True, True],
         replicates=10, failed=0)
+
+
+@pytest.mark.parametrize("process", [PV, SQ, HEX], ids=["voronoi", "square", "hexagonal"])
+def test_peierls_hits_match_brute_force(process):
+    """Per circuit, _peierls_rep's flag is whether every circuit box meets
+    a white cell, found by rings_meet_boxes over every (box, white cell)
+    pair, on 4 replicates at each of 3 p."""
+    delta, window, lengths, seed = 1.0, Window((-7.5, -7.5), (7.5, 7.5)), (8, 16, 24), 161
+    flags = []
+    for p in (0.3, 0.5, 0.7):
+        spec = ExperimentSpec(process=ProcessSpec.from_json(process),
+                              window=Window((-8.0, -8.0), (8.0, 8.0)), p=p, replicates=4,
+                              master_seed=seed)
+        for rep in range(spec.replicates):
+            tess = build_tessellation(spec, rep)
+            coloring = coloring_for(spec, rep, tess)
+            white = np.nonzero(coloring.mask("white"))[0]
+            want = []
+            for ln in lengths:
+                ring = np.array(diagnostics._ring_boxes(ln, stream(seed, rep, f"cycle:{ln}")))
+                hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, np.tile(white, len(ring)),
+                                       np.repeat(ring, len(white), axis=0), delta, tess.tol)
+                want.append(bool(hit.reshape(len(ring), -1).any(axis=1).all()))
+            assert diagnostics._peierls_rep(p, delta, window, lengths, seed, tess,
+                                            coloring.uniforms, rep) == want
+            flags += want
+    assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("p", [0.01, 0.99])
@@ -575,7 +603,7 @@ def _laplace_region(**region) -> dict:
     ("run", {"op": "pc", "process": SQ, "window": W4, "replicates": 50, "master_seed": 120,
              "params": {"tolerance": 0.1, "replicates_per_probe": 2.9}}),
     ("run", {"op": "mixture", "process": SQ, "window": W4, "p": 0.55, "replicates": 10,
-             "master_seed": 121, "params": {"replicates_per_component": 0}}),
+             "master_seed": 121, "params": {"replicates_per_component": 10}}),
     ("run", {"op": "trifurcation_density", "process": SQ, "window": W6, "p": 0.58,
              "replicates": 2, "master_seed": 122, "params": {"r1": 1.7, "r2": 2.0}}),
     ("run", {"op": "ggr", "process": SQ, "window": W6, "p": 0.6, "replicates": 10,
@@ -656,6 +684,21 @@ def _laplace_region(**region) -> dict:
              "replicates": 2, "master_seed": 159, "params": {"r1": 1, "r2": -2.0}}),
     ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.9, "p_grid": [0.3, 0.5],
              "replicates": 50, "master_seed": 160}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 162, "params": {"radii": [-1, 2]}}),
+    ("run", {"op": "void", "process": PV, "window": W4, "replicates": 100, "master_seed": 163,
+             "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [0.5, -1.0]}}),
+    ("run", {"op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
+             "master_seed": 164,
+             "params": {"Q": [[-1.5, -1.0], [-0.5, 0.0]], "Qprime": [[0.5, 0.5], [1.5, 1.5]],
+                        "t_schedule": [-1.0, 1.0]}}),
+    ("run", {"op": "line_smp", "process": LINES, "window": W4, "replicates": 10,
+             "master_seed": 165, "params": {"t_schedule": [1.0, -2.0], "angle_tol": 0.3}}),
+    ("run", {"op": "pc", "process": SQ, "window": W4, "replicates": 50, "master_seed": 166,
+             "params": {"tolerance": 0.005, "replicates_per_probe": 50}}),
+    ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
+             "master_seed": 167, "params": {"t": -0.3, "region": {"delta": 0.5, "ni": 2,
+                                                                   "nj": 2}}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -671,7 +714,7 @@ def _laplace_region(**region) -> dict:
         "recursion_without_t", "ggr_without_n_max", "tameness_without_delta",
         "trifurcation_density_without_r2", "smp_gap_without_Q", "line_smp_without_angle_tol",
         "laplace_region_without_ni", "replicates_per_probe_fractional",
-        "replicates_per_component_zero", "r1_fractional", "n_max_boolean", "region_ni_quoted",
+        "replicates_per_component_unknown", "r1_fractional", "n_max_boolean", "region_ni_quoted",
         "region_nj_zero", "region_anchor_string", "region_anchor_fractional",
         "region_anchor_three_entries", "region_misspelled_key", "region_delta_zero",
         "region_delta_quoted", "region_delta_infinite", "angle_tol_quoted", "angle_tol_nan",
@@ -681,7 +724,9 @@ def _laplace_region(**region) -> dict:
         "recursion_with_p_grid", "smp_gap_with_p_grid", "mixture_with_p_grid",
         "trifurcation_density_with_p_grid", "ggr_with_p_grid", "buffer_on_square_lattice",
         "n_schedule_fractional", "delta_zero", "angle_tol_negative", "spacing_zero",
-        "recursion_t_zero", "r2_negative", "crossing_with_p_and_p_grid"])
+        "recursion_t_zero", "r2_negative", "crossing_with_p_and_p_grid", "radii_negative",
+        "t_values_negative", "t_schedule_negative", "line_smp_t_schedule_negative",
+        "tolerance_below_0.01", "laplace_t_negative"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -729,8 +774,8 @@ def test_load_config_takes_exactly_the_parser_keys_of_each_op(op, tmp_path):
     required one, or adding an unknown one, is a ConfigError naming it."""
     entry = harness.OPS[op]
     process = {"poisson_line": LINES}.get(entry.process, PV)
-    cfg = {"op": op, "process": process, "window": W6, "p": 0.5, "replicates": 10,
-           "master_seed": 156, "params": _valid_params(op)}
+    cfg = {"op": op, "process": process, "window": W6, "replicates": 10, "master_seed": 156,
+           "params": _valid_params(op), **({} if entry.p == harness.NO_P else {"p": 0.5})}
     assert harness.load_config(_write_config(tmp_path, cfg)).args.keys() == entry.params.keys()
     for key, parser in entry.params.items():
         if not isinstance(parser, tuple):  # a param without a default
@@ -740,6 +785,29 @@ def test_load_config_takes_exactly_the_parser_keys_of_each_op(op, tmp_path):
     with pytest.raises(ConfigError, match=r"unknown keys \['bogus'\]"):
         harness.load_config(_write_config(tmp_path, {**cfg, "params": {**cfg["params"],
                                                                        "bogus": 1}}))
+
+
+@pytest.mark.parametrize("key,value", [("p", 0.3), ("p_grid", [0.1, 0.9])])
+@pytest.mark.parametrize("op", sorted(name for name, entry in harness.OPS.items()
+                                      if entry.p == harness.NO_P))
+def test_op_that_reads_no_p_refuses_p_and_p_grid(op, key, value, tmp_path, capsys):
+    process = {"poisson_line": LINES}.get(harness.OPS[op].process, PV)
+    cfg = {"op": op, "process": process, "window": W6, key: value, "replicates": 10,
+           "master_seed": 168, "params": _valid_params(op)}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"op {op!r} reads no p; drop 'p' and 'p_grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tameness_run_reports_replicates_and_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr(diagnostics, "build_tessellation",
+                        _fail_rep_1(diagnostics.build_tessellation))
+    cfg = {"op": "tameness", "process": SQ, "window": W4, "replicates": 100, "master_seed": 169,
+           "params": {"delta": 1.0, "n_schedule": [1]}}
+    record = harness.run(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+    summary = json.loads((Path(record.out_dir) / "run.json").read_text())["summary"]
+    assert (summary["replicates"], summary["failed"]) == (99, 1)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

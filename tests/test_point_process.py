@@ -7,7 +7,7 @@ from scipy import stats
 from tessperc.diagnostics import estimate_laplace_functional, estimate_void_probability
 from tessperc.errors import EstimatorFailure, ParameterError
 from tessperc.experiment import ExperimentSpec
-from tessperc.geometry import GridRegion, Window
+from tessperc.geometry import Window
 from tessperc.point_process import (PointConfiguration, ProcessSpec,
                                     sample_cluster_process,
                                     sample_matern_hardcore,
@@ -261,12 +261,15 @@ def test_void_probability_counts_a_repeated_t_once_per_entry():
     assert res[1]["estimate"] == 1.0
 
 
+# the four unit boxes (0, 0), (0, 1), (1, 0) and (1, 1) of the grid of side 1
+BOXES_2X2 = Window((-0.5, -0.5), (1.5, 1.5))
+
+
 def test_laplace_trivial_and_poisson_oracle():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
-    region = GridRegion.rectangle(1.0, 2, 2)
-    res0 = estimate_laplace_functional(run_spec(spec, 1000, 2), 0.0, region)
+    res0 = estimate_laplace_functional(run_spec(spec, 1000, 2), 0.0, 1.0, BOXES_2X2)
     assert res0["estimate"] == pytest.approx(1.0)
-    res = estimate_laplace_functional(run_spec(spec, 4000, 2), 0.5, region)
+    res = estimate_laplace_functional(run_spec(spec, 4000, 2), 0.5, 1.0, BOXES_2X2)
     truth = math.exp(4 * (math.exp(0.5) - 1))
     half = (res["ci"][1] - res["ci"][0]) / 2
     assert abs(res["estimate"] - truth) < 3 * half / 1.96 + 1e-9
@@ -276,8 +279,7 @@ def test_laplace_trivial_and_poisson_oracle():
 
 def test_laplace_cluster_bound():
     spec = ProcessSpec("matern_cluster", {"gamma0": 1.0, "mu": 2.0, "radius": 0.2})
-    region = GridRegion.rectangle(1.0, 2, 2)
-    res = estimate_laplace_functional(run_spec(spec, 3000, 6), 0.3, region)
+    res = estimate_laplace_functional(run_spec(spec, 3000, 6), 0.3, 1.0, BOXES_2X2)
     assert res["reference"]["kind"] == "upper_bound"
     assert "delta" in res["reference"]["note"]
     assert res["estimate"] <= res["reference"]["value"] + (res["ci"][1] - res["ci"][0])
@@ -285,9 +287,9 @@ def test_laplace_cluster_bound():
 
 def test_laplace_overflow_reports_failure():
     spec = ProcessSpec("poisson", {"gamma": 1.0})
-    region = GridRegion.rectangle(2.0, 4, 4)
     with pytest.raises(EstimatorFailure):
-        estimate_laplace_functional(run_spec(spec, 1000, 2), 50.0, region)
+        estimate_laplace_functional(run_spec(spec, 1000, 2), 50.0, 2.0,
+                                    Window((-1.0, -1.0), (7.0, 7.0)))
 
 
 def test_sample_process_dispatch():
