@@ -17,9 +17,9 @@ from .point_process import (PointConfiguration, ProcessSpec, sample_cluster_proc
 from .streams import stream
 from .tessellation import (Tessellation, build_adjacency, build_lattice_tessellation,
                            build_voronoi, zero_cell)
-from .percolation import (Coloring, CrossingQuery, cluster_reach, color, crossing, hop_balls,
+from .percolation import (CrossingQuery, cluster_reach, color, crossing, hop_balls,
                           label_components, rect_graph, spanning_cluster_count)
-from .experiment import ExperimentSpec, build_tessellation, coloring_for
+from .experiment import ExperimentSpec, build_tessellation, uniforms_for
 from .estimators import (count_spanning_clusters, estimate_crossing_prob, estimate_pc,
                          estimate_theta, estimate_trifurcation_density, find_trifurcations,
                          ggr_diagnostics, trifurcation_candidates, verify_crossing_recursion)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .errors import (ConfigError, ConstructionError, EdgeEffectError, EstimatorFailure,
                      ParameterError)
@@ -75,15 +74,14 @@ def main(argv=None) -> int:
                            seed_override=args.seed)
             print(f"sweep[{record.op}]: wrote {record.out_dir}")
         elif args.command == "render":
-            from .experiment import build_tessellation, coloring_for
+            from .experiment import build_tessellation, uniforms_for
             from .harness import load_config
             from .render import render_svg
-            spec = load_config(args.config).spec
-            spec = replace(spec, p=0.5 if spec.p is None else spec.p)
-            tess = build_tessellation(spec, args.rep)
-            col = coloring_for(spec, args.rep, tess)
-            render_svg(tess, col, args.out, show_graph=args.show_graph,
-                       core_only=args.core_only)
+            config = load_config(args.config)
+            p = 0.5 if config.raw.get("p") is None else config.spec.p
+            tess = build_tessellation(config.spec, args.rep)
+            render_svg(tess, uniforms_for(config.spec, args.rep, tess) < p, args.out,
+                       show_graph=args.show_graph, core_only=args.core_only)
             print(f"render: wrote {args.out}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """Void probabilities and Laplace functionals of a point process,
 scale-mixing gap curves, the line-process counterexample, the lattice
 mixture demo, tameness curves and the white-circuit probe. Every diagnostic
-reads the process, p (if any), the replicate count and the seed from its
-ExperimentSpec. Those that read crossings (the smp gap's crossing family and
-the mixture demo) ask them of estimators.estimate_crossing_curve, the one
-crossing path. The others map a per-replicate function with
-experiment.map_replicates, or with run_replicates when they colour a
-tessellation. The Laplace count and the probe's white boxes come from
-gridfield's two grid kernels, box_counts and cell_box_pairs, as Y and U do.
+reads the process, its one p spec.p (if any), the replicate count and the
+seed from its ExperimentSpec. Those that read crossings (the smp gap's
+crossing family and the mixture demo) ask them of
+estimators.estimate_crossing_curve, the one crossing path. The others map a
+per-replicate function with experiment.map_replicates, or with
+run_replicates when they colour a tessellation. The Laplace count and the
+probe's white boxes come from gridfield's two grid kernels, box_counts and
+cell_box_pairs, as Y and U do.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .geometry import Window, boxes_window, region_index_range
 from .gridfield import (box_counts, cell_box_pairs, compute_U_field, compute_Y_field,
                         greedy_animal_max)
 from .estimators import estimate_crossing_curve
-from .percolation import Coloring, CrossingQuery
+from .percolation import CrossingQuery
 from .point_process import ProcessSpec, laplace_bound, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import stream
@@ -167,8 +168,9 @@ def smp_gap(spec: ExperimentSpec, event_family: str, Q: Window, Qprime: Window,
         if not all(spec.window.contains_window(rect, tol=1e-9) for rect in rects[-2:]):
             raise ParameterError(f"scaled rectangles at t={t} leave the core window")
     if event_family == "crossing":
+        spec.p  # the spec's one p, or a ParameterError before any build
         results, curves = estimate_crossing_curve(
-            replace(spec, p_grid=None), tuple(CrossingQuery(rect) for rect in rects), workers)
+            spec, tuple(CrossingQuery(rect) for rect in rects), workers)
         vals = [tuple(ind for (ind,) in indicators) for _, indicators in results]
         failed = curves[0][0].failed
     elif event_family == "void":
@@ -249,13 +251,13 @@ def mixture_nonergodic_demo(spec: ExperimentSpec, spacing: float = 2.0,
     the two lattice thresholds it sits strictly between 0 and 1, which is the
     non-ergodicity on display.
     """
-    p = spec.required_p()
+    p = spec.p
     if not (0.0 < p < 1.0):
         raise ParameterError("p must be strictly between 0 and 1")
     results = []
     for kind, offset in (("square_lattice", 0), ("hexagonal_lattice", 1)):
         lattice = ProcessSpec(kind, {"spacing": spacing, "random_shift": True})
-        component = replace(spec, process=lattice, adjacency="face", p_grid=None,
+        component = replace(spec, process=lattice, adjacency="face",
                             master_seed=spec.master_seed + offset)
         # a black horizontal crossing of the window is a spanning black cluster
         _, [[res]] = estimate_crossing_curve(component, (CrossingQuery(spec.window),), workers)
@@ -385,7 +387,7 @@ def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
     if not window.contains_window(hull, tol=tess.tol):
         raise ParameterError("circuit box leaves the analysis window")
     cand = tess.cells_meeting(hull)
-    _, met = cell_box_pairs(tess, delta, cand[Coloring(uniforms, p).mask("white")[cand]])
+    _, met = cell_box_pairs(tess, delta, cand[~(uniforms[cand] < p)])
     # mark the boxes of the circuits' hull that a white cell meets
     white_met = np.zeros(hi - lo + 1, bool)
     met = met[((met >= lo) & (met <= hi)).all(axis=1)] - lo
@@ -402,7 +404,7 @@ def peierls_probe(spec: ExperimentSpec, delta: float, window: Window, c3: float,
     levels); c3 >= 1 declines the probe. Replicates whose tessellation fails
     to build are dropped and counted in failed.
     """
-    p = spec.required_p()
+    p = spec.p
     if c3 >= 1.0:
         return PeierlsResult(declined=True, reason=f"empirical c3={c3} >= 1",
                              cycle_lengths=list(cycle_lengths), estimates=[], sigmas=[],

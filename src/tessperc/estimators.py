@@ -1,20 +1,22 @@
 """Monte Carlo estimators over tessellation percolation replicates.
 
-Every estimator reads p (or the p-grid, spec.ps), the replicate count and
-the adjacency from its ExperimentSpec: it builds its cell or rectangle graphs
-at spec.adjacency, and a CrossingQuery names only the rect, direction and
+Every estimator reads its thresholds (the grid spec.ps, which a grid
+reader refuses empty, or the one p spec.p), the replicate count and the
+adjacency from its ExperimentSpec: it builds its cell or rectangle graphs at
+spec.adjacency, and a CrossingQuery names only the rect, direction and
 colour. It is a prepare/query pair run by experiment.run_replicates: prepare
 builds the colour-independent part of a query (the rectangle graphs, the
 cell graph and zero cell, or the trifurcation candidates with their balls
 and rims) once per tessellation, and query reads one replicate's colouring
-uniforms, thresholded at each p it asks. The runner builds a tessellation
-that does not vary by replicate (an unshifted lattice) once per run, drops
-and counts build failures (edge effects, degenerate inputs) and fails the
-run past its failure budget. The estimators count events and report Wilson
-intervals. Every crossing indicator (of the crossing estimates, p_c, the
-recursion, and the smp gap and mixture in diagnostics) comes from
-estimate_crossing_curve, which builds one rectangle graph per query and
-thresholds each replicate's colouring at every p of the spec's grid.
+uniforms and hands the percolation functions the black mask uniforms < p
+at each p. The runner builds a tessellation that does not vary by replicate
+(an unshifted lattice) once per run, drops and counts build failures (edge
+effects, degenerate inputs) and fails the run past its failure budget.
+The estimators count events and report Wilson intervals. Every crossing
+indicator (of the crossing estimates, p_c, the recursion, and the smp gap
+and mixture in diagnostics) comes from estimate_crossing_curve, which builds
+one rectangle graph per query and thresholds each replicate's colouring at
+every p of the spec's grid.
 
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, rectangle-graph, crossing, adjacency,
@@ -33,11 +35,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .percolation import (Coloring, CrossingQuery, cluster_reach, common_labels, crossing,
-                          hop_balls, label_components, rect_graph, spanning_cluster_count)
+from .percolation import (CrossingQuery, cluster_reach, common_labels, crossing, hop_balls,
+                          label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
-from .experiment import (ExperimentSpec, build_tessellation, coloring_for, map_replicates,
-                         run_replicates)
+from .experiment import (ExperimentSpec, build_tessellation, map_replicates, run_replicates,
+                         uniforms_for)
 from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
@@ -46,11 +48,18 @@ def _rect_prepare(rects, adjacency: str, tess: Tessellation) -> tuple:
     return tuple(rect_graph(tess, rect, adjacency) for rect in rects)
 
 
-def _crossing_rep(queries: tuple, p_grid: tuple, graphs, uniforms, rep: int):
-    """(rep, indicators): indicators[j][k] is 1 when the coloring at p_grid[k]
+def _grid(spec: ExperimentSpec) -> tuple:
+    """spec.ps, which a reader of every p refuses when empty."""
+    if not spec.ps:
+        raise ParameterError("the spec sets no p")
+    return spec.ps
+
+
+def _crossing_rep(queries: tuple, ps: tuple, graphs, uniforms, rep: int):
+    """(rep, indicators): indicators[j][k] is 1 when the colouring at ps[k]
     has the crossing queries[j] on graphs[j]; the id survives dropped failures."""
-    colorings = [Coloring(uniforms, p) for p in p_grid]
-    return rep, tuple(tuple(1 if crossing(graph, col, query) else 0 for col in colorings)
+    blacks = [uniforms < p for p in ps]
+    return rep, tuple(tuple(1 if crossing(graph, black, query) else 0 for black in blacks)
                       for query, graph in zip(queries, graphs))
 
 
@@ -67,7 +76,7 @@ def estimate_crossing_curve(spec: ExperimentSpec, queries: tuple,
     results, failed = run_replicates(
         spec, build_tessellation,
         partial(_rect_prepare, tuple(q.rect for q in queries), spec.adjacency),
-        partial(_crossing_rep, queries, spec.ps), workers)
+        partial(_crossing_rep, queries, _grid(spec)), workers)
     vals = [indicators for _, indicators in results]
     for indicators in vals[::max(1, len(vals) // 100)]:
         for query, ind in zip(queries, indicators):
@@ -86,7 +95,7 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,
     if spec.replicates < 50:
         raise ParameterError("crossing estimator needs at least 50 replicates")
     grid = tuple(sorted(spec.ps))
-    _, (curve,) = estimate_crossing_curve(replace(spec, p_grid=grid), (query,), workers)
+    _, (curve,) = estimate_crossing_curve(replace(spec, ps=grid), (query,), workers)
     per_p = dict(zip(grid, curve))
     return [per_p[p] for p in spec.ps]
 
@@ -96,11 +105,11 @@ def _theta_prepare(adjacency: str, tess: Tessellation):
     return tess, build_adjacency(tess, adjacency), zero_cell(tess)
 
 
-def _theta_rep(p_grid: tuple, radii: tuple, prepared, uniforms, rep: int):
-    """Reach indicator per radius, per p of p_grid, of one tessellation and
-    one coloring thresholded at every p."""
+def _theta_rep(ps: tuple, radii: tuple, prepared, uniforms, rep: int):
+    """Reach indicator per radius, per p of ps, of one tessellation and
+    one colouring thresholded at every p."""
     tess, edges, root = prepared
-    reach = [cluster_reach(tess, edges, Coloring(uniforms, p), root) for p in p_grid]
+    reach = [cluster_reach(tess, edges, uniforms < p, root) for p in ps]
     return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
 
 
@@ -121,10 +130,9 @@ def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[P
         raise ParameterError("max radius exceeds the core half-width")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_theta_prepare, spec.adjacency),
-                                  partial(_theta_rep, spec.ps, radii), workers)
-    return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed,
-                                    radius=r)
-             for k, r in enumerate(radii)] for i in range(len(spec.ps))]
+                                  partial(_theta_rep, _grid(spec), radii), workers)
+    return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed)
+             for k in range(len(radii))] for i in range(len(spec.ps))]
 
 
 @dataclass
@@ -149,8 +157,7 @@ def estimate_pc(spec: ExperimentSpec, tolerance: float, workers: int = 1) -> PcE
     probes: list = []
 
     def probe(p: float) -> PercResult:
-        probe_spec = replace(spec, p=p, p_grid=None,
-                             master_seed=spec.master_seed + len(probes) + 1)
+        probe_spec = replace(spec, ps=(p,), master_seed=spec.master_seed + len(probes) + 1)
         (res,) = estimate_crossing_prob(probe_spec, query, workers=workers)
         probes.append((p, res))
         return res
@@ -188,9 +195,9 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(p_grid: tuple, graph, uniforms, rep: int):
-    """Spanning cluster count per p of p_grid of one coloring on a rect graph."""
-    return tuple(spanning_cluster_count(graph, Coloring(uniforms, p)) for p in p_grid)
+def _spanning_rep(ps: tuple, graph, uniforms, rep: int):
+    """Spanning cluster count per p of ps of one colouring on a rect graph."""
+    return tuple(spanning_cluster_count(graph, uniforms < p) for p in ps)
 
 
 def count_spanning_clusters(spec: ExperimentSpec, window: Window,
@@ -203,7 +210,7 @@ def count_spanning_clusters(spec: ExperimentSpec, window: Window,
         raise ParameterError("analysis window must lie inside the core window")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(rect_graph, rect=window, adjacency=spec.adjacency),
-                                  partial(_spanning_rep, spec.ps), workers)
+                                  partial(_spanning_rep, _grid(spec)), workers)
     return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
                            replicates=len(vals), failed=failed) for k in range(len(spec.ps))]
 
@@ -267,15 +274,14 @@ def trifurcation_candidates(tess: Tessellation, edges: np.ndarray, r1: int, r2: 
                                   candidates=len(grid))
 
 
-def find_trifurcations(cands: TrifurcationCandidates, coloring: Coloring) -> TrifurcationResult:
-    """Count the candidate grid points that are trifurcations of the colouring.
+def find_trifurcations(cands: TrifurcationCandidates, black: np.ndarray) -> TrifurcationResult:
+    """Count the candidate grid points that are trifurcations of the black mask.
 
     A fitting candidate qualifies when its ball is all black and, after
     whitening the ball, at least three distinct window-boundary-touching
     black clusters meet the ball's rim ("infinite" replaced by its finite
     window surrogate).
     """
-    black = coloring.black
     points = []
     for x, ball, rim in cands.fitting:
         if not black[ball].all():
@@ -296,7 +302,7 @@ def _trifurcation_prepare(adjacency: str, r1: int, r2: float, window: Window,
 
 
 def _trifurcation_rep(p: float, cands: TrifurcationCandidates, uniforms, rep: int):
-    res = find_trifurcations(cands, Coloring(uniforms, p))
+    res = find_trifurcations(cands, uniforms < p)
     return (res.count, res.candidates, res.skipped)
 
 
@@ -305,7 +311,7 @@ def estimate_trifurcation_density(spec: ExperimentSpec, r1: int, r2: float, wind
     """Mean trifurcation count and density over replicates at the spec's p."""
     vals, failed = run_replicates(
         spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency, r1, r2, window),
-        partial(_trifurcation_rep, spec.required_p()), workers)
+        partial(_trifurcation_rep, spec.p), workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,
@@ -333,7 +339,7 @@ def _ggr_rep(spec: ExperimentSpec, tess: Tessellation, edges: np.ndarray,
     """Per cell of a ball of size cells, whether its neighbours meet >= 2
     distinct boundary-touching black clusters under replicate rep's
     colouring; near[k] is a neighbour of ball cell rows[k]."""
-    black = coloring_for(spec, rep, tess).black
+    black = uniforms_for(spec, rep, tess) < spec.p
     labels = label_components(black, edges)
     touching = np.zeros(len(tess) + 1, bool)  # white cells are -1: the last, False
     touching[labels[black & tess.boundary]] = True
@@ -388,6 +394,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) 
     (7 max{P[H(3t,t) fails], P[V(t,3t) fails]})^2 plus 3x the joint CI
     width; every raw estimate is returned.
     """
+    p = spec.p
     big = Window((0.0, 0.0), (9 * t, 3 * t))
     if not spec.window.contains_window(big, tol=1e-9):
         raise ParameterError("core window must contain the 9t x 3t rectangle")
@@ -401,7 +408,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) 
             terms[f"{strip}_V{k}"] = ("vertical", x0, y0, x0 + t, y0 + t)
     queries = tuple(CrossingQuery(Window((x0, y0), (x1, y1)), direction)
                     for direction, x0, y0, x1, y1 in terms.values())
-    _, curves = estimate_crossing_curve(replace(spec, p_grid=None), queries, workers)
+    _, curves = estimate_crossing_curve(spec, queries, workers)
     n, failed = curves[0][0].replicates, curves[0][0].failed
     counts = {k: n - res.successes for k, (res,) in zip(terms, curves)}  # failures per term
     counts["f_H"] = counts["bottom_H0"]
@@ -412,7 +419,7 @@ def verify_crossing_recursion(spec: ExperimentSpec, t: float, workers: int = 1) 
     rhs = (7.0 * maxf) ** 2
     slack = 3.0 * sig["lhs"] + 49.0 * ((maxf + 3.0 * w_max) ** 2 - maxf ** 2)
     return {
-        "t": t, "p": spec.p, "replicates": n, "failed": failed,
+        "t": t, "p": p, "replicates": n, "failed": failed,
         "lhs": est["lhs"], "lhs_sigma": sig["lhs"],
         "rhs_terms": {k: est[k] for k in sorted(counts) if k != "lhs"},
         "max_term": max_key, "max_value": maxf,

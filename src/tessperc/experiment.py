@@ -1,9 +1,11 @@
 """Experiment descriptions and the deterministic replicate pipeline.
 
 An ExperimentSpec pins down everything a replicate needs: the tessellation
-model, core window, buffer, coloring threshold(s), replicate count and the
-master seed. Estimators and diagnostics read them from the spec (p through
-required_p(), the p-grid through ps) and take none of them again.
+model, core window, buffer, colouring thresholds, replicate count and the
+master seed. Estimators and diagnostics read them from the spec (a grid of
+thresholds through ps, the one p of a single-p run through p) and take none
+of them again. A config's p becomes ps = (p,) and its p_grid ps in config
+order, so a one-entry grid and a p are the same spec.
 build_tessellation reads the process kind's point_process.KINDS entry: a
 lattice kind builds its cell shape, any other kind samples points for a
 Voronoi tessellation. Replicate k of an experiment always sees the same
@@ -14,10 +16,11 @@ run_replicates is the one replicate pipeline. It builds the tessellation
 once per run when it does not vary by replicate (an unshifted lattice) and
 once per replicate otherwise, runs the query's colour-independent
 preparation once per build, and hands the query each replicate's colouring
-uniforms. map_replicates, under it, alone catches construction failures and
-owns the failure budget. It imports the process pool only when workers > 1,
-and run_replicates imports scipy.spatial before a pool of Voronoi builds
-forks, so that the workers inherit it rather than each importing it.
+uniforms, uniforms_for: its colouring at p is uniforms < p. map_replicates,
+under it, alone catches construction failures and owns the failure budget.
+It imports the process pool only when workers > 1, and run_replicates
+imports scipy.spatial before a pool of Voronoi builds forks, so that the
+workers inherit it rather than each importing it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ConstructionError, EdgeEffectError, EstimatorFailure, ParameterError
 from .geometry import Window
-from .percolation import Coloring, color
+from .percolation import color
 from .point_process import KINDS, ProcessSpec, sample_process
 from .streams import MAX_SEED, stream
 from .tessellation import Tessellation, build_lattice_tessellation, build_voronoi
@@ -47,20 +50,13 @@ def _number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
-def _probability(name: str, x) -> float:
-    if not (_number(x) and 0.0 <= x <= 1.0):
-        raise ParameterError(f"{name} must be a number in [0, 1], got {x!r}")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     process: ProcessSpec
     window: Window
     adjacency: str = "face"
     buffer: float | None = None
-    p: float | None = None
-    p_grid: tuple | None = None
+    ps: tuple = ()
     replicates: int = 100
     master_seed: int = 0
 
@@ -74,22 +70,17 @@ class ExperimentSpec:
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
         if self.buffer is not None and not (_number(self.buffer) and 0 <= self.buffer < np.inf):
             raise ParameterError(f"buffer must be a finite number >= 0, got {self.buffer!r}")
-        if self.p is not None:
-            object.__setattr__(self, "p", _probability("p", self.p))
-        if self.p_grid is not None:
-            object.__setattr__(self, "p_grid", tuple(_probability("every p_grid value", x)
-                                                     for x in self.p_grid))
-
-    def required_p(self) -> float:
-        """p, which a run at one threshold reads; ParameterError when unset."""
-        if self.p is None:
-            raise ParameterError("the spec sets no p")
-        return self.p
+        for x in self.ps:
+            if not (_number(x) and 0.0 <= x <= 1.0):
+                raise ParameterError(f"p must be a number in [0, 1], got {x!r}")
+        object.__setattr__(self, "ps", tuple(float(x) for x in self.ps))
 
     @property
-    def ps(self) -> tuple:
-        """The thresholds of a run over a grid: p_grid in config order, else (p,)."""
-        return self.p_grid or (self.required_p(),)
+    def p(self) -> float:
+        """The one threshold of a run at one p; ParameterError unless ps holds one."""
+        if len(self.ps) != 1:
+            raise ParameterError(f"the spec sets {len(self.ps) or 'no'} p values, not one")
+        return self.ps[0]
 
     def buffer_width(self) -> float:
         if self.buffer is not None:
@@ -103,8 +94,7 @@ class ExperimentSpec:
             window=Window.from_json(obj["window"]),
             adjacency=obj.get("adjacency", "face"),
             buffer=obj.get("buffer"),
-            p=obj.get("p"),
-            p_grid=tuple(obj["p_grid"]) if obj.get("p_grid") else None,
+            ps=tuple(obj.get("p_grid") or ([] if obj.get("p") is None else [obj["p"]])),
             replicates=obj.get("replicates", 100),
             master_seed=obj.get("master_seed", 0),
         )
@@ -131,14 +121,10 @@ def build_tessellation(spec: ExperimentSpec, rep: int) -> Tessellation:
     return build_voronoi(config, spec.window)
 
 
-def _uniforms(spec: ExperimentSpec, rep: int, tess: Tessellation) -> np.ndarray:
-    """Replicate rep's colouring uniforms, one per cell, for every threshold."""
-    return color(tess, 0.0, stream(spec.master_seed, rep, "color")).uniforms
-
-
-def coloring_for(spec: ExperimentSpec, rep: int, tess: Tessellation) -> Coloring:
-    """Replicate rep's colouring of tess at the spec's p."""
-    return Coloring(_uniforms(spec, rep, tess), spec.required_p())
+def uniforms_for(spec: ExperimentSpec, rep: int, tess: Tessellation) -> np.ndarray:
+    """Replicate rep's colouring uniforms, one per cell of tess from its
+    "color" stream: the colouring at p is uniforms < p."""
+    return color(tess, stream(spec.master_seed, rep, "color"))
 
 
 def as_built(tess: Tessellation) -> Tessellation:
@@ -156,7 +142,7 @@ def _replicate(spec: ExperimentSpec, build, prepare, query, shared, rep: int):
     """query of replicate rep's colouring uniforms on the shared (tessellation,
     prepared) pair, or on the replicate's own when shared is None."""
     tess, prepared = shared or _instance(spec, build, prepare, rep)
-    return query(prepared, _uniforms(spec, rep, tess), rep)
+    return query(prepared, uniforms_for(spec, rep, tess), rep)
 
 
 def run_replicates(spec: ExperimentSpec, build, prepare, query,
@@ -168,7 +154,7 @@ def run_replicates(spec: ExperimentSpec, build, prepare, query,
     wrapper on that binding sees every build. It runs once per run when the
     tessellation does not vary by replicate, with replicate 0's id, and once
     per replicate otherwise; prepare(tess) runs once per build. uniforms are
-    the replicate's colouring, one uniform per cell from its "color" stream.
+    the replicate's uniforms_for.
     With workers > 1, build, prepare and query must be picklable.
     """
     if workers > 1 and KINDS[spec.process.kind].lattice is None:

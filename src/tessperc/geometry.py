@@ -42,6 +42,8 @@ class Window:
             raise ParameterError("window corners must be 2-vectors")
         if not np.all(lo < hi):
             raise ParameterError(f"window must satisfy lo < hi componentwise, got {lo} .. {hi}")
+        if not np.isfinite([lo, hi]).all():
+            raise ParameterError(f"window corners must be finite, got {lo} .. {hi}")
         object.__setattr__(self, "lo", (float(lo[0]), float(lo[1])))
         object.__setattr__(self, "hi", (float(hi[0]), float(hi[1])))
 

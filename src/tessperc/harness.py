@@ -16,18 +16,20 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   load_config parses each key once, and a missing key without a default,
   or a value its parser refuses, is a ConfigError naming the key; the op
   receives the parsed values and defaults as `args`;
-- `p`: how the op uses p. NO_P ops read none, and load_config rejects a
-  `p` or a `p_grid`; ONE_P ops read the config's
-  `p`, which load_config then requires, and reject a `p_grid`; EACH_P ops
-  take a `p` or a `p_grid`, not both, and write rows for every p of
-  spec.ps, `p_grid` in config order (or the single `p`), from one estimator
-  call over the grid that builds each replicate once;
+- `p`: how the op uses p. The spec holds the config's thresholds as one
+  tuple, spec.ps: (p,) for a `p`, the `p_grid` in config order for a grid.
+  NO_P ops read none, and load_config rejects a `p` or a `p_grid`; ONE_P
+  ops read spec.p, so load_config requires a `p` and rejects a `p_grid`;
+  EACH_P ops take a `p` or a `p_grid`, not both, and write rows for every p
+  of spec.ps from one estimator call over the grid that builds each
+  replicate once;
 - `fn(spec, args, workers) -> (rows, summary)`, where a summary of None
-  stands for {"rows": len(rows)}. Estimators read p, the p-grid and the
+  stands for {"rows": len(rows)}. Estimators read the thresholds and the
   replicate count from the spec; `replicates_per_probe` replaces its
   `replicates`;
 - optionally `sweep(spec, args, workers) -> (rows, summary_rows, extra)`
-  for the `sweep` entry point (extra: more run.json summary fields),
+  for the `sweep` entry point (extra: more run.json summary fields; an
+  EACH_P op sweeps over a `p_grid`, which the sweep then requires),
   `process`, the one process kind the op accepts, `samples(args)`, true
   when the op samples points from the process, and `face_only`, true when
   the op always uses face adjacency, so that load_config rejects
@@ -246,8 +248,9 @@ def _crossing(spec, args, workers):
 
 def _theta(spec, args, workers):
     per_p = estimate_theta(spec, args["radii"], workers=workers)
-    return [{**_ci_row(vars(r), p=p, radius=r.meta["radius"]), "failed": r.failed}
-            for p, results in zip(spec.ps, per_p) for r in results], None
+    return [{**_ci_row(vars(res), p=p, radius=float(r)), "failed": res.failed}
+            for p, results in zip(spec.ps, per_p)
+            for r, res in zip(args["radii"], results)], None
 
 
 def _pc(spec, args, workers):
@@ -324,14 +327,12 @@ def _ggr(spec, args, workers):
 
 
 def _sweep_crossing(spec, args, workers):
-    if not spec.p_grid:
-        raise ConfigError("crossing sweep needs a p_grid")
-    spec = replace(spec, p_grid=tuple(sorted(spec.p_grid)))
+    spec = replace(spec, ps=tuple(sorted(spec.ps)))
     results, (per_p,) = estimate_crossing_curve(spec, (_crossing_query(spec, args),),
                                                 workers=workers)
     rows = [{"replicate": rep, "p": p, "indicator": ind}
-            for rep, (indicators,) in results for p, ind in zip(spec.p_grid, indicators)]
-    return rows, [_crossing_row(p, res) for p, res in zip(spec.p_grid, per_p)], {}
+            for rep, (indicators,) in results for p, ind in zip(spec.ps, indicators)]
+    return rows, [_crossing_row(p, res) for p, res in zip(spec.ps, per_p)], {}
 
 
 @dataclass(frozen=True)
@@ -425,10 +426,13 @@ def sweep(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> 
     """Coupled sweep: per-replicate rows over the p-grid (shared uniforms per
     replicate) or the smp t-schedule; plus an aggregated summary CSV."""
     config = load_config(config_path, seed_override)
-    op = OPS[config.raw["op"]]
+    name = config.raw["op"]
+    op = OPS[name]
     if op.sweep is None:
         ops = sorted(name for name, o in OPS.items() if o.sweep is not None)
-        raise ConfigError(f"sweep supports ops {ops}, not {config.raw['op']!r}")
+        raise ConfigError(f"sweep supports ops {ops}, not {name!r}")
+    if op.p == EACH_P and config.raw.get("p_grid") is None:
+        raise ConfigError(f"{name} sweep needs a p_grid")
     started = time.time()
     rows, summary_rows, extra = op.sweep(config.spec, config.args, workers)
     summary = {"rows": len(rows), "summary_rows": len(summary_rows), **extra}

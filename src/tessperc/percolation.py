@@ -1,7 +1,8 @@
 """Bernoulli cell coloring, cluster labeling and rectangle crossing events.
 
-Colorings store one uniform per cell and a threshold, so re-thresholding at a
-different p reuses the same randomness (monotone coupling across p).
+A colouring is one uniform per cell: the cells with uniforms < p are black at
+p and the others white, so every p reads the same randomness (monotone
+coupling across p), and a query takes the black mask, white being ~black.
 A cell graph is an (m, 2) array of cell pairs, and two numpy kernels serve
 it. Every cluster is found by label_components: each active cell is
 labelled with the smallest cell id in its component, inactive cells with -1.
@@ -37,30 +38,9 @@ if TYPE_CHECKING:  # tessellation builds on label_components
     from .tessellation import Tessellation
 
 
-@dataclass
-class Coloring:
-    uniforms: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ParameterError("p must lie in [0, 1]")
-
-    @property
-    def black(self) -> np.ndarray:
-        return self.uniforms < self.p
-
-    def mask(self, color: str) -> np.ndarray:
-        if color == "black":
-            return self.black
-        if color == "white":
-            return ~self.black
-        raise ParameterError(f"unknown color {color!r}")
-
-
-def color(tess: Tessellation, p: float, rng: np.random.Generator) -> Coloring:
-    """Draw one uniform per cell (by cell id) and threshold at p."""
-    return Coloring(rng.random(len(tess)), p)
+def color(tess: Tessellation, rng: np.random.Generator) -> np.ndarray:
+    """One uniform per cell, by cell id; the colouring at p is uniforms < p."""
+    return rng.random(len(tess))
 
 
 def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -222,27 +202,28 @@ def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
     return common_labels(label_components(active, edges), sides[start], sides[end])
 
 
-def crossing(graph, coloring: Coloring, query: CrossingQuery) -> bool:
-    """True iff some component of the query's colour in graph, the
-    rect_graph of query.rect, joins the rectangle's start and end sides
-    through interiors and shared boundary pieces inside the rect."""
-    return len(_spanning_labels(coloring.mask(query.color), graph, query.direction)) > 0
+def crossing(graph, black: np.ndarray, query: CrossingQuery) -> bool:
+    """True iff some component of the query's colour (black, or ~black for
+    white) in graph, the rect_graph of query.rect, joins the rectangle's
+    start and end sides through interiors and shared boundary pieces inside
+    the rect."""
+    active = black if query.color == "black" else ~black
+    return len(_spanning_labels(active, graph, query.direction)) > 0
 
 
-def spanning_cluster_count(graph, coloring: Coloring) -> int:
+def spanning_cluster_count(graph, black: np.ndarray) -> int:
     """Number of distinct black components of a rect_graph joining its
     rect's left and right sides."""
-    return len(_spanning_labels(coloring.black, graph, "horizontal"))
+    return len(_spanning_labels(black, graph, "horizontal"))
 
 
-def cluster_reach(tess: Tessellation, edges: np.ndarray, coloring: Coloring,
+def cluster_reach(tess: Tessellation, edges: np.ndarray, black: np.ndarray,
                   root: int) -> float:
     """Max Euclidean distance from the origin reached by the root's black
     cluster in the cell graph edges.
 
     Returns 0.0 when the root cell is white (empty cluster).
     """
-    black = coloring.black
     if not black[root]:
         return 0.0
     labels = label_components(black, edges)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,6 @@ class PointConfiguration:
 
     points: np.ndarray
     window: Window
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, float).reshape(-1, 2)
@@ -151,19 +150,16 @@ def sample_cluster_process(spec: ProcessSpec, window: Window,
     """
     if spec.kind not in ("matern_cluster", "thomas_cluster"):
         raise ParameterError("cluster sampler needs a matern_cluster or thomas_cluster spec")
-    include_parents = spec.params.get("include_parents", False)
     parent_window = window.expand(spec.restriction_buffer())
     parents = sample_poisson(spec["gamma0"], parent_window, rng).points
     counts = rng.poisson(spec["mu"], size=len(parents))
     total = int(counts.sum())
     offsets = _cluster_offsets(spec, total, rng)
     pts = np.repeat(parents, counts, axis=0) + offsets
-    if include_parents:
+    if spec.params.get("include_parents", False):
         pts = np.vstack([pts, parents]) if total else parents
     keep = window.contains_points(pts) if len(pts) else np.zeros(0, bool)
-    meta = {"truncation_sigmas": THOMAS_TRUNCATION_SIGMAS} if spec.kind == "thomas_cluster" else {}
-    meta["include_parents"] = include_parents
-    return PointConfiguration(pts[keep] if len(pts) else np.empty((0, 2)), window, meta)
+    return PointConfiguration(pts[keep] if len(pts) else np.empty((0, 2)), window)
 
 
 def sample_matern_hardcore(gamma_proposal: float, hardcore_radius: float, window: Window,

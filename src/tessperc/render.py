@@ -6,7 +6,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import clip_rings_to_window, gather_rings
-from .percolation import Coloring
 from .tessellation import Tessellation, build_adjacency
 
 _BLACK = "#000000"
@@ -18,10 +17,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str = "none",
+def render_svg(tess: Tessellation, black: np.ndarray, out_path, show_graph: str = "none",
                core_only: bool = False) -> None:
-    """Write an SVG 1.1 drawing: black/white cell polygons in id order, plus
-    an optional center-to-center adjacency overlay.
+    """Write an SVG 1.1 drawing: the cell polygons in id order, black where
+    the mask black holds and white elsewhere, plus an optional
+    center-to-center adjacency overlay.
 
     SVG y runs downward, so y coordinates are negated to keep the math
     orientation.
@@ -35,7 +35,6 @@ def render_svg(tess: Tessellation, coloring: Coloring, out_path, show_graph: str
         drawn = ids[ptr[:-1] < ptr[1:]].tolist()
     else:
         drawn = list(range(len(tess)))
-    black = coloring.black
     stroke_w = 0.003 * min(win.sides)
     x0, y0 = win.lo
     x1, y1 = win.hi

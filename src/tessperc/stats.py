@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def wilson_ci(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -47,16 +47,14 @@ class PercResult:
     replicates: int
     successes: int = 0
     failed: int = 0
-    meta: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_counts(successes: int, n: int, failed: int = 0, **meta) -> "PercResult":
+    def from_counts(successes: int, n: int, failed: int = 0) -> "PercResult":
         return PercResult(
             estimate=successes / n if n else float("nan"),
             ci=wilson_ci(successes, n),
             replicates=n,
             successes=successes,
             failed=failed,
-            meta=dict(meta),
         )
 

@@ -13,10 +13,10 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_curv
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
                                  trifurcation_candidates, verify_crossing_recursion)
-from tessperc.experiment import (ExperimentSpec, build_tessellation, coloring_for,
-                                 run_replicates, varies_by_replicate)
+from tessperc.experiment import (ExperimentSpec, build_tessellation, run_replicates,
+                                 varies_by_replicate)
 from tessperc.geometry import Window
-from tessperc.percolation import Coloring, CrossingQuery, color
+from tessperc.percolation import CrossingQuery, color
 from tessperc.point_process import ProcessSpec
 from tessperc.streams import stream
 from tessperc.tessellation import build_adjacency, build_lattice_tessellation
@@ -24,13 +24,13 @@ from tessperc.tessellation import build_adjacency, build_lattice_tessellation
 
 def pv_spec(window, p, replicates, seed, gamma=1.0, adjacency="face"):
     return ExperimentSpec(process=ProcessSpec("poisson", {"gamma": gamma}),
-                          window=window, adjacency=adjacency, p=p,
+                          window=window, adjacency=adjacency, ps=(p,),
                           replicates=replicates, master_seed=seed)
 
 
 def lattice_spec(window, p, replicates, seed, spacing=1.0):
     return ExperimentSpec(process=ProcessSpec("square_lattice", {"spacing": spacing}),
-                          window=window, adjacency="face", p=p,
+                          window=window, adjacency="face", ps=(p,),
                           replicates=replicates, master_seed=seed)
 
 
@@ -77,15 +77,15 @@ def test_run_replicates_prepares_once_per_build(random_shift, builds):
 def test_crossing_prob_trivial_endpoints():
     spec = pv_spec(Window((0, 0), (8, 8)), 1.0, 50, 1)
     q = CrossingQuery(rect=spec.window)
-    results = estimate_crossing_prob(replace(spec, p_grid=(1.0, 0.0, 1.0)), q)
+    results = estimate_crossing_prob(replace(spec, ps=(1.0, 0.0, 1.0)), q)
     assert [r.estimate for r in results] == [1.0, 0.0, 1.0]
     with pytest.raises(ParameterError):
-        estimate_crossing_prob(replace(spec, p_grid=(0.5,), replicates=49), q)
+        estimate_crossing_prob(replace(spec, ps=(0.5,), replicates=49), q)
 
 
 def test_theta_trivials_and_monotonicity():
     spec = pv_spec(Window((-8, -8), (8, 8)), 0.5, 60, 2)
-    ones, zeros = estimate_theta(replace(spec, p_grid=(1.0, 0.0)), (2, 4))
+    ones, zeros = estimate_theta(replace(spec, ps=(1.0, 0.0)), (2, 4))
     assert [r.estimate for r in ones] == [1.0, 1.0]
     assert [r.estimate for r in zeros] == [0.0, 0.0]
     (mid,) = estimate_theta(spec, (2, 4, 6))
@@ -149,7 +149,7 @@ def test_pc_tolerance_validation():
 
 def test_spanning_counts_trivials():
     spec = pv_spec(Window((0, 0), (10, 10)), 1.0, 100, 3)
-    res1, res0 = count_spanning_clusters(replace(spec, p_grid=(1.0, 0.0)), spec.window)
+    res1, res0 = count_spanning_clusters(replace(spec, ps=(1.0, 0.0)), spec.window)
     assert res1.histogram == {1: 100}
     assert res0.histogram == {0: 100}
 
@@ -165,7 +165,7 @@ def cross_fixture(black_tips=("N", "E", "W")):
     black_cells += [tips[t] for t in black_tips]
     for key in black_cells:
         uniforms[centers[key]] = 0.0
-    return tess, Coloring(uniforms, 0.5)
+    return tess, uniforms < 0.5
 
 
 def test_trifurcation_hand_fixture():
@@ -188,10 +188,10 @@ def test_trifurcation_two_tips_insufficient():
 
 
 def test_trifurcation_needs_black_ball():
-    tess, coloring = cross_fixture()
+    tess, _ = cross_fixture()
     edges = build_adjacency(tess, "face")
     cands = trifurcation_candidates(tess, edges, r1=1, r2=1.5, window=tess.core_window)
-    res = find_trifurcations(cands, Coloring(coloring.uniforms, 0.0))
+    res = find_trifurcations(cands, np.zeros(len(tess), bool))
     assert res.count == 0
     with pytest.raises(ParameterError):
         trifurcation_candidates(tess, edges, r1=0, r2=1.5, window=tess.core_window)
@@ -211,7 +211,7 @@ def test_trifurcation_ball_misfit_counts_as_skipped():
     # than 1.5 from x, so no candidate fits and every one is skipped
     spec = ExperimentSpec(
         process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
-        window=Window((-10, -10), (10, 10)), p=0.6, replicates=5, master_seed=7)
+        window=Window((-10, -10), (10, 10)), ps=(0.6,), replicates=5, master_seed=7)
     out = estimate_trifurcation_density(spec, 1, 1.5, spec.window)
     assert out["candidates"] == 25
     assert out["mean_skipped"] == out["candidates"]
@@ -229,7 +229,7 @@ def test_ggr_square_lattice_g2():
     spec = lattice_spec(Window((-10.5, -10.5), (10.5, 10.5)), 0.5, 30, 5)
     res = ggr_diagnostics(spec, 4, workers=1)
     assert all(v == pytest.approx(4.0) for v in res.g2_avg)
-    res0 = ggr_diagnostics(replace(spec, p=0.0), 4, workers=1)
+    res0 = ggr_diagnostics(replace(spec, ps=(0.0,)), 4, workers=1)
     assert all(v == 0.0 for v in res0.g1_avg)
 
 
@@ -243,7 +243,7 @@ def test_recursion_trivial_endpoints():
     spec = pv_spec(Window((0, 0), (18, 6)), 1.0, 60, 7)
     rep1 = verify_crossing_recursion(spec, 2.0)
     assert rep1["lhs"] == 0.0 and rep1["holds"]
-    rep0 = verify_crossing_recursion(replace(spec, p=0.0), 2.0)
+    rep0 = verify_crossing_recursion(replace(spec, ps=(0.0,)), 2.0)
     assert rep0["lhs"] == 1.0
     assert rep0["rhs"] == pytest.approx(49.0)
     assert rep0["holds"]
@@ -282,7 +282,7 @@ def test_rect_graphs_are_built_once_per_run_on_an_unshifted_lattice(call, rects,
 
 # Every function that reads p, the p-grid or the replicate count from its
 # spec: name -> (which p it reads: "grid" through spec.ps, "one" through
-# required_p, or "none"; its call on a spec, returning the (replicates,
+# spec.p, or "none"; its call on a spec, returning the (replicates,
 # failed) pair of each estimate it reports, or None when it reports none).
 W5 = Window((-5.0, -5.0), (5.0, 5.0))
 
@@ -309,8 +309,6 @@ SPEC_READERS = {
     "verify_crossing_recursion": (
         "one", lambda spec: _counted(verify_crossing_recursion(spec, 0.5))),
     "ggr_diagnostics": ("one", lambda spec: ggr_diagnostics(spec, 1, 1) and None),
-    "coloring_for": (
-        "one", lambda spec: coloring_for(spec, 0, build_tessellation(spec, 0)) and None),
     "smp_gap": ("one", lambda spec: [
         (c.replicates, c.meta["failed"]) for c in [smp_gap(
             spec, "crossing", Window((-1, -1), (0, 0)), Window((0.5, 0.5), (1.5, 1.5)), [1.0])]]),
@@ -320,7 +318,7 @@ SPEC_READERS = {
         mixture_nonergodic_demo(spec, 1.0))),
     "tameness_report": ("none", lambda spec: _counted(tameness_report(spec, 1.0, (1, 2)))),
 }
-COUNTLESS = {"ggr_diagnostics", "coloring_for"}  # report no replicate count
+COUNTLESS = {"ggr_diagnostics"}  # reports no replicate count
 
 
 def _shifted_spec(**fields):
@@ -333,12 +331,32 @@ def _shifted_spec(**fields):
 @pytest.mark.parametrize("name", sorted(n for n, (reads, _) in SPEC_READERS.items()
                                         if reads != "none"))
 def test_a_spec_without_p_is_a_parameter_error(name):
-    """A single-p reader does not fall back on the grid; a grid reader falls
-    back on p, so it fails only when the spec sets neither."""
+    """A single-p reader refuses a grid of two thresholds, and a grid reader
+    a spec that sets none."""
     reads, call = SPEC_READERS[name]
-    spec = _shifted_spec(p_grid=None if reads == "grid" else (0.5,))
-    with pytest.raises(ParameterError, match="the spec sets no p"):
+    spec = _shifted_spec(ps=() if reads == "grid" else (0.5, 0.6))
+    with pytest.raises(ParameterError, match="the spec sets (no|2) p"):
         call(spec)
+
+
+@pytest.mark.parametrize("config,ps", [
+    ({"p": 0.25}, (0.25,)),
+    ({"p": 0}, (0.0,)),
+    ({"p_grid": [0.6, 0.2, 0.6, 1]}, (0.6, 0.2, 0.6, 1.0)),
+    ({"p_grid": [0.5]}, (0.5,)),
+    ({}, ()),
+], ids=["p", "p_zero", "grid_in_config_order", "one_entry_grid", "neither"])
+def test_from_json_holds_the_thresholds_in_one_tuple(config, ps):
+    """A config's p becomes (p,) and its p_grid the tuple in config order,
+    repeats kept; spec.p is the one threshold, and raises on any other count."""
+    spec = ExperimentSpec.from_json({"process": {"kind": "poisson", "params": {"gamma": 1.0}},
+                                     "window": [[-1, -1], [1, 1]], **config})
+    assert spec.ps == ps and all(type(p) is float for p in spec.ps)
+    if len(ps) == 1:
+        assert spec.p == ps[0]
+    else:
+        with pytest.raises(ParameterError, match="the spec sets (no|4) p values, not one"):
+            spec.p
 
 
 @pytest.mark.parametrize("name", sorted(set(SPEC_READERS) - COUNTLESS))
@@ -354,5 +372,5 @@ def test_each_estimate_accounts_for_every_replicate_of_the_spec(name, monkeypatc
 
     for module in (estimators, diagnostics):
         monkeypatch.setattr(module, "build_tessellation", fail_rep_1(module.build_tessellation))
-    pairs = SPEC_READERS[name][1](_shifted_spec(p=0.6))
+    pairs = SPEC_READERS[name][1](_shifted_spec(ps=(0.6,)))
     assert pairs and all(pair == (99, 1) for pair in pairs)

@@ -45,7 +45,7 @@ def test_ball_basics():
 def test_ball_truncation_flag():
     """ggr refuses a ball that reaches a cell on the window's boundary."""
     spec = ExperimentSpec(process=ProcessSpec("square_lattice", {"spacing": 1.0}),
-                          window=Window((-3.5, -3.5), (3.5, 3.5)), p=0.5, replicates=2,
+                          window=Window((-3.5, -3.5), (3.5, 3.5)), ps=(0.5,), replicates=2,
                           master_seed=3)
     assert ggr_diagnostics(spec, 2, workers=1).ball_sizes == [1, 5, 13]
     with pytest.raises(ParameterError, match="n_max ball leaves the core window"):

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from tessperc import diagnostics, estimators, harness
 from tessperc.cli import main
 from tessperc.errors import ConfigError, EdgeEffectError, ParameterError
-from tessperc.experiment import ExperimentSpec, build_tessellation, coloring_for
+from tessperc.experiment import ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import Window, rings_meet_boxes
 from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
 from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
@@ -332,7 +331,7 @@ def test_csvs_identical_across_worker_counts(cfg, tmp_path):
 def _render_instance():
     core = Window((-3.0, -3.0), (3.0, 3.0))
     tess = build_voronoi(sample_poisson(1.0, core.expand(3.0), stream(33, 0, "tess")), core)
-    return tess, color(tess, 0.5, stream(33, 0, "color"))
+    return tess, color(tess, stream(33, 0, "color")) < 0.5
 
 
 def test_render_svg_core_only_star_bytes(tmp_path):
@@ -357,7 +356,7 @@ def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):
 
 def test_peierls_probe_result_pinned():
     spec = ExperimentSpec(process=ProcessSpec.from_json(PV),
-                          window=Window((-8.0, -8.0), (8.0, 8.0)), p=0.5, replicates=10,
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), ps=(0.5,), replicates=10,
                           master_seed=34)
     res = diagnostics.peierls_probe(spec, 1.0, Window((-7.5, -7.5), (7.5, 7.5)),
                                     c3=0.5, c4=0.02, cycle_lengths=(8, 16))
@@ -377,12 +376,12 @@ def test_peierls_hits_match_brute_force(process):
     flags = []
     for p in (0.3, 0.5, 0.7):
         spec = ExperimentSpec(process=ProcessSpec.from_json(process),
-                              window=Window((-8.0, -8.0), (8.0, 8.0)), p=p, replicates=4,
+                              window=Window((-8.0, -8.0), (8.0, 8.0)), ps=(p,), replicates=4,
                               master_seed=seed)
         for rep in range(spec.replicates):
             tess = build_tessellation(spec, rep)
-            coloring = coloring_for(spec, rep, tess)
-            white = np.nonzero(coloring.mask("white"))[0]
+            uniforms = uniforms_for(spec, rep, tess)
+            white = np.nonzero(~(uniforms < p))[0]
             want = []
             for ln in lengths:
                 ring = np.array(diagnostics._ring_boxes(ln, stream(seed, rep, f"cycle:{ln}")))
@@ -390,7 +389,7 @@ def test_peierls_hits_match_brute_force(process):
                                        np.repeat(ring, len(white), axis=0), delta, tess.tol)
                 want.append(bool(hit.reshape(len(ring), -1).any(axis=1).all()))
             assert diagnostics._peierls_rep(p, delta, window, lengths, seed, tess,
-                                            coloring.uniforms, rep) == want
+                                            uniforms, rep) == want
             flags += want
     assert True in flags and False in flags
 
@@ -400,7 +399,7 @@ def test_peierls_circuit_leaving_the_window_is_refused_at_every_p(p):
     """A circuit box outside the analysis window is an error whatever the
     colours, not only when every earlier box met a white cell."""
     spec = ExperimentSpec(process=ProcessSpec.from_json(SQ_FIXED),
-                          window=Window((-8.0, -8.0), (8.0, 8.0)), p=p, replicates=1,
+                          window=Window((-8.0, -8.0), (8.0, 8.0)), ps=(p,), replicates=1,
                           master_seed=1)
     with pytest.raises(ParameterError, match="circuit box leaves the analysis window"):
         diagnostics.peierls_probe(spec, 1.0, Window((-3.5, -3.5), (3.5, 3.5)),
@@ -419,7 +418,7 @@ def test_peierls_probe_counts_a_build_failure(monkeypatch):
     monkeypatch.setattr(diagnostics, "build_tessellation",
                         _fail_rep_1(diagnostics.build_tessellation))
     spec = ExperimentSpec(process=ProcessSpec.from_json(SQ),
-                          window=Window((-4.0, -4.0), (4.0, 4.0)), p=0.5, replicates=100,
+                          window=Window((-4.0, -4.0), (4.0, 4.0)), ps=(0.5,), replicates=100,
                           master_seed=59)
     res = diagnostics.peierls_probe(spec, 1.0, Window((-3.0, -3.0), (3.0, 3.0)),
                                     c3=0.5, c4=0.02, cycle_lengths=(8,))
@@ -461,6 +460,21 @@ def test_cli_render_at_p_zero_draws_no_black_cell(tmp_path):
     text = svg.read_text()
     assert 'fill="#ffffff"' in text
     assert 'fill="#000000"' not in text
+
+
+@pytest.mark.parametrize("cfg", [
+    {"op": "crossing", "process": SQ, "window": W4, "p_grid": [0.3, 0.8], "replicates": 50,
+     "master_seed": 172},
+    {"op": "tameness", "process": PV, "window": W6, "replicates": 2, "master_seed": 173,
+     "params": {"delta": 1.0, "n_schedule": [1, 2]}},
+], ids=["p_grid_crossing", "tameness"])
+def test_cli_render_without_p_colours_at_one_half(cfg, tmp_path):
+    path = _write_config(tmp_path, cfg)
+    assert main(["render", path, "--out", str(tmp_path / "cli.svg")]) == 0
+    spec = harness.load_config(path).spec
+    tess = build_tessellation(spec, 0)
+    render_svg(tess, uniforms_for(spec, 0, tess) < 0.5, tmp_path / "api.svg")
+    assert (tmp_path / "cli.svg").read_bytes() == (tmp_path / "api.svg").read_bytes()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
@@ -699,6 +713,10 @@ def _laplace_region(**region) -> dict:
     ("run", {"op": "laplace", "process": PV, "window": W4, "replicates": 1000,
              "master_seed": 167, "params": {"t": -0.3, "region": {"delta": 0.5, "ni": 2,
                                                                    "nj": 2}}}),
+    ("run", {"op": "crossing", "process": SQ, "window": [[-math.inf, -2.0], [2.0, 2.0]],
+             "p": 0.5, "replicates": 50, "master_seed": 170}),
+    ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
+             "master_seed": 171, "params": {"rect": [[-1.0, -1.0], [1.0, math.inf]]}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -726,7 +744,7 @@ def _laplace_region(**region) -> dict:
         "n_schedule_fractional", "delta_zero", "angle_tol_negative", "spacing_zero",
         "recursion_t_zero", "r2_negative", "crossing_with_p_and_p_grid", "radii_negative",
         "t_values_negative", "t_schedule_negative", "line_smp_t_schedule_negative",
-        "tolerance_below_0.01", "laplace_t_negative"])
+        "tolerance_below_0.01", "laplace_t_negative", "window_infinite", "rect_infinite"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -836,8 +854,8 @@ def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
     tess = build_tessellation(spec, 0)
     graph = rect_graph(tess, spec.window, spec.adjacency)
     for p, crossed in ((0.0, False), (1.0, True)):
-        coloring = coloring_for(replace(spec, p=p), 0, tess)
-        assert crossing(graph, coloring, CrossingQuery(rect=spec.window)) is crossed
+        black = uniforms_for(spec, 0, tess) < p
+        assert crossing(graph, black, CrossingQuery(rect=spec.window)) is crossed
 
 
 def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):

@@ -7,49 +7,46 @@ from hypothesis import strategies as st
 
 from tessperc import percolation
 from tessperc.errors import ParameterError
-from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, coloring_for
+from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings)
-from tessperc.percolation import (Coloring, CrossingQuery, cluster_reach, color,
-                                  common_labels, crossing, label_components, neighbor_csr,
-                                  rect_graph, spanning_cluster_count)
+from tessperc.percolation import (CrossingQuery, cluster_reach, color, common_labels,
+                                  crossing, label_components, neighbor_csr, rect_graph,
+                                  spanning_cluster_count)
 from tessperc.point_process import ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
                                    build_voronoi, zero_cell)
 
 
-def poisson_setup(seed, side=20.0, p=0.5):
+def poisson_setup(seed, side=20.0):
+    """A Poisson-Voronoi tessellation of [0, side]^2 and its uniforms."""
     core = Window((0, 0), (side, side))
     cfg = sample_poisson(1.0, core.expand(5), stream(seed, 0, "tess"))
     tess = build_voronoi(cfg, core)
-    col = color(tess, p, stream(seed, 0, "color"))
-    return tess, col
+    return tess, color(tess, stream(seed, 0, "color"))
 
 
-def crosses(tess, col, query, adjacency="face"):
+def crosses(tess, black, query, adjacency="face"):
     """crossing on the rect graph of the query's rect, built for this one call."""
-    return crossing(rect_graph(tess, query.rect, adjacency), col, query)
+    return crossing(rect_graph(tess, query.rect, adjacency), black, query)
 
 
 def test_coloring_thresholds():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (100, 100)))
-    col0 = color(tess, 0.0, stream(1, 0, "color"))
-    assert not col0.black.any()
-    col1 = Coloring(col0.uniforms, 1.0)
-    assert col1.black.all()
-    col = Coloring(col0.uniforms, 0.37)
-    frac = col.black.mean()
+    uniforms = color(tess, stream(1, 0, "color"))
+    assert not (uniforms < 0.0).any()
+    assert (uniforms < 1.0).all()
+    frac = (uniforms < 0.37).mean()
     assert abs(frac - 0.37) < 3 * np.sqrt(0.37 * 0.63 / 10_000)
     with pytest.raises(ParameterError):
-        Coloring(col.uniforms, 1.5)
+        ExperimentSpec(process=ProcessSpec("poisson", {"gamma": 1.0}), window=tess.core_window,
+                       ps=(1.5,))
 
 
 def test_coupling_monotone():
-    tess, col = poisson_setup(3)
-    b1 = Coloring(col.uniforms, 0.3).black
-    b2 = Coloring(col.uniforms, 0.6).black
-    assert (b1 <= b2).all()
+    tess, uniforms = poisson_setup(3)
+    assert ((uniforms < 0.3) <= (uniforms < 0.6)).all()
 
 
 def csr_lists(n, edges):
@@ -81,8 +78,7 @@ def bfs_labels(neighbors, active_ids):
 def test_black_clusters_trivial_and_checkerboard():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (8, 8)))
     edges = build_adjacency(tess, "face")
-    all_black = Coloring(np.zeros(len(tess)), 1.0)
-    labels = label_components(all_black.black, edges)
+    labels = label_components(np.ones(len(tess), bool), edges)
     assert len(tess) == 64 and (labels == 0).all()
     # checkerboard: no face adjacency between same-color diagonal squares
     uniforms = np.ones(len(tess))
@@ -90,14 +86,14 @@ def test_black_clusters_trivial_and_checkerboard():
         ix, iy = int(np.floor(c[0])), int(np.floor(c[1]))
         if (ix + iy) % 2 == 0:
             uniforms[i] = 0.0
-    checker = Coloring(uniforms, 0.5)
-    black = np.nonzero(checker.black)[0]
+    checker = uniforms < 0.5
+    black = np.nonzero(checker)[0]
     assert len(black) == 32
-    labels = label_components(checker.black, edges)
+    labels = label_components(checker, edges)
     assert (labels[black] == black).all()
     # same coloring with star adjacency joins the diagonal
     star = build_adjacency(tess, "star")
-    labels = label_components(checker.black, star)
+    labels = label_components(checker, star)
     assert (labels[black] == black.min()).all()
 
 
@@ -214,20 +210,21 @@ def test_common_labels_is_intersect1d_without_negatives(data):
 
 
 def test_crossing_trivials_and_errors():
-    tess, col = poisson_setup(9, side=10.0)
+    tess, uniforms = poisson_setup(9, side=10.0)
     rect = Window((1, 1), (9, 9))
     q = CrossingQuery(rect=rect, direction="horizontal", color="black")
-    assert crosses(tess, Coloring(col.uniforms, 1.0), q)
-    assert not crosses(tess, Coloring(col.uniforms, 0.0), q)
+    assert crosses(tess, uniforms < 1.0, q)
+    assert not crosses(tess, uniforms < 0.0, q)
     qw = CrossingQuery(rect=rect, direction="vertical", color="white")
-    assert crosses(tess, Coloring(col.uniforms, 0.0), qw, "star")
+    assert crosses(tess, uniforms < 0.0, qw, "star")
     with pytest.raises(ParameterError):
         rect_graph(tess, Window((0, 0), (11, 11)), "face")
 
 
 def test_planar_dichotomy_sampled_instances():
     for seed in range(40):
-        tess, col = poisson_setup(100 + seed, side=15.0, p=0.5)
+        tess, uniforms = poisson_setup(100 + seed, side=15.0)
+        col = uniforms < 0.5
         rect = tess.core_window
         black_h = crosses(tess, col, CrossingQuery(rect, "horizontal", "black"), "face")
         white_v = crosses(tess, col, CrossingQuery(rect, "vertical", "white"), "star")
@@ -235,7 +232,8 @@ def test_planar_dichotomy_sampled_instances():
 
 
 def test_dichotomy_on_subrects():
-    tess, col = poisson_setup(250, side=20.0, p=0.5)
+    tess, uniforms = poisson_setup(250, side=20.0)
+    col = uniforms < 0.5
     rects = [Window((1, 2), (12, 9)), Window((0.5, 0.5), (19, 19)), Window((5, 5), (9, 15))]
     for rect in rects:
         black_h = crosses(tess, col, CrossingQuery(rect, "horizontal", "black"), "face")
@@ -249,7 +247,8 @@ def test_color_symmetry_at_half():
     n = 120
     rect = Window((0, 0), (12, 12))
     for seed in range(n):
-        tess, col = poisson_setup(300 + seed, side=12.0, p=0.5)
+        tess, uniforms = poisson_setup(300 + seed, side=12.0)
+        col = uniforms < 0.5
         graph = rect_graph(tess, rect, "face")
         hits_b += crossing(graph, col, CrossingQuery(rect=rect, color="black"))
         hits_w += crossing(graph, col, CrossingQuery(rect=rect, color="white"))
@@ -263,7 +262,8 @@ def test_fkg_nested_crossings_positively_associated():
     outer = Window((0, 0), (12, 12))
     pairs = []
     for seed in range(100):
-        tess, col = poisson_setup(500 + seed, side=12.0, p=0.5)
+        tess, uniforms = poisson_setup(500 + seed, side=12.0)
+        col = uniforms < 0.5
         a = crosses(tess, col, CrossingQuery(rect=inner, color="black"))
         b = crosses(tess, col, CrossingQuery(rect=outer, color="black"))
         pairs.append((int(a), int(b)))
@@ -275,10 +275,10 @@ def test_fkg_nested_crossings_positively_associated():
 
 def test_spanning_cluster_count_trivials():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (6, 6)))
-    col = color(tess, 0.5, stream(2, 0, "color"))
+    uniforms = color(tess, stream(2, 0, "color"))
     graph = rect_graph(tess, tess.core_window, "face")
-    assert spanning_cluster_count(graph, Coloring(col.uniforms, 1.0)) == 1
-    assert spanning_cluster_count(graph, Coloring(col.uniforms, 0.0)) == 0
+    assert spanning_cluster_count(graph, uniforms < 1.0) == 1
+    assert spanning_cluster_count(graph, uniforms < 0.0) == 0
 
 
 def test_spanning_two_disjoint_rows():
@@ -287,8 +287,7 @@ def test_spanning_two_disjoint_rows():
     for i, c in enumerate(tess.centers):
         if int(np.floor(c[1])) in (0, 3):
             uniforms[i] = 0.0
-    col = Coloring(uniforms, 0.5)
-    assert spanning_cluster_count(rect_graph(tess, tess.core_window, "face"), col) == 2
+    assert spanning_cluster_count(rect_graph(tess, tess.core_window, "face"), uniforms < 0.5) == 2
 
 
 @pytest.mark.parametrize("adjacency", ["face", "star"])
@@ -300,7 +299,7 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
     x, y = tess.centers.T
     for y0, crossed in ((4, False), (3, True)):
         row = (y0 < y) & (y < y0 + 1) & (-1 < x) & (x < 5)
-        col = Coloring(np.where(row, 0.0, 1.0), 0.5)
+        col = np.where(row, 0.0, 1.0) < 0.5
         graph = rect_graph(tess, rect, adjacency)
         assert crossing(graph, col, CrossingQuery(rect)) == crossed
         assert spanning_cluster_count(graph, col) == int(crossed)
@@ -326,10 +325,10 @@ def test_cluster_reach():
     tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5), Window((-5.5, -5.5), (5.5, 5.5)))
     edges = build_adjacency(tess, "face")
     root = zero_cell(tess)
-    col = color(tess, 0.5, stream(4, 0, "color"))
-    assert cluster_reach(tess, edges, Coloring(col.uniforms, 0.0), root) == 0.0
+    uniforms = color(tess, stream(4, 0, "color"))
+    assert cluster_reach(tess, edges, uniforms < 0.0, root) == 0.0
     # all black: reach = farthest cell corner
-    reach = cluster_reach(tess, edges, Coloring(col.uniforms, 1.0), root)
+    reach = cluster_reach(tess, edges, uniforms < 1.0, root)
     assert reach == pytest.approx(np.sqrt(2) * 5.5)
 
 
@@ -410,12 +409,12 @@ def _rects(draw):
 def _instances(draw):
     """(tessellation, its uniforms, two rects inside its core)."""
     spec = ExperimentSpec(process=_KINDS[draw(st.sampled_from(sorted(_KINDS)))],
-                          window=_CORE, p=0.5, master_seed=draw(st.integers(0, 10_000)))
+                          window=_CORE, ps=(0.5,), master_seed=draw(st.integers(0, 10_000)))
     try:
         tess = build_tessellation(spec, 0)
     except BUILD_ERRORS:
         assume(False)
-    return tess, coloring_for(spec, 0, tess).uniforms, (draw(_rects()), draw(_rects()))
+    return tess, uniforms_for(spec, 0, tess), (draw(_rects()), draw(_rects()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,14 +425,13 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
         for adjacency in ("face", "star"):
             graph = rect_graph(tess, rect, adjacency)
             for p in ps:
-                col = Coloring(uniforms, p)
-                for name in ("black", "white"):
+                col = uniforms < p
+                for name, mask in (("black", col), ("white", ~col)):
                     for direction in ("horizontal", "vertical"):
-                        want = _ref_spanning_labels(tess, col.mask(name), rect, adjacency,
-                                                    direction)
-                        got = percolation._spanning_labels(col.mask(name), graph, direction)
+                        want = _ref_spanning_labels(tess, mask, rect, adjacency, direction)
+                        got = percolation._spanning_labels(mask, graph, direction)
                         assert np.array_equal(got, want)
                         query = CrossingQuery(rect, direction, name)
                         assert crossing(graph, col, query) == (len(want) > 0)
-                want = _ref_spanning_labels(tess, col.black, rect, adjacency, "horizontal")
+                want = _ref_spanning_labels(tess, col, rect, adjacency, "horizontal")
                 assert spanning_cluster_count(graph, col) == len(want)

@@ -141,10 +141,20 @@ def test_matern_cluster_diameter_bound():
     assert (np.linalg.norm(offs, axis=1) <= 0.3 + 1e-12).all()
 
 
-def test_thomas_truncation_records_metadata():
+@pytest.mark.parametrize("sigmas", [None, 1.5], ids=["default", "binding"])
+def test_thomas_offsets_never_exceed_the_truncation(sigmas, monkeypatch):
+    """No Thomas offset is longer than THOMAS_TRUNCATION_SIGMAS * sigma; a
+    cap of 1.5 sigma, which a third of the normal draws exceed, is met too."""
+    from tessperc import point_process
+    if sigmas is not None:
+        monkeypatch.setattr(point_process, "THOMAS_TRUNCATION_SIGMAS", sigmas)
     spec = ProcessSpec("thomas_cluster", {"gamma0": 1.0, "mu": 2.0, "sigma": 0.1})
-    cfg = sample_cluster_process(spec, WIN10, stream(9, 1, "cl"))
-    assert cfg.meta["truncation_sigmas"] == 6.0
+    cap = point_process.THOMAS_TRUNCATION_SIGMAS * 0.1
+    lengths = np.linalg.norm(point_process._cluster_offsets(spec, 5000, stream(9, 1, "cl")),
+                             axis=1)
+    assert lengths.max() <= cap
+    if sigmas is not None:
+        assert lengths.max() > 0.95 * cap
 
 
 def test_matern_hardcore_distance():
