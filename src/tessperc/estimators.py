@@ -9,14 +9,15 @@ builds the colour-independent part of a query (the rectangle graphs, the
 cell graph and zero cell, or the trifurcation candidates with their balls
 and rims) once per tessellation, and query reads one replicate's colouring
 uniforms and hands the percolation functions the black mask uniforms < p
-at each p. The runner builds a tessellation that does not vary by replicate
+at the p it reads. The runner builds a tessellation that does not vary by replicate
 (an unshifted lattice) once per run, drops and counts build failures (edge
 effects, degenerate inputs) and fails the run past its failure budget.
 The estimators count events and report Wilson intervals. Every crossing
 indicator (of the crossing estimates, p_c, the recursion, and the smp gap
 and mixture in diagnostics) comes from estimate_crossing_curve, which builds
-one rectangle graph per query and thresholds each replicate's colouring at
-every p of the spec's grid.
+one rectangle graph per query and, per replicate and query, bisects the
+sorted grid for the p at which the crossing switches: ceil(log2(len + 1))
+labellings, not one per p.
 
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, rectangle-graph, crossing, adjacency,
@@ -27,6 +28,7 @@ wrapper on these bindings sees every call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -55,36 +57,46 @@ def _grid(spec: ExperimentSpec) -> tuple:
     return spec.ps
 
 
+def _switch_index(thresholds, switched) -> int:
+    """The least k with switched(thresholds[k]), or len(thresholds), in at most
+    ceil(log2(len + 1)) calls of a predicate monotone along the sorted thresholds."""
+    return bisect_left(thresholds, True, key=switched)
+
+
 def _crossing_rep(queries: tuple, ps: tuple, graphs, uniforms, rep: int):
     """(rep, indicators): indicators[j][k] is 1 when the colouring at ps[k]
-    has the crossing queries[j] on graphs[j]; the id survives dropped failures."""
-    blacks = [uniforms < p for p in ps]
-    return rep, tuple(tuple(1 if crossing(graph, black, query) else 0 for black in blacks)
-                      for query, graph in zip(queries, graphs))
+    has the crossing queries[j] on graphs[j]; the id survives dropped failures.
+    Along the nondecreasing ps a black crossing can only switch on and a
+    white one only off, so each query bisects ps for the index k at which it
+    switches: black holds at ps[j] iff j >= k, white iff j < k."""
+    indicators = []
+    for query, graph in zip(queries, graphs):
+        black = query.color == "black"
+        k = _switch_index(ps, lambda p: crossing(graph, uniforms < p, query) == black)
+        indicators.append(tuple(1 if (j >= k) == black else 0 for j in range(len(ps))))
+    return rep, tuple(indicators)
 
 
 def estimate_crossing_curve(spec: ExperimentSpec, queries: tuple,
                             workers: int = 1) -> tuple[list, list]:
-    """Coupled crossing estimates of each query over the increasing grid spec.ps.
+    """Coupled crossing estimates of each query over the nondecreasing grid
+    spec.ps, which it refuses unsorted.
 
     Returns the (rep, indicators) of every replicate that built, as in
     _crossing_rep, and per query one PercResult per p. Every p of a replicate
     thresholds the same uniforms, so its black crossing indicators are
-    nondecreasing in p and its white ones nonincreasing; a spot check on ~1%
-    of the replicates enforces this.
+    nondecreasing in p and its white ones nonincreasing, by construction.
     """
+    ps = _grid(spec)
+    if any(b < a for a, b in zip(ps, ps[1:])):
+        raise ParameterError("the p-grid of a crossing curve must be nondecreasing")
     results, failed = run_replicates(
         spec, build_tessellation,
         partial(_rect_prepare, tuple(q.rect for q in queries), spec.adjacency),
-        partial(_crossing_rep, queries, _grid(spec)), workers)
+        partial(_crossing_rep, queries, ps), workers)
     vals = [indicators for _, indicators in results]
-    for indicators in vals[::max(1, len(vals) // 100)]:
-        for query, ind in zip(queries, indicators):
-            sign = 1 if query.color == "black" else -1
-            if any(sign * (b - a) < 0 for a, b in zip(ind, ind[1:])):
-                raise ParameterError("coupling violation: crossing indicator not monotone in p")
     return results, [[PercResult.from_counts(sum(v[j][k] for v in vals), len(vals), failed=failed)
-                      for k in range(len(spec.ps))] for j in range(len(queries))]
+                      for k in range(len(ps))] for j in range(len(queries))]
 
 
 def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,

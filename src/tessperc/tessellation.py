@@ -54,9 +54,10 @@ class Tessellation:
     Cell i has generator centers[i] and the CCW vertex ring
     poly_xy[poly_ptr[i]:poly_ptr[i + 1]], read through polygon(i). Cell ids
     are also the order in which colorings draw one uniform per cell, so every
-    builder fixes that order. bboxes[i] = [xmin, ymin, xmax, ymax] of the
-    ring and boundary[i] (the cell is not strictly inside the core window)
-    are derived from the rings once, on construction.
+    builder fixes that order. The builder passes bboxes[i] = [xmin, ymin, xmax,
+    ymax] of the ring (a lattice as anchor + its unit ring's extremes, the same
+    floats); boundary[i] (the cell is not strictly inside the core window) is
+    derived from them on construction.
 
     face_pairs[k] = (i, j) share the edge face_segments[k], unclipped, whose
     part inside the sampling window has positive length; star_pairs are the
@@ -73,11 +74,10 @@ class Tessellation:
     star_pairs: np.ndarray
     star_points: np.ndarray
     tol: float
-    bboxes: np.ndarray = field(init=False, repr=False)
+    bboxes: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.bboxes = ring_extents(self.poly_xy, self.poly_ptr)
         bb, lo, hi, tol = self.bboxes, self.core_window.lo, self.core_window.hi, self.tol
         self.boundary = ((bb[:, 0] <= lo[0] + tol) | (bb[:, 2] >= hi[0] - tol)
                          | (bb[:, 1] <= lo[1] + tol) | (bb[:, 3] >= hi[1] - tol))
@@ -192,12 +192,13 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # generator, so CCW. The pseudo-angle dx / (|dx| + |dy|), folded to
     # [0, 4), sorts as the polar angle does; the incidences of one vertex
     # (the triangles of a group) sort next to each other and are kept once.
+    # Owners' key blocks are 8 apart, so an angle rounded up to 4 stays in its block.
     owner, cat = simplices.ravel(), np.repeat(vertex, 3)
     keep = owner < n
     owner, cat = owner[keep], cat[keep]
     dx, dy = (centres[cat] - pts[owner]).T
     r = dx / (np.abs(dx) + np.abs(dy))
-    order = np.argsort(owner * 4.0 + np.where(dy >= 0, 1.0 - r, 3.0 + r))
+    order = np.argsort(owner * 8.0 + np.where(dy >= 0, 1.0 - r, 3.0 + r))
     owner, cat = owner[order], cat[order]
     first = np.ones(len(cat), bool)
     first[1:] = (cat[1:] != cat[:-1]) | (owner[1:] != owner[:-1])
@@ -281,7 +282,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
         face_pairs=face_pairs,
         face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
         star_pairs=star_all[first], star_points=points_all[first],
-        tol=tol)
+        tol=tol, bboxes=ring_extents(poly_xy, ptr))
 
     # a posteriori buffer validation: every clipped cell touches the sampling
     # hull, so one that meets the core window was not determined by the sample
@@ -370,7 +371,8 @@ def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Wi
         poly_ptr=np.arange(len(x) + 1) * len(ring),
         core_window=core_window, sampling_window=Window.hull([core_window, hull]),
         face_pairs=face_pairs, face_segments=face_segments,
-        star_pairs=star_pairs, star_points=star_points.reshape(-1, 2), tol=tol)
+        star_pairs=star_pairs, star_points=star_points.reshape(-1, 2), tol=tol,
+        bboxes=np.column_stack([x + r_lo[0], y + r_lo[1], x + r_hi[0], y + r_hi[1]]))
 
 
 def zero_cell(tess: Tessellation) -> int:

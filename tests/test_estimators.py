@@ -1,7 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from tessperc import diagnostics, estimators, percolation
@@ -13,10 +16,10 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_curv
                                  estimate_trifurcation_density,
                                  find_trifurcations, ggr_diagnostics,
                                  trifurcation_candidates, verify_crossing_recursion)
-from tessperc.experiment import (ExperimentSpec, build_tessellation, run_replicates,
-                                 varies_by_replicate)
+from tessperc.experiment import (BUILD_ERRORS, ExperimentSpec, build_tessellation,
+                                 run_replicates, uniforms_for, varies_by_replicate)
 from tessperc.geometry import Window
-from tessperc.percolation import CrossingQuery, color
+from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
 from tessperc.point_process import ProcessSpec
 from tessperc.streams import stream
 from tessperc.tessellation import build_adjacency, build_lattice_tessellation
@@ -81,6 +84,79 @@ def test_crossing_prob_trivial_endpoints():
     assert [r.estimate for r in results] == [1.0, 0.0, 1.0]
     with pytest.raises(ParameterError):
         estimate_crossing_prob(replace(spec, ps=(0.5,), replicates=49), q)
+
+
+@st.composite
+def _bisection_cases(draw):
+    """(queries, graphs, uniforms, ps) of one replicate: the four crossings
+    of one rect of a Poisson-Voronoi or randomly shifted lattice build at
+    face or star adjacency, and a sorted grid of 1 to 15 thresholds, some of
+    them repeated or equal to a cell's uniform."""
+    process = draw(st.sampled_from([
+        ProcessSpec("poisson", {"gamma": 1.0}),
+        ProcessSpec("square_lattice", {"spacing": 0.7, "random_shift": True}),
+        ProcessSpec("hexagonal_lattice", {"spacing": 0.7, "random_shift": True})]))
+    spec = ExperimentSpec(process=process, window=Window((-3, -3), (3, 3)),
+                          master_seed=draw(st.integers(0, 2 ** 16)))
+    try:
+        tess = build_tessellation(spec, 0)
+    except BUILD_ERRORS:
+        assume(False)
+    rect = draw(st.sampled_from([spec.window, Window((-3, -1), (2, 2))]))
+    graph = rect_graph(tess, rect, draw(st.sampled_from(["face", "star"])))
+    queries = tuple(CrossingQuery(rect, direction, colour)
+                    for direction in ("horizontal", "vertical") for colour in ("black", "white"))
+    uniforms = uniforms_for(spec, 0, tess)
+    ps = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(uniforms.tolist()),
+                       min_size=1, max_size=12))
+    ps += draw(st.lists(st.sampled_from(ps), max_size=3))
+    return queries, (graph,) * len(queries), uniforms, tuple(sorted(ps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bisection_cases())
+def test_bisected_indicators_equal_crossing_at_every_p(case):
+    """Each query's bisected indicators are crossing() of the colouring at
+    every p of the grid."""
+    queries, graphs, uniforms, ps = case
+    rep, indicators = estimators._crossing_rep(queries, ps, graphs, uniforms, 7)
+    assert rep == 7
+    assert indicators == tuple(tuple(int(crossing(graph, uniforms < p, query)) for p in ps)
+                               for query, graph in zip(queries, graphs))
+
+
+def test_crossing_curve_refuses_a_decreasing_grid(monkeypatch):
+    """An unsorted grid is refused before anything is built."""
+    monkeypatch.setattr(estimators, "build_tessellation", None)
+    spec = lattice_spec(W5, 0.5, 10, 3)
+    with pytest.raises(ParameterError, match="nondecreasing"):
+        estimate_crossing_curve(replace(spec, ps=(0.4, 0.6, 0.5)), (CrossingQuery(W5),))
+
+
+@pytest.mark.parametrize("ps,calls", [(tuple(np.linspace(0.3, 0.8, 11)), range(1, 5)),
+                                      ((0.55,), range(1, 2))], ids=["11_p", "one_p"])
+def test_each_query_labels_at_most_log2_of_the_grid(ps, calls, monkeypatch):
+    """Through the estimators binding of crossing, each query of each
+    replicate calls it ceil(log2(len(ps) + 1)) times at most."""
+    per_rep, crossing_rep = [], estimators._crossing_rep
+
+    def counted_rep(*args):
+        per_rep.append(Counter())
+        return crossing_rep(*args)
+
+    def counted_crossing(graph, black, query):
+        per_rep[-1][query] += 1
+        return crossing(graph, black, query)
+
+    monkeypatch.setattr(estimators, "_crossing_rep", counted_rep)
+    monkeypatch.setattr(estimators, "crossing", counted_crossing)
+    spec = ExperimentSpec(
+        process=ProcessSpec("square_lattice", {"spacing": 0.5, "random_shift": True}),
+        window=W5, adjacency="star", ps=ps, replicates=20, master_seed=4)
+    queries = (CrossingQuery(W5), CrossingQuery(W5, "vertical", "white"))
+    estimate_crossing_curve(spec, queries)
+    assert len(per_rep) == 20
+    assert all(set(c) == set(queries) and set(c.values()) <= set(calls) for c in per_rep)
 
 
 def test_theta_trivials_and_monotonicity():

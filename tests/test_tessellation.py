@@ -411,6 +411,42 @@ def test_repeated_generator_is_a_degenerate_region():
     assert 49 not in ref.face_pairs
 
 
+# kind -> (a1, a2, the sites of one unit cell, ring length and star degree of
+# an interior cell): Voronoi cells of kagome points are rhombi, and of
+# honeycomb points triangles; nearest sites are 1 apart.
+_LAVES_POINTS = {
+    "kagome": ((2.0, 0.0), (1.0, math.sqrt(3.0)),
+               [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2)], 4, 10),
+    "honeycomb": ((math.sqrt(3.0), 0.0), (math.sqrt(3.0) / 2, 1.5),
+                  [(0.0, 0.0), (0.0, 1.0)], 3, 12),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LAVES_POINTS))
+@pytest.mark.parametrize("degrees", [0, 30, 90])
+def test_rings_of_lattice_point_voronoi_cells_do_not_interleave(kind, degrees):
+    """The ring sort keeps each cell's vertices together when a vertex sits
+    on its generator's +x axis, where rounding can put the angle key a few
+    ULP under 4. The points are listed one sublattice after another, so
+    consecutive ids have vertices on that axis."""
+    a1, a2, sites, ring_length, star_degree = _LAVES_POINTS[kind]
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    ab = np.array([(a, b) for a in range(-20, 21) for b in range(-20, 21)], float)
+    cells = ab @ np.array([a1, a2])
+    points = np.concatenate([cells + site for site in sites]) @ np.array([[c, s], [-s, c]])
+    core = Window((-8, -8), (8, 8))
+    sampling = core.expand(5)
+    for shift in np.random.default_rng(degrees).random((4, 2)):
+        pts = points + shift
+        tess = build_voronoi(PointConfiguration(pts[sampling.contains_points(pts)], sampling),
+                             core, validate_buffer=False)
+        inner = ~tess.boundary
+        degree = np.bincount(build_adjacency(tess, "star").ravel(), minlength=len(tess))
+        assert (tess.star_pairs[:, 0] != tess.star_pairs[:, 1]).all()
+        assert (np.diff(tess.poly_ptr)[inner] == ring_length).all()
+        assert (degree[inner] == star_degree).all()
+
+
 # Reference: build_voronoi as it was built on scipy.spatial.Voronoi, reading
 # Qhull's regions and ridges as Python lists.
 
@@ -522,7 +558,7 @@ def _list_build_voronoi(points, core_window, validate_buffer=True):
         face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
         star_pairs=np.array(star_pairs, int).reshape(-1, 2),
         star_points=np.array([star[p] for p in star_pairs], float).reshape(-1, 2),
-        tol=tol)
+        tol=tol, bboxes=ring_extents(poly_xy, ptr))
     if validate_buffer:
         hit = np.isin(clipped, tess.cells_meeting(core_window))
         if hit.any():
@@ -702,7 +738,7 @@ def _ref_lattice(centers, polys, core, tol, face_pairs, face_segments,
         face_pairs=face_pairs.reshape(-1, 2), face_segments=face_segments.reshape(-1, 2, 2),
         star_pairs=np.empty((0, 2), int) if star_pairs is None else star_pairs.reshape(-1, 2),
         star_points=np.empty((0, 2)) if star_points is None else star_points.reshape(-1, 2),
-        tol=tol)
+        tol=tol, bboxes=ring_extents(poly_xy, np.arange(n + 1) * k))
 
 
 def _ref_square_lattice(s, shift, core, tol):
@@ -797,7 +833,8 @@ def _without_near_ties(tess, spacing):
         centers=tess.centers[keep], poly_xy=xy, poly_ptr=ptr, core_window=tess.core_window,
         sampling_window=Window.hull([tess.core_window, hull]),
         face_pairs=ids[tess.face_pairs[face]], face_segments=tess.face_segments[face],
-        star_pairs=ids[tess.star_pairs[star]], star_points=tess.star_points[star], tol=tol)
+        star_pairs=ids[tess.star_pairs[star]], star_points=tess.star_points[star], tol=tol,
+        bboxes=ring_extents(xy, ptr))
 
 
 @st.composite
