@@ -401,9 +401,11 @@ def peierls_probe(spec: ExperimentSpec, delta: float, window: Window, c3: float,
     all-white-circuit bound evaluated with empirically measured constants.
 
     c3 (< 1) and c4 come from a prior tameness report (the U and Y curve
-    levels); c3 >= 1 declines the probe. Replicates whose tessellation fails
-    to build are dropped and counted in failed.
+    levels); c3 >= 1 declines the probe. The window must lie in the core
+    window. Replicates whose tessellation fails to build are counted in failed.
     """
+    if not spec.window.contains_window(window, tol=1e-9):
+        raise ParameterError("analysis window must lie inside the core window")
     p = spec.p
     if c3 >= 1.0:
         return PeierlsResult(declined=True, reason=f"empirical c3={c3} >= 1",

@@ -99,12 +99,6 @@ class Window:
             raise ParameterError(f"a window must be [[x0, y0], [x1, y1]] of numbers, got {obj!r}")
         return Window(tuple(obj[0]), tuple(obj[1]))
 
-    @staticmethod
-    def hull(windows) -> "Window":
-        los = np.array([w.lo for w in windows])
-        his = np.array([w.hi for w in windows])
-        return Window(tuple(los.min(axis=0)), tuple(his.max(axis=0)))
-
 
 def _ring_next(ptr: np.ndarray, m: int) -> np.ndarray:
     """Index of the next vertex of every vertex of m ragged rings."""

@@ -39,8 +39,9 @@ if TYPE_CHECKING:  # tessellation builds on label_components
 
 
 def color(tess: Tessellation, rng: np.random.Generator) -> np.ndarray:
-    """One uniform per cell, by cell id; the colouring at p is uniforms < p."""
-    return rng.random(len(tess))
+    """Per cell, the uniform that rng draws for its generator, one per
+    generator in generator order; the colouring at p is uniforms < p."""
+    return rng.random(tess.generators[-1] + 1)[tess.generators]
 
 
 def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import clip_rings_to_window, gather_rings
+from .geometry import Window, clip_rings_to_window, gather_rings
 from .tessellation import Tessellation, build_adjacency
 
 _BLACK = "#000000"
@@ -21,20 +21,22 @@ def render_svg(tess: Tessellation, black: np.ndarray, out_path, show_graph: str 
                core_only: bool = False) -> None:
     """Write an SVG 1.1 drawing: the cell polygons in id order, black where
     the mask black holds and white elsewhere, plus an optional
-    center-to-center adjacency overlay.
+    center-to-center adjacency overlay. The full view frames every cell,
+    the core-only view the core window.
 
     SVG y runs downward, so y coordinates are negated to keep the math
     orientation.
     """
     if show_graph not in ("none", "face", "star"):
         raise ParameterError("show_graph must be 'none', 'face' or 'star'")
-    win = tess.core_window if core_only else tess.sampling_window
+    bb = tess.bboxes
+    win = Window(tuple(bb[:, :2].min(axis=0)), tuple(bb[:, 2:].max(axis=0)))
+    drawn = list(range(len(tess)))
     if core_only:
+        win = tess.core_window
         ids = tess.cells_meeting(win)
         _, ptr = clip_rings_to_window(*gather_rings(tess.poly_xy, tess.poly_ptr, ids), win)
         drawn = ids[ptr[:-1] < ptr[1:]].tolist()
-    else:
-        drawn = list(range(len(tess)))
     stroke_w = 0.003 * min(win.sides)
     x0, y0 = win.lo
     x1, y1 = win.hi

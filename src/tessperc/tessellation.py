@@ -1,6 +1,6 @@
 """Tessellation construction: planar Voronoi and deterministic lattices.
 
-A Tessellation stores its n convex cells, clipped to the sampling window, as
+A Tessellation stores the n convex cells that meet its core window as
 arrays: generator centers, and the CCW vertex rings of all cells concatenated
 into one ragged array. It also stores the shared-boundary data needed for
 both adjacency notions: face adjacency (positive-length shared segment) and
@@ -9,11 +9,12 @@ star adjacency (any contact, corner contacts included). A cell graph is an
 
 Voronoi cells are read off Qhull's Delaunay triangulation of the generators
 plus the three far points of _mirror_ring, which bound every real region and
-whose own regions never enter the window, so the clipped cells are exact.
-The Voronoi vertices are the triangles' circumcentres, cocircular triangles
-sharing one; a cell's ring is its vertices in angular order around its
-generator, and the ridge between two generators runs between the
-circumcentres on either side of their Delaunay edge. build_voronoi imports
+whose own regions never enter the window, so the cells are exact. A build
+keeps the cells whose bbox meets the core window. The Voronoi vertices are
+the triangles' circumcentres, cocircular triangles sharing one; a cell's
+ring is its vertices in angular order around its generator, and the ridge
+between two generators runs between the circumcentres on either side of
+their Delaunay edge. build_voronoi imports
 scipy.spatial when it first runs, not at module load, so a run that builds
 only lattices never pays that import.
 
@@ -51,13 +52,14 @@ _MIRROR_RADIUS_FACTOR = 4.0  # circumradius of the mirror triangle / window diag
 class Tessellation:
     """Convex cells covering the core window, with shared-boundary data.
 
-    Cell i has generator centers[i] and the CCW vertex ring
-    poly_xy[poly_ptr[i]:poly_ptr[i + 1]], read through polygon(i). Cell ids
-    are also the order in which colorings draw one uniform per cell, so every
-    builder fixes that order. The builder passes bboxes[i] = [xmin, ymin, xmax,
-    ymax] of the ring (a lattice as anchor + its unit ring's extremes, the same
-    floats); boundary[i] (the cell is not strictly inside the core window) is
-    derived from them on construction.
+    Cell i has generator centers[i], point generators[i] of the configuration
+    it was built from (i for a lattice), and the CCW vertex ring
+    poly_xy[poly_ptr[i]:poly_ptr[i + 1]], read through polygon(i). Cells are
+    in generator order, and a colouring gives each the uniform of its
+    generator, whatever other cells a build keeps. The builder passes
+    bboxes[i] = [xmin, ymin, xmax, ymax] of the ring (a lattice as anchor +
+    its unit ring's extremes, the same floats); boundary[i] (the cell is not
+    strictly inside the core window) is derived from them on construction.
 
     face_pairs[k] = (i, j) share the edge face_segments[k], unclipped, whose
     part inside the sampling window has positive length; star_pairs are the
@@ -65,10 +67,10 @@ class Tessellation:
     """
 
     centers: np.ndarray
+    generators: np.ndarray
     poly_xy: np.ndarray
     poly_ptr: np.ndarray
     core_window: Window
-    sampling_window: Window
     face_pairs: np.ndarray
     face_segments: np.ndarray
     star_pairs: np.ndarray
@@ -153,15 +155,16 @@ def _voronoi_vertices(tri: Delaunay, tol: float) -> tuple[np.ndarray, np.ndarray
 
 def build_voronoi(points: PointConfiguration, core_window: Window,
                   validate_buffer: bool = True) -> Tessellation:
-    """Voronoi tessellation of a sampled configuration, clipped to its window.
+    """The Voronoi cells of a sampled configuration whose bbox meets the
+    core window, in generator order.
 
     The configuration window is the sampling window; it must contain the core
-    window. After construction, any cell that meets the core window while
-    touching the sampling hull raises EdgeEffectError (the buffer was too
-    small to determine it). That check presumes the configuration restricts
-    an infinite process; pass validate_buffer=False when the configuration is
-    the whole process (a handful of explicit generators), where hull-clipped
-    cells are exact.
+    window. A kept cell within tol of the sampling hull is clipped to it and
+    dropped if it then misses the core window, else it raises EdgeEffectError
+    (the buffer was too small to determine it). That check presumes the
+    configuration restricts an infinite process; pass validate_buffer=False
+    when the configuration is the whole process (a handful of explicit
+    generators), where hull-clipped cells are exact.
     """
     from scipy.spatial import Delaunay, QhullError
 
@@ -188,14 +191,22 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     n_tri = len(simplices)
     centres, vertex = _voronoi_vertices(tri, tol)
 
-    # each cell's ring: its distinct vertices in angular order around its
-    # generator, so CCW. The pseudo-angle dx / (|dx| + |dy|), folded to
+    # a ring's bbox meets the core window grown by tol when each side of that
+    # window has a ring vertex on its inner side: mark the passing triangles' corners
+    vx, vy = centres[vertex].T
+    (x0, y0), (x1, y1) = np.subtract(core_window.lo, tol), np.add(core_window.hi, tol)
+    keep = np.arange(len(tri.points)) < n
+    for passes in (vx <= x1, vx >= x0, vy <= y1, vy >= y0):
+        keep &= np.bincount(simplices[passes].ravel(), minlength=len(keep)) > 0
+
+    # each kept cell's ring: its distinct vertices in angular order around
+    # its generator, so CCW. The pseudo-angle dx / (|dx| + |dy|), folded to
     # [0, 4), sorts as the polar angle does; the incidences of one vertex
     # (the triangles of a group) sort next to each other and are kept once.
     # Owners' key blocks are 8 apart, so an angle rounded up to 4 stays in its block.
     owner, cat = simplices.ravel(), np.repeat(vertex, 3)
-    keep = owner < n
-    owner, cat = owner[keep], cat[keep]
+    kept = keep[owner]
+    owner, cat = owner[kept], cat[kept]
     dx, dy = (centres[cat] - pts[owner]).T
     r = dx / (np.abs(dx) + np.abs(dy))
     order = np.argsort(owner * 8.0 + np.where(dy >= 0, 1.0 - r, 3.0 + r))
@@ -203,96 +214,90 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     first = np.ones(len(cat), bool)
     first[1:] = (cat[1:] != cat[:-1]) | (owner[1:] != owner[:-1])
     owner, cat = owner[first], cat[first]
-    lengths = np.bincount(owner, minlength=n)
+    # every region needs 3 vertices (Qhull leaves a repeated generator out of every triangle)
+    lengths = np.where(keep[:n], np.bincount(owner, minlength=n),
+                       np.bincount(simplices.ravel(), minlength=n)[:n])
     if (lengths < 3).any():
         raise ConstructionError(
             f"generator {int(np.argmax(lengths < 3))} has an unbounded or degenerate region")
-    ptr = np.concatenate([[0], np.cumsum(lengths)])
-    starts = ptr[:-1]
+    gen = np.nonzero(keep)[0]
+    ptr = np.concatenate([[0], np.cumsum(lengths[gen])])
     poly_xy = centres[cat]
 
-    # clip the cells that come within tol of the sampling window's boundary
+    # clip the kept cells within tol of the sampling hull (each keeps a disc around its generator)
     near_hull = ((poly_xy <= np.add(sampling.lo, tol))
                  | (poly_xy >= np.subtract(sampling.hi, tol))).any(axis=1)
-    clipped = np.nonzero(np.logical_or.reduceat(near_hull, starts))[0]
+    clipped = np.nonzero(np.logical_or.reduceat(near_hull, ptr[:-1]))[0]
     if len(clipped):
         cut_xy, cut_ptr = clip_rings_to_window(*gather_rings(poly_xy, ptr, clipped), sampling)
-        short = np.diff(cut_ptr) < 3
-        if short.any():
-            raise ConstructionError(
-                f"cell of generator {int(clipped[np.argmax(short)])} degenerated under clipping")
-        # rings n.. of the joined arrays are the clipped cells, in id order
-        ids = np.arange(n)
-        ids[clipped] = n + np.arange(len(clipped))
+        ext = ring_extents(cut_xy, cut_ptr)
+        meets = (ext[:, 0] <= x1) & (ext[:, 2] >= x0) & (ext[:, 1] <= y1) & (ext[:, 3] >= y0)
+        if validate_buffer and meets.any():
+            raise EdgeEffectError(
+                f"cell of generator {int(gen[clipped[np.argmax(meets)]])} meets the core window "
+                "but touches the sampling hull; increase the buffer")
+        # rings len(gen).. of the joined arrays are the clipped cells
+        rings = np.arange(len(gen))
+        rings[clipped] = len(gen) + np.arange(len(clipped))
+        keep[gen[clipped[~meets]]] = False
         poly_xy, ptr = gather_rings(np.concatenate([poly_xy, cut_xy]),
-                                    np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), ids)
+                                    np.concatenate([ptr, ptr[-1] + cut_ptr[1:]]), rings[keep[gen]])
+        kept = keep[owner]
+        owner, cat, gen = owner[kept], cat[kept], np.nonzero(keep)[0]
+    m, ids = len(gen), np.cumsum(keep) - 1
 
-    # the Voronoi ridges of real generators: Delaunay edge k of triangle t
-    # joins generators a and b, opposite corner k, and is shared with triangle
-    # u (-1 on the hull). Each inner edge is one ridge, taken from its lower
-    # triangle, unless both triangles are one vertex.
+    # the Voronoi ridges of kept cells: Delaunay edge k of triangle t joins
+    # generators a and b, opposite corner k, and is shared with triangle u
+    # (-1 on the hull, which the mirror points span). Each inner edge is one
+    # ridge, taken from its lower triangle, unless both triangles are one
+    # vertex; it leaves the sampling window only where a kept ring does.
     t, u = np.repeat(np.arange(n_tri), 3), tri.neighbors.ravel()
     a, b = simplices[:, [1, 2, 0]].ravel(), simplices[:, [2, 0, 1]].ravel()
-    real = (a < n) & (b < n)
-    if (real & (u < 0)).any():
-        raise ConstructionError("unbounded ridge between real generators")
-    ridge = np.nonzero(real & (u > t))[0]
+    ridge = np.nonzero(keep[a] & keep[b] & (u > t))[0]
     ridge = ridge[vertex[t[ridge]] != vertex[u[ridge]]]
-    pairs = np.column_stack([a[ridge], b[ridge]])
+    pairs = ids[np.column_stack([a[ridge], b[ridge]])]
     ridge_v = np.column_stack([vertex[t[ridge]], vertex[u[ridge]]])
     seg_a = centres[ridge_v[:, 0]]
     seg_b = centres[ridge_v[:, 1]]
-    ok, seg_len = clip_segments_to_rect(seg_a, seg_b, sampling)
+    ok, seg_len = (clip_segments_to_rect(seg_a, seg_b, sampling) if len(clipped)
+                   else (np.ones(len(ridge), bool), np.linalg.norm(seg_b - seg_a, axis=1)))
     face_mask = ok & (seg_len > tol)
     contact_mask = ok & ~face_mask
     face_pairs = pairs[face_mask]
 
-    # corner-only contacts: generators whose regions share a Voronoi vertex
+    # corner-only contacts: kept cells whose regions share a Voronoi vertex
     # inside the sampling window without sharing a face (cocircular
-    # degeneracies, or a ridge that leaves the window at its vertex). At a
-    # vertex of exactly three real cells each pair of them shares a ridge
-    # ending there (mirror cells never reach the window), so only a vertex
-    # with four or more real cells, or one that ends a real ridge that is not
-    # a face, can carry such a contact. The (vertex, cell) incidences of
-    # those vertices, sorted by vertex and then cell, put a vertex's cells
-    # next to each other, and every pair of them is a candidate contact.
-    counts = np.bincount(cat, minlength=n_tri)
-    search = counts >= 4
+    # degeneracies, or a ridge that leaves the window at its vertex). The
+    # three cells at a one-triangle vertex pairwise share a ridge ending there
+    # (mirror cells never reach the window), so only a vertex of several
+    # triangles, or one that ends a ridge that is not a face, is searched:
+    # its (vertex, cell) incidences, sorted, give every candidate pair.
+    search = np.bincount(vertex, minlength=n_tri) >= 2
     search[ridge_v[~face_mask]] = True
     at = np.nonzero(search)[0]
     search[at] = sampling.expand(tol).contains_points(centres[at])
-    v_inc, c_inc = np.divmod(np.sort((cat * n + owner)[search[cat]]), n)
+    counts = np.bincount(cat, minlength=n_tri)
+    v_inc, c_inc = np.divmod(np.sort((cat * m + ids[owner])[search[cat]]), m)
     cand = [np.empty((0, 3), int)]  # (vertex, a, b) rows, a < b
     for d in range(1, int(counts[search].max(initial=0))):
         same = v_inc[:-d] == v_inc[d:]
         cand.append(np.column_stack([v_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
     cand = np.concatenate(cand)
     if len(cand):  # general position leaves none; then skip the costly face lookup
-        cand = cand[~np.isin(cand[:, 1:] @ [n, 1], np.sort(face_pairs, axis=1) @ [n, 1])]
+        cand = cand[~np.isin(cand[:, 1:] @ [m, 1], np.sort(face_pairs, axis=1) @ [m, 1])]
 
     # ridge contacts come before corner contacts; keep the first point per pair
     star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[:, 1:]])
     points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
                                  centres[cand[:, 0]]])
-    _, first = np.unique(star_all @ [n, 1], return_index=True)
+    _, first = np.unique(star_all @ [m, 1], return_index=True)
 
-    tess = Tessellation(
-        centers=pts, poly_xy=poly_xy, poly_ptr=ptr,
-        core_window=core_window, sampling_window=sampling,
-        face_pairs=face_pairs,
+    return Tessellation(
+        centers=pts[gen], generators=gen, poly_xy=poly_xy, poly_ptr=ptr,
+        core_window=core_window, face_pairs=face_pairs,
         face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
         star_pairs=star_all[first], star_points=points_all[first],
         tol=tol, bboxes=ring_extents(poly_xy, ptr))
-
-    # a posteriori buffer validation: every clipped cell touches the sampling
-    # hull, so one that meets the core window was not determined by the sample
-    if validate_buffer:
-        hit = np.isin(clipped, tess.cells_meeting(core_window))
-        if hit.any():
-            raise EdgeEffectError(
-                f"cell {int(clipped[np.argmax(hit)])} meets the core window but touches "
-                "the sampling hull; increase the buffer")
-    return tess
 
 
 def _square(s: float):
@@ -365,23 +370,19 @@ def build_lattice_tessellation(kind: str, spacing: float, shift, core_window: Wi
     polys = np.stack([np.add.outer(x, ring[:, 0]), np.add.outer(y, ring[:, 1])], axis=-1)
     face_pairs, face_segments = _contacts(ids, polys, faces, 2)
     star_pairs, star_points = _contacts(ids, polys, stars, 1)
-    hull = Window((x.min() + r_lo[0], y.min() + r_lo[1]), (x.max() + r_hi[0], y.max() + r_hi[1]))
     return Tessellation(
-        centers=np.column_stack([x + centre[0], y + centre[1]]), poly_xy=polys.reshape(-1, 2),
-        poly_ptr=np.arange(len(x) + 1) * len(ring),
-        core_window=core_window, sampling_window=Window.hull([core_window, hull]),
-        face_pairs=face_pairs, face_segments=face_segments,
+        centers=np.column_stack([x + centre[0], y + centre[1]]), generators=np.arange(len(x)),
+        poly_xy=polys.reshape(-1, 2), poly_ptr=np.arange(len(x) + 1) * len(ring),
+        core_window=core_window, face_pairs=face_pairs, face_segments=face_segments,
         star_pairs=star_pairs, star_points=star_points.reshape(-1, 2), tol=tol,
         bboxes=np.column_stack([x + r_lo[0], y + r_lo[1], x + r_hi[0], y + r_hi[1]]))
 
 
 def zero_cell(tess: Tessellation) -> int:
     """Id of the cell containing the origin (lexicographic tie rule)."""
-    origin = (0.0, 0.0)
-    cw = tess.core_window
-    if not (cw.lo[0] <= 0.0 <= cw.hi[0] and cw.lo[1] <= 0.0 <= cw.hi[1]):
+    if not tess.core_window.contains_points(np.zeros(2))[0]:
         raise ParameterError("origin lies outside the core window")
-    return tess.locate(origin)
+    return tess.locate((0.0, 0.0))
 
 
 def build_adjacency(tess: Tessellation, mode: str) -> np.ndarray:

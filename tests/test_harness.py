@@ -227,7 +227,9 @@ GOLDEN = {
     "ggr_voronoi_star": ("run", {
         "op": "ggr", "process": PV, "window": W6, "adjacency": "star", "p": 0.5,
         "replicates": 20, "master_seed": 74, "params": {"n_max": 3}}, {
-        "ggr.csv": "daa4deb03e5838bd5ef24486f772460e45553f42c94627980fcb3cc692494153"},
+        # g1 on B_2 and B_3 rose from 0.0722 and 0.0731 (daa4deb0…) to 0.0861 and
+        # 0.0846 when clusters stopped joining through cells that miss the core
+        "ggr.csv": "c9350947e5023054cdfaa9c111d76db5c3dc411899d8805ca53392ad620b5585"},
         "de096127ad04ef8b799858f5b38d5ce6c4cf45e2cec4cdf36e0c2f92aeaf1c96"),
     # the origin lies outside the window, so the ball is rooted at the centre cell
     "ggr_off_origin": ("run", {
@@ -338,8 +340,10 @@ def test_render_svg_core_only_star_bytes(tmp_path):
     tess, col = _render_instance()
     out = tmp_path / "tess.svg"
     render_svg(tess, col, out, show_graph="star", core_only=True)
+    # the drawing of the build that kept buffer cells (5165a7b5…), cell ids
+    # renumbered to the kept cells
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "5165a7b50a4c65a2cd630ab6ae4f5ce0e85a680682ac23e9653af083e9dfac1d")
+            == "de2813d7bf8e241ccb505820dbef3bb8ea517910a17a3c1f269eb813f83dd27a")
 
 
 def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):
@@ -347,6 +351,9 @@ def test_render_svg_full_window_draws_every_cell_and_face_pair(tmp_path):
     out = tmp_path / "tess.svg"
     render_svg(tess, col, out, show_graph="face")
     text = out.read_text()
+    lo, hi = tess.bboxes[:, :2].min(axis=0), tess.bboxes[:, 2:].max(axis=0)
+    view = [float(v) for v in text.split('viewBox="')[1].split('"')[0].split()]
+    assert view == pytest.approx([lo[0], -hi[1], hi[0] - lo[0], hi[1] - lo[1]], rel=1e-5)
     assert text.count("<polygon ") == len(tess)
     face_pairs = {tuple(sorted(map(int, pair))) for pair in tess.face_pairs}
     assert text.count("<line ") == len(face_pairs) > 0
@@ -404,6 +411,17 @@ def test_peierls_circuit_leaving_the_window_is_refused_at_every_p(p):
     with pytest.raises(ParameterError, match="circuit box leaves the analysis window"):
         diagnostics.peierls_probe(spec, 1.0, Window((-3.5, -3.5), (3.5, 3.5)),
                                   c3=0.5, c4=0.02, cycle_lengths=(16,))
+
+
+def test_peierls_analysis_window_must_lie_in_the_core_window():
+    """A build keeps only the cells that meet the core window, so an analysis
+    window past it would find no white cell there."""
+    spec = ExperimentSpec(process=ProcessSpec.from_json(PV),
+                          window=Window((-4.0, -4.0), (4.0, 4.0)), ps=(0.5,), replicates=1,
+                          master_seed=1)
+    with pytest.raises(ParameterError, match="analysis window must lie inside the core window"):
+        diagnostics.peierls_probe(spec, 1.0, Window((-4.5, -4.5), (4.5, 4.5)),
+                                  c3=0.5, c4=0.02, cycle_lengths=(8,))
 
 
 def _fail_rep_1(build):

@@ -13,7 +13,7 @@ from tessperc import tessellation
 from tessperc.errors import ConstructionError, EdgeEffectError, ParameterError
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect, gather_rings,
                                point_in_convex_polygon, ring_extents)
-from tessperc.percolation import label_components, neighbor_csr
+from tessperc.percolation import color, label_components, neighbor_csr
 from tessperc.point_process import (KINDS, PointConfiguration, ProcessSpec, sample_poisson,
                                     sample_process)
 from tessperc.streams import stream
@@ -70,7 +70,7 @@ def test_nearest_generator_invariant_poisson():
         order = np.argsort(d)
         if d[order[1]] - d[order[0]] < 1e-9:   # boundary tie, redraw
             continue
-        assert tess.locate(x) == int(order[0])
+        assert tess.generators[tess.locate(x)] == order[0]
 
 
 def test_coverage_and_disjointness():
@@ -176,7 +176,7 @@ def test_zero_cell_generic_and_shifted():
     cfg2 = sample_poisson(1.0, core.expand(5), stream(37, 1, "tess"))
     t2 = build_voronoi(cfg2, core)
     zc = zero_cell(t2)
-    assert zc == int(np.argmin(np.linalg.norm(cfg2.points, axis=1)))
+    assert t2.generators[zc] == np.argmin(np.linalg.norm(cfg2.points, axis=1))
     shifted = build_lattice_tessellation("square", 1.0, (0.3, 0.3), Window((-2, -2), (2, 2)))
     zc2 = zero_cell(shifted)
     assert np.allclose(shifted.centers[zc2], (-0.2, -0.2))
@@ -271,10 +271,12 @@ def _grid_voronoi():
 
 
 @pytest.mark.parametrize("name, build, digest", [
+    # the Voronoi digests are those of the builds that kept every buffer cell
+    # (d5f8954f… and 437806aa…), restricted to the cells that meet the core
     ("poisson_voronoi", lambda: poisson_tess(43, core_side=8.0)[0],
-     "d5f8954f28bd7ab663f6571f78a09d5df4268d2945f2f667b1cac276cfc2fc14"),
+     "e06cddea2f7acdfba5bd2fcdd549eab4370765009ed62fed2ff9c64a6ba4e0de"),
     ("grid_voronoi", _grid_voronoi,
-     "437806aa9bdc7ca5426eaab06fb953bb2c505b10c91f14a769d950467206e065"),
+     "5c5f5e83573d0996468226fa75c98ecb025b4bf7e8fc8138a7f4627f3524e990"),
     # star points are ring corners x0 + s, up to 2.2e-16 from the grid points
     # shift + (i + 1) s of the per-kind builders (digest 68db0a82…)
     ("shifted_square", lambda: build_lattice_tessellation(
@@ -292,7 +294,9 @@ def test_geometry_digest(name, build, digest):
 # as build_voronoi ran it before it searched only the vertices that can carry
 # a corner contact. It reads the same Voronoi vertices as build_voronoi.
 
-def _ref_star_contacts(points, sampling, tol):
+def _ref_star_contacts(points, sampling, tol, kept):
+    """The reference's star pairs between the generators kept, as ids into
+    kept, and their points."""
     n = len(points)
     tri = Delaunay(np.vstack([points, tessellation._mirror_ring(sampling)]))
     vertices, group = tessellation._voronoi_vertices(tri, tol)
@@ -329,7 +333,9 @@ def _ref_star_contacts(points, sampling, tol):
     points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
                                  vertex[corner]])
     _, first = np.unique(star_all @ [n, 1], return_index=True)
-    return star_all[first], points_all[first]
+    pairs, points = star_all[first], points_all[first]
+    both = np.isin(pairs, kept).all(axis=1)
+    return np.searchsorted(kept, pairs[both]), points[both]
 
 
 _GRIDS = {
@@ -373,7 +379,7 @@ def test_star_contacts_match_the_all_vertex_reference(case):
         tess = build_voronoi(cfg, core, validate_buffer=validate)
     except EdgeEffectError:  # the contacts do not depend on the validation
         tess = build_voronoi(cfg, core, validate_buffer=False)
-    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol)
+    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol, tess.generators)
     assert tess.star_pairs.dtype == pairs.dtype and tess.star_pairs.tobytes() == pairs.tobytes()
     assert tess.star_points.tobytes() == points.tobytes()
 
@@ -392,7 +398,7 @@ def test_corner_contact_at_a_vertex_just_outside_the_sampling_window():
     tess = build_voronoi(cfg, core, validate_buffer=validate)
     assert tess.star_pairs.tolist() == [[0, 1]]
     assert tess.star_points == pytest.approx(np.array([[0.0, 0.75]]), abs=1e-12)
-    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol)
+    pairs, points = _ref_star_contacts(cfg.points, cfg.window, tess.tol, tess.generators)
     assert tess.star_pairs.tobytes() == pairs.tobytes()
     assert tess.star_points.tobytes() == points.tobytes()
 
@@ -552,9 +558,8 @@ def _list_build_voronoi(points, core_window, validate_buffer=True):
     star_pairs = sorted(star)
 
     tess = Tessellation(
-        centers=pts, poly_xy=poly_xy, poly_ptr=ptr,
-        core_window=core_window, sampling_window=sampling,
-        face_pairs=face_pairs,
+        centers=pts, generators=np.arange(n), poly_xy=poly_xy, poly_ptr=ptr,
+        core_window=core_window, face_pairs=face_pairs,
         face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
         star_pairs=np.array(star_pairs, int).reshape(-1, 2),
         star_points=np.array([star[p] for p in star_pairs], float).reshape(-1, 2),
@@ -566,6 +571,41 @@ def _list_build_voronoi(points, core_window, validate_buffer=True):
                 f"cell {int(clipped[np.argmax(hit)])} meets the core window but touches "
                 "the sampling hull; increase the buffer")
     return tess
+
+
+def _restricted(tess, keep):
+    """tess with only the cells of the mask keep, renumbered in order."""
+    ids = np.cumsum(keep) - 1
+    xy, ptr = gather_rings(tess.poly_xy, tess.poly_ptr, np.nonzero(keep)[0])
+    face, star = keep[tess.face_pairs].all(axis=1), keep[tess.star_pairs].all(axis=1)
+    return Tessellation(
+        centers=tess.centers[keep], generators=tess.generators[keep], poly_xy=xy, poly_ptr=ptr,
+        core_window=tess.core_window, face_pairs=ids[tess.face_pairs[face]],
+        face_segments=tess.face_segments[face], star_pairs=ids[tess.star_pairs[star]],
+        star_points=tess.star_points[star], tol=tess.tol, bboxes=tess.bboxes[keep])
+
+
+def _core_list_build_voronoi(points, core_window, validate_buffer=True):
+    """The list-based reference's cells that meet the core window, in generator order."""
+    tess = _list_build_voronoi(points, core_window, validate_buffer)
+    return _restricted(tess, np.isin(np.arange(len(tess)), tess.cells_meeting(core_window)))
+
+
+def test_buffer_cells_no_longer_join_boundary_touching_clusters():
+    """ggr and the trifurcation count label black clusters over a build's
+    cells and read those that touch the core boundary. When a build kept
+    every buffer cell, the three such clusters of this instance at p = 0.55
+    were one, joined through black cells that miss the core window."""
+    core = Window((-4, -4), (4, 4))
+    cfg = sample_poisson(1.0, core.expand(3), stream(1, 0, "tess"))
+    tess, full = build_voronoi(cfg, core), _list_build_voronoi(cfg, core)
+    assert _pair_set(tess.face_pairs) == _pair_set(_core_list_build_voronoi(cfg, core).face_pairs)
+    black = color(full, stream(1, 0, "color")) < 0.55
+    assert np.array_equal(black[tess.generators], color(tess, stream(1, 0, "color")) < 0.55)
+    touching = black[tess.generators] & tess.boundary
+    joined = label_components(black, full.face_pairs)[tess.generators]
+    apart = label_components(black[tess.generators], tess.face_pairs)
+    assert (len(set(joined[touching])), len(set(apart[touching]))) == (1, 3)
 
 
 # parameters of every planar process kind, and the exact lattice
@@ -605,9 +645,9 @@ def _build_or_error(build, cfg, core, validate):
         return type(exc)
 
 
-def _clipped(tess):
+def _clipped(tess, sampling):
     """Cells with a ring vertex within tol of the sampling window's boundary."""
-    bb, lo, hi = tess.bboxes, tess.sampling_window.lo, tess.sampling_window.hi
+    bb, lo, hi = tess.bboxes, sampling.lo, sampling.hi
     return np.nonzero((bb[:, :2] <= np.add(lo, tess.tol)).any(axis=1)
                       | (bb[:, 2:] >= np.subtract(hi, tess.tol)).any(axis=1))[0]
 
@@ -652,17 +692,20 @@ def test_jittered_grid_case_has_a_ridge_shorter_than_tol():
 @given(st.one_of(_star_cases(), _kind_cases(), st.just(_vertex_just_outside_case())))
 @example(_jittered_grid_case())
 def test_build_matches_the_list_based_reference(case):
+    """The build keeps the reference's cells that meet the core window, with
+    the same rings, face pairs and star pairs."""
     cfg, core, validate = case
     tess = _build_or_error(build_voronoi, cfg, core, validate)
-    ref = _build_or_error(_list_build_voronoi, cfg, core, validate)
+    ref = _build_or_error(_core_list_build_voronoi, cfg, core, validate)
     if tess is EdgeEffectError and ref is EdgeEffectError:  # compare the geometry anyway
         tess, ref = (_build_or_error(build, cfg, core, False)
-                     for build in (build_voronoi, _list_build_voronoi))
+                     for build in (build_voronoi, _core_list_build_voronoi))
     if isinstance(tess, type) or isinstance(ref, type):
         assert tess is ref
         return
+    assert np.array_equal(tess.generators, ref.generators)
     _assert_same_cells(tess, ref)
-    assert np.array_equal(_clipped(tess), _clipped(ref))
+    assert np.array_equal(_clipped(tess, cfg.window), _clipped(ref, cfg.window))
 
 
 def _sixteen_point_ring(sampling):
@@ -701,15 +744,15 @@ def _three_generator_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_star_cases(), _three_generator_cases()))
-def test_clipped_cells_cover_the_sampling_window(case):
+def test_kept_cells_cover_the_core_window(case):
     cfg, core, _ = case
     tess = build_voronoi(cfg, core, validate_buffer=False)
-    sampling = tess.sampling_window
-    # the cells tile the window; vertex merging at tol and rounding move the
-    # total by far less than 1e-9 of its area
-    areas = ring_areas(tess.poly_xy, tess.poly_ptr)
-    assert (areas > 0).all()
-    assert abs(areas.sum() - sampling.area) <= 1e-9 * sampling.area
+    sampling = cfg.window
+    # the kept rings, clipped to the core window, tile it; vertex merging at
+    # tol and rounding move the total by far less than 1e-9 of its area
+    assert (ring_areas(tess.poly_xy, tess.poly_ptr) > 0).all()
+    areas = ring_areas(*clip_rings_to_window(tess.poly_xy, tess.poly_ptr, core))
+    assert abs(areas.sum() - core.area) <= 1e-9 * core.area
     # no far point is within 3.5 diagonals of the window, and the triangle
     # of far points holds the window
     mirror = tessellation._mirror_ring(sampling)
@@ -730,12 +773,10 @@ def _ref_lattice(centers, polys, core, tol, face_pairs, face_segments,
                  star_pairs=None, star_points=None):
     n, k = polys.shape[:2]
     poly_xy = polys.reshape(-1, 2)
-    sampling = Window.hull([core, Window(tuple(poly_xy.min(axis=0)),
-                                         tuple(poly_xy.max(axis=0)))])
     return Tessellation(
-        centers=centers, poly_xy=poly_xy, poly_ptr=np.arange(n + 1) * k,
-        core_window=core, sampling_window=sampling,
-        face_pairs=face_pairs.reshape(-1, 2), face_segments=face_segments.reshape(-1, 2, 2),
+        centers=centers, generators=np.arange(n), poly_xy=poly_xy, poly_ptr=np.arange(n + 1) * k,
+        core_window=core, face_pairs=face_pairs.reshape(-1, 2),
+        face_segments=face_segments.reshape(-1, 2, 2),
         star_pairs=np.empty((0, 2), int) if star_pairs is None else star_pairs.reshape(-1, 2),
         star_points=np.empty((0, 2)) if star_points is None else star_points.reshape(-1, 2),
         tol=tol, bboxes=ring_extents(poly_xy, np.arange(n + 1) * k))
@@ -813,28 +854,15 @@ _REF_LATTICES = {"square": _ref_square_lattice, "hexagonal": _ref_hex_lattice}
 def _without_near_ties(tess, spacing):
     """tess without the cells whose part inside the core window is no wider
     or no taller than tol, or of area at most 2 tol × spacing, renumbered in
-    order, with the sampling window of the cells left. The builder keeps a
-    cell whose ring overlaps the core by more than tol along every
-    separating axis; the reference square builder kept whatever its index
-    range held, and the hexagonal one a part of area above tol × spacing.
-    Only such cells can tell the rules apart."""
+    order. The builder keeps a cell whose ring overlaps the core by more
+    than tol along every separating axis; the reference square builder kept
+    whatever its index range held, and the hexagonal one a part of area
+    above tol × spacing. Only such cells can tell the rules apart."""
     part_xy, part_ptr = clip_rings_to_window(tess.poly_xy, tess.poly_ptr, tess.core_window)
     ext, tol = ring_extents(part_xy, part_ptr), tess.tol
     tie = ((ext[:, 2] - ext[:, 0] <= tol) | (ext[:, 3] - ext[:, 1] <= tol)
            | (ring_areas(part_xy, part_ptr) <= 2 * tol * spacing))
-    if not tie.any():
-        return tess
-    keep = ~tie
-    ids = np.cumsum(keep) - 1
-    xy, ptr = gather_rings(tess.poly_xy, tess.poly_ptr, np.nonzero(keep)[0])
-    face, star = keep[tess.face_pairs].all(axis=1), keep[tess.star_pairs].all(axis=1)
-    hull = Window(tuple(xy.min(axis=0)), tuple(xy.max(axis=0)))
-    return Tessellation(
-        centers=tess.centers[keep], poly_xy=xy, poly_ptr=ptr, core_window=tess.core_window,
-        sampling_window=Window.hull([tess.core_window, hull]),
-        face_pairs=ids[tess.face_pairs[face]], face_segments=tess.face_segments[face],
-        star_pairs=ids[tess.star_pairs[star]], star_points=tess.star_points[star], tol=tol,
-        bboxes=ring_extents(xy, ptr))
+    return _restricted(tess, ~tie) if tie.any() else tess
 
 
 @st.composite
@@ -867,7 +895,7 @@ def test_lattice_matches_the_two_builder_reference(case):
                  "boundary"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert (got.sampling_window, got.tol) == (ref.sampling_window, ref.tol)
+    assert got.tol == ref.tol
     # a square's shared ends are its ring corners x0 + s; the reference's were
     # the grid points shift + (i + 1) s, a few roundings away
     ulp = 0.0 if kind == "hexagonal" else 3 * np.spacing(np.abs(ref.poly_xy).max() + spacing)
@@ -894,4 +922,6 @@ def test_square_lattice_keeps_no_sliver_of_a_rounded_index_range():
     ref = _ref_square_lattice(0.1, np.zeros(2), core, tess.tol)
     assert (len(tess), len(ref)) == (4, 9)
     assert np.array_equal(tess.centers, ref.centers[[4, 5, 7, 8]])
-    assert tess.sampling_window == core and ref.sampling_window.lo == (0.2, 0.2)
+    hull = np.concatenate([tess.bboxes[:, :2].min(axis=0), tess.bboxes[:, 2:].max(axis=0)])
+    assert np.allclose(hull, core.lo + core.hi)
+    assert np.allclose(ref.bboxes[:, :2].min(axis=0), (0.2, 0.2))
