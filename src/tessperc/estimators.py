@@ -137,6 +137,8 @@ def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[P
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParameterError("radii must be strictly increasing")
     cw = spec.window
+    if not cw.contains_points(np.zeros(2))[0]:
+        raise ParameterError("origin lies outside the core window")
     half_width = min(-cw.lo[0], -cw.lo[1], cw.hi[0], cw.hi[1])
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")

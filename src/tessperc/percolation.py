@@ -14,7 +14,10 @@ neighbor_csr makes of the graph.
 Crossing connectivity inside a rectangle is geometric: a cell takes part only
 where it meets the rectangle in positive area, face edges count only where
 the shared boundary segment clipped to the rectangle has positive length, and
-star mode additionally accepts corner contacts inside the rectangle.
+star mode additionally accepts corner contacts inside the rectangle. An
+inner cell (its bbox inside the rectangle) and a contact of two inner cells
+are taken as built; only the cells that cross the rectangle's boundary, and
+their contacts, are clipped.
 
 None of that geometry depends on the colours: rect_graph builds it once for
 every cell of a tessellation, and it alone reads and checks the adjacency.
@@ -126,44 +129,57 @@ class CrossingQuery:
 
 
 def _cells_in_rect(tess: Tessellation, rect: Window):
-    """Cells that meet rect in positive area, as a mask, and the
-    [xmin, ymin, xmax, ymax] extents of their parts inside rect in
-    increasing id order.
+    """Cells that meet rect in positive area, as a mask, the mask of the
+    inner ones (bbox inside rect), and the [xmin, ymin, xmax, ymax] extents
+    of their parts inside rect in increasing id order.
 
-    A cell whose bbox lies inside rect is its own part. The cells that cross
-    the rectangle's boundary are clipped to it in one batch by
-    parts_with_area, which drops a cell touching rect only along a side or
-    at a corner.
+    An inner cell is its own part. The cells that cross the rectangle's
+    boundary are clipped to it in one batch by parts_with_area, which drops
+    a cell touching rect only along a side or at a corner.
     """
     ids = tess.cells_meeting(rect)
     ext = tess.bboxes[ids]
     keep = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
             & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
+    inner = np.zeros(len(tess), bool)
+    inner[ids[keep]] = True
     cut = np.nonzero(~keep)[0]
-    keep[cut], ext[cut] = parts_with_area(*gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]),
-                                          rect, tess.tol)
+    if len(cut):
+        keep[cut], ext[cut] = parts_with_area(
+            *gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]), rect, tess.tol)
     in_rect = np.zeros(len(tess), bool)
     in_rect[ids[keep]] = True
-    return in_rect, ext[keep]
+    return in_rect, inner, ext[keep]
 
 
-def _rect_edges(tess: Tessellation, in_rect: np.ndarray, rect: Window,
+def _rect_edges(tess: Tessellation, in_rect: np.ndarray, inner: np.ndarray, rect: Window,
                 adjacency: str) -> np.ndarray:
     """Pairs of in-rect cells whose shared boundary piece inside rect has
-    positive length; star mode also takes point contacts inside rect."""
+    positive length; star mode also takes point contacts inside rect.
+
+    A contact of two inner cells is taken as built: its segment or point
+    lies in both rings' bboxes, so inside rect, and a face segment keeps its
+    built length, already > tol. Only the contacts of a cell that crosses
+    rect's boundary are clipped or tested, in place in the pair masks.
+    """
     tol = tess.tol
     fp = tess.face_pairs
     both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
-    seg = tess.face_segments[both]
-    ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
+    cut = np.nonzero(both & ~(inner[fp[:, 0]] & inner[fp[:, 1]]))[0]
+    if len(cut):
+        seg = tess.face_segments[cut]
+        ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
+        both[cut] = ok & (lengths > tol) if adjacency == "face" else ok
     if adjacency == "face":
-        return fp[both][ok & (lengths > tol)]
+        return fp[both]
     sp = tess.star_pairs
     both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
-    pts = tess.star_points[both_sp]
-    inside = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
-              & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
-    return np.concatenate([fp[both][ok], sp[both_sp][inside]])
+    cut = np.nonzero(both_sp & ~(inner[sp[:, 0]] & inner[sp[:, 1]]))[0]
+    if len(cut):
+        pts = tess.star_points[cut]
+        both_sp[cut] = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
+                        & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
+    return np.concatenate([fp[both], sp[both_sp]])
 
 
 def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
@@ -174,11 +190,11 @@ def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
         raise ParameterError("adjacency must be face or star")
     if not tess.core_window.contains_window(rect, tol=tess.tol):
         raise ParameterError("rectangle must lie inside the core window")
-    in_rect, ext = _cells_in_rect(tess, rect)
+    in_rect, inner, ext = _cells_in_rect(tess, rect)
     ids, tol = np.nonzero(in_rect)[0], tess.tol
     sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
              ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
-    return _rect_edges(tess, in_rect, rect, adjacency), sides
+    return _rect_edges(tess, in_rect, inner, rect, adjacency), sides
 
 
 def common_labels(labels: np.ndarray, first, second) -> np.ndarray:

@@ -332,7 +332,7 @@ def _contacts(ids: np.ndarray, polys: np.ndarray, steps, k: int):
         first = ids[max(-da, 0):na - max(da, 0), max(-db, 0):nb - max(db, 0)].ravel()
         second = ids[max(da, 0):na - max(-da, 0), max(db, 0):nb - max(-db, 0)].ravel()
         pairs.append(np.column_stack([first, second])[(first >= 0) & (second >= 0)])
-    corners = [polys[p[:, 0]][:, c] for p, (_, c) in zip(pairs[1:], steps)]
+    corners = [polys[p[:, :1], list(c)] for p, (_, c) in zip(pairs[1:], steps)]
     return np.concatenate(pairs), np.concatenate([np.empty((0, k, 2))] + corners)
 
 

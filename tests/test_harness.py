@@ -1050,3 +1050,14 @@ def test_cli_reports_a_construction_failure_as_an_error(command, out, tmp_path, 
            "replicates": 2, "master_seed": 45, "params": {"n_max": 1}}
     assert main([command, _write_config(tmp_path, cfg), "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_theta_with_the_origin_outside_the_core_window_names_the_origin(tmp_path, capsys):
+    # the core half-width min(-1, -1, 9, 9) is negative, but the origin is what is wrong
+    cfg = {"op": "theta", "process": SQ, "window": [[1.0, 1.0], [9.0, 9.0]], "p": 0.6,
+           "replicates": 10, "master_seed": 3, "params": {"radii": [1, 2]}}
+    path = _write_config(tmp_path, cfg)
+    with pytest.raises(ParameterError, match="^origin lies outside the core window$"):
+        harness.run(path, out_dir=str(tmp_path / "run"))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: origin lies outside the core window\n"

@@ -9,7 +9,7 @@ from tessperc import percolation
 from tessperc.errors import ParameterError
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
-                               gather_rings)
+                               gather_rings, parts_with_area)
 from tessperc.percolation import (CrossingQuery, cluster_reach, color, common_labels,
                                   crossing, label_components, neighbor_csr, rect_graph,
                                   spanning_cluster_count)
@@ -435,3 +435,72 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
                         assert crossing(graph, col, query) == (len(want) > 0)
                 want = _ref_spanning_labels(tess, col, rect, adjacency, "horizontal")
                 assert spanning_cluster_count(graph, col) == len(want)
+
+
+def _ref_rect_graph(tess, rect, adjacency):
+    """rect_graph's (edges, sides), every contact of in-rect cells clipped."""
+    in_rect, ext = _ref_cells_in_rect(tess, np.ones(len(tess), bool), rect)
+    ids, tol = np.nonzero(in_rect)[0], tess.tol
+    sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
+             ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
+    return _ref_rect_edges(tess, in_rect, rect, adjacency), sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_rect_graph_equals_the_all_clip_reference(instance):
+    tess, _, rects = instance
+    for rect in rects + (tess.core_window,):
+        for adjacency in ("face", "star"):
+            edges, sides = rect_graph(tess, rect, adjacency)
+            want_edges, want_sides = _ref_rect_graph(tess, rect, adjacency)
+            assert edges.dtype == want_edges.dtype and np.array_equal(edges, want_edges)
+            for got, want in zip(sides, want_sides, strict=True):
+                assert np.array_equal(got, want)
+
+
+def _recording(monkeypatch):
+    """Record the arguments of rect_graph's two clippers, which still run."""
+    calls = {"segments": [], "rings": []}
+
+    def segments(a, b, rect):
+        calls["segments"].append(np.stack([a, b], axis=1))
+        return clip_segments_to_rect(a, b, rect)
+
+    def rings(xy, ptr, win, tol):
+        calls["rings"].append((xy, ptr))
+        return parts_with_area(xy, ptr, win, tol)
+
+    monkeypatch.setattr(percolation, "clip_segments_to_rect", segments)
+    monkeypatch.setattr(percolation, "parts_with_area", rings)
+    return calls
+
+
+@pytest.mark.parametrize("adjacency", ["face", "star"])
+def test_rect_graph_clips_no_cell_of_an_aligned_lattice(adjacency, monkeypatch):
+    calls = _recording(monkeypatch)
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), _CORE)
+    edges, _ = rect_graph(tess, tess.core_window, adjacency)
+    assert calls == {"segments": [], "rings": []}
+    assert len(edges) == len(build_adjacency(tess, adjacency))
+
+
+@pytest.mark.parametrize("rect", [_CORE, Window((-2.5, -3.0), (3.0, 2.25))], ids=["core", "sub"])
+@pytest.mark.parametrize("adjacency", ["face", "star"])
+def test_rect_graph_clips_only_contacts_of_boundary_crossing_cells(rect, adjacency,
+                                                                    monkeypatch):
+    calls = _recording(monkeypatch)
+    tess = build_lattice_tessellation("square", 1.0, (0.3, 0.6), _CORE)
+    rect_graph(tess, rect, adjacency)
+    meeting = tess.cells_meeting(rect)
+    bb = tess.bboxes
+    crosses = ~((bb[:, 0] >= rect.lo[0]) & (bb[:, 1] >= rect.lo[1])
+                & (bb[:, 2] <= rect.hi[0]) & (bb[:, 3] <= rect.hi[1]))
+    ((xy, ptr),) = calls["rings"]
+    want_xy, want_ptr = gather_rings(tess.poly_xy, tess.poly_ptr, meeting[crosses[meeting]])
+    assert np.array_equal(xy, want_xy) and np.array_equal(ptr, want_ptr)
+    in_rect, _ = _ref_cells_in_rect(tess, np.ones(len(tess), bool), rect)
+    a, b = tess.face_pairs.T
+    cut = in_rect[a] & in_rect[b] & (crosses[a] | crosses[b])
+    (segments,) = calls["segments"]
+    assert cut.any() and np.array_equal(segments, tess.face_segments[cut])
