@@ -29,7 +29,7 @@ from .estimators import estimate_crossing_curve
 from .percolation import CrossingQuery
 from .point_process import ProcessSpec, laplace_bound, sample_poisson_lines, sample_process
 from .stats import PercResult, mean_ci, wilson_sigma
-from .streams import stream
+from .streams import MAX_SEED, stream
 
 
 def gap_from_indicators(e, ep):
@@ -258,7 +258,7 @@ def mixture_nonergodic_demo(spec: ExperimentSpec, spacing: float = 2.0,
     for kind, offset in (("square_lattice", 0), ("hexagonal_lattice", 1)):
         lattice = ProcessSpec(kind, {"spacing": spacing, "random_shift": True})
         component = replace(spec, process=lattice, adjacency="face",
-                            master_seed=spec.master_seed + offset)
+                            master_seed=(spec.master_seed + offset) % MAX_SEED)
         # a black horizontal crossing of the window is a spanning black cluster
         _, [[res]] = estimate_crossing_curve(component, (CrossingQuery(spec.window),), workers)
         results.append(res)
@@ -390,7 +390,7 @@ def _peierls_rep(p: float, delta: float, window: Window, cycle_lengths: tuple,
     _, met = cell_box_pairs(tess, delta, cand[~(uniforms[cand] < p)])
     # mark the boxes of the circuits' hull that a white cell meets
     white_met = np.zeros(hi - lo + 1, bool)
-    met = met[((met >= lo) & (met <= hi)).all(axis=1)] - lo
+    met = np.compress(((met >= lo) & (met <= hi)).all(axis=1), met, axis=0) - lo
     white_met[met[:, 0], met[:, 1]] = True
     return [bool(white_met[ring[:, 0] - lo[0], ring[:, 1] - lo[1]].all()) for ring in rings]
 

@@ -40,6 +40,7 @@ from .geometry import Window
 from .percolation import (CrossingQuery, cluster_reach, common_labels, crossing, hop_balls,
                           label_components, rect_graph, spanning_cluster_count)
 from .stats import PercResult, mean_ci, wilson_sigma
+from .streams import MAX_SEED
 from .experiment import (ExperimentSpec, build_tessellation, map_replicates, run_replicates,
                          uniforms_for)
 from .tessellation import Tessellation, build_adjacency, zero_cell
@@ -171,7 +172,8 @@ def estimate_pc(spec: ExperimentSpec, tolerance: float, workers: int = 1) -> PcE
     probes: list = []
 
     def probe(p: float) -> PercResult:
-        probe_spec = replace(spec, ps=(p,), master_seed=spec.master_seed + len(probes) + 1)
+        probe_spec = replace(spec, ps=(p,),
+                             master_seed=(spec.master_seed + len(probes) + 1) % MAX_SEED)
         (res,) = estimate_crossing_prob(probe_spec, query, workers=workers)
         probes.append((p, res))
         return res
@@ -275,9 +277,9 @@ def trifurcation_candidates(tess: Tessellation, edges: np.ndarray, r1: int, r2: 
             for lo, hi in zip(window.lo, window.hi)]
     grid = np.array([(x, y) for x in axes[0] for y in axes[1]]).reshape(-1, 2)
     owner, cell, hops = hop_balls(edges, len(tess), [tess.locate(x) for x in grid], r1 + 1)
-    bb = tess.bboxes[cell]
+    bb, centre = np.take(tess.bboxes, cell, axis=0), np.take(grid, owner, axis=0)
     misfit = (hops <= r1) & ~(_in_box(bb, window.lo, window.hi, tol)
-                              & _in_box(bb, grid[owner] - r2, grid[owner] + r2, tol))
+                              & _in_box(bb, centre - r2, centre + r2, tol))
     fits = np.bincount(owner[misfit], minlength=len(grid)) == 0
     split = np.searchsorted(owner, np.arange(1, len(grid)))
     fitting = [(tuple(x), c[h <= r1], c[h > r1])

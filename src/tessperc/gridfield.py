@@ -46,7 +46,7 @@ def box_counts(pts: np.ndarray, delta: float, region: Window) -> GridField:
     values = np.zeros((i1 - i0 + 1, j1 - j0 + 1), int)
     idx = np.floor(np.reshape(pts, (-1, 2)) / delta + 0.5).astype(int) - (i0, j0)
     inside = ((idx >= 0) & (idx < values.shape)).all(axis=1)
-    np.add.at(values, tuple(idx[inside].T), 1)
+    np.add.at(values, tuple(np.compress(inside, idx, axis=0).T), 1)
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 
 
@@ -55,16 +55,17 @@ def cell_box_pairs(tess: Tessellation, delta: float, cells) -> tuple[np.ndarray,
     cells and the delta-grid that meet in positive area, found by one
     rings_meet_boxes call over each cell's bbox index range."""
     cells = np.asarray(cells, int)
-    bb = tess.bboxes[cells]
+    bb = np.take(tess.bboxes, cells, axis=0)
     lo = np.ceil(bb[:, :2] / delta - 0.5 - 1e-12).astype(int)
     hi = np.floor(bb[:, 2:] / delta + 0.5 + 1e-12).astype(int)
     span = hi - lo + 1
     count = span[:, 0] * span[:, 1]
     cell = np.repeat(np.arange(len(cells)), count)
     k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-    boxes = lo[cell] + np.column_stack([k // span[cell, 1], k % span[cell, 1]])
+    cols = span[:, 1][cell]
+    boxes = np.take(lo, cell, axis=0) + np.column_stack([k // cols, k % cols])
     hit = rings_meet_boxes(tess.poly_xy, tess.poly_ptr, cells[cell], boxes, delta, tess.tol)
-    return cells[cell[hit]], boxes[hit]
+    return cells[cell[hit]], np.compress(hit, boxes, axis=0)
 
 
 def _check_region(tess: Tessellation, region: Window):
@@ -93,9 +94,10 @@ def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridFie
     last = np.full((len(tess), 2), np.iinfo(int).min)
     np.minimum.at(first, cells, boxes)
     np.maximum.at(last, cells, boxes)
-    reach = np.maximum(last[cells] - boxes, boxes - first[cells]).max(axis=1)
+    reach = np.maximum(np.take(last, cells, axis=0) - boxes,
+                       boxes - np.take(first, cells, axis=0)).max(axis=1)
     inside = ((boxes >= (i0, j0)) & (boxes <= (i1, j1))).all(axis=1)
-    ab = boxes[inside & (reach >= 2)] - (i0, j0)
+    ab = np.compress(inside & (reach >= 2), boxes, axis=0) - (i0, j0)
     values[ab[:, 0], ab[:, 1]] = 1
     return GridField(delta=delta, i0=i0, j0=j0, values=values)
 

@@ -63,7 +63,7 @@ def label_components(active: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     parent = np.arange(len(active))
     edges = np.asarray(edges, int).reshape(-1, 2)
-    a, b = edges[active[edges[:, 0]] & active[edges[:, 1]]].T
+    a, b = np.compress(active[edges[:, 0]] & active[edges[:, 1]], edges, axis=0).T
     while True:
         ra, rb = parent[a], parent[b]
         if (ra == rb).all():
@@ -138,7 +138,7 @@ def _cells_in_rect(tess: Tessellation, rect: Window):
     a cell touching rect only along a side or at a corner.
     """
     ids = tess.cells_meeting(rect)
-    ext = tess.bboxes[ids]
+    ext = np.take(tess.bboxes, ids, axis=0)
     keep = ((ext[:, 0] >= rect.lo[0]) & (ext[:, 1] >= rect.lo[1])
             & (ext[:, 2] <= rect.hi[0]) & (ext[:, 3] <= rect.hi[1]))
     inner = np.zeros(len(tess), bool)
@@ -149,7 +149,7 @@ def _cells_in_rect(tess: Tessellation, rect: Window):
             *gather_rings(tess.poly_xy, tess.poly_ptr, ids[cut]), rect, tess.tol)
     in_rect = np.zeros(len(tess), bool)
     in_rect[ids[keep]] = True
-    return in_rect, inner, ext[keep]
+    return in_rect, inner, np.compress(keep, ext, axis=0)
 
 
 def _rect_edges(tess: Tessellation, in_rect: np.ndarray, inner: np.ndarray, rect: Window,
@@ -167,19 +167,19 @@ def _rect_edges(tess: Tessellation, in_rect: np.ndarray, inner: np.ndarray, rect
     both = in_rect[fp[:, 0]] & in_rect[fp[:, 1]]
     cut = np.nonzero(both & ~(inner[fp[:, 0]] & inner[fp[:, 1]]))[0]
     if len(cut):
-        seg = tess.face_segments[cut]
+        seg = np.take(tess.face_segments, cut, axis=0)
         ok, lengths = clip_segments_to_rect(seg[:, 0, :], seg[:, 1, :], rect)
         both[cut] = ok & (lengths > tol) if adjacency == "face" else ok
     if adjacency == "face":
-        return fp[both]
+        return np.compress(both, fp, axis=0)
     sp = tess.star_pairs
     both_sp = in_rect[sp[:, 0]] & in_rect[sp[:, 1]]
     cut = np.nonzero(both_sp & ~(inner[sp[:, 0]] & inner[sp[:, 1]]))[0]
     if len(cut):
-        pts = tess.star_points[cut]
+        pts = np.take(tess.star_points, cut, axis=0)
         both_sp[cut] = ((pts[:, 0] >= rect.lo[0] - tol) & (pts[:, 0] <= rect.hi[0] + tol)
                         & (pts[:, 1] >= rect.lo[1] - tol) & (pts[:, 1] <= rect.hi[1] + tol))
-    return np.concatenate([fp[both], sp[both_sp]])
+    return np.concatenate([np.compress(both, fp, axis=0), np.compress(both_sp, sp, axis=0)])
 
 
 def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
@@ -244,5 +244,6 @@ def cluster_reach(tess: Tessellation, edges: np.ndarray, black: np.ndarray,
     if not black[root]:
         return 0.0
     labels = label_components(black, edges)
-    corners = tess.poly_xy[np.repeat(labels == labels[root], np.diff(tess.poly_ptr))]
+    corners = np.compress(np.repeat(labels == labels[root], np.diff(tess.poly_ptr)), tess.poly_xy,
+                          axis=0)
     return float(np.sqrt((corners ** 2).sum(axis=1)).max())

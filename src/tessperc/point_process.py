@@ -159,7 +159,8 @@ def sample_cluster_process(spec: ProcessSpec, window: Window,
     if spec.params.get("include_parents", False):
         pts = np.vstack([pts, parents]) if total else parents
     keep = window.contains_points(pts) if len(pts) else np.zeros(0, bool)
-    return PointConfiguration(pts[keep] if len(pts) else np.empty((0, 2)), window)
+    return PointConfiguration(np.compress(keep, pts, axis=0) if len(pts) else np.empty((0, 2)),
+                              window)
 
 
 def sample_matern_hardcore(gamma_proposal: float, hardcore_radius: float, window: Window,
@@ -176,9 +177,9 @@ def sample_matern_hardcore(gamma_proposal: float, hardcore_radius: float, window
 
         i, j = cKDTree(proposals).query_pairs(hardcore_radius, output_type="ndarray").T
         keep[np.where(marks[i] < marks[j], j, i)] = False
-    pts = proposals[keep]
+    pts = np.compress(keep, proposals, axis=0)
     inside = window.contains_points(pts) if len(pts) else np.zeros(0, bool)
-    return PointConfiguration(pts[inside] if len(pts) else pts, window)
+    return PointConfiguration(np.compress(inside, pts, axis=0) if len(pts) else pts, window)
 
 
 def sample_perturbed_lattice(spacing: float, perturbation_scale: float, window: Window,
@@ -200,7 +201,7 @@ def sample_perturbed_lattice(spacing: float, perturbation_scale: float, window: 
     if perturbation_scale > 0:
         sites = sites + (rng.random(sites.shape) - 0.5) * perturbation_scale
     keep = window.contains_points(sites, closed=False)
-    return PointConfiguration(sites[keep], window)
+    return PointConfiguration(np.compress(keep, sites, axis=0), window)
 
 
 def sample_poisson_lines(line_intensity: float, disc_radius: float,

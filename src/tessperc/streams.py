@@ -8,6 +8,7 @@ in isolation and results never depend on worker scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,6 +27,27 @@ def stream_key(master_seed: int, replicate: int, tag: str) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=16).digest(), "little")
 
 
+@functools.cache
+def _key_seed():
+    """The class of a seed sequence whose state is a given 128-bit Philox
+    key, as the two little-endian 64-bit words Philox(key=...) makes of it.
+    Philox(key=...) first builds and drops an OS-entropy SeedSequence, which
+    costs more than the rest of a stream; seeding Philox with this skips it.
+    The class is made on the first stream, since importing numpy.random adds
+    about 10 ms to start-up, which a rejected config never needs."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: int):
+            self.words = np.array([key & (MAX_SEED - 1), key >> 64], np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return KeySeed
+
+
 def stream(master_seed: int, replicate: int, tag: str) -> np.random.Generator:
     """Independent Philox stream for one (seed, replicate, tag) triple."""
-    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, replicate, tag)))
+    key = stream_key(master_seed, replicate, tag)
+    return np.random.Generator(np.random.Philox(_key_seed()(key)))

@@ -139,7 +139,7 @@ def _voronoi_vertices(tri: Delaunay, tol: float) -> tuple[np.ndarray, np.ndarray
     and centres[vertex[t]] its position. The circumcentres use the
     arithmetic of Qhull's qh_voronoi_center.
     """
-    corner = tri.points[tri.simplices]
+    corner = np.take(tri.points, tri.simplices, axis=0)
     p0 = corner[:, 0]
     (x0, y0), (x1, y1) = (corner[:, 1] - p0).T, (corner[:, 2] - p0).T
     s0, s1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
@@ -148,7 +148,8 @@ def _voronoi_vertices(tri: Delaunay, tol: float) -> tuple[np.ndarray, np.ndarray
     n_tri = len(centres)
     t, u = np.repeat(np.arange(n_tri), 3), tri.neighbors.ravel()
     inner = np.nonzero(u > t)[0]
-    merge = inner[((centres[t[inner]] - centres[u[inner]]) ** 2).sum(axis=1) <= tol * tol]
+    step = np.take(centres, t[inner], axis=0) - np.take(centres, u[inner], axis=0)
+    merge = inner[(step ** 2).sum(axis=1) <= tol * tol]
     return centres, label_components(np.ones(n_tri, bool),
                                      np.column_stack([t[merge], u[merge]]))
 
@@ -193,11 +194,11 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
 
     # a ring's bbox meets the core window grown by tol when each side of that
     # window has a ring vertex on its inner side: mark the passing triangles' corners
-    vx, vy = centres[vertex].T
+    vx, vy = np.take(centres, vertex, axis=0).T
     (x0, y0), (x1, y1) = np.subtract(core_window.lo, tol), np.add(core_window.hi, tol)
     keep = np.arange(len(tri.points)) < n
     for passes in (vx <= x1, vx >= x0, vy <= y1, vy >= y0):
-        keep &= np.bincount(simplices[passes].ravel(), minlength=len(keep)) > 0
+        keep &= np.bincount(np.compress(passes, simplices, axis=0).ravel(), minlength=len(keep)) > 0
 
     # each kept cell's ring: its distinct vertices in angular order around
     # its generator, so CCW. The pseudo-angle dx / (|dx| + |dy|), folded to
@@ -207,7 +208,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     owner, cat = simplices.ravel(), np.repeat(vertex, 3)
     kept = keep[owner]
     owner, cat = owner[kept], cat[kept]
-    dx, dy = (centres[cat] - pts[owner]).T
+    dx, dy = (np.take(centres, cat, axis=0) - np.take(pts, owner, axis=0)).T
     r = dx / (np.abs(dx) + np.abs(dy))
     order = np.argsort(owner * 8.0 + np.where(dy >= 0, 1.0 - r, 3.0 + r))
     owner, cat = owner[order], cat[order]
@@ -222,7 +223,7 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
             f"generator {int(np.argmax(lengths < 3))} has an unbounded or degenerate region")
     gen = np.nonzero(keep)[0]
     ptr = np.concatenate([[0], np.cumsum(lengths[gen])])
-    poly_xy = centres[cat]
+    poly_xy = np.take(centres, cat, axis=0)
 
     # clip the kept cells within tol of the sampling hull (each keeps a disc around its generator)
     near_hull = ((poly_xy <= np.add(sampling.lo, tol))
@@ -257,13 +258,13 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     ridge = ridge[vertex[t[ridge]] != vertex[u[ridge]]]
     pairs = ids[np.column_stack([a[ridge], b[ridge]])]
     ridge_v = np.column_stack([vertex[t[ridge]], vertex[u[ridge]]])
-    seg_a = centres[ridge_v[:, 0]]
-    seg_b = centres[ridge_v[:, 1]]
+    seg_a = np.take(centres, ridge_v[:, 0], axis=0)
+    seg_b = np.take(centres, ridge_v[:, 1], axis=0)
     ok, seg_len = (clip_segments_to_rect(seg_a, seg_b, sampling) if len(clipped)
                    else (np.ones(len(ridge), bool), np.linalg.norm(seg_b - seg_a, axis=1)))
     face_mask = ok & (seg_len > tol)
     contact_mask = ok & ~face_mask
-    face_pairs = pairs[face_mask]
+    face_pairs = np.compress(face_mask, pairs, axis=0)
 
     # corner-only contacts: kept cells whose regions share a Voronoi vertex
     # inside the sampling window without sharing a face (cocircular
@@ -273,30 +274,33 @@ def build_voronoi(points: PointConfiguration, core_window: Window,
     # triangles, or one that ends a ridge that is not a face, is searched:
     # its (vertex, cell) incidences, sorted, give every candidate pair.
     search = np.bincount(vertex, minlength=n_tri) >= 2
-    search[ridge_v[~face_mask]] = True
+    search[np.compress(~face_mask, ridge_v, axis=0)] = True
     at = np.nonzero(search)[0]
-    search[at] = sampling.expand(tol).contains_points(centres[at])
+    search[at] = sampling.expand(tol).contains_points(np.take(centres, at, axis=0))
     counts = np.bincount(cat, minlength=n_tri)
     v_inc, c_inc = np.divmod(np.sort((cat * m + ids[owner])[search[cat]]), m)
     cand = [np.empty((0, 3), int)]  # (vertex, a, b) rows, a < b
     for d in range(1, int(counts[search].max(initial=0))):
         same = v_inc[:-d] == v_inc[d:]
-        cand.append(np.column_stack([v_inc[:-d], c_inc[:-d], c_inc[d:]])[same])
+        cand.append(np.compress(same, np.column_stack([v_inc[:-d], c_inc[:-d], c_inc[d:]]), axis=0))
     cand = np.concatenate(cand)
     if len(cand):  # general position leaves none; then skip the costly face lookup
-        cand = cand[~np.isin(cand[:, 1:] @ [m, 1], np.sort(face_pairs, axis=1) @ [m, 1])]
+        cand = np.compress(~np.isin(cand[:, 1:] @ [m, 1], np.sort(face_pairs, axis=1) @ [m, 1]),
+                           cand, axis=0)
 
     # ridge contacts come before corner contacts; keep the first point per pair
-    star_all = np.concatenate([np.sort(pairs[contact_mask], axis=1), cand[:, 1:]])
-    points_all = np.concatenate([(seg_a[contact_mask] + seg_b[contact_mask]) / 2.0,
-                                 centres[cand[:, 0]]])
+    star_all = np.concatenate([np.sort(np.compress(contact_mask, pairs, axis=0), axis=1),
+                               cand[:, 1:]])
+    points_all = np.concatenate([np.compress(contact_mask, seg_a + seg_b, axis=0) / 2.0,
+                                 np.take(centres, cand[:, 0], axis=0)])
     _, first = np.unique(star_all @ [m, 1], return_index=True)
 
     return Tessellation(
-        centers=pts[gen], generators=gen, poly_xy=poly_xy, poly_ptr=ptr,
+        centers=np.take(pts, gen, axis=0), generators=gen, poly_xy=poly_xy, poly_ptr=ptr,
         core_window=core_window, face_pairs=face_pairs,
-        face_segments=np.stack([seg_a, seg_b], axis=1)[face_mask],
-        star_pairs=star_all[first], star_points=points_all[first],
+        face_segments=np.compress(face_mask, np.stack([seg_a, seg_b], axis=1), axis=0),
+        star_pairs=np.take(star_all, first, axis=0),
+        star_points=np.take(points_all, first, axis=0),
         tol=tol, bboxes=ring_extents(poly_xy, ptr))
 
 
@@ -331,8 +335,11 @@ def _contacts(ids: np.ndarray, polys: np.ndarray, steps, k: int):
     for (da, db), _ in steps:
         first = ids[max(-da, 0):na - max(da, 0), max(-db, 0):nb - max(db, 0)].ravel()
         second = ids[max(da, 0):na - max(-da, 0), max(db, 0):nb - max(-db, 0)].ravel()
-        pairs.append(np.column_stack([first, second])[(first >= 0) & (second >= 0)])
-    corners = [polys[p[:, :1], list(c)] for p, (_, c) in zip(pairs[1:], steps)]
+        pairs.append(np.compress((first >= 0) & (second >= 0), np.column_stack([first, second]),
+                                 axis=0))
+    # corner c of cell i is row i * len(ring) + c of the stacked rings
+    flat, ring = polys.reshape(-1, 2), polys.shape[1]
+    corners = [np.take(flat, p[:, :1] * ring + c, axis=0) for p, (_, c) in zip(pairs[1:], steps)]
     return np.concatenate(pairs), np.concatenate([np.empty((0, k, 2))] + corners)
 
 

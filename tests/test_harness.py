@@ -1061,3 +1061,24 @@ def test_theta_with_the_origin_outside_the_core_window_names_the_origin(tmp_path
         harness.run(path, out_dir=str(tmp_path / "run"))
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: origin lies outside the core window\n"
+
+
+_PC_PARAMS = {"params": {"tolerance": 0.2, "replicates_per_probe": 50}}
+
+
+@pytest.mark.parametrize("op,seed,extra", [
+    ("pc", 2 ** 64 - 1, _PC_PARAMS), ("pc", 2 ** 64 - 2, _PC_PARAMS),
+    ("mixture", 2 ** 64 - 1, {"p": 0.55, "params": {"spacing": 1.0}})])
+def test_cli_derived_seeds_wrap_below_two_to_the_64(op, seed, extra, tmp_path, capsys):
+    # pc seeds probe k with master_seed + k + 1, mixture its hexagonal
+    # component with master_seed + 1, both modulo 2**64
+    cfg = {"op": op, "process": SQ, "window": W4, "replicates": 10, "master_seed": seed,
+           **extra}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (run_dir,) = out.iterdir()
+    assert (run_dir / f"{op}.csv").exists()
+    if op == "pc":
+        probes = list(csv.DictReader((run_dir / "pc.csv").read_text().splitlines()))
+        assert len(probes) >= 2

@@ -123,10 +123,12 @@ def test_every_public_name_is_reached_from_an_entry_point():
 
 # Run in a fresh interpreter: the CLI rejecting a config, a square-lattice
 # crossing and p_c run at workers=1, then one Poisson build. Prints, after
-# each stage, the loaded scipy modules and whether the process pool is loaded.
+# the harness import and after each stage, the loaded scipy modules, whether
+# the process pool is loaded and whether numpy.random is.
 _STARTUP_PROBE = """
 import json, sys
 from tessperc import harness
+stages = {"import_numpy_random": "numpy.random" in sys.modules}
 from tessperc.cli import main
 from tessperc.experiment import ExperimentSpec, build_tessellation
 
@@ -143,7 +145,6 @@ configs = {
                    "adjacency": "star", "p_grid": [0.4, 0.5], "replicates": 3,
                    "master_seed": 4},
 }
-stages = {}
 for name, cfg in configs.items():
     path = f"{work}/{name}.json"
     with open(path, "w") as fh:
@@ -157,6 +158,7 @@ for name, cfg in configs.items():
     stages[name + "_modules"] = sorted(m for m in sys.modules
                                        if m.split(".")[0] == "scipy"
                                        or m == "concurrent.futures.process")
+    stages[name + "_numpy_random"] = "numpy.random" in sys.modules
 spec = ExperimentSpec.from_json({"process": {"kind": "poisson", "params": {"gamma": 1.0}},
                                  "window": [[-3, -3], [3, 3]]})
 build_tessellation(spec, 0)
@@ -168,7 +170,9 @@ print(json.dumps(stages))
 def test_lattice_runs_and_rejected_configs_load_neither_scipy_nor_the_pool(tmp_path):
     """scipy is imported by the first Voronoi build (or Matern II thinning)
     and the process pool by the first run with workers > 1, not at start-up,
-    nor by lattice crossing, p_c and star-adjacency sweep runs."""
+    nor by lattice crossing, p_c and star-adjacency sweep runs. numpy.random
+    is imported by the first random stream, not by the harness import nor
+    by a rejected config."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)], env=env,
@@ -177,4 +181,7 @@ def test_lattice_runs_and_rejected_configs_load_neither_scipy_nor_the_pool(tmp_p
     stages = json.loads(proc.stdout.splitlines()[-1])
     assert stages == {"rejected": 2, "rejected_modules": [], "crossing_modules": [],
                       "pc_modules": [], "sweep_star_modules": [],
-                      "poisson_build_loads_spatial": True}
+                      "poisson_build_loads_spatial": True,
+                      "import_numpy_random": False, "rejected_numpy_random": False,
+                      "crossing_numpy_random": True, "pc_numpy_random": True,
+                      "sweep_star_numpy_random": True}

@@ -504,3 +504,20 @@ def test_rect_graph_clips_only_contacts_of_boundary_crossing_cells(rect, adjacen
     cut = in_rect[a] & in_rect[b] & (crosses[a] | crosses[b])
     (segments,) = calls["segments"]
     assert cut.any() and np.array_equal(segments, tess.face_segments[cut])
+
+
+@pytest.mark.parametrize("adjacency", ["face", "star"])
+def test_rect_graph_of_a_lone_aligned_lattice_cell_has_no_edge(adjacency):
+    # the core window is one cell, which is inner: nothing is cut, nothing joins
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (1, 1)))
+    edges, sides = rect_graph(tess, tess.core_window, adjacency)
+    assert edges.shape == (0, 2) and edges.dtype == np.dtype(int)
+    assert [side.tolist() for side in sides] == [[0]] * 4
+
+
+@pytest.mark.parametrize("edges", [np.array([[0, 1], [1, 2], [2, 3]]), np.empty((0, 2), int)],
+                         ids=["inactive_ends", "no_edges"])
+def test_label_components_without_an_active_edge_labels_each_active_cell_alone(edges):
+    active = np.array([True, False, True, False])
+    labels = label_components(active, edges)
+    assert labels.dtype == np.dtype(int) and labels.tolist() == [0, -1, 2, -1]

@@ -31,3 +31,21 @@ def test_stream_validation():
         stream(-1, 0, "a")
     with pytest.raises(ParameterError):
         stream(0, -2, "a")
+
+
+# every tag the package draws from: experiment's, diagnostics' fixed ones,
+# and examples of its animal and cycle tags
+SOURCE_TAGS = ["tess", "color", "shift", "laplace", "lines", "void", "smp-void",
+               "animal:Y:4", "animal:U:16", "cycle:8", "cycle:24"]
+
+
+@pytest.mark.parametrize("tag", SOURCE_TAGS)
+def test_stream_draws_equal_a_philox_keyed_by_stream_key(tag):
+    for seed in (0, 1, 11, 2 ** 63, 2 ** 64 - 1):
+        for rep in (0, 1, 7, 1000):
+            ours = stream(seed, rep, tag)
+            ref = np.random.Generator(np.random.Philox(key=stream_key(seed, rep, tag)))
+            assert np.array_equal(ours.random(5), ref.random(5))
+            assert np.array_equal(ours.poisson(3.5, 4), ref.poisson(3.5, 4))
+            assert np.array_equal(ours.normal(0.0, 2.0, (3, 2)), ref.normal(0.0, 2.0, (3, 2)))
+            assert np.array_equal(ours.integers(0, 2 ** 40, 6), ref.integers(0, 2 ** 40, 6))

@@ -925,3 +925,22 @@ def test_square_lattice_keeps_no_sliver_of_a_rounded_index_range():
     hull = np.concatenate([tess.bboxes[:, :2].min(axis=0), tess.bboxes[:, 2:].max(axis=0)])
     assert np.allclose(hull, core.lo + core.hi)
     assert np.allclose(ref.bboxes[:, :2].min(axis=0), (0.2, 0.2))
+
+
+def test_builds_without_contacts_keep_empty_arrays_typed():
+    # three far-apart generators: only the cell of (0, 0) meets the core
+    # window, so no pair of kept cells shares a face or a corner
+    far = PointConfiguration(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]),
+                             Window((-20, -20), (20, 20)))
+    lone = build_voronoi(far, Window((-1, -1), (1, 1)), validate_buffer=False)
+    # a Poisson sample in general position has face contacts and no star contact
+    poisson, _ = poisson_tess(3, core_side=10.0)
+    # one aligned lattice cell fills its core window
+    square = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (1, 1)))
+    assert len(lone) == len(square) == 1 and len(poisson.face_pairs)
+    for tess in (lone, poisson, square):
+        assert (tess.star_pairs.shape, tess.star_pairs.dtype) == ((0, 2), int)
+        assert (tess.star_points.shape, tess.star_points.dtype) == ((0, 2), float)
+    for tess in (lone, square):
+        assert (tess.face_pairs.shape, tess.face_pairs.dtype) == ((0, 2), int)
+        assert (tess.face_segments.shape, tess.face_segments.dtype) == ((0, 2, 2), float)
