@@ -273,7 +273,7 @@ class TamenessReport:
     delta: float
     n_schedule: list
     replicates: int
-    curves: dict          # name -> {"mean": [...], "ci": [(lo, hi), ...]}
+    curves: dict          # name -> {"mean": [...], "ci": [(lo, hi), ...], "bound": [...]}
     limsup_proxy: dict    # name -> running max of means over the top half
     t1_bounded: bool
     t2_margin: float
@@ -285,29 +285,30 @@ def _tameness_prepare(delta: float, region: Window, tess):
     return compute_Y_field(tess, delta, region), compute_U_field(tess, delta, region)
 
 
-def _tameness_rep(master_seed: int, schedule: tuple, fields, uniforms, rep: int):
-    """Anchored and free animal maxima of both fields; the colouring is not read."""
+def _tameness_rep(schedule: tuple, fields, uniforms, rep: int):
+    """Anchored and free (best value, bound) of both fields; the colouring is not read."""
     out = {}
     for n in schedule:
         for name, fld in zip(("Y", "U"), fields):
-            rng = stream(master_seed, rep, f"animal:{name}:{n}")
-            anchored = greedy_animal_max(fld, n, rng, anchor=(0, 0))
-            free = greedy_animal_max(fld, n, rng)
-            out[f"anchored_{name}:{n}"] = anchored.best_value
-            out[f"free_{name}:{n}"] = free.best_value
+            anchored = greedy_animal_max(fld, n, anchor=(0, 0))
+            free = greedy_animal_max(fld, n, start=anchored)
+            out[f"anchored_{name}:{n}"] = (anchored.best_value, anchored.bound)
+            out[f"free_{name}:{n}"] = (free.best_value, free.bound)
     return out
 
 
 def tameness_report(spec: ExperimentSpec, delta: float, n_schedule,
                     workers: int = 1) -> TamenessReport:
-    """Greedy-animal average curves for the Y and U fields, found by local
-    search over the boxes of the core window shrunk by 2 delta.
+    """Greedy-animal average curves for the Y and U fields, found by branch
+    and bound over the boxes of the core window shrunk by 2 delta.
 
     Curves come in anchored (animal contains the origin box, the per-site
     quantity the definitions use) and free (animal anywhere in the region)
-    variants; verdicts use the anchored curves. t1_bounded checks that the
-    anchored Y curve is flat or decreasing over the top half of the
-    schedule; t2_margin is 1 minus the largest anchored U value.
+    variants, each with the mean and CI of the best values found and the mean
+    of their upper bounds (equal where every search was exact). Verdicts use
+    the anchored curves' certified side: t1_bounded checks that the Y bound
+    at the largest n stays within the CI slack of the mean at the middle n
+    of the schedule; t2_margin is 1 minus the largest anchored U bound.
     """
     schedule = tuple(int(n) for n in n_schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -320,22 +321,19 @@ def tameness_report(spec: ExperimentSpec, delta: float, n_schedule,
         raise ParameterError("region too small for the largest animal in the schedule")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_tameness_prepare, delta, region),
-                                  partial(_tameness_rep, spec.master_seed, schedule), workers)
+                                  partial(_tameness_rep, schedule), workers)
     curves = {}
     for which in ("anchored_Y", "anchored_U", "free_Y", "free_U"):
-        means, cis = [], []
-        for n in schedule:
-            m, ci = mean_ci([v[f"{which}:{n}"] for v in vals])
-            means.append(m)
-            cis.append(ci)
-        curves[which] = {"mean": means, "ci": cis}
+        ends = [list(zip(*(v[f"{which}:{n}"] for v in vals))) for n in schedule]
+        lower = [mean_ci(best) for best, _ in ends]
+        curves[which] = {"mean": [m for m, _ in lower], "ci": [ci for _, ci in lower],
+                         "bound": [mean_ci(bound)[0] for _, bound in ends]}
     half = len(schedule) // 2
     proxies = {k: max(v["mean"][half:]) for k, v in curves.items()}
-    y_mean = curves["anchored_Y"]["mean"]
     y_ci = curves["anchored_Y"]["ci"]
     slack = ((y_ci[-1][1] - y_ci[-1][0]) + (y_ci[half][1] - y_ci[half][0])) / 2.0
-    t1_bounded = y_mean[-1] <= y_mean[half] + slack
-    t2_margin = 1.0 - max(curves["anchored_U"]["mean"])
+    t1_bounded = curves["anchored_Y"]["bound"][-1] <= curves["anchored_Y"]["mean"][half] + slack
+    t2_margin = 1.0 - max(curves["anchored_U"]["bound"])
     return TamenessReport(delta=delta, n_schedule=list(schedule), replicates=len(vals),
                           curves=curves, limsup_proxy=proxies, t1_bounded=bool(t1_bounded),
                           t2_margin=float(t2_margin), failed=failed)

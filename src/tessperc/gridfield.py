@@ -6,13 +6,13 @@ count use it. cell_box_pairs lists the (cell, box) pairs that meet in
 positive area: U (boxes from which a single cell reaches boxes at
 l-infinity index distance >= 2) and the Peierls probe use it.
 greedy_animal_max finds connected n-box sets maximizing the field average
-by randomized local search.
+by branch and bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,162 +104,98 @@ def compute_U_field(tess: Tessellation, delta: float, region: Window) -> GridFie
 
 @dataclass
 class AnimalSearchResult:
+    """The best animal found, its average, and an upper bound on the maximum
+    average, which equals best_value when the search is exact."""
     n: int
     best_value: float
     best_animal: list
+    bound: float
 
 
-def _grid_neighbors(ni: int, nj: int):
-    def nbrs(k: int):
-        i, j = divmod(k, nj)
-        out = []
-        if i > 0:
-            out.append(k - nj)
-        if i < ni - 1:
-            out.append(k + nj)
-        if j > 0:
-            out.append(k - 1)
-        if j < nj - 1:
-            out.append(k + 1)
-        return out
-    return nbrs
+# Search nodes one greedy_animal_max call may expand. Past them it returns
+# its best animal and the largest bound of the subtrees it left open.
+ANIMAL_SEARCH_NODES = 2_000_000
 
 
-def _connected_after_swap(animal: set, drop: int, add: int, nbrs) -> bool:
-    new_set = (animal - {drop}) | {add}
-    start = next(iter(new_set))
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        for w in nbrs(v):
-            if w in new_set and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(new_set)
+def greedy_animal_max(field: GridField, n: int, anchor=None,
+                      start: AnimalSearchResult | None = None) -> AnimalSearchResult:
+    """Connected n-box set maximizing the field average, by branch and bound.
 
-
-# Local search effort: random-restart count, connectivity rejections allowed
-# per improvement round, and kick-and-regrow rounds per restart.
-LOCAL_SEARCH_STARTS = 32
-LOCAL_SEARCH_PATIENCE = 200
-LOCAL_SEARCH_KICKS = 4
-
-
-def _local_search_max(values: np.ndarray, n: int, anchor_id: int | None,
-                      rng: np.random.Generator):
-    ni, nj = values.shape
-    flat = values.ravel().astype(float)
-    nbrs = _grid_neighbors(ni, nj)
-    n_boxes = ni * nj
-
-    def boundary_of(animal):
-        out = set()
-        for v in animal:
-            out.update(x for x in nbrs(v) if x not in animal)
-        return out
-
-    def grow(animal, eps):
-        boundary = boundary_of(animal)
-        while len(animal) < n:
-            cand = list(boundary)
-            if rng.random() < eps:
-                pick = cand[int(rng.integers(len(cand)))]
-            else:
-                vals = flat[cand]
-                top = np.nonzero(vals >= vals.max())[0]
-                pick = cand[int(top[rng.integers(len(top))])]
-            animal.add(pick)
-            boundary.discard(pick)
-            boundary.update(w for w in nbrs(pick) if w not in animal)
-        return animal
-
-    def descend(animal):
-        # only value-improving (add u, drop w) swaps are proposed
-        boundary = boundary_of(animal)
-        while True:
-            droppable = [v for v in animal if v != anchor_id]
-            if not droppable:
-                break
-            a_min = min(flat[a] for a in droppable)
-            u_cands = [b for b in boundary if flat[b] > a_min]
-            if not u_cands:
-                break
-            improved = False
-            for _ in range(LOCAL_SEARCH_PATIENCE):
-                u = u_cands[int(rng.integers(len(u_cands)))]
-                w_cands = [a for a in droppable if flat[a] < flat[u]]
-                w = w_cands[int(rng.integers(len(w_cands)))]
-                if _connected_after_swap(animal, w, u, nbrs):
-                    animal.discard(w)
-                    animal.add(u)
-                    boundary = boundary_of(animal)
-                    improved = True
-                    break
-            if not improved:
-                break
-        return animal
-
-    def kick(animal):
-        # keep a random connected half, regrow with moderate exploration
-        keep_size = max(1, (n + 1) // 2)
-        seed = anchor_id if anchor_id is not None else \
-            sorted(animal)[int(rng.integers(len(animal)))]
-        kept = {seed}
-        frontier = [seed]
-        while len(kept) < keep_size and frontier:
-            v = frontier[int(rng.integers(len(frontier)))]
-            nxt = [w for w in nbrs(v) if w in animal and w not in kept]
-            if not nxt:
-                frontier.remove(v)
-                continue
-            w = nxt[int(rng.integers(len(nxt)))]
-            kept.add(w)
-            frontier.append(w)
-        return grow(kept, 0.3)
-
-    best_total = -math.inf
-    best_animal = None
-    ranked = list(np.argsort(-flat, kind="stable"))
-    starts = LOCAL_SEARCH_STARTS
-    for s in range(starts):
-        if anchor_id is not None:
-            start = anchor_id
-        elif s < max(1, starts // 2) and s < n_boxes:
-            start = int(ranked[s])
-        else:
-            start = int(rng.integers(n_boxes))
-        eps = 0.0 if s == 0 else s / starts
-        animal = descend(grow({start}, eps))
-        total = sum(flat[v] for v in animal)
-        for _ in range(LOCAL_SEARCH_KICKS):
-            trial = descend(kick(set(animal)))
-            t_total = sum(flat[v] for v in trial)
-            if t_total > total:
-                animal, total = trial, t_total
-        if total > best_total:
-            best_total = total
-            best_animal = sorted(animal)
-    return best_total, best_animal
-
-
-def greedy_animal_max(field: GridField, n: int, rng: np.random.Generator,
-                      anchor=None) -> AnimalSearchResult:
-    """Connected n-box set maximizing the field average, found by local
-    search drawing from rng.
-
-    anchor=None searches animals anywhere in the field; anchor=(i, j) pins
-    the animal to contain that box (the per-site variant).
+    Animals grow from a root box without duplicates, the most valuable
+    candidate first; a branch is cut when its total, its best candidate and
+    the top values of the boxes within l1 distance n - 1 of the root for the
+    other boxes it lacks cannot beat the best total.
+    anchor=(i, j) roots every animal at that box. anchor=None roots each
+    animal at its first box in decreasing value order and tries the roots in
+    that order until value(root) * n cannot win. start, a result on the same
+    field and n whose animal this search also admits (an anchored one, for a
+    free search), is the first incumbent and its bound a floor of the bound.
     """
     ni, nj = field.values.shape
     if n < 1 or n > ni * nj:
         raise ParameterError(f"animal size {n} does not fit the field")
-    anchor_id = None
-    if anchor is not None:
-        ai, aj = int(anchor[0]), int(anchor[1])
-        if not field.contains_index(ai, aj):
-            raise ParameterError(f"anchor box {anchor} outside the field range")
-        anchor_id = (ai - field.i0) * nj + (aj - field.j0)
-    total, animal = _local_search_max(field.values, n, anchor_id, rng)
-    abs_animal = [(field.i0 + k // nj, field.j0 + k % nj) for k in sorted(animal)]
-    return AnimalSearchResult(n=n, best_value=float(total) / n, best_animal=abs_animal)
+    if anchor is not None and not field.contains_index(int(anchor[0]), int(anchor[1])):
+        raise ParameterError(f"anchor box {anchor} outside the field range")
+    flat = field.values.ravel().astype(float)
+    order = np.argsort(-flat, kind="stable")
+    rank = np.argsort(order)
+    ii, jj = np.divmod(np.arange(len(flat)), nj)
+    # on the grid padded by one blocked ring, box k has id pad[k] and the
+    # neighbours of id v are v +- 1 and v +- w
+    w = nj + 2
+    pad = (ii + 1) * w + jj + 1
+    value = np.pad(flat.reshape(ni, nj), 1).ravel().tolist()
+    best = -math.inf if start is None else start.best_value * n
+    animal, nodes = None, 0
+
+    def grow(root: int) -> float:
+        """Search the animals rooted at box root while the node budget lasts;
+        the largest total bound of the branches left open, or -inf."""
+        nonlocal best, animal, nodes
+        after = rank > rank[root] if anchor is None else rank != rank[root]
+        ball = after & (np.abs(ii - ii[root]) + np.abs(jj - jj[root]) <= n - 1)
+        top = np.sort(flat[ball])[::-1][:n - 1]
+        # the most that j more boxes add, j = 0, ..., n - 1 (-inf: fewer are left)
+        tops = [0.0] + np.cumsum(top).tolist() + [-math.inf] * (n - 1 - len(top))
+        blocked = np.ones(len(value), np.uint8)
+        blocked[pad[after]] = 0
+        seen = bytearray(blocked.tobytes())
+        chosen = []
+        frames = [([int(pad[root])], 0.0, ())]  # (candidates by value, total, ids it marked)
+        while frames:
+            cands, total, marks = frames[-1]
+            d = len(frames) - 1
+            if not cands or total + value[cands[-1]] + tops[n - 1 - d] <= best:
+                frames.pop()
+                for x in marks:
+                    seen[x] = 0
+                if frames:
+                    chosen.pop()
+                continue
+            if nodes >= ANIMAL_SEARCH_NODES and best > -math.inf:
+                return max(t + value[c[-1]] + tops[n - 1 - k]
+                           for k, (c, t, _) in enumerate(frames) if c)
+            nodes += 1
+            v = cands.pop()
+            if d + 1 == n:
+                best, animal = total + value[v], chosen + [v]
+                continue
+            new = [x for x in (v - w, v - 1, v + 1, v + w) if not seen[x]]
+            for x in new:
+                seen[x] = 1
+            chosen.append(v)
+            frames.append((sorted(cands + new, key=value.__getitem__), total + value[v], new))
+        return -math.inf
+
+    open_total = -math.inf
+    roots = order.tolist() if anchor is None else \
+        [(int(anchor[0]) - field.i0) * nj + int(anchor[1]) - field.j0]
+    for root in roots:
+        if anchor is None and flat[root] * n <= best:
+            break
+        open_total = max(open_total, grow(root))
+    if animal is None:
+        return replace(start, bound=max(start.bound, open_total / n))
+    floor = -math.inf if start is None else start.bound
+    boxes = [(field.i0 + x // w - 1, field.j0 + x % w - 1) for x in sorted(animal)]
+    return AnimalSearchResult(n, best / n, boxes, max(floor, max(best, open_total) / n))

@@ -82,10 +82,13 @@ def _check(ok, want: str):
     return parse
 
 
-def _list_of(item):
-    """The parser of a non-empty list of values that item parses."""
+def _list_of(item, rising=False):
+    """The parser of a non-empty list of values that item parses, strictly
+    increasing if rising."""
     nonempty = _check(lambda xs: isinstance(xs, list) and xs != [], "a non-empty list")
-    return lambda xs: [item(x) for x in nonempty(xs)]
+    ordered = _check(lambda xs: not rising or all(a < b for a, b in zip(xs, xs[1:])),
+                     "strictly increasing")
+    return lambda xs: ordered([item(x) for x in nonempty(xs)])
 
 
 _count = _check(lambda x: type(x) is int and x >= 1, "an integer >= 1")
@@ -297,6 +300,7 @@ def _tameness(spec, args, workers):
         for name, curve in rep.curves.items():
             row[f"{name}_mean"] = curve["mean"][k]
             row[f"{name}_ci_lo"], row[f"{name}_ci_hi"] = curve["ci"][k]
+            row[f"{name}_bound"] = curve["bound"][k]
         rows.append(row)
     return rows, {"t1_bounded": rep.t1_bounded, "t2_margin": rep.t2_margin,
                   "limsup_proxy": rep.limsup_proxy, "replicates": rep.replicates,
@@ -360,7 +364,7 @@ OPS = {
                                        "direction": _choice("horizontal", "vertical"),
                                        "color": _choice("black", "white")},
                    sweep=_sweep_crossing),
-    "theta": Op(EACH_P, _theta, {"radii": _positives}),
+    "theta": Op(EACH_P, _theta, {"radii": _list_of(_positive, rising=True)}),
     "pc": Op(NO_P, _pc, {"tolerance": _check(lambda x: _real(x) >= 0.01, "a number >= 0.01"),
                          "replicates_per_probe": _count}),
     "spanning": Op(EACH_P, _spanning, {"analysis_window": (Window.from_json, None)}),
@@ -372,7 +376,8 @@ OPS = {
     "line_smp": Op(NO_P, _line_smp, {"t_schedule": _positives, "angle_tol": _positive},
                    process="poisson_line"),
     "mixture": Op(ONE_P, _mixture, {"spacing": (_positive, 2.0)}, face_only=True),
-    "tameness": Op(NO_P, _tameness, {"delta": _positive, "n_schedule": _counts}),
+    "tameness": Op(NO_P, _tameness, {"delta": _positive,
+                                     "n_schedule": _list_of(_count, rising=True)}),
     "recursion": Op(ONE_P, _recursion, {"t": _positive}),
     "trifurcation_density": Op(ONE_P, _trifurcation_density,
                                {"r1": _count, "r2": _positive,

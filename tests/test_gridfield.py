@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from tessperc import gridfield
+from tessperc.diagnostics import tameness_report
 from tessperc.errors import ParameterError
+from tessperc.experiment import ExperimentSpec
 from tessperc.geometry import Window, clip_rings_to_window, rings_meet_boxes
 from tessperc.gridfield import (AnimalSearchResult, GridField, box_counts, cell_box_pairs,
                                 compute_U_field, compute_Y_field, greedy_animal_max)
-from tessperc.point_process import PointConfiguration, sample_matern_hardcore, sample_poisson
+from tessperc.point_process import (PointConfiguration, ProcessSpec, sample_matern_hardcore,
+                                    sample_poisson)
 from tessperc.streams import stream
 from tessperc.tessellation import build_lattice_tessellation, build_voronoi
 from test_geometry import ring_areas
@@ -169,8 +174,8 @@ def test_field_region_validation():
 
 
 def exact_animal_max(field: GridField, n: int, anchor=None) -> AnimalSearchResult:
-    """Best connected n-box animal by duplicate-free DFS growth: the exact
-    reference of the local search in greedy_animal_max.
+    """Best connected n-box animal by duplicate-free DFS growth: the
+    exhaustive reference of the branch and bound in greedy_animal_max.
 
     With anchor=(i, j) every animal holds that box; otherwise every animal
     is generated once, rooted at its smallest linear index.
@@ -206,14 +211,14 @@ def exact_animal_max(field: GridField, n: int, anchor=None) -> AnimalSearchResul
         for root in range(ni * nj):
             grow([root], [], 0.0, {root}, root)
     animal = [(field.i0 + k // nj, field.j0 + k % nj) for k in sorted(best["animal"])]
-    return AnimalSearchResult(n=n, best_value=float(best["total"]) / n, best_animal=animal)
+    value = float(best["total"]) / n
+    return AnimalSearchResult(n=n, best_value=value, best_animal=animal, bound=value)
 
 
 def test_animal_constant_field():
     field = GridField(1.0, 0, 0, np.full((6, 6), 3.0))
     for n in (1, 4, 9):
-        for res in (exact_animal_max(field, n),
-                    greedy_animal_max(field, n, np.random.default_rng(0))):
+        for res in (exact_animal_max(field, n), greedy_animal_max(field, n)):
             assert res.best_value == pytest.approx(3.0)
             assert len(res.best_animal) == n
 
@@ -225,8 +230,8 @@ def test_animal_single_hot_box():
     res = exact_animal_max(field, 3)
     assert res.best_value == pytest.approx(100.0 / 3.0)
     assert (3, 3) in res.best_animal
-    ls = greedy_animal_max(field, 3, np.random.default_rng(1))
-    assert ls.best_value == pytest.approx(100.0 / 3.0)
+    bnb = greedy_animal_max(field, 3)
+    assert bnb.best_value == bnb.bound == pytest.approx(100.0 / 3.0)
 
 
 def test_animal_local_matches_exact_100_trials():
@@ -235,10 +240,14 @@ def test_animal_local_matches_exact_100_trials():
         values = rng.poisson(3.0, size=(6, 6)).astype(float)
         field = GridField(1.0, 0, 0, values)
         n = int(rng.integers(2, 9))
-        exact = exact_animal_max(field, n)
-        local = greedy_animal_max(field, n, np.random.default_rng(trial))
-        assert local.best_value <= exact.best_value + 1e-9
-        assert local.best_value == pytest.approx(exact.best_value)
+        anchor = (int(rng.integers(6)), int(rng.integers(6)))
+        anchored = greedy_animal_max(field, n, anchor=anchor)
+        free = greedy_animal_max(field, n)
+        exact_anchored = exact_animal_max(field, n, anchor).best_value
+        assert anchored.best_value == anchored.bound == exact_anchored
+        assert free.best_value == free.bound == exact_animal_max(field, n).best_value
+        for res in (anchored, free):
+            assert sum(values[i, j] for i, j in res.best_animal) / n == res.best_value
 
 
 def test_animal_dominates_adversarial_set():
@@ -250,8 +259,7 @@ def test_animal_dominates_adversarial_set():
     i = int(min(max(i, 0), 3))
     bar = [(i + k, int(j)) for k in range(5)]
     bar_value = sum(values[a, b] for a, b in bar) / 5
-    for res in (exact_animal_max(field, 5),
-                greedy_animal_max(field, 5, np.random.default_rng(0))):
+    for res in (exact_animal_max(field, 5), greedy_animal_max(field, 5)):
         assert res.best_value >= bar_value - 1e-9
 
 
@@ -268,9 +276,63 @@ def test_animal_anchored_vs_free():
 def test_animal_validation():
     field = GridField(1.0, 0, 0, np.zeros((3, 3)))
     with pytest.raises(ParameterError):
-        greedy_animal_max(field, 10, np.random.default_rng(0))
+        greedy_animal_max(field, 10)
     with pytest.raises(ParameterError):
-        greedy_animal_max(field, 2, np.random.default_rng(0), anchor=(5, 5))
+        greedy_animal_max(field, 2, anchor=(5, 5))
+
+
+def is_animal(boxes) -> bool:
+    """Whether the boxes are distinct and edge-connected."""
+    boxes = set(boxes)
+    todo, reached = [next(iter(boxes))], set()
+    while todo:
+        i, j = todo.pop()
+        if (i, j) not in reached:
+            reached.add((i, j))
+            todo += [b for b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)) if b in boxes]
+    return reached == boxes
+
+
+def test_animal_search_past_its_node_budget_brackets_the_optimum(monkeypatch):
+    monkeypatch.setattr(gridfield, "ANIMAL_SEARCH_NODES", 20)
+    rng = np.random.default_rng(23)
+    field = GridField(1.0, -3, -3, rng.poisson(1.0, size=(7, 7)).astype(float))
+    open_searches = 0
+    for n in (5, 7, 9):
+        anchored = greedy_animal_max(field, n, anchor=(0, 0))
+        free = greedy_animal_max(field, n, start=anchored)
+        for res, exact in ((anchored, exact_animal_max(field, n, (0, 0))),
+                           (free, exact_animal_max(field, n))):
+            assert res.best_value <= exact.best_value <= res.bound
+            assert len(res.best_animal) == n and is_animal(res.best_animal)
+            assert sum(field.values[i + 3, j + 3] for i, j in res.best_animal) / n == res.best_value
+            open_searches += res.bound > res.best_value
+        assert (0, 0) in anchored.best_animal
+        assert free.best_value >= anchored.best_value and free.bound >= anchored.bound
+    assert open_searches >= 4
+
+
+def test_animal_search_is_not_recursive():
+    field = GridField(1.0, 0, 0, np.full((40, 40), 2.5))
+    for res in (greedy_animal_max(field, 1200, anchor=(20, 20)), greedy_animal_max(field, 1200)):
+        assert res.best_value == res.bound == 2.5
+        assert len(res.best_animal) == 1200 and is_animal(res.best_animal)
+
+
+def test_tameness_poisson_Y_oracle():
+    # Y is i.i.d. Poisson(gamma delta^2) = Poisson(1): the anchored mean is 1
+    # at n = 1 and (1 + E[max of 4 i.i.d. Poisson(1)]) / 2 at n = 2
+    p = stats.poisson(1.0)
+    e_max4 = sum(1.0 - p.cdf(k) ** 4 for k in range(60))
+    spec = ExperimentSpec(ProcessSpec("poisson", {"gamma": 1.0}), Window((-5.0, -5.0), (5.0, 5.0)),
+                          replicates=400, master_seed=176)
+    rep = tameness_report(spec, 1.0, (1, 2))
+    (lo1, hi1), (lo2, hi2) = rep.curves["anchored_Y"]["ci"]
+    assert (rep.replicates, rep.failed) == (400, 0)
+    assert lo1 <= 1.0 <= hi1
+    assert lo2 <= (1.0 + e_max4) / 2.0 <= hi2
+    assert (1.0 + e_max4) / 2.0 == pytest.approx(1.53215, abs=1e-5)
+    assert rep.curves["anchored_Y"]["bound"] == rep.curves["anchored_Y"]["mean"]
 
 
 def test_matern_hardcore_packing_bound():
@@ -283,5 +345,5 @@ def test_matern_hardcore_packing_bound():
         tess = build_voronoi(cfg, core)
         field = compute_Y_field(tess, delta, Window((-8, -8), (8, 8)))
         assert field.values.max() <= bound
-        res = greedy_animal_max(field, 8, np.random.default_rng(seed))
+        res = greedy_animal_max(field, 8)
         assert res.best_value <= bound

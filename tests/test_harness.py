@@ -124,7 +124,7 @@ GOLDEN = {
     "tameness": ("run", {
         "op": "tameness", "process": PV, "window": W6, "replicates": 4,
         "master_seed": 29, "params": {"delta": 1.0, "n_schedule": [1, 2, 4]}}, {
-        "tameness.csv": "9dce19b16b12fa5affc57605ff7b9534ff69ea91a60937e195520b2c097d868f"},
+        "tameness.csv": "cdbcba8ebbd1191e2125808d721ea98e862bc6eaf63c8bdecbbb2f2c8f2a8973"},
         "410c274de8ad0d7e45fbf46f347d03519aaed0fdc869bebfb6aac2be16f76a66"),
     "sweep_smp_gap": ("sweep", {
         "op": "smp_gap", "process": PV, "window": W4, "p": 0.5, "replicates": 20,
@@ -259,7 +259,7 @@ GOLDEN = {
     "tameness_integer_delta": ("run", {
         "op": "tameness", "process": PV, "window": W6, "replicates": 4, "master_seed": 149,
         "params": {"delta": 1, "n_schedule": [1, 2, 4]}}, {
-        "tameness.csv": "b5d55d32630cd75274e37c7b8decdbc702247b5b5b7a7938395a9f93696f2a2a"},
+        "tameness.csv": "d9e289046bc1f226efa18200c85c1da09e5baa99d5a7ec02fbef4a818046287b"},
         "6037fc303f8a010a763f10a730a6331d268ddfccc27858505cf53da9c5925662"),
     "line_smp_integer_angle_tol": ("run", {
         "op": "line_smp", "process": LINES, "window": W4, "replicates": 100,
@@ -735,6 +735,10 @@ def _laplace_region(**region) -> dict:
              "p": 0.5, "replicates": 50, "master_seed": 170}),
     ("run", {"op": "crossing", "process": SQ, "window": W4, "p": 0.5, "replicates": 50,
              "master_seed": 171, "params": {"rect": [[-1.0, -1.0], [1.0, math.inf]]}}),
+    ("run", {"op": "tameness", "process": PV, "window": W6, "replicates": 2,
+             "master_seed": 174, "params": {"delta": 1.0, "n_schedule": [2, 1]}}),
+    ("run", {"op": "theta", "process": SQ, "window": W4, "p": 0.6, "replicates": 10,
+             "master_seed": 175, "params": {"radii": [3, 2]}}),
 ], ids=["sweep_of_theta", "crossing_sweep_without_p_grid", "line_smp_on_poisson",
         "op_not_a_string", "p_grid_not_a_list", "p_grid_out_of_range", "nan_parameter",
         "infinite_parameter", "flag_not_a_boolean", "crossing_on_poisson_line",
@@ -762,7 +766,8 @@ def _laplace_region(**region) -> dict:
         "n_schedule_fractional", "delta_zero", "angle_tol_negative", "spacing_zero",
         "recursion_t_zero", "r2_negative", "crossing_with_p_and_p_grid", "radii_negative",
         "t_values_negative", "t_schedule_negative", "line_smp_t_schedule_negative",
-        "tolerance_below_0.01", "laplace_t_negative", "window_infinite", "rect_infinite"])
+        "tolerance_below_0.01", "laplace_t_negative", "window_infinite", "rect_infinite",
+        "n_schedule_decreasing", "radii_decreasing"])
 def test_rejected_config_leaves_no_output_directory(command, cfg, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
