@@ -5,13 +5,14 @@ reader refuses empty, or the one p spec.p), the replicate count and the
 adjacency from its ExperimentSpec: it builds its cell or rectangle graphs at
 spec.adjacency, and a CrossingQuery names only the rect, direction and
 colour. It is a prepare/query pair run by experiment.run_replicates: prepare
-builds the colour-independent part of a query (the rectangle graphs, the
-cell graph and zero cell, or the trifurcation candidates with their balls
-and rims) once per tessellation, and query reads one replicate's colouring
-uniforms and hands the percolation functions the black mask uniforms < p
-at the p it reads. The runner builds a tessellation that does not vary by replicate
-(an unshifted lattice) once per run, drops and counts build failures (edge
-effects, degenerate inputs) and fails the run past its failure budget.
+builds the colour-independent part of a query once per tessellation, each
+graph a percolation.CellGraph with named terminals (a rect's sides, theta's
+root and far_r cells, the cells touching a trifurcation window), and query
+asks which clusters of one replicate's colouring (black: uniforms < p) join
+two terminals at each p it reads. The runner builds a tessellation that
+does not vary by replicate (an unshifted lattice) once per run, drops and
+counts build failures (edge effects, degenerate inputs) and fails the run
+past its failure budget.
 The estimators count events and report Wilson intervals. Every crossing
 indicator (of the crossing estimates, p_c, the recursion, and the smp gap
 and mixture in diagnostics) comes from estimate_crossing_curve, which builds
@@ -21,8 +22,8 @@ labellings, not one per p.
 
 The ggr diagnostics colour one build once per replicate through
 experiment.map_replicates. The build, rectangle-graph, crossing, adjacency,
-zero-cell, reach and ball functions are looked up in this module, so a
-wrapper on these bindings sees every call.
+zero-cell and ball functions are looked up in this module, so a wrapper on
+these bindings sees every call.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .percolation import (CrossingQuery, cluster_reach, common_labels, crossing, hop_balls,
-                          label_components, rect_graph, spanning_cluster_count)
+from .percolation import (CellGraph, CrossingQuery, common_labels, crossing, hop_balls, joining,
+                          label_components, rect_graph)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import MAX_SEED
 from .experiment import (ExperimentSpec, build_tessellation, map_replicates, run_replicates,
@@ -113,17 +114,22 @@ def estimate_crossing_prob(spec: ExperimentSpec, query: CrossingQuery,
     return [per_p[p] for p in spec.ps]
 
 
-def _theta_prepare(adjacency: str, tess: Tessellation):
-    """(tessellation, its cell graph edges, its zero cell)."""
-    return tess, build_adjacency(tess, adjacency), zero_cell(tess)
+def _theta_prepare(adjacency: str, radii: tuple, tess: Tessellation) -> CellGraph:
+    """The cell graph with terminals root, the zero cell, and far_r per
+    radius r, the cells with a corner at distance >= r from the origin."""
+    x, y = tess.poly_xy.T
+    reach = np.maximum.reduceat(np.sqrt(x * x + y * y), tess.poly_ptr[:-1])
+    far = {f"far_{r}": np.flatnonzero(reach >= r) for r in radii}
+    return CellGraph(build_adjacency(tess, adjacency), {"root": np.array([zero_cell(tess)]), **far})
 
 
-def _theta_rep(ps: tuple, radii: tuple, prepared, uniforms, rep: int):
-    """Reach indicator per radius, per p of ps, of one tessellation and
-    one colouring thresholded at every p."""
-    tess, edges, root = prepared
-    reach = [cluster_reach(tess, edges, uniforms < p, root) for p in ps]
-    return tuple(tuple(1 if r >= radius else 0 for radius in radii) for r in reach)
+def _theta_rep(ps: tuple, radii: tuple, graph: CellGraph, uniforms, rep: int):
+    """Reach indicator per radius, per p of ps, of one colouring: the number,
+    0 or 1, of black clusters joining root and far_r, from one labelling per p."""
+    root = graph.terminals["root"]
+    far = [graph.terminals[f"far_{r}"] for r in radii]
+    return tuple(tuple(len(common_labels(labels, root, cells)) for cells in far)
+                 for labels in (label_components(uniforms < p, graph.edges) for p in ps))
 
 
 def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[PercResult]]:
@@ -135,8 +141,8 @@ def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[P
     estimates are nonincreasing in r by construction.
     """
     radii = tuple(float(r) for r in radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("radii must be strictly increasing")
+    if not (radii and 0 < radii[0] and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ParameterError("radii must be one or more positive, strictly increasing numbers")
     cw = spec.window
     if not cw.contains_points(np.zeros(2))[0]:
         raise ParameterError("origin lies outside the core window")
@@ -144,7 +150,7 @@ def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[P
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")
     vals, failed = run_replicates(spec, build_tessellation,
-                                  partial(_theta_prepare, spec.adjacency),
+                                  partial(_theta_prepare, spec.adjacency, radii),
                                   partial(_theta_rep, _grid(spec), radii), workers)
     return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed)
              for k in range(len(radii))] for i in range(len(spec.ps))]
@@ -212,8 +218,9 @@ class SpanningCounts:
 
 
 def _spanning_rep(ps: tuple, graph, uniforms, rep: int):
-    """Spanning cluster count per p of ps of one colouring on a rect graph."""
-    return tuple(spanning_cluster_count(graph, uniforms < p) for p in ps)
+    """Per p of ps, the number of distinct black clusters of one colouring
+    that join the L and R sides of a rect graph."""
+    return tuple(len(joining(graph, uniforms < p, "L", "R")) for p in ps)
 
 
 def count_spanning_clusters(spec: ExperimentSpec, window: Window,
@@ -248,11 +255,11 @@ def _in_box(bb: np.ndarray, lo, hi, tol: float) -> np.ndarray:
 
 @dataclass
 class TrifurcationCandidates:
-    """The colour-independent part of a trifurcation count: the cell graph,
-    the cells that touch the window's boundary, and each candidate that fits
-    as (grid point, cells of its ball B_r1, cells of the ball's rim)."""
-    edges: np.ndarray
-    touching: np.ndarray
+    """The colour-independent part of a trifurcation count: the cell graph
+    with the terminal touching, the cells that reach the window's boundary,
+    and each candidate that fits as (grid point, cells of its ball B_r1,
+    cells of the ball's rim)."""
+    graph: CellGraph
     window: Window
     fitting: list
     candidates: int
@@ -266,8 +273,11 @@ def trifurcation_candidates(tess: Tessellation, edges: np.ndarray, r1: int, r2: 
     outside it with a neighbour in it, is hop r1 + 1.
 
     A candidate whose ball leaves the window or does not fit in
-    x + [-r2, r2]^2 is skipped; neither depends on the colouring.
+    x + [-r2, r2]^2 is skipped; neither depends on the colouring. A cell
+    touches the window's boundary when its bbox reaches a side within tol.
     """
+    if not tess.core_window.contains_window(window, tol=tess.tol):
+        raise ParameterError("analysis window must lie inside the core window")
     if r1 < 1:
         raise ParameterError("r1 must be at least 1")
     if r2 <= 0:
@@ -285,9 +295,10 @@ def trifurcation_candidates(tess: Tessellation, edges: np.ndarray, r1: int, r2: 
     fitting = [(tuple(x), c[h <= r1], c[h > r1])
                for x, c, h, ok in zip(grid.tolist(), np.split(cell, split),
                                       np.split(hops, split), fits) if ok]
-    return TrifurcationCandidates(edges=edges, window=window, fitting=fitting,
-                                  touching=~_in_box(tess.bboxes, window.lo, window.hi, -tol),
-                                  candidates=len(grid))
+    box, lo, hi = tess.bboxes, np.add(window.lo, tol), np.subtract(window.hi, tol)
+    touching = np.flatnonzero(((box[:, :2] <= lo) | (box[:, 2:] >= hi)).any(axis=1))
+    return TrifurcationCandidates(graph=CellGraph(edges, {"touching": touching}), window=window,
+                                  fitting=fitting, candidates=len(grid))
 
 
 def find_trifurcations(cands: TrifurcationCandidates, black: np.ndarray) -> TrifurcationResult:
@@ -304,8 +315,8 @@ def find_trifurcations(cands: TrifurcationCandidates, black: np.ndarray) -> Trif
             continue
         active = black.copy()
         active[ball] = False
-        labels = label_components(active, cands.edges)
-        if len(common_labels(labels, rim, active & cands.touching)) >= 3:
+        labels = label_components(active, cands.graph.edges)
+        if len(common_labels(labels, rim, cands.graph.terminals["touching"])) >= 3:
             points.append(x)
     return TrifurcationResult(count=len(points), density=len(points) / cands.window.area,
                               candidates=cands.candidates,

@@ -19,12 +19,15 @@ inner cell (its bbox inside the rectangle) and a contact of two inner cells
 are taken as built; only the cells that cross the rectangle's boundary, and
 their contacts, are clipped.
 
-None of that geometry depends on the colours: rect_graph builds it once for
-every cell of a tessellation, and it alone reads and checks the adjacency.
-crossing and spanning_cluster_count take its graph and only label it under
-a colour's active mask, so a caller builds each rect's graph once per
-tessellation and asks it at every p and colour. A CrossingQuery names the
-event (rect, direction, colour), not the graph.
+Every connection query asks which clusters join two sets of cells. Its
+colour-independent part is a CellGraph of edges and named terminal id arrays,
+and joining labels the edges under an active mask and returns the clusters
+that hold cells of two terminals. No colour changes the rectangle geometry:
+rect_graph builds it once for every cell of a tessellation, with the sides as
+terminals L, R, B and T, and it alone reads and checks the adjacency.
+crossing reads a query's colour and direction and asks joining, so a caller
+builds each rect's graph once per tessellation and asks it at every p and
+colour. A CrossingQuery names the event (rect, direction, colour), not the graph.
 """
 
 from __future__ import annotations
@@ -182,19 +185,27 @@ def _rect_edges(tess: Tessellation, in_rect: np.ndarray, inner: np.ndarray, rect
     return np.concatenate([np.compress(both, fp, axis=0), np.compress(both_sp, sp, axis=0)])
 
 
-def rect_graph(tess: Tessellation, rect: Window, adjacency: str):
-    """(edges, sides): the graph of all cells inside rect, whatever their
-    colour. edges join in-rect cells; sides holds the ids of the in-rect
-    cells that reach each side of rect, in the order L, R, B, T."""
+@dataclass(frozen=True)
+class CellGraph:
+    """The colour-independent part of a connection query: the (m, 2) cell
+    pairs edges, and terminals, which maps a name to an id array of cells."""
+    edges: np.ndarray
+    terminals: dict
+
+
+def rect_graph(tess: Tessellation, rect: Window, adjacency: str) -> CellGraph:
+    """The graph of all cells inside rect, whatever their colour: its edges
+    join in-rect cells, and its terminals L, R, B and T hold the in-rect
+    cells that reach the left, right, bottom and top sides of rect."""
     if adjacency not in ("face", "star"):
         raise ParameterError("adjacency must be face or star")
     if not tess.core_window.contains_window(rect, tol=tess.tol):
         raise ParameterError("rectangle must lie inside the core window")
     in_rect, inner, ext = _cells_in_rect(tess, rect)
     ids, tol = np.nonzero(in_rect)[0], tess.tol
-    sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
-             ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
-    return _rect_edges(tess, in_rect, inner, rect, adjacency), sides
+    return CellGraph(_rect_edges(tess, in_rect, inner, rect, adjacency), {
+        "L": ids[ext[:, 0] <= rect.lo[0] + tol], "R": ids[ext[:, 2] >= rect.hi[0] - tol],
+        "B": ids[ext[:, 1] <= rect.lo[1] + tol], "T": ids[ext[:, 3] >= rect.hi[1] - tol]})
 
 
 def common_labels(labels: np.ndarray, first, second) -> np.ndarray:
@@ -206,44 +217,17 @@ def common_labels(labels: np.ndarray, first, second) -> np.ndarray:
     return np.nonzero(mark[1, :-1])[0]
 
 
-def _spanning_labels(active: np.ndarray, graph, direction: str) -> np.ndarray:
-    """Labels of the components of active cells of a rect_graph that join
-    its start and end sides (left/right when horizontal, else bottom/top).
-
-    An edge of the graph joins two in-rect cells, so an in-rect cell's
-    component under label_components(active, edges) is its component among
-    the active in-rect cells; inactive side cells carry -1 and are dropped.
-    """
-    edges, sides = graph
-    start, end = (0, 1) if direction == "horizontal" else (2, 3)
-    return common_labels(label_components(active, edges), sides[start], sides[end])
+def joining(graph: CellGraph, active: np.ndarray, a: str, b: str) -> np.ndarray:
+    """Labels of the clusters of graph's active cells that hold cells of both
+    terminals a and b; inactive terminal cells carry -1 and drop out."""
+    return common_labels(label_components(active, graph.edges), graph.terminals[a],
+                         graph.terminals[b])
 
 
-def crossing(graph, black: np.ndarray, query: CrossingQuery) -> bool:
+def crossing(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> bool:
     """True iff some component of the query's colour (black, or ~black for
     white) in graph, the rect_graph of query.rect, joins the rectangle's
-    start and end sides through interiors and shared boundary pieces inside
-    the rect."""
+    start and end sides (L and R when horizontal, else B and T) through
+    interiors and shared boundary pieces inside the rect."""
     active = black if query.color == "black" else ~black
-    return len(_spanning_labels(active, graph, query.direction)) > 0
-
-
-def spanning_cluster_count(graph, black: np.ndarray) -> int:
-    """Number of distinct black components of a rect_graph joining its
-    rect's left and right sides."""
-    return len(_spanning_labels(black, graph, "horizontal"))
-
-
-def cluster_reach(tess: Tessellation, edges: np.ndarray, black: np.ndarray,
-                  root: int) -> float:
-    """Max Euclidean distance from the origin reached by the root's black
-    cluster in the cell graph edges.
-
-    Returns 0.0 when the root cell is white (empty cluster).
-    """
-    if not black[root]:
-        return 0.0
-    labels = label_components(black, edges)
-    corners = np.compress(np.repeat(labels == labels[root], np.diff(tess.poly_ptr)), tess.poly_xy,
-                          axis=0)
-    return float(np.sqrt((corners ** 2).sum(axis=1)).max())
+    return len(joining(graph, active, *("LR" if query.direction == "horizontal" else "BT"))) > 0

@@ -173,6 +173,16 @@ def test_theta_trivials_and_monotonicity():
         estimate_theta(spec, (4, 2))
 
 
+@pytest.mark.parametrize("radii", [(0, 1), (-1, 2), ()], ids=["zero", "negative", "none"])
+def test_theta_needs_positive_radii(radii):
+    # every cluster, the empty one of a white zero cell too, reaches radius 0
+    spec = ExperimentSpec(
+        process=ProcessSpec("square_lattice", {"spacing": 1.0, "random_shift": True}),
+        window=Window((-4, -4), (4, 4)), ps=(0.0,), replicates=20, master_seed=3)
+    with pytest.raises(ParameterError, match="radii must be one or more positive"):
+        estimate_theta(spec, radii)
+
+
 def lattice_crossover_oracle(L, reps, seed, p_lo=0.5, p_hi=0.7, iters=12):
     """Direct site-percolation crossing bisection, independent of the package."""
     s = ndimage.generate_binary_structure(2, 1)
@@ -299,6 +309,33 @@ def test_trifurcation_density_driver():
     out = estimate_trifurcation_density(spec, 1, 3.0, spec.window)
     assert out["replicates"] == 10
     assert out["density"] >= 0.0
+
+
+@pytest.mark.parametrize("process,half", [
+    (ProcessSpec("square_lattice", {"spacing": 1.0}), 10.5),
+    (ProcessSpec("poisson", {"gamma": 1.0}), 13.0),
+], ids=["square", "poisson"])
+def test_trifurcation_window_must_lie_inside_the_core(process, half):
+    # past the core no cell reaches the window's boundary, or a candidate
+    # point lies in no cell
+    spec = ExperimentSpec(process=process, window=Window((-10, -10), (10, 10)), ps=(0.7,),
+                          replicates=20, master_seed=3)
+    with pytest.raises(ParameterError, match="inside the core window"):
+        estimate_trifurcation_density(spec, 1, 2.0, Window((-half, -half), (half, half)))
+
+
+def test_trifurcation_touching_takes_a_side_reached_within_tol():
+    # the tie rule of Tessellation.boundary and the rect_graph sides: the
+    # cells whose bbox reaches x or y = -9 or 9 exactly touch a window whose
+    # sides lie tol further out
+    tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((-10, -10), (10, 10)))
+    lo = -9.0 - tess.tol
+    assert lo + tess.tol == -9.0
+    window = Window((lo, lo), (-lo, -lo))
+    cands = trifurcation_candidates(tess, build_adjacency(tess, "face"), 1, 2.0, window)
+    bb = tess.bboxes
+    want = np.flatnonzero(((bb[:, :2] <= -9.0) | (bb[:, 2:] >= 9.0)).any(axis=1))
+    assert np.array_equal(cands.graph.terminals["touching"], want)
 
 
 def test_ggr_square_lattice_g2():

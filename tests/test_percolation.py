@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from tessperc import percolation
 from tessperc.errors import ParameterError
+from tessperc.estimators import _theta_prepare, _theta_rep
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings, parts_with_area)
-from tessperc.percolation import (CrossingQuery, cluster_reach, color, common_labels,
-                                  crossing, label_components, neighbor_csr, rect_graph,
-                                  spanning_cluster_count)
-from tessperc.point_process import ProcessSpec, sample_poisson
+from tessperc.percolation import (CrossingQuery, color, common_labels, crossing, joining,
+                                  label_components, neighbor_csr, rect_graph)
+from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
                                    build_voronoi, zero_cell)
@@ -273,12 +273,12 @@ def test_fkg_nested_crossings_positively_associated():
     assert cov.mean() >= -3 * se
 
 
-def test_spanning_cluster_count_trivials():
+def test_spanning_joining_trivials():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (6, 6)))
     uniforms = color(tess, stream(2, 0, "color"))
     graph = rect_graph(tess, tess.core_window, "face")
-    assert spanning_cluster_count(graph, uniforms < 1.0) == 1
-    assert spanning_cluster_count(graph, uniforms < 0.0) == 0
+    assert len(joining(graph, uniforms < 1.0, "L", "R")) == 1
+    assert len(joining(graph, uniforms < 0.0, "L", "R")) == 0
 
 
 def test_spanning_two_disjoint_rows():
@@ -287,7 +287,7 @@ def test_spanning_two_disjoint_rows():
     for i, c in enumerate(tess.centers):
         if int(np.floor(c[1])) in (0, 3):
             uniforms[i] = 0.0
-    assert spanning_cluster_count(rect_graph(tess, tess.core_window, "face"), uniforms < 0.5) == 2
+    assert len(joining(rect_graph(tess, tess.core_window, "face"), uniforms < 0.5, "L", "R")) == 2
 
 
 @pytest.mark.parametrize("adjacency", ["face", "star"])
@@ -302,7 +302,7 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
         col = np.where(row, 0.0, 1.0) < 0.5
         graph = rect_graph(tess, rect, adjacency)
         assert crossing(graph, col, CrossingQuery(rect)) == crossed
-        assert spanning_cluster_count(graph, col) == int(crossed)
+        assert len(joining(graph, col, "L", "R")) == int(crossed)
 
 
 def test_spanning_rect_must_lie_in_core_window():
@@ -321,15 +321,15 @@ def test_unknown_adjacency_is_a_parameter_error(call):
         call(tess, Window((1, 1), (4, 4)))
 
 
-def test_cluster_reach():
+def test_theta_terminals_reach_the_farthest_corner():
     tess = build_lattice_tessellation("square", 1.0, (-0.5, -0.5), Window((-5.5, -5.5), (5.5, 5.5)))
-    edges = build_adjacency(tess, "face")
-    root = zero_cell(tess)
     uniforms = color(tess, stream(4, 0, "color"))
-    assert cluster_reach(tess, edges, uniforms < 0.0, root) == 0.0
-    # all black: reach = farthest cell corner
-    reach = cluster_reach(tess, edges, uniforms < 1.0, root)
-    assert reach == pytest.approx(np.sqrt(2) * 5.5)
+    # all white reaches nothing; all black reaches the farthest cell corner
+    corner = np.sqrt(2) * 5.5
+    radii = (0.5, corner * (1 - 1e-9), corner * (1 + 1e-9))
+    graph = _theta_prepare("face", radii, tess)
+    assert graph.terminals["root"].tolist() == [zero_cell(tess)]
+    assert _theta_rep((0.0, 1.0), radii, graph, uniforms, 0) == ((0, 0, 0), (1, 1, 0))
 
 
 # Reference: the rectangle graph built from the active cells only, one build
@@ -427,22 +427,73 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
             for p in ps:
                 col = uniforms < p
                 for name, mask in (("black", col), ("white", ~col)):
-                    for direction in ("horizontal", "vertical"):
+                    for direction, (a, b) in (("horizontal", "LR"), ("vertical", "BT")):
                         want = _ref_spanning_labels(tess, mask, rect, adjacency, direction)
-                        got = percolation._spanning_labels(mask, graph, direction)
-                        assert np.array_equal(got, want)
+                        assert np.array_equal(joining(graph, mask, a, b), want)
                         query = CrossingQuery(rect, direction, name)
                         assert crossing(graph, col, query) == (len(want) > 0)
-                want = _ref_spanning_labels(tess, col, rect, adjacency, "horizontal")
-                assert spanning_cluster_count(graph, col) == len(want)
+
+
+def _ref_cluster_reach(tess, edges, black, root):
+    """Max Euclidean distance from the origin reached by the root's black
+    cluster in the cell graph edges; 0.0 when the root cell is white."""
+    if not black[root]:
+        return 0.0
+    labels = label_components(black, edges)
+    corners = np.compress(np.repeat(labels == labels[root], np.diff(tess.poly_ptr)), tess.poly_xy,
+                          axis=0)
+    return float(np.sqrt((corners ** 2).sum(axis=1)).max())
+
+
+# one spec of every process kind that builds cells, the lattices shifted or not
+_EVERY_KIND = {
+    **_KINDS,
+    "matern_cluster": ProcessSpec("matern_cluster", {"gamma0": 0.5, "mu": 2.0, "radius": 1.0}),
+    "thomas_cluster": ProcessSpec("thomas_cluster", {"gamma0": 0.5, "mu": 2.0, "sigma": 0.5}),
+    "matern_hardcore_II": ProcessSpec("matern_hardcore_II",
+                                      {"gamma_proposal": 3.0, "hardcore_radius": 0.3}),
+    "perturbed_lattice": ProcessSpec("perturbed_lattice",
+                                     {"spacing": 1.0, "perturbation_scale": 0.5}),
+    "hexagonal_unshifted": ProcessSpec("hexagonal_lattice", {"spacing": 1.0}),
+}
+
+
+def test_every_cell_building_kind_has_a_theta_reference_case():
+    built = {spec.kind for spec in _EVERY_KIND.values()}
+    assert built == {name for name, kind in KINDS.items() if kind.sample or kind.lattice}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_EVERY_KIND)), seed=st.integers(0, 10_000),
+       ps=st.lists(st.floats(0, 1), min_size=1, max_size=3), data=st.data())
+def test_theta_terminals_match_the_cluster_reach_reference(name, seed, ps, data):
+    """Radii, which estimate_theta takes positive, are drawn from the
+    reference reaches too, so that a cluster reaching exactly r is tried."""
+    spec = ExperimentSpec(process=_EVERY_KIND[name], window=_CORE, ps=(0.5,), master_seed=seed)
+    try:
+        tess = build_tessellation(spec, 0)
+    except BUILD_ERRORS:
+        assume(False)
+    uniforms, root = uniforms_for(spec, 0, tess), zero_cell(tess)
+    reach = {(adjacency, p): _ref_cluster_reach(tess, build_adjacency(tess, adjacency),
+                                                uniforms < p, root)
+             for adjacency in ("face", "star") for p in ps}
+    exact = sorted({r for r in reach.values() if r > 0}) or [4.0]
+    radii = tuple(sorted(data.draw(st.sets(st.sampled_from(exact) | st.floats(0.01, 4),
+                                           min_size=1, max_size=4))))
+    for adjacency in ("face", "star"):
+        want = tuple(tuple(int(reach[adjacency, p] >= r) for r in radii) for p in ps)
+        graph = _theta_prepare(adjacency, radii, tess)
+        assert _theta_rep(tuple(ps), radii, graph, uniforms, 0) == want
 
 
 def _ref_rect_graph(tess, rect, adjacency):
-    """rect_graph's (edges, sides), every contact of in-rect cells clipped."""
+    """rect_graph's edges and sides by name, every contact of in-rect cells
+    clipped."""
     in_rect, ext = _ref_cells_in_rect(tess, np.ones(len(tess), bool), rect)
     ids, tol = np.nonzero(in_rect)[0], tess.tol
-    sides = (ids[ext[:, 0] <= rect.lo[0] + tol], ids[ext[:, 2] >= rect.hi[0] - tol],
-             ids[ext[:, 1] <= rect.lo[1] + tol], ids[ext[:, 3] >= rect.hi[1] - tol])
+    sides = {"L": ids[ext[:, 0] <= rect.lo[0] + tol], "R": ids[ext[:, 2] >= rect.hi[0] - tol],
+             "B": ids[ext[:, 1] <= rect.lo[1] + tol], "T": ids[ext[:, 3] >= rect.hi[1] - tol]}
     return _ref_rect_edges(tess, in_rect, rect, adjacency), sides
 
 
@@ -452,11 +503,13 @@ def test_rect_graph_equals_the_all_clip_reference(instance):
     tess, _, rects = instance
     for rect in rects + (tess.core_window,):
         for adjacency in ("face", "star"):
-            edges, sides = rect_graph(tess, rect, adjacency)
+            graph = rect_graph(tess, rect, adjacency)
             want_edges, want_sides = _ref_rect_graph(tess, rect, adjacency)
-            assert edges.dtype == want_edges.dtype and np.array_equal(edges, want_edges)
-            for got, want in zip(sides, want_sides, strict=True):
-                assert np.array_equal(got, want)
+            assert graph.edges.dtype == want_edges.dtype
+            assert np.array_equal(graph.edges, want_edges)
+            assert graph.terminals.keys() == want_sides.keys()
+            for side, want in want_sides.items():
+                assert np.array_equal(graph.terminals[side], want)
 
 
 def _recording(monkeypatch):
@@ -480,9 +533,9 @@ def _recording(monkeypatch):
 def test_rect_graph_clips_no_cell_of_an_aligned_lattice(adjacency, monkeypatch):
     calls = _recording(monkeypatch)
     tess = build_lattice_tessellation("square", 1.0, (0, 0), _CORE)
-    edges, _ = rect_graph(tess, tess.core_window, adjacency)
+    graph = rect_graph(tess, tess.core_window, adjacency)
     assert calls == {"segments": [], "rings": []}
-    assert len(edges) == len(build_adjacency(tess, adjacency))
+    assert len(graph.edges) == len(build_adjacency(tess, adjacency))
 
 
 @pytest.mark.parametrize("rect", [_CORE, Window((-2.5, -3.0), (3.0, 2.25))], ids=["core", "sub"])
@@ -510,9 +563,10 @@ def test_rect_graph_clips_only_contacts_of_boundary_crossing_cells(rect, adjacen
 def test_rect_graph_of_a_lone_aligned_lattice_cell_has_no_edge(adjacency):
     # the core window is one cell, which is inner: nothing is cut, nothing joins
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (1, 1)))
-    edges, sides = rect_graph(tess, tess.core_window, adjacency)
-    assert edges.shape == (0, 2) and edges.dtype == np.dtype(int)
-    assert [side.tolist() for side in sides] == [[0]] * 4
+    graph = rect_graph(tess, tess.core_window, adjacency)
+    assert graph.edges.shape == (0, 2) and graph.edges.dtype == np.dtype(int)
+    sides = {side: ids.tolist() for side, ids in graph.terminals.items()}
+    assert sides == dict.fromkeys("LRBT", [0])
 
 
 @pytest.mark.parametrize("edges", [np.array([[0, 1], [1, 2], [2, 3]]), np.empty((0, 2), int)],
