@@ -5,8 +5,8 @@ reads the process, its one p spec.p (if any), the replicate count and the
 seed from its ExperimentSpec. Those that read crossings (the smp gap's
 crossing family and the mixture demo) ask them of
 estimators.estimate_crossing_curve, the one crossing path. The others map a
-per-replicate function with experiment.map_replicates, or with
-run_replicates when they colour a tessellation. The Laplace count and the
+per-replicate function with experiment.map_replicates, or a block query
+with run_replicates when they colour a tessellation. The Laplace count and the
 probe's white boxes come from gridfield's two grid kernels, box_counts and
 cell_box_pairs, as Y and U do.
 """
@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .errors import EstimatorFailure, ParameterError
-from .experiment import (ExperimentSpec, as_built, build_tessellation, map_replicates,
-                         run_replicates)
+from .experiment import (ExperimentSpec, as_built, build_tessellation, each_row,
+                         map_replicates, run_replicates)
 from .geometry import Window, boxes_window, region_index_range
 from .gridfield import (box_counts, cell_box_pairs, compute_U_field, compute_Y_field,
                         greedy_animal_max)
@@ -285,8 +285,9 @@ def _tameness_prepare(delta: float, region: Window, tess):
     return compute_Y_field(tess, delta, region), compute_U_field(tess, delta, region)
 
 
-def _tameness_rep(schedule: tuple, fields, uniforms, rep: int):
-    """Anchored and free (best value, bound) of both fields; the colouring is not read."""
+def _tameness_rep(schedule: tuple, fields, uniforms, reps) -> list:
+    """Anchored and free (best value, bound) of both fields, once for every
+    row: the colouring is not read."""
     out = {}
     for n in schedule:
         for name, fld in zip(("Y", "U"), fields):
@@ -294,7 +295,7 @@ def _tameness_rep(schedule: tuple, fields, uniforms, rep: int):
             free = greedy_animal_max(fld, n, start=anchored)
             out[f"anchored_{name}:{n}"] = (anchored.best_value, anchored.bound)
             out[f"free_{name}:{n}"] = (free.best_value, free.bound)
-    return out
+    return [out] * len(reps)
 
 
 def tameness_report(spec: ExperimentSpec, delta: float, n_schedule,
@@ -412,7 +413,8 @@ def peierls_probe(spec: ExperimentSpec, delta: float, window: Window, c3: float,
     exponent = 3.0 ** 4 * c4 / (1.0 - c3)
     vals, failed = run_replicates(
         spec, build_tessellation, as_built,
-        partial(_peierls_rep, p, delta, window, tuple(cycle_lengths), spec.master_seed))
+        partial(each_row, partial(_peierls_rep, p, delta, window, tuple(cycle_lengths),
+                                  spec.master_seed)))
     n = len(vals)
     estimates, sigmas, bounds, below = [], [], [], []
     for k, ln in enumerate(cycle_lengths):

@@ -8,22 +8,23 @@ colour. It is a prepare/query pair run by experiment.run_replicates: prepare
 builds the colour-independent part of a query once per tessellation, each
 graph a percolation.CellGraph with named terminals (a rect's sides, theta's
 root and far_r cells, the cells touching a trifurcation window), and query
-asks which clusters of one replicate's colouring (black: uniforms < p) join
-two terminals at each p it reads. The runner builds a tessellation that
-does not vary by replicate (an unshifted lattice) once per run, drops and
-counts build failures (edge effects, degenerate inputs) and fails the run
-past its failure budget.
+asks which clusters of a block of colourings (black: uniforms < p, one row
+per replicate) join two terminals at each p it reads, with one labelling of
+a stack of all rows in crossing, theta and spanning. The runner builds a
+tessellation that does not vary by replicate (an unshifted lattice) once per
+run, drops and counts build failures (edge effects, degenerate inputs) and
+fails the run past its failure budget.
 The estimators count events and report Wilson intervals. Every crossing
 indicator (of the crossing estimates, p_c, the recursion, and the smp gap
 and mixture in diagnostics) comes from estimate_crossing_curve, which builds
-one rectangle graph per query and, per replicate and query, bisects the
-sorted grid for the p at which the crossing switches: ceil(log2(len + 1))
-labellings, not one per p.
+one rectangle graph per query and, per block and query, bisects the sorted
+grid for the p at which each row's crossing switches: ceil(log2(len + 1))
+labellings of the block, not one per p and row.
 
 The ggr diagnostics colour one build once per replicate through
-experiment.map_replicates. The build, rectangle-graph, crossing, adjacency,
-zero-cell and ball functions are looked up in this module, so a wrapper on
-these bindings sees every call.
+experiment.map_replicates. The build, rectangle-graph, adjacency, zero-cell
+and ball functions are looked up in this module, so a wrapper on these
+bindings sees every call; crossing is asked only by a block of one.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .percolation import (CellGraph, CrossingQuery, common_labels, crossing, hop_balls, joining,
-                          label_components, rect_graph)
+from .percolation import (CellGraph, CrossingQuery, common_labels, crossing, crossing_clusters,
+                          hop_balls, joining, label_components, rect_graph, stack)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import MAX_SEED
-from .experiment import (ExperimentSpec, build_tessellation, map_replicates, run_replicates,
-                         uniforms_for)
+from .experiment import (ExperimentSpec, build_tessellation, each_row, map_replicates,
+                         run_replicates, uniforms_for)
 from .tessellation import Tessellation, build_adjacency, zero_cell
 
 
@@ -59,24 +60,38 @@ def _grid(spec: ExperimentSpec) -> tuple:
     return spec.ps
 
 
-def _switch_index(thresholds, switched) -> int:
-    """The least k with switched(thresholds[k]), or len(thresholds), in at most
-    ceil(log2(len + 1)) calls of a predicate monotone along the sorted thresholds."""
-    return bisect_left(thresholds, True, key=switched)
+def _switches(query: CrossingQuery, graph: CellGraph, ps: tuple, uniforms) -> list:
+    """Per row of uniforms, bisect_left's index k in the nondecreasing ps
+    at which the row's colouring switches query's crossing on graph: black
+    holds at ps[j] iff j >= k, white iff j < k, as a black crossing can only
+    switch on and a white one only off. A block of one asks crossing. A
+    larger one bisects all rows at once, one labelling of the stack per
+    step, a settled row at a sentinel p that leaves it no active cell."""
+    rows, cells = uniforms.shape
+    black = query.color == "black"
+    if rows == 1:
+        (row,) = uniforms
+        return [bisect_left(ps, True, key=lambda p: crossing(graph, row < p, query) == black)]
+    stacked, at = stack(graph, rows, cells), np.array([*ps, 0.0 if black else np.inf])
+    lo, hi = [0] * rows, [len(ps)] * rows
+    while lo != hi:
+        mid = [(a + b) // 2 if a < b else len(ps) for a, b in zip(lo, hi)]
+        black_cells = (uniforms < at[mid][:, None]).ravel()
+        crossed = set((crossing_clusters(stacked, black_cells, query) // cells).tolist())
+        for r in range(rows):
+            if lo[r] < hi[r]:
+                lo[r], hi[r] = (lo[r], mid[r]) if (r in crossed) == black else (mid[r] + 1, hi[r])
+    return lo
 
 
-def _crossing_rep(queries: tuple, ps: tuple, graphs, uniforms, rep: int):
-    """(rep, indicators): indicators[j][k] is 1 when the colouring at ps[k]
-    has the crossing queries[j] on graphs[j]; the id survives dropped failures.
-    Along the nondecreasing ps a black crossing can only switch on and a
-    white one only off, so each query bisects ps for the index k at which it
-    switches: black holds at ps[j] iff j >= k, white iff j < k."""
-    indicators = []
-    for query, graph in zip(queries, graphs):
-        black = query.color == "black"
-        k = _switch_index(ps, lambda p: crossing(graph, uniforms < p, query) == black)
-        indicators.append(tuple(1 if (j >= k) == black else 0 for j in range(len(ps))))
-    return rep, tuple(indicators)
+def _crossing_rep(queries: tuple, ps: tuple, graphs, uniforms, reps) -> list:
+    """(rep, indicators) per id of reps and row of uniforms: indicators[j][k]
+    is 1 when the row's colouring at ps[k] has the crossing queries[j] on
+    graphs[j]; the id survives dropped failures."""
+    switches = [(query.color == "black", _switches(query, graph, ps, uniforms))
+                for query, graph in zip(queries, graphs)]
+    return [(rep, tuple(tuple(1 if (j >= k[r]) == black else 0 for j in range(len(ps)))
+                        for black, k in switches)) for r, rep in enumerate(reps)]
 
 
 def estimate_crossing_curve(spec: ExperimentSpec, queries: tuple,
@@ -123,13 +138,18 @@ def _theta_prepare(adjacency: str, radii: tuple, tess: Tessellation) -> CellGrap
     return CellGraph(build_adjacency(tess, adjacency), {"root": np.array([zero_cell(tess)]), **far})
 
 
-def _theta_rep(ps: tuple, radii: tuple, graph: CellGraph, uniforms, rep: int):
-    """Reach indicator per radius, per p of ps, of one colouring: the number,
-    0 or 1, of black clusters joining root and far_r, from one labelling per p."""
-    root = graph.terminals["root"]
-    far = [graph.terminals[f"far_{r}"] for r in radii]
-    return tuple(tuple(len(common_labels(labels, root, cells)) for cells in far)
-                 for labels in (label_components(uniforms < p, graph.edges) for p in ps))
+def _theta_rep(ps: tuple, radii: tuple, graph: CellGraph, uniforms, reps) -> list:
+    """Per row of uniforms, the reach indicator per radius, per p of ps: the
+    number, 0 or 1, of black clusters joining root and far_r, from one
+    labelling of the stacked graph per p."""
+    rows, cells = uniforms.shape
+    stacked = stack(graph, rows, cells)
+    root = stacked.terminals["root"]
+    far = [stacked.terminals[f"far_{r}"] for r in radii]
+    counts = [[np.bincount(common_labels(labels, root, ids) // cells, minlength=rows)
+               for ids in far]
+              for labels in (label_components((uniforms < p).ravel(), stacked.edges) for p in ps)]
+    return [tuple(map(tuple, row)) for row in np.transpose(counts, (2, 0, 1)).tolist()]
 
 
 def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[PercResult]]:
@@ -217,10 +237,14 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(ps: tuple, graph, uniforms, rep: int):
-    """Per p of ps, the number of distinct black clusters of one colouring
-    that join the L and R sides of a rect graph."""
-    return tuple(len(joining(graph, uniforms < p, "L", "R")) for p in ps)
+def _spanning_rep(ps: tuple, graph, uniforms, reps) -> list:
+    """Per row of uniforms, the number per p of ps of distinct black
+    clusters joining the L and R sides of a rect graph, one labelling per p."""
+    rows, cells = uniforms.shape
+    stacked = stack(graph, rows, cells)
+    counts = [np.bincount(joining(stacked, (uniforms < p).ravel(), "L", "R") // cells,
+                          minlength=rows) for p in ps]
+    return [tuple(row) for row in np.transpose(counts).tolist()]
 
 
 def count_spanning_clusters(spec: ExperimentSpec, window: Window,
@@ -338,7 +362,7 @@ def estimate_trifurcation_density(spec: ExperimentSpec, r1: int, r2: float, wind
     """Mean trifurcation count and density over replicates at the spec's p."""
     vals, failed = run_replicates(
         spec, build_tessellation, partial(_trifurcation_prepare, spec.adjacency, r1, r2, window),
-        partial(_trifurcation_rep, spec.p), workers)
+        partial(each_row, partial(_trifurcation_rep, spec.p)), workers)
     mean_count, ci = mean_ci([v[0] for v in vals])
     return {
         "mean_count": mean_count,

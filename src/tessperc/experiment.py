@@ -14,10 +14,12 @@ draw comes from a stream keyed by (master_seed, k, tag).
 
 run_replicates is the one replicate pipeline. It builds the tessellation
 once per run when it does not vary by replicate (an unshifted lattice) and
-once per replicate otherwise, runs the query's colour-independent
-preparation once per build, and hands the query each replicate's colouring
-uniforms, uniforms_for: its colouring at p is uniforms < p. map_replicates,
-under it, alone catches construction failures and owns the failure budget.
+once per replicate otherwise, and runs the query's colour-independent
+preparation once per build. Its query takes a block of replicates at once:
+the ids reps and a (len(reps), cells) array whose rows are their colouring
+uniforms, uniforms_for (a row's colouring at p is row < p), and it returns
+one result per row. map_replicates, under it, alone catches construction
+failures and owns the failure budget.
 It imports the process pool only when workers > 1, and run_replicates
 imports scipy.spatial before a pool of Voronoi builds forks, so that the
 workers inherit it rather than each importing it.
@@ -43,6 +45,9 @@ DEFAULT_BUFFER_SCALE = 5.0  # buffer = 5 / sqrt(intensity) unless overridden
 
 BUILD_ERRORS = (ConstructionError, EdgeEffectError)  # a replicate that raises these is dropped
 FAILURE_BUDGET = 0.01  # largest share of replicates that may fail construction
+# Most cells in one block of a shared build's replicates: past about this
+# size, stacking more copies makes a labelling no cheaper per colouring
+BLOCK_CELLS = 2 ** 14
 
 
 def _number(x, kind=numbers.Real) -> bool:
@@ -132,36 +137,49 @@ def as_built(tess: Tessellation) -> Tessellation:
     return tess
 
 
+def each_row(query, prepared, uniforms, reps) -> list:
+    """The block query that asks query(prepared, row, rep) of each row."""
+    return [query(prepared, row, rep) for row, rep in zip(uniforms, reps)]
+
+
 def _instance(spec: ExperimentSpec, build, prepare, rep: int):
     """(tessellation of replicate rep, what prepare makes of it)."""
     tess = build(spec, rep)
     return tess, prepare(tess)
 
 
-def _replicate(spec: ExperimentSpec, build, prepare, query, shared, rep: int):
-    """query of replicate rep's colouring uniforms on the shared (tessellation,
-    prepared) pair, or on the replicate's own when shared is None."""
-    tess, prepared = shared or _instance(spec, build, prepare, rep)
-    return query(prepared, uniforms_for(spec, rep, tess), rep)
+def _block(spec: ExperimentSpec, build, prepare, query, shared, blocks: list, b: int) -> list:
+    """query of the uniforms_for rows of the replicates blocks[b] on the
+    shared (tessellation, prepared) pair, or on the one replicate's own when
+    shared is None."""
+    reps = blocks[b]
+    tess, prepared = shared or _instance(spec, build, prepare, reps[0])
+    return query(prepared, np.stack([uniforms_for(spec, rep, tess) for rep in reps]), reps)
 
 
 def run_replicates(spec: ExperimentSpec, build, prepare, query,
                    workers: int = 1) -> tuple[list, int]:
-    """query(prepared, uniforms, rep) for rep in 0..spec.replicates-1,
-    through map_replicates.
+    """query(prepared, uniforms, reps) over blocks reps of the replicate ids
+    0..spec.replicates-1 through map_replicates: one result per id, in id order.
 
     build(spec, rep) is the caller's binding of build_tessellation, so a
-    wrapper on that binding sees every build. It runs once per run when the
-    tessellation does not vary by replicate, with replicate 0's id, and once
-    per replicate otherwise; prepare(tess) runs once per build. uniforms are
-    the replicate's uniforms_for.
+    wrapper on that binding sees every build. It runs once per replicate, in
+    a block of one, when the tessellation varies by replicate; otherwise
+    once per run, with replicate 0's id, in blocks of at most BLOCK_CELLS
+    cells of colourings (one replicate at least), one per worker at least.
+    prepare(tess) runs once per build.
     With workers > 1, build, prepare and query must be picklable.
     """
     if workers > 1 and KINDS[spec.process.kind].lattice is None:
         import_module("scipy.spatial")  # each worker's build_voronoi imports it
     shared = None if varies_by_replicate(spec) else _instance(spec, build, prepare, 0)
-    return map_replicates(partial(_replicate, spec, build, prepare, query, shared),
-                          spec.replicates, workers)
+    n = reps = spec.replicates
+    if shared:
+        n = min(reps, max(-(-reps // max(1, BLOCK_CELLS // len(shared[0]))), workers))
+    blocks = [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
+    results, failed = map_replicates(partial(_block, spec, build, prepare, query, shared, blocks),
+                                     n, workers)
+    return [r for block in results for r in block], failed
 
 
 def _attempt(fn, rep: int):

@@ -4,11 +4,11 @@ The harness estimates nothing itself: each op calls an estimator and
 formats its output as CSV rows and a run.json summary.
 
 Configs are JSON with a fixed schema, and load_config checks all of it
-before a run starts. Unknown keys are hard errors, and so is a `buffer` on a
-lattice kind, which is built without one. Outputs land in
-out_dir/<spec_hash>/: one RFC-4180 CSV per operation plus run.json. CSV
-payloads are bit-identical across reruns and worker counts; run.json
-carries the volatile envelope (timestamps).
+(and `run` the op's least replicates) before a run starts. Unknown keys are
+hard errors, and so is a `buffer` on a lattice kind, which is built without
+one. Outputs land in out_dir/<spec_hash>/: one RFC-4180 CSV per operation
+plus run.json. CSV payloads are bit-identical across reruns and worker
+counts; run.json carries the volatile envelope (timestamps).
 
 Every op is one entry of OPS, keyed by its name. An entry holds
 - `params`: each key of the config's `params` that the op takes, mapped to
@@ -33,9 +33,10 @@ Every op is one entry of OPS, keyed by its name. An entry holds
   `process`, the one process kind the op accepts, `samples(args)`, true
   when the op samples points from the process, and `face_only`, true when
   the op always uses face adjacency, so that load_config rejects
-  `"adjacency": "star"`. A kind with no areal intensity is accepted only by
-  an op whose `process` names it, and a kind with no planar sampler by no
-  op that samples.
+  `"adjacency": "star"`, and `least`, the fewest `replicates` (or
+  `replicates_per_probe`) that `run`, not `sweep`, accepts. A kind with no
+  areal intensity is accepted only by an op whose `process` names it, and a
+  kind with no planar sampler by no op that samples.
 The functions look estimators up in this module's namespace when they run,
 so a caller that rebinds such a name here (a tracer) sees every call.
 """
@@ -350,6 +351,7 @@ class Op:
     process: str | None = None
     samples: Callable = lambda args: False
     face_only: bool = False
+    least: int = 1
 
 
 # The single registry of ops. Entries hold module-level functions that look
@@ -357,17 +359,18 @@ class Op:
 # hide later rebinding of the module attribute from the table.
 OPS = {
     "void": Op(NO_P, _void, {"Q": Window.from_json, "t_values": _list_of(_nonnegative)},
-               samples=lambda args: True),
+               samples=lambda args: True, least=100),
     "laplace": Op(NO_P, _laplace, {"t": _nonnegative, "region": _region},
-                  samples=lambda args: True),
+                  samples=lambda args: True, least=1000),
     "crossing": Op(EACH_P, _crossing, {"rect": (Window.from_json, None),
                                        "direction": _choice("horizontal", "vertical"),
                                        "color": _choice("black", "white")},
-                   sweep=_sweep_crossing),
+                   sweep=_sweep_crossing, least=50),
     "theta": Op(EACH_P, _theta, {"radii": _list_of(_positive, rising=True)}),
     "pc": Op(NO_P, _pc, {"tolerance": _check(lambda x: _real(x) >= 0.01, "a number >= 0.01"),
-                         "replicates_per_probe": _count}),
-    "spanning": Op(EACH_P, _spanning, {"analysis_window": (Window.from_json, None)}),
+                         "replicates_per_probe": _count}, least=50),
+    "spanning": Op(EACH_P, _spanning, {"analysis_window": (Window.from_json, None)},
+                   least=100),
     "smp_gap": Op(ONE_P, _smp_gap, {"Q": Window.from_json, "Qprime": Window.from_json,
                                     "t_schedule": _positives,
                                     "family": _choice("crossing", "void")},
@@ -421,8 +424,14 @@ def run(config_path, out_dir="runs", workers: int = 1, seed_override=None) -> Ru
     """Execute the op named in the config; write <op>.csv and run.json."""
     config = load_config(config_path, seed_override)
     name = config.raw["op"]
+    op = OPS[name]
+    key = "replicates_per_probe" if "replicates_per_probe" in config.args else "replicates"
+    count = config.args.get(key, config.spec.replicates)
+    if count < op.least:
+        raise ConfigError(f"{config_path}: op {name!r} runs at least {op.least} replicates; "
+                          f"{key!r} is {count}")
     started = time.time()
-    rows, summary = OPS[name].fn(config.spec, config.args, workers)
+    rows, summary = op.fn(config.spec, config.args, workers)
     summary = {"rows": len(rows)} if summary is None else summary
     return _write_run(config.raw, out_dir, started, {f"{name}.csv": rows}, summary)
 

@@ -25,9 +25,13 @@ and joining labels the edges under an active mask and returns the clusters
 that hold cells of two terminals. No colour changes the rectangle geometry:
 rect_graph builds it once for every cell of a tessellation, with the sides as
 terminals L, R, B and T, and it alone reads and checks the adjacency.
-crossing reads a query's colour and direction and asks joining, so a caller
-builds each rect's graph once per tessellation and asks it at every p and
-colour. A CrossingQuery names the event (rect, direction, colour), not the graph.
+crossing_clusters reads a query's colour and direction and asks joining,
+and crossing is whether it finds a cluster, so a caller builds each rect's
+graph once per tessellation and asks it at every p and colour. A
+CrossingQuery names the event (rect, direction, colour), not the graph.
+k colourings of one tessellation are asked at once of stack(graph, k,
+cells), whose cell c * cells + v is copy c's cell v: the active mask is the
+(k, cells) masks raveled, and label l belongs to copy l // cells.
 """
 
 from __future__ import annotations
@@ -193,6 +197,16 @@ class CellGraph:
     terminals: dict
 
 
+def stack(graph: CellGraph, copies: int, cells: int) -> CellGraph:
+    """The disjoint union of copies copies of graph, a graph on cells cells,
+    with copy c's cells offset by c * cells; a stack of one is graph itself."""
+    if copies == 1:
+        return graph
+    offsets = np.arange(copies)[:, None] * cells
+    return CellGraph((graph.edges[None] + offsets[:, :, None]).reshape(-1, 2),
+                     {name: (ids[None] + offsets).ravel() for name, ids in graph.terminals.items()})
+
+
 def rect_graph(tess: Tessellation, rect: Window, adjacency: str) -> CellGraph:
     """The graph of all cells inside rect, whatever their colour: its edges
     join in-rect cells, and its terminals L, R, B and T hold the in-rect
@@ -224,10 +238,15 @@ def joining(graph: CellGraph, active: np.ndarray, a: str, b: str) -> np.ndarray:
                          graph.terminals[b])
 
 
-def crossing(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> bool:
-    """True iff some component of the query's colour (black, or ~black for
-    white) in graph, the rect_graph of query.rect, joins the rectangle's
+def crossing_clusters(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> np.ndarray:
+    """Labels of the components of the query's colour (black, or ~black for
+    white) in graph, the rect_graph of query.rect, that join the rectangle's
     start and end sides (L and R when horizontal, else B and T) through
     interiors and shared boundary pieces inside the rect."""
     active = black if query.color == "black" else ~black
-    return len(joining(graph, active, *("LR" if query.direction == "horizontal" else "BT"))) > 0
+    return joining(graph, active, *("LR" if query.direction == "horizontal" else "BT"))
+
+
+def crossing(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> bool:
+    """True iff the query's crossing occurs: crossing_clusters finds one."""
+    return len(crossing_clusters(graph, black, query)) > 0

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from tessperc import diagnostics, estimators, percolation
+from tessperc import diagnostics, estimators, experiment, percolation
 from tessperc.diagnostics import (mixture_nonergodic_demo, peierls_probe, smp_gap,
                                   tameness_report)
 from tessperc.errors import EdgeEffectError, ParameterError
@@ -68,8 +68,8 @@ def test_run_replicates_prepares_once_per_build(random_shift, builds):
         prepared.append(tess)
         return tess
 
-    vals, failed = run_replicates(spec, build, prepare,
-                                  lambda tess, uniforms, rep: (rep, tess, uniforms))
+    vals, failed = run_replicates(spec, build, prepare, lambda tess, uniforms, reps: [
+        (rep, tess, row) for rep, row in zip(reps, uniforms)])
     assert built == builds and len(prepared) == len(builds) and failed == 0
     assert [rep for rep, _, _ in vals] == [0, 1, 2]
     for rep, tess, uniforms in vals:
@@ -88,9 +88,10 @@ def test_crossing_prob_trivial_endpoints():
 
 @st.composite
 def _bisection_cases(draw):
-    """(queries, graphs, uniforms, ps) of one replicate: the four crossings
-    of one rect of a Poisson-Voronoi or randomly shifted lattice build at
-    face or star adjacency, and a sorted grid of 1 to 15 thresholds, some of
+    """(queries, graphs, uniforms, ps) of a block of 1 to 6 replicates: the
+    four crossings of one rect of a Poisson-Voronoi or randomly shifted
+    lattice build at face or star adjacency, the block's colouring uniforms
+    one row per replicate, and a sorted grid of 1 to 15 thresholds, some of
     them repeated or equal to a cell's uniform."""
     process = draw(st.sampled_from([
         ProcessSpec("poisson", {"gamma": 1.0}),
@@ -106,8 +107,8 @@ def _bisection_cases(draw):
     graph = rect_graph(tess, rect, draw(st.sampled_from(["face", "star"])))
     queries = tuple(CrossingQuery(rect, direction, colour)
                     for direction in ("horizontal", "vertical") for colour in ("black", "white"))
-    uniforms = uniforms_for(spec, 0, tess)
-    ps = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(uniforms.tolist()),
+    uniforms = np.stack([uniforms_for(spec, rep, tess) for rep in range(draw(st.integers(1, 6)))])
+    ps = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(uniforms.ravel().tolist()),
                        min_size=1, max_size=12))
     ps += draw(st.lists(st.sampled_from(ps), max_size=3))
     return queries, (graph,) * len(queries), uniforms, tuple(sorted(ps))
@@ -116,13 +117,15 @@ def _bisection_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_bisection_cases())
 def test_bisected_indicators_equal_crossing_at_every_p(case):
-    """Each query's bisected indicators are crossing() of the colouring at
-    every p of the grid."""
+    """Each query's bisected indicators for each row of a block are
+    crossing() of the row's colouring at every p of the grid, under the
+    row's replicate id."""
     queries, graphs, uniforms, ps = case
-    rep, indicators = estimators._crossing_rep(queries, ps, graphs, uniforms, 7)
-    assert rep == 7
-    assert indicators == tuple(tuple(int(crossing(graph, uniforms < p, query)) for p in ps)
-                               for query, graph in zip(queries, graphs))
+    reps = range(7, 7 + len(uniforms))
+    assert estimators._crossing_rep(queries, ps, graphs, uniforms, reps) == [
+        (rep, tuple(tuple(int(crossing(graph, row < p, query)) for p in ps)
+                    for query, graph in zip(queries, graphs)))
+        for rep, row in zip(reps, uniforms)]
 
 
 def test_crossing_curve_refuses_a_decreasing_grid(monkeypatch):
@@ -136,27 +139,41 @@ def test_crossing_curve_refuses_a_decreasing_grid(monkeypatch):
 @pytest.mark.parametrize("ps,calls", [(tuple(np.linspace(0.3, 0.8, 11)), range(1, 5)),
                                       ((0.55,), range(1, 2))], ids=["11_p", "one_p"])
 def test_each_query_labels_at_most_log2_of_the_grid(ps, calls, monkeypatch):
-    """Through the estimators binding of crossing, each query of each
-    replicate calls it ceil(log2(len(ps) + 1)) times at most."""
-    per_rep, crossing_rep = [], estimators._crossing_rep
+    """Each query of each block labels its colourings ceil(log2(len(ps) + 1))
+    times at most. A shifted lattice makes one block per replicate, and an
+    unshifted one ceil(R / block) blocks of at most block = BLOCK_CELLS //
+    cells replicates."""
+    blocks, labellings = [], Counter()
+    crossing_rep, switches, label = (estimators._crossing_rep, estimators._switches,
+                                     percolation.label_components)
 
-    def counted_rep(*args):
-        per_rep.append(Counter())
-        return crossing_rep(*args)
+    def counted_rep(queries, ps, graphs, uniforms, reps):
+        blocks.append(len(reps))
+        return crossing_rep(queries, ps, graphs, uniforms, reps)
 
-    def counted_crossing(graph, black, query):
-        per_rep[-1][query] += 1
-        return crossing(graph, black, query)
+    def counted_switches(query, *args):
+        labellings[len(blocks), query] = 0
+        return switches(query, *args)
+
+    def counted_label(*args):
+        labellings[next(reversed(labellings))] += 1
+        return label(*args)
 
     monkeypatch.setattr(estimators, "_crossing_rep", counted_rep)
-    monkeypatch.setattr(estimators, "crossing", counted_crossing)
-    spec = ExperimentSpec(
-        process=ProcessSpec("square_lattice", {"spacing": 0.5, "random_shift": True}),
-        window=W5, adjacency="star", ps=ps, replicates=20, master_seed=4)
+    monkeypatch.setattr(estimators, "_switches", counted_switches)
+    monkeypatch.setattr(percolation, "label_components", counted_label)
     queries = (CrossingQuery(W5), CrossingQuery(W5, "vertical", "white"))
-    estimate_crossing_curve(spec, queries)
-    assert len(per_rep) == 20
-    assert all(set(c) == set(queries) and set(c.values()) <= set(calls) for c in per_rep)
+    for random_shift, want in ((True, [1] * 20), (False, [5, 5, 5, 5])):
+        blocks.clear(), labellings.clear()
+        spec = ExperimentSpec(
+            process=ProcessSpec("square_lattice", {"spacing": 0.5, "random_shift": random_shift}),
+            window=W5, adjacency="star", ps=ps, replicates=20, master_seed=4)
+        # blocks of 6 replicates: ceil(20 / 6) = 4 of them, 5 each
+        monkeypatch.setattr(experiment, "BLOCK_CELLS", 6 * len(build_tessellation(spec, 0)))
+        estimate_crossing_curve(spec, queries)
+        assert blocks == want
+        assert len(labellings) == len(queries) * len(blocks)
+        assert set(labellings.values()) <= set(calls)
 
 
 def test_theta_trivials_and_monotonicity():

@@ -294,7 +294,7 @@ def _csv_bytes(record) -> dict:
     return {p.name: p.read_bytes() for p in Path(record.out_dir).glob("*.csv")}
 
 
-@pytest.mark.parametrize("cfg", [
+@pytest.mark.parametrize("cfg,workers", [(cfg, 2) for cfg in [
     {"op": "theta", "process": PV, "window": [[-5.0, -5.0], [5.0, 5.0]], "adjacency": "face",
      "p": 0.55, "replicates": 12, "master_seed": 31, "params": {"radii": [1, 3]}},
     {"op": "spanning", "process": SQ, "window": W4, "adjacency": "star", "p": 0.5,
@@ -319,14 +319,26 @@ def _csv_bytes(record) -> dict:
      "master_seed": 106,
      "params": {"family": "void", "Q": [[-1.5, -1.0], [-0.5, 0.0]],
                 "Qprime": [[0.5, 0.5], [1.5, 1.5]], "t_schedule": [0.5, 1.0]}},
-], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice",
+]] + [(cfg, 3) for cfg in [
+    # a shared build split into 3 blocks of unequal sizes
+    {"op": "theta", "process": SQ_FIXED, "window": W4, "adjacency": "star",
+     "p_grid": [0.7, 0.5, 0.6], "replicates": 20, "master_seed": 33,
+     "params": {"radii": [1, 3]}},
+    {"op": "spanning", "process": SQ_FIXED, "window": W4, "adjacency": "face",
+     "p_grid": [0.6, 0.55], "replicates": 100, "master_seed": 34,
+     "params": {"analysis_window": [[-3.5, -3.0], [3.5, 3.0]]}},
+    {"op": "crossing", "process": HEX_FIXED, "window": W4, "adjacency": "face",
+     "p_grid": [0.55, 0.4, 0.5], "replicates": 50, "master_seed": 37,
+     "params": {"direction": "vertical", "color": "white"}},
+]], ids=["theta_voronoi", "spanning_shifted_lattice", "pc_unshifted_lattice",
         "tameness_voronoi", "ggr_voronoi", "trifurcation_shifted_lattice", "void_thomas",
-        "laplace_matern", "line_smp", "smp_gap_void_hardcore"])
-def test_csvs_identical_across_worker_counts(cfg, tmp_path):
+        "laplace_matern", "line_smp", "smp_gap_void_hardcore", "theta_unshifted_lattice",
+        "spanning_unshifted_lattice", "crossing_grid_unshifted_lattice"])
+def test_csvs_identical_across_worker_counts(cfg, workers, tmp_path):
     path = _write_config(tmp_path, cfg)
     one = harness.run(path, out_dir=str(tmp_path / "w1"), workers=1)
-    two = harness.run(path, out_dir=str(tmp_path / "w2"), workers=2)
-    assert _csv_bytes(one) == _csv_bytes(two)
+    many = harness.run(path, out_dir=str(tmp_path / f"w{workers}"), workers=workers)
+    assert _csv_bytes(one) == _csv_bytes(many)
     assert _csv_bytes(one)
 
 
@@ -493,6 +505,35 @@ def test_cli_render_without_p_colours_at_one_half(cfg, tmp_path):
     tess = build_tessellation(spec, 0)
     render_svg(tess, uniforms_for(spec, 0, tess) < 0.5, tmp_path / "api.svg")
     assert (tmp_path / "cli.svg").read_bytes() == (tmp_path / "api.svg").read_bytes()
+
+
+@pytest.mark.parametrize("op,key,least,keys", [
+    ("crossing", "replicates", 50, {"p": 0.5}),
+    ("pc", "replicates_per_probe", 50, {"params": {"tolerance": 0.1}}),
+    ("spanning", "replicates", 100, {"p": 0.5}),
+    ("void", "replicates", 100, {"params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [1.0]}}),
+    ("laplace", "replicates", 1000,
+     {"params": {"t": 0.2, "region": {"delta": 0.5, "ni": 2, "nj": 2}}}),
+])
+def test_run_refuses_fewer_replicates_than_the_op_needs(op, key, least, keys, tmp_path, capsys,
+                                                        monkeypatch):
+    """run refuses a count below the op's minimum as a config error naming
+    the key, before any build; a crossing sweep takes 10 replicates."""
+    built = _record_builds(monkeypatch)
+    cfg = {"op": op, "process": PV, "window": W4, "replicates": 100, "master_seed": 171, **keys}
+    if key == "replicates_per_probe":
+        cfg["params"] = {**cfg["params"], key: 10}
+    else:
+        cfg[key] = least - 1
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"op {op!r} runs at least {least} replicates; {key!r} is " in err
+    assert not out.exists() and built == []
+    if op == "crossing":
+        cfg = {**{k: v for k, v in cfg.items() if k != "p"}, "process": SQ, "replicates": 10,
+               "p_grid": [0.4, 0.6]}
+        assert main(["sweep", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tessperc import percolation
 from tessperc.errors import ParameterError
-from tessperc.estimators import _theta_prepare, _theta_rep
+from tessperc.estimators import _crossing_rep, _spanning_rep, _theta_prepare, _theta_rep
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings, parts_with_area)
@@ -329,7 +330,7 @@ def test_theta_terminals_reach_the_farthest_corner():
     radii = (0.5, corner * (1 - 1e-9), corner * (1 + 1e-9))
     graph = _theta_prepare("face", radii, tess)
     assert graph.terminals["root"].tolist() == [zero_cell(tess)]
-    assert _theta_rep((0.0, 1.0), radii, graph, uniforms, 0) == ((0, 0, 0), (1, 1, 0))
+    assert _theta_rep((0.0, 1.0), radii, graph, uniforms[None], (0,)) == [((0, 0, 0), (1, 1, 0))]
 
 
 # Reference: the rectangle graph built from the active cells only, one build
@@ -445,7 +446,8 @@ def _ref_cluster_reach(tess, edges, black, root):
     return float(np.sqrt((corners ** 2).sum(axis=1)).max())
 
 
-# one spec of every process kind that builds cells, the lattices shifted or not
+# one spec of every process kind that builds cells, the lattices shifted or not,
+# for the theta reference and the block tests
 _EVERY_KIND = {
     **_KINDS,
     "matern_cluster": ProcessSpec("matern_cluster", {"gamma0": 0.5, "mu": 2.0, "radius": 1.0}),
@@ -484,7 +486,36 @@ def test_theta_terminals_match_the_cluster_reach_reference(name, seed, ps, data)
     for adjacency in ("face", "star"):
         want = tuple(tuple(int(reach[adjacency, p] >= r) for r in radii) for p in ps)
         graph = _theta_prepare(adjacency, radii, tess)
-        assert _theta_rep(tuple(ps), radii, graph, uniforms, 0) == want
+        assert _theta_rep(tuple(ps), radii, graph, uniforms[None], (0,)) == [want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_EVERY_KIND)), seed=st.integers(0, 10_000),
+       adjacency=st.sampled_from(["face", "star"]), rows=st.integers(2, 8), data=st.data())
+def test_a_block_query_equals_its_rows_queried_alone(name, seed, adjacency, rows, data):
+    """The crossing (every direction and colour), theta and spanning
+    queries of a block of rows colourings of one build, one labelling of
+    their stack per step, equal row for row the same queries of each row in
+    a block of one. The grid has repeats, and p = 0, p = 1 and the block's
+    own uniforms are drawn into it."""
+    spec = ExperimentSpec(process=_EVERY_KIND[name], window=_CORE, master_seed=seed)
+    try:
+        tess = build_tessellation(spec, 0)
+    except BUILD_ERRORS:
+        assume(False)
+    uniforms = np.stack([uniforms_for(spec, rep, tess) for rep in range(rows)])
+    ps = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+                            | st.sampled_from(uniforms.ravel().tolist()), min_size=1, max_size=8))
+    ps = tuple(sorted(ps + data.draw(st.lists(st.sampled_from(ps), max_size=3))))
+    rect = data.draw(st.sampled_from([_CORE, Window((-3, -1), (2, 2.5))]))
+    graph, radii = rect_graph(tess, rect, adjacency), (0.5, 1.5, 2.5)
+    queries = tuple(CrossingQuery(rect, direction, colour)
+                    for direction in ("horizontal", "vertical") for colour in ("black", "white"))
+    for query in (partial(_crossing_rep, queries, ps, (graph,) * len(queries)),
+                  partial(_theta_rep, ps, radii, _theta_prepare(adjacency, radii, tess)),
+                  partial(_spanning_rep, ps, graph)):
+        assert query(uniforms, range(rows)) == [
+            result for rep in range(rows) for result in query(uniforms[rep:rep + 1], (rep,))]
 
 
 def _ref_rect_graph(tess, rect, adjacency):
