@@ -17,7 +17,7 @@ from .point_process import (PointConfiguration, ProcessSpec, sample_cluster_proc
 from .streams import stream
 from .tessellation import (Tessellation, build_adjacency, build_lattice_tessellation,
                            build_voronoi, zero_cell)
-from .percolation import (CellGraph, CrossingQuery, color, crossing, hop_balls, joining,
+from .percolation import (CellGraph, CrossingQuery, color, hop_balls, join_counts,
                           label_components, rect_graph)
 from .experiment import ExperimentSpec, build_tessellation, uniforms_for
 from .estimators import (count_spanning_clusters, estimate_crossing_prob, estimate_pc,

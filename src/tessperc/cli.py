@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             from .harness import load_config
             from .render import render_svg
             config = load_config(args.config)
-            p = 0.5 if config.raw.get("p") is None else config.spec.p
+            p = config.spec.p if len(config.spec.ps) == 1 else 0.5
             tess = build_tessellation(config.spec, args.rep)
             render_svg(tess, uniforms_for(config.spec, args.rep, tess) < p, args.out,
                        show_graph=args.show_graph, core_only=args.core_only)

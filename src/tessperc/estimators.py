@@ -8,29 +8,30 @@ colour. It is a prepare/query pair run by experiment.run_replicates: prepare
 builds the colour-independent part of a query once per tessellation, each
 graph a percolation.CellGraph with named terminals (a rect's sides, theta's
 root and far_r cells, the cells touching a trifurcation window), and query
-asks which clusters of a block of colourings (black: uniforms < p, one row
-per replicate) join two terminals at each p it reads, with one labelling of
-a stack of all rows in crossing, theta and spanning. The runner builds a
-tessellation that does not vary by replicate (an unshifted lattice) once per
-run, drops and counts build failures (edge effects, degenerate inputs) and
-fails the run past its failure budget.
+takes a block of colourings (black: uniforms < p, one row per replicate).
+Crossing, theta and spanning stack the block's copies of the graph once and
+ask percolation.join_counts, one labelling of the stack per step, how many
+clusters of each row join two terminals. The runner builds a tessellation
+that does not vary by replicate (an unshifted lattice) once per run, drops
+and counts build failures (edge effects, degenerate inputs) and fails the
+run past its failure budget.
 The estimators count events and report Wilson intervals. Every crossing
 indicator (of the crossing estimates, p_c, the recursion, and the smp gap
 and mixture in diagnostics) comes from estimate_crossing_curve, which builds
 one rectangle graph per query and, per block and query, bisects the sorted
 grid for the p at which each row's crossing switches: ceil(log2(len + 1))
-labellings of the block, not one per p and row.
+labellings of the block, not one per p and row. Theta and spanning read
+every p of their grid, one labelling each.
 
 The ggr diagnostics colour one build once per replicate through
-experiment.map_replicates. The build, rectangle-graph, adjacency, zero-cell
-and ball functions are looked up in this module, so a wrapper on these
-bindings sees every call; crossing is asked only by a block of one.
+experiment.map_replicates. The build, rectangle-graph, adjacency, zero-cell,
+ball and join_counts functions are looked up in this module, so a wrapper on
+these bindings sees every call.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Window
-from .percolation import (CellGraph, CrossingQuery, common_labels, crossing, crossing_clusters,
-                          hop_balls, joining, label_components, rect_graph, stack)
+from .percolation import (CellGraph, CrossingQuery, common_labels, hop_balls, join_counts,
+                          label_components, rect_graph, stack)
 from .stats import PercResult, mean_ci, wilson_sigma
 from .streams import MAX_SEED
 from .experiment import (ExperimentSpec, build_tessellation, each_row, map_replicates,
@@ -61,26 +62,24 @@ def _grid(spec: ExperimentSpec) -> tuple:
 
 
 def _switches(query: CrossingQuery, graph: CellGraph, ps: tuple, uniforms) -> list:
-    """Per row of uniforms, bisect_left's index k in the nondecreasing ps
-    at which the row's colouring switches query's crossing on graph: black
+    """Per row of uniforms, the least index k in the nondecreasing ps at
+    which the row's colouring switches query's crossing on graph: black
     holds at ps[j] iff j >= k, white iff j < k, as a black crossing can only
-    switch on and a white one only off. A block of one asks crossing. A
-    larger one bisects all rows at once, one labelling of the stack per
-    step, a settled row at a sentinel p that leaves it no active cell."""
-    rows, cells = uniforms.shape
+    switch on and a white one only off. All rows are bisected at once, one
+    join_counts of the block's stack per step, a settled row at a sentinel p
+    that leaves it no active cell. lo and hi are lists: on a block of a few
+    rows, numpy calls per step cost more than a Python pass over the rows."""
     black = query.color == "black"
-    if rows == 1:
-        (row,) = uniforms
-        return [bisect_left(ps, True, key=lambda p: crossing(graph, row < p, query) == black)]
-    stacked, at = stack(graph, rows, cells), np.array([*ps, 0.0 if black else np.inf])
-    lo, hi = [0] * rows, [len(ps)] * rows
+    ends = ("L", "R") if query.direction == "horizontal" else ("B", "T")
+    stacked, at = stack(graph, *uniforms.shape), np.array([*ps, 0.0 if black else np.inf])
+    lo, hi = [0] * len(uniforms), [len(ps)] * len(uniforms)
     while lo != hi:
         mid = [(a + b) // 2 if a < b else len(ps) for a, b in zip(lo, hi)]
-        black_cells = (uniforms < at[mid][:, None]).ravel()
-        crossed = set((crossing_clusters(stacked, black_cells, query) // cells).tolist())
-        for r in range(rows):
+        black_cells = uniforms < at[mid][:, None]
+        (joins,) = join_counts(stacked, black_cells if black else ~black_cells, (ends,))
+        for r, crossed in enumerate((joins > 0).tolist()):
             if lo[r] < hi[r]:
-                lo[r], hi[r] = (lo[r], mid[r]) if (r in crossed) == black else (mid[r] + 1, hi[r])
+                lo[r], hi[r] = (lo[r], mid[r]) if crossed == black else (mid[r] + 1, hi[r])
     return lo
 
 
@@ -138,17 +137,12 @@ def _theta_prepare(adjacency: str, radii: tuple, tess: Tessellation) -> CellGrap
     return CellGraph(build_adjacency(tess, adjacency), {"root": np.array([zero_cell(tess)]), **far})
 
 
-def _theta_rep(ps: tuple, radii: tuple, graph: CellGraph, uniforms, reps) -> list:
-    """Per row of uniforms, the reach indicator per radius, per p of ps: the
-    number, 0 or 1, of black clusters joining root and far_r, from one
-    labelling of the stacked graph per p."""
-    rows, cells = uniforms.shape
-    stacked = stack(graph, rows, cells)
-    root = stacked.terminals["root"]
-    far = [stacked.terminals[f"far_{r}"] for r in radii]
-    counts = [[np.bincount(common_labels(labels, root, ids) // cells, minlength=rows)
-               for ids in far]
-              for labels in (label_components((uniforms < p).ravel(), stacked.edges) for p in ps)]
+def _joins_rep(ps: tuple, pairs: tuple, graph: CellGraph, uniforms, reps) -> list:
+    """Per row of uniforms, per p of ps, the number of the row's black
+    clusters joining the terminals of each pair of pairs: one join_counts
+    of the block's stack per p."""
+    stacked = stack(graph, *uniforms.shape)
+    counts = [join_counts(stacked, uniforms < p, pairs) for p in ps]
     return [tuple(map(tuple, row)) for row in np.transpose(counts, (2, 0, 1)).tolist()]
 
 
@@ -169,9 +163,10 @@ def estimate_theta(spec: ExperimentSpec, radii, workers: int = 1) -> list[list[P
     half_width = min(-cw.lo[0], -cw.lo[1], cw.hi[0], cw.hi[1])
     if radii[-1] > half_width:
         raise ParameterError("max radius exceeds the core half-width")
+    pairs = tuple(("root", f"far_{r}") for r in radii)
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(_theta_prepare, spec.adjacency, radii),
-                                  partial(_theta_rep, _grid(spec), radii), workers)
+                                  partial(_joins_rep, _grid(spec), pairs), workers)
     return [[PercResult.from_counts(sum(v[i][k] for v in vals), len(vals), failed=failed)
              for k in range(len(radii))] for i in range(len(spec.ps))]
 
@@ -237,16 +232,6 @@ class SpanningCounts:
     failed: int
 
 
-def _spanning_rep(ps: tuple, graph, uniforms, reps) -> list:
-    """Per row of uniforms, the number per p of ps of distinct black
-    clusters joining the L and R sides of a rect graph, one labelling per p."""
-    rows, cells = uniforms.shape
-    stacked = stack(graph, rows, cells)
-    counts = [np.bincount(joining(stacked, (uniforms < p).ravel(), "L", "R") // cells,
-                          minlength=rows) for p in ps]
-    return [tuple(row) for row in np.transpose(counts).tolist()]
-
-
 def count_spanning_clusters(spec: ExperimentSpec, window: Window,
                             workers: int = 1) -> list[SpanningCounts]:
     """Histogram of the number of distinct left-right spanning black clusters,
@@ -257,8 +242,8 @@ def count_spanning_clusters(spec: ExperimentSpec, window: Window,
         raise ParameterError("analysis window must lie inside the core window")
     vals, failed = run_replicates(spec, build_tessellation,
                                   partial(rect_graph, rect=window, adjacency=spec.adjacency),
-                                  partial(_spanning_rep, _grid(spec)), workers)
-    return [SpanningCounts(histogram=dict(sorted(Counter(v[k] for v in vals).items())),
+                                  partial(_joins_rep, _grid(spec), (("L", "R"),)), workers)
+    return [SpanningCounts(histogram=dict(sorted(Counter(v[k][0] for v in vals).items())),
                            replicates=len(vals), failed=failed) for k in range(len(spec.ps))]
 
 

@@ -19,19 +19,18 @@ inner cell (its bbox inside the rectangle) and a contact of two inner cells
 are taken as built; only the cells that cross the rectangle's boundary, and
 their contacts, are clipped.
 
-Every connection query asks which clusters join two sets of cells. Its
-colour-independent part is a CellGraph of edges and named terminal id arrays,
-and joining labels the edges under an active mask and returns the clusters
-that hold cells of two terminals. No colour changes the rectangle geometry:
-rect_graph builds it once for every cell of a tessellation, with the sides as
-terminals L, R, B and T, and it alone reads and checks the adjacency.
-crossing_clusters reads a query's colour and direction and asks joining,
-and crossing is whether it finds a cluster, so a caller builds each rect's
+Every connection query asks how many clusters join two sets of cells. Its
+colour-independent part is a CellGraph of edges and named terminal id
+arrays. No colour changes the rectangle geometry: rect_graph builds it once
+for every cell of a tessellation, with the sides as terminals L, R, B and T,
+and it alone reads and checks the adjacency, so a caller builds each rect's
 graph once per tessellation and asks it at every p and colour. A
 CrossingQuery names the event (rect, direction, colour), not the graph.
 k colourings of one tessellation are asked at once of stack(graph, k,
-cells), whose cell c * cells + v is copy c's cell v: the active mask is the
-(k, cells) masks raveled, and label l belongs to copy l // cells.
+cells), whose cell c * cells + v is copy c's cell v, and join_counts is the
+one reader of such a stack: it labels the (k, cells) active masks in one
+pass and counts, per terminal pair and copy, the clusters that hold cells
+of both terminals (label l belongs to copy l // cells).
 """
 
 from __future__ import annotations
@@ -231,22 +230,13 @@ def common_labels(labels: np.ndarray, first, second) -> np.ndarray:
     return np.nonzero(mark[1, :-1])[0]
 
 
-def joining(graph: CellGraph, active: np.ndarray, a: str, b: str) -> np.ndarray:
-    """Labels of the clusters of graph's active cells that hold cells of both
-    terminals a and b; inactive terminal cells carry -1 and drop out."""
-    return common_labels(label_components(active, graph.edges), graph.terminals[a],
-                         graph.terminals[b])
-
-
-def crossing_clusters(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> np.ndarray:
-    """Labels of the components of the query's colour (black, or ~black for
-    white) in graph, the rect_graph of query.rect, that join the rectangle's
-    start and end sides (L and R when horizontal, else B and T) through
-    interiors and shared boundary pieces inside the rect."""
-    active = black if query.color == "black" else ~black
-    return joining(graph, active, *("LR" if query.direction == "horizontal" else "BT"))
-
-
-def crossing(graph: CellGraph, black: np.ndarray, query: CrossingQuery) -> bool:
-    """True iff the query's crossing occurs: crossing_clusters finds one."""
-    return len(crossing_clusters(graph, black, query)) > 0
+def join_counts(stacked: CellGraph, active: np.ndarray, pairs) -> np.ndarray:
+    """The (len(pairs), rows) counts of the clusters of stacked, a stack of
+    rows copies of a graph on cells cells, under the (rows, cells) mask
+    active: entry [j, c] counts copy c's clusters that hold cells of both
+    terminals of pairs[j], a pair of names; inactive cells join nothing."""
+    rows, cells = active.shape
+    labels = label_components(active.ravel(), stacked.edges)
+    return np.array([np.bincount(common_labels(labels, stacked.terminals[a],
+                                               stacked.terminals[b]) // cells, minlength=rows)
+                     for a, b in pairs])

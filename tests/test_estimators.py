@@ -19,10 +19,12 @@ from tessperc.estimators import (count_spanning_clusters, estimate_crossing_curv
 from tessperc.experiment import (BUILD_ERRORS, ExperimentSpec, build_tessellation,
                                  run_replicates, uniforms_for, varies_by_replicate)
 from tessperc.geometry import Window
-from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
+from tessperc.percolation import CrossingQuery, rect_graph
 from tessperc.point_process import ProcessSpec
 from tessperc.streams import stream
 from tessperc.tessellation import build_adjacency, build_lattice_tessellation
+
+from reference import crossing_rows
 
 
 def pv_spec(window, p, replicates, seed, gamma=1.0, adjacency="face"):
@@ -117,15 +119,13 @@ def _bisection_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_bisection_cases())
 def test_bisected_indicators_equal_crossing_at_every_p(case):
-    """Each query's bisected indicators for each row of a block are
-    crossing() of the row's colouring at every p of the grid, under the
-    row's replicate id."""
+    """Each query's bisected indicators for each row of a block are the
+    crossings of the row's colouring, labelled alone on the unstacked graph,
+    at every p of the grid, under the row's replicate id."""
     queries, graphs, uniforms, ps = case
     reps = range(7, 7 + len(uniforms))
-    assert estimators._crossing_rep(queries, ps, graphs, uniforms, reps) == [
-        (rep, tuple(tuple(int(crossing(graph, row < p, query)) for p in ps)
-                    for query, graph in zip(queries, graphs)))
-        for rep, row in zip(reps, uniforms)]
+    assert estimators._crossing_rep(queries, ps, graphs, uniforms, reps) == crossing_rows(
+        queries, ps, graphs, uniforms, reps)
 
 
 def test_crossing_curve_refuses_a_decreasing_grid(monkeypatch):

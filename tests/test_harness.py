@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ from tessperc.cli import main
 from tessperc.errors import ConfigError, EdgeEffectError, ParameterError
 from tessperc.experiment import ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import Window, rings_meet_boxes
-from tessperc.percolation import CrossingQuery, color, crossing, rect_graph
+from tessperc.percolation import CrossingQuery, color, rect_graph
 from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.render import render_svg
 from tessperc.streams import stream
 from tessperc.tessellation import build_voronoi
+
+from reference import crossed
 
 SQ = {"kind": "square_lattice", "params": {"spacing": 1.0, "random_shift": True}}
 PV = {"kind": "poisson", "params": {"gamma": 1.0}}
@@ -483,13 +486,15 @@ def test_smp_gap_sweep_reports_failures_in_run_json(tmp_path, monkeypatch):
 
 
 def test_cli_render_at_p_zero_draws_no_black_cell(tmp_path):
-    cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
-           "p": 0.0, "replicates": 50, "master_seed": 23}
-    svg = tmp_path / "out.svg"
-    assert main(["render", _write_config(tmp_path, cfg), "--out", str(svg)]) == 0
-    text = svg.read_text()
-    assert 'fill="#ffffff"' in text
-    assert 'fill="#000000"' not in text
+    """A one-entry p_grid colours at its p, as a p does."""
+    for at_zero in ({"p": 0.0}, {"p_grid": [0.0]}):
+        cfg = {"op": "crossing", "process": SQ, "window": [[-2.0, -2.0], [2.0, 2.0]],
+               "replicates": 50, "master_seed": 23, **at_zero}
+        svg = tmp_path / "out.svg"
+        assert main(["render", _write_config(tmp_path, cfg), "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert 'fill="#ffffff"' in text
+        assert 'fill="#000000"' not in text
 
 
 @pytest.mark.parametrize("cfg", [
@@ -534,6 +539,40 @@ def test_run_refuses_fewer_replicates_than_the_op_needs(op, key, least, keys, tm
         cfg = {**{k: v for k, v in cfg.items() if k != "p"}, "process": SQ, "replicates": 10,
                "p_grid": [0.4, 0.6]}
         assert main(["sweep", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+
+# The config keys of a run of each op with a replicate floor.
+FLOORS = {
+    "crossing": {"process": SQ, "p": 0.5},
+    "pc": {"process": SQ, "params": {"tolerance": 0.25}},
+    "spanning": {"process": SQ, "p": 0.5},
+    "void": {"process": PV, "params": {"Q": [[0.0, 0.0], [1.0, 1.0]], "t_values": [1.0]}},
+    "laplace": {"process": PV, "params": {"t": 0.2, "region": {"delta": 0.5, "ni": 2, "nj": 2}}},
+}
+
+
+def test_every_op_with_a_replicate_floor_has_a_floor_case():
+    assert {name for name, op in harness.OPS.items() if op.least > 1} == FLOORS.keys()
+
+
+@pytest.mark.parametrize("op", sorted(FLOORS))
+def test_each_op_least_is_its_estimators_own_floor(op, tmp_path):
+    """The op's estimator, called past run's check, refuses Op.least - 1
+    replicates, and load_config and run take Op.least."""
+    least = harness.OPS[op].least
+    cfg = {"op": op, "window": W4, "replicates": least, "master_seed": 174, **FLOORS[op]}
+    if op == "pc":
+        cfg["params"] = {**cfg["params"], "replicates_per_probe": least}
+    path = _write_config(tmp_path, cfg)
+    config = harness.load_config(path)
+    spec, args = config.spec, config.args
+    if "replicates_per_probe" in args:
+        args = {**args, "replicates_per_probe": least - 1}
+    else:
+        spec = replace(spec, replicates=least - 1)
+    with pytest.raises(ParameterError, match=f"needs at least {least} replicates"):
+        harness.OPS[op].fn(spec, args, 1)
+    harness.run(path, out_dir=str(tmp_path / "out"))
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
@@ -917,9 +956,9 @@ def test_every_kind_answers_a_crossing_or_is_rejected_for_one(name, tmp_path):
     spec = harness.load_config(path).spec
     tess = build_tessellation(spec, 0)
     graph = rect_graph(tess, spec.window, spec.adjacency)
-    for p, crossed in ((0.0, False), (1.0, True)):
+    for p, want in ((0.0, False), (1.0, True)):
         black = uniforms_for(spec, 0, tess) < p
-        assert crossing(graph, black, CrossingQuery(rect=spec.window)) is crossed
+        assert crossed(graph, black, CrossingQuery(rect=spec.window)) is want
 
 
 def test_cli_sweep_writes_the_harness_sweep_csvs(tmp_path):

@@ -1,5 +1,4 @@
 from collections import deque
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,16 +7,18 @@ from hypothesis import strategies as st
 
 from tessperc import percolation
 from tessperc.errors import ParameterError
-from tessperc.estimators import _crossing_rep, _spanning_rep, _theta_prepare, _theta_rep
+from tessperc.estimators import _crossing_rep, _joins_rep, _theta_prepare
 from tessperc.experiment import BUILD_ERRORS, ExperimentSpec, build_tessellation, uniforms_for
 from tessperc.geometry import (Window, clip_rings_to_window, clip_segments_to_rect,
                                gather_rings, parts_with_area)
-from tessperc.percolation import (CrossingQuery, color, common_labels, crossing, joining,
-                                  label_components, neighbor_csr, rect_graph)
+from tessperc.percolation import (CrossingQuery, color, common_labels, join_counts,
+                                  label_components, neighbor_csr, rect_graph, stack)
 from tessperc.point_process import KINDS, ProcessSpec, sample_poisson
 from tessperc.streams import stream
 from tessperc.tessellation import (build_adjacency, build_lattice_tessellation,
                                    build_voronoi, zero_cell)
+
+from reference import crossing_rows, joins_rows
 
 
 def poisson_setup(seed, side=20.0):
@@ -29,8 +30,17 @@ def poisson_setup(seed, side=20.0):
 
 
 def crosses(tess, black, query, adjacency="face"):
-    """crossing on the rect graph of the query's rect, built for this one call."""
-    return crossing(rect_graph(tess, query.rect, adjacency), black, query)
+    """Whether the black mask has the query's crossing, as the crossing
+    estimators read it, on the rect graph built for this one call."""
+    uniforms = np.where(black, 0.0, 1.0)[None]
+    graph = rect_graph(tess, query.rect, adjacency)
+    ((_, ((hit,),)),) = _crossing_rep((query,), (0.5,), (graph,), uniforms, (0,))
+    return hit == 1
+
+
+def far_pairs(radii) -> tuple:
+    """The terminal pairs of theta's reach indicators, one per radius."""
+    return tuple(("root", f"far_{r}") for r in radii)
 
 
 def test_coloring_thresholds():
@@ -250,9 +260,8 @@ def test_color_symmetry_at_half():
     for seed in range(n):
         tess, uniforms = poisson_setup(300 + seed, side=12.0)
         col = uniforms < 0.5
-        graph = rect_graph(tess, rect, "face")
-        hits_b += crossing(graph, col, CrossingQuery(rect=rect, color="black"))
-        hits_w += crossing(graph, col, CrossingQuery(rect=rect, color="white"))
+        hits_b += crosses(tess, col, CrossingQuery(rect=rect, color="black"))
+        hits_w += crosses(tess, col, CrossingQuery(rect=rect, color="white"))
     pb, pw = hits_b / n, hits_w / n
     se = np.sqrt(pb * (1 - pb) / n + pw * (1 - pw) / n) + 1e-9
     assert abs(pb - pw) < 3 * se
@@ -278,17 +287,22 @@ def test_spanning_joining_trivials():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (6, 6)))
     uniforms = color(tess, stream(2, 0, "color"))
     graph = rect_graph(tess, tess.core_window, "face")
-    assert len(joining(graph, uniforms < 1.0, "L", "R")) == 1
-    assert len(joining(graph, uniforms < 0.0, "L", "R")) == 0
+    assert join_counts(graph, (uniforms < 1.0)[None], [("L", "R")]).tolist() == [[1]]
+    assert join_counts(graph, (uniforms < 0.0)[None], [("L", "R")]).tolist() == [[0]]
 
 
 def test_spanning_two_disjoint_rows():
     tess = build_lattice_tessellation("square", 1.0, (0, 0), Window((0, 0), (5, 5)))
-    uniforms = np.ones(len(tess))
-    for i, c in enumerate(tess.centers):
-        if int(np.floor(c[1])) in (0, 3):
-            uniforms[i] = 0.0
-    assert len(joining(rect_graph(tess, tess.core_window, "face"), uniforms < 0.5, "L", "R")) == 2
+    graph = rect_graph(tess, tess.core_window, "face")
+    x, y = np.floor(tess.centers).T
+    rows = np.isin(y, (0, 3))
+    assert join_counts(graph, rows[None], [("L", "R")]).tolist() == [[2]]
+    # stacked with a colouring of two clusters that miss R: its white cells
+    # on L and R carry -1, which joins nothing
+    short = (x < 4) & (y != 2)
+    counts = join_counts(stack(graph, 2, len(tess)), np.stack([rows, short]),
+                         [("L", "R"), ("L", "L")])
+    assert counts.tolist() == [[2, 0], [2, 2]]
 
 
 @pytest.mark.parametrize("adjacency", ["face", "star"])
@@ -302,8 +316,8 @@ def test_cells_touching_the_rect_only_along_a_side_do_not_cross(adjacency):
         row = (y0 < y) & (y < y0 + 1) & (-1 < x) & (x < 5)
         col = np.where(row, 0.0, 1.0) < 0.5
         graph = rect_graph(tess, rect, adjacency)
-        assert crossing(graph, col, CrossingQuery(rect)) == crossed
-        assert len(joining(graph, col, "L", "R")) == int(crossed)
+        assert crosses(tess, col, CrossingQuery(rect), adjacency) == crossed
+        assert join_counts(graph, col[None], [("L", "R")]).tolist() == [[int(crossed)]]
 
 
 def test_spanning_rect_must_lie_in_core_window():
@@ -330,7 +344,8 @@ def test_theta_terminals_reach_the_farthest_corner():
     radii = (0.5, corner * (1 - 1e-9), corner * (1 + 1e-9))
     graph = _theta_prepare("face", radii, tess)
     assert graph.terminals["root"].tolist() == [zero_cell(tess)]
-    assert _theta_rep((0.0, 1.0), radii, graph, uniforms[None], (0,)) == [((0, 0, 0), (1, 1, 0))]
+    assert _joins_rep((0.0, 1.0), far_pairs(radii), graph, uniforms[None], (0,)) == [
+        ((0, 0, 0), (1, 1, 0))]
 
 
 # Reference: the rectangle graph built from the active cells only, one build
@@ -430,9 +445,10 @@ def test_rect_graph_labels_match_the_active_first_reference(instance, ps):
                 for name, mask in (("black", col), ("white", ~col)):
                     for direction, (a, b) in (("horizontal", "LR"), ("vertical", "BT")):
                         want = _ref_spanning_labels(tess, mask, rect, adjacency, direction)
-                        assert np.array_equal(joining(graph, mask, a, b), want)
+                        assert join_counts(graph, mask[None], [(a, b)]).tolist() == [[len(want)]]
                         query = CrossingQuery(rect, direction, name)
-                        assert crossing(graph, col, query) == (len(want) > 0)
+                        assert _crossing_rep((query,), (p,), (graph,), uniforms[None], (0,)) == [
+                            (0, ((int(len(want) > 0),),))]
 
 
 def _ref_cluster_reach(tess, edges, black, root):
@@ -486,18 +502,18 @@ def test_theta_terminals_match_the_cluster_reach_reference(name, seed, ps, data)
     for adjacency in ("face", "star"):
         want = tuple(tuple(int(reach[adjacency, p] >= r) for r in radii) for p in ps)
         graph = _theta_prepare(adjacency, radii, tess)
-        assert _theta_rep(tuple(ps), radii, graph, uniforms[None], (0,)) == [want]
+        assert _joins_rep(tuple(ps), far_pairs(radii), graph, uniforms[None], (0,)) == [want]
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_EVERY_KIND)), seed=st.integers(0, 10_000),
-       adjacency=st.sampled_from(["face", "star"]), rows=st.integers(2, 8), data=st.data())
+       adjacency=st.sampled_from(["face", "star"]), rows=st.integers(1, 8), data=st.data())
 def test_a_block_query_equals_its_rows_queried_alone(name, seed, adjacency, rows, data):
     """The crossing (every direction and colour), theta and spanning
     queries of a block of rows colourings of one build, one labelling of
-    their stack per step, equal row for row the same queries of each row in
-    a block of one. The grid has repeats, and p = 0, p = 1 and the block's
-    own uniforms are drawn into it."""
+    their stack per step, equal row for row each row's colouring labelled
+    alone on the unstacked graph at every p. The grid has repeats, and
+    p = 0, p = 1 and the block's own uniforms are drawn into it."""
     spec = ExperimentSpec(process=_EVERY_KIND[name], window=_CORE, master_seed=seed)
     try:
         tess = build_tessellation(spec, 0)
@@ -511,11 +527,13 @@ def test_a_block_query_equals_its_rows_queried_alone(name, seed, adjacency, rows
     graph, radii = rect_graph(tess, rect, adjacency), (0.5, 1.5, 2.5)
     queries = tuple(CrossingQuery(rect, direction, colour)
                     for direction in ("horizontal", "vertical") for colour in ("black", "white"))
-    for query in (partial(_crossing_rep, queries, ps, (graph,) * len(queries)),
-                  partial(_theta_rep, ps, radii, _theta_prepare(adjacency, radii, tess)),
-                  partial(_spanning_rep, ps, graph)):
-        assert query(uniforms, range(rows)) == [
-            result for rep in range(rows) for result in query(uniforms[rep:rep + 1], (rep,))]
+    graphs, reps = (graph,) * len(queries), range(rows)
+    assert _crossing_rep(queries, ps, graphs, uniforms, reps) == crossing_rows(
+        queries, ps, graphs, uniforms, reps)
+    theta = _theta_prepare(adjacency, radii, tess)
+    for pairs, prepared in ((far_pairs(radii), theta), ([("L", "R")], graph)):
+        assert _joins_rep(ps, pairs, prepared, uniforms, reps) == joins_rows(ps, pairs, prepared,
+                                                                           uniforms)
 
 
 def _ref_rect_graph(tess, rect, adjacency):
